@@ -20,6 +20,7 @@ check:
 	$(GO) test ./internal/mont -race
 	$(GO) test ./internal/vfl -race -run='^TestAdaptivePackSelectionIdentity$$'
 	$(GO) test ./internal/vfl -race -run='^TestShardedSelectionIdentity$$'
+	$(GO) test ./internal/vfl -race -count=10 -run='^(TestLazyRankConcurrent|TestRankingBatchHostileCount)$$'
 	$(GO) test . -race -run='^TestChurnSelectionMatchesColdRebuild$$'
 	$(GO) test ./internal/server -race -run='^TestConcurrentMultiConsortium$$'
 	$(GO) test ./internal/paillier -run='^$$' -fuzz='^FuzzFixedBaseExp$$' -fuzztime=5s

@@ -94,7 +94,7 @@ func main() {
 		deltaCache  = flag.Bool("delta-cache", false, "cross-round delta encoding: repeat queries resend only changed ciphertext blocks (role=leader)")
 		window      = flag.Int("encrypt-window", 0, "fixed-base window for randomizer precompute (0 = default 6, negative = classic uniform sampling)")
 		montKnob    = flag.Int("mont", 0, "Paillier modular-arithmetic backend: 0 = default (Montgomery kernel unless VFPS_MONT=0), >0 = force kernel, <0 = pure math/big")
-		wireName    = flag.String("wire", "", "protocol codec: gob|binary (default VFPS_WIRE or gob; mixed clusters negotiate down to gob per peer)")
+		wireName    = flag.String("wire", "", "protocol codec: binary|gob (default VFPS_WIRE or binary; mixed clusters negotiate down to gob per peer)")
 		obsAddr     = flag.String("obs-addr", "", "optional debug listen address serving /metrics, /v1/trace, /v1/slow and /debug/pprof")
 		logJSON     = flag.String("log-json", "", `structured query-log destination: "-"/"stdout", "stderr", or a file path (off when empty)`)
 		slowRing    = flag.Int("slow-ring", 0, "flight-recorder capacity for /v1/slow (0 = default)")

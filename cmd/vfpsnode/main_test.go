@@ -84,8 +84,8 @@ func TestFiveProcessDeployment(t *testing.T) {
 	if scheme == "" {
 		scheme = "plain"
 	}
-	// VFPSNODE_TEST_WIRE picks the protocol codec: "" (gob default),
-	// "binary", or "mixed" — binary everywhere except party 1, proving the
+	// VFPSNODE_TEST_WIRE picks the protocol codec: "" (binary default),
+	// "gob", or "mixed" — binary everywhere except party 1, proving the
 	// per-peer negotiation fallback over real TCP.
 	wireName := os.Getenv("VFPSNODE_TEST_WIRE")
 	wireFor := func(partyIdx int) []string {

@@ -97,23 +97,14 @@ func NRA(lists []*RankedList, k int) (*Result, error) {
 	}
 	// Materialise the final top-k from the fully seen set (at full depth
 	// every object is fully seen, so this always succeeds).
-	type agg struct {
-		id  int
-		sum float64
-	}
-	finals := make([]agg, 0, len(exactTotal))
+	finals := make([]Item, 0, len(exactTotal))
 	for id, total := range exactTotal {
-		finals = append(finals, agg{id: id, sum: total})
+		finals = append(finals, Item{ID: id, Score: total})
 	}
-	sort.Slice(finals, func(i, j int) bool {
-		if finals[i].sum != finals[j].sum {
-			return finals[i].sum < finals[j].sum
-		}
-		return finals[i].id < finals[j].id
-	})
+	SortPrefix(finals, k)
 	topk := make([]int, k)
 	for i := 0; i < k; i++ {
-		topk[i] = finals[i].id
+		topk[i] = finals[i].ID
 	}
 	cand := append([]int{}, order...)
 	sort.Ints(cand)

@@ -12,6 +12,8 @@ package topk
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -19,6 +21,91 @@ import (
 type Item struct {
 	ID    int
 	Score float64
+}
+
+// less is the order of every ranking in the system: ascending score, ties by
+// id. Ids are distinct within a list, so the order is strict and total and a
+// sorted list is unique.
+func less(a, b Item) bool {
+	return a.Score < b.Score || (a.Score == b.Score && a.ID < b.ID)
+}
+
+// Compare is less as a three-way comparison, for slices.SortFunc.
+func Compare(a, b Item) int {
+	switch {
+	case less(a, b):
+		return -1
+	case less(b, a):
+		return 1
+	}
+	return 0
+}
+
+// SortPrefix reorders items so that items[:m] is exactly the first m items
+// of the full Compare-sort, leaving the rest in unspecified order. It
+// quick-selects the m smallest in O(len) and sorts only those, so the cost
+// is O(len + m log m) instead of O(len log len).
+func SortPrefix(items []Item, m int) {
+	m = min(m, len(items))
+	if m <= 0 {
+		return
+	}
+	selectSmallest(items, m)
+	slices.SortFunc(items[:m], Compare)
+}
+
+// selectSmallest partitions items so that items[:m] holds the m smallest in
+// any order (0 < m ≤ len). Median-of-three quickselect; a run of bad pivots
+// falls back to sorting what is left, which bounds the worst case at
+// O(len log len).
+func selectSmallest(items []Item, m int) {
+	for budget := 2 * bits.Len(uint(len(items))); m < len(items); budget-- {
+		if budget == 0 || len(items) <= 12 {
+			slices.SortFunc(items, Compare)
+			return
+		}
+		p := partition(items)
+		if m <= p {
+			items = items[:p]
+		} else {
+			items, m = items[p+1:], m-(p+1)
+		}
+	}
+}
+
+// partition picks the median of the first, middle and last item as pivot and
+// returns its final index p: items[:p] sort before it, items[p+1:] after.
+func partition(items []Item) int {
+	last := len(items) - 1
+	mid := last / 2
+	if less(items[0], items[mid]) {
+		items[0], items[mid] = items[mid], items[0]
+	}
+	if less(items[last], items[mid]) {
+		items[last], items[mid] = items[mid], items[last]
+	}
+	if less(items[last], items[0]) {
+		items[last], items[0] = items[0], items[last]
+	}
+	// items[mid] ≤ items[0] ≤ items[last]: the median leads.
+	pivot := items[0]
+	i, j := 1, last
+	for {
+		for i <= j && less(items[i], pivot) {
+			i++
+		}
+		for i <= j && less(pivot, items[j]) {
+			j--
+		}
+		if i >= j {
+			break
+		}
+		items[i], items[j] = items[j], items[i]
+		i++
+		j--
+	}
+	items[0], items[j] = items[j], items[0]
+	return j
 }
 
 // RankedList is one party's scores for instance ids 0..N-1, pre-sorted in
@@ -37,13 +124,7 @@ func NewRankedList(scores []float64) *RankedList {
 	for id, s := range scores {
 		l.sorted[id] = Item{ID: id, Score: s}
 	}
-	sort.Slice(l.sorted, func(i, j int) bool {
-		a, b := l.sorted[i], l.sorted[j]
-		if a.Score != b.Score {
-			return a.Score < b.Score
-		}
-		return a.ID < b.ID
-	})
+	slices.SortFunc(l.sorted, Compare)
 	return l
 }
 
@@ -118,11 +199,7 @@ func validate(lists []*RankedList, k int) (n int, err error) {
 // ids with smallest sums (ascending, ties by id), along with the number of
 // random accesses charged.
 func kSmallestByAggregate(lists []*RankedList, cand []int, k int) ([]int, int) {
-	type agg struct {
-		id  int
-		sum float64
-	}
-	sums := make([]agg, len(cand))
+	sums := make([]Item, len(cand))
 	ra := 0
 	for i, id := range cand {
 		var s float64
@@ -130,17 +207,12 @@ func kSmallestByAggregate(lists []*RankedList, cand []int, k int) ([]int, int) {
 			s += l.Score(id)
 			ra++
 		}
-		sums[i] = agg{id: id, sum: s}
+		sums[i] = Item{ID: id, Score: s}
 	}
-	sort.Slice(sums, func(i, j int) bool {
-		if sums[i].sum != sums[j].sum {
-			return sums[i].sum < sums[j].sum
-		}
-		return sums[i].id < sums[j].id
-	})
+	SortPrefix(sums, k)
 	out := make([]int, k)
 	for i := 0; i < k; i++ {
-		out[i] = sums[i].id
+		out[i] = sums[i].ID
 	}
 	return out, ra
 }
@@ -297,18 +369,14 @@ func KSmallest(values []float64, k int) []int {
 	if k <= 0 {
 		return nil
 	}
-	idx := make([]int, len(values))
-	for i := range idx {
-		idx[i] = i
+	items := make([]Item, len(values))
+	for i, v := range values {
+		items[i] = Item{ID: i, Score: v}
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		i, j := idx[a], idx[b]
-		if values[i] != values[j] {
-			return values[i] < values[j]
-		}
-		return i < j
-	})
+	SortPrefix(items, k)
 	out := make([]int, k)
-	copy(out, idx[:k])
+	for i := range out {
+		out[i] = items[i].ID
+	}
 	return out
 }

@@ -3,6 +3,8 @@ package topk
 import (
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -245,6 +247,51 @@ func TestKSmallest(t *testing.T) {
 	}
 	if len(KSmallest(v, 99)) != 5 {
 		t.Fatal("k>n should clamp")
+	}
+}
+
+// TestSortPrefixMatchesFullSort pins SortPrefix against a reflective full
+// sort: random sizes and cut points, scores drawn from a handful
+// of values (ties resolved by id), already-sorted and reversed inputs (the
+// median-of-three worst shapes).
+func TestSortPrefixMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(3000)
+		items := make([]Item, n)
+		levels := 1 + rng.Intn(8)
+		for i := range items {
+			items[i] = Item{ID: i, Score: float64(rng.Intn(levels))}
+			if trial%3 == 0 {
+				items[i].Score = rng.NormFloat64()
+			}
+		}
+		want := append([]Item(nil), items...)
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].Score != want[j].Score {
+				return want[i].Score < want[j].Score
+			}
+			return want[i].ID < want[j].ID
+		})
+		switch trial % 5 {
+		case 1:
+			copy(items, want)
+		case 2:
+			for i := range items {
+				items[i] = want[n-1-i]
+			}
+		}
+		m := rng.Intn(n + 2)
+		SortPrefix(items, m)
+		m = min(m, n)
+		if !reflect.DeepEqual(items[:m], want[:m]) {
+			t.Fatalf("trial %d: n=%d m=%d: prefix differs from full sort", trial, n, m)
+		}
+		rest := append([]Item(nil), items...)
+		slices.SortFunc(rest, Compare)
+		if !reflect.DeepEqual(rest, want) {
+			t.Fatalf("trial %d: SortPrefix lost or duplicated items", trial)
+		}
 	}
 }
 

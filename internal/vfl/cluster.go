@@ -102,11 +102,12 @@ type ClusterConfig struct {
 	// vfps_ta_speculative_waste_total) when the threshold stops. Selections
 	// are identical with the knob on or off.
 	SpeculateTA bool
-	// Wire selects the protocol codec every role speaks: "gob" (the
-	// self-describing stdlib encoding, the default) or "binary" (the compact
-	// versioned wire format of internal/wire). Empty falls back to the
-	// VFPS_WIRE environment variable, then "gob". Selection results are
-	// bit-identical across codecs; only bytes on the wire change.
+	// Wire selects the protocol codec every role speaks: "binary" (the
+	// compact versioned wire format of internal/wire, the default) or "gob"
+	// (the self-describing stdlib encoding, kept as the explicit fallback).
+	// Empty falls back to the VFPS_WIRE environment variable, then "binary".
+	// Selection results are bit-identical across codecs; only bytes on the
+	// wire change.
 	Wire string
 	// Obs installs metrics and tracing on the transport, every role and the
 	// HE schemes. Nil falls back to the process-wide default observer
@@ -147,13 +148,13 @@ type Cluster struct {
 
 // ResolveWireCodec maps a wire knob value to a codec: the explicit name wins,
 // an empty name falls back to the VFPS_WIRE environment variable, and an
-// empty environment means gob (the pre-wire default).
+// empty environment means binary v1.
 func ResolveWireCodec(name string) (wire.Codec, error) {
 	if name == "" {
 		name = os.Getenv("VFPS_WIRE")
 	}
 	if name == "" {
-		return wire.Gob(), nil
+		return wire.Binary(), nil
 	}
 	return wire.ByName(name)
 }

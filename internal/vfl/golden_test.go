@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
 	"vfps/internal/costmodel"
@@ -200,6 +202,57 @@ func TestMarshalMeasuredBreakdown(t *testing.T) {
 		if int64(len(braw))-bp < 2 {
 			t.Errorf("%T: binary framing %d < envelope size", msg, int64(len(braw))-bp)
 		}
+	}
+}
+
+// TestMarshalMeasuredEncodesOnce pins the binary codec's single pass: a
+// megabyte ciphertext response is measured and encoded into one buffer sized
+// to it — no second encoding for the tally, no temporary blob body — and the
+// bytes are the ones Marshal produces.
+func TestMarshalMeasuredEncodesOnce(t *testing.T) {
+	ciphers := make([][]byte, 4096)
+	for i := range ciphers {
+		ciphers[i] = bytes.Repeat([]byte{byte(i)}, 256)
+	}
+	msg := &EncryptCandidatesResp{Ciphers: ciphers, PackFactor: 3, PackBits: 36, NeedBits: 30, CachedBlocks: []int{1, 7}}
+	bin := wire.Binary()
+	raw, payload, err := wire.MarshalMeasured(bin, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, err := bin.Marshal(msg); err != nil || !bytes.Equal(raw, want) {
+		t.Fatalf("MarshalMeasured and Marshal disagree (%v)", err)
+	}
+	if payload != 4096*256 {
+		t.Fatalf("payload = %d, want %d", payload, 4096*256)
+	}
+	// 4096 two-byte blob prefixes, the envelope and a few scalar fields.
+	if framing := int64(len(raw)) - payload; framing < 2 || framing > 2*4096+64 {
+		t.Fatalf("framing = %d bytes of %d", framing, len(raw))
+	}
+	allocated := func(f func()) float64 {
+		const runs = 8
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	perRun := allocated(func() {
+		if _, _, err := wire.MarshalMeasured(bin, msg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// One buffer of len(raw) — or what growing to it costs in this build:
+	// under -race the compiler materialises slices.Grow's temporary.
+	oneBuffer := max(float64(len(raw)), allocated(func() {
+		_ = slices.Grow(make([]byte, 0, 32), len(raw))
+	}))
+	if limit := 1.25 * oneBuffer; perRun > limit {
+		t.Fatalf("MarshalMeasured allocates %.0f B for a %d B message (limit %.0f): it copies the ciphertexts more than once",
+			perRun, len(raw), limit)
 	}
 }
 

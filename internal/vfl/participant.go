@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 
 	"vfps/internal/costmodel"
@@ -13,6 +12,7 @@ import (
 	"vfps/internal/mat"
 	"vfps/internal/obs"
 	"vfps/internal/par"
+	"vfps/internal/topk"
 	"vfps/internal/transport"
 	"vfps/internal/wire"
 )
@@ -49,17 +49,61 @@ type Participant struct {
 	cacheOrder []int // FIFO eviction order
 }
 
-// cacheLimit bounds the per-participant query cache so concurrent query
-// processing does not retain every query's distance vector.
-const cacheLimit = 32
+// The per-participant query cache is bounded by bytes, not entries: an entry
+// holds N distances and N−1 ranked items, so a fixed entry count that is
+// harmless at N = 200 retains hundreds of megabytes at N = 10⁵. Small
+// consortiums keep the 32 entries concurrent query processing was sized for;
+// large ones keep at least the few queries one selection has in flight.
+const (
+	cacheBudgetBytes = 16 << 20
+	cacheMinEntries  = 4
+	cacheMaxEntries  = 32
+)
+
+// cacheEntries is the query-cache capacity of a participant holding n rows.
+func cacheEntries(n int) int {
+	const perRow = 8 + 16 // one float64 distance and one topk.Item
+	return min(max(cacheBudgetBytes/(n*perRow), cacheMinEntries), cacheMaxEntries)
+}
 
 // queryCache holds the per-query artefacts that several protocol steps
 // reuse: partial distances by original id and the ascending sub-ranking of
-// pseudo IDs.
+// pseudo IDs, sorted only as far as the protocol has read it.
 type queryCache struct {
-	query     int
-	dist      []float64 // by original id; query itself = +Inf sentinel, excluded from ranking
-	sortedPid []int     // pseudo ids in ascending distance order (query excluded)
+	dist []float64 // by original id; the query's own slot stays 0 and is never ranked
+
+	mu sync.Mutex
+	// items pairs every row but the query with its pseudo id. items[:sorted]
+	// is final — exactly the first `sorted` entries of the full (distance,
+	// pseudo id) sort — and never written again, so slices of it stay valid
+	// after mu is released; items[sorted:] is the unsorted remainder, every
+	// entry of which orders after the prefix.
+	items  []topk.Item
+	sorted int
+}
+
+// rankedMinGrowth is the least the sorted prefix grows by. Fagin reads the
+// ranking 32 rows at a time, and each growth pays one O(N) selection pass
+// over the unsorted tail; doubling from this floor keeps a scan to depth d
+// at O(log d) passes.
+const rankedMinGrowth = 2048
+
+// ranked returns the first upto entries (fewer when the list is shorter) of
+// the ascending sub-ranking. When the request reaches past the sorted prefix
+// the prefix is extended by selecting the next-smallest items out of the tail
+// and sorting only those: a query scanned to depth d costs O(N + d log d)
+// instead of the O(N log N) of sorting rows Fagin never reads, and every
+// entry returned is identical to the full sort's because the order is strict.
+func (qc *queryCache) ranked(upto int) []topk.Item {
+	upto = min(upto, len(qc.items))
+	qc.mu.Lock()
+	defer qc.mu.Unlock()
+	if upto > qc.sorted {
+		target := min(max(upto, 2*qc.sorted, rankedMinGrowth), len(qc.items))
+		topk.SortPrefix(qc.items[qc.sorted:], target-qc.sorted)
+		qc.sorted = target
+	}
+	return qc.items[:upto]
 }
 
 // NewParticipant constructs participant p over its local features.
@@ -306,39 +350,24 @@ func (p *Participant) distances(ctx context.Context, query int) (*queryCache, er
 	n := p.N()
 	qRow := p.x.Row(query)
 	dist := make([]float64, n)
+	items := make([]topk.Item, 0, n-1)
 	for i := 0; i < n; i++ {
 		if i == query {
 			continue
 		}
 		dist[i] = mat.SqDist(qRow, p.x.Row(i))
+		// Ranking by (distance, pseudo id) gives all parties and the servers
+		// a consistent order without leaking original ids.
+		items = append(items, topk.Item{ID: p.perm[i], Score: dist[i]})
 	}
 	p.counts.Add(costmodel.Raw{DistanceFlops: int64((n - 1) * p.x.Cols)})
-	ranking := make([]int, 0, n-1)
-	for i := 0; i < n; i++ {
-		if i != query {
-			ranking = append(ranking, i)
-		}
-	}
-	sort.Slice(ranking, func(a, b int) bool {
-		i, j := ranking[a], ranking[b]
-		if dist[i] != dist[j] {
-			return dist[i] < dist[j]
-		}
-		// Tie-break on pseudo id so all parties and the servers see a
-		// consistent order without leaking original ids.
-		return p.perm[i] < p.perm[j]
-	})
-	pids := make([]int, len(ranking))
-	for r, orig := range ranking {
-		pids[r] = p.perm[orig]
-	}
-	qc := &queryCache{query: query, dist: dist, sortedPid: pids}
+	qc := &queryCache{dist: dist, items: items}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if existing, ok := p.cache[query]; ok {
 		return existing, nil // another goroutine won the race
 	}
-	if len(p.cacheOrder) >= cacheLimit {
+	if len(p.cacheOrder) >= cacheEntries(n) {
 		oldest := p.cacheOrder[0]
 		p.cacheOrder = p.cacheOrder[1:]
 		delete(p.cache, oldest)
@@ -411,14 +440,16 @@ func (p *Participant) rankingBatch(ctx context.Context, codec wire.Codec, r Rank
 	if err != nil {
 		return nil, err
 	}
-	if r.Offset < 0 || r.Offset > len(qc.sortedPid) {
+	if r.Offset < 0 || r.Offset > len(qc.items) {
 		return nil, fmt.Errorf("vfl: ranking offset %d out of range", r.Offset)
 	}
-	end := r.Offset + r.Count
-	if end > len(qc.sortedPid) {
-		end = len(qc.sortedPid)
+	// Clamp before adding: Offset+Count overflows for a hostile Count.
+	count := min(r.Count, len(qc.items)-r.Offset)
+	ranked := qc.ranked(r.Offset + count)[r.Offset:]
+	batch := make([]int, len(ranked))
+	for i, it := range ranked {
+		batch[i] = it.ID
 	}
-	batch := qc.sortedPid[r.Offset:end]
 	return reply(codec, &RankingBatchResp{PseudoIDs: batch}, &p.counts, &p.roleObs,
 		costmodel.Raw{ItemsSent: int64(len(batch)), Messages: 1})
 }
@@ -492,14 +523,15 @@ func (p *Participant) encryptRankScore(ctx context.Context, codec wire.Codec, r 
 	if r.Rank < 0 {
 		return nil, fmt.Errorf("vfl: rank %d must be non-negative", r.Rank)
 	}
-	rank := r.Rank
-	if rank >= len(qc.sortedPid) {
-		rank = len(qc.sortedPid) - 1
+	if len(qc.items) == 0 {
+		return nil, fmt.Errorf("vfl: rank %d of an empty ranking", r.Rank)
 	}
+	// Clamp before adding one, for the same reason as in rankingBatch.
+	rank := min(r.Rank, len(qc.items)-1)
 	// The mask key is the *requested* rank: every party is asked the same
 	// rank in a TA round, so their masks cancel at aggregation even when the
 	// effective rank was clamped.
-	c, err := p.encryptValue(he.DomainRank, r.Query, r.Rank, qc.dist[p.inv[qc.sortedPid[rank]]])
+	c, err := p.encryptValue(he.DomainRank, r.Query, r.Rank, qc.ranked(rank + 1)[rank].Score)
 	if err != nil {
 		return nil, fmt.Errorf("vfl: party %d encrypting frontier: %w", p.index, err)
 	}

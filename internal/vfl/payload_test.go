@@ -3,11 +3,18 @@ package vfl
 import (
 	"context"
 	"errors"
+	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"vfps/internal/dataset"
 	"vfps/internal/fixed"
+	"vfps/internal/he"
+	"vfps/internal/mat"
+	"vfps/internal/topk"
+	"vfps/internal/wire"
 )
 
 func payloadTestCluster(t *testing.T, pt *dataset.Partition, adaptive bool, chunkBytes int, delta bool) *Cluster {
@@ -122,5 +129,91 @@ func TestMaliciousPackDepthRejected(t *testing.T) {
 	if _, err := cl.Leader.decryptCollected(ctx, col); err == nil ||
 		!strings.Contains(err.Error(), "inconsistent packing configuration") {
 		t.Fatalf("factor/geometry mismatch: err = %v, want inconsistent-packing rejection", err)
+	}
+}
+
+// TestRankingBatchHostileCount pins the party's bounds handling against a
+// hostile peer: Offset+Count must not overflow into a negative slice bound
+// (a panic no transport recovers). Oversized counts and ranks clamp to the
+// list, offsets past it and ranks into an empty list are refused.
+func TestRankingBatchHostileCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	p, query, _, want := rankedTestParty(t, rng, 300)
+	ctx := context.Background()
+	bin := wire.Binary()
+	p.SetCodec(bin)
+	call := func(p *Participant, method string, req, resp wire.Message) error {
+		raw, err := bin.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := p.Handler()(ctx, method, raw)
+		if err != nil {
+			return err
+		}
+		return bin.Unmarshal(out, resp)
+	}
+	pids := func(items []topk.Item) []int {
+		var out []int
+		for _, it := range items {
+			out = append(out, it.ID)
+		}
+		return out
+	}
+
+	for _, c := range []struct {
+		offset, count int
+		want          []int
+	}{
+		{1, math.MaxInt, pids(want[1:])},
+		{len(want) - 1, math.MaxInt - 7, pids(want[len(want)-1:])},
+		{len(want), math.MaxInt, nil},
+		{0, 5, pids(want[:5])},
+	} {
+		var resp RankingBatchResp
+		if err := call(p, MethodRankingBatch, &RankingBatchReq{Query: query, Offset: c.offset, Count: c.count}, &resp); err != nil {
+			t.Fatalf("offset %d count %d: %v", c.offset, c.count, err)
+		}
+		if !slices.Equal(resp.PseudoIDs, c.want) {
+			t.Fatalf("offset %d count %d: got %d ids, want %d", c.offset, c.count, len(resp.PseudoIDs), len(c.want))
+		}
+	}
+	for _, r := range []RankingBatchReq{
+		{Query: query, Offset: len(want) + 1, Count: 1},
+		{Query: query, Offset: math.MaxInt, Count: math.MaxInt},
+		{Query: query, Offset: -1, Count: 1},
+		{Query: query, Offset: 0, Count: 0},
+		{Query: query, Offset: 0, Count: math.MinInt},
+	} {
+		if err := call(p, MethodRankingBatch, &r, &RankingBatchResp{}); err == nil {
+			t.Fatalf("offset %d count %d: accepted", r.Offset, r.Count)
+		}
+	}
+
+	// The TA frontier takes the same clamp: an oversized rank reads the last
+	// entry, a negative one is refused.
+	var score EncryptRankScoreResp
+	if err := call(p, MethodEncryptRankScore, &EncryptRankScoreReq{Query: query, Rank: math.MaxInt}, &score); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := he.NewPlain().Decrypt(score.Cipher); err != nil || v != want[len(want)-1].Score {
+		t.Fatalf("rank MaxInt: got %v (%v), want the last entry's %v", v, err, want[len(want)-1].Score)
+	}
+	if err := call(p, MethodEncryptRankScore, &EncryptRankScoreReq{Query: query, Rank: -1}, &score); err == nil {
+		t.Fatal("negative rank accepted")
+	}
+	// A one-row participant ranks nothing; its frontier must be an error, not
+	// an index panic.
+	lone, err := NewParticipant(0, mat.New(1, 2), he.NewPlain(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lone.SetCodec(bin)
+	if err := call(lone, MethodEncryptRankScore, &EncryptRankScoreReq{Query: 0, Rank: 0}, &score); err == nil {
+		t.Fatal("rank into an empty ranking accepted")
+	}
+	var batch RankingBatchResp
+	if err := call(lone, MethodRankingBatch, &RankingBatchReq{Query: 0, Offset: 0, Count: math.MaxInt}, &batch); err != nil || len(batch.PseudoIDs) != 0 {
+		t.Fatalf("one-row ranking batch: %v, %d ids", err, len(batch.PseudoIDs))
 	}
 }

@@ -347,12 +347,18 @@ func TestIdentitySecurityPseudoIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	identical := true
-	for rank, pid := range qc.sortedPid {
-		if party.inv[pid] != qc.sortedPid[rank] {
-			identical = false
-			break
+	shipsPseudo := false
+	for rank, it := range qc.ranked(party.N()) {
+		orig := party.inv[it.ID]
+		if qc.dist[orig] != it.Score {
+			t.Fatalf("rank %d: pseudo id %d does not map back to its row's distance", rank, it.ID)
 		}
+		if orig != it.ID {
+			shipsPseudo = true
+		}
+	}
+	if !shipsPseudo {
+		t.Fatal("ranking carries original ids")
 	}
 	// Verify the permutation is actually shuffling (overwhelmingly likely).
 	moved := 0
@@ -364,7 +370,6 @@ func TestIdentitySecurityPseudoIDs(t *testing.T) {
 	if moved < 10 {
 		t.Fatalf("shuffle barely permutes: %d moved", moved)
 	}
-	_ = identical // rankings are pseudo-id space by construction; perm check above is the guarantee
 	// All parties must share the same permutation.
 	for i := 1; i < len(cl.Parties); i++ {
 		for j, v := range cl.Parties[i].perm {
@@ -602,8 +607,9 @@ func TestParticipantCacheEviction(t *testing.T) {
 	_, pt := testPartition(t, "Rice", 60, 2)
 	cl := newCluster(t, pt, "plain")
 	party := cl.Parties[0]
+	limit := cacheEntries(party.N())
 	// Touch more queries than the cache holds.
-	for q := 0; q < cacheLimit+10; q++ {
+	for q := 0; q < limit+10; q++ {
 		if _, err := party.distances(context.Background(), q); err != nil {
 			t.Fatal(err)
 		}
@@ -611,12 +617,25 @@ func TestParticipantCacheEviction(t *testing.T) {
 	party.mu.Lock()
 	size := len(party.cache)
 	party.mu.Unlock()
-	if size > cacheLimit {
-		t.Fatalf("cache grew to %d entries (limit %d)", size, cacheLimit)
+	if size != limit {
+		t.Fatalf("cache holds %d entries, want its limit %d", size, limit)
 	}
 	// Evicted entries must still be recomputable.
 	if _, err := party.distances(context.Background(), 0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCacheEntriesByteBudget pins the cache bound: a fixed byte budget per
+// participant, so small consortiums keep the 32 entries they always had and
+// a 100k-row participant stops retaining 32 N-length vectors.
+func TestCacheEntriesByteBudget(t *testing.T) {
+	for _, c := range []struct{ rows, want int }{
+		{1, 32}, {60, 32}, {20_000, 32}, {30_000, 23}, {100_000, 6}, {200_000, 4}, {10_000_000, 4},
+	} {
+		if got := cacheEntries(c.rows); got != c.want {
+			t.Errorf("cacheEntries(%d) = %d, want %d", c.rows, got, c.want)
+		}
 	}
 }
 

@@ -99,15 +99,15 @@ func (e *Encoder) Chunks(tag int, chunks [][][]byte) {
 	if len(chunks) == 0 {
 		return
 	}
-	e.key(tag, wtBytes)
-	body := AppendChunks(nil, chunks)
-	e.buf = AppendUvarint(e.buf, uint64(len(body)))
-	e.buf = append(e.buf, body...)
+	body, content := uvarintLen(uint64(len(chunks))), 0
 	for _, c := range chunks {
-		for _, b := range c {
-			e.payload += int64(len(b))
-		}
+		size, n := sizeBlobs(c)
+		body += size
+		content += n
 	}
+	e.vector(tag, body)
+	e.buf = AppendChunks(e.buf, chunks)
+	e.payload += int64(content)
 }
 
 // Chunks reads the current field as a chunk-framed blob list.

@@ -107,7 +107,15 @@ func Unmarshal(data []byte, v any) error {
 // out of len(raw). The remainder is framing — envelope, field keys, length
 // prefixes, ID lists, and for gob its type descriptors. costmodel charges
 // the two shares to BytesSent and FramingBytes respectively.
+//
+// On the binary codec the bytes and the tally come out of one Encoder pass.
+// Gob has no tally of its own, so a gob message is encoded a second time on
+// the binary layout only to be measured.
 func MarshalMeasured(c Codec, v any) (raw []byte, payload int64, err error) {
+	if _, ok := c.(binaryCodec); ok {
+		e, err := encodeBinary(v)
+		return e.buf, e.payload, err
+	}
 	raw, err = c.Marshal(v)
 	if err != nil {
 		return nil, 0, err
@@ -161,18 +169,25 @@ func (binaryCodec) Name() string    { return "binary" }
 func (binaryCodec) Version() uint64 { return 1 }
 
 func (binaryCodec) Marshal(v any) ([]byte, error) {
-	head := []byte{envelopeMagic}
-	head = binary.AppendUvarint(head, MaxVersion)
+	e, err := encodeBinary(v)
+	return e.buf, err
+}
+
+// encodeBinary is the one v1 encoding pass: envelope, then the message's
+// fields. The returned encoder holds the bytes and their payload tally.
+func encodeBinary(v any) (Encoder, error) {
+	// Requests are mostly a few scalars: start with room for them.
+	buf := append(make([]byte, 0, 32), envelopeMagic)
+	e := Encoder{buf: binary.AppendUvarint(buf, MaxVersion)}
 	if v == nil {
-		return head, nil
+		return e, nil
 	}
 	m, ok := v.(Message)
 	if !ok {
-		return nil, fmt.Errorf("wire: %T does not implement wire.Message", v)
+		return Encoder{}, fmt.Errorf("wire: %T does not implement wire.Message", v)
 	}
-	e := Encoder{buf: head}
 	m.MarshalWire(&e)
-	return e.buf, nil
+	return e, nil
 }
 
 func (binaryCodec) Unmarshal(data []byte, v any) error {

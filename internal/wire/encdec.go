@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Message is a protocol struct that knows its own v1 field layout. Encoding
@@ -91,16 +92,22 @@ func (e *Encoder) String(tag int, s string) {
 	e.buf = append(e.buf, s...)
 }
 
+// vector opens a length-delimited field whose body is bodyLen bytes, growing
+// the buffer once for key, length prefix and body.
+func (e *Encoder) vector(tag, bodyLen int) {
+	e.buf = slices.Grow(e.buf, 2*binary.MaxVarintLen64+bodyLen)
+	e.key(tag, wtBytes)
+	e.buf = binary.AppendUvarint(e.buf, uint64(bodyLen))
+}
+
 // IDs encodes a delta-coded pseudo-ID list; empty is omitted. ID lists are
 // framing: they address payload, they aren't payload.
 func (e *Encoder) IDs(tag int, ids []int) {
 	if len(ids) == 0 {
 		return
 	}
-	e.key(tag, wtBytes)
-	body := AppendIDs(nil, ids)
-	e.buf = binary.AppendUvarint(e.buf, uint64(len(body)))
-	e.buf = append(e.buf, body...)
+	e.vector(tag, sizeIDs(ids))
+	e.buf = AppendIDs(e.buf, ids)
 }
 
 // Blobs encodes a length-prefixed blob list (ciphertext vectors); empty is
@@ -109,13 +116,10 @@ func (e *Encoder) Blobs(tag int, blobs [][]byte) {
 	if len(blobs) == 0 {
 		return
 	}
-	e.key(tag, wtBytes)
-	body := AppendBlobs(nil, blobs)
-	e.buf = binary.AppendUvarint(e.buf, uint64(len(body)))
-	e.buf = append(e.buf, body...)
-	for _, b := range blobs {
-		e.payload += int64(len(b))
-	}
+	body, content := sizeBlobs(blobs)
+	e.vector(tag, body)
+	e.buf = AppendBlobs(e.buf, blobs)
+	e.payload += int64(content)
 }
 
 // Msg encodes a nested message as a length-delimited sub-body; a nested

@@ -75,6 +75,9 @@ func FuzzDeltaIDs(f *testing.F) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
 		}
 		buf := AppendIDs(nil, ids)
+		if sizeIDs(ids) != len(buf) {
+			t.Fatalf("sizeIDs = %d, encoding is %d bytes", sizeIDs(ids), len(buf))
+		}
 		back, _, err := ConsumeIDs(buf)
 		if err != nil {
 			t.Fatalf("re-decode: %v", err)

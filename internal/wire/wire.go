@@ -32,6 +32,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Typed decode errors. All corruption detected by the decoder unwraps to one
@@ -82,6 +83,9 @@ func AppendUvarint(dst []byte, v uint64) []byte {
 	return binary.AppendUvarint(dst, v)
 }
 
+// uvarintLen returns the encoded size of v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
 // ConsumeUvarint reads one uvarint from the front of data, returning the
 // value and the number of bytes consumed.
 func ConsumeUvarint(data []byte) (uint64, int, error) {
@@ -108,6 +112,17 @@ func AppendIDs(dst []byte, ids []int) []byte {
 		prev = id
 	}
 	return dst
+}
+
+// sizeIDs returns the number of bytes AppendIDs appends for ids.
+func sizeIDs(ids []int) int {
+	size := uvarintLen(uint64(len(ids)))
+	prev := 0
+	for _, id := range ids {
+		size += uvarintLen(Zigzag(int64(id - prev)))
+		prev = id
+	}
+	return size
 }
 
 // ConsumeIDs reads a delta-coded ID list from the front of data, returning
@@ -148,6 +163,17 @@ func AppendBlobs(dst []byte, blobs [][]byte) []byte {
 		dst = append(dst, b...)
 	}
 	return dst
+}
+
+// sizeBlobs returns the number of bytes AppendBlobs appends for blobs, and
+// how many of them are blob content.
+func sizeBlobs(blobs [][]byte) (size, content int) {
+	size = uvarintLen(uint64(len(blobs)))
+	for _, b := range blobs {
+		size += uvarintLen(uint64(len(b)))
+		content += len(b)
+	}
+	return size + content, content
 }
 
 // ConsumeBlobs reads a blob list from the front of data, returning the blobs

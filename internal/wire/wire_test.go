@@ -29,6 +29,9 @@ func TestUvarintRoundTrip(t *testing.T) {
 		if err != nil || got != v || n != len(buf) {
 			t.Errorf("ConsumeUvarint(AppendUvarint(%d)) = %d, %d, %v", v, got, n, err)
 		}
+		if uvarintLen(v) != len(buf) {
+			t.Errorf("uvarintLen(%d) = %d, encoding is %d bytes", v, uvarintLen(v), len(buf))
+		}
 	}
 	if _, _, err := ConsumeUvarint(nil); !errors.Is(err, ErrTruncated) {
 		t.Errorf("empty uvarint: got %v, want ErrTruncated", err)
@@ -50,9 +53,13 @@ func TestIDsRoundTrip(t *testing.T) {
 		{1, 2, 3, 4, 5},
 		{100, 90, 105, 3, -7},
 		{-1, -2, -3},
+		{math.MaxInt, math.MinInt, 0, math.MinInt, math.MaxInt},
 	}
 	for _, ids := range cases {
 		buf := AppendIDs(nil, ids)
+		if sizeIDs(ids) != len(buf) {
+			t.Fatalf("sizeIDs(%v) = %d, encoding is %d bytes", ids, sizeIDs(ids), len(buf))
+		}
 		got, n, err := ConsumeIDs(buf)
 		if err != nil || n != len(buf) {
 			t.Fatalf("ConsumeIDs(%v): n=%d err=%v", ids, n, err)
@@ -95,9 +102,13 @@ func TestBlobsRoundTrip(t *testing.T) {
 		nil,
 		{[]byte("a")},
 		{[]byte(""), []byte("xy"), []byte("ciphertext")},
+		{make([]byte, 127), make([]byte, 128), make([]byte, 16384)},
 	}
 	for _, blobs := range cases {
 		buf := AppendBlobs(nil, blobs)
+		if size, content := sizeBlobs(blobs); size != len(buf) || content != len(bytes.Join(blobs, nil)) {
+			t.Fatalf("sizeBlobs = %d (%d content), encoding is %d bytes", size, content, len(buf))
+		}
 		got, n, err := ConsumeBlobs(buf)
 		if err != nil || n != len(buf) {
 			t.Fatalf("ConsumeBlobs: n=%d err=%v", n, err)

@@ -158,10 +158,11 @@ type Config struct {
 	// (PoolSet.Close); closing the consortium leaves the shared pools
 	// running.
 	SharedPool *PoolSet
-	// Wire selects the protocol codec: "gob" (default) or "binary" (the
-	// compact versioned wire format of internal/wire). Empty falls back to
-	// the VFPS_WIRE environment variable, then "gob". Selection results are
-	// bit-identical across codecs; only bytes on the wire change.
+	// Wire selects the protocol codec: "binary" (default; the compact
+	// versioned wire format of internal/wire) or "gob" (explicit fallback).
+	// Empty falls back to the VFPS_WIRE environment variable, then "binary".
+	// Selection results are bit-identical across codecs; only bytes on the
+	// wire change.
 	Wire string
 	// SpeculateTA lets the leader's threshold-variant scan decrypt round r+1
 	// concurrently with evaluating round r's stop condition; a speculation the
