@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race bench bench-packed bench-wire bench-encrypt bench-payload bench-churn bench-mont microbench experiments fuzz cover obs-smoke soak clean
+.PHONY: build test check race bench bench-parallel bench-packed bench-encrypt bench-payload bench-churn bench-mont microbench experiments fuzz cover obs-smoke soak clean
 
 build:
 	$(GO) build ./...
@@ -8,10 +8,11 @@ build:
 test:
 	$(GO) test ./...
 
-# Formatting and vet first, then the full suite, a wire-codec fuzz smoke,
+# Formatting and vet first, then the full suite, a wire-format fuzz smoke,
 # and the live observability surface — the pre-commit gate.
 check:
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then echo "gofmt needed on:"; echo "$$fmt"; exit 1; fi
+	@gob=$$(grep -rl --include='*.go' '"encoding/gob"' . | grep -v '^\./internal/ml/'); if [ -n "$$gob" ]; then echo "encoding/gob is for model snapshots (internal/ml) only; the protocol has one wire format. Imported by:"; echo "$$gob"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzWire$$' -fuzztime=5s
@@ -49,9 +50,14 @@ soak:
 race:
 	$(GO) test ./... -race
 
+# The end-to-end selection benchmark BENCHMARK.json declares: every workload,
+# timed and traced (see bench/README.md).
+bench:
+	$(GO) run ./bench -out bench.json
+
 # Benchmark the parallel HE pipeline (serial vs worker-pool vs pooled
 # randomizers, plus end-to-end selection) and record it for comparison.
-bench:
+bench-parallel:
 	$(GO) run ./cmd/vfpsbench -exp parallel -json BENCH_parallel.json
 
 # Benchmark the batched Paillier hot path (CRT decryption, slot-packed
@@ -61,13 +67,6 @@ bench:
 bench-packed:
 	$(GO) run ./cmd/vfpsbench -exp packed -json BENCH_packed.json
 	./scripts/bench_compare.sh BENCH_packed.json
-
-# Benchmark the compact binary codec against gob (message sizes plus gob/binary
-# end-to-end selections, packed and unpacked) and gate the result: identical
-# selections and ≥2x fewer framing (non-ciphertext) bytes on the Fagin variant.
-bench-wire:
-	$(GO) run ./cmd/vfpsbench -exp wire -json BENCH_wire.json
-	./scripts/bench_compare.sh BENCH_wire.json
 
 # Benchmark the encryption hot path (classic vs fixed-base windowed vs CRT vs
 # pooled randomizer production, the Montgomery kernel A/B on modmul- and
@@ -81,9 +80,8 @@ bench-encrypt:
 
 # Benchmark the ciphertext-payload optimizations (adaptive pack factor,
 # chunked streaming, cross-round delta cache) over repeated Fagin selections
-# and gate the result: every arm — including the mixed-codec one falling back
-# to legacy framing — selects the identical set, and the fully optimized arm
-# cuts steady-state ciphertext bytes by ≥3x over static packing.
+# and gate the result: every arm selects the identical set, and the fully
+# optimized arm cuts steady-state ciphertext bytes by ≥3x over static packing.
 bench-payload:
 	$(GO) run ./cmd/vfpsbench -exp payload -json BENCH_payload.json
 	./scripts/bench_compare.sh BENCH_payload.json
@@ -122,4 +120,4 @@ fuzz:
 	$(GO) test ./internal/mont -run='^$$' -fuzz='^FuzzMontMulExp$$' -fuzztime=30s
 
 clean:
-	rm -f cover.out vfpsbench vfpsnode vfpsselect vfpsserve SOAK_summary.json
+	rm -f cover.out bench.json vfpsbench vfpsnode vfpsselect vfpsserve SOAK_summary.json

@@ -90,11 +90,10 @@ func main() {
 		parallelism = flag.Int("parallelism", 0, "HE pipeline concurrency (0 = VFPS_PARALLELISM or GOMAXPROCS, 1 = serial)")
 		pack        = flag.Bool("pack", false, "slot-pack Paillier ciphertexts (set identically on all parties and the leader)")
 		packAdapt   = flag.Bool("pack-adaptive", false, "renegotiate the packing slot width per round from observed magnitudes (role=leader; requires -pack)")
-		chunkBytes  = flag.Int("chunk-bytes", 0, "split collection responses into ciphertext chunks of at most this many bytes (role=leader; requires -wire binary)")
+		chunkBytes  = flag.Int("chunk-bytes", 0, "split collection responses into ciphertext chunks of at most this many bytes (role=leader)")
 		deltaCache  = flag.Bool("delta-cache", false, "cross-round delta encoding: repeat queries resend only changed ciphertext blocks (role=leader)")
 		window      = flag.Int("encrypt-window", 0, "fixed-base window for randomizer precompute (0 = default 6, negative = classic uniform sampling)")
 		montKnob    = flag.Int("mont", 0, "Paillier modular-arithmetic backend: 0 = default (Montgomery kernel unless VFPS_MONT=0), >0 = force kernel, <0 = pure math/big")
-		wireName    = flag.String("wire", "", "protocol codec: binary|gob (default VFPS_WIRE or binary; mixed clusters negotiate down to gob per peer)")
 		obsAddr     = flag.String("obs-addr", "", "optional debug listen address serving /metrics, /v1/trace, /v1/slow and /debug/pprof")
 		logJSON     = flag.String("log-json", "", `structured query-log destination: "-"/"stdout", "stderr", or a file path (off when empty)`)
 		slowRing    = flag.Int("slow-ring", 0, "flight-recorder capacity for /v1/slow (0 = default)")
@@ -105,10 +104,6 @@ func main() {
 	flag.Parse()
 
 	dir, err := parseDirectory(*directory)
-	if err != nil {
-		fatal("%v", err)
-	}
-	codec, err := vfl.ResolveWireCodec(*wireName)
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -167,7 +162,6 @@ func main() {
 		if err != nil {
 			fatal("%v", err)
 		}
-		ks.SetCodec(codec)
 		serve(*addr, "key server", ks.Handler(), o)
 	case "party":
 		pt, _, err := localPartition(*ds, *rows, *parties, *splitSeed)
@@ -180,7 +174,7 @@ func main() {
 		cli := transport.NewTCPClient(dir)
 		defer cli.Close()
 		cli.SetObserver(o)
-		pub, err := vfl.FetchPublicSchemeWire(ctx, transport.NewCodecCaller(cli, codec), vfl.KeyServerName)
+		pub, err := vfl.FetchPublicScheme(ctx, cli, vfl.KeyServerName)
 		if err != nil {
 			fatal("fetching public key: %v", err)
 		}
@@ -192,13 +186,12 @@ func main() {
 		}
 		part.SetParallelism(*parallelism)
 		part.SetObserver(o, "node")
-		part.SetCodec(codec)
 		serve(*addr, fmt.Sprintf("participant %d (%d features)", *index, part.Features()), part.Handler(), o)
 	case "aggserver":
 		cli := transport.NewTCPClient(dir)
 		defer cli.Close()
 		cli.SetObserver(o)
-		pub, err := vfl.FetchPublicSchemeWire(ctx, transport.NewCodecCaller(cli, codec), vfl.KeyServerName)
+		pub, err := vfl.FetchPublicScheme(ctx, cli, vfl.KeyServerName)
 		if err != nil {
 			fatal("fetching public key: %v", err)
 		}
@@ -214,7 +207,6 @@ func main() {
 		}
 		agg.SetParallelism(*parallelism)
 		agg.SetObserver(o, "node")
-		agg.SetCodec(codec)
 		if size, shards := vfl.PlanSubtrees(len(names), *shardWkrs); *shardWkrs >= 2 && shards >= 2 {
 			plan := &vfl.ShardPlan{SubtreeSize: size}
 			for wi := 0; wi < shards; wi++ {
@@ -234,7 +226,7 @@ func main() {
 		cli := transport.NewTCPClient(dir)
 		defer cli.Close()
 		cli.SetObserver(o)
-		pub, err := vfl.FetchPublicSchemeWire(ctx, transport.NewCodecCaller(cli, codec), vfl.KeyServerName)
+		pub, err := vfl.FetchPublicScheme(ctx, cli, vfl.KeyServerName)
 		if err != nil {
 			fatal("fetching public key: %v", err)
 		}
@@ -260,13 +252,12 @@ func main() {
 		wkr.SetParallelism(*parallelism)
 		wkr.SetRole(vfl.AggWorkerName(*index))
 		wkr.SetObserver(o, "node")
-		wkr.SetCodec(codec)
 		serve(*addr, fmt.Sprintf("aggregation worker %d (parties %d..%d)", *index, lo, hi-1), wkr.Handler(), o)
 	case "leader":
 		cli := transport.NewTCPClient(dir)
 		defer cli.Close()
 		cli.SetObserver(o)
-		priv, err := vfl.FetchPrivateSchemeWire(ctx, transport.NewCodecCaller(cli, codec), vfl.KeyServerName)
+		priv, err := vfl.FetchPrivateScheme(ctx, cli, vfl.KeyServerName)
 		if err != nil {
 			fatal("fetching private key: %v", err)
 		}
@@ -279,7 +270,6 @@ func main() {
 		}
 		leader.SetParallelism(*parallelism)
 		leader.SetObserver(o, "node")
-		leader.SetCodec(codec)
 		leader.SetPayloadOptions(*packAdapt && *pack, *chunkBytes, *deltaCache)
 		leader.SetSpeculativeTA(*specTA)
 		// Shard workers hold per-role op counters; fold them into the totals.

@@ -84,40 +84,23 @@ func TestFiveProcessDeployment(t *testing.T) {
 	if scheme == "" {
 		scheme = "plain"
 	}
-	// VFPSNODE_TEST_WIRE picks the protocol codec: "" (binary default),
-	// "gob", or "mixed" — binary everywhere except party 1, proving the
-	// per-peer negotiation fallback over real TCP.
-	wireName := os.Getenv("VFPSNODE_TEST_WIRE")
-	wireFor := func(partyIdx int) []string {
-		switch wireName {
-		case "":
-			return nil
-		case "mixed":
-			if partyIdx == 1 {
-				return []string{"-wire", "gob"}
-			}
-			return []string{"-wire", "binary"}
-		default:
-			return []string{"-wire", wireName}
-		}
-	}
-	keyAddr := start(append([]string{"-role", "keyserver", "-scheme", scheme, "-keybits", "256",
-		"-parties", fmt.Sprint(parties), "-addr", "127.0.0.1:0"}, wireFor(-1)...)...)
+	keyAddr := start("-role", "keyserver", "-scheme", scheme, "-keybits", "256",
+		"-parties", fmt.Sprint(parties), "-addr", "127.0.0.1:0")
 	dir := fmt.Sprintf("keyserver=%s", keyAddr)
 
 	partyAddrs := make([]string, parties)
 	for i := 0; i < parties; i++ {
-		partyAddrs[i] = start(append([]string{"-role", "party", "-index", fmt.Sprint(i),
+		partyAddrs[i] = start("-role", "party", "-index", fmt.Sprint(i),
 			"-dataset", dataset, "-rows", rows, "-parties", fmt.Sprint(parties),
-			"-addr", "127.0.0.1:0", "-directory", dir}, wireFor(i)...)...)
+			"-addr", "127.0.0.1:0", "-directory", dir)
 		dir += fmt.Sprintf(",party/%d=%s", i, partyAddrs[i])
 	}
-	aggAddr := start(append([]string{"-role", "aggserver", "-addr", "127.0.0.1:0", "-directory", dir}, wireFor(-1)...)...)
+	aggAddr := start("-role", "aggserver", "-addr", "127.0.0.1:0", "-directory", dir)
 	dir += ",aggserver=" + aggAddr
 
-	leader := exec.Command(bin, append([]string{"-role", "leader",
+	leader := exec.Command(bin, "-role", "leader",
 		"-dataset", dataset, "-rows", rows, "-parties", fmt.Sprint(parties),
-		"-select", "2", "-k", "5", "-queries", "8", "-directory", dir}, wireFor(-1)...)...)
+		"-select", "2", "-k", "5", "-queries", "8", "-directory", dir)
 	out, err := leader.CombinedOutput()
 	if err != nil {
 		t.Fatalf("leader failed: %v\n%s", err, out)
@@ -130,21 +113,6 @@ func TestFiveProcessDeployment(t *testing.T) {
 		t.Fatalf("leader output missing similarity matrix:\n%s", output)
 	}
 	t.Logf("leader output:\n%s", output)
-}
-
-// TestFiveProcessDeploymentWire re-runs the TCP topology with the compact
-// binary codec on every role, and once with one gob-only party so the other
-// roles must negotiate down to gob for that peer.
-func TestFiveProcessDeploymentWire(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess test skipped in -short mode")
-	}
-	for _, w := range []string{"binary", "mixed"} {
-		t.Run(w, func(t *testing.T) {
-			t.Setenv("VFPSNODE_TEST_WIRE", w)
-			TestFiveProcessDeployment(t)
-		})
-	}
 }
 
 // TestFiveProcessDeploymentSchemes re-runs the multi-process topology under

@@ -1,7 +1,7 @@
 // Distributed deployment: the five system roles — key server, aggregation
 // server, three participants (the first doubling as leader) — each run
 // behind their own TCP socket on localhost, exchanging real length-framed
-// gob messages with Paillier-encrypted partial distances. The same topology
+// wire-v1 messages with Paillier-encrypted partial distances. The same topology
 // runs across machines with cmd/vfpsnode.
 //
 //	go run ./examples/distributed

@@ -44,10 +44,9 @@ type Raw struct {
 	// content a message fundamentally has to move — ciphertext and key
 	// blobs, 8 bytes per float scalar — as actually encoded on the wire.
 	BytesSent int64
-	// FramingBytes tracks the wire overhead around that payload: codec
-	// envelopes, field tags, length prefixes, pseudo-ID lists and (for gob)
-	// type descriptors. BytesSent+FramingBytes is the full encoded volume;
-	// earlier revisions lumped both into BytesSent.
+	// FramingBytes tracks the wire overhead around that payload: envelopes,
+	// field tags, length prefixes and pseudo-ID lists. BytesSent+FramingBytes
+	// is the full encoded volume.
 	FramingBytes int64
 	// CacheHits and CacheMisses count cross-round delta-cache lookups on the
 	// receiving side of a ciphertext transfer: a hit is a block restored from

@@ -128,7 +128,6 @@ func churnAt(ctx context.Context, opt Options, e2eBits int) (*ChurnResult, error
 			ShuffleSeed: opt.Seed + 303,
 			DeltaCache:  true,
 			SpeculateTA: speculate,
-			Wire:        "binary",
 			Obs:         o,
 			Instance:    "churn/" + name,
 		})

@@ -23,8 +23,8 @@ func TestPayloadBenchmark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Arms) != 6 {
-		t.Fatalf("want 6 arms, got %d", len(res.Arms))
+	if len(res.Arms) != 5 {
+		t.Fatalf("want 5 arms, got %d", len(res.Arms))
 	}
 	byName := map[string]*PayloadArm{}
 	for i := range res.Arms {
@@ -43,7 +43,7 @@ func TestPayloadBenchmark(t *testing.T) {
 			}
 		}
 	}
-	for _, name := range []string{"static", "adaptive", "chunked", "delta", "full", "mixed-codec"} {
+	for _, name := range []string{"static", "adaptive", "chunked", "delta", "full"} {
 		if byName[name] == nil {
 			t.Fatalf("missing arm %q", name)
 		}
@@ -51,7 +51,7 @@ func TestPayloadBenchmark(t *testing.T) {
 	// Delta arms settle into a cheaper steady state than their cold round
 	// and record cache hits; knob-off arms never touch the cache.
 	last := res.Rounds - 1
-	for _, name := range []string{"delta", "full", "mixed-codec"} {
+	for _, name := range []string{"delta", "full"} {
 		a := byName[name]
 		if a.RoundBytes[last] >= a.RoundBytes[0] {
 			t.Errorf("%s: steady-state round sent %d B, cold round %d B — delta cache not engaged",

@@ -295,7 +295,6 @@ type CreateRequest struct {
 	SplitSeed   int64   `json:"splitSeed"`
 	ShuffleSeed int64   `json:"shuffleSeed"`
 	KeyBits     int     `json:"keyBits"` // Paillier modulus size (0 → library default)
-	Wire        string  `json:"wire"`    // protocol codec: "binary" (default) or "gob"
 	// Ciphertext payload knobs (Paillier only; see DESIGN.md §14).
 	Pack         bool `json:"pack"`         // slot-pack ciphertexts
 	PackAdaptive bool `json:"packAdaptive"` // renegotiate slot width per round
@@ -356,7 +355,6 @@ func (s *Server) createConsortium(w http.ResponseWriter, r *http.Request) {
 		DPEpsilon:    req.DPEpsilon,
 		ShuffleSeed:  req.ShuffleSeed,
 		KeyBits:      req.KeyBits,
-		Wire:         req.Wire,
 		Pack:         req.Pack,
 		PackAdaptive: req.PackAdaptive,
 		ChunkBytes:   req.ChunkBytes,

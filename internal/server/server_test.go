@@ -234,15 +234,21 @@ func TestErrorPaths(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("garbage body: %d", resp.StatusCode)
 	}
-	// Unknown field rejected (typo safety).
-	req2, _ := http.NewRequest("POST", ts.URL+"/v1/consortiums", bytes.NewBufferString(`{"datasett":"Rice"}`))
-	resp2, err := http.DefaultClient.Do(req2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown field: %d", resp2.StatusCode)
+	// Unknown field rejected (typo safety) — including the retired "wire"
+	// knob on an otherwise valid create, which must not be silently ignored.
+	for _, body := range []string{
+		`{"datasett":"Rice"}`,
+		`{"dataset":"Rice","rows":200,"parties":3,"wire":"binary"}`,
+	} {
+		req, _ := http.NewRequest("POST", ts.URL+"/v1/consortiums", bytes.NewBufferString(body))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("unknown field in %s: %d", body, resp.StatusCode)
+		}
 	}
 	// Bad selection method.
 	id := createTestConsortium(t, ts)

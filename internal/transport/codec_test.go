@@ -3,7 +3,6 @@ package transport
 import (
 	"context"
 	"errors"
-	"fmt"
 	"testing"
 
 	"vfps/internal/wire"
@@ -32,144 +31,43 @@ func (m *echoMsg) UnmarshalWire(d *wire.Decoder) error {
 	return d.Err()
 }
 
-// codecNode registers a handler that serves hello at the given version and
-// echoes echoMsg mirroring the request codec — the same contract the vfl
-// roles implement.
-func codecNode(t *testing.T, m *Memory, name string, version uint64) {
-	t.Helper()
-	m.Register(name, func(ctx context.Context, method string, req []byte) ([]byte, error) {
-		switch method {
-		case MethodHello:
-			return wire.HandleHello(req, version)
-		case "echo":
-			codec, err := wire.DetectMax(req, version)
-			if err != nil {
-				return nil, err
-			}
-			var msg echoMsg
-			if err := codec.Unmarshal(req, &msg); err != nil {
-				return nil, err
-			}
-			msg.N++
-			return codec.Marshal(&msg)
-		default:
-			return nil, fmt.Errorf("%w: %s", ErrUnknownMethod, method)
-		}
-	})
-}
-
-// prewireNode has no hello handler at all — a build from before this codec
-// layer existed. It still speaks gob.
-func prewireNode(t *testing.T, m *Memory, name string) {
-	t.Helper()
-	m.Register(name, func(ctx context.Context, method string, req []byte) ([]byte, error) {
-		if method != "echo" {
-			return nil, fmt.Errorf("%w: %s", ErrUnknownMethod, method)
-		}
-		var msg echoMsg
-		if err := DecodeGob(req, &msg); err != nil {
-			return nil, err
-		}
-		msg.N++
-		return EncodeGob(&msg)
-	})
-}
-
-func TestCodecCallerNegotiation(t *testing.T) {
-	var m Memory
-	codecNode(t, &m, "binpeer", wire.MaxVersion)
-	codecNode(t, &m, "gobpeer", 0)
-	prewireNode(t, &m, "oldpeer")
-
-	cc := NewCodecCaller(&m, wire.Binary())
-	ctx := context.Background()
-	for peer, wantCodec := range map[string]string{
-		"binpeer": "binary",
-		"gobpeer": "gob",
-		"oldpeer": "gob",
-	} {
-		var resp echoMsg
-		st, err := cc.Invoke(ctx, peer, "echo", &echoMsg{N: 41, BB: [][]byte{{1, 2, 3}}}, &resp)
-		if err != nil {
-			t.Fatalf("%s: %v", peer, err)
-		}
-		if resp.N != 42 {
-			t.Errorf("%s: echo returned %d", peer, resp.N)
-		}
-		if st.Codec != wantCodec {
-			t.Errorf("%s: request went out as %s, want %s", peer, st.Codec, wantCodec)
-		}
-		if got := cc.Negotiated(peer); got != wantCodec {
-			t.Errorf("%s: negotiated %q, want %q", peer, got, wantCodec)
-		}
-		if st.Payload != 3 || st.Framing <= 0 {
-			t.Errorf("%s: stats %+v, want payload 3 and positive framing", peer, st)
-		}
+// echo decodes an echoMsg request and answers it incremented — the
+// decode/encode contract the vfl role handlers implement.
+func echo(req []byte) ([]byte, error) {
+	var msg echoMsg
+	if err := wire.Unmarshal(req, &msg); err != nil {
+		return nil, err
 	}
+	msg.N++
+	raw, _ := wire.Marshal(&msg)
+	return raw, nil
 }
 
-func TestCodecCallerGobPreferenceSkipsHello(t *testing.T) {
+func TestCodecCallerRoundTrip(t *testing.T) {
 	var m Memory
-	// The peer would fail loudly if it ever saw a hello.
-	m.Register("peer", func(ctx context.Context, method string, req []byte) ([]byte, error) {
-		if method == MethodHello {
-			t.Error("gob-preferring caller sent a hello probe")
-		}
-		var msg echoMsg
-		if err := DecodeGob(req, &msg); err != nil {
-			return nil, err
-		}
-		return EncodeGob(&msg)
-	})
-	cc := NewCodecCaller(&m, nil) // nil pref = gob
+	m.Register("peer", func(_ context.Context, _ string, req []byte) ([]byte, error) { return echo(req) })
 	var resp echoMsg
-	if _, err := cc.Invoke(context.Background(), "peer", "echo", &echoMsg{N: 7}, &resp); err != nil {
+	st, err := NewCodecCaller(&m).Invoke(context.Background(), "peer", "echo", &echoMsg{N: 41, BB: [][]byte{{1, 2, 3}}}, &resp)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.N != 7 {
-		t.Fatalf("echo returned %d", resp.N)
+	if resp.N != 42 {
+		t.Errorf("echo returned %d", resp.N)
 	}
-	if got := cc.Negotiated("peer"); got != "gob" {
-		t.Fatalf("Negotiated = %q", got)
-	}
-}
-
-func TestCodecCallerTransientFaultNotCached(t *testing.T) {
-	var m Memory
-	codecNode(t, &m, "peer", wire.MaxVersion)
-	m.InjectFailure("peer")
-	cc := NewCodecCaller(&m, wire.Binary())
-	ctx := context.Background()
-	if _, err := cc.Invoke(ctx, "peer", "echo", &echoMsg{N: 1}, nil); !errors.Is(err, ErrInjectedFailure) {
-		t.Fatalf("faulty peer: got %v", err)
-	}
-	if got := cc.Negotiated("peer"); got != "" {
-		t.Fatalf("fault cached a codec: %q", got)
-	}
-	// Once the fault clears the probe succeeds and commits to binary.
-	m.InjectFailure("")
-	var resp echoMsg
-	if _, err := cc.Invoke(ctx, "peer", "echo", &echoMsg{N: 1}, &resp); err != nil || resp.N != 2 {
-		t.Fatalf("recovered call: %v, N=%d", err, resp.N)
-	}
-	if got := cc.Negotiated("peer"); got != "binary" {
-		t.Fatalf("Negotiated = %q, want binary", got)
+	if st.Payload != 3 || st.Framing <= 0 {
+		t.Errorf("stats %+v, want payload 3 and positive framing", st)
 	}
 }
 
 func TestCodecCallerRejectsFutureResponseVersion(t *testing.T) {
 	var m Memory
 	m.Register("peer", func(ctx context.Context, method string, req []byte) ([]byte, error) {
-		if method == MethodHello {
-			return wire.HandleHello(req, wire.MaxVersion)
-		}
 		// A misbehaving peer answering with a version-9 envelope.
 		return wire.AppendUvarint([]byte{0x00}, 9), nil
 	})
-	cc := NewCodecCaller(&m, wire.Binary())
 	var resp echoMsg
 	var vErr *wire.UnsupportedVersionError
-	_, err := cc.Invoke(context.Background(), "peer", "echo", &echoMsg{N: 1}, &resp)
+	_, err := NewCodecCaller(&m).Invoke(context.Background(), "peer", "echo", &echoMsg{N: 1}, &resp)
 	if !errors.As(err, &vErr) || vErr.Version != 9 {
 		t.Fatalf("future response version: got %v, want UnsupportedVersionError{9}", err)
 	}

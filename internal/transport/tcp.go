@@ -106,8 +106,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		start := time.Now()
 		// Extract the caller's trace context from the envelope so handler
 		// spans (and any further outbound calls) link under the caller's
-		// span; requests without the field — gob, legacy peers — serve with
-		// a bare context exactly as before.
+		// span; requests without the field serve with a bare context.
 		ctx := context.Background()
 		if tc, ok := wire.ExtractTraceContext(body); ok {
 			ctx = obs.ContextWithRemoteParent(ctx, obs.SpanContext{Trace: obs.TraceID(tc.Trace), Span: tc.Span})

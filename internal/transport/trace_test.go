@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"testing"
@@ -9,36 +10,22 @@ import (
 	"vfps/internal/wire"
 )
 
-// tcpEchoHandler serves hello plus echo, mirroring the request codec and
-// reporting the query ID its context carried — the server-side contract of
-// trace propagation.
+// tcpEchoHandler serves echo and reports the query ID its context carried —
+// the server-side contract of trace propagation.
 func tcpEchoHandler(seenQID *string) Handler {
 	return func(ctx context.Context, method string, req []byte) ([]byte, error) {
-		switch method {
-		case MethodHello:
-			return wire.HandleHello(req, wire.MaxVersion)
-		case "echo":
-			*seenQID = obs.QueryIDFromContext(ctx)
-			codec, err := wire.DetectMax(req, wire.MaxVersion)
-			if err != nil {
-				return nil, err
-			}
-			var msg echoMsg
-			if err := codec.Unmarshal(req, &msg); err != nil {
-				return nil, err
-			}
-			msg.N++
-			return codec.Marshal(&msg)
-		default:
+		if method != "echo" {
 			return nil, fmt.Errorf("%w: %s", ErrUnknownMethod, method)
 		}
+		*seenQID = obs.QueryIDFromContext(ctx)
+		return echo(req)
 	}
 }
 
-// TestTCPTracePropagation drives one binary-codec call across a real TCP
-// boundary and asserts the two processes' span rings stitch into one trace:
-// the server's rpc.serve span must be parented under the client's span, and
-// the query ID must arrive in the handler context.
+// TestTCPTracePropagation drives one call across a real TCP boundary and
+// asserts the two processes' span rings stitch into one trace: the server's
+// rpc.serve span must be parented under the client's span, and the query ID
+// must arrive in the handler context.
 func TestTCPTracePropagation(t *testing.T) {
 	var seenQID string
 	srv, err := ListenTCP("127.0.0.1:0", tcpEchoHandler(&seenQID))
@@ -55,7 +42,7 @@ func TestTCPTracePropagation(t *testing.T) {
 	clientObs := obs.NewObserver(64)
 	clientObs.Trace.SetNode("client")
 	cli.SetObserver(clientObs)
-	cc := NewCodecCaller(cli, wire.Binary())
+	cc := NewCodecCaller(cli)
 
 	ctx := obs.ContextWithQueryID(context.Background(), "q-cafe0001")
 	ctx, root := clientObs.Trace.Start(ctx, "vfl.query")
@@ -119,11 +106,17 @@ func TestTCPTracePropagation(t *testing.T) {
 	t.Fatal("query trace missing from forest")
 }
 
-// TestTCPTraceOmittedForLegacy asserts the two paths that must not carry the
-// field: gob codecs (no envelope) and calls with no span in context.
+// TestTCPTraceOmittedForLegacy asserts the path that must not carry the
+// field: a call with no span or query ID in context, whose request byte
+// stream is therefore the message's golden vector and nothing more.
 func TestTCPTraceOmittedForLegacy(t *testing.T) {
 	var seenQID string
-	srv, err := ListenTCP("127.0.0.1:0", tcpEchoHandler(&seenQID))
+	var seenReq []byte
+	echoSrv := tcpEchoHandler(&seenQID)
+	srv, err := ListenTCP("127.0.0.1:0", func(ctx context.Context, method string, req []byte) ([]byte, error) {
+		seenReq = append([]byte(nil), req...)
+		return echoSrv(ctx, method, req)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,28 +124,14 @@ func TestTCPTraceOmittedForLegacy(t *testing.T) {
 	cli := NewTCPClient(map[string]string{"peer": srv.Addr()})
 	defer cli.Close()
 
-	// Gob: even with a live span, nothing is injected (version 0 payloads
-	// have no tag space) and the call succeeds against the same server.
-	clientObs := obs.NewObserver(64)
-	cli.SetObserver(clientObs)
-	gc := NewCodecCaller(cli, wire.Gob())
-	ctx, sp := clientObs.Trace.Start(context.Background(), "op")
 	var resp echoMsg
-	if _, err := gc.Invoke(ctx, "peer", "echo", &echoMsg{N: 1}, &resp); err != nil || resp.N != 2 {
-		t.Fatalf("gob echo: %v, N=%d", err, resp.N)
-	}
-	sp.End()
-	if seenQID != "" {
-		t.Fatalf("gob call leaked query ID %q", seenQID)
-	}
-
-	// Binary with no span or query ID in context: the request byte stream is
-	// identical to a pre-trace build's, so legacy golden vectors hold.
-	bc := NewCodecCaller(cli, wire.Binary())
-	if _, err := bc.Invoke(context.Background(), "peer", "echo", &echoMsg{N: 5}, &resp); err != nil || resp.N != 6 {
-		t.Fatalf("binary echo: %v, N=%d", err, resp.N)
+	if _, err := NewCodecCaller(cli).Invoke(context.Background(), "peer", "echo", &echoMsg{N: 5}, &resp); err != nil || resp.N != 6 {
+		t.Fatalf("echo: %v, N=%d", err, resp.N)
 	}
 	if seenQID != "" {
 		t.Fatalf("observer-less call leaked query ID %q", seenQID)
+	}
+	if want, _ := wire.Marshal(&echoMsg{N: 5}); !bytes.Equal(seenReq, want) {
+		t.Fatalf("request on the socket = %x, want the bare message %x", seenReq, want)
 	}
 }

@@ -104,33 +104,6 @@ func TestMemoryConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-func TestGobRoundTrip(t *testing.T) {
-	type payload struct {
-		A int
-		B []float64
-		C string
-	}
-	in := payload{A: 7, B: []float64{1.5, -2.5}, C: "x"}
-	b, err := EncodeGob(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out payload
-	if err := DecodeGob(b, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.A != in.A || out.C != in.C || len(out.B) != 2 || out.B[1] != -2.5 {
-		t.Fatalf("round trip mismatch: %+v", out)
-	}
-}
-
-func TestDecodeGobGarbage(t *testing.T) {
-	var out int
-	if err := DecodeGob([]byte{0xff, 0x01, 0x02}, &out); err == nil {
-		t.Fatal("expected decode error")
-	}
-}
-
 func startTCP(t *testing.T) (*TCPServer, *TCPClient) {
 	t.Helper()
 	srv, err := ListenTCP("127.0.0.1:0", echoHandler)

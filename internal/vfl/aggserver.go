@@ -26,9 +26,7 @@ import (
 // SetParallelism.
 type AggServer struct {
 	roleObs
-	roleCodec
-	caller      transport.Caller
-	cc          atomic.Pointer[transport.CodecCaller]
+	cc          *transport.CodecCaller
 	parties     []string // node names of the participants
 	scheme      he.Scheme
 	counts      costmodel.Counts
@@ -113,31 +111,16 @@ func NewAggServer(caller transport.Caller, parties []string, scheme he.Scheme) (
 	if scheme == nil {
 		return nil, fmt.Errorf("vfl: aggregation server needs an HE scheme")
 	}
-	a := &AggServer{caller: caller, parties: parties, scheme: scheme}
-	a.cc.Store(transport.NewCodecCaller(caller, wire.Gob()))
-	return a, nil
+	return &AggServer{cc: transport.NewCodecCaller(caller), parties: parties, scheme: scheme}, nil
 }
 
-// SetCodec configures the codec the server prefers for its own calls to the
-// participants (negotiated down per peer when a participant only speaks gob)
-// and bounds which inbound protocol versions it accepts. Responses always
-// mirror the requester's codec.
-func (a *AggServer) SetCodec(c wire.Codec) {
-	a.setCodec(c)
-	a.cc.Store(transport.NewCodecCaller(a.caller, a.codec()))
-}
-
-// Negotiated reports the codec name in use towards one participant ("" before
-// the first call reaches that peer).
-func (a *AggServer) Negotiated(party string) string { return a.cc.Load().Negotiated(party) }
-
-// call performs one outbound RPC through the negotiated codec and charges the
-// encoded request/response bytes to the server's counters. The Messages
-// counter stays responder-side, so round trips are not double-counted.
+// call performs one outbound RPC and charges the encoded request bytes to the
+// server's counters. The Messages counter stays responder-side, so round trips
+// are not double-counted.
 func (a *AggServer) call(ctx context.Context, node, method string, req, resp wire.Message) error {
-	stats, err := a.cc.Load().Invoke(ctx, node, method, req, resp)
+	stats, err := a.cc.Invoke(ctx, node, method, req, resp)
 	a.counts.Add(costmodel.Raw{BytesSent: stats.Payload, FramingBytes: stats.Framing})
-	a.recordWire(stats.Codec, stats.Payload, stats.Framing)
+	a.recordWire(stats.Payload, stats.Framing)
 	return err
 }
 
@@ -223,34 +206,28 @@ func (a *AggServer) SetObserver(o *obs.Observer, instance string) {
 	DeclareShardMetrics(o.Registry())
 }
 
-// Handler returns the server's RPC handler. Requests are decoded with the
-// codec they arrived in (bounded by the configured codec's version) and
-// responses mirror it.
+// Handler returns the server's RPC handler.
 func (a *AggServer) Handler() transport.Handler {
 	return func(ctx context.Context, method string, req []byte) ([]byte, error) {
-		if method == transport.MethodHello {
-			return wire.HandleHello(req, a.codec().Version())
-		}
-		codec, err := a.reqCodec(req)
-		if err != nil {
+		if err := wire.Unmarshal(req, nil); err != nil {
 			return nil, err
 		}
 		switch method {
 		case MethodCollectAll:
 			var r CollectAllReq
-			if err := codec.Unmarshal(req, &r); err != nil {
+			if err := wire.Unmarshal(req, &r); err != nil {
 				return nil, err
 			}
-			return a.collectAll(ctx, codec, r)
+			return a.collectAll(ctx, r)
 		case MethodFaginCollect:
 			var r FaginCollectReq
-			if err := codec.Unmarshal(req, &r); err != nil {
+			if err := wire.Unmarshal(req, &r); err != nil {
 				return nil, err
 			}
-			return a.faginCollect(ctx, codec, r)
+			return a.faginCollect(ctx, r)
 		case MethodAggregateCandidates:
 			var r AggregateCandidatesReq
-			if err := codec.Unmarshal(req, &r); err != nil {
+			if err := wire.Unmarshal(req, &r); err != nil {
 				return nil, err
 			}
 			opt := payloadOpts{adaptive: r.Adaptive, delta: r.Delta, noCache: r.NoCache}
@@ -266,23 +243,23 @@ func (a *AggServer) Handler() transport.Handler {
 			// The threshold scan's per-round responses carry no chunk field;
 			// pass chunkBytes 0 so only the delta trim applies.
 			resp.Aggregated, _, resp.CachedBlocks, sent =
-				a.trimAndChunk(codec, r.Query, r.PseudoIDs, agg, factor, packBits, opt, 0)
-			return reply(codec, resp, &a.counts, &a.roleObs,
+				a.trimAndChunk(r.Query, r.PseudoIDs, agg, factor, packBits, opt, 0)
+			return reply(resp, &a.counts, &a.roleObs,
 				costmodel.Raw{ItemsSent: int64(sent), Messages: 1})
 		case MethodShardCollect:
 			var r ShardCollectReq
-			if err := codec.Unmarshal(req, &r); err != nil {
+			if err := wire.Unmarshal(req, &r); err != nil {
 				return nil, err
 			}
-			return a.shardCollect(ctx, codec, r)
+			return a.shardCollect(ctx, r)
 		case MethodAggregateFrontier:
 			var r AggregateFrontierReq
-			if err := codec.Unmarshal(req, &r); err != nil {
+			if err := wire.Unmarshal(req, &r); err != nil {
 				return nil, err
 			}
-			return a.aggregateFrontier(ctx, codec, r)
+			return a.aggregateFrontier(ctx, r)
 		case MethodCounts:
-			return codec.Marshal(&CountsResp{Counts: a.counts.Snapshot()})
+			return marshal(&CountsResp{Counts: a.counts.Snapshot()})
 		case MethodResetCounts:
 			a.counts.Reset()
 			return nil, nil
@@ -602,10 +579,10 @@ func (a *AggServer) collectUniform(names []string, dictate int, collect func(dic
 // aggregate vector: delta withholding against the sent cache (aggregation is
 // recomputed every round, but homomorphic addition is deterministic, so an
 // all-inputs-identical round reproduces the aggregate byte for byte), then
-// chunk framing when the response codec supports tagged fields. Returns the
-// whole-blob wire vector (nil when chunked), the chunk list, the withheld
-// indices, and the items actually sent.
-func (a *AggServer) trimAndChunk(codec wire.Codec, query int, pids []int, agg [][]byte, factor, packBits int, opt payloadOpts, chunkBytes int) (out [][]byte, chunks [][][]byte, cached []int, sent int) {
+// chunk framing when the requester asked for it. Returns the whole-blob wire
+// vector (nil when chunked), the chunk list, the withheld indices, and the
+// items actually sent.
+func (a *AggServer) trimAndChunk(query int, pids []int, agg [][]byte, factor, packBits int, opt payloadOpts, chunkBytes int) (out [][]byte, chunks [][][]byte, cached []int, sent int) {
 	out, sent = agg, len(agg)
 	if opt.delta {
 		keys := blockKeys("leader", query, packBits, factor, pids)
@@ -618,7 +595,7 @@ func (a *AggServer) trimAndChunk(codec wire.Codec, query int, pids []int, agg []
 			sent = len(agg) - len(cached)
 		}
 	}
-	if chunkBytes > 0 && codec.Version() >= 1 && len(out) > 0 {
+	if chunkBytes > 0 && len(out) > 0 {
 		chunks = wire.ChunkCiphers(out, chunkBytes)
 		out = nil
 	}
@@ -627,7 +604,7 @@ func (a *AggServer) trimAndChunk(codec wire.Codec, query int, pids []int, agg []
 
 // aggregateFrontier sums the parties' encrypted scores at one scan rank —
 // the encrypted Threshold-Algorithm bound τ.
-func (a *AggServer) aggregateFrontier(ctx context.Context, codec wire.Codec, r AggregateFrontierReq) ([]byte, error) {
+func (a *AggServer) aggregateFrontier(ctx context.Context, r AggregateFrontierReq) ([]byte, error) {
 	ctx, fsp := a.tracer().Start(ctx, SpanFrontier)
 	defer fsp.End()
 	singles := make([][][]byte, len(a.parties))
@@ -647,13 +624,13 @@ func (a *AggServer) aggregateFrontier(ctx context.Context, codec wire.Codec, r A
 	if err != nil {
 		return nil, fmt.Errorf("vfl: aggregating frontier: %w", err)
 	}
-	return reply(codec, &AggregateFrontierResp{Cipher: agg[0]}, &a.counts, &a.roleObs,
+	return reply(&AggregateFrontierResp{Cipher: agg[0]}, &a.counts, &a.roleObs,
 		costmodel.Raw{ItemsSent: 1, Messages: 1})
 }
 
 // collectAll implements the BASE variant: pull every participant's full
 // encrypted partial-distance vector concurrently and sum them per pseudo ID.
-func (a *AggServer) collectAll(ctx context.Context, codec wire.Codec, r CollectAllReq) ([]byte, error) {
+func (a *AggServer) collectAll(ctx context.Context, r CollectAllReq) ([]byte, error) {
 	ctx, csp := a.tracer().Start(ctx, SpanCollectAll)
 	defer csp.End()
 	opt := payloadOpts{adaptive: r.Adaptive, delta: r.Delta, noCache: r.NoCache}
@@ -679,8 +656,8 @@ func (a *AggServer) collectAll(ctx context.Context, codec wire.Codec, r CollectA
 	}
 	var sent int
 	resp.Aggregated, resp.Chunked, resp.CachedBlocks, sent =
-		a.trimAndChunk(codec, r.Query, pids, agg, factor, packBits, opt, r.ChunkBytes)
-	return reply(codec, resp, &a.counts, &a.roleObs,
+		a.trimAndChunk(r.Query, pids, agg, factor, packBits, opt, r.ChunkBytes)
+	return reply(resp, &a.counts, &a.roleObs,
 		costmodel.Raw{ItemsSent: int64(sent), Messages: 1})
 }
 
@@ -688,7 +665,7 @@ func (a *AggServer) collectAll(ctx context.Context, codec wire.Codec, r CollectA
 // the participants' sub-rankings (pulled in mini-batches, all parties in
 // flight concurrently), then collect and aggregate encrypted partial
 // distances for the candidate set only.
-func (a *AggServer) faginCollect(ctx context.Context, codec wire.Codec, r FaginCollectReq) ([]byte, error) {
+func (a *AggServer) faginCollect(ctx context.Context, r FaginCollectReq) ([]byte, error) {
 	if r.K <= 0 {
 		return nil, fmt.Errorf("vfl: k=%d must be positive", r.K)
 	}
@@ -766,17 +743,7 @@ func (a *AggServer) faginCollect(ctx context.Context, codec wire.Codec, r FaginC
 	}
 	var sent int
 	resp.Aggregated, resp.Chunked, resp.CachedBlocks, sent =
-		a.trimAndChunk(codec, r.Query, candidates, agg, factor, packBits, opt, r.ChunkBytes)
-	return reply(codec, resp, &a.counts, &a.roleObs,
+		a.trimAndChunk(r.Query, candidates, agg, factor, packBits, opt, r.ChunkBytes)
+	return reply(resp, &a.counts, &a.roleObs,
 		costmodel.Raw{ItemsSent: int64(sent), Messages: 1})
-}
-
-// mustGob encodes a value that cannot fail (our message structs); a failure
-// is a programming error.
-func mustGob(v any) []byte {
-	b, err := transport.EncodeGob(v)
-	if err != nil {
-		panic(fmt.Sprintf("vfl: encoding %T: %v", v, err))
-	}
-	return b
 }

@@ -3,7 +3,6 @@ package vfl
 import (
 	"context"
 	"fmt"
-	"os"
 
 	"vfps/internal/costmodel"
 	"vfps/internal/dataset"
@@ -11,7 +10,6 @@ import (
 	"vfps/internal/mat"
 	"vfps/internal/obs"
 	"vfps/internal/transport"
-	"vfps/internal/wire"
 )
 
 // ClusterConfig describes an in-process VFL deployment.
@@ -89,8 +87,7 @@ type ClusterConfig struct {
 	// meaningful with Pack+PackAdaptive; 0 keeps the in-band negotiation.
 	PackHint int
 	// ChunkBytes > 0 splits collection responses into ≤ChunkBytes ciphertext
-	// chunks on the binary codec (new tagged field; gob and legacy peers keep
-	// whole-blob framing), letting the leader pipeline chunk decryption.
+	// chunks, letting the leader pipeline chunk decryption.
 	ChunkBytes int
 	// DeltaCache enables cross-round delta encoding: both ends of each link
 	// cache ciphertext blocks by (query, geometry, pseudo-ID segment) and
@@ -102,13 +99,6 @@ type ClusterConfig struct {
 	// vfps_ta_speculative_waste_total) when the threshold stops. Selections
 	// are identical with the knob on or off.
 	SpeculateTA bool
-	// Wire selects the protocol codec every role speaks: "binary" (the
-	// compact versioned wire format of internal/wire, the default) or "gob"
-	// (the self-describing stdlib encoding, kept as the explicit fallback).
-	// Empty falls back to the VFPS_WIRE environment variable, then "binary".
-	// Selection results are bit-identical across codecs; only bytes on the
-	// wire change.
-	Wire string
 	// Obs installs metrics and tracing on the transport, every role and the
 	// HE schemes. Nil falls back to the process-wide default observer
 	// (obs.SetDefault); when that is also unset, observability stays fully
@@ -133,7 +123,6 @@ type Cluster struct {
 	pubScheme   he.Scheme
 	privScheme  he.Scheme
 	parallelism int
-	codec       wire.Codec
 	observer    *obs.Observer
 	instance    string
 
@@ -144,19 +133,6 @@ type Cluster struct {
 	nextIndex    int
 	pack         bool
 	shardWorkers int
-}
-
-// ResolveWireCodec maps a wire knob value to a codec: the explicit name wins,
-// an empty name falls back to the VFPS_WIRE environment variable, and an
-// empty environment means binary v1.
-func ResolveWireCodec(name string) (wire.Codec, error) {
-	if name == "" {
-		name = os.Getenv("VFPS_WIRE")
-	}
-	if name == "" {
-		return wire.Binary(), nil
-	}
-	return wire.ByName(name)
 }
 
 // Observer returns the cluster's observer (nil when observability is off).
@@ -237,10 +213,6 @@ func NewLocalCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 	if instance == "" {
 		instance = "local"
 	}
-	codec, err := ResolveWireCodec(cfg.Wire)
-	if err != nil {
-		return nil, err
-	}
 	if reg := o.Registry(); reg != nil {
 		transport.DeclareMetrics(reg)
 		he.DeclareMetrics(reg)
@@ -252,6 +224,7 @@ func NewLocalCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 	tr := &transport.Memory{}
 	tr.SetObserver(o)
 	var ks *KeyServer
+	var err error
 	switch cfg.Scheme {
 	case "secagg":
 		ks, err = NewKeyServerSecAgg(cfg.Partition.P(), cfg.ShuffleSeed^0x5eca66)
@@ -270,10 +243,9 @@ func NewLocalCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	ks.SetCodec(codec)
 	tr.Register(KeyServerName, ks.Handler())
 
-	pubScheme, err := FetchPublicSchemeWire(ctx, transport.NewCodecCaller(tr, codec), KeyServerName)
+	pubScheme, err := FetchPublicScheme(ctx, tr, KeyServerName)
 	if err != nil {
 		return nil, err
 	}
@@ -294,7 +266,6 @@ func NewLocalCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 		}
 		part.SetParallelism(cfg.Parallelism)
 		part.SetObserver(o, instance)
-		part.SetCodec(codec)
 		parties[i] = part
 		partyNames[i] = PartyName(i)
 		tr.Register(partyNames[i], part.Handler())
@@ -305,13 +276,12 @@ func NewLocalCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 	}
 	agg.SetParallelism(cfg.Parallelism)
 	agg.SetObserver(o, instance)
-	agg.SetCodec(codec)
 	if cfg.PackAdaptive && cfg.Pack {
 		agg.SetPackHint(cfg.PackHint)
 	}
 	tr.Register(AggServerName, agg.Handler())
 
-	workers, plan, err := buildShardWorkers(tr, partyNames, pubScheme, cfg.ShardWorkers, cfg.Parallelism, codec, o, instance)
+	workers, plan, err := buildShardWorkers(tr, partyNames, pubScheme, cfg.ShardWorkers, cfg.Parallelism, o, instance)
 	if err != nil {
 		return nil, err
 	}
@@ -323,7 +293,7 @@ func NewLocalCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 		}
 	}
 
-	privScheme, err := FetchPrivateSchemeWire(ctx, transport.NewCodecCaller(tr, codec), KeyServerName)
+	privScheme, err := FetchPrivateScheme(ctx, tr, KeyServerName)
 	if err != nil {
 		return nil, err
 	}
@@ -341,7 +311,6 @@ func NewLocalCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 	}
 	leader.SetParallelism(cfg.Parallelism)
 	leader.SetObserver(o, instance)
-	leader.SetCodec(codec)
 	leader.SetPayloadOptions(cfg.PackAdaptive && cfg.Pack, cfg.ChunkBytes, cfg.DeltaCache)
 	leader.SetExtraCountNodes(workerNames)
 	leader.SetSpeculativeTA(cfg.SpeculateTA)
@@ -356,7 +325,6 @@ func NewLocalCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 		pubScheme:    pubScheme,
 		privScheme:   privScheme,
 		parallelism:  cfg.Parallelism,
-		codec:        codec,
 		observer:     o,
 		instance:     instance,
 		partyNames:   partyNames,
@@ -372,7 +340,7 @@ func NewLocalCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 // name, which is what lets a membership change rebuild the shard layer in
 // place). Returns (nil, nil, nil) when the plan collapses to the unsharded
 // path.
-func buildShardWorkers(tr *transport.Memory, partyNames []string, pubScheme he.Scheme, shardWorkers, parallelism int, codec wire.Codec, o *obs.Observer, instance string) ([]*AggServer, *ShardPlan, error) {
+func buildShardWorkers(tr *transport.Memory, partyNames []string, pubScheme he.Scheme, shardWorkers, parallelism int, o *obs.Observer, instance string) ([]*AggServer, *ShardPlan, error) {
 	size, shards := PlanSubtrees(len(partyNames), shardWorkers)
 	if shardWorkers < 2 || shards < 2 {
 		return nil, nil, nil
@@ -388,7 +356,6 @@ func buildShardWorkers(tr *transport.Memory, partyNames []string, pubScheme he.S
 		w.SetParallelism(parallelism)
 		w.SetRole(AggWorkerName(wi))
 		w.SetObserver(o, instance)
-		w.SetCodec(codec)
 		name := AggWorkerName(wi)
 		tr.Register(name, w.Handler())
 		workers = append(workers, w)
@@ -433,7 +400,6 @@ func (c *Cluster) AddParticipant(x *mat.Matrix) (string, error) {
 	}
 	part.SetParallelism(c.parallelism)
 	part.SetObserver(c.observer, c.instance)
-	part.SetCodec(c.codec)
 	name := PartyName(index)
 	c.Transport.Register(name, part.Handler())
 	c.Parties = append(c.Parties, part)
@@ -469,8 +435,9 @@ func (c *Cluster) RemoveParticipant(index int) error {
 	if len(c.partyNames) == 1 {
 		return fmt.Errorf("vfl: cannot remove the last participant")
 	}
-	// The node's handler stays registered on the transport (nothing routes
-	// to it once the rosters drop it); only the rosters change.
+	// Drop the handler too: it keeps the participant, its feature matrix and
+	// its query cache reachable for as long as it stays registered.
+	c.Transport.Unregister(name)
 	c.Parties = append(c.Parties[:pos], c.Parties[pos+1:]...)
 	c.partyNames = append(c.partyNames[:pos], c.partyNames[pos+1:]...)
 	return c.rewire()
@@ -491,9 +458,14 @@ func (c *Cluster) rewire() error {
 	if err := c.Agg.SetParties(c.partyNames); err != nil {
 		return err
 	}
-	workers, plan, err := buildShardWorkers(c.Transport, c.partyNames, c.pubScheme, c.shardWorkers, c.parallelism, c.codec, c.observer, c.instance)
+	workers, plan, err := buildShardWorkers(c.Transport, c.partyNames, c.pubScheme, c.shardWorkers, c.parallelism, c.observer, c.instance)
 	if err != nil {
 		return err
+	}
+	// Workers the new plan kept were re-registered under their names; the
+	// ones it dropped must not stay reachable.
+	for wi := len(workers); wi < len(c.Workers); wi++ {
+		c.Transport.Unregister(AggWorkerName(wi))
 	}
 	c.Workers = workers
 	var workerNames []string

@@ -5,15 +5,12 @@ import (
 	"context"
 	"encoding/hex"
 	"errors"
-	"fmt"
 	"reflect"
 	"runtime"
 	"slices"
 	"testing"
 
 	"vfps/internal/costmodel"
-	"vfps/internal/dataset"
-	"vfps/internal/transport"
 	"vfps/internal/wire"
 )
 
@@ -122,16 +119,12 @@ func TestGoldenVectors(t *testing.T) {
 			PackFactor: 2, PackBits: 30, NeedBits: 26},
 			"00010a0302000612060201fe02ff011804203c2834", 3},
 	}
-	bin := wire.Binary()
 	for _, v := range vectors {
 		want, err := hex.DecodeString(v.hex)
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw, payload, err := wire.MarshalMeasured(bin, v.msg)
-		if err != nil {
-			t.Fatalf("%T: %v", v.msg, err)
-		}
+		raw, payload := wire.Marshal(v.msg)
 		if !bytes.Equal(raw, want) {
 			t.Errorf("%T encodes as %x, golden vector is %s", v.msg, raw, v.hex)
 		}
@@ -140,7 +133,7 @@ func TestGoldenVectors(t *testing.T) {
 		}
 		// The vector must also decode back to the original message.
 		back := reflect.New(reflect.TypeOf(v.msg).Elem()).Interface().(wire.Message)
-		if err := bin.Unmarshal(want, back); err != nil {
+		if err := wire.Unmarshal(want, back); err != nil {
 			t.Fatalf("%T: decoding golden vector: %v", v.msg, err)
 		}
 		if !reflect.DeepEqual(v.msg, back) {
@@ -149,80 +142,47 @@ func TestGoldenVectors(t *testing.T) {
 	}
 }
 
-// TestWireRoundTripAllMessages round-trips every protocol message through
-// both codecs and requires exact equality.
+// TestWireRoundTripAllMessages round-trips every protocol message and
+// requires exact equality.
 func TestWireRoundTripAllMessages(t *testing.T) {
-	for _, codec := range []wire.Codec{wire.Gob(), wire.Binary()} {
-		for _, msg := range allMessages() {
-			raw, err := codec.Marshal(msg)
-			if err != nil {
-				t.Fatalf("%s %T: %v", codec.Name(), msg, err)
-			}
-			back := reflect.New(reflect.TypeOf(msg).Elem()).Interface().(wire.Message)
-			if err := codec.Unmarshal(raw, back); err != nil {
-				t.Fatalf("%s %T: %v", codec.Name(), msg, err)
-			}
-			if !reflect.DeepEqual(msg, back) {
-				t.Errorf("%s %T: round trip %+v -> %+v", codec.Name(), msg, back, msg)
-			}
-			// Sniffing must route the payload to the codec that produced it.
-			detected, err := wire.Detect(raw)
-			if err != nil {
-				t.Fatalf("%s %T: detect: %v", codec.Name(), msg, err)
-			}
-			if detected.Name() != codec.Name() {
-				t.Errorf("%s %T sniffed as %s", codec.Name(), msg, detected.Name())
-			}
-		}
-	}
-}
-
-// TestMarshalMeasuredBreakdown checks the payload/framing split both codecs
-// report: payload (blob content plus 8 bytes per float scalar) is a property
-// of the message, identical across codecs, and never exceeds the encoding.
-func TestMarshalMeasuredBreakdown(t *testing.T) {
-	gob, bin := wire.Gob(), wire.Binary()
 	for _, msg := range allMessages() {
-		graw, gp, err := wire.MarshalMeasured(gob, msg)
-		if err != nil {
-			t.Fatal(err)
+		raw, _ := wire.Marshal(msg)
+		back := reflect.New(reflect.TypeOf(msg).Elem()).Interface().(wire.Message)
+		if err := wire.Unmarshal(raw, back); err != nil {
+			t.Fatalf("%T: %v", msg, err)
 		}
-		braw, bp, err := wire.MarshalMeasured(bin, msg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gp != bp {
-			t.Errorf("%T: payload differs across codecs: gob %d, binary %d", msg, gp, bp)
-		}
-		if bp < 0 || bp > int64(len(braw)) || gp > int64(len(graw)) {
-			t.Errorf("%T: payload %d outside [0, len(raw)] (binary %d, gob %d bytes)",
-				msg, bp, len(braw), len(graw))
-		}
-		// framing = len(raw) - payload; the binary envelope alone is 2 bytes.
-		if int64(len(braw))-bp < 2 {
-			t.Errorf("%T: binary framing %d < envelope size", msg, int64(len(braw))-bp)
+		if !reflect.DeepEqual(msg, back) {
+			t.Errorf("%T: round trip %+v -> %+v", msg, back, msg)
 		}
 	}
 }
 
-// TestMarshalMeasuredEncodesOnce pins the binary codec's single pass: a
-// megabyte ciphertext response is measured and encoded into one buffer sized
-// to it — no second encoding for the tally, no temporary blob body — and the
-// bytes are the ones Marshal produces.
+// TestMarshalMeasuredBreakdown checks the payload/framing split Marshal
+// reports: payload (blob content plus 8 bytes per float scalar) never exceeds
+// the encoding, and framing is never less than the envelope.
+func TestMarshalMeasuredBreakdown(t *testing.T) {
+	for _, msg := range allMessages() {
+		raw, payload := wire.Marshal(msg)
+		if payload < 0 || payload > int64(len(raw)) {
+			t.Errorf("%T: payload %d outside [0, %d]", msg, payload, len(raw))
+		}
+		// framing = len(raw) - payload; the envelope alone is 2 bytes.
+		if int64(len(raw))-payload < 2 {
+			t.Errorf("%T: framing %d < envelope size", msg, int64(len(raw))-payload)
+		}
+	}
+}
+
+// TestMarshalMeasuredEncodesOnce pins Marshal's single pass: a megabyte
+// ciphertext response is measured and encoded into one buffer sized to it —
+// no second encoding for the tally, no temporary blob body.
 func TestMarshalMeasuredEncodesOnce(t *testing.T) {
 	ciphers := make([][]byte, 4096)
 	for i := range ciphers {
 		ciphers[i] = bytes.Repeat([]byte{byte(i)}, 256)
 	}
 	msg := &EncryptCandidatesResp{Ciphers: ciphers, PackFactor: 3, PackBits: 36, NeedBits: 30, CachedBlocks: []int{1, 7}}
-	bin := wire.Binary()
-	raw, payload, err := wire.MarshalMeasured(bin, msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want, err := bin.Marshal(msg); err != nil || !bytes.Equal(raw, want) {
-		t.Fatalf("MarshalMeasured and Marshal disagree (%v)", err)
-	}
+	raw, payload := wire.Marshal(msg)
 	if payload != 4096*256 {
 		t.Fatalf("payload = %d, want %d", payload, 4096*256)
 	}
@@ -240,18 +200,14 @@ func TestMarshalMeasuredEncodesOnce(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return float64(after.TotalAlloc-before.TotalAlloc) / runs
 	}
-	perRun := allocated(func() {
-		if _, _, err := wire.MarshalMeasured(bin, msg); err != nil {
-			t.Fatal(err)
-		}
-	})
+	perRun := allocated(func() { wire.Marshal(msg) })
 	// One buffer of len(raw) — or what growing to it costs in this build:
 	// under -race the compiler materialises slices.Grow's temporary.
 	oneBuffer := max(float64(len(raw)), allocated(func() {
 		_ = slices.Grow(make([]byte, 0, 32), len(raw))
 	}))
 	if limit := 1.25 * oneBuffer; perRun > limit {
-		t.Fatalf("MarshalMeasured allocates %.0f B for a %d B message (limit %.0f): it copies the ciphertexts more than once",
+		t.Fatalf("Marshal allocates %.0f B for a %d B message (limit %.0f): it copies the ciphertexts more than once",
 			perRun, len(raw), limit)
 	}
 }
@@ -263,7 +219,7 @@ func TestUnknownTagSkipped(t *testing.T) {
 	// spliced between query and k.
 	raw, _ := hex.DecodeString("0001" + "080e" + "4a03aabbcc" + "1014")
 	var r FaginCollectReq
-	if err := wire.Binary().Unmarshal(raw, &r); err != nil {
+	if err := wire.Unmarshal(raw, &r); err != nil {
 		t.Fatal(err)
 	}
 	if r.Query != 7 || r.K != 10 || r.Batch != 0 {
@@ -271,177 +227,56 @@ func TestUnknownTagSkipped(t *testing.T) {
 	}
 }
 
-func wireTestCluster(t *testing.T, pt *dataset.Partition, scheme, wireName string) *Cluster {
-	t.Helper()
-	cl, err := NewLocalCluster(context.Background(), ClusterConfig{
-		Partition:   pt,
-		Scheme:      scheme,
-		KeyBits:     256,
-		ShuffleSeed: 7,
-		Batch:       8,
-		Wire:        wireName,
-	})
+// gobBlob is a real encoding/gob stream (struct{ Max uint64 }{1} with its
+// type descriptor): another encoding's bytes where a v1 payload should be.
+var gobBlob = []byte{
+	0x1a, 0x7f, 0x03, 0x01, 0x01, 0x05, 0x48, 0x65, 0x6c, 0x6c, 0x6f, 0x01, 0xff, 0x80, 0x00, 0x01,
+	0x01, 0x01, 0x03, 0x4d, 0x61, 0x78, 0x01, 0x06, 0x00, 0x00, 0x00, 0x05, 0xff, 0x80, 0x01, 0x01, 0x00,
+}
+
+// TestHostileInputPerRole feeds every role handler request bodies that are
+// not v1 payloads. Each must come back as a typed decode error — corrupt
+// input or an unsupported version — never a panic, never a guess at another
+// encoding.
+func TestHostileInputPerRole(t *testing.T) {
+	ctx := context.Background()
+	_, pt := testPartition(t, "Bank", 20, 4)
+	cl, err := NewLocalCluster(ctx, ClusterConfig{Partition: pt, ShuffleSeed: 7, ShardWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.Close)
-	return cl
-}
-
-// TestCodecSelectionIdentity is the refactor's core contract: for every
-// protection scheme, a cluster speaking the compact binary codec produces the
-// bit-identical similarity matrix and neighbour sets of a gob cluster. Only
-// bytes on the wire may change.
-func TestCodecSelectionIdentity(t *testing.T) {
-	ctx := context.Background()
-	for _, scheme := range []string{"paillier", "plain", "secagg", "dp"} {
-		t.Run(scheme, func(t *testing.T) {
-			_, pt := testPartition(t, "Bank", 40, 3)
-			gc := wireTestCluster(t, pt, scheme, "gob")
-			bc := wireTestCluster(t, pt, scheme, "binary")
-			queries := []int{0, 13, 39}
-
-			for _, variant := range []Variant{VariantBase, VariantFagin} {
-				grep, err := gc.Leader.Similarities(ctx, queries, 3, variant)
-				if err != nil {
-					t.Fatal(err)
-				}
-				brep, err := bc.Leader.Similarities(ctx, queries, 3, variant)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range grep.W {
-					for j := range grep.W[i] {
-						if grep.W[i][j] != brep.W[i][j] {
-							t.Fatalf("%s: W[%d][%d] differs across codecs: %v vs %v",
-								variant, i, j, grep.W[i][j], brep.W[i][j])
-						}
-					}
-				}
-			}
-
-			gq, err := gc.Leader.RunQuery(ctx, queries[1], 3, VariantFagin)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bq, err := bc.Leader.RunQuery(ctx, queries[1], 3, VariantFagin)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fmt.Sprint(gq.Neighbors) != fmt.Sprint(bq.Neighbors) {
-				t.Fatalf("neighbours differ across codecs: %v vs %v", gq.Neighbors, bq.Neighbors)
-			}
-
-			// Both sides committed the codec they were configured with.
-			if got := bc.Leader.Negotiated(AggServerName); got != "binary" {
-				t.Fatalf("binary leader negotiated %q with aggserver", got)
-			}
-			if got := gc.Leader.Negotiated(AggServerName); got != "gob" {
-				t.Fatalf("gob leader negotiated %q with aggserver", got)
-			}
-		})
+	if len(cl.Workers) != 2 {
+		t.Fatalf("cluster built %d shard workers, want 2", len(cl.Workers))
 	}
-}
-
-// TestMixedCodecSelectionIdentity drops one gob-only party into an otherwise
-// binary consortium: every caller negotiates down to gob for that peer,
-// stays on binary for the rest, and the selection output is bit-identical to
-// an all-gob cluster.
-func TestMixedCodecSelectionIdentity(t *testing.T) {
-	ctx := context.Background()
-	_, pt := testPartition(t, "Bank", 40, 3)
-	queries := []int{0, 13, 39}
-
-	gc := wireTestCluster(t, pt, "paillier", "gob")
-	mixed := wireTestCluster(t, pt, "paillier", "binary")
-	mixed.Parties[1].SetCodec(wire.Gob()) // the legacy node
-
-	for _, variant := range []Variant{VariantBase, VariantFagin} {
-		grep, err := gc.Leader.Similarities(ctx, queries, 3, variant)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mrep, err := mixed.Leader.Similarities(ctx, queries, 3, variant)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range grep.W {
-			for j := range grep.W[i] {
-				if grep.W[i][j] != mrep.W[i][j] {
-					t.Fatalf("%s: W[%d][%d] differs in mixed cluster: %v vs %v",
-						variant, i, j, grep.W[i][j], mrep.W[i][j])
-				}
-			}
-		}
-	}
-
-	// Per-peer negotiation: binary towards binary peers, gob towards the
-	// legacy party — on both roles that fan out to parties.
-	for caller, want := range map[string]map[string]string{
-		"leader": {AggServerName: "binary", PartyName(0): "binary", PartyName(1): "gob", PartyName(2): "binary"},
-		"agg":    {PartyName(0): "binary", PartyName(1): "gob", PartyName(2): "binary"},
-	} {
-		for peer, codec := range want {
-			var got string
-			if caller == "leader" {
-				got = mixed.Leader.Negotiated(peer)
-			} else {
-				got = mixed.Agg.Negotiated(peer)
-			}
-			if got != codec {
-				t.Fatalf("%s negotiated %q with %s, want %q", caller, got, peer, codec)
-			}
-		}
-	}
-}
-
-// TestNegotiationHandshake proves the three negotiation outcomes at the node
-// level: binary↔binary commits v1, binary↔gob commits gob, and an envelope
-// from a future version is rejected with the typed error, never misparsed.
-func TestNegotiationHandshake(t *testing.T) {
-	ctx := context.Background()
-	_, pt := testPartition(t, "Bank", 20, 2)
-	bc := wireTestCluster(t, pt, "plain", "binary")
-	gc := wireTestCluster(t, pt, "plain", "gob")
-
-	// binary ↔ binary: the hello ack commits v1.
-	ack, err := bc.Transport.Call(ctx, PartyName(0), transport.MethodHello, wire.MarshalHello(wire.MaxVersion))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, err := wire.ParseHelloAck(ack); err != nil || v != 1 {
-		t.Fatalf("binary party committed version %d (err %v), want 1", v, err)
-	}
-
-	// binary ↔ gob: a gob-configured node answers version 0 (gob).
-	ack, err = gc.Transport.Call(ctx, PartyName(0), transport.MethodHello, wire.MarshalHello(wire.MaxVersion))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, err := wire.ParseHelloAck(ack); err != nil || v != 0 {
-		t.Fatalf("gob party committed version %d (err %v), want 0", v, err)
-	}
-
-	// A future envelope (version 2) must be rejected with the typed error by
-	// every role, whatever its configured codec.
-	future := []byte{0x00, 0x02}
-	for _, tc := range []struct {
-		cl     *Cluster
-		node   string
-		method string
+	bodies := []struct {
+		name    string
+		body    []byte
+		version uint64 // non-zero: want *wire.UnsupportedVersionError with it
 	}{
-		{bc, PartyName(0), MethodEncryptAll},
-		{bc, AggServerName, MethodCollectAll},
-		{bc, KeyServerName, MethodPublicKey},
-		{gc, PartyName(0), MethodEncryptAll},
+		{"gob", gobBlob, 0},
+		{"empty", nil, 0},
+		{"bare magic", []byte{0x00}, 0},
+		{"version 0", []byte{0x00, 0x00}, 0},
+		{"version 2", []byte{0x00, 0x02}, 2},
+		{"truncated uvarint", []byte{0x00, 0x80}, 0},
+	}
+	for _, role := range []struct{ node, method string }{
+		{KeyServerName, MethodPublicKey},
+		{PartyName(0), MethodEncryptAll},
+		{AggServerName, MethodCollectAll},
+		{AggWorkerName(0), MethodShardCollect},
 	} {
-		_, err := tc.cl.Transport.Call(ctx, tc.node, tc.method, future)
-		var uv *wire.UnsupportedVersionError
-		if !errors.As(err, &uv) {
-			t.Fatalf("%s %s accepted future envelope: err = %v", tc.node, tc.method, err)
-		}
-		if uv.Version != 2 {
-			t.Fatalf("%s reported version %d, want 2", tc.node, uv.Version)
+		for _, b := range bodies {
+			_, err := cl.Transport.Call(ctx, role.node, role.method, b.body)
+			var uv *wire.UnsupportedVersionError
+			switch {
+			case b.version != 0 && (!errors.As(err, &uv) || uv.Version != b.version):
+				t.Errorf("%s %s on %s body: err = %v, want UnsupportedVersionError{%d}",
+					role.node, role.method, b.name, err, b.version)
+			case b.version == 0 && !errors.Is(err, wire.ErrCorrupt):
+				t.Errorf("%s %s on %s body: err = %v, want wire.ErrCorrupt", role.node, role.method, b.name, err)
+			}
 		}
 	}
 }

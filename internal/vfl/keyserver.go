@@ -17,17 +17,12 @@ import (
 // paper-scale sweeps and the "secagg" pairwise-masking scheme (the SMC
 // alternative of §II), whose consortium parameters it distributes.
 type KeyServer struct {
-	roleCodec
 	scheme         string
 	sk             *paillier.PrivateKey
 	parties        int
 	maskSeed       int64
 	epsilon, delta float64
 }
-
-// SetCodec bounds which inbound protocol versions the key server accepts;
-// responses always mirror the requester's codec.
-func (k *KeyServer) SetCodec(c wire.Codec) { k.setCodec(c) }
 
 // NewKeyServer creates the role. scheme is "paillier" (keyBits sized
 // modulus) or "plain". For "secagg" use NewKeyServerSecAgg.
@@ -64,15 +59,10 @@ func NewKeyServerDP(epsilon, delta float64, noiseSeed int64) (*KeyServer, error)
 	return &KeyServer{scheme: "dp", epsilon: epsilon, delta: delta, maskSeed: noiseSeed}, nil
 }
 
-// Handler returns the RPC handler for the key-server role. Responses mirror
-// the codec the request arrived in.
+// Handler returns the RPC handler for the key-server role.
 func (k *KeyServer) Handler() transport.Handler {
 	return func(ctx context.Context, method string, req []byte) ([]byte, error) {
-		if method == transport.MethodHello {
-			return wire.HandleHello(req, k.codec().Version())
-		}
-		codec, err := k.reqCodec(req)
-		if err != nil {
+		if err := wire.Unmarshal(req, nil); err != nil {
 			return nil, err
 		}
 		switch method {
@@ -82,32 +72,24 @@ func (k *KeyServer) Handler() transport.Handler {
 			if k.sk != nil {
 				resp.Key = he.MarshalPublicKey(&k.sk.PublicKey)
 			}
-			return codec.Marshal(&resp)
+			return marshal(&resp)
 		case MethodPrivateKey:
 			resp := PrivateKeyResp{Scheme: k.scheme, Parties: k.parties, MaskSeed: k.maskSeed,
 				Epsilon: k.epsilon, Delta: k.delta}
 			if k.sk != nil {
 				resp.Key = he.MarshalPrivateKey(k.sk)
 			}
-			return codec.Marshal(&resp)
+			return marshal(&resp)
 		default:
 			return nil, fmt.Errorf("%w: %s", transport.ErrUnknownMethod, method)
 		}
 	}
 }
 
-// FetchPublicScheme obtains an encrypt/add-only Scheme from the key server
-// over plain gob (the pre-wire behaviour); see FetchPublicSchemeWire for
-// codec-negotiated fetches.
+// FetchPublicScheme obtains an encrypt/add-only Scheme from the key server.
 func FetchPublicScheme(ctx context.Context, c transport.Caller, keyNode string) (he.Scheme, error) {
-	return FetchPublicSchemeWire(ctx, transport.NewCodecCaller(c, wire.Gob()), keyNode)
-}
-
-// FetchPublicSchemeWire obtains an encrypt/add-only Scheme from the key
-// server through a codec-negotiating caller.
-func FetchPublicSchemeWire(ctx context.Context, cc *transport.CodecCaller, keyNode string) (he.Scheme, error) {
 	var resp PublicKeyResp
-	if _, err := cc.Invoke(ctx, keyNode, MethodPublicKey, nil, &resp); err != nil {
+	if _, err := transport.NewCodecCaller(c).Invoke(ctx, keyNode, MethodPublicKey, nil, &resp); err != nil {
 		return nil, fmt.Errorf("vfl: fetching public key: %w", err)
 	}
 	switch resp.Scheme {
@@ -129,18 +111,11 @@ func FetchPublicSchemeWire(ctx context.Context, cc *transport.CodecCaller, keyNo
 	}
 }
 
-// FetchPrivateScheme obtains the full Scheme (with decryption) over plain
-// gob; only the leader should call this. See FetchPrivateSchemeWire for
-// codec-negotiated fetches.
+// FetchPrivateScheme obtains the full Scheme (with decryption); only the
+// leader should call this.
 func FetchPrivateScheme(ctx context.Context, c transport.Caller, keyNode string) (he.Scheme, error) {
-	return FetchPrivateSchemeWire(ctx, transport.NewCodecCaller(c, wire.Gob()), keyNode)
-}
-
-// FetchPrivateSchemeWire obtains the full Scheme through a codec-negotiating
-// caller.
-func FetchPrivateSchemeWire(ctx context.Context, cc *transport.CodecCaller, keyNode string) (he.Scheme, error) {
 	var resp PrivateKeyResp
-	if _, err := cc.Invoke(ctx, keyNode, MethodPrivateKey, nil, &resp); err != nil {
+	if _, err := transport.NewCodecCaller(c).Invoke(ctx, keyNode, MethodPrivateKey, nil, &resp); err != nil {
 		return nil, fmt.Errorf("vfl: fetching private key: %w", err)
 	}
 	switch resp.Scheme {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"vfps/internal/costmodel"
@@ -42,9 +41,7 @@ const (
 // participant similarities w(p,s) that feed submodular selection.
 type Leader struct {
 	roleObs
-	roleCodec
-	caller      transport.Caller
-	cc          atomic.Pointer[transport.CodecCaller]
+	cc          *transport.CodecCaller
 	agg         string
 	parties     []string
 	scheme      he.Scheme // full scheme (with private key)
@@ -81,29 +78,16 @@ func NewLeader(caller transport.Caller, aggNode string, parties []string, scheme
 	if batch <= 0 {
 		batch = 32
 	}
-	l := &Leader{caller: caller, agg: aggNode, parties: parties, scheme: scheme, batch: batch}
-	l.cc.Store(transport.NewCodecCaller(caller, wire.Gob()))
-	return l, nil
+	return &Leader{cc: transport.NewCodecCaller(caller), agg: aggNode, parties: parties, scheme: scheme, batch: batch}, nil
 }
 
-// SetCodec configures the codec the leader prefers for its calls (negotiated
-// down per peer when a node only speaks gob).
-func (l *Leader) SetCodec(c wire.Codec) {
-	l.setCodec(c)
-	l.cc.Store(transport.NewCodecCaller(l.caller, l.codec()))
-}
-
-// Negotiated reports the codec name in use towards one node ("" before the
-// first call to it).
-func (l *Leader) Negotiated(node string) string { return l.cc.Load().Negotiated(node) }
-
-// call performs one outbound RPC through the negotiated codec and charges the
-// encoded request/response bytes to the leader's counters. The Messages
-// counter stays responder-side, so round trips are not double-counted.
+// call performs one outbound RPC and charges the encoded request bytes to the
+// leader's counters. The Messages counter stays responder-side, so round trips
+// are not double-counted.
 func (l *Leader) call(ctx context.Context, node, method string, req, resp wire.Message) error {
-	stats, err := l.cc.Load().Invoke(ctx, node, method, req, resp)
+	stats, err := l.cc.Invoke(ctx, node, method, req, resp)
 	l.counts.Add(costmodel.Raw{BytesSent: stats.Payload, FramingBytes: stats.Framing})
-	l.recordWire(stats.Codec, stats.Payload, stats.Framing)
+	l.recordWire(stats.Payload, stats.Framing)
 	return err
 }
 
@@ -167,10 +151,9 @@ func (l *Leader) SetSpeculativeTA(on bool) { l.speculate = on }
 // leader requests from the aggregation server: adaptive pack-width
 // negotiation (effective only when the parties slot-pack), chunk framing of
 // collection responses (chunkBytes > 0 splits packed vectors into
-// ≤chunkBytes chunks the leader decrypts as a pipeline; requires the binary
-// codec, gob peers silently keep whole-blob framing), and cross-round delta
-// caching (repeat queries resend only changed ciphertext blocks). All three
-// default to off, which keeps the wire image and the selections byte-
+// ≤chunkBytes chunks the leader decrypts as a pipeline), and cross-round
+// delta caching (repeat queries resend only changed ciphertext blocks). All
+// three default to off, which keeps the wire image and the selections byte-
 // identical to previous protocol versions.
 func (l *Leader) SetPayloadOptions(adaptive bool, chunkBytes int, delta bool) {
 	if chunkBytes < 0 {
@@ -1035,7 +1018,7 @@ func (l *Leader) GatherCounts(ctx context.Context) (map[string]costmodel.Raw, er
 	out := map[string]costmodel.Raw{"leader": l.counts.Snapshot()}
 	for _, node := range l.countNodes() {
 		var resp CountsResp
-		if _, err := l.cc.Load().Invoke(ctx, node, MethodCounts, nil, &resp); err != nil {
+		if _, err := l.cc.Invoke(ctx, node, MethodCounts, nil, &resp); err != nil {
 			return nil, fmt.Errorf("vfl: counts from %s: %w", node, err)
 		}
 		out[node] = resp.Counts
@@ -1060,7 +1043,7 @@ func (l *Leader) TotalCounts(ctx context.Context) (costmodel.Raw, error) {
 func (l *Leader) ResetAllCounts(ctx context.Context) error {
 	l.counts.Reset()
 	for _, node := range l.countNodes() {
-		if _, err := l.cc.Load().Invoke(ctx, node, MethodResetCounts, nil, nil); err != nil {
+		if _, err := l.cc.Invoke(ctx, node, MethodResetCounts, nil, nil); err != nil {
 			return fmt.Errorf("vfl: resetting %s: %w", node, err)
 		}
 	}

@@ -109,9 +109,9 @@ type EncryptAllReq struct {
 // EncryptAllResp returns ciphertexts aligned with ascending pseudo IDs.
 // PackFactor > 1 means each ciphertext carries that many consecutive values
 // (slot packing; the last one partially filled), so len(Ciphers) is
-// ceil(len(PseudoIDs)/PackFactor). 0 or 1 means one value per ciphertext —
-// the pre-packing wire format, which old peers emit implicitly via gob's
-// zero-value defaulting.
+// ceil(len(PseudoIDs)/PackFactor). 0 or 1 means one value per ciphertext:
+// the field is omitted when zero, so an unpacked response carries no trace
+// of packing.
 //
 // PackBits echoes the adaptive slot width the ciphertexts were packed under
 // (0 = static geometry). NeedBits advertises the smallest slot width this
@@ -220,8 +220,7 @@ type AggregateFrontierResp struct {
 
 // CollectAllReq drives the BASE variant for one query. ChunkBytes > 0 asks
 // for the aggregated vector chunk-framed at roughly that content size per
-// chunk (v1 codecs only; gob peers always get whole-blob framing). Adaptive,
-// Delta and NoCache behave as in AggregateCandidatesReq.
+// chunk. Adaptive, Delta and NoCache behave as in AggregateCandidatesReq.
 type CollectAllReq struct {
 	Query      int
 	ChunkBytes int
@@ -233,8 +232,8 @@ type CollectAllReq struct {
 // CollectAllResp returns the homomorphically aggregated complete distances
 // for every pseudo ID (slot-packed when PackFactor > 1, see EncryptAllResp;
 // PackBits/PackAdds/CachedBlocks as in AggregateCandidatesResp). When the
-// request asked for chunk framing and the codec supports it, the vector rides
-// Chunked instead of Aggregated.
+// request asked for chunk framing, the vector rides Chunked instead of
+// Aggregated.
 type CollectAllResp struct {
 	PseudoIDs    []int
 	Aggregated   [][]byte
@@ -294,8 +293,8 @@ func packedLen(n, packFactor int) int {
 	return (n + packFactor - 1) / packFactor
 }
 
-// normFactor maps the wire encoding of an absent pack factor (gob zero value
-// from pre-packing peers) to the explicit unpacked factor 1.
+// normFactor maps the wire encoding of an absent pack factor (an omitted
+// field decodes as 0) to the explicit unpacked factor 1.
 func normFactor(f int) int {
 	if f <= 1 {
 		return 1
@@ -324,13 +323,12 @@ type FaginCollectResp struct {
 	Chunked      [][][]byte
 }
 
-// ---- wire codec layouts --------------------------------------------------
+// ---- wire layouts --------------------------------------------------------
 //
 // Every message carries explicit MarshalWire/UnmarshalWire methods pinning
-// its v1 binary layout (see internal/wire for the field grammar and
-// golden_test.go for byte-level vectors). Tags are append-only: new fields
-// take fresh tags so v1 peers skip them, exactly how PackFactor rode on gob's
-// zero-value defaulting before. Absent fields decode as zero, which the
+// its v1 layout (see internal/wire for the field grammar and golden_test.go
+// for byte-level vectors). Tags are append-only: new fields take fresh tags
+// so v1 peers skip them. Absent fields decode as zero, which the
 // normFactor/packedLen helpers already normalise.
 
 // MarshalWire implements wire.Message. 1: scheme, 2: key, 3: parties,
@@ -567,9 +565,8 @@ func (m *NeighborSumResp) UnmarshalWire(d *wire.Decoder) error {
 }
 
 // wireRaw pins costmodel.Raw's nested wire layout without coupling costmodel
-// to the codec. 1: flops, 2: enc, 3: dec, 4: cadd, 5: padd, 6: items,
-// 7: msgs, 8: bytes, 9: framing (framing was added with the codec itself, so
-// v1 defines it from the start), 10: cache hits, 11: cache misses.
+// to internal/wire. 1: flops, 2: enc, 3: dec, 4: cadd, 5: padd, 6: items,
+// 7: msgs, 8: bytes, 9: framing, 10: cache hits, 11: cache misses.
 type wireRaw costmodel.Raw
 
 func (r *wireRaw) MarshalWire(e *wire.Encoder) {

@@ -166,7 +166,7 @@ func TestTracedSelectionIdentity(t *testing.T) {
 	queries := []int{0, 13, 39}
 
 	plain, err := NewLocalCluster(ctx, ClusterConfig{
-		Partition: pt, Scheme: "paillier", KeyBits: 256, ShuffleSeed: 7, Batch: 8, Wire: "binary",
+		Partition: pt, Scheme: "paillier", KeyBits: 256, ShuffleSeed: 7, Batch: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +174,7 @@ func TestTracedSelectionIdentity(t *testing.T) {
 	defer plain.Close()
 	o := obs.NewObserver(1024)
 	traced, err := NewLocalCluster(ctx, ClusterConfig{
-		Partition: pt, Scheme: "paillier", KeyBits: 256, ShuffleSeed: 7, Batch: 8, Wire: "binary",
+		Partition: pt, Scheme: "paillier", KeyBits: 256, ShuffleSeed: 7, Batch: 8,
 		Obs: o, Instance: "test",
 	})
 	if err != nil {

@@ -27,7 +27,6 @@ func PartyName(p int) string { return fmt.Sprintf("party/%d", p) }
 // §IV-C).
 type Participant struct {
 	roleObs
-	roleCodec
 	index  int
 	x      *mat.Matrix // N × F_p local features
 	scheme he.Scheme
@@ -163,11 +162,6 @@ func (p *Participant) SetObserver(o *obs.Observer, instance string) {
 	p.store(o)
 	p.counts.Register(o.Registry(), instance, PartyName(p.index))
 }
-
-// SetCodec configures the participant's wire codec (gob by default).
-// Responses always mirror the requester's codec; the setting bounds which
-// inbound protocol versions are accepted.
-func (p *Participant) SetCodec(c wire.Codec) { p.setCodec(c) }
 
 // SetParallelism pins the participant's encryption concurrency: 1 restores
 // the serial loop, <= 0 restores the default degree.
@@ -377,52 +371,45 @@ func (p *Participant) distances(ctx context.Context, query int) (*queryCache, er
 	return qc, nil
 }
 
-// Handler returns the participant's RPC handler. Requests are decoded with
-// the codec they arrived in (bounded by the configured codec's version) and
-// responses mirror it, so one participant can serve gob and binary callers
-// side by side.
+// Handler returns the participant's RPC handler.
 func (p *Participant) Handler() transport.Handler {
 	return func(ctx context.Context, method string, req []byte) ([]byte, error) {
-		if method == transport.MethodHello {
-			return wire.HandleHello(req, p.codec().Version())
-		}
-		codec, err := p.reqCodec(req)
-		if err != nil {
+		if err := wire.Unmarshal(req, nil); err != nil {
 			return nil, err
 		}
 		switch method {
 		case MethodRankingBatch:
 			var r RankingBatchReq
-			if err := codec.Unmarshal(req, &r); err != nil {
+			if err := wire.Unmarshal(req, &r); err != nil {
 				return nil, err
 			}
-			return p.rankingBatch(ctx, codec, r)
+			return p.rankingBatch(ctx, r)
 		case MethodEncryptAll:
 			var r EncryptAllReq
-			if err := codec.Unmarshal(req, &r); err != nil {
+			if err := wire.Unmarshal(req, &r); err != nil {
 				return nil, err
 			}
-			return p.encryptAll(ctx, codec, r)
+			return p.encryptAll(ctx, r)
 		case MethodEncryptCandidates:
 			var r EncryptCandidatesReq
-			if err := codec.Unmarshal(req, &r); err != nil {
+			if err := wire.Unmarshal(req, &r); err != nil {
 				return nil, err
 			}
-			return p.encryptCandidates(ctx, codec, r)
+			return p.encryptCandidates(ctx, r)
 		case MethodEncryptRankScore:
 			var r EncryptRankScoreReq
-			if err := codec.Unmarshal(req, &r); err != nil {
+			if err := wire.Unmarshal(req, &r); err != nil {
 				return nil, err
 			}
-			return p.encryptRankScore(ctx, codec, r)
+			return p.encryptRankScore(ctx, r)
 		case MethodNeighborSum:
 			var r NeighborSumReq
-			if err := codec.Unmarshal(req, &r); err != nil {
+			if err := wire.Unmarshal(req, &r); err != nil {
 				return nil, err
 			}
-			return p.neighborSum(ctx, codec, r)
+			return p.neighborSum(ctx, r)
 		case MethodCounts:
-			return codec.Marshal(&CountsResp{Counts: p.counts.Snapshot()})
+			return marshal(&CountsResp{Counts: p.counts.Snapshot()})
 		case MethodResetCounts:
 			p.counts.Reset()
 			return nil, nil
@@ -432,7 +419,7 @@ func (p *Participant) Handler() transport.Handler {
 	}
 }
 
-func (p *Participant) rankingBatch(ctx context.Context, codec wire.Codec, r RankingBatchReq) ([]byte, error) {
+func (p *Participant) rankingBatch(ctx context.Context, r RankingBatchReq) ([]byte, error) {
 	if r.Count <= 0 {
 		return nil, fmt.Errorf("vfl: ranking batch count %d must be positive", r.Count)
 	}
@@ -450,11 +437,11 @@ func (p *Participant) rankingBatch(ctx context.Context, codec wire.Codec, r Rank
 	for i, it := range ranked {
 		batch[i] = it.ID
 	}
-	return reply(codec, &RankingBatchResp{PseudoIDs: batch}, &p.counts, &p.roleObs,
+	return reply(&RankingBatchResp{PseudoIDs: batch}, &p.counts, &p.roleObs,
 		costmodel.Raw{ItemsSent: int64(len(batch)), Messages: 1})
 }
 
-func (p *Participant) encryptAll(ctx context.Context, codec wire.Codec, r EncryptAllReq) ([]byte, error) {
+func (p *Participant) encryptAll(ctx context.Context, r EncryptAllReq) ([]byte, error) {
 	qc, err := p.distances(ctx, r.Query)
 	if err != nil {
 		return nil, err
@@ -478,7 +465,7 @@ func (p *Participant) encryptAll(ctx context.Context, codec wire.Codec, r Encryp
 	// exponentiation and ciphertext counts by the pack factor, delta hits skip
 	// both the exponentiation and the wire, and reply charges the bytes as
 	// actually encoded.
-	return reply(codec, &EncryptAllResp{
+	return reply(&EncryptAllResp{
 		PseudoIDs: pids, Ciphers: enc.ciphers, PackFactor: enc.factor,
 		PackBits: enc.packBits, NeedBits: enc.needBits, CachedBlocks: enc.cached,
 	}, &p.counts, &p.roleObs, costmodel.Raw{
@@ -488,7 +475,7 @@ func (p *Participant) encryptAll(ctx context.Context, codec wire.Codec, r Encryp
 	})
 }
 
-func (p *Participant) encryptCandidates(ctx context.Context, codec wire.Codec, r EncryptCandidatesReq) ([]byte, error) {
+func (p *Participant) encryptCandidates(ctx context.Context, r EncryptCandidatesReq) ([]byte, error) {
 	qc, err := p.distances(ctx, r.Query)
 	if err != nil {
 		return nil, err
@@ -505,7 +492,7 @@ func (p *Participant) encryptCandidates(ctx context.Context, codec wire.Codec, r
 	if err != nil {
 		return nil, fmt.Errorf("vfl: party %d encrypting candidate: %w", p.index, err)
 	}
-	return reply(codec, &EncryptCandidatesResp{
+	return reply(&EncryptCandidatesResp{
 		Ciphers: enc.ciphers, PackFactor: enc.factor,
 		PackBits: enc.packBits, NeedBits: enc.needBits, CachedBlocks: enc.cached,
 	}, &p.counts, &p.roleObs, costmodel.Raw{
@@ -515,7 +502,7 @@ func (p *Participant) encryptCandidates(ctx context.Context, codec wire.Codec, r
 	})
 }
 
-func (p *Participant) encryptRankScore(ctx context.Context, codec wire.Codec, r EncryptRankScoreReq) ([]byte, error) {
+func (p *Participant) encryptRankScore(ctx context.Context, r EncryptRankScoreReq) ([]byte, error) {
 	qc, err := p.distances(ctx, r.Query)
 	if err != nil {
 		return nil, err
@@ -536,11 +523,11 @@ func (p *Participant) encryptRankScore(ctx context.Context, codec wire.Codec, r 
 		return nil, fmt.Errorf("vfl: party %d encrypting frontier: %w", p.index, err)
 	}
 	he.Hint(p.scheme, 1) // TA rounds repeat; keep the pool topped up between them
-	return reply(codec, &EncryptRankScoreResp{Cipher: c}, &p.counts, &p.roleObs,
+	return reply(&EncryptRankScoreResp{Cipher: c}, &p.counts, &p.roleObs,
 		costmodel.Raw{Encryptions: 1, ItemsSent: 1, Messages: 1})
 }
 
-func (p *Participant) neighborSum(ctx context.Context, codec wire.Codec, r NeighborSumReq) ([]byte, error) {
+func (p *Participant) neighborSum(ctx context.Context, r NeighborSumReq) ([]byte, error) {
 	qc, err := p.distances(ctx, r.Query)
 	if err != nil {
 		return nil, err
@@ -553,6 +540,6 @@ func (p *Participant) neighborSum(ctx context.Context, codec wire.Codec, r Neigh
 		}
 		sum += qc.dist[p.inv[pid]]
 	}
-	return reply(codec, &NeighborSumResp{Sum: sum}, &p.counts, &p.roleObs,
+	return reply(&NeighborSumResp{Sum: sum}, &p.counts, &p.roleObs,
 		costmodel.Raw{PlainAdds: int64(len(r.PseudoIDs)), ItemsSent: 1, Messages: 1})
 }

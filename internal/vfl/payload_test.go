@@ -25,7 +25,6 @@ func payloadTestCluster(t *testing.T, pt *dataset.Partition, adaptive bool, chun
 		KeyBits:      256,
 		ShuffleSeed:  7,
 		Batch:        8,
-		Wire:         "binary",
 		Pack:         true,
 		PackAdaptive: adaptive,
 		ChunkBytes:   chunkBytes,
@@ -140,18 +139,12 @@ func TestRankingBatchHostileCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	p, query, _, want := rankedTestParty(t, rng, 300)
 	ctx := context.Background()
-	bin := wire.Binary()
-	p.SetCodec(bin)
 	call := func(p *Participant, method string, req, resp wire.Message) error {
-		raw, err := bin.Marshal(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := p.Handler()(ctx, method, raw)
+		out, err := p.Handler()(ctx, method, enc(req))
 		if err != nil {
 			return err
 		}
-		return bin.Unmarshal(out, resp)
+		return wire.Unmarshal(out, resp)
 	}
 	pids := func(items []topk.Item) []int {
 		var out []int
@@ -208,7 +201,6 @@ func TestRankingBatchHostileCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lone.SetCodec(bin)
 	if err := call(lone, MethodEncryptRankScore, &EncryptRankScoreReq{Query: 0, Rank: 0}, &score); err == nil {
 		t.Fatal("rank into an empty ranking accepted")
 	}

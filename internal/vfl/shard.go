@@ -7,7 +7,6 @@ import (
 
 	"vfps/internal/costmodel"
 	"vfps/internal/obs"
-	"vfps/internal/wire"
 )
 
 // Sharded aggregation: the ciphertext tree reduce is index-deterministic —
@@ -249,7 +248,7 @@ func (a *AggServer) reduceSubtree(ctx context.Context, pvs []partyVec, factor, p
 // one static re-collect exactly as the unsharded server would; the
 // coordinator then sees the static geometry from this shard and re-dispatches
 // all shards statically, matching the unsharded mixed-round recovery.
-func (a *AggServer) shardCollect(ctx context.Context, codec wire.Codec, r ShardCollectReq) ([]byte, error) {
+func (a *AggServer) shardCollect(ctx context.Context, r ShardCollectReq) ([]byte, error) {
 	ctx, ssp := a.tracer().Start(ctx, SpanShardCollect)
 	ssp.SetLabelInt("parties", int64(len(a.parties)))
 	defer ssp.End()
@@ -275,6 +274,6 @@ func (a *AggServer) shardCollect(ctx context.Context, codec wire.Codec, r ShardC
 	if r.All {
 		resp.PseudoIDs = pv.pids
 	}
-	return reply(codec, resp, &a.counts, &a.roleObs,
+	return reply(resp, &a.counts, &a.roleObs,
 		costmodel.Raw{ItemsSent: int64(len(pv.ciphers)), Messages: 1})
 }

@@ -120,7 +120,7 @@ func TestShardedPaillierIdentity(t *testing.T) {
 	queries := []int{0, 9}
 	base := ClusterConfig{Partition: pt, Scheme: "paillier", KeyBits: 256,
 		ShuffleSeed: 7, Batch: 8, Pack: true, PackAdaptive: true,
-		ChunkBytes: 2048, DeltaCache: true, Wire: "binary"}
+		ChunkBytes: 2048, DeltaCache: true}
 	refW, refAdds, refEnc := shardedSimilarities(t, base, queries, 3, 2)
 	for _, workers := range []int{2, 3} {
 		cfg := base

@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
 	"vfps/internal/dataset"
 	"vfps/internal/mat"
 	"vfps/internal/transport"
+	"vfps/internal/wire"
 )
 
 func testPartition(t *testing.T, name string, rows, parties int) (*dataset.Dataset, *dataset.Partition) {
@@ -42,6 +44,12 @@ func newCluster(t *testing.T, pt *dataset.Partition, scheme string) *Cluster {
 		t.Fatal(err)
 	}
 	return cl
+}
+
+// enc encodes a request for a direct handler call (nil: the bare envelope).
+func enc(m wire.Message) []byte {
+	raw, _ := wire.Marshal(m)
+	return raw
 }
 
 // bruteNeighbors computes the query's k nearest neighbours in the joint
@@ -671,12 +679,12 @@ func TestSecAggHidesValuesFromServer(t *testing.T) {
 	cl := newCluster(t, pt, "secagg")
 	party := cl.Parties[0]
 	raw, err := party.Handler()(context.Background(), MethodEncryptCandidates,
-		mustGob(EncryptCandidatesReq{Query: 0, PseudoIDs: []int{1, 2, 3}}))
+		enc(&EncryptCandidatesReq{Query: 0, PseudoIDs: []int{1, 2, 3}}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var resp EncryptCandidatesResp
-	if err := transport.DecodeGob(raw, &resp); err != nil {
+	if err := wire.Unmarshal(raw, &resp); err != nil {
 		t.Fatal(err)
 	}
 	qc, err := party.distances(context.Background(), 0)
@@ -863,6 +871,72 @@ func TestAddParticipantSecAggRejected(t *testing.T) {
 	}
 }
 
+// TestChurnUnregistersDepartedNodes pins that membership churn does not
+// accumulate handlers on the in-memory transport: a departed party, and a
+// shard worker the re-planned tree no longer uses, stop being reachable (and
+// so stop pinning their feature matrices and caches), and after any number of
+// join→leave cycles the transport serves exactly the cold cluster's names.
+func TestChurnUnregistersDepartedNodes(t *testing.T) {
+	ctx := context.Background()
+	_, pt := testPartition(t, "Rice", 30, 4)
+	cl, err := NewLocalCluster(ctx, ClusterConfig{Partition: pt, ShuffleSeed: 7, ShardWorkers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	registered := func(name string) bool {
+		_, err := cl.Transport.Call(ctx, name, MethodCounts, enc(nil))
+		return !errors.Is(err, transport.ErrUnknownPeer)
+	}
+	// Every name a cycle can touch: 4 cold parties + 8 joiners, and the 4
+	// workers of the cold plan (4 parties over 4 workers) plus one beyond.
+	serving := func() (names []string) {
+		for _, fixed := range []string{KeyServerName, AggServerName} {
+			if registered(fixed) {
+				names = append(names, fixed)
+			}
+		}
+		for i := 0; i < 13; i++ {
+			if registered(PartyName(i)) {
+				names = append(names, PartyName(i))
+			}
+		}
+		for i := 0; i < 5; i++ {
+			if registered(AggWorkerName(i)) {
+				names = append(names, AggWorkerName(i))
+			}
+		}
+		return names
+	}
+	cold := serving()
+	if len(cold) != 2+4+4 {
+		t.Fatalf("cold cluster serves %v, want key server, aggregation server, 4 parties, 4 workers", cold)
+	}
+	for cycle := 0; cycle < 8; cycle++ {
+		if _, err := cl.AddParticipant(pt.Parties[0]); err != nil {
+			t.Fatal(err)
+		}
+		// Five parties re-plan to three subtrees of two: worker 3 is surplus.
+		if len(cl.Workers) != 3 || registered(AggWorkerName(3)) {
+			t.Fatalf("cycle %d: %d workers after the join, aggworker/3 registered: %t",
+				cycle, len(cl.Workers), registered(AggWorkerName(3)))
+		}
+		joiner := 4 + cycle
+		if err := cl.RemoveParticipant(joiner); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Transport.Call(ctx, PartyName(joiner), MethodCounts, enc(nil)); !errors.Is(err, transport.ErrUnknownPeer) {
+			t.Fatalf("cycle %d: call to departed %s: err = %v, want ErrUnknownPeer", cycle, PartyName(joiner), err)
+		}
+	}
+	if got := serving(); !slices.Equal(got, cold) {
+		t.Fatalf("after 8 join→leave cycles the transport serves %v, cold cluster served %v", got, cold)
+	}
+	if _, err := cl.Leader.Similarities(ctx, []int{1, 7}, 3, VariantFagin); err != nil {
+		t.Fatalf("selection after churn: %v", err)
+	}
+}
+
 func TestFetchSchemeErrors(t *testing.T) {
 	tr := &transport.Memory{}
 	ctx := context.Background()
@@ -875,7 +949,7 @@ func TestFetchSchemeErrors(t *testing.T) {
 	}
 	// Key server speaking an unknown scheme.
 	tr.Register(KeyServerName, func(ctx context.Context, method string, req []byte) ([]byte, error) {
-		return transport.EncodeGob(PublicKeyResp{Scheme: "rot13"})
+		return enc(&PublicKeyResp{Scheme: "rot13"}), nil
 	})
 	if _, err := FetchPublicScheme(ctx, tr, KeyServerName); err == nil {
 		t.Fatal("expected unknown-scheme error")
@@ -903,8 +977,8 @@ func TestKeyServerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ks.Handler()(context.Background(), "nope", nil); err == nil {
-		t.Fatal("expected unknown-method error")
+	if _, err := ks.Handler()(context.Background(), "nope", enc(nil)); !errors.Is(err, transport.ErrUnknownMethod) {
+		t.Fatalf("unknown method: err = %v, want ErrUnknownMethod", err)
 	}
 }
 
@@ -913,25 +987,25 @@ func TestParticipantHandlerErrors(t *testing.T) {
 	cl := newCluster(t, pt, "plain")
 	h := cl.Parties[0].Handler()
 	ctx := context.Background()
-	if _, err := h(ctx, "nope", nil); err == nil {
-		t.Fatal("expected unknown-method error")
+	if _, err := h(ctx, "nope", enc(nil)); !errors.Is(err, transport.ErrUnknownMethod) {
+		t.Fatalf("unknown method: err = %v, want ErrUnknownMethod", err)
 	}
 	if _, err := h(ctx, MethodRankingBatch, []byte{0xff}); err == nil {
 		t.Fatal("expected decode error")
 	}
-	if _, err := h(ctx, MethodRankingBatch, mustGob(RankingBatchReq{Query: 0, Offset: -1, Count: 5})); err == nil {
+	if _, err := h(ctx, MethodRankingBatch, enc(&RankingBatchReq{Query: 0, Offset: -1, Count: 5})); err == nil {
 		t.Fatal("expected offset error")
 	}
-	if _, err := h(ctx, MethodRankingBatch, mustGob(RankingBatchReq{Query: 0, Offset: 0, Count: 0})); err == nil {
+	if _, err := h(ctx, MethodRankingBatch, enc(&RankingBatchReq{Query: 0, Offset: 0, Count: 0})); err == nil {
 		t.Fatal("expected count error")
 	}
-	if _, err := h(ctx, MethodEncryptCandidates, mustGob(EncryptCandidatesReq{Query: 0, PseudoIDs: []int{999}})); err == nil {
+	if _, err := h(ctx, MethodEncryptCandidates, enc(&EncryptCandidatesReq{Query: 0, PseudoIDs: []int{999}})); err == nil {
 		t.Fatal("expected candidate range error")
 	}
-	if _, err := h(ctx, MethodNeighborSum, mustGob(NeighborSumReq{Query: 0, PseudoIDs: []int{-1}})); err == nil {
+	if _, err := h(ctx, MethodNeighborSum, enc(&NeighborSumReq{Query: 0, PseudoIDs: []int{-1}})); err == nil {
 		t.Fatal("expected neighbour range error")
 	}
-	if _, err := h(ctx, MethodEncryptRankScore, mustGob(EncryptRankScoreReq{Query: 0, Rank: -3})); err == nil {
+	if _, err := h(ctx, MethodEncryptRankScore, enc(&EncryptRankScoreReq{Query: 0, Rank: -3})); err == nil {
 		t.Fatal("expected rank error")
 	}
 }
@@ -951,16 +1025,16 @@ func TestAggServerHandlerErrors(t *testing.T) {
 	cl := newCluster(t, pt, "plain")
 	h := cl.Agg.Handler()
 	ctx := context.Background()
-	if _, err := h(ctx, "nope", nil); err == nil {
-		t.Fatal("expected unknown-method error")
+	if _, err := h(ctx, "nope", enc(nil)); !errors.Is(err, transport.ErrUnknownMethod) {
+		t.Fatalf("unknown method: err = %v, want ErrUnknownMethod", err)
 	}
-	if _, err := h(ctx, MethodFaginCollect, mustGob(FaginCollectReq{Query: 0, K: 0, Batch: 8})); err == nil {
+	if _, err := h(ctx, MethodFaginCollect, enc(&FaginCollectReq{Query: 0, K: 0, Batch: 8})); err == nil {
 		t.Fatal("expected k validation error")
 	}
-	if _, err := h(ctx, MethodFaginCollect, mustGob(FaginCollectReq{Query: 0, K: 5, Batch: 0})); err == nil {
+	if _, err := h(ctx, MethodFaginCollect, enc(&FaginCollectReq{Query: 0, K: 5, Batch: 0})); err == nil {
 		t.Fatal("expected batch validation error")
 	}
-	if _, err := h(ctx, MethodFaginCollect, mustGob(FaginCollectReq{Query: 0, K: 99, Batch: 8})); err == nil {
+	if _, err := h(ctx, MethodFaginCollect, enc(&FaginCollectReq{Query: 0, K: 99, Batch: 8})); err == nil {
 		t.Fatal("expected exhaustion error")
 	}
 }

@@ -1,80 +1,48 @@
 package vfl
 
 import (
-	"sync/atomic"
-
 	"vfps/internal/costmodel"
 	"vfps/internal/obs"
 	"vfps/internal/wire"
 )
 
-// roleCodec is the wire-codec slot embedded in every protocol role. It holds
-// the codec the role is configured to speak (gob until SetCodec): outbound
-// requests prefer it, and inbound requests from newer protocol versions than
-// it allows are rejected with a typed error. The indirection through a box
-// struct keeps the atomic happy across differing concrete codec types.
-type roleCodec struct {
-	c atomic.Pointer[codecBox]
-}
-
-type codecBox struct{ codec wire.Codec }
-
-// codec returns the configured codec (gob by default).
-func (r *roleCodec) codec() wire.Codec {
-	if b := r.c.Load(); b != nil {
-		return b.codec
-	}
-	return wire.Gob()
-}
-
-func (r *roleCodec) setCodec(c wire.Codec) {
-	if c == nil {
-		c = wire.Gob()
-	}
-	r.c.Store(&codecBox{codec: c})
-}
-
-// reqCodec sniffs the codec of an inbound request, bounded by the role's own
-// configured version: a gob-configured node rejects binary envelopes and any
-// node rejects future-version frames with *wire.UnsupportedVersionError.
-// Responses are encoded with the returned codec, mirroring the requester.
-func (r *roleCodec) reqCodec(req []byte) (wire.Codec, error) {
-	return wire.DetectMax(req, r.codec().Version())
-}
-
-// metricWireBytes counts encoded protocol bytes split by codec and share.
+// metricWireBytes counts encoded protocol bytes split by share.
 const metricWireBytes = "vfps_wire_bytes"
 
 func declareWire(reg *obs.Registry) *obs.CounterVec {
 	return reg.Counter(metricWireBytes,
-		"Encoded protocol message bytes by codec and share: payload is value content (ciphertext/key blobs, float scalars), framing is the wire overhead around it (envelope, field tags, length prefixes, pseudo-ID lists, gob descriptors).",
-		"codec", "kind")
+		"Encoded protocol message bytes by share: payload is value content (ciphertext/key blobs, float scalars), framing is the wire overhead around it (envelope, field tags, length prefixes, pseudo-ID lists).",
+		"kind")
 }
 
 // recordWire feeds one encoded message's byte split into the
-// vfps_wire_bytes{codec,kind} counters. No-op without a registry.
-func (r *roleObs) recordWire(codec string, payload, framing int64) {
+// vfps_wire_bytes{kind} counters. No-op without a registry.
+func (r *roleObs) recordWire(payload, framing int64) {
 	reg := r.o.Load().Registry()
 	if reg == nil {
 		return
 	}
 	v := declareWire(reg)
-	v.With(codec, "payload").Add(payload)
-	v.With(codec, "framing").Add(framing)
+	v.With("payload").Add(payload)
+	v.With("framing").Add(framing)
 }
 
-// reply encodes resp with the codec the requester used and charges the
-// encoded bytes — payload into BytesSent, the rest into FramingBytes — to
-// the responder's counters along with the operation counts in extra.
-func reply(codec wire.Codec, resp wire.Message, counts *costmodel.Counts, ro *roleObs, extra costmodel.Raw) ([]byte, error) {
-	raw, payload, err := wire.MarshalMeasured(codec, resp)
-	if err != nil {
-		return nil, err
-	}
+// marshal encodes a response that is not charged to the cost counters (key
+// material, the counters themselves).
+func marshal(resp wire.Message) ([]byte, error) {
+	raw, _ := wire.Marshal(resp)
+	return raw, nil
+}
+
+// reply encodes resp and charges the encoded bytes — payload into BytesSent,
+// the rest into FramingBytes — to the responder's counters along with the
+// operation counts in extra.
+func reply(resp wire.Message, counts *costmodel.Counts, ro *roleObs, extra costmodel.Raw) ([]byte, error) {
+	raw, payload := wire.Marshal(resp)
 	framing := int64(len(raw)) - payload
 	extra.BytesSent += payload
 	extra.FramingBytes += framing
 	counts.Add(extra)
-	ro.recordWire(codec.Name(), payload, framing)
+	ro.recordWire(payload, framing)
 	return raw, nil
 }

@@ -6,15 +6,18 @@ import (
 )
 
 // FuzzWire is the make-check smoke target: arbitrary bytes must never panic
-// the field decoder, and whatever decodes must re-encode canonically.
+// the envelope check or the field decoder, and whatever decodes must
+// re-encode canonically.
 func FuzzWire(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x01})
-	f.Add(MarshalHello(1))
+	f.Add([]byte{0x00, 0x01, 0x08, 0x01})
 	var seed Encoder
 	(&allFields{U: 3, I: -9, F: 2.5, B: []byte("b"), S: "s", IDs: []int{5, 1}, BB: [][]byte{[]byte("x")}}).MarshalWire(&seed)
 	f.Add(seed.buf)
+	f.Add(gobBlob)
 	f.Fuzz(func(t *testing.T, data []byte) {
+		_ = Unmarshal(data, &allFields{})
 		var m allFields
 		if err := m.UnmarshalWire(NewDecoder(data)); err != nil {
 			return // corrupt input rejected is fine; panics are not

@@ -6,9 +6,7 @@ import "encoding/binary"
 // after the message's own fields. Decoders skip unknown tags (the Decoder
 // consumes a whole field per Next), so a peer that predates the field — or
 // any message's UnmarshalWire loop — ignores it without error; that is the
-// same forward-compatibility contract new message fields rely on. Gob
-// payloads never carry it: the gob fallback has no tag space to hide it in,
-// and a gob peer is by definition a pre-trace build.
+// same forward-compatibility contract new message fields rely on.
 //
 // Field value layout (TraceTag, wire type 2):
 //
@@ -38,9 +36,9 @@ func (tc TraceContext) IsZero() bool {
 	return tc.Trace == [16]byte{} && tc.Span == 0 && tc.Query == ""
 }
 
-// AppendTraceContext appends the trace-context field to an encoded binary v1
-// payload. Payloads that are not binary envelopes (gob) are returned
-// unchanged, as is a zero context.
+// AppendTraceContext appends the trace-context field to an encoded payload.
+// Bytes that do not open with the envelope are returned unchanged, as is a
+// zero context.
 func AppendTraceContext(raw []byte, tc TraceContext) []byte {
 	if len(raw) == 0 || raw[0] != envelopeMagic || tc.IsZero() {
 		return raw
@@ -52,10 +50,9 @@ func AppendTraceContext(raw []byte, tc TraceContext) []byte {
 	return append(raw, tc.Query...)
 }
 
-// ExtractTraceContext scans a binary envelope for the trace-context field.
-// It never fails: malformed payloads, gob payloads and envelopes without the
-// field all report ok=false and leave error surfacing to the real message
-// decode.
+// ExtractTraceContext scans a payload for the trace-context field. It never
+// fails: malformed payloads and envelopes without the field all report
+// ok=false and leave error surfacing to the real message decode.
 func ExtractTraceContext(data []byte) (TraceContext, bool) {
 	var tc TraceContext
 	if len(data) == 0 || data[0] != envelopeMagic {

@@ -6,10 +6,7 @@ import (
 )
 
 func TestTraceContextRoundTrip(t *testing.T) {
-	base, err := Binary().Marshal(&Hello{Max: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	base, _ := Marshal(&allFields{U: 7})
 	tc := TraceContext{Span: 0x1122334455667788, Query: "q-deadbeef"}
 	for i := range tc.Trace {
 		tc.Trace[i] = byte(i + 1)
@@ -21,12 +18,12 @@ func TestTraceContextRoundTrip(t *testing.T) {
 
 	// A v1 peer that predates the field must decode the message unchanged:
 	// the reserved tag is skipped like any unknown field.
-	var h Hello
-	if err := Binary().Unmarshal(raw, &h); err != nil {
+	var m allFields
+	if err := Unmarshal(raw, &m); err != nil {
 		t.Fatalf("decoding with trace field: %v", err)
 	}
-	if h.Max != 7 {
-		t.Fatalf("Hello.Max = %d, want 7", h.Max)
+	if m.U != 7 {
+		t.Fatalf("U = %d, want 7", m.U)
 	}
 
 	got, ok := ExtractTraceContext(raw)
@@ -49,24 +46,17 @@ func TestTraceContextNonEnvelopePayloadsUntouched(t *testing.T) {
 	tc := TraceContext{Span: 1}
 	tc.Trace[0] = 1
 
-	// Gob payloads never start with the envelope magic; they must pass
-	// through unchanged and extract nothing.
-	gob, err := Gob().Marshal(&Hello{Max: 1})
-	if err != nil {
-		t.Fatal(err)
+	// Bytes that do not open with the envelope magic must pass through
+	// unchanged and extract nothing.
+	if out := AppendTraceContext(append([]byte(nil), gobBlob...), tc); !bytes.Equal(out, gobBlob) {
+		t.Fatal("non-envelope payload was modified")
 	}
-	if out := AppendTraceContext(append([]byte(nil), gob...), tc); !bytes.Equal(out, gob) {
-		t.Fatal("gob payload was modified")
-	}
-	if _, ok := ExtractTraceContext(gob); ok {
-		t.Fatal("extracted trace context from a gob payload")
+	if _, ok := ExtractTraceContext(gobBlob); ok {
+		t.Fatal("extracted trace context from a non-envelope payload")
 	}
 
 	// A zero context is never appended.
-	base, err := Binary().Marshal(&Hello{Max: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	base, _ := Marshal(&allFields{U: 1})
 	if out := AppendTraceContext(append([]byte(nil), base...), TraceContext{}); !bytes.Equal(out, base) {
 		t.Fatal("zero context was appended")
 	}
@@ -76,10 +66,7 @@ func TestTraceContextNonEnvelopePayloadsUntouched(t *testing.T) {
 }
 
 func TestTraceContextMalformedFieldIgnored(t *testing.T) {
-	base, err := Binary().Marshal(&Hello{Max: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	base, _ := Marshal(&allFields{U: 1})
 	// A trace field shorter than the fixed trace+span prefix must be
 	// rejected quietly, not panic or misparse.
 	raw := AppendUvarint(append([]byte(nil), base...), uint64(TraceTag)<<3|uint64(wtBytes))

@@ -252,135 +252,66 @@ func TestDecoderWireTypeMismatch(t *testing.T) {
 	}
 }
 
-func TestDetect(t *testing.T) {
-	gobRaw, err := Gob().Marshal(&Hello{Max: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gobRaw) == 0 || gobRaw[0] == envelopeMagic {
-		t.Fatalf("gob stream starts with %#x — envelope sniffing assumption broken", gobRaw[0])
-	}
-	for _, tc := range []struct {
-		data []byte
-		want string
-	}{
-		{nil, "gob"},
-		{gobRaw, "gob"},
-		{MarshalHello(1), "binary"},
+// gobBlob is a real encoding/gob stream (struct{ Max uint64 }{1} with its
+// type descriptor) — another encoding's bytes reaching this decoder. A gob
+// stream never begins with 0x00, so it can never pass for an envelope.
+var gobBlob = []byte{
+	0x1a, 0x7f, 0x03, 0x01, 0x01, 0x05, 0x48, 0x65, 0x6c, 0x6c, 0x6f, 0x01, 0xff, 0x80, 0x00, 0x01,
+	0x01, 0x01, 0x03, 0x4d, 0x61, 0x78, 0x01, 0x06, 0x00, 0x00, 0x00, 0x05, 0xff, 0x80, 0x01, 0x01, 0x00,
+}
+
+// TestUnmarshalRejectsNonEnvelope: what is not a v1 envelope is a typed
+// error, never a guess at some other encoding.
+func TestUnmarshalRejectsNonEnvelope(t *testing.T) {
+	for name, data := range map[string][]byte{
+		"empty":     nil,
+		"gob":       gobBlob,
+		"version 0": {envelopeMagic, 0},
 	} {
-		c, err := Detect(tc.data)
-		if err != nil || c.Name() != tc.want {
-			t.Errorf("Detect(%v) = %v, %v; want %s", tc.data, c, err, tc.want)
+		if err := Unmarshal(data, &allFields{}); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("Unmarshal(%s) = %v, want ErrCorrupt", name, err)
 		}
 	}
 }
 
+// TestDetectMaxRejectsFutureVersion: a well-formed envelope of another
+// version is the typed version error; one whose version varint is cut short
+// is corrupt input.
 func TestDetectMaxRejectsFutureVersion(t *testing.T) {
 	future := AppendUvarint([]byte{envelopeMagic}, 7) // version-7 envelope
 	var vErr *UnsupportedVersionError
-	if _, err := DetectMax(future, MaxVersion); !errors.As(err, &vErr) || vErr.Version != 7 {
-		t.Fatalf("DetectMax(v7) = %v, want UnsupportedVersionError{7}", err)
+	if err := Unmarshal(future, nil); !errors.As(err, &vErr) || vErr.Version != 7 || vErr.Max != Version {
+		t.Fatalf("Unmarshal(v7) = %v, want UnsupportedVersionError{7, %d}", err, Version)
 	}
-	// A gob-configured node (version 0) rejects even current binary frames.
-	if _, err := DetectMax(MarshalHello(1), 0); !errors.As(err, &vErr) {
-		t.Fatalf("DetectMax(v1, max 0) = %v, want UnsupportedVersionError", err)
-	}
-	// Truncated envelope is a decode error, not a silent gob fallback.
-	if _, err := DetectMax([]byte{envelopeMagic}, MaxVersion); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("DetectMax(bare magic) = %v, want ErrTruncated", err)
-	}
-}
-
-func TestCodecLookup(t *testing.T) {
-	for name, version := range map[string]uint64{"gob": 0, "binary": 1} {
-		c, err := ByName(name)
-		if err != nil || c.Name() != name || c.Version() != version {
-			t.Errorf("ByName(%q) = %v, %v", name, c, err)
+	// Truncated envelope is a decode error.
+	for _, data := range [][]byte{{envelopeMagic}, {envelopeMagic, 0x80}} {
+		if err := Unmarshal(data, nil); !errors.Is(err, ErrTruncated) || !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Unmarshal(%x) = %v, want ErrCorrupt wrapping ErrTruncated", data, err)
 		}
-		c2, err := ForVersion(version)
-		if err != nil || c2.Name() != name {
-			t.Errorf("ForVersion(%d) = %v, %v", version, c2, err)
-		}
-	}
-	if _, err := ByName("protobuf"); err == nil {
-		t.Error("ByName(protobuf) succeeded")
-	}
-	var vErr *UnsupportedVersionError
-	if _, err := ForVersion(9); !errors.As(err, &vErr) {
-		t.Errorf("ForVersion(9) = %v, want UnsupportedVersionError", err)
 	}
 }
 
 func TestBinaryNilPayloadRoundTrip(t *testing.T) {
-	raw, err := Binary().Marshal(nil)
-	if err != nil {
-		t.Fatal(err)
+	raw, payload := Marshal(nil)
+	if !bytes.Equal(raw, []byte{0x00, 0x01}) || payload != 0 {
+		t.Fatalf("empty payload = %x (payload %d), want 0001", raw, payload)
 	}
-	if !bytes.Equal(raw, []byte{0x00, 0x01}) {
-		t.Fatalf("empty binary payload = %x, want 0001", raw)
-	}
-	c, err := Detect(raw)
-	if err != nil || c.Name() != "binary" {
-		t.Fatalf("Detect(empty binary) = %v, %v", c, err)
-	}
-	if err := Binary().Unmarshal(raw, nil); err != nil {
+	if err := Unmarshal(raw, nil); err != nil {
 		t.Fatalf("Unmarshal(empty, nil): %v", err)
-	}
-}
-
-func TestHelloNegotiation(t *testing.T) {
-	// binary ↔ binary commits to v1.
-	ack, err := HandleHello(MarshalHello(MaxVersion), MaxVersion)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, err := ParseHelloAck(ack); err != nil || v != 1 {
-		t.Fatalf("binary↔binary negotiated v%d, %v; want 1", v, err)
-	}
-	// binary ↔ gob-configured node falls back to gob (version 0).
-	ack, err = HandleHello(MarshalHello(MaxVersion), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, err := ParseHelloAck(ack); err != nil || v != 0 {
-		t.Fatalf("binary↔gob negotiated v%d, %v; want 0", v, err)
-	}
-	// A future caller (v9) against this build commits to this build's max.
-	ack, err = HandleHello(MarshalHello(9), MaxVersion)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, err := ParseHelloAck(ack); err != nil || v != MaxVersion {
-		t.Fatalf("v9 caller negotiated v%d, %v; want %d", v, err, MaxVersion)
-	}
-	if _, err := HandleHello([]byte("junk"), MaxVersion); err == nil {
-		t.Fatal("HandleHello accepted a non-envelope probe")
 	}
 }
 
 func TestMarshalMeasured(t *testing.T) {
 	msg := &allFields{I: 4, B: []byte("key material"), BB: [][]byte{make([]byte, 100)}, F: 1.5}
-	wantPayload := int64(12 + 100 + 8)
-	for _, c := range []Codec{Gob(), Binary()} {
-		raw, payload, err := MarshalMeasured(c, msg)
-		if err != nil {
-			t.Fatalf("%s: %v", c.Name(), err)
-		}
-		if payload != wantPayload {
-			t.Errorf("%s: payload = %d, want %d", c.Name(), payload, wantPayload)
-		}
-		if int64(len(raw)) < payload {
-			t.Errorf("%s: raw %d shorter than payload %d", c.Name(), len(raw), payload)
-		}
+	raw, payload := Marshal(msg)
+	if want := int64(12 + 100 + 8); payload != want {
+		t.Errorf("payload = %d, want %d", payload, want)
 	}
-	// nil message: empty payload in both codecs.
-	for _, c := range []Codec{Gob(), Binary()} {
-		raw, payload, err := MarshalMeasured(c, nil)
-		if err != nil || payload != 0 {
-			t.Fatalf("%s nil: %v payload=%d", c.Name(), err, payload)
-		}
-		if c.Version() == 0 && raw != nil {
-			t.Errorf("gob nil payload = %x", raw)
-		}
+	if int64(len(raw)) < payload {
+		t.Errorf("raw %d shorter than payload %d", len(raw), payload)
+	}
+	var back allFields
+	if err := Unmarshal(raw, &back); err != nil || !reflect.DeepEqual(&back, msg) {
+		t.Errorf("round trip = %+v, %v; want %+v", back, err, msg)
 	}
 }

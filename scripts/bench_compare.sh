@@ -5,21 +5,16 @@
 #   scripts/bench_compare.sh [candidate.json] [baseline.json]
 #
 # The candidate JSON's top-level key picks the gate set; a candidate with no
-# recognized top-level key (.packed / .wire / .encrypt / .payload / .churn /
-# .soak), and any recognized section missing a key the gates read, is itself a
-# hard failure — a renamed or dropped field must never silently pass. A `.packed` result (default
-# BENCH_packed.json, freshly produced by `make bench-packed`) must uphold the
-# absolute contracts of the packed pipeline regardless of machine:
+# recognized top-level key (.packed / .encrypt / .payload / .churn / .soak),
+# and any recognized section missing a key the gates read, is itself a hard
+# failure — a renamed or dropped field must never silently pass. A `.packed`
+# result (default BENCH_packed.json, freshly produced by `make bench-packed`)
+# must uphold the absolute contracts of the packed pipeline regardless of
+# machine:
 #
 #   * every end-to-end selection matches the scalar run exactly,
 #   * slot packing cuts ciphertext bytes by at least MIN_BYTE_REDUCTION,
 #   * CRT decryption is at least MIN_CRT_SPEEDUP over the λ/μ path.
-#
-# A `.wire` result (BENCH_wire.json, from `make bench-wire`) must show:
-#
-#   * every gob-vs-binary selection pair matching exactly,
-#   * binary total bytes strictly below gob on every pair,
-#   * Fagin framing (non-ciphertext) bytes cut by MIN_WIRE_FRAMING_REDUCTION.
 #
 # A `.encrypt` result (BENCH_encrypt.json, from `make bench-encrypt`) must
 # show:
@@ -39,9 +34,8 @@
 # A `.payload` result (BENCH_payload.json, from `make bench-payload`) must
 # show:
 #
-#   * every arm — static, adaptive, chunked, delta, full, and the
-#     mixed-codec arm that falls back to legacy whole-blob framing on the
-#     gob link — selecting the identical participant set,
+#   * every arm — static, adaptive, chunked, delta, full — selecting the
+#     identical participant set,
 #   * the fully optimized arm (adaptive pack + chunked streaming + delta
 #     cache) cutting steady-state ciphertext payload bytes by at least
 #     MIN_PAYLOAD_REDUCTION over static packing,
@@ -83,7 +77,6 @@ CANDIDATE=${1:-BENCH_packed.json}
 BASELINE=${2:-}
 MIN_CRT_SPEEDUP=${MIN_CRT_SPEEDUP:-3.0}
 MIN_BYTE_REDUCTION=${MIN_BYTE_REDUCTION:-4.0}
-MIN_WIRE_FRAMING_REDUCTION=${MIN_WIRE_FRAMING_REDUCTION:-2.0}
 MIN_ENCRYPT_SPEEDUP=${MIN_ENCRYPT_SPEEDUP:-2.0}
 MIN_MONT_SPEEDUP=${MIN_MONT_SPEEDUP:-1.5}
 MIN_MONT_DECRYPT_RATIO=${MIN_MONT_DECRYPT_RATIO:-0.9}
@@ -92,7 +85,7 @@ MIN_CHURN_HE_REDUCTION=${MIN_CHURN_HE_REDUCTION:-2.0}
 TOLERANCE=${TOLERANCE:-1.5}
 
 command -v jq >/dev/null || { echo "bench_compare: jq not found" >&2; exit 1; }
-[ -f "$CANDIDATE" ] || { echo "bench_compare: candidate $CANDIDATE not found (run make bench-packed / bench-wire / bench-encrypt)" >&2; exit 1; }
+[ -f "$CANDIDATE" ] || { echo "bench_compare: candidate $CANDIDATE not found (run make bench-packed / bench-encrypt)" >&2; exit 1; }
 
 fail=0
 say() { echo "bench_compare: $*"; }
@@ -111,37 +104,6 @@ require() {
 }
 
 recognized=0
-
-# --- wire codec gates --------------------------------------------------------
-if jq -e '.wire' "$CANDIDATE" >/dev/null 2>&1; then
-  recognized=1
-  if require '.wire.EndToEnd | length > 0' "wire end-to-end rows"; then
-    while IFS=$'\t' read -r variant packed match; do
-      if [ "$match" = "true" ]; then
-        say "selection $variant packed=$packed: binary codec selected the identical set"
-      else
-        bad "selection $variant packed=$packed: binary codec selected a DIFFERENT set"
-      fi
-    done < <(jq -r '.wire.EndToEnd[] | [.Variant, (.Packed|tostring), (.SelectedMatch|tostring)] | @tsv' "$CANDIDATE")
-
-    while IFS=$'\t' read -r variant packed gob binary; do
-      if [ "$(jq -n --argjson g "$gob" --argjson b "$binary" '$b < $g')" = "true" ]; then
-        say "selection $variant packed=$packed: binary total $binary B < gob $gob B"
-      else
-        bad "selection $variant packed=$packed: binary sent $binary total bytes, gob $gob"
-      fi
-    done < <(jq -r '.wire.EndToEnd[] | [.Variant, (.Packed|tostring), (.GobBytes|tostring), (.BinaryBytes|tostring)] | @tsv' "$CANDIDATE")
-
-    require '[.wire.EndToEnd[] | select(.Variant == "fagin")] | length > 0' "fagin wire rows (framing gate)" && \
-    while IFS=$'\t' read -r packed red; do
-      if [ "$(jq -n --argjson r "$red" --argjson min "$MIN_WIRE_FRAMING_REDUCTION" '$r >= $min')" = "true" ]; then
-        say "fagin packed=$packed: framing reduction ${red}x (floor ${MIN_WIRE_FRAMING_REDUCTION}x)"
-      else
-        bad "fagin packed=$packed: framing reduction ${red}x below floor ${MIN_WIRE_FRAMING_REDUCTION}x"
-      fi
-    done < <(jq -r '.wire.EndToEnd[] | select(.Variant == "fagin") | [(.Packed|tostring), (.FramingReduction|tostring)] | @tsv' "$CANDIDATE")
-  fi
-fi
 
 # --- encryption hot-path gates -----------------------------------------------
 if jq -e '.encrypt' "$CANDIDATE" >/dev/null 2>&1; then
@@ -195,11 +157,6 @@ if jq -e '.payload' "$CANDIDATE" >/dev/null 2>&1; then
         bad "payload arm $arm: selected a DIFFERENT set than static packing"
       fi
     done < <(jq -r '.payload.Arms[] | [.Name, (.SelectedMatch|tostring)] | @tsv' "$CANDIDATE")
-
-    # The mixed-codec fallback arm must be present — dropping it would turn
-    # the legacy-framing compatibility proof into a silent no-op.
-    require '[.payload.Arms[] | select(.MixedCodec == true)] | length > 0' \
-      "mixed-codec payload arm (legacy whole-blob framing fallback)" || true
 
     # Delta-cache arms must actually hit the cache; an optimization that
     # never engages would still "match" trivially.
@@ -313,7 +270,7 @@ fi
 
 if ! jq -e '.packed' "$CANDIDATE" >/dev/null 2>&1; then
   if [ "$recognized" -eq 0 ]; then
-    bad "candidate $CANDIDATE has no recognized top-level section (.packed / .wire / .encrypt / .payload / .churn / .soak)"
+    bad "candidate $CANDIDATE has no recognized top-level section (.packed / .encrypt / .payload / .churn / .soak)"
   fi
   if [ "$fail" -ne 0 ]; then
     echo "bench_compare: REGRESSION DETECTED" >&2

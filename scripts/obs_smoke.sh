@@ -46,7 +46,7 @@ echo "obs-smoke: driving two encrypted selections (packed, adaptive, delta-cache
 # delta cache, the second must hit it — so the cache-hit counter below carries
 # a real value, not just a declared family.
 ID=$(curl -sf -X POST "${BASE}/v1/consortiums" \
-    -d '{"dataset":"Rice","rows":150,"parties":3,"scheme":"paillier","wire":"binary","pack":true,"packAdaptive":true,"chunkBytes":4096,"deltaCache":true}' \
+    -d '{"dataset":"Rice","rows":150,"parties":3,"scheme":"paillier","pack":true,"packAdaptive":true,"chunkBytes":4096,"deltaCache":true}' \
     | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
 [[ -n "${ID}" ]] || { echo "obs-smoke: consortium creation failed" >&2; exit 1; }
 curl -sf -X POST "${BASE}/v1/consortiums/${ID}/select" \
@@ -71,6 +71,7 @@ for family in \
     vfps_he_pack_slots \
     vfps_delta_cache_hits_total \
     vfps_delta_cache_misses_total \
+    vfps_wire_bytes \
     vfps_http_requests_total; do
     if ! grep -q "^# TYPE ${family} " <<<"${METRICS}"; then
         echo "obs-smoke: /metrics missing family ${family}" >&2
@@ -92,6 +93,13 @@ if ! grep -q "^vfps_delta_cache_hits_total{.*} [1-9]" <<<"${METRICS}"; then
     echo "obs-smoke: no delta-cache hits recorded after a repeated selection" >&2
     exit 1
 fi
+# Every encoded message feeds both shares of the wire-byte split.
+for kind in payload framing; do
+    if ! grep -q "^vfps_wire_bytes{kind=\"${kind}\"} [1-9]" <<<"${METRICS}"; then
+        echo "obs-smoke: vfps_wire_bytes{kind=\"${kind}\"} not exported non-zero" >&2
+        exit 1
+    fi
+done
 
 echo "obs-smoke: checking /metrics.json, /v1/trace, /debug/vars"
 # Buffer each response before grepping: `curl | grep -q` lets the early grep

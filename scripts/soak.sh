@@ -142,7 +142,7 @@ fi
 # adaptive renegotiation, chunked streaming of collection responses over the
 # real TCP transport, and the cross-round delta cache (repeat rounds rerun
 # the same query set, so round 2+ must hit it).
-COMMON=(-scheme paillier -keybits 256 -wire binary -dataset Bank -rows "${ROWS}" \
+COMMON=(-scheme paillier -keybits 256 -dataset Bank -rows "${ROWS}" \
         -parties "${PARTIES}" -directory "${DIRECTORY}" \
         -pack -pack-adaptive -chunk-bytes 2048 -delta-cache)
 

@@ -124,8 +124,7 @@ type Config struct {
 	// whenever the data allows. Requires Pack; selections stay bit-identical.
 	PackAdaptive bool
 	// ChunkBytes > 0 splits collection responses into ≤ChunkBytes ciphertext
-	// chunks on the binary codec, letting the leader pipeline chunk
-	// decryption; gob and legacy peers keep whole-blob framing.
+	// chunks, letting the leader pipeline chunk decryption.
 	ChunkBytes int
 	// DeltaCache enables cross-round delta encoding: repeat queries resend
 	// only the ciphertext blocks that changed since the previous round.
@@ -158,12 +157,6 @@ type Config struct {
 	// (PoolSet.Close); closing the consortium leaves the shared pools
 	// running.
 	SharedPool *PoolSet
-	// Wire selects the protocol codec: "binary" (default; the compact
-	// versioned wire format of internal/wire) or "gob" (explicit fallback).
-	// Empty falls back to the VFPS_WIRE environment variable, then "binary".
-	// Selection results are bit-identical across codecs; only bytes on the
-	// wire change.
-	Wire string
 	// SpeculateTA lets the leader's threshold-variant scan decrypt round r+1
 	// concurrently with evaluating round r's stop condition; a speculation the
 	// threshold invalidates is discarded and its decryptions are surfaced as
@@ -235,7 +228,6 @@ func NewConsortium(ctx context.Context, cfg Config) (*Consortium, error) {
 		EncryptWindow: cfg.EncryptWindow,
 		Mont:          cfg.Mont,
 		Pool:          cfg.SharedPool,
-		Wire:          cfg.Wire,
 		Obs:           cfg.Obs,
 		Instance:      cfg.Instance,
 	})
