@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race bench bench-parallel bench-packed bench-encrypt bench-payload bench-churn bench-mont microbench experiments fuzz cover obs-smoke soak clean
+.PHONY: build test check race bench bench-parallel bench-encrypt bench-churn bench-mont microbench experiments fuzz cover obs-smoke soak clean
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,7 @@ test:
 check:
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then echo "gofmt needed on:"; echo "$$fmt"; exit 1; fi
 	@gob=$$(grep -rl --include='*.go' '"encoding/gob"' . | grep -v '^\./internal/ml/'); if [ -n "$$gob" ]; then echo "encoding/gob is for model snapshots (internal/ml) only; the protocol has one wire format. Imported by:"; echo "$$gob"; exit 1; fi
+	@pack=$$(grep -rlE --include='*.go' 'PackAdaptive|[^a-zA-Z]Pack +bool|"pack(-adaptive)?"' . | grep -vE '_test\.go$$|^\./internal/(he|fixed)/'); if [ -n "$$pack" ]; then echo "slot packing is the Paillier layout, not an option: no Pack/PackAdaptive field or -pack flag. Declared by:"; echo "$$pack"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzWire$$' -fuzztime=5s
@@ -60,14 +61,6 @@ bench:
 bench-parallel:
 	$(GO) run ./cmd/vfpsbench -exp parallel -json BENCH_parallel.json
 
-# Benchmark the batched Paillier hot path (CRT decryption, slot-packed
-# ciphertexts, packed end-to-end selection) and gate the result against the
-# checked-in baseline: identical selections, ≥4x fewer ciphertext bytes,
-# ≥3x CRT decrypt speedup, and no packed wall-clock regression.
-bench-packed:
-	$(GO) run ./cmd/vfpsbench -exp packed -json BENCH_packed.json
-	./scripts/bench_compare.sh BENCH_packed.json
-
 # Benchmark the encryption hot path (classic vs fixed-base windowed vs CRT vs
 # pooled randomizer production, the Montgomery kernel A/B on modmul- and
 # modexp-bound arms, plus end-to-end selections under each pool mode) and gate
@@ -77,14 +70,6 @@ bench-packed:
 bench-encrypt:
 	$(GO) run ./cmd/vfpsbench -exp encrypt -json BENCH_encrypt.json
 	./scripts/bench_compare.sh BENCH_encrypt.json
-
-# Benchmark the ciphertext-payload optimizations (adaptive pack factor,
-# chunked streaming, cross-round delta cache) over repeated Fagin selections
-# and gate the result: every arm selects the identical set, and the fully
-# optimized arm cuts steady-state ciphertext bytes by ≥3x over static packing.
-bench-payload:
-	$(GO) run ./cmd/vfpsbench -exp payload -json BENCH_payload.json
-	./scripts/bench_compare.sh BENCH_payload.json
 
 # Benchmark online membership churn (in-place join/leave, set-keyed
 # similarity reuse, speculative TA decryption) and gate the result: the

@@ -32,7 +32,8 @@ func matRows(m *mat.Matrix) [][]float64 {
 // consortium that reaches a membership through live joins and leaves must
 // produce exactly the selection — same picks, same objective value, same
 // similarity matrix — as a consortium cold-built at that final membership,
-// across parallelism, ciphertext packing and optimizer choices.
+// across schemes (Paillier packs and resizes its slot headroom with the
+// roster; plain does not pack), parallelism and optimizer choices.
 func TestChurnSelectionMatchesColdRebuild(t *testing.T) {
 	d, err := GenerateDataset("Bank", 96)
 	if err != nil {
@@ -44,24 +45,25 @@ func TestChurnSelectionMatchesColdRebuild(t *testing.T) {
 	}
 	cases := []struct {
 		scheme      string
-		pack        bool
 		parallelism int
 		optimizer   string
 	}{
-		{"plain", false, 1, "greedy"},
-		{"plain", false, 1, "lazy"},
-		{"plain", false, 1, "warm"},
-		{"plain", false, 4, "greedy"},
-		{"plain", false, 4, "lazy"},
-		{"plain", false, 4, "warm"},
-		{"paillier", true, 1, "greedy"},
-		{"paillier", true, 1, "warm"},
-		{"paillier", true, 4, "lazy"},
-		{"paillier", true, 4, "warm"},
+		{"plain", 1, "greedy"},
+		{"plain", 1, "lazy"},
+		{"plain", 1, "warm"},
+		{"plain", 4, "greedy"},
+		{"plain", 4, "lazy"},
+		{"plain", 4, "warm"},
+		{"paillier", 1, "greedy"},
+		{"paillier", 1, "warm"},
+		{"paillier", 4, "lazy"},
+		{"paillier", 4, "warm"},
 	}
 	for _, tc := range cases {
 		tc := tc
-		name := fmt.Sprintf("%s-pack=%v-par=%d-%s", tc.scheme, tc.pack, tc.parallelism, tc.optimizer)
+		// The pack= segment states the layout the scheme implies; subtest
+		// names are tracked across PRs, so it stays part of them.
+		name := fmt.Sprintf("%s-pack=%v-par=%d-%s", tc.scheme, tc.scheme == "paillier", tc.parallelism, tc.optimizer)
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			ctx := context.Background()
@@ -69,7 +71,7 @@ func TestChurnSelectionMatchesColdRebuild(t *testing.T) {
 				cons, err := NewConsortium(ctx, Config{
 					Partition: pt, Labels: d.Y, Classes: d.Classes,
 					Scheme: tc.scheme, KeyBits: 256, ShuffleSeed: 7,
-					Pack: tc.pack, DeltaCache: true, Parallelism: tc.parallelism,
+					DeltaCache: true, Parallelism: tc.parallelism,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -123,6 +125,94 @@ func TestChurnSelectionMatchesColdRebuild(t *testing.T) {
 				t.Fatalf("similarity matrices diverge:\nchurned %v\ncold    %v", churned.W, cold.W)
 			}
 		})
+	}
+}
+
+// TestPaillierDefaultIsPackedAndExact drives the public API with no
+// performance field set: a Paillier consortium must pack (fewer encryptions
+// than half of one per party per candidate), select exactly what the
+// plain-scheme BASE oracle selects, and keep matching a cold rebuild while
+// the roster grows 2 → 9 and shrinks back — every power of two costs the slot
+// headroom one more bit, so the pack factor has to follow the roster without
+// ever overflowing a slot.
+func TestPaillierDefaultIsPackedAndExact(t *testing.T) {
+	d, err := GenerateDataset("Bank", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := VerticalSplit(d, 9, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	mk := func(scheme string, members []int) *Consortium {
+		cons, err := NewConsortium(ctx, Config{
+			Partition: subPartition(full, members), Labels: d.Y, Classes: d.Classes,
+			Scheme: scheme, KeyBits: 512, ShuffleSeed: 7,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(cons.Close)
+		return cons
+	}
+	opts := SelectOptions{K: 5, NumQueries: 6, Seed: 3}
+	base := opts
+	base.Base = true
+	// check compares the live consortium's selection at the given membership
+	// with a cold Paillier rebuild (bit for bit) and with the plain BASE
+	// oracle (same picks, W within fixed-point rounding).
+	check := func(live *Consortium, members []int) {
+		t.Helper()
+		count := min(2, len(members)-1)
+		got, err := live.Select(ctx, count, opts)
+		if err != nil {
+			t.Fatalf("P=%d: %v", len(members), err)
+		}
+		if ceiling := float64(len(members)) * got.AvgCandidates * float64(opts.NumQueries) / 2; float64(got.Counts.Encryptions) >= ceiling {
+			t.Fatalf("P=%d: %d encryptions, want fewer than %.0f (half of one per party per candidate)",
+				len(members), got.Counts.Encryptions, ceiling)
+		}
+		cold, err := mk("paillier", members).Select(ctx, count, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Selected, cold.Selected) || got.Value != cold.Value || !reflect.DeepEqual(got.W, cold.W) {
+			t.Fatalf("P=%d: live selection %v (%v) diverges from cold rebuild %v (%v)",
+				len(members), got.Selected, got.Value, cold.Selected, cold.Value)
+		}
+		oracle, err := mk("plain", members).Select(ctx, count, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Selected, oracle.Selected) {
+			t.Fatalf("P=%d: selected %v, plain BASE oracle %v", len(members), got.Selected, oracle.Selected)
+		}
+		for i := range oracle.W {
+			for j := range oracle.W[i] {
+				if diff := got.W[i][j] - oracle.W[i][j]; diff > 1e-6 || diff < -1e-6 {
+					t.Fatalf("P=%d: W[%d][%d] = %v, plain BASE oracle %v", len(members), i, j, got.W[i][j], oracle.W[i][j])
+				}
+			}
+		}
+	}
+
+	members := []int{0, 1}
+	live := mk("paillier", members)
+	check(live, members)
+	for p := 2; p < 9; p++ {
+		if _, err := live.AddParticipant(matRows(full.Parties[p])); err != nil {
+			t.Fatal(err)
+		}
+		members = append(members, p)
+		check(live, members)
+	}
+	for p := 8; p >= 2; p-- {
+		if err := live.RemoveParticipant(p); err != nil {
+			t.Fatal(err)
+		}
+		members = members[:len(members)-1]
+		check(live, members)
 	}
 }
 

@@ -43,13 +43,13 @@ import (
 	"vfps/internal/vfl"
 )
 
-// tuneScheme applies the -parallelism, -mont and -pack flags to an HE scheme;
-// only Paillier has tunables. Parties that bulk-encrypt also get a randomizer pool
-// unless the node is pinned fully serial. Packing must be set consistently on
-// every participant and the leader (the aggregation server validates the pack
-// factors it sees); maxAdds is the consortium size, matching the one-
-// ciphertext-per-party aggregation tree.
-func tuneScheme(s he.Scheme, parallelism, window, mont int, pool, pack bool, maxAdds int) {
+// tuneScheme applies the -parallelism and -mont flags to an HE scheme; only
+// Paillier has tunables. Parties that bulk-encrypt also get a randomizer pool
+// unless the node is pinned fully serial, and the slot-packing geometry for a
+// consortium of `parties` (the -parties every node shares), matching the one-
+// ciphertext-per-party aggregation tree; the leader's is installed by
+// vfl.NewLeader from its directory roster, and the aggregation roles only add.
+func tuneScheme(s he.Scheme, parallelism, window, mont int, pool bool, parties int) {
 	p, ok := s.(*he.Paillier)
 	if !ok {
 		return
@@ -60,9 +60,9 @@ func tuneScheme(s he.Scheme, parallelism, window, mont int, pool, pack bool, max
 		p.SetEncryptWindow(window)
 		p.StartRandomizerPool(4*p.Parallelism(), 1)
 	}
-	if pack {
-		if err := p.EnablePacking(maxAdds); err != nil {
-			fatal("enabling packing: %v", err)
+	if parties > 0 {
+		if err := p.EnablePacking(parties); err != nil {
+			fatal("%v", err)
 		}
 	}
 }
@@ -88,8 +88,6 @@ func main() {
 		variant     = flag.String("variant", "fagin", "KNN variant: fagin|base|threshold (role=leader)")
 		specTA      = flag.Bool("speculate-ta", false, "overlap the threshold scan's next round with the stopping check; discarded-round decryptions surface in vfps_ta_speculative_waste_total (role=leader; requires -variant threshold)")
 		parallelism = flag.Int("parallelism", 0, "HE pipeline concurrency (0 = VFPS_PARALLELISM or GOMAXPROCS, 1 = serial)")
-		pack        = flag.Bool("pack", false, "slot-pack Paillier ciphertexts (set identically on all parties and the leader)")
-		packAdapt   = flag.Bool("pack-adaptive", false, "renegotiate the packing slot width per round from observed magnitudes (role=leader; requires -pack)")
 		chunkBytes  = flag.Int("chunk-bytes", 0, "split collection responses into ciphertext chunks of at most this many bytes (role=leader)")
 		deltaCache  = flag.Bool("delta-cache", false, "cross-round delta encoding: repeat queries resend only changed ciphertext blocks (role=leader)")
 		window      = flag.Int("encrypt-window", 0, "fixed-base window for randomizer precompute (0 = default 6, negative = classic uniform sampling)")
@@ -178,7 +176,7 @@ func main() {
 		if err != nil {
 			fatal("fetching public key: %v", err)
 		}
-		tuneScheme(pub, *parallelism, *window, *montKnob, true, *pack, pt.P())
+		tuneScheme(pub, *parallelism, *window, *montKnob, true, pt.P())
 		observeScheme(pub, o, "party")
 		part, err := vfl.NewParticipant(*index, pt.Parties[*index], pub, *shuffleSeed)
 		if err != nil {
@@ -199,7 +197,7 @@ func main() {
 		if len(names) == 0 {
 			fatal("directory lists no party/<i> entries")
 		}
-		tuneScheme(pub, *parallelism, *window, *montKnob, false, false, 0) // agg only adds; packing config lives on parties and leader
+		tuneScheme(pub, *parallelism, *window, *montKnob, false, 0) // agg only adds; the pack geometry lives on parties and leader
 		observeScheme(pub, o, "aggserver")
 		agg, err := vfl.NewAggServer(cli, names, pub)
 		if err != nil {
@@ -243,7 +241,7 @@ func main() {
 		}
 		plan := &vfl.ShardPlan{SubtreeSize: size}
 		lo, hi := plan.Range(*index, len(names))
-		tuneScheme(pub, *parallelism, *window, *montKnob, false, false, 0) // workers only add, like the aggserver
+		tuneScheme(pub, *parallelism, *window, *montKnob, false, 0) // workers only add, like the aggserver
 		observeScheme(pub, o, "aggworker")
 		wkr, err := vfl.NewAggServer(cli, names[lo:hi], pub)
 		if err != nil {
@@ -262,7 +260,7 @@ func main() {
 			fatal("fetching private key: %v", err)
 		}
 		names := partyNames(dir)
-		tuneScheme(priv, *parallelism, *window, *montKnob, false, *pack, len(names))
+		tuneScheme(priv, *parallelism, *window, *montKnob, false, 0)
 		observeScheme(priv, o, "leader")
 		leader, err := vfl.NewLeader(cli, vfl.AggServerName, names, priv, *batch)
 		if err != nil {
@@ -270,7 +268,7 @@ func main() {
 		}
 		leader.SetParallelism(*parallelism)
 		leader.SetObserver(o, "node")
-		leader.SetPayloadOptions(*packAdapt && *pack, *chunkBytes, *deltaCache)
+		leader.SetPayloadOptions(*chunkBytes, *deltaCache)
 		leader.SetSpeculativeTA(*specTA)
 		// Shard workers hold per-role op counters; fold them into the totals.
 		leader.SetExtraCountNodes(aggWorkerNames(dir))

@@ -11,6 +11,17 @@ import (
 	"time"
 )
 
+func buildNode(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "vfpsnode")
+	build := exec.Command("go", "build", "-o", bin, ".")
+	build.Stderr = os.Stderr
+	if err := build.Run(); err != nil {
+		t.Fatalf("building vfpsnode: %v", err)
+	}
+	return bin
+}
+
 // TestFiveProcessDeployment builds the vfpsnode binary and runs the full
 // topology — key server, three participants, aggregation server, leader — as
 // six separate OS processes exchanging real TCP traffic, then checks the
@@ -19,12 +30,7 @@ func TestFiveProcessDeployment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test skipped in -short mode")
 	}
-	bin := filepath.Join(t.TempDir(), "vfpsnode")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		t.Fatalf("building vfpsnode: %v", err)
-	}
+	bin := buildNode(t)
 
 	var procs []*exec.Cmd
 	t.Cleanup(func() {
@@ -126,6 +132,25 @@ func TestFiveProcessDeploymentSchemes(t *testing.T) {
 			t.Setenv("VFPSNODE_TEST_SCHEME", scheme)
 			TestFiveProcessDeployment(t)
 		})
+	}
+}
+
+// TestRetiredPackFlagsRejected pins that the packed layout has no switch: a
+// launch script still passing -pack or -pack-adaptive fails loudly on every
+// role instead of starting a node whose layout differs from its peers'.
+func TestRetiredPackFlagsRejected(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test skipped in -short mode")
+	}
+	bin := buildNode(t)
+	for _, flag := range []string{"-pack", "-pack-adaptive"} {
+		out, err := exec.Command(bin, "-role", "keyserver", "-scheme", "plain", flag).CombinedOutput()
+		if err == nil {
+			t.Fatalf("%s accepted:\n%s", flag, out)
+		}
+		if want := "flag provided but not defined: " + flag; !strings.Contains(string(out), want) {
+			t.Fatalf("%s: output lacks %q:\n%s", flag, want, out)
+		}
 	}
 }
 

@@ -54,6 +54,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// Several partial distances ride in each ciphertext; the slot headroom is
+	// sized for summing one ciphertext per participant.
+	if err := vfl.ConfigurePacking(pub, partition.P()); err != nil {
+		log.Fatal(err)
+	}
 	var partyNames []string
 	for i := 0; i < partition.P(); i++ {
 		part, err := vfl.NewParticipant(i, partition.Parties[i], pub, 7)

@@ -312,7 +312,6 @@ func encryptE2E(ctx context.Context, opt Options, res *EncryptResult, variant st
 			Scheme:        "paillier",
 			KeyBits:       res.KeyBits,
 			ShuffleSeed:   opt.Seed + 303,
-			Pack:          true,
 			EncryptWindow: window,
 			Mont:          mont,
 			SharedPool:    shared,

@@ -9,7 +9,7 @@ import (
 )
 
 // TestMontSelectionIdentity is the acceptance gate for the Montgomery kernel:
-// across {serial, parallel} × {scalar, packed} × {windowed pools on/off},
+// across {serial, parallel} × {windowed pools on/off},
 // selections with the kernel forced on are bit-identical to the same
 // configuration with the kernel forced off (pure math/big).
 func TestMontSelectionIdentity(t *testing.T) {
@@ -22,7 +22,7 @@ func TestMontSelectionIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(mont, parallelism, window int, pack bool) []int {
+	run := func(mont, parallelism, window int) []int {
 		t.Helper()
 		cons, err := vfps.NewConsortium(ctx, vfps.Config{
 			Partition:     pt,
@@ -32,7 +32,6 @@ func TestMontSelectionIdentity(t *testing.T) {
 			KeyBits:       256,
 			ShuffleSeed:   303,
 			Parallelism:   parallelism,
-			Pack:          pack,
 			EncryptWindow: window,
 			Mont:          mont,
 		})
@@ -52,14 +51,12 @@ func TestMontSelectionIdentity(t *testing.T) {
 		return sel.Selected
 	}
 	for _, parallelism := range []int{1, 0} {
-		for _, pack := range []bool{false, true} {
-			for _, window := range []int{0, -1} {
-				name := fmt.Sprintf("par=%d pack=%v window=%d", parallelism, pack, window)
-				on := run(1, parallelism, window, pack)
-				off := run(-1, parallelism, window, pack)
-				if len(on) == 0 || !equalInts(on, off) {
-					t.Fatalf("%s: mont-on selected %v, mont-off selected %v", name, on, off)
-				}
+		for _, window := range []int{0, -1} {
+			name := fmt.Sprintf("par=%d window=%d", parallelism, window)
+			on := run(1, parallelism, window)
+			off := run(-1, parallelism, window)
+			if len(on) == 0 || !equalInts(on, off) {
+				t.Fatalf("%s: mont-on selected %v, mont-off selected %v", name, on, off)
 			}
 		}
 	}

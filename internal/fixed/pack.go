@@ -61,7 +61,7 @@ func NewPacker(usableBits, valueBits uint, maxAdds int) (*Packer, error) {
 	if maxAdds < 1 {
 		return nil, fmt.Errorf("%w: maxAdds %d", ErrPackAdds, maxAdds)
 	}
-	slotBits := valueBits + 1 + uint(bits.Len(uint(maxAdds-1)))
+	slotBits := SlotBits(valueBits, maxAdds)
 	slots := int(usableBits / slotBits)
 	if slots < 1 {
 		return nil, fmt.Errorf("%w: %d usable bits cannot hold a %d-bit slot",
@@ -76,6 +76,13 @@ func NewPacker(usableBits, valueBits uint, maxAdds int) (*Packer, error) {
 		bias:      new(big.Int).Lsh(one, valueBits),
 		slotMask:  new(big.Int).Sub(new(big.Int).Lsh(one, slotBits), one),
 	}, nil
+}
+
+// SlotBits returns W for a geometry: the value bits, one sign-bias bit and the
+// carry headroom of summing maxAdds (≥ 1) packed plaintexts. A carrier needs
+// at least this many usable bits to hold one slot.
+func SlotBits(valueBits uint, maxAdds int) uint {
+	return valueBits + 1 + uint(bits.Len(uint(maxAdds-1)))
 }
 
 // Slots returns S, the pack factor.

@@ -42,12 +42,19 @@ const packerCacheLimit = 64
 // The geometry uses the key's PlaintextHeadroomBits, which keeps every packed
 // plaintext — and every sum of up to maxAdds of them — strictly below n/2,
 // inside the positive half of the signed embedding. It fails when the key is
-// too small to hold even one slot; keys that fit only one slot are accepted
-// (PackFactor 1), callers can check PackFactor to skip the pointless packed
-// path.
+// too small to hold even one slot, naming the smallest key size that would
+// (the failure wraps fixed.ErrPackShape); keys that fit only one slot are
+// accepted (PackFactor 1), callers can check PackFactor to skip the pointless
+// packed path.
 func (p *Paillier) EnablePacking(maxAdds int) error {
 	valueBits := p.codec.ScaleBits() + DefaultPackIntBits
-	packer, err := fixed.NewPacker(p.pk.PlaintextHeadroomBits(), valueBits, maxAdds)
+	usable := p.pk.PlaintextHeadroomBits()
+	packer, err := fixed.NewPacker(usable, valueBits, maxAdds)
+	if errors.Is(err, fixed.ErrPackShape) {
+		keyBits := uint(p.pk.N.BitLen())
+		return fmt.Errorf("he: enabling packing: a %d-bit key cannot hold one slot under %d additions, KeyBits must be at least %d: %w",
+			keyBits, maxAdds, fixed.SlotBits(valueBits, maxAdds)+keyBits-usable, err)
+	}
 	if err != nil {
 		return fmt.Errorf("he: enabling packing: %w", err)
 	}

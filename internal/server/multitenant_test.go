@@ -280,7 +280,7 @@ func TestIdleTTLEviction(t *testing.T) {
 	}
 }
 
-// TestPackHintCarry checks that a learned adaptive pack width survives the
+// TestPackHintCarry checks that a learned pack width survives the
 // consortium it was learned on: after delete, a same-shape successor is
 // seeded with it at creation time.
 func TestPackHintCarry(t *testing.T) {
@@ -288,8 +288,7 @@ func TestPackHintCarry(t *testing.T) {
 	mk := func() string {
 		var created CreateResponse
 		code := doJSON(t, "POST", ts.URL+"/v1/consortiums", CreateRequest{
-			Dataset: "Rice", Rows: 40, Parties: 3, Scheme: "paillier",
-			KeyBits: 256, Pack: true, PackAdaptive: true,
+			Dataset: "Rice", Rows: 40, Parties: 3, Scheme: "paillier", KeyBits: 256,
 		}, &created)
 		if code != http.StatusCreated {
 			t.Fatalf("create returned %d", code)
@@ -314,7 +313,7 @@ func TestPackHintCarry(t *testing.T) {
 	}
 	learned := info(first)["packWidthHint"].(float64)
 	if learned <= 0 {
-		t.Fatal("adaptive run did not learn a pack width")
+		t.Fatal("paillier run did not learn a pack width")
 	}
 	if code, _ := doJSONTenant(t, "DELETE", ts.URL+"/v1/consortiums/"+first, "", nil, nil); code != http.StatusNoContent {
 		t.Fatalf("delete returned %d", code)

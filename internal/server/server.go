@@ -296,10 +296,8 @@ type CreateRequest struct {
 	ShuffleSeed int64   `json:"shuffleSeed"`
 	KeyBits     int     `json:"keyBits"` // Paillier modulus size (0 → library default)
 	// Ciphertext payload knobs (Paillier only; see DESIGN.md §14).
-	Pack         bool `json:"pack"`         // slot-pack ciphertexts
-	PackAdaptive bool `json:"packAdaptive"` // renegotiate slot width per round
-	ChunkBytes   int  `json:"chunkBytes"`   // stream collection responses in chunks
-	DeltaCache   bool `json:"deltaCache"`   // cross-round delta encoding
+	ChunkBytes int  `json:"chunkBytes"` // stream collection responses in chunks
+	DeltaCache bool `json:"deltaCache"` // cross-round delta encoding
 	// ShardWorkers >= 2 shards the aggregation tree reduce across that many
 	// in-process workers (DESIGN.md §15).
 	ShardWorkers int `json:"shardWorkers"`
@@ -355,8 +353,6 @@ func (s *Server) createConsortium(w http.ResponseWriter, r *http.Request) {
 		DPEpsilon:    req.DPEpsilon,
 		ShuffleSeed:  req.ShuffleSeed,
 		KeyBits:      req.KeyBits,
-		Pack:         req.Pack,
-		PackAdaptive: req.PackAdaptive,
 		ChunkBytes:   req.ChunkBytes,
 		DeltaCache:   req.DeltaCache,
 		ShardWorkers: req.ShardWorkers,
@@ -366,11 +362,9 @@ func (s *Server) createConsortium(w http.ResponseWriter, r *http.Request) {
 		SharedPool:   s.pool,
 		Obs:          s.obs,
 		Instance:     id,
-	}
-	if req.Pack && req.PackAdaptive {
-		// Seed the adaptive negotiation with the width a same-shape
-		// predecessor learned, skipping its warm-up round.
-		cfg.PackWidthHint = s.reg.hintFor(hintKey)
+		// Seed the slot-width negotiation with the width a same-shape
+		// predecessor learned, skipping its static warm-up round.
+		PackWidthHint: s.reg.hintFor(hintKey),
 	}
 	cons, err := vfps.NewConsortium(context.Background(), cfg)
 	if err != nil {

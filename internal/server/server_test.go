@@ -234,11 +234,14 @@ func TestErrorPaths(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("garbage body: %d", resp.StatusCode)
 	}
-	// Unknown field rejected (typo safety) — including the retired "wire"
-	// knob on an otherwise valid create, which must not be silently ignored.
+	// Unknown field rejected (typo safety) — including the retired "wire",
+	// "pack" and "packAdaptive" knobs on an otherwise valid create, which must
+	// not be silently ignored.
 	for _, body := range []string{
 		`{"datasett":"Rice"}`,
 		`{"dataset":"Rice","rows":200,"parties":3,"wire":"binary"}`,
+		`{"dataset":"Rice","rows":200,"parties":3,"scheme":"paillier","pack":true}`,
+		`{"dataset":"Rice","rows":200,"parties":3,"scheme":"paillier","packAdaptive":true}`,
 	} {
 		req, _ := http.NewRequest("POST", ts.URL+"/v1/consortiums", bytes.NewBufferString(body))
 		resp, err := http.DefaultClient.Do(req)

@@ -21,7 +21,9 @@ type ClusterConfig struct {
 	// DPEpsilon/DPDelta tune the "dp" scheme (defaults 1.0 and 1e-5).
 	DPEpsilon, DPDelta float64
 	// KeyBits sizes the Paillier modulus (ignored for plain). Tests use
-	// small keys; production deployments should use ≥ 2048.
+	// small keys; production deployments should use ≥ 2048. Construction
+	// fails when the key cannot hold one packed slot for the roster (see
+	// ConfigurePacking).
 	KeyBits int
 	// ShuffleSeed seeds the shared pseudo-ID permutation.
 	ShuffleSeed int64
@@ -59,21 +61,6 @@ type ClusterConfig struct {
 	// path exists for auditability and for machines where the portable kernel
 	// does not pay off. Ignored by non-Paillier schemes.
 	Mont int
-	// Pack enables Paillier slot packing: participants lay several
-	// fixed-point partial distances side by side in each plaintext, cutting
-	// ciphertext count and bytes on the wire by the pack factor (key-size
-	// dependent; ~15× at 2048-bit keys). The headroom is provisioned for
-	// summing one ciphertext per party, exactly what the aggregation tree
-	// performs. Selection results are bit-identical with packing on or off.
-	// Ignored by non-Paillier schemes; fails cluster construction when the
-	// key is too small to hold even one slot.
-	Pack bool
-	// PackAdaptive lets the aggregation server renegotiate the slot width per
-	// round from the magnitude bounds the parties advertise, packing more
-	// values per ciphertext than the static worst-case geometry whenever the
-	// data allows. Requires Pack; ignored otherwise. Selections stay
-	// bit-identical — only the carrier layout changes.
-	PackAdaptive bool
 	// ShardWorkers ≥ 2 shards the aggregation tree reduce: that many in-process
 	// shard workers are built over aligned power-of-two party subtrees (see
 	// PlanSubtrees) and the aggregation server becomes their coordinator.
@@ -81,10 +68,10 @@ type ClusterConfig struct {
 	// where the ciphertext additions run changes. Counts of ≤ 1 (or plans that
 	// collapse to one shard) keep the unsharded path.
 	ShardWorkers int
-	// PackHint seeds the adaptive pack negotiation with a slot width learned
+	// PackHint seeds the Paillier slot-width negotiation with a width learned
 	// by an earlier consortium over the same data shape (margin included), so
-	// round one packs adaptively instead of paying the static warm-up. Only
-	// meaningful with Pack+PackAdaptive; 0 keeps the in-band negotiation.
+	// round one already packs at the negotiated width instead of the static
+	// geometry. 0 keeps the in-band negotiation; ignored by the other schemes.
 	PackHint int
 	// ChunkBytes > 0 splits collection responses into ≤ChunkBytes ciphertext
 	// chunks, letting the leader pipeline chunk decryption.
@@ -131,7 +118,6 @@ type Cluster struct {
 	// reused after a removal, and the construction knobs rewiring needs.
 	partyNames   []string
 	nextIndex    int
-	pack         bool
 	shardWorkers int
 }
 
@@ -170,13 +156,17 @@ func configureScheme(s he.Scheme, parallelism, pool, window, mont int, shared *h
 	p.StartRandomizerPool(pool, 1)
 }
 
-// configurePacking enables Paillier slot packing with headroom for one
-// addition per party. Non-Paillier schemes ignore the knob: SecAgg/DP
-// ciphertexts are item-bound masks and Plain already ships 8-byte values.
-func configurePacking(s he.Scheme, pack bool, parties int) error {
-	if !pack {
-		return nil
-	}
+// ConfigurePacking installs the Paillier layout's static slot geometry on a
+// scheme, with headroom for summing one ciphertext per party — exactly what
+// the aggregation tree performs. Every participant's scheme must carry it, for
+// the same roster size the leader holds (NewLeader and Leader.SetParties
+// install the leader's own); the aggregation roles only add and need none.
+// Parties lay several fixed-point partial distances side by side in each
+// plaintext under this geometry on round one and whenever a negotiated width
+// does not fit; it fails when the key is too small to hold even one slot.
+// The other schemes are left alone: SecAgg/DP ciphertexts are item-bound masks
+// and Plain already ships 8-byte values.
+func ConfigurePacking(s he.Scheme, parties int) error {
 	p, ok := s.(*he.Paillier)
 	if !ok {
 		return nil
@@ -250,7 +240,7 @@ func NewLocalCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 		return nil, err
 	}
 	configureScheme(pubScheme, cfg.Parallelism, cfg.RandomizerPool, cfg.EncryptWindow, cfg.Mont, cfg.Pool)
-	if err := configurePacking(pubScheme, cfg.Pack, cfg.Partition.P()); err != nil {
+	if err := ConfigurePacking(pubScheme, cfg.Partition.P()); err != nil {
 		return nil, err
 	}
 	if ob, ok := pubScheme.(he.Observable); ok {
@@ -276,9 +266,7 @@ func NewLocalCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 	}
 	agg.SetParallelism(cfg.Parallelism)
 	agg.SetObserver(o, instance)
-	if cfg.PackAdaptive && cfg.Pack {
-		agg.SetPackHint(cfg.PackHint)
-	}
+	agg.SetPackHint(cfg.PackHint)
 	tr.Register(AggServerName, agg.Handler())
 
 	workers, plan, err := buildShardWorkers(tr, partyNames, pubScheme, cfg.ShardWorkers, cfg.Parallelism, o, instance)
@@ -299,9 +287,6 @@ func NewLocalCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 	}
 	// The leader decrypts but never bulk-encrypts, so it gets no pool.
 	configureScheme(privScheme, cfg.Parallelism, -1, cfg.EncryptWindow, cfg.Mont, nil)
-	if err := configurePacking(privScheme, cfg.Pack, cfg.Partition.P()); err != nil {
-		return nil, err
-	}
 	if ob, ok := privScheme.(he.Observable); ok {
 		ob.SetObserver(o.Registry(), instance+"/leader")
 	}
@@ -311,7 +296,7 @@ func NewLocalCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 	}
 	leader.SetParallelism(cfg.Parallelism)
 	leader.SetObserver(o, instance)
-	leader.SetPayloadOptions(cfg.PackAdaptive && cfg.Pack, cfg.ChunkBytes, cfg.DeltaCache)
+	leader.SetPayloadOptions(cfg.ChunkBytes, cfg.DeltaCache)
 	leader.SetExtraCountNodes(workerNames)
 	leader.SetSpeculativeTA(cfg.SpeculateTA)
 	return &Cluster{
@@ -329,7 +314,6 @@ func NewLocalCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 		instance:     instance,
 		partyNames:   partyNames,
 		nextIndex:    p,
-		pack:         cfg.Pack,
 		shardWorkers: cfg.ShardWorkers,
 	}, nil
 }
@@ -448,11 +432,7 @@ func (c *Cluster) RemoveParticipant(index int) error {
 // ciphertext per party), the aggregation server's roster, the shard worker
 // set and plan, and the leader's roster and accounting nodes.
 func (c *Cluster) rewire() error {
-	p := len(c.partyNames)
-	if err := configurePacking(c.pubScheme, c.pack, p); err != nil {
-		return err
-	}
-	if err := configurePacking(c.privScheme, c.pack, p); err != nil {
+	if err := ConfigurePacking(c.pubScheme, len(c.partyNames)); err != nil {
 		return err
 	}
 	if err := c.Agg.SetParties(c.partyNames); err != nil {

@@ -51,9 +51,14 @@ type Leader struct {
 	instance    string   // observer instance label; the query log's tenant
 	extraNodes  []string // additional accounting nodes (shard workers)
 
+	// adaptive asks the aggregation server to negotiate the slot width with
+	// the parties. NewLeader sets it exactly when the scheme is Paillier — the
+	// only scheme that packs — so the other schemes' requests never carry the
+	// flag; it is a field only so this package's tests can clear it to build
+	// the static-geometry reference.
+	adaptive bool
 	// Payload-optimisation knobs requested from the aggregation server (see
 	// SetPayloadOptions) and the receive half of the leader-link delta cache.
-	padaptive  bool
 	chunkBytes int
 	delta      bool
 	recvCache  deltaCache
@@ -64,7 +69,9 @@ type Leader struct {
 }
 
 // NewLeader wires the leader to the cluster. batch is the Fagin mini-batch
-// size (paper's b); a non-positive value defaults to 32.
+// size (paper's b); a non-positive value defaults to 32. Under Paillier the
+// leader's scheme gets the static slot geometry for this roster (see
+// ConfigurePacking), which fails when the key cannot hold one slot.
 func NewLeader(caller transport.Caller, aggNode string, parties []string, scheme he.Scheme, batch int) (*Leader, error) {
 	if caller == nil {
 		return nil, fmt.Errorf("vfl: leader needs a transport")
@@ -78,7 +85,11 @@ func NewLeader(caller transport.Caller, aggNode string, parties []string, scheme
 	if batch <= 0 {
 		batch = 32
 	}
-	return &Leader{cc: transport.NewCodecCaller(caller), agg: aggNode, parties: parties, scheme: scheme, batch: batch}, nil
+	if err := ConfigurePacking(scheme, len(parties)); err != nil {
+		return nil, err
+	}
+	_, isPaillier := scheme.(*he.Paillier)
+	return &Leader{cc: transport.NewCodecCaller(caller), agg: aggNode, parties: parties, scheme: scheme, batch: batch, adaptive: isPaillier}, nil
 }
 
 // call performs one outbound RPC and charges the encoded request bytes to the
@@ -126,11 +137,16 @@ func (l *Leader) P() int { return len(l.parties) }
 func (l *Leader) Parties() []string { return append([]string(nil), l.parties...) }
 
 // SetParties replaces the roster after a membership change, without tearing
-// the leader down. Not safe concurrently with an in-flight protocol run;
-// callers fence membership changes with the consortium's run lock.
+// the leader down, and resizes the scheme's pack headroom to it (the packed
+// aggregation sums one ciphertext per party). Not safe concurrently with an
+// in-flight protocol run; callers fence membership changes with the
+// consortium's run lock.
 func (l *Leader) SetParties(parties []string) error {
 	if len(parties) == 0 {
 		return fmt.Errorf("vfl: leader needs participants")
+	}
+	if err := ConfigurePacking(l.scheme, len(parties)); err != nil {
+		return err
 	}
 	l.parties = append([]string(nil), parties...)
 	return nil
@@ -148,18 +164,16 @@ func (l *Leader) SetParties(parties []string) error {
 func (l *Leader) SetSpeculativeTA(on bool) { l.speculate = on }
 
 // SetPayloadOptions configures the ciphertext-payload optimisations the
-// leader requests from the aggregation server: adaptive pack-width
-// negotiation (effective only when the parties slot-pack), chunk framing of
-// collection responses (chunkBytes > 0 splits packed vectors into
-// ≤chunkBytes chunks the leader decrypts as a pipeline), and cross-round
-// delta caching (repeat queries resend only changed ciphertext blocks). All
-// three default to off, which keeps the wire image and the selections byte-
-// identical to previous protocol versions.
-func (l *Leader) SetPayloadOptions(adaptive bool, chunkBytes int, delta bool) {
+// leader requests from the aggregation server: chunk framing of collection
+// responses (chunkBytes > 0 splits packed vectors into ≤chunkBytes chunks the
+// leader decrypts as a pipeline), and cross-round delta caching (repeat
+// queries resend only changed ciphertext blocks). Both default to off;
+// selections are identical either way.
+func (l *Leader) SetPayloadOptions(chunkBytes int, delta bool) {
 	if chunkBytes < 0 {
 		chunkBytes = 0
 	}
-	l.padaptive, l.chunkBytes, l.delta = adaptive, chunkBytes, delta
+	l.chunkBytes, l.delta = chunkBytes, delta
 }
 
 // QueryResult is the outcome of one vertical-KNN query.
@@ -363,7 +377,7 @@ func (l *Leader) deltaMissRetry(err error, attempt int) bool {
 // collectBase performs the BASE variant's collection round trip, including
 // the payload-knob negotiation and the NoCache retry after a delta miss.
 func (l *Leader) collectBase(ctx context.Context, query int) (*collected, FaginStats, error) {
-	req := &CollectAllReq{Query: query, ChunkBytes: l.chunkBytes, Adaptive: l.padaptive, Delta: l.delta}
+	req := &CollectAllReq{Query: query, ChunkBytes: l.chunkBytes, Adaptive: l.adaptive, Delta: l.delta}
 	for attempt := 0; ; attempt++ {
 		var resp CollectAllResp
 		if err := l.call(ctx, l.agg, MethodCollectAll, req, &resp); err != nil {
@@ -387,7 +401,7 @@ func (l *Leader) collectBase(ctx context.Context, query int) (*collected, FaginS
 // collectBase for the retry semantics.
 func (l *Leader) collectFagin(ctx context.Context, query, k int) (*collected, FaginStats, error) {
 	req := &FaginCollectReq{Query: query, K: k, Batch: l.batch,
-		ChunkBytes: l.chunkBytes, Adaptive: l.padaptive, Delta: l.delta}
+		ChunkBytes: l.chunkBytes, Adaptive: l.adaptive, Delta: l.delta}
 	for attempt := 0; ; attempt++ {
 		var resp FaginCollectResp
 		if err := l.call(ctx, l.agg, MethodFaginCollect, req, &resp); err != nil {
@@ -407,17 +421,18 @@ func (l *Leader) collectFagin(ctx context.Context, query, k int) (*collected, Fa
 }
 
 // decryptCollected recovers the aggregate distances of one collection round.
-// factor 1 is the classic one-value-per-ciphertext layout; factor > 1 means
-// the parties slot-packed, so every ciphertext is a per-slot sum over all
+// factor 1 is the one-value-per-ciphertext layout of the non-Paillier schemes
+// (and of a Paillier key that holds a single slot); factor > 1 means the
+// parties slot-packed, so every ciphertext is a per-slot sum over all
 // parties. A static layout (bits == 0) must match the leader's own
 // EnablePacking geometry; an adaptive layout is validated by rebuilding the
 // (bits, adds) geometry through PackerFor, whose typed fixed.ErrPackAdds /
 // fixed.ErrPackShape errors are the hard backstop against a peer advertising
 // an aggregation depth the key cannot honour. Chunked vectors stream through
 // DecryptPackedChunks, overlapping parse and decrypt per wire chunk. The
-// decoded values are bit-identical to the scalar whole-blob path — packing
+// decoded values are bit-identical to a scalar whole-blob decryption — packing
 // and chunking change the carrier layout, not the fixed-point arithmetic —
-// so selection results do not depend on any payload knob.
+// so selection results do not depend on the layout.
 func (l *Leader) decryptCollected(ctx context.Context, col *collected) ([]float64, error) {
 	if col.factor == 1 {
 		return he.DecryptVec(ctx, l.scheme, col.blobs)
@@ -571,7 +586,7 @@ func (l *Leader) taRound(ctx context.Context, query, depth int, seen map[int]boo
 	}
 
 	// Random access: aggregated ciphertexts for the new candidates.
-	req := &AggregateCandidatesReq{Query: query, PseudoIDs: r.newIDs, Adaptive: l.padaptive, Delta: l.delta}
+	req := &AggregateCandidatesReq{Query: query, PseudoIDs: r.newIDs, Adaptive: l.adaptive, Delta: l.delta}
 	var col *collected
 	for attempt := 0; ; attempt++ {
 		var resp AggregateCandidatesResp

@@ -3,13 +3,16 @@ package vfl
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"vfps/internal/dataset"
 	"vfps/internal/he"
 )
 
-func packedCluster(t *testing.T, pt *dataset.Partition, pack bool) *Cluster {
+// paillierCluster builds a Paillier cluster the way every caller gets one:
+// slot-packed, slot width negotiated per round.
+func paillierCluster(t *testing.T, pt *dataset.Partition) *Cluster {
 	t.Helper()
 	cl, err := NewLocalCluster(context.Background(), ClusterConfig{
 		Partition:   pt,
@@ -17,12 +20,21 @@ func packedCluster(t *testing.T, pt *dataset.Partition, pack bool) *Cluster {
 		KeyBits:     256,
 		ShuffleSeed: 7,
 		Batch:       8,
-		Pack:        pack,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.Close)
+	return cl
+}
+
+// scalarOracle strips the slot geometry from both of a cluster's schemes,
+// leaving one partial distance per ciphertext: the reference layout the packed
+// one must match bit for bit. Only this package's tests can build it.
+func scalarOracle(cl *Cluster) *Cluster {
+	for _, s := range []he.Scheme{cl.pubScheme, cl.privScheme} {
+		s.(*he.Paillier).DisablePacking()
+	}
 	return cl
 }
 
@@ -35,8 +47,11 @@ func TestPackedSelectionIdentity(t *testing.T) {
 	ctx := context.Background()
 	queries := []int{0, 11, 29, 58}
 
-	scalar := packedCluster(t, pt, false)
-	packed := packedCluster(t, pt, true)
+	scalar := scalarOracle(paillierCluster(t, pt))
+	packed := paillierCluster(t, pt)
+	if pf := scalar.pubScheme.(*he.Paillier).PackFactor(); pf != 1 {
+		t.Fatalf("scalar oracle pack factor = %d, want 1", pf)
+	}
 	if pf := packed.pubScheme.(*he.Paillier).PackFactor(); pf < 2 {
 		t.Fatalf("packed cluster pack factor = %d, want ≥ 2", pf)
 	}
@@ -95,17 +110,35 @@ func TestPackedSelectionIdentity(t *testing.T) {
 }
 
 // TestPackedRejectsUndersizedKey pins the failure mode: a modulus too small to
-// hold one slot must fail cluster construction instead of silently degrading.
+// hold one slot must fail cluster construction instead of silently degrading,
+// and the error names the smallest KeyBits that would do. Two parties need a
+// 64-bit value, the bias bit and one carry bit per slot, plus the two-bit
+// sign margin of the plaintext space.
 func TestPackedRejectsUndersizedKey(t *testing.T) {
 	_, pt := testPartition(t, "Bank", 20, 2)
-	_, err := NewLocalCluster(context.Background(), ClusterConfig{
-		Partition:   pt,
-		Scheme:      "paillier",
-		KeyBits:     64,
-		ShuffleSeed: 7,
-		Pack:        true,
-	})
+	build := func(keyBits int) error {
+		cl, err := NewLocalCluster(context.Background(), ClusterConfig{
+			Partition:   pt,
+			Scheme:      "paillier",
+			KeyBits:     keyBits,
+			ShuffleSeed: 7,
+		})
+		if err == nil {
+			cl.Close()
+		}
+		return err
+	}
+	err := build(64)
 	if err == nil {
 		t.Fatal("64-bit key accepted packing")
+	}
+	if !strings.Contains(err.Error(), "KeyBits must be at least 68") {
+		t.Fatalf("error does not name the smallest working key size: %v", err)
+	}
+	if err := build(68); err != nil {
+		t.Fatalf("68-bit key, the size the error names, rejected: %v", err)
+	}
+	if err := build(67); err == nil {
+		t.Fatal("67-bit key accepted, so 68 is not the smallest")
 	}
 }

@@ -250,7 +250,7 @@ func (p *Participant) encryptItems(ctx context.Context, query int, pids []int, v
 	factor := 1
 	if packer != nil {
 		factor = packer.Slots()
-		esp.SetLabelInt("pack", int64(factor))
+		esp.SetLabelInt("pack_factor", int64(factor))
 	}
 
 	blocks := packedLen(len(vals), factor)

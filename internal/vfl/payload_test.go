@@ -17,23 +17,29 @@ import (
 	"vfps/internal/wire"
 )
 
-func payloadTestCluster(t *testing.T, pt *dataset.Partition, adaptive bool, chunkBytes int, delta bool) *Cluster {
+func payloadTestCluster(t *testing.T, pt *dataset.Partition, chunkBytes int, delta bool) *Cluster {
 	t.Helper()
 	cl, err := NewLocalCluster(context.Background(), ClusterConfig{
-		Partition:    pt,
-		Scheme:       "paillier",
-		KeyBits:      256,
-		ShuffleSeed:  7,
-		Batch:        8,
-		Pack:         true,
-		PackAdaptive: adaptive,
-		ChunkBytes:   chunkBytes,
-		DeltaCache:   delta,
+		Partition:   pt,
+		Scheme:      "paillier",
+		KeyBits:     256,
+		ShuffleSeed: 7,
+		Batch:       8,
+		ChunkBytes:  chunkBytes,
+		DeltaCache:  delta,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.Close)
+	return cl
+}
+
+// staticOracle stops a cluster's leader asking for the negotiated slot width,
+// so every round stays on the static geometry: the reference the negotiated
+// layout must match bit for bit. Only this package's tests can build it.
+func staticOracle(cl *Cluster) *Cluster {
+	cl.Leader.adaptive = false
 	return cl
 }
 
@@ -47,13 +53,18 @@ func TestAdaptivePackSelectionIdentity(t *testing.T) {
 	_, pt := testPartition(t, "Bank", 48, 3)
 	queries := []int{0, 11, 47}
 
-	static := payloadTestCluster(t, pt, false, 0, false)
-	full := payloadTestCluster(t, pt, true, 2048, true)
+	static := staticOracle(payloadTestCluster(t, pt, 0, false))
+	full := payloadTestCluster(t, pt, 2048, true)
 
 	for _, variant := range []Variant{VariantBase, VariantFagin} {
 		sref, err := static.Leader.Similarities(ctx, queries, 3, variant)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if sc, err := static.Leader.TotalCounts(ctx); err != nil {
+			t.Fatal(err)
+		} else if sc.CacheHits != 0 || sc.CacheMisses != 0 {
+			t.Fatalf("%s: cache counters %d/%d with the delta cache off", variant, sc.CacheHits, sc.CacheMisses)
 		}
 		var roundBytes [2]int64
 		for round := 0; round < 2; round++ {
@@ -104,7 +115,7 @@ func TestAdaptivePackSelectionIdentity(t *testing.T) {
 func TestMaliciousPackDepthRejected(t *testing.T) {
 	ctx := context.Background()
 	_, pt := testPartition(t, "Bank", 24, 3)
-	cl := payloadTestCluster(t, pt, true, 0, false)
+	cl := payloadTestCluster(t, pt, 0, false)
 
 	col := &collected{
 		pids:   []int{0, 1, 2},

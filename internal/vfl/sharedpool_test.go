@@ -17,7 +17,6 @@ func sharedPoolCluster(t *testing.T, pt *dataset.Partition, ps *he.PoolSet, para
 		KeyBits:     256,
 		ShuffleSeed: 7,
 		Batch:       8,
-		Pack:        true,
 		Parallelism: parallelism,
 		Pool:        ps,
 	})
@@ -38,7 +37,7 @@ func TestSharedPoolSelectionIdentity(t *testing.T) {
 	ctx := context.Background()
 	queries := []int{0, 11, 29, 58}
 
-	baseline := packedCluster(t, pt, true)
+	baseline := paillierCluster(t, pt)
 
 	ps := he.NewPoolSet(32, 2)
 	defer ps.Close()

@@ -2,19 +2,13 @@
 # bench_compare.sh — gate the hot-path benchmarks against regressions.
 #
 # Usage:
-#   scripts/bench_compare.sh [candidate.json] [baseline.json]
+#   scripts/bench_compare.sh <candidate.json>
 #
 # The candidate JSON's top-level key picks the gate set; a candidate with no
-# recognized top-level key (.packed / .encrypt / .payload / .churn / .soak),
-# and any recognized section missing a key the gates read, is itself a hard
-# failure — a renamed or dropped field must never silently pass. A `.packed`
-# result (default BENCH_packed.json, freshly produced by `make bench-packed`)
-# must uphold the absolute contracts of the packed pipeline regardless of
-# machine:
-#
-#   * every end-to-end selection matches the scalar run exactly,
-#   * slot packing cuts ciphertext bytes by at least MIN_BYTE_REDUCTION,
-#   * CRT decryption is at least MIN_CRT_SPEEDUP over the λ/μ path.
+# recognized top-level key (.encrypt / .churn / .soak), and any recognized
+# section missing a key the gates read, is itself a hard failure — a renamed
+# or dropped field must never silently pass. Every gate is an absolute
+# contract of the candidate, independent of machine.
 #
 # A `.encrypt` result (BENCH_encrypt.json, from `make bench-encrypt`) must
 # show:
@@ -30,16 +24,6 @@
 #   * every end-to-end selection — windowed pools, shared PoolSet, and the
 #     mont-off arm proving both arithmetic backends select identically —
 #     matching the classic-sampling baseline exactly.
-#
-# A `.payload` result (BENCH_payload.json, from `make bench-payload`) must
-# show:
-#
-#   * every arm — static, adaptive, chunked, delta, full — selecting the
-#     identical participant set,
-#   * the fully optimized arm (adaptive pack + chunked streaming + delta
-#     cache) cutting steady-state ciphertext payload bytes by at least
-#     MIN_PAYLOAD_REDUCTION over static packing,
-#   * delta-cache hits actually recorded on the delta arms.
 #
 # A `.churn` result (BENCH_churn.json, from `make bench-churn`) must show:
 #
@@ -65,27 +49,16 @@
 #     gate for the machine's core count but never disable it),
 #   * admission accounting is live: every load selection admitted and the
 #     budget probe rejected at least once.
-#
-# When a baseline (default: the checked-in BENCH_packed.json from git HEAD)
-# is available and distinct from the candidate, the packed end-to-end wall
-# clocks must also stay within TOLERANCE of it. Wall clocks are machine
-# dependent, so the relative gate only fires when the baseline was produced
-# on a comparable machine; the absolute gates always fire.
 set -euo pipefail
 
-CANDIDATE=${1:-BENCH_packed.json}
-BASELINE=${2:-}
-MIN_CRT_SPEEDUP=${MIN_CRT_SPEEDUP:-3.0}
-MIN_BYTE_REDUCTION=${MIN_BYTE_REDUCTION:-4.0}
+CANDIDATE=${1:?usage: bench_compare.sh <candidate.json>}
 MIN_ENCRYPT_SPEEDUP=${MIN_ENCRYPT_SPEEDUP:-2.0}
 MIN_MONT_SPEEDUP=${MIN_MONT_SPEEDUP:-1.5}
 MIN_MONT_DECRYPT_RATIO=${MIN_MONT_DECRYPT_RATIO:-0.9}
-MIN_PAYLOAD_REDUCTION=${MIN_PAYLOAD_REDUCTION:-3.0}
 MIN_CHURN_HE_REDUCTION=${MIN_CHURN_HE_REDUCTION:-2.0}
-TOLERANCE=${TOLERANCE:-1.5}
 
 command -v jq >/dev/null || { echo "bench_compare: jq not found" >&2; exit 1; }
-[ -f "$CANDIDATE" ] || { echo "bench_compare: candidate $CANDIDATE not found (run make bench-packed / bench-encrypt)" >&2; exit 1; }
+[ -f "$CANDIDATE" ] || { echo "bench_compare: candidate $CANDIDATE not found (run make bench-encrypt / bench-churn / soak)" >&2; exit 1; }
 
 fail=0
 say() { echo "bench_compare: $*"; }
@@ -143,38 +116,6 @@ if jq -e '.encrypt' "$CANDIDATE" >/dev/null 2>&1; then
         bad "selection $variant/$mode: selected a DIFFERENT set than classic sampling"
       fi
     done < <(jq -r '.encrypt.EndToEnd[] | [.Variant, .Mode, (.SelectedMatch|tostring)] | @tsv' "$CANDIDATE")
-  fi
-fi
-
-# --- ciphertext payload gates ------------------------------------------------
-if jq -e '.payload' "$CANDIDATE" >/dev/null 2>&1; then
-  recognized=1
-  if require '.payload.Arms | length > 0' "payload benchmark arms"; then
-    while IFS=$'\t' read -r arm match; do
-      if [ "$match" = "true" ]; then
-        say "payload arm $arm: selected the identical set"
-      else
-        bad "payload arm $arm: selected a DIFFERENT set than static packing"
-      fi
-    done < <(jq -r '.payload.Arms[] | [.Name, (.SelectedMatch|tostring)] | @tsv' "$CANDIDATE")
-
-    # Delta-cache arms must actually hit the cache; an optimization that
-    # never engages would still "match" trivially.
-    while IFS=$'\t' read -r arm hits; do
-      if [ "$hits" -gt 0 ]; then
-        say "payload arm $arm: $hits delta-cache hits in the steady state"
-      else
-        bad "payload arm $arm: delta cache enabled but zero hits recorded"
-      fi
-    done < <(jq -r '.payload.Arms[] | select(.Delta == true) | [.Name, (.CacheHits|tostring)] | @tsv' "$CANDIDATE")
-  fi
-
-  if require '.payload.Reduction' "payload steady-state reduction"; then
-    red=$(jq -r '.payload.Reduction' "$CANDIDATE")
-    total=$(jq -r '.payload.TotalReduction // "?"' "$CANDIDATE")
-    jq -e --argjson min "$MIN_PAYLOAD_REDUCTION" '.payload.Reduction >= $min' "$CANDIDATE" >/dev/null \
-      && say "payload steady-state reduction ${red}x (floor ${MIN_PAYLOAD_REDUCTION}x; all-rounds ${total}x)" \
-      || bad "payload steady-state reduction ${red}x below floor ${MIN_PAYLOAD_REDUCTION}x"
   fi
 fi
 
@@ -268,86 +209,9 @@ if jq -e '.soak' "$CANDIDATE" >/dev/null 2>&1; then
   fi
 fi
 
-if ! jq -e '.packed' "$CANDIDATE" >/dev/null 2>&1; then
-  if [ "$recognized" -eq 0 ]; then
-    bad "candidate $CANDIDATE has no recognized top-level section (.packed / .encrypt / .payload / .churn / .soak)"
-  fi
-  if [ "$fail" -ne 0 ]; then
-    echo "bench_compare: REGRESSION DETECTED" >&2
-    exit 1
-  fi
-  say "all gates passed"
-  exit 0
+if [ "$recognized" -eq 0 ]; then
+  bad "candidate $CANDIDATE has no recognized top-level section (.encrypt / .churn / .soak)"
 fi
-
-# --- absolute gates on the candidate ----------------------------------------
-if require '.packed.CRT.Speedup' "packed CRT speedup"; then
-  crt=$(jq -r '.packed.CRT.Speedup' "$CANDIDATE")
-  jq -e --argjson min "$MIN_CRT_SPEEDUP" '.packed.CRT.Speedup >= $min' "$CANDIDATE" >/dev/null \
-    && say "CRT decrypt speedup ${crt}x (floor ${MIN_CRT_SPEEDUP}x)" \
-    || bad "CRT decrypt speedup ${crt}x below floor ${MIN_CRT_SPEEDUP}x"
-fi
-
-if require '.packed.Wire.ByteReduction' "packed byte reduction"; then
-  bytered=$(jq -r '.packed.Wire.ByteReduction' "$CANDIDATE")
-  packf=$(jq -r '.packed.Wire.PackFactor // "?"' "$CANDIDATE")
-  jq -e --argjson min "$MIN_BYTE_REDUCTION" '.packed.Wire.ByteReduction >= $min' "$CANDIDATE" >/dev/null \
-    && say "ciphertext byte reduction ${bytered}x at pack factor ${packf} (floor ${MIN_BYTE_REDUCTION}x)" \
-    || bad "byte reduction ${bytered}x below floor ${MIN_BYTE_REDUCTION}x"
-fi
-
-if require '.packed.EndToEnd | length > 0' "packed end-to-end rows"; then
-  while IFS=$'\t' read -r variant match; do
-    if [ "$match" = "true" ]; then
-      say "selection $variant: packed run selected the identical set"
-    else
-      bad "selection $variant: packed run selected a DIFFERENT set"
-    fi
-  done < <(jq -r '.packed.EndToEnd[] | [.Variant, (.SelectedMatch|tostring)] | @tsv' "$CANDIDATE")
-
-  while IFS=$'\t' read -r variant scalar packed; do
-    if jq -n --argjson s "$scalar" --argjson p "$packed" '$p < $s' >/dev/null 2>&1 \
-       && [ "$(jq -n --argjson s "$scalar" --argjson p "$packed" '$p < $s')" = "true" ]; then
-      say "selection $variant: packed bytes $packed < scalar bytes $scalar"
-    else
-      bad "selection $variant: packed run sent $packed bytes, scalar $scalar"
-    fi
-  done < <(jq -r '.packed.EndToEnd[] | [.Variant, (.BytesScalar|tostring), (.BytesPacked|tostring)] | @tsv' "$CANDIDATE")
-fi
-
-# --- relative gate against the baseline -------------------------------------
-cleanup=""
-if [ -z "$BASELINE" ]; then
-  # Default baseline: the checked-in copy of the candidate's own file at git
-  # HEAD. A brand-new benchmark section has no checked-in baseline on its
-  # first run — that is fine: the absolute gates above already fired, so the
-  # relative gate just skips instead of failing the run.
-  cname=$(basename "$CANDIDATE")
-  if git cat-file -e "HEAD:$cname" 2>/dev/null; then
-    BASELINE=$(mktemp)
-    cleanup=$BASELINE
-    git show "HEAD:$cname" > "$BASELINE"
-  else
-    say "no checked-in baseline for $cname at HEAD (first run of this benchmark section) — skipping relative gate"
-  fi
-fi
-if [ -n "$BASELINE" ] && [ -f "$BASELINE" ] && ! cmp -s "$CANDIDATE" "$BASELINE" \
-   && jq -e '.packed.EndToEnd | length > 0' "$BASELINE" >/dev/null 2>&1; then
-  while IFS=$'\t' read -r variant cand base; do
-    limit=$(jq -n --argjson b "$base" --argjson t "$TOLERANCE" '$b * $t')
-    if [ "$(jq -n --argjson c "$cand" --argjson l "$limit" '$c <= $l')" = "true" ]; then
-      say "selection $variant: packed wall clock ${cand}s within ${TOLERANCE}x of baseline ${base}s"
-    else
-      bad "selection $variant: packed wall clock ${cand}s regressed past ${TOLERANCE}x baseline ${base}s"
-    fi
-  done < <(join -t $'\t' \
-      <(jq -r '.packed.EndToEnd[] | [.Variant, (.PackedSeconds|tostring)] | @tsv' "$CANDIDATE" | sort) \
-      <(jq -r '.packed.EndToEnd[] | [.Variant, (.PackedSeconds|tostring)] | @tsv' "$BASELINE" | sort))
-else
-  say "no distinct baseline — skipping relative wall-clock gate"
-fi
-[ -n "$cleanup" ] && rm -f "$cleanup"
-
 if [ "$fail" -ne 0 ]; then
   echo "bench_compare: REGRESSION DETECTED" >&2
   exit 1

@@ -41,12 +41,12 @@ for i in $(seq 1 50); do
 done
 curl -sf "${BASE}/healthz" >/dev/null
 
-echo "obs-smoke: driving two encrypted selections (packed, adaptive, delta-cached)"
+echo "obs-smoke: driving two encrypted selections (chunked, delta-cached)"
 # Two identical selections on one consortium: the first warms the cross-round
 # delta cache, the second must hit it — so the cache-hit counter below carries
 # a real value, not just a declared family.
 ID=$(curl -sf -X POST "${BASE}/v1/consortiums" \
-    -d '{"dataset":"Rice","rows":150,"parties":3,"scheme":"paillier","pack":true,"packAdaptive":true,"chunkBytes":4096,"deltaCache":true}' \
+    -d '{"dataset":"Rice","rows":150,"parties":3,"scheme":"paillier","chunkBytes":4096,"deltaCache":true}' \
     | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
 [[ -n "${ID}" ]] || { echo "obs-smoke: consortium creation failed" >&2; exit 1; }
 curl -sf -X POST "${BASE}/v1/consortiums/${ID}/select" \
@@ -83,7 +83,7 @@ if ! grep -q "^vfps_he_ops_total{.*} [1-9]" <<<"${METRICS}"; then
     echo "obs-smoke: no HE ops recorded after an encrypted selection" >&2
     exit 1
 fi
-# Packing was on: the slot-geometry gauge must carry a live pack factor.
+# Paillier packs: the slot-geometry gauge must carry a live pack factor.
 if ! grep -q "^vfps_he_pack_slots{.*} [1-9]" <<<"${METRICS}"; then
     echo "obs-smoke: no pack-slot geometry recorded for a packed selection" >&2
     exit 1

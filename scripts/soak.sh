@@ -138,13 +138,14 @@ if [ "${SHARDS}" -ge 2 ]; then
     done
 fi
 
-# The full payload pipeline rides the soak: slot packing with per-round
-# adaptive renegotiation, chunked streaming of collection responses over the
-# real TCP transport, and the cross-round delta cache (repeat rounds rerun
-# the same query set, so round 2+ must hit it).
+# The full payload pipeline rides the soak: the packed Paillier layout with
+# its per-round width negotiation (no flag: it is what every node does),
+# chunked streaming of collection responses over the real TCP transport, and
+# the cross-round delta cache (repeat rounds rerun the same query set, so
+# round 2+ must hit it).
 COMMON=(-scheme paillier -keybits 256 -dataset Bank -rows "${ROWS}" \
         -parties "${PARTIES}" -directory "${DIRECTORY}" \
-        -pack -pack-adaptive -chunk-bytes 2048 -delta-cache)
+        -chunk-bytes 2048 -delta-cache)
 
 start_node() { # logname, args...
     local log="${WORK}/$1.log"; shift
@@ -338,7 +339,7 @@ fi
 curl -sf "http://${PARTY_OBS[0]}/metrics" > "${WORK}/party_metrics.txt" \
     || die "party obs /metrics scrape failed"
 grep -q '^vfps_he_pack_slots{.*} [1-9]' "${WORK}/party_metrics.txt" \
-    || die "party recorded no pack-slot geometry despite -pack"
+    || die "party recorded no pack-slot geometry under the paillier scheme"
 
 # --- multi-tenant load arm ----------------------------------------------------
 # An admission-controlled vfpsserve multiplexes NCONS sharded consortiums.

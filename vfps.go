@@ -97,8 +97,12 @@ type Config struct {
 	// DPEpsilon and DPDelta tune the "dp" scheme's per-release privacy
 	// (defaults 1.0 and 1e-5).
 	DPEpsilon, DPDelta float64
-	// KeyBits sizes the Paillier modulus (default 512 here; use ≥ 2048 in
-	// adversarial deployments).
+	// KeyBits sizes the Paillier modulus (default 512, a demo size; use
+	// ≥ 2048 wherever the ciphertexts leave the process). It also sets how many
+	// partial distances ride in one ciphertext — about KeyBits/67 under the
+	// static geometry — and NewConsortium fails, naming the smallest size that
+	// works, when the key cannot hold one packed slot for the roster. Ignored
+	// by the other schemes.
 	KeyBits int
 	// ShuffleSeed seeds the shared pseudo-ID permutation (identity
 	// security); any fixed value shared by the consortium works.
@@ -106,23 +110,13 @@ type Config struct {
 	// FaginBatch is the mini-batch size b for ranked-list streaming
 	// (default 32).
 	FaginBatch int
-	// Parallelism pins the HE pipeline's concurrency on every role (party
-	// fan-out, worker-pool encryption/decryption, randomizer precompute):
-	// 1 forces fully serial execution, 0 uses the default degree
-	// (VFPS_PARALLELISM or GOMAXPROCS). Selection results are identical at
-	// every setting; only wall-clock time changes.
+	// Parallelism caps the concurrency of every role: the party fan-out and
+	// the worker pools that encrypt, add and decrypt ciphertext vectors.
+	// 1 runs everything serially (and, without a SharedPool, precomputes no
+	// encryption randomizers in the background); 0 uses the process default (GOMAXPROCS unless VFPS_PARALLELISM
+	// overrides it). It is a resource limit, not a mode: selections and
+	// operation counts are identical at every setting.
 	Parallelism int
-	// Pack enables Paillier slot packing: several fixed-point partial
-	// distances travel in each ciphertext, dividing encryption count,
-	// decryption count and bytes on the wire by the pack factor. Selection
-	// results are bit-identical with packing on or off. Ignored by the other
-	// schemes.
-	Pack bool
-	// PackAdaptive lets the aggregation server renegotiate the packing slot
-	// width per round from the magnitude bounds the parties advertise,
-	// packing more values per ciphertext than the static worst-case geometry
-	// whenever the data allows. Requires Pack; selections stay bit-identical.
-	PackAdaptive bool
 	// ChunkBytes > 0 splits collection responses into ≤ChunkBytes ciphertext
 	// chunks, letting the leader pipeline chunk decryption.
 	ChunkBytes int
@@ -133,10 +127,11 @@ type Config struct {
 	// aggregation workers over aligned power-of-two party subtrees.
 	// Selections are bit-identical at every worker count.
 	ShardWorkers int
-	// PackWidthHint seeds the adaptive pack negotiation with a slot width a
-	// previous consortium learned over the same data shape, so round one
-	// packs adaptively instead of paying the static warm-up. Only meaningful
-	// with Pack+PackAdaptive; 0 keeps pure in-band negotiation.
+	// PackWidthHint seeds the Paillier slot-width negotiation with a width a
+	// previous consortium learned over the same data shape (see
+	// Consortium.PackWidthHint), so round one already packs at the negotiated
+	// width instead of the static geometry. 0 keeps pure in-band negotiation;
+	// ignored by the other schemes.
 	PackWidthHint int
 	// EncryptWindow pins the fixed-base window width used by encryption
 	// randomizer precompute: 0 keeps the default (6), negative restores
@@ -218,8 +213,6 @@ func NewConsortium(ctx context.Context, cfg Config) (*Consortium, error) {
 		DPEpsilon:     cfg.DPEpsilon,
 		DPDelta:       cfg.DPDelta,
 		Parallelism:   cfg.Parallelism,
-		Pack:          cfg.Pack,
-		PackAdaptive:  cfg.PackAdaptive,
 		ChunkBytes:    cfg.ChunkBytes,
 		DeltaCache:    cfg.DeltaCache,
 		ShardWorkers:  cfg.ShardWorkers,
@@ -248,10 +241,10 @@ func NewConsortium(ctx context.Context, cfg Config) (*Consortium, error) {
 // precompute pools). The consortium stays usable afterwards.
 func (c *Consortium) Close() { c.cluster.Close() }
 
-// PackWidthHint exports the adaptive slot width the consortium's aggregation
-// coordinator has learned (margin included; 0 before the first adaptive
-// round). A serving layer can feed it into a successor consortium's
-// Config.PackWidthHint to skip the static warm-up round.
+// PackWidthHint exports the slot width the consortium's aggregation
+// coordinator has learned (margin included; 0 before the first Paillier round
+// and under the other schemes). A serving layer can feed it into a successor
+// consortium's Config.PackWidthHint to skip the static warm-up round.
 func (c *Consortium) PackWidthHint() int { return c.cluster.Agg.PackHint() }
 
 // ShardWorkers reports how many aggregation shard workers the consortium
