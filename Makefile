@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race bench bench-parallel bench-encrypt bench-churn bench-mont microbench experiments fuzz cover obs-smoke soak clean
+.PHONY: build test check race bench bench-churn bench-mont microbench experiments fuzz cover obs-smoke soak clean
 
 build:
 	$(GO) build ./...
@@ -13,18 +13,11 @@ test:
 check:
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then echo "gofmt needed on:"; echo "$$fmt"; exit 1; fi
 	@gob=$$(grep -rl --include='*.go' '"encoding/gob"' . | grep -v '^\./internal/ml/'); if [ -n "$$gob" ]; then echo "encoding/gob is for model snapshots (internal/ml) only; the protocol has one wire format. Imported by:"; echo "$$gob"; exit 1; fi
-	@pack=$$(grep -rlE --include='*.go' 'PackAdaptive|[^a-zA-Z]Pack +bool|"pack(-adaptive)?"' . | grep -vE '_test\.go$$|^\./internal/(he|fixed)/'); if [ -n "$$pack" ]; then echo "slot packing is the Paillier layout, not an option: no Pack/PackAdaptive field or -pack flag. Declared by:"; echo "$$pack"; exit 1; fi
+	@knob=$$(grep -rlE --include='*.go' 'PackAdaptive|[^a-zA-Z]Pack +bool|"pack(-adaptive)?"|ChunkBytes|SpeculateTA|SetMont|VFPS_MONT|VFPS_PARALLELISM|"chunk-bytes"|"speculate-ta"|"mont"' . | grep -v '_test\.go$$'); if [ -n "$$knob" ]; then echo "retired knobs stay retired (Pack/PackAdaptive, ChunkBytes, SpeculateTA, Mont, VFPS_MONT, VFPS_PARALLELISM and their flags). Declared by:"; echo "$$knob"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzWire$$' -fuzztime=5s
-	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzChunkedCiphertext$$' -fuzztime=5s
-	$(GO) test ./internal/paillier -race
-	$(GO) test ./internal/mont -race
-	$(GO) test ./internal/vfl -race -run='^TestAdaptivePackSelectionIdentity$$'
-	$(GO) test ./internal/vfl -race -run='^TestShardedSelectionIdentity$$'
-	$(GO) test ./internal/vfl -race -count=10 -run='^(TestLazyRankConcurrent|TestRankingBatchHostileCount)$$'
-	$(GO) test . -race -run='^TestChurnSelectionMatchesColdRebuild$$'
-	$(GO) test ./internal/server -race -run='^TestConcurrentMultiConsortium$$'
+	$(GO) test -race ./...
 	$(GO) test ./internal/paillier -run='^$$' -fuzz='^FuzzFixedBaseExp$$' -fuzztime=5s
 	$(GO) test ./internal/mont -run='^$$' -fuzz='^FuzzMontMulExp$$' -fuzztime=5s
 	$(MAKE) obs-smoke
@@ -56,26 +49,11 @@ race:
 bench:
 	$(GO) run ./bench -out bench.json
 
-# Benchmark the parallel HE pipeline (serial vs worker-pool vs pooled
-# randomizers, plus end-to-end selection) and record it for comparison.
-bench-parallel:
-	$(GO) run ./cmd/vfpsbench -exp parallel -json BENCH_parallel.json
-
-# Benchmark the encryption hot path (classic vs fixed-base windowed vs CRT vs
-# pooled randomizer production, the Montgomery kernel A/B on modmul- and
-# modexp-bound arms, plus end-to-end selections under each pool mode) and gate
-# the result: ≥2x windowed encrypt speedup, ≥1.5x Montgomery speedup on the
-# modmul-bound arms with decrypt parity, and selections identical to classic
-# uniform sampling on every arm including mont-off.
-bench-encrypt:
-	$(GO) run ./cmd/vfpsbench -exp encrypt -json BENCH_encrypt.json
-	./scripts/bench_compare.sh BENCH_encrypt.json
-
 # Benchmark online membership churn (in-place join/leave, set-keyed
-# similarity reuse, speculative TA decryption) and gate the result: the
-# incremental join pays ≥2x fewer encryptions than a cold rebuild at 6+
-# surviving parties, every churn arm selects bit-identically to its cold
-# twin, and a roster revisit through the similarity cache pays 0 HE ops.
+# similarity reuse) and gate the result: the incremental join pays ≥2x fewer
+# encryptions than a cold rebuild at 6+ surviving parties, every churn arm
+# selects bit-identically to its cold twin, and a roster revisit through the
+# similarity cache pays 0 HE ops.
 bench-churn:
 	$(GO) run ./cmd/vfpsbench -exp churn -json BENCH_churn.json
 	./scripts/bench_compare.sh BENCH_churn.json

@@ -228,7 +228,6 @@ func BenchmarkPaillierSelection(b *testing.B) {
 // the same real-Paillier selection pinned fully serial (Parallelism=1, no
 // randomizer pool) versus the default worker-pool degree. The selected set
 // and operation counts are identical by construction; only wall clock moves.
-// cmd/vfpsbench -exp parallel records the same comparison to JSON.
 func BenchmarkParallelSelection(b *testing.B) {
 	d, err := vfps.GenerateDataset("Bank", 120)
 	if err != nil {

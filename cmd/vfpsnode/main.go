@@ -43,18 +43,17 @@ import (
 	"vfps/internal/vfl"
 )
 
-// tuneScheme applies the -parallelism and -mont flags to an HE scheme; only
+// tuneScheme applies the -parallelism flag to an HE scheme; only
 // Paillier has tunables. Parties that bulk-encrypt also get a randomizer pool
 // unless the node is pinned fully serial, and the slot-packing geometry for a
 // consortium of `parties` (the -parties every node shares), matching the one-
 // ciphertext-per-party aggregation tree; the leader's is installed by
 // vfl.NewLeader from its directory roster, and the aggregation roles only add.
-func tuneScheme(s he.Scheme, parallelism, window, mont int, pool bool, parties int) {
+func tuneScheme(s he.Scheme, parallelism, window int, pool bool, parties int) {
 	p, ok := s.(*he.Paillier)
 	if !ok {
 		return
 	}
-	p.SetMont(mont)
 	p.SetParallelism(parallelism)
 	if pool && parallelism != 1 {
 		p.SetEncryptWindow(window)
@@ -86,12 +85,9 @@ func main() {
 		queries     = flag.Int("queries", 32, "query sample count (role=leader)")
 		batch       = flag.Int("batch", 32, "Fagin mini-batch size (role=leader)")
 		variant     = flag.String("variant", "fagin", "KNN variant: fagin|base|threshold (role=leader)")
-		specTA      = flag.Bool("speculate-ta", false, "overlap the threshold scan's next round with the stopping check; discarded-round decryptions surface in vfps_ta_speculative_waste_total (role=leader; requires -variant threshold)")
-		parallelism = flag.Int("parallelism", 0, "HE pipeline concurrency (0 = VFPS_PARALLELISM or GOMAXPROCS, 1 = serial)")
-		chunkBytes  = flag.Int("chunk-bytes", 0, "split collection responses into ciphertext chunks of at most this many bytes (role=leader)")
+		parallelism = flag.Int("parallelism", 0, "HE pipeline concurrency (0 = GOMAXPROCS, 1 = serial)")
 		deltaCache  = flag.Bool("delta-cache", false, "cross-round delta encoding: repeat queries resend only changed ciphertext blocks (role=leader)")
 		window      = flag.Int("encrypt-window", 0, "fixed-base window for randomizer precompute (0 = default 6, negative = classic uniform sampling)")
-		montKnob    = flag.Int("mont", 0, "Paillier modular-arithmetic backend: 0 = default (Montgomery kernel unless VFPS_MONT=0), >0 = force kernel, <0 = pure math/big")
 		obsAddr     = flag.String("obs-addr", "", "optional debug listen address serving /metrics, /v1/trace, /v1/slow and /debug/pprof")
 		logJSON     = flag.String("log-json", "", `structured query-log destination: "-"/"stdout", "stderr", or a file path (off when empty)`)
 		slowRing    = flag.Int("slow-ring", 0, "flight-recorder capacity for /v1/slow (0 = default)")
@@ -176,7 +172,7 @@ func main() {
 		if err != nil {
 			fatal("fetching public key: %v", err)
 		}
-		tuneScheme(pub, *parallelism, *window, *montKnob, true, pt.P())
+		tuneScheme(pub, *parallelism, *window, true, pt.P())
 		observeScheme(pub, o, "party")
 		part, err := vfl.NewParticipant(*index, pt.Parties[*index], pub, *shuffleSeed)
 		if err != nil {
@@ -197,7 +193,7 @@ func main() {
 		if len(names) == 0 {
 			fatal("directory lists no party/<i> entries")
 		}
-		tuneScheme(pub, *parallelism, *window, *montKnob, false, 0) // agg only adds; the pack geometry lives on parties and leader
+		tuneScheme(pub, *parallelism, *window, false, 0) // agg only adds; the pack geometry lives on parties and leader
 		observeScheme(pub, o, "aggserver")
 		agg, err := vfl.NewAggServer(cli, names, pub)
 		if err != nil {
@@ -241,7 +237,7 @@ func main() {
 		}
 		plan := &vfl.ShardPlan{SubtreeSize: size}
 		lo, hi := plan.Range(*index, len(names))
-		tuneScheme(pub, *parallelism, *window, *montKnob, false, 0) // workers only add, like the aggserver
+		tuneScheme(pub, *parallelism, *window, false, 0) // workers only add, like the aggserver
 		observeScheme(pub, o, "aggworker")
 		wkr, err := vfl.NewAggServer(cli, names[lo:hi], pub)
 		if err != nil {
@@ -260,7 +256,7 @@ func main() {
 			fatal("fetching private key: %v", err)
 		}
 		names := partyNames(dir)
-		tuneScheme(priv, *parallelism, *window, *montKnob, false, 0)
+		tuneScheme(priv, *parallelism, *window, false, 0)
 		observeScheme(priv, o, "leader")
 		leader, err := vfl.NewLeader(cli, vfl.AggServerName, names, priv, *batch)
 		if err != nil {
@@ -268,8 +264,7 @@ func main() {
 		}
 		leader.SetParallelism(*parallelism)
 		leader.SetObserver(o, "node")
-		leader.SetPayloadOptions(*chunkBytes, *deltaCache)
-		leader.SetSpeculativeTA(*specTA)
+		leader.SetPayloadOptions(*deltaCache)
 		// Shard workers hold per-role op counters; fold them into the totals.
 		leader.SetExtraCountNodes(aggWorkerNames(dir))
 		runLeader(ctx, leader, o, *rows, *selCount, *k, *queries, vfl.Variant(*variant), *rounds, *qworkers)

@@ -135,15 +135,16 @@ func TestFiveProcessDeploymentSchemes(t *testing.T) {
 	}
 }
 
-// TestRetiredPackFlagsRejected pins that the packed layout has no switch: a
-// launch script still passing -pack or -pack-adaptive fails loudly on every
-// role instead of starting a node whose layout differs from its peers'.
-func TestRetiredPackFlagsRejected(t *testing.T) {
+// TestRetiredFlagsRejected pins that a retired knob is gone, not ignored: a
+// launch script still passing one (the packed-layout switches, chunk framing,
+// speculative TA, the arithmetic backend) fails loudly instead of starting a
+// node that silently differs from what the script asked for.
+func TestRetiredFlagsRejected(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test skipped in -short mode")
 	}
 	bin := buildNode(t)
-	for _, flag := range []string{"-pack", "-pack-adaptive"} {
+	for _, flag := range []string{"-pack", "-pack-adaptive", "-chunk-bytes", "-speculate-ta", "-mont"} {
 		out, err := exec.Command(bin, "-role", "keyserver", "-scheme", "plain", flag).CombinedOutput()
 		if err == nil {
 			t.Fatalf("%s accepted:\n%s", flag, out)

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 
 	"vfps"
 	"vfps/internal/core"
-	"vfps/internal/obs"
 	"vfps/internal/par"
 	"vfps/internal/vfl"
 )
@@ -47,17 +47,6 @@ type ChurnResult struct {
 	RevisitHEOps int64
 	RevisitMatch bool
 
-	// TASerialSeconds / TASpecSeconds time the threshold-variant selection
-	// with speculative round decryption off and on; TASpecWaste is the
-	// vfps_ta_speculative_waste_total counter after the speculative run
-	// (decryptions of discarded rounds — surfaced, never billed). TAMatch
-	// asserts both runs select identically.
-	TASerialSeconds float64
-	TASpecSeconds   float64
-	TASpeedup       float64
-	TASpecWaste     int64
-	TAMatch         bool
-
 	Table *Table
 }
 
@@ -74,9 +63,8 @@ func churnPartition(pt *vfps.Partition, parties []int) *vfps.Partition {
 
 // Churn benchmarks online membership changes against cold rebuilds: an
 // in-place join must reuse every survivor's cached ciphertexts (paying
-// encryption only for the joiner), leaves and roster revisits must stay
-// bit-identical to cold selections, and the threshold scan's speculative
-// decryption must change wall clock only, never the answer.
+// encryption only for the joiner), and leaves and roster revisits must stay
+// bit-identical to cold selections.
 func Churn(ctx context.Context, opt Options) (*ChurnResult, error) {
 	return churnAt(ctx, opt, 512)
 }
@@ -120,27 +108,25 @@ func churnAt(ctx context.Context, opt Options, e2eBits int) (*ChurnResult, error
 		k = 5
 	}
 	count := 2
-	mk := func(name string, parties []int, o *obs.Observer, speculate bool) (*vfl.Cluster, error) {
+	mk := func(name string, parties []int) (*vfl.Cluster, error) {
 		return vfl.NewLocalCluster(ctx, vfl.ClusterConfig{
 			Partition:   churnPartition(full, parties),
 			Scheme:      "paillier",
 			KeyBits:     e2eBits,
 			ShuffleSeed: opt.Seed + 303,
 			DeltaCache:  true,
-			SpeculateTA: speculate,
-			Obs:         o,
 			Instance:    "churn/" + name,
 		})
 	}
-	sel := func(cl *vfl.Cluster, variant vfl.Variant) (*core.Selection, error) {
+	sel := func(cl *vfl.Cluster) (*core.Selection, error) {
 		// VariantBase keeps the candidate set membership-invariant (every
 		// instance, every query), so a survivor's ciphertext blocks are
 		// byte-stable across the join and the delta cache can withhold all
 		// of them.
-		return core.Select(ctx, cl.Leader, count, core.Config{K: k, Queries: queries, Variant: variant})
+		return core.Select(ctx, cl.Leader, count, core.Config{K: k, Queries: queries, Variant: vfl.VariantBase})
 	}
 	identical := func(a, b *core.Selection) bool {
-		return equalInts(a.Selected, b.Selected) && a.Value == b.Value && reflect.DeepEqual(a.W, b.W)
+		return slices.Equal(a.Selected, b.Selected) && a.Value == b.Value && reflect.DeepEqual(a.W, b.W)
 	}
 
 	// Cold rebuild at the final membership: the baseline an online
@@ -149,52 +135,54 @@ func churnAt(ctx context.Context, opt Options, e2eBits int) (*ChurnResult, error
 	for i := range roster {
 		roster[i] = i
 	}
-	coldCl, err := mk("cold", roster, nil, false)
+	coldCl, err := mk("cold", roster)
 	if err != nil {
 		return nil, err
 	}
 	defer coldCl.Close()
-	cold, err := sel(coldCl, vfl.VariantBase)
+	cold, err := sel(coldCl)
 	if err != nil {
 		return nil, fmt.Errorf("churn cold arm: %w", err)
 	}
 	res.ColdEncryptions = cold.Counts.Encryptions
 
 	// Online consortium: warm at the base membership, then join in place.
-	liveCl, err := mk("live", roster[:res.BaseParties], nil, false)
+	liveCl, err := mk("live", roster[:res.BaseParties])
 	if err != nil {
 		return nil, err
 	}
 	defer liveCl.Close()
-	if _, err := sel(liveCl, vfl.VariantBase); err != nil {
+	if _, err := sel(liveCl); err != nil {
 		return nil, fmt.Errorf("churn warm-up: %w", err)
 	}
 	if _, err := liveCl.AddParticipant(full.Parties[res.BaseParties]); err != nil {
 		return nil, fmt.Errorf("churn join: %w", err)
 	}
-	join, err := sel(liveCl, vfl.VariantBase)
+	join, err := sel(liveCl)
 	if err != nil {
 		return nil, fmt.Errorf("churn join arm: %w", err)
 	}
 	res.JoinEncryptions = join.Counts.Encryptions
-	res.HEReduction = speedup(float64(res.ColdEncryptions), float64(res.JoinEncryptions))
+	if res.JoinEncryptions > 0 {
+		res.HEReduction = float64(res.ColdEncryptions) / float64(res.JoinEncryptions)
+	}
 	res.JoinMatch = identical(join, cold)
 
 	// Leave: drop a survivor in place and compare against a cold twin.
 	if err := liveCl.RemoveParticipant(1); err != nil {
 		return nil, fmt.Errorf("churn leave: %w", err)
 	}
-	leave, err := sel(liveCl, vfl.VariantBase)
+	leave, err := sel(liveCl)
 	if err != nil {
 		return nil, fmt.Errorf("churn leave arm: %w", err)
 	}
 	leaveRoster := append([]int{0}, roster[2:]...)
-	coldLeaveCl, err := mk("cold-leave", leaveRoster, nil, false)
+	coldLeaveCl, err := mk("cold-leave", leaveRoster)
 	if err != nil {
 		return nil, err
 	}
 	defer coldLeaveCl.Close()
-	coldLeave, err := sel(coldLeaveCl, vfl.VariantBase)
+	coldLeave, err := sel(coldLeaveCl)
 	if err != nil {
 		return nil, fmt.Errorf("churn cold-leave arm: %w", err)
 	}
@@ -215,39 +203,6 @@ func churnAt(ctx context.Context, opt Options, e2eBits int) (*ChurnResult, error
 	res.RevisitHEOps = revisit.Counts.Encryptions + revisit.Counts.Decryptions + revisit.Counts.CipherAdds
 	res.RevisitMatch = identical(revisit, first)
 
-	// Speculative TA: same threshold selection, speculation off then on.
-	serialCl, err := mk("ta-serial", roster, nil, false)
-	if err != nil {
-		return nil, err
-	}
-	defer serialCl.Close()
-	taSerial, err := sel(serialCl, vfl.VariantThreshold)
-	if err != nil {
-		return nil, fmt.Errorf("churn ta-serial arm: %w", err)
-	}
-	o := obs.NewObserver(0)
-	specCl, err := mk("ta-spec", roster, o, true)
-	if err != nil {
-		return nil, err
-	}
-	defer specCl.Close()
-	taSpec, err := sel(specCl, vfl.VariantThreshold)
-	if err != nil {
-		return nil, fmt.Errorf("churn ta-spec arm: %w", err)
-	}
-	res.TASerialSeconds = taSerial.WallTime.Seconds()
-	res.TASpecSeconds = taSpec.WallTime.Seconds()
-	res.TASpeedup = speedup(res.TASerialSeconds, res.TASpecSeconds)
-	res.TAMatch = equalInts(taSerial.Selected, taSpec.Selected) &&
-		taSerial.Counts.Decryptions == taSpec.Counts.Decryptions
-	for _, fam := range o.Registry().Snapshot() {
-		if fam.Name == "vfps_ta_speculative_waste_total" {
-			for _, s := range fam.Series {
-				res.TASpecWaste += int64(s.Value)
-			}
-		}
-	}
-
 	res.Table = churnTable(res)
 	res.Table.Fprint(opt.Out)
 	return res, nil
@@ -266,8 +221,6 @@ func churnTable(r *ChurnResult) *Table {
 		[]string{"incremental leave", "", fmt.Sprintf("%v", r.LeaveMatch), "submatrix identity vs cold twin"},
 		[]string{"roster revisit", fmt.Sprintf("%d", r.RevisitHEOps), fmt.Sprintf("%v", r.RevisitMatch),
 			"set-keyed cache, 0 HE ops expected"},
-		[]string{"speculative TA", "", fmt.Sprintf("%v", r.TAMatch),
-			fmt.Sprintf("%.3fs vs %.3fs serial, waste %d", r.TASpecSeconds, r.TASerialSeconds, r.TASpecWaste)},
 	)
 	return t
 }

@@ -113,51 +113,3 @@ func TestPackerForRejectsImpossibleDepth(t *testing.T) {
 		t.Fatalf("PackerFor without packing = %v, want ErrPackingOff", err)
 	}
 }
-
-// TestDecryptPackedChunksMatchesFlat checks the streamed chunk decrypt path
-// is bit-identical to whole-vector decryption across chunk layouts, including
-// geometry from adaptive negotiation.
-func TestDecryptPackedChunksMatchesFlat(t *testing.T) {
-	p := packedScheme(t, 512, 3)
-	ctx := context.Background()
-	n := 3*p.PackFactor() + 2
-	vs := make([]float64, n)
-	for i := range vs {
-		vs[i] = float64(i)*0.75 - 4.5
-	}
-	bits, err := p.NeededPackBits(vs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	packer, err := p.PackerFor(bits, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs, err := p.EncryptPackedWith(ctx, packer, vs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat, err := p.DecryptPackedWith(ctx, cs, n, packer, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, per := range []int{1, 2, len(cs)} {
-		var chunks [][][]byte
-		for i := 0; i < len(cs); i += per {
-			end := i + per
-			if end > len(cs) {
-				end = len(cs)
-			}
-			chunks = append(chunks, cs[i:end])
-		}
-		got, err := p.DecryptPackedChunks(ctx, chunks, n, packer, 1)
-		if err != nil {
-			t.Fatalf("per=%d: %v", per, err)
-		}
-		for i := range flat {
-			if got[i] != flat[i] {
-				t.Fatalf("per=%d slot %d: chunked %g != flat %g", per, i, got[i], flat[i])
-			}
-		}
-	}
-}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"vfps/internal/fixed"
-	"vfps/internal/paillier"
 )
 
 // DefaultPackIntBits bounds the integer part of each packed value: slots hold
@@ -267,88 +266,6 @@ func (p *Paillier) DecryptPackedWith(ctx context.Context, cs [][]byte, count int
 		for _, v := range vals {
 			out = append(out, p.codec.Decode(v))
 		}
-	}
-	return out, nil
-}
-
-// DecryptPackedChunks decrypts a chunk-framed packed vector with parse and
-// decrypt overlapped: a producer goroutine parses and validates chunk k+1
-// while the worker pool (the same internal/par workers DecryptVec uses)
-// decrypts chunk k, so wire chunks flow into decryption without a
-// whole-payload barrier. packer selects the slot geometry (nil → the
-// EnablePacking geometry) and adds the accumulated aggregation depth, exactly
-// as DecryptPacked; the result is bit-identical to decrypting the flattened
-// vector in one call.
-func (p *Paillier) DecryptPackedChunks(ctx context.Context, chunks [][][]byte, count int, packer *fixed.Packer, adds int) ([]float64, error) {
-	if p.sk == nil {
-		return nil, ErrNoPrivateKey
-	}
-	if packer == nil {
-		if packer = p.packing(); packer == nil {
-			return nil, ErrPackingOff
-		}
-	}
-	s := packer.Slots()
-	total := 0
-	for _, chunk := range chunks {
-		total += len(chunk)
-	}
-	if count < 0 || total != (count+s-1)/s {
-		return nil, fmt.Errorf("he: %d packed ciphertexts in %d chunks cannot hold %d values (want %d)",
-			total, len(chunks), count, (count+s-1)/s)
-	}
-	if om := p.om.Load(); om != nil {
-		om.slots(s)
-		start := time.Now()
-		defer func() {
-			om.vec("decrypt_packed", count, start)
-			om.dec(p.sk.HasCRT(), start)
-		}()
-	}
-
-	pctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	parsed := make(chan []*paillier.Ciphertext, 2)
-	perr := make(chan error, 1)
-	go func() {
-		defer close(parsed)
-		for _, chunk := range chunks {
-			cts, err := p.parseAll(chunk)
-			if err != nil {
-				perr <- err
-				return
-			}
-			select {
-			case parsed <- cts:
-			case <-pctx.Done():
-				return
-			}
-		}
-	}()
-
-	out := make([]float64, 0, count)
-	blob := 0 // global ciphertext index across chunk boundaries
-	for cts := range parsed {
-		ms, err := p.sk.DecryptVec(ctx, cts, p.Parallelism())
-		if err != nil {
-			return nil, err
-		}
-		for _, m := range ms {
-			n := min(s, count-blob*s)
-			vals, err := packer.Unpack(m, n, adds)
-			if err != nil {
-				return nil, err
-			}
-			for _, v := range vals {
-				out = append(out, p.codec.Decode(v))
-			}
-			blob++
-		}
-	}
-	select {
-	case err := <-perr:
-		return nil, err
-	default:
 	}
 	return out, nil
 }

@@ -75,7 +75,7 @@ func DecryptVec(ctx context.Context, s Scheme, cs [][]byte) ([]float64, error) {
 
 // SetParallelism pins the worker count of the scheme's vector operations:
 // 1 restores fully serial execution (the determinism baseline), values <= 0
-// restore the default (VFPS_PARALLELISM or GOMAXPROCS).
+// restore the default (GOMAXPROCS).
 func (p *Paillier) SetParallelism(n int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -90,28 +90,6 @@ func (p *Paillier) Parallelism() int {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	return par.Normalize(p.parallelism)
-}
-
-// SetMont selects the modular-arithmetic backend for this scheme's key
-// material: 0 follows the process default (the Montgomery kernel, unless
-// VFPS_MONT=0), positive forces the kernel, negative forces pure math/big.
-// Both backends compute identical residues; the stdlib path exists for
-// auditability. Set it before starting pools or sending traffic — tables
-// built under one backend keep that representation for their lifetime.
-func (p *Paillier) SetMont(m int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.pk.Mont = m
-	if p.sk != nil {
-		p.sk.Mont = m
-	}
-}
-
-// Mont reports the configured modular-arithmetic backend knob.
-func (p *Paillier) Mont() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.pk.Mont
 }
 
 // SetEncryptWindow pins the fixed-base window width used when this scheme

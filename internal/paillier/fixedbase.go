@@ -159,8 +159,7 @@ type crtEnc struct {
 	np, nq *big.Int // n mod p(p−1), n mod q(q−1)
 	p2inv  *big.Int // (p²)⁻¹ mod q²
 
-	key      *PublicKey // back-pointer for the Mont knob
-	cp2, cq2 *mont.Ctx  // Montgomery contexts for p², q² (nil → stdlib)
+	cp2, cq2 *mont.Ctx // Montgomery contexts for p², q² (nil → stdlib)
 }
 
 // newCRTEnc derives the encryption-side CRT constants; nil when the key does
@@ -182,15 +181,14 @@ func newCRTEnc(sk *PrivateKey) *crtEnc {
 		p2: p2, q2: q2,
 		np: new(big.Int).Mod(sk.N, lp), nq: new(big.Int).Mod(sk.N, lq),
 		p2inv: p2inv,
-		key:   &sk.PublicKey,
-		cp2:   newMontCtx(p2), cq2: newMontCtx(q2),
+		cp2:   sk.newMontCtx(p2), cq2: sk.newMontCtx(q2),
 	}
 }
 
 // useMont reports whether this key's CRT-encryption paths run the Montgomery
-// kernel (knob on and both half-width contexts available).
+// kernel (both half-width contexts available).
 func (e *crtEnc) useMont() bool {
-	return e.key.useMont() && e.cp2 != nil && e.cq2 != nil
+	return e.cp2 != nil && e.cq2 != nil
 }
 
 // combine lifts (xp mod p², xq mod q²) to mod n² by Garner.
@@ -207,9 +205,9 @@ func (e *crtEnc) combine(xp, xq *big.Int) *big.Int {
 }
 
 // exp computes r^n mod n² through the two half-width moduli. The
-// exponentiations stay on big.Int.Exp regardless of the Mont knob — Exp is
-// already a Montgomery ladder internally (DESIGN.md §12) — while combine's
-// Garner multiply routes through the kernel.
+// exponentiations stay on big.Int.Exp — already a Montgomery ladder
+// internally (DESIGN.md §12) — while combine's Garner multiply routes through
+// the kernel.
 func (e *crtEnc) exp(r *big.Int) *big.Int {
 	xp := new(big.Int).Mod(r, e.p2)
 	xp.Exp(xp, e.np, e.p2)

@@ -2,8 +2,6 @@ package paillier
 
 import (
 	"math/big"
-	"os"
-	"sync"
 
 	"vfps/internal/mont"
 )
@@ -15,50 +13,29 @@ import (
 // (AddCipher/AddCipherInto/Sum). Plain modular exponentiations deliberately
 // stay on big.Int.Exp, which already runs an assembly Montgomery ladder
 // internally and cannot be beaten by re-entering/leaving the form per call
-// (DESIGN.md §12). Every path computes the exact same residues, so
-// ciphertexts, sums and selections are bit-identical with the kernel on or
-// off; the knob exists for auditability (the stdlib path is the reference)
-// and for machines where the portable rows may not pay off.
+// (DESIGN.md §12). The kernel runs whenever the modulus fits mont.MaxLimbs;
+// a wider one falls back to math/big. Both compute the exact same residues,
+// so ciphertexts, sums and selections do not depend on which one ran.
 
-var (
-	montEnvOnce sync.Once
-	montEnvOn   bool
-)
+// A nil context is how every call site learns to take its math/big branch:
+// the modulus is too wide for the kernel, or this package's tests set the
+// key's stdlib hook to reach that fallback on a key that would fit.
 
-// montDefault resolves the process-wide default: on, unless VFPS_MONT is set
-// to 0/false/off.
-func montDefault() bool {
-	montEnvOnce.Do(func() {
-		switch os.Getenv("VFPS_MONT") {
-		case "0", "false", "off":
-			montEnvOn = false
-		default:
-			montEnvOn = true
-		}
-	})
-	return montEnvOn
-}
-
-// useMont resolves the key's tri-state Mont knob.
-func (pk *PublicKey) useMont() bool {
-	if pk.Mont != 0 {
-		return pk.Mont > 0
-	}
-	return montDefault()
-}
-
-// montN2 returns the shared Montgomery context for n², or nil when the knob
-// is off (callers fall back to math/big).
+// montN2 returns the shared Montgomery context for n², or nil (callers fall
+// back to math/big).
 func (pk *PublicKey) montN2() *mont.Ctx {
-	if !pk.useMont() {
+	if pk.stdlib {
 		return nil
 	}
 	return mont.CtxFor(pk.N2)
 }
 
-// newMontCtx builds a private context for a key-local modulus (p², q²),
+// newMontCtx builds a private context for a key-local modulus (q, p², q²),
 // swallowing the only possible failure (modulus too wide) into nil.
-func newMontCtx(m *big.Int) *mont.Ctx {
+func (pk *PublicKey) newMontCtx(m *big.Int) *mont.Ctx {
+	if pk.stdlib {
+		return nil
+	}
 	c, err := mont.NewCtx(m)
 	if err != nil {
 		return nil

@@ -3,13 +3,16 @@ package paillier
 import (
 	"crypto/rand"
 	"math/big"
+	"math/bits"
 	"testing"
+
+	"vfps/internal/mont"
 )
 
-// montKeys returns the same generated key twice: once forced onto the
-// Montgomery kernel and once forced onto the stdlib path. The clone shares
-// the big.Int values (all read-only) but carries its own knob and its own
-// precomputed CRT state.
+// montKeys returns the same generated key twice: once on the Montgomery
+// kernel (what a key this size selects) and once forced onto the stdlib
+// fallback. The clone shares the big.Int values (all read-only) but carries
+// its own stdlib hook and its own precomputed CRT state.
 func montKeys(t *testing.T, bits int) (on, off *PrivateKey) {
 	t.Helper()
 	on = key2(t, bits)
@@ -17,10 +20,10 @@ func montKeys(t *testing.T, bits int) (on, off *PrivateKey) {
 		PublicKey: on.PublicKey,
 		Lambda:    on.Lambda, Mu: on.Mu, P: on.P, Q: on.Q,
 	}
+	off.stdlib = true
 	if err := off.Precompute(); err != nil {
 		t.Fatal(err)
 	}
-	on.Mont, off.Mont = 1, -1
 	return on, off
 }
 
@@ -120,7 +123,7 @@ func TestMontKnobBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got.Cmp(want) != 0 {
-			t.Fatalf("Decrypt(sum) = %v, want %v (Mont=%d)", got, want, sk.Mont)
+			t.Fatalf("Decrypt(sum) = %v, want %v (stdlib=%v)", got, want, sk.stdlib)
 		}
 	}
 }
@@ -174,7 +177,6 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // Montgomery AddCipherInto must not allocate.
 func TestAddCipherIntoZeroAlloc(t *testing.T) {
 	sk := key2(t, 512)
-	sk.Mont = 1
 	pk := &sk.PublicKey
 	a, err := sk.Encrypt(rand.Reader, big.NewInt(3))
 	if err != nil {
@@ -196,23 +198,22 @@ func TestAddCipherIntoZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestMontKnobDefault pins the tri-state resolution: negative forces stdlib,
-// positive forces the kernel, zero follows the process default.
+// TestMontKnobDefault pins how the arithmetic backend is chosen now that no
+// knob selects it: a key whose n² fits mont.MaxLimbs runs the kernel, a wider
+// one (and the tests' stdlib hook) takes the math/big fallback.
 func TestMontKnobDefault(t *testing.T) {
 	sk := key2(t, 128)
 	pk := &sk.PublicKey
-	pk.Mont = -1
-	if pk.useMont() {
-		t.Fatal("Mont=-1 must disable the kernel")
-	}
-	if pk.montN2() != nil {
-		t.Fatal("montN2 must be nil with the kernel off")
-	}
-	pk.Mont = 1
-	if !pk.useMont() {
-		t.Fatal("Mont=1 must enable the kernel")
-	}
 	if pk.montN2() == nil {
-		t.Fatal("montN2 must be available with the kernel forced on")
+		t.Fatal("a 128-bit key must run the Montgomery kernel")
+	}
+	pk.stdlib = true
+	if pk.montN2() != nil {
+		t.Fatal("the stdlib hook must select the math/big fallback")
+	}
+	n2 := new(big.Int).Lsh(big.NewInt(1), mont.MaxLimbs*bits.UintSize)
+	n2.Add(n2, big.NewInt(1)) // odd, one limb too wide
+	if wide := (&PublicKey{N2: n2}); wide.montN2() != nil {
+		t.Fatal("a modulus wider than mont.MaxLimbs must fall back to math/big")
 	}
 }

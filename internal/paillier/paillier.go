@@ -38,13 +38,10 @@ type PublicKey struct {
 	N2 *big.Int // n²
 	G  *big.Int // generator, fixed to n+1
 
-	// Mont selects the Montgomery arithmetic kernel (internal/mont) for the
-	// modular hot paths — fixed-base table products, CRT exponentiations,
-	// ciphertext accumulation: 0 (default) enables it unless VFPS_MONT=0,
-	// positive forces it on, negative restores pure math/big arithmetic.
-	// Ciphertexts and sums are bit-identical at every setting. Not part of
-	// the wire format; set it before the key starts serving traffic.
-	Mont int
+	// stdlib forces the math/big branches a modulus wider than mont.MaxLimbs
+	// takes. Only this package's tests set it (before Precompute), to compare
+	// that fallback residue for residue against the Montgomery kernel.
+	stdlib bool
 }
 
 // PrivateKey holds the Paillier secret values along with the public key.
@@ -102,7 +99,7 @@ func (sk *PrivateKey) Precompute() error {
 	}
 	sk.crt = &crtPrecomp{
 		p2: p2, q2: q2, ep: ep, eq: eq, hp: hp, hq: hq, pinv: pinv,
-		mq: newMontCtx(sk.Q),
+		mq: sk.newMontCtx(sk.Q),
 	}
 	sk.crte = newCRTEnc(sk)
 	return nil
@@ -339,7 +336,7 @@ func (sk *PrivateKey) decryptRing(c *Ciphertext) *big.Int {
 		mq.Mod(mq, sk.Q)
 		// Garner: m = mp + p·((mq − mp)·p⁻¹ mod q) ∈ [0, n).
 		u := new(big.Int).Sub(mq, mp)
-		if sk.useMont() && t.mq != nil {
+		if t.mq != nil {
 			t.mq.ModMulBig(u, u, t.pinv)
 		} else {
 			u.Mul(u, t.pinv)

@@ -157,8 +157,8 @@ func TestParseCiphertext(t *testing.T) {
 	}
 }
 
-// --- vector-kernel benchmarks (the perf numbers behind BENCH_parallel.json
-// come from the experiments.Parallel harness; these isolate the kernels) ---
+// --- vector-kernel benchmarks (serial vs worker-pool vs pooled randomizers,
+// kernels in isolation) ---
 
 func benchKey(b *testing.B, bits int) *PrivateKey {
 	b.Helper()

@@ -1,7 +1,7 @@
 // Package par provides the shared parallel-execution primitives of the VFL
-// runtime: the process-wide parallelism degree (the VFPS_PARALLELISM knob)
-// and a chunked, context-aware parallel for-loop used by the HE vector
-// kernels and the protocol fan-out paths.
+// runtime: the process-wide parallelism degree and a chunked, context-aware
+// parallel for-loop used by the HE vector kernels and the protocol fan-out
+// paths.
 //
 // Degree 1 always restores fully serial execution, which determinism tests
 // rely on; any higher degree must not change results, only wall-clock time.
@@ -9,15 +9,10 @@ package par
 
 import (
 	"context"
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
-
-// EnvVar is the environment variable that pins the default parallelism.
-const EnvVar = "VFPS_PARALLELISM"
 
 // chunk is the number of loop iterations handed to a worker at a time, and
 // the interval at which the serial path polls ctx. Items on the HE hot path
@@ -25,16 +20,8 @@ const EnvVar = "VFPS_PARALLELISM"
 // dispatch overhead.
 const chunk = 8
 
-// Degree returns the default parallelism: VFPS_PARALLELISM when set to a
-// positive integer, otherwise runtime.GOMAXPROCS(0).
-func Degree() int {
-	if s := os.Getenv(EnvVar); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// Degree returns the default parallelism, runtime.GOMAXPROCS(0).
+func Degree() int { return runtime.GOMAXPROCS(0) }
 
 // Normalize resolves a parallelism setting: values <= 0 mean "use Degree()".
 func Normalize(n int) int {

@@ -4,33 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"sync/atomic"
 	"testing"
 )
-
-func TestDegreeEnvOverride(t *testing.T) {
-	old, had := os.LookupEnv(EnvVar)
-	defer func() {
-		if had {
-			os.Setenv(EnvVar, old)
-		} else {
-			os.Unsetenv(EnvVar)
-		}
-	}()
-	os.Setenv(EnvVar, "3")
-	if got := Degree(); got != 3 {
-		t.Fatalf("Degree with %s=3 = %d", EnvVar, got)
-	}
-	os.Setenv(EnvVar, "0") // ignored: must fall back to GOMAXPROCS
-	if got := Degree(); got < 1 {
-		t.Fatalf("Degree with %s=0 = %d", EnvVar, got)
-	}
-	os.Setenv(EnvVar, "banana")
-	if got := Degree(); got < 1 {
-		t.Fatalf("Degree with junk env = %d", got)
-	}
-}
 
 func TestNormalize(t *testing.T) {
 	if got := Normalize(5); got != 5 {

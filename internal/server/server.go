@@ -295,17 +295,14 @@ type CreateRequest struct {
 	SplitSeed   int64   `json:"splitSeed"`
 	ShuffleSeed int64   `json:"shuffleSeed"`
 	KeyBits     int     `json:"keyBits"` // Paillier modulus size (0 → library default)
-	// Ciphertext payload knobs (Paillier only; see DESIGN.md §14).
-	ChunkBytes int  `json:"chunkBytes"` // stream collection responses in chunks
-	DeltaCache bool `json:"deltaCache"` // cross-round delta encoding
+	// DeltaCache enables cross-round delta encoding of ciphertext payloads
+	// (DESIGN.md §14).
+	DeltaCache bool `json:"deltaCache"`
 	// ShardWorkers >= 2 shards the aggregation tree reduce across that many
 	// in-process workers (DESIGN.md §15).
 	ShardWorkers int `json:"shardWorkers"`
 	// Parallelism pins per-role HE pipeline concurrency (0 → automatic).
 	Parallelism int `json:"parallelism"`
-	// SpeculateTA overlaps the threshold-variant scan's round r+1 decryption
-	// with round r's stop check (DESIGN.md §16).
-	SpeculateTA bool `json:"speculateTA"`
 	// SimCache memoises similarity reports by (roster, queries, variant, K)
 	// across this consortium's selections, so a recurring membership skips
 	// the encrypted similarity phase (DESIGN.md §16).
@@ -353,11 +350,9 @@ func (s *Server) createConsortium(w http.ResponseWriter, r *http.Request) {
 		DPEpsilon:    req.DPEpsilon,
 		ShuffleSeed:  req.ShuffleSeed,
 		KeyBits:      req.KeyBits,
-		ChunkBytes:   req.ChunkBytes,
 		DeltaCache:   req.DeltaCache,
 		ShardWorkers: req.ShardWorkers,
 		Parallelism:  req.Parallelism,
-		SpeculateTA:  req.SpeculateTA,
 		SimCache:     req.SimCache,
 		SharedPool:   s.pool,
 		Obs:          s.obs,

@@ -235,13 +235,15 @@ func TestErrorPaths(t *testing.T) {
 		t.Fatalf("garbage body: %d", resp.StatusCode)
 	}
 	// Unknown field rejected (typo safety) — including the retired "wire",
-	// "pack" and "packAdaptive" knobs on an otherwise valid create, which must
-	// not be silently ignored.
+	// "pack", "packAdaptive", "chunkBytes" and "speculateTA" knobs on an
+	// otherwise valid create, which must not be silently ignored.
 	for _, body := range []string{
 		`{"datasett":"Rice"}`,
 		`{"dataset":"Rice","rows":200,"parties":3,"wire":"binary"}`,
 		`{"dataset":"Rice","rows":200,"parties":3,"scheme":"paillier","pack":true}`,
 		`{"dataset":"Rice","rows":200,"parties":3,"scheme":"paillier","packAdaptive":true}`,
+		`{"dataset":"Rice","rows":200,"parties":3,"scheme":"paillier","chunkBytes":4096}`,
+		`{"dataset":"Rice","rows":200,"parties":3,"scheme":"paillier","speculateTA":true}`,
 	} {
 		req, _ := http.NewRequest("POST", ts.URL+"/v1/consortiums", bytes.NewBufferString(body))
 		resp, err := http.DefaultClient.Do(req)

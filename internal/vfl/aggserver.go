@@ -239,13 +239,9 @@ func (a *AggServer) Handler() transport.Handler {
 			if factor > 1 {
 				resp.PackAdds = len(a.parties)
 			}
-			var sent int
-			// The threshold scan's per-round responses carry no chunk field;
-			// pass chunkBytes 0 so only the delta trim applies.
-			resp.Aggregated, _, resp.CachedBlocks, sent =
-				a.trimAndChunk(r.Query, r.PseudoIDs, agg, factor, packBits, opt, 0)
+			resp.Aggregated, resp.CachedBlocks = a.trimForLeader(r.Query, r.PseudoIDs, agg, factor, packBits, opt)
 			return reply(resp, &a.counts, &a.roleObs,
-				costmodel.Raw{ItemsSent: int64(sent), Messages: 1})
+				costmodel.Raw{ItemsSent: int64(len(agg) - len(resp.CachedBlocks)), Messages: 1})
 		case MethodShardCollect:
 			var r ShardCollectReq
 			if err := wire.Unmarshal(req, &r); err != nil {
@@ -575,31 +571,23 @@ func (a *AggServer) collectUniform(names []string, dictate int, collect func(dic
 	return pvs, factor, packBits, nil
 }
 
-// trimAndChunk applies the leader-link payload optimisations to an outgoing
-// aggregate vector: delta withholding against the sent cache (aggregation is
-// recomputed every round, but homomorphic addition is deterministic, so an
-// all-inputs-identical round reproduces the aggregate byte for byte), then
-// chunk framing when the requester asked for it. Returns the whole-blob wire
-// vector (nil when chunked), the chunk list, the withheld indices, and the
-// items actually sent.
-func (a *AggServer) trimAndChunk(query int, pids []int, agg [][]byte, factor, packBits int, opt payloadOpts, chunkBytes int) (out [][]byte, chunks [][][]byte, cached []int, sent int) {
-	out, sent = agg, len(agg)
-	if opt.delta {
-		keys := blockKeys("leader", query, packBits, factor, pids)
-		if opt.noCache {
-			for b, key := range keys {
-				a.sentCache.put(key, agg[b])
-			}
-		} else {
-			out, cached = a.sentCache.trim(keys, agg)
-			sent = len(agg) - len(cached)
+// trimForLeader applies the leader-link delta encoding to an outgoing
+// aggregate vector: blocks the sent cache already holds are withheld
+// (aggregation is recomputed every round, but homomorphic addition is
+// deterministic, so an all-inputs-identical round reproduces the aggregate
+// byte for byte). Returns the wire vector and the withheld indices.
+func (a *AggServer) trimForLeader(query int, pids []int, agg [][]byte, factor, packBits int, opt payloadOpts) (out [][]byte, cached []int) {
+	if !opt.delta {
+		return agg, nil
+	}
+	keys := blockKeys("leader", query, packBits, factor, pids)
+	if opt.noCache {
+		for b, key := range keys {
+			a.sentCache.put(key, agg[b])
 		}
+		return agg, nil
 	}
-	if chunkBytes > 0 && len(out) > 0 {
-		chunks = wire.ChunkCiphers(out, chunkBytes)
-		out = nil
-	}
-	return out, chunks, cached, sent
+	return a.sentCache.trim(keys, agg)
 }
 
 // aggregateFrontier sums the parties' encrypted scores at one scan rank —
@@ -654,11 +642,9 @@ func (a *AggServer) collectAll(ctx context.Context, r CollectAllReq) ([]byte, er
 	if factor > 1 {
 		resp.PackAdds = len(a.parties)
 	}
-	var sent int
-	resp.Aggregated, resp.Chunked, resp.CachedBlocks, sent =
-		a.trimAndChunk(r.Query, pids, agg, factor, packBits, opt, r.ChunkBytes)
+	resp.Aggregated, resp.CachedBlocks = a.trimForLeader(r.Query, pids, agg, factor, packBits, opt)
 	return reply(resp, &a.counts, &a.roleObs,
-		costmodel.Raw{ItemsSent: int64(sent), Messages: 1})
+		costmodel.Raw{ItemsSent: int64(len(agg) - len(resp.CachedBlocks)), Messages: 1})
 }
 
 // faginCollect implements the optimized variant: run Fagin's algorithm over
@@ -695,7 +681,7 @@ func (a *AggServer) faginCollect(ctx context.Context, r FaginCollectReq) ([]byte
 				return fmt.Errorf("vfl: pulling ranking from %s: %w", party, err)
 			}
 			batches[pi] = resp.PseudoIDs
-			return nil
+			return checkRankingBatch(party, resp.PseudoIDs, r.Batch)
 		})
 		if err != nil {
 			return nil, err
@@ -741,9 +727,7 @@ func (a *AggServer) faginCollect(ctx context.Context, r FaginCollectReq) ([]byte
 	if factor > 1 {
 		resp.PackAdds = len(a.parties)
 	}
-	var sent int
-	resp.Aggregated, resp.Chunked, resp.CachedBlocks, sent =
-		a.trimAndChunk(r.Query, candidates, agg, factor, packBits, opt, r.ChunkBytes)
+	resp.Aggregated, resp.CachedBlocks = a.trimForLeader(r.Query, candidates, agg, factor, packBits, opt)
 	return reply(resp, &a.counts, &a.roleObs,
-		costmodel.Raw{ItemsSent: int64(sent), Messages: 1})
+		costmodel.Raw{ItemsSent: int64(len(agg) - len(resp.CachedBlocks)), Messages: 1})
 }

@@ -31,9 +31,8 @@ type ClusterConfig struct {
 	Batch int
 	// Parallelism pins the concurrency of the HE pipeline on every role
 	// (party fan-out, worker-pool encryption/decryption): 1 restores fully
-	// serial execution, 0 or negative uses the default degree
-	// (VFPS_PARALLELISM or GOMAXPROCS). Results are identical at every
-	// setting.
+	// serial execution, 0 or negative uses the default degree (GOMAXPROCS).
+	// Results are identical at every setting.
 	Parallelism int
 	// RandomizerPool sizes the Paillier pool of precomputed encryption
 	// randomizers (0 → a default when Parallelism != 1; negative disables).
@@ -53,14 +52,6 @@ type ClusterConfig struct {
 	// modexp per randomizer). Ignored when Pool is set (the PoolSet carries
 	// its own window) and by non-Paillier schemes.
 	EncryptWindow int
-	// Mont selects the modular-arithmetic backend of every Paillier scheme the
-	// cluster configures: 0 follows the process default (the Montgomery kernel
-	// of internal/mont, unless VFPS_MONT=0), positive forces the kernel,
-	// negative forces pure math/big. Both backends compute identical residues
-	// — ciphertexts, sums and selections are bit-identical — so the stdlib
-	// path exists for auditability and for machines where the portable kernel
-	// does not pay off. Ignored by non-Paillier schemes.
-	Mont int
 	// ShardWorkers ≥ 2 shards the aggregation tree reduce: that many in-process
 	// shard workers are built over aligned power-of-two party subtrees (see
 	// PlanSubtrees) and the aggregation server becomes their coordinator.
@@ -73,19 +64,10 @@ type ClusterConfig struct {
 	// round one already packs at the negotiated width instead of the static
 	// geometry. 0 keeps the in-band negotiation; ignored by the other schemes.
 	PackHint int
-	// ChunkBytes > 0 splits collection responses into ≤ChunkBytes ciphertext
-	// chunks, letting the leader pipeline chunk decryption.
-	ChunkBytes int
 	// DeltaCache enables cross-round delta encoding: both ends of each link
 	// cache ciphertext blocks by (query, geometry, pseudo-ID segment) and
 	// repeat queries resend only changed blocks.
 	DeltaCache bool
-	// SpeculateTA enables speculative decryption on the threshold variant:
-	// round r+1's collection and candidate decryption overlap round r's
-	// stopping-rule round trip, discarded (waste counted in
-	// vfps_ta_speculative_waste_total) when the threshold stops. Selections
-	// are identical with the knob on or off.
-	SpeculateTA bool
 	// Obs installs metrics and tracing on the transport, every role and the
 	// HE schemes. Nil falls back to the process-wide default observer
 	// (obs.SetDefault); when that is also unset, observability stays fully
@@ -124,20 +106,17 @@ type Cluster struct {
 // Observer returns the cluster's observer (nil when observability is off).
 func (c *Cluster) Observer() *obs.Observer { return c.observer }
 
-// configureScheme applies the cluster parallelism, arithmetic-backend and
-// pooling settings to an HE scheme; only Paillier has tunables today. The
-// Mont knob is applied first so any pool started below builds its fixed-base
-// tables in the selected representation. A shared PoolSet wins over a private
-// pool and attaches even at Parallelism 1 (pooling never changes call order,
-// so the determinism baseline is preserved); otherwise a private pool is
-// started unless the cluster is pinned fully serial or the pool is explicitly
-// disabled.
-func configureScheme(s he.Scheme, parallelism, pool, window, mont int, shared *he.PoolSet) {
+// configureScheme applies the cluster parallelism and pooling settings to an
+// HE scheme; only Paillier has tunables today. A shared PoolSet wins over a
+// private pool and attaches even at Parallelism 1 (pooling never changes call
+// order, so the determinism baseline is preserved); otherwise a private pool
+// is started unless the cluster is pinned fully serial or the pool is
+// explicitly disabled.
+func configureScheme(s he.Scheme, parallelism, pool, window int, shared *he.PoolSet) {
 	p, ok := s.(*he.Paillier)
 	if !ok {
 		return
 	}
-	p.SetMont(mont)
 	p.SetParallelism(parallelism)
 	if pool < 0 {
 		return
@@ -209,7 +188,6 @@ func NewLocalCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 		costmodel.DeclareMetrics(reg)
 		declareWire(reg)
 		declareDelta(reg)
-		declareTAWaste(reg)
 	}
 	tr := &transport.Memory{}
 	tr.SetObserver(o)
@@ -239,7 +217,7 @@ func NewLocalCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	configureScheme(pubScheme, cfg.Parallelism, cfg.RandomizerPool, cfg.EncryptWindow, cfg.Mont, cfg.Pool)
+	configureScheme(pubScheme, cfg.Parallelism, cfg.RandomizerPool, cfg.EncryptWindow, cfg.Pool)
 	if err := ConfigurePacking(pubScheme, cfg.Partition.P()); err != nil {
 		return nil, err
 	}
@@ -286,7 +264,7 @@ func NewLocalCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 		return nil, err
 	}
 	// The leader decrypts but never bulk-encrypts, so it gets no pool.
-	configureScheme(privScheme, cfg.Parallelism, -1, cfg.EncryptWindow, cfg.Mont, nil)
+	configureScheme(privScheme, cfg.Parallelism, -1, cfg.EncryptWindow, nil)
 	if ob, ok := privScheme.(he.Observable); ok {
 		ob.SetObserver(o.Registry(), instance+"/leader")
 	}
@@ -296,9 +274,8 @@ func NewLocalCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 	}
 	leader.SetParallelism(cfg.Parallelism)
 	leader.SetObserver(o, instance)
-	leader.SetPayloadOptions(cfg.ChunkBytes, cfg.DeltaCache)
+	leader.SetPayloadOptions(cfg.DeltaCache)
 	leader.SetExtraCountNodes(workerNames)
-	leader.SetSpeculativeTA(cfg.SpeculateTA)
 	return &Cluster{
 		Transport:    tr,
 		Leader:       leader,

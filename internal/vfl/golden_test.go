@@ -8,9 +8,12 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"vfps/internal/costmodel"
+	"vfps/internal/he"
+	"vfps/internal/transport"
 	"vfps/internal/wire"
 )
 
@@ -42,17 +45,14 @@ func allMessages() []wire.Message {
 			PackBits: 36, PackAdds: 3, CachedBlocks: []int{0}},
 		&AggregateFrontierReq{Query: 6, Rank: 2},
 		&AggregateFrontierResp{Cipher: []byte{7}},
-		&CollectAllReq{Query: 8, ChunkBytes: 4096, Adaptive: true, Delta: true, NoCache: true},
+		&CollectAllReq{Query: 8, Adaptive: true, Delta: true, NoCache: true},
 		&CollectAllResp{PseudoIDs: []int{0, 5}, Aggregated: [][]byte{{1, 1}, {2, 2}}, PackFactor: 1,
 			PackBits: 36, PackAdds: 3, CachedBlocks: []int{1}},
-		&CollectAllResp{PseudoIDs: []int{0, 5}, PackFactor: 2,
-			Chunked: [][][]byte{{{1, 1}}, {{2, 2}, {3}}}},
-		&FaginCollectReq{Query: 7, K: 10, Batch: 32, ChunkBytes: 2048, Adaptive: true, Delta: true},
+		&FaginCollectReq{Query: 7, K: 10, Batch: 32, Adaptive: true, Delta: true},
 		&FaginCollectResp{PseudoIDs: []int{3, 1}, Aggregated: [][]byte{{4}}, PackFactor: 2,
 			Stats: FaginStats{Rounds: 2, ScanDepth: 64, Candidates: 9}},
 		&FaginCollectResp{PseudoIDs: []int{3, 1}, PackFactor: 2, PackBits: 40, PackAdds: 4,
-			CachedBlocks: []int{0, 1}, Chunked: [][][]byte{{{7, 8}}},
-			Stats: FaginStats{Rounds: 1, ScanDepth: 8, Candidates: 2}},
+			CachedBlocks: []int{0, 1}, Stats: FaginStats{Rounds: 1, ScanDepth: 8, Candidates: 2}},
 		&ShardCollectReq{Query: 11, PseudoIDs: []int{6, 2}, PackBits: 24, Delta: true, NoCache: true},
 		&ShardCollectReq{Query: 11, All: true, PackBits: 24},
 		&ShardCollectResp{PseudoIDs: []int{0, 3}, Ciphers: [][]byte{{0xfe}, {0xff, 1}},
@@ -99,11 +99,9 @@ func TestGoldenVectors(t *testing.T) {
 		{&EncryptAllResp{PseudoIDs: []int{4, 9}, Ciphers: [][]byte{{0xaa}, {}}, PackFactor: 2,
 			PackBits: 36, NeedBits: 33, CachedBlocks: []int{1}},
 			"00010a0302080a12040201aa0018042048284232020102", 1},
-		// Chunked response (tag 7): uvarint chunk count, each chunk its own
-		// length-prefixed blob list; the flat Aggregated field stays absent.
-		{&CollectAllResp{PseudoIDs: []int{2}, PackFactor: 2, PackBits: 36, PackAdds: 3,
-			Chunked: [][][]byte{{{0xaa, 0xbb}}, {{0xcc}, {}}}},
-			"00010a0201041804204828063a09020102aabb0201cc00", 3},
+		// Geometry-only response: IDs, pack factor, pack bits, pack adds.
+		{&CollectAllResp{PseudoIDs: []int{2}, PackFactor: 2, PackBits: 36, PackAdds: 3},
+			"00010a020104180420482806", 0},
 		// Cross-round cache counters ride the nested counters sub-body.
 		{&CountsResp{Counts: costmodel.Raw{CacheHits: 2, CacheMisses: 1}},
 			"00010a0450045802", 0},
@@ -224,6 +222,51 @@ func TestUnknownTagSkipped(t *testing.T) {
 	}
 	if r.Query != 7 || r.K != 10 || r.Batch != 0 {
 		t.Fatalf("decoded %+v, want Query 7, K 10", r)
+	}
+}
+
+// TestRetiredChunkTagSkipped pins what a peer from before chunk framing was
+// retired gets: its chunk-framed field (tag 7 on CollectAllResp, 8 on
+// FaginCollectResp — reserved, never reused) is skipped like any unknown tag,
+// the rest of the message decodes, and a leader handed such a response fails
+// with the typed aggregate-count error instead of panicking or guessing.
+func TestRetiredChunkTagSkipped(t *testing.T) {
+	// Two chunks: one blob (aa bb), then two blobs (cc, empty).
+	const chunkBody = "09020102aabb0201cc00"
+	all, _ := hex.DecodeString("00010a020104180420482806" + "3a" + chunkBody)
+	fagin, _ := hex.DecodeString("00010a0201041804" + "42" + chunkBody)
+
+	var car CollectAllResp
+	if err := wire.Unmarshal(all, &car); err != nil {
+		t.Fatal(err)
+	}
+	if want := (CollectAllResp{PseudoIDs: []int{2}, PackFactor: 2, PackBits: 36, PackAdds: 3}); !reflect.DeepEqual(car, want) {
+		t.Fatalf("CollectAllResp decoded %+v, want %+v", car, want)
+	}
+	var fcr FaginCollectResp
+	if err := wire.Unmarshal(fagin, &fcr); err != nil {
+		t.Fatal(err)
+	}
+	if want := (FaginCollectResp{PseudoIDs: []int{2}, PackFactor: 2}); !reflect.DeepEqual(fcr, want) {
+		t.Fatalf("FaginCollectResp decoded %+v, want %+v", fcr, want)
+	}
+
+	tr := &transport.Memory{}
+	tr.Register(AggServerName, func(_ context.Context, method string, _ []byte) ([]byte, error) {
+		if method == MethodCollectAll {
+			return all, nil
+		}
+		return fagin, nil
+	})
+	leader, err := NewLeader(tr, AggServerName, []string{PartyName(0)}, he.NewPlain(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, variant := range []Variant{VariantBase, VariantFagin} {
+		_, err := leader.RunQuery(context.Background(), 0, 1, variant)
+		if err == nil || !strings.Contains(err.Error(), "got 0 aggregates for 1 candidates") {
+			t.Fatalf("%s: err = %v, want the aggregate-count mismatch", variant, err)
+		}
 	}
 }
 

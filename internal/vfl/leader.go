@@ -57,15 +57,11 @@ type Leader struct {
 	// flag; it is a field only so this package's tests can clear it to build
 	// the static-geometry reference.
 	adaptive bool
-	// Payload-optimisation knobs requested from the aggregation server (see
-	// SetPayloadOptions) and the receive half of the leader-link delta cache.
-	chunkBytes int
-	delta      bool
-	recvCache  deltaCache
-
-	// speculate overlaps the threshold variant's round r+1 collection and
-	// decryption with round r's stopping-rule evaluation (SetSpeculativeTA).
-	speculate bool
+	// delta asks the aggregation server for cross-round delta encoding (see
+	// SetPayloadOptions); recvCache is the receive half of that leader-link
+	// cache.
+	delta     bool
+	recvCache deltaCache
 }
 
 // NewLeader wires the leader to the cluster. batch is the Fagin mini-batch
@@ -113,7 +109,6 @@ func (l *Leader) SetObserver(o *obs.Observer, instance string) {
 	l.instance = instance
 	l.counts.Register(o.Registry(), instance, "leader")
 	DeclareDeltaMetrics(o.Registry())
-	DeclareTAMetrics(o.Registry())
 }
 
 // Instance returns the observer instance label ("" when observability is
@@ -152,29 +147,11 @@ func (l *Leader) SetParties(parties []string) error {
 	return nil
 }
 
-// SetSpeculativeTA enables speculative decryption on the threshold variant:
-// while the leader fetches and decrypts round r's frontier bound τ and
-// evaluates the stopping rule, round r+1's sorted access, aggregation and
-// candidate decryption already run in the background. When the scan
-// continues, the next round's distances are ready; when it stops, the
-// speculation is cancelled and discarded, and the decryptions it completed
-// are counted in vfps_ta_speculative_waste_total. Selections are identical
-// with speculation on or off — a discarded round never touches the scan
-// state. Off by default (the zero-waste baseline).
-func (l *Leader) SetSpeculativeTA(on bool) { l.speculate = on }
-
-// SetPayloadOptions configures the ciphertext-payload optimisations the
-// leader requests from the aggregation server: chunk framing of collection
-// responses (chunkBytes > 0 splits packed vectors into ≤chunkBytes chunks the
-// leader decrypts as a pipeline), and cross-round delta caching (repeat
-// queries resend only changed ciphertext blocks). Both default to off;
-// selections are identical either way.
-func (l *Leader) SetPayloadOptions(chunkBytes int, delta bool) {
-	if chunkBytes < 0 {
-		chunkBytes = 0
-	}
-	l.chunkBytes, l.delta = chunkBytes, delta
-}
+// SetPayloadOptions configures the ciphertext-payload optimisation the leader
+// requests from the aggregation server: cross-round delta caching (repeat
+// queries resend only changed ciphertext blocks). Off by default; selections
+// are identical either way.
+func (l *Leader) SetPayloadOptions(delta bool) { l.delta = delta }
 
 // QueryResult is the outcome of one vertical-KNN query.
 type QueryResult struct {
@@ -218,7 +195,6 @@ func (l *Leader) RunQuery(ctx context.Context, query, k int, variant Variant) (r
 			phases = append(phases, obs.PhaseSecs{Name: name, Seconds: time.Since(since).Seconds()})
 		}
 	}
-	var chunkCount int
 	if o != nil {
 		qstart := time.Now()
 		defer func() {
@@ -236,9 +212,6 @@ func (l *Leader) RunQuery(ctx context.Context, query, k int, variant Variant) (r
 			if res != nil {
 				ev.Attrs["candidates"] = res.Fagin.Candidates
 				ev.Attrs["rounds"] = res.Fagin.Rounds
-			}
-			if chunkCount > 0 {
-				ev.Attrs["chunks"] = chunkCount
 			}
 			if err != nil {
 				ev.Attrs["error"] = err.Error()
@@ -275,9 +248,6 @@ func (l *Leader) RunQuery(ctx context.Context, query, k int, variant Variant) (r
 	default:
 		return nil, fmt.Errorf("vfl: unknown variant %q", variant)
 	}
-	if col != nil {
-		chunkCount = len(col.chunks)
-	}
 	phase("collect", collectStart)
 	if k > len(pids) {
 		return nil, fmt.Errorf("vfl: k=%d exceeds %d candidates", k, len(pids))
@@ -301,65 +271,39 @@ func (l *Leader) RunQuery(ctx context.Context, query, k int, variant Variant) (r
 	return l.finishQuery(ctx, query, k, pids, dist, stats, phase)
 }
 
-// collected is one collection round's aggregate ciphertext vector after
-// chunk reassembly and delta restoration, with the layout metadata the
-// decrypt step validates.
+// collected is one collection round's aggregate ciphertext vector with the
+// layout metadata the decrypt step validates: as received until
+// resolveCollected has restored the delta-withheld blocks, complete after.
 type collected struct {
 	pids   []int
-	blobs  [][]byte   // flat, fully restored
-	chunks [][][]byte // chunk views over blobs when the response was chunked
-	factor int
+	blobs  [][]byte
+	factor int // PackFactor as sent; resolveCollected normalises 0 to 1
 	bits   int // adaptive slot width; 0 = static geometry
 	adds   int // advertised aggregation depth (PackAdds)
 }
 
-// resolveCollected turns a collection response into a usable ciphertext
-// vector: reassemble chunk framing, validate the packed length, and restore
-// delta-withheld blocks from the receive cache. An ErrDeltaCacheMiss is
-// returned typed so the caller can retry the call with NoCache.
-func (l *Leader) resolveCollected(query int, pids []int, aggregated [][]byte, chunked [][][]byte, cachedBlocks []int, factor, bits, adds int, delta bool) (*collected, error) {
-	factor = normFactor(factor)
-	flat := aggregated
-	var chunkLens []int
-	if len(chunked) > 0 {
-		f, err := wire.FlattenChunks(chunked)
-		if err != nil {
-			return nil, fmt.Errorf("vfl: reassembling chunked aggregates: %w", err)
-		}
-		flat = f
-		chunkLens = make([]int, len(chunked))
-		for i, c := range chunked {
-			chunkLens[i] = len(c)
-		}
+// resolveCollected makes a collection response usable: validate the packed
+// length and restore the delta-withheld blocks (cached, the response's
+// CachedBlocks) from the receive cache. An ErrDeltaCacheMiss is returned
+// typed so the caller can retry the call with NoCache.
+func (l *Leader) resolveCollected(query int, col *collected, cached []int) error {
+	col.factor = normFactor(col.factor)
+	if want := packedLen(len(col.pids), col.factor); len(col.blobs) != want {
+		return fmt.Errorf("vfl: got %d aggregates for %d candidates, want %d", len(col.blobs), len(col.pids), want)
 	}
-	if want := packedLen(len(pids), factor); len(flat) != want {
-		return nil, fmt.Errorf("vfl: got %d aggregates for %d candidates, want %d", len(flat), len(pids), want)
-	}
-	if delta {
-		keys := blockKeys("agg", query, bits, factor, pids)
-		hits, err := l.recvCache.restore(keys, flat, cachedBlocks)
-		if hits > 0 {
-			l.counts.Add(costmodel.Raw{CacheHits: int64(hits)})
-			l.recordDelta("leader", hits, 0)
+	if !l.delta {
+		if len(cached) > 0 {
+			return fmt.Errorf("vfl: response withheld %d blocks without delta caching", len(cached))
 		}
-		if err != nil {
-			return nil, err
-		}
-	} else if len(cachedBlocks) > 0 {
-		return nil, fmt.Errorf("vfl: response withheld %d blocks without delta caching", len(cachedBlocks))
+		return nil
 	}
-	out := &collected{pids: pids, blobs: flat, factor: factor, bits: bits, adds: adds}
-	if chunkLens != nil {
-		// Rebuild the chunk views over the restored flat vector so the
-		// pipelined decrypt sees complete blocks in wire-chunk granularity.
-		out.chunks = make([][][]byte, len(chunkLens))
-		pos := 0
-		for i, n := range chunkLens {
-			out.chunks[i] = flat[pos : pos+n]
-			pos += n
-		}
+	keys := blockKeys("agg", query, col.bits, col.factor, col.pids)
+	hits, err := l.recvCache.restore(keys, col.blobs, cached)
+	if hits > 0 {
+		l.counts.Add(costmodel.Raw{CacheHits: int64(hits)})
+		l.recordDelta("leader", hits, 0)
 	}
-	return out, nil
+	return err
 }
 
 // deltaMissRetry reports whether err is a first-attempt delta-cache miss
@@ -374,50 +318,57 @@ func (l *Leader) deltaMissRetry(err error, attempt int) bool {
 	return true
 }
 
-// collectBase performs the BASE variant's collection round trip, including
-// the payload-knob negotiation and the NoCache retry after a delta miss.
-func (l *Leader) collectBase(ctx context.Context, query int) (*collected, FaginStats, error) {
-	req := &CollectAllReq{Query: query, ChunkBytes: l.chunkBytes, Adaptive: l.adaptive, Delta: l.delta}
+// collect runs one collection round trip against the aggregation server:
+// call performs the variant's RPC with the given NoCache flag and returns the
+// response's aggregate and CachedBlocks. A first-attempt delta-cache miss
+// repeats the call once with NoCache set.
+func (l *Leader) collect(query int, call func(noCache bool) (*collected, []int, error)) (*collected, error) {
 	for attempt := 0; ; attempt++ {
-		var resp CollectAllResp
-		if err := l.call(ctx, l.agg, MethodCollectAll, req, &resp); err != nil {
-			return nil, FaginStats{}, err
-		}
-		col, err := l.resolveCollected(query, resp.PseudoIDs, resp.Aggregated, resp.Chunked,
-			resp.CachedBlocks, resp.PackFactor, resp.PackBits, resp.PackAdds, l.delta)
+		col, cached, err := call(attempt > 0)
 		if err != nil {
-			if l.deltaMissRetry(err, attempt) {
-				req.NoCache = true
-				continue
-			}
-			return nil, FaginStats{}, err
+			return nil, err
 		}
-		n := len(col.pids)
-		return col, FaginStats{Candidates: n, Rounds: 1, ScanDepth: n}, nil
+		err = l.resolveCollected(query, col, cached)
+		if err == nil {
+			return col, nil
+		}
+		if !l.deltaMissRetry(err, attempt) {
+			return nil, err
+		}
 	}
 }
 
-// collectFagin performs the Fagin variant's collection round trip; see
-// collectBase for the retry semantics.
-func (l *Leader) collectFagin(ctx context.Context, query, k int) (*collected, FaginStats, error) {
-	req := &FaginCollectReq{Query: query, K: k, Batch: l.batch,
-		ChunkBytes: l.chunkBytes, Adaptive: l.adaptive, Delta: l.delta}
-	for attempt := 0; ; attempt++ {
-		var resp FaginCollectResp
-		if err := l.call(ctx, l.agg, MethodFaginCollect, req, &resp); err != nil {
-			return nil, FaginStats{}, err
-		}
-		col, err := l.resolveCollected(query, resp.PseudoIDs, resp.Aggregated, resp.Chunked,
-			resp.CachedBlocks, resp.PackFactor, resp.PackBits, resp.PackAdds, l.delta)
-		if err != nil {
-			if l.deltaMissRetry(err, attempt) {
-				req.NoCache = true
-				continue
-			}
-			return nil, FaginStats{}, err
-		}
-		return col, resp.Stats, nil
+// collectBase performs the BASE variant's collection round trip.
+func (l *Leader) collectBase(ctx context.Context, query int) (*collected, FaginStats, error) {
+	col, err := l.collect(query, func(noCache bool) (*collected, []int, error) {
+		var resp CollectAllResp
+		err := l.call(ctx, l.agg, MethodCollectAll,
+			&CollectAllReq{Query: query, Adaptive: l.adaptive, Delta: l.delta, NoCache: noCache}, &resp)
+		return &collected{pids: resp.PseudoIDs, blobs: resp.Aggregated,
+			factor: resp.PackFactor, bits: resp.PackBits, adds: resp.PackAdds}, resp.CachedBlocks, err
+	})
+	if err != nil {
+		return nil, FaginStats{}, err
 	}
+	n := len(col.pids)
+	return col, FaginStats{Candidates: n, Rounds: 1, ScanDepth: n}, nil
+}
+
+// collectFagin performs the Fagin variant's collection round trip.
+func (l *Leader) collectFagin(ctx context.Context, query, k int) (*collected, FaginStats, error) {
+	var stats FaginStats
+	col, err := l.collect(query, func(noCache bool) (*collected, []int, error) {
+		var resp FaginCollectResp
+		err := l.call(ctx, l.agg, MethodFaginCollect,
+			&FaginCollectReq{Query: query, K: k, Batch: l.batch, Adaptive: l.adaptive, Delta: l.delta, NoCache: noCache}, &resp)
+		stats = resp.Stats
+		return &collected{pids: resp.PseudoIDs, blobs: resp.Aggregated,
+			factor: resp.PackFactor, bits: resp.PackBits, adds: resp.PackAdds}, resp.CachedBlocks, err
+	})
+	if err != nil {
+		return nil, FaginStats{}, err
+	}
+	return col, stats, nil
 }
 
 // decryptCollected recovers the aggregate distances of one collection round.
@@ -428,11 +379,10 @@ func (l *Leader) collectFagin(ctx context.Context, query, k int) (*collected, Fa
 // EnablePacking geometry; an adaptive layout is validated by rebuilding the
 // (bits, adds) geometry through PackerFor, whose typed fixed.ErrPackAdds /
 // fixed.ErrPackShape errors are the hard backstop against a peer advertising
-// an aggregation depth the key cannot honour. Chunked vectors stream through
-// DecryptPackedChunks, overlapping parse and decrypt per wire chunk. The
-// decoded values are bit-identical to a scalar whole-blob decryption — packing
-// and chunking change the carrier layout, not the fixed-point arithmetic —
-// so selection results do not depend on the layout.
+// an aggregation depth the key cannot honour. The decoded values are
+// bit-identical to a scalar decryption — packing changes the carrier layout,
+// not the fixed-point arithmetic — so selection results do not depend on the
+// layout.
 func (l *Leader) decryptCollected(ctx context.Context, col *collected) ([]float64, error) {
 	if col.factor == 1 {
 		return he.DecryptVec(ctx, l.scheme, col.blobs)
@@ -446,9 +396,6 @@ func (l *Leader) decryptCollected(ctx context.Context, col *collected) ([]float6
 		if lf := pp.PackFactor(); lf != col.factor {
 			return nil, fmt.Errorf("vfl: aggregates packed %d-wide but the leader's geometry is %d-wide — inconsistent packing configuration", col.factor, lf)
 		}
-		if len(col.chunks) > 0 {
-			return pp.DecryptPackedChunks(ctx, col.chunks, count, nil, len(l.parties))
-		}
 		return pp.DecryptPacked(ctx, col.blobs, count, len(l.parties))
 	}
 	packer, err := pp.PackerFor(uint(col.bits), col.adds)
@@ -458,9 +405,6 @@ func (l *Leader) decryptCollected(ctx context.Context, col *collected) ([]float6
 	if packer.Slots() != col.factor {
 		return nil, fmt.Errorf("vfl: advertised pack factor %d does not match geometry (V=%d, adds=%d → S=%d) — inconsistent packing configuration",
 			col.factor, col.bits, col.adds, packer.Slots())
-	}
-	if len(col.chunks) > 0 {
-		return pp.DecryptPackedChunks(ctx, col.chunks, count, packer, col.adds)
 	}
 	return pp.DecryptPackedWith(ctx, col.blobs, count, packer, col.adds)
 }
@@ -534,159 +478,24 @@ func (l *Leader) fanOut(ctx context.Context, fn func(pi int, party string) error
 	return nil
 }
 
-// taRoundResult is one TA scan round's outcome: the sorted-access batches
-// merged against the already-seen set, plus the new candidates' decrypted
-// complete distances.
-type taRoundResult struct {
-	newIDs    []int
-	dist      []float64
-	decrypts  int // candidate decryptions performed (waste if discarded)
-	exhausted bool
-	err       error
-}
+// errRankingOverrun marks a ranking batch longer than the Count its request
+// asked for. Callers size a scan round by the batch they requested; a peer
+// answering with more would silently turn a pruned scan into BASE-sized work.
+var errRankingOverrun = errors.New("vfl: ranking batch longer than requested")
 
-// taRound runs one threshold-scan round at the given depth: synchronized
-// sorted access over every party, then aggregate-and-decrypt for the
-// candidates not yet in seen. seen is only read — the caller commits a
-// round's IDs after deciding to use it — so a speculative round can execute
-// while the caller still evaluates the previous round's stopping rule.
-func (l *Leader) taRound(ctx context.Context, query, depth int, seen map[int]bool) *taRoundResult {
-	r := &taRoundResult{}
-	// Sorted access: next batch of every party's ranking, all parties in
-	// flight concurrently; merge in party order for determinism.
-	batches := make([][]int, len(l.parties))
-	err := l.fanOut(ctx, func(pi int, party string) error {
-		var resp RankingBatchResp
-		if err := l.call(ctx, party, MethodRankingBatch,
-			&RankingBatchReq{Query: query, Offset: depth, Count: l.batch}, &resp); err != nil {
-			return fmt.Errorf("vfl: TA ranking from %s: %w", party, err)
-		}
-		batches[pi] = resp.PseudoIDs
-		return nil
-	})
-	if err != nil {
-		r.err = err
-		return r
+// checkRankingBatch rejects a party's ranking batch that exceeds the
+// requested count.
+func checkRankingBatch(party string, ids []int, count int) error {
+	if len(ids) > count {
+		return fmt.Errorf("%w: %s returned %d ids for a batch of %d", errRankingOverrun, party, len(ids), count)
 	}
-	r.exhausted = true
-	dup := make(map[int]bool) // a pid may surface in several parties' batches
-	for _, batch := range batches {
-		if len(batch) > 0 {
-			r.exhausted = false
-		}
-		for _, pid := range batch {
-			if !seen[pid] && !dup[pid] {
-				dup[pid] = true
-				r.newIDs = append(r.newIDs, pid)
-			}
-		}
-	}
-	if len(r.newIDs) == 0 {
-		return r
-	}
-
-	// Random access: aggregated ciphertexts for the new candidates.
-	req := &AggregateCandidatesReq{Query: query, PseudoIDs: r.newIDs, Adaptive: l.adaptive, Delta: l.delta}
-	var col *collected
-	for attempt := 0; ; attempt++ {
-		var resp AggregateCandidatesResp
-		if err := l.call(ctx, l.agg, MethodAggregateCandidates, req, &resp); err != nil {
-			r.err = err
-			return r
-		}
-		var rerr error
-		col, rerr = l.resolveCollected(query, r.newIDs, resp.Aggregated, nil,
-			resp.CachedBlocks, resp.PackFactor, resp.PackBits, resp.PackAdds, l.delta)
-		if rerr != nil {
-			if l.deltaMissRetry(rerr, attempt) {
-				req.NoCache = true
-				continue
-			}
-			r.err = fmt.Errorf("vfl: TA aggregate round: %w", rerr)
-			return r
-		}
-		break
-	}
-	vs, err := l.decryptCollected(ctx, col)
-	if err != nil {
-		r.err = fmt.Errorf("vfl: TA decrypting candidate: %w", err)
-		return r
-	}
-	r.dist = vs
-	r.decrypts = len(col.blobs)
-	return r
-}
-
-// metricTAWaste counts the decryptions speculative TA rounds performed
-// before being discarded — the work the latency overlap trades away.
-const metricTAWaste = "vfps_ta_speculative_waste_total"
-
-func declareTAWaste(reg *obs.Registry) *obs.CounterVec {
-	return reg.Counter(metricTAWaste,
-		"Decryptions performed by speculative threshold-scan rounds that were discarded when the threshold stopped the scan.",
-		"role")
-}
-
-// DeclareTAMetrics pre-declares the speculative-TA waste family on reg so it
-// renders on /metrics before the first discarded speculation. Safe on a nil
-// registry.
-func DeclareTAMetrics(reg *obs.Registry) {
-	declareTAWaste(reg)
-}
-
-// recordTAWaste feeds a discarded speculation's completed decryptions into
-// the waste counter. No-op without a registry.
-func (l *Leader) recordTAWaste(n int) {
-	if n <= 0 {
-		return
-	}
-	reg := l.o.Load().Registry()
-	if reg == nil {
-		return
-	}
-	declareTAWaste(reg).With("leader").Add(int64(n))
-}
-
-// taSpeculation is an in-flight speculative TA round.
-type taSpeculation struct {
-	cancel context.CancelFunc
-	ch     chan *taRoundResult
-}
-
-// speculateRound launches round r+1's collection and decryption in the
-// background while the caller evaluates round r's stopping rule.
-func (l *Leader) speculateRound(ctx context.Context, query, depth int, seen map[int]bool) *taSpeculation {
-	sctx, cancel := context.WithCancel(ctx)
-	s := &taSpeculation{cancel: cancel, ch: make(chan *taRoundResult, 1)}
-	go func() {
-		s.ch <- l.taRound(sctx, query, depth, seen)
-	}()
-	return s
-}
-
-// join waits for the speculative round — the scan continued, so its result
-// is used as-is.
-func (s *taSpeculation) join() *taRoundResult {
-	r := <-s.ch
-	s.cancel()
-	return r
-}
-
-// discard cancels an in-flight speculation after the threshold stopped the
-// scan and counts the decryptions it had already completed as waste.
-func (s *taSpeculation) discard(l *Leader) {
-	s.cancel()
-	r := <-s.ch
-	l.recordTAWaste(r.decrypts)
+	return nil
 }
 
 // thresholdScan drives the leader-assisted Threshold Algorithm for one
 // query: synchronized sorted access in batches, aggregate-and-decrypt for
 // every newly seen candidate, and an encrypted frontier bound τ per batch.
-// With SetSpeculativeTA, round r+1 runs concurrently with round r's τ round
-// trip and stopping check, and is discarded (waste counted) when the scan
-// stops. Returns the candidate pseudo IDs with their decrypted complete
-// distances, identical with speculation on or off.
+// Returns the candidate pseudo IDs with their decrypted complete distances.
 func (l *Leader) thresholdScan(ctx context.Context, query, k int) ([]int, []float64, FaginStats, error) {
 	ctx, tsp := l.tracer().Start(ctx, SpanTAScan)
 	defer tsp.End()
@@ -695,41 +504,63 @@ func (l *Leader) thresholdScan(ctx context.Context, query, k int) ([]int, []floa
 	var pids []int
 	var dist []float64
 	depth := 0
-	var spec *taSpeculation
-	defer func() {
-		if spec != nil {
-			spec.discard(l)
-		}
-	}()
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, stats, err
 		}
-		var round *taRoundResult
-		if spec != nil {
-			round, spec = spec.join(), nil
-		} else {
-			round = l.taRound(ctx, query, depth, seen)
+		// Sorted access: next batch of every party's ranking, all parties in
+		// flight concurrently; merge in party order for determinism.
+		batches := make([][]int, len(l.parties))
+		err := l.fanOut(ctx, func(pi int, party string) error {
+			var resp RankingBatchResp
+			if err := l.call(ctx, party, MethodRankingBatch,
+				&RankingBatchReq{Query: query, Offset: depth, Count: l.batch}, &resp); err != nil {
+				return fmt.Errorf("vfl: TA ranking from %s: %w", party, err)
+			}
+			batches[pi] = resp.PseudoIDs
+			return checkRankingBatch(party, resp.PseudoIDs, l.batch)
+		})
+		if err != nil {
+			return nil, nil, stats, err
 		}
-		if round.err != nil {
-			return nil, nil, stats, round.err
-		}
-		// Commit the round: only now do its candidates enter the scan state.
-		for _, pid := range round.newIDs {
-			seen[pid] = true
+		exhausted := true
+		var newIDs []int
+		for _, batch := range batches {
+			if len(batch) > 0 {
+				exhausted = false
+			}
+			for _, pid := range batch {
+				if !seen[pid] {
+					seen[pid] = true
+					newIDs = append(newIDs, pid)
+				}
+			}
 		}
 		stats.Rounds++
 		depth += l.batch
-		if len(round.newIDs) > 0 {
-			pids = append(pids, round.newIDs...)
-			dist = append(dist, round.dist...)
-			l.counts.Add(costmodel.Raw{Decryptions: int64(round.decrypts)})
+
+		// Random access: aggregated ciphertexts for the new candidates.
+		if len(newIDs) > 0 {
+			col, err := l.collect(query, func(noCache bool) (*collected, []int, error) {
+				var resp AggregateCandidatesResp
+				err := l.call(ctx, l.agg, MethodAggregateCandidates,
+					&AggregateCandidatesReq{Query: query, PseudoIDs: newIDs, Adaptive: l.adaptive, Delta: l.delta, NoCache: noCache}, &resp)
+				return &collected{pids: newIDs, blobs: resp.Aggregated,
+					factor: resp.PackFactor, bits: resp.PackBits, adds: resp.PackAdds}, resp.CachedBlocks, err
+			})
+			if err != nil {
+				return nil, nil, stats, fmt.Errorf("vfl: TA aggregate round: %w", err)
+			}
+			vs, err := l.decryptCollected(ctx, col)
+			if err != nil {
+				return nil, nil, stats, fmt.Errorf("vfl: TA decrypting candidate: %w", err)
+			}
+			pids = append(pids, newIDs...)
+			dist = append(dist, vs...)
+			l.counts.Add(costmodel.Raw{Decryptions: int64(len(col.blobs))})
 		}
-		if round.exhausted {
+		if exhausted {
 			break
-		}
-		if l.speculate {
-			spec = l.speculateRound(ctx, query, depth, seen)
 		}
 
 		// Threshold: τ bounds every unseen instance's complete distance from

@@ -218,22 +218,18 @@ type AggregateFrontierResp struct {
 	Cipher []byte
 }
 
-// CollectAllReq drives the BASE variant for one query. ChunkBytes > 0 asks
-// for the aggregated vector chunk-framed at roughly that content size per
-// chunk. Adaptive, Delta and NoCache behave as in AggregateCandidatesReq.
+// CollectAllReq drives the BASE variant for one query. Adaptive, Delta and
+// NoCache behave as in AggregateCandidatesReq.
 type CollectAllReq struct {
-	Query      int
-	ChunkBytes int
-	Adaptive   bool
-	Delta      bool
-	NoCache    bool
+	Query    int
+	Adaptive bool
+	Delta    bool
+	NoCache  bool
 }
 
 // CollectAllResp returns the homomorphically aggregated complete distances
 // for every pseudo ID (slot-packed when PackFactor > 1, see EncryptAllResp;
-// PackBits/PackAdds/CachedBlocks as in AggregateCandidatesResp). When the
-// request asked for chunk framing, the vector rides Chunked instead of
-// Aggregated.
+// PackBits/PackAdds/CachedBlocks as in AggregateCandidatesResp).
 type CollectAllResp struct {
 	PseudoIDs    []int
 	Aggregated   [][]byte
@@ -241,19 +237,17 @@ type CollectAllResp struct {
 	PackBits     int
 	PackAdds     int
 	CachedBlocks []int
-	Chunked      [][][]byte
 }
 
-// FaginCollectReq drives the optimized variant for one query. ChunkBytes,
-// Adaptive, Delta and NoCache behave as in CollectAllReq.
+// FaginCollectReq drives the optimized variant for one query. Adaptive, Delta
+// and NoCache behave as in CollectAllReq.
 type FaginCollectReq struct {
-	Query      int
-	K          int
-	Batch      int
-	ChunkBytes int
-	Adaptive   bool
-	Delta      bool
-	NoCache    bool
+	Query    int
+	K        int
+	Batch    int
+	Adaptive bool
+	Delta    bool
+	NoCache  bool
 }
 
 // ShardCollectReq asks one aggregation worker to collect its shard's party
@@ -320,7 +314,6 @@ type FaginCollectResp struct {
 	PackBits     int
 	PackAdds     int
 	CachedBlocks []int
-	Chunked      [][][]byte
 }
 
 // ---- wire layouts --------------------------------------------------------
@@ -328,8 +321,10 @@ type FaginCollectResp struct {
 // Every message carries explicit MarshalWire/UnmarshalWire methods pinning
 // its v1 layout (see internal/wire for the field grammar and golden_test.go
 // for byte-level vectors). Tags are append-only: new fields take fresh tags
-// so v1 peers skip them. Absent fields decode as zero, which the
-// normFactor/packedLen helpers already normalise.
+// so v1 peers skip them, and a retired field's tag stays reserved — never
+// reused — so a peer that still sends it is skipped the same way. Absent
+// fields decode as zero, which the normFactor/packedLen helpers already
+// normalise.
 
 // MarshalWire implements wire.Message. 1: scheme, 2: key, 3: parties,
 // 4: maskSeed, 5: epsilon, 6: delta.
@@ -748,11 +743,10 @@ func (m *AggregateFrontierResp) UnmarshalWire(d *wire.Decoder) error {
 	return d.Err()
 }
 
-// MarshalWire implements wire.Message. 1: query, 2: chunk bytes, 3: adaptive,
-// 4: delta, 5: no-cache.
+// MarshalWire implements wire.Message. 1: query, 3: adaptive, 4: delta,
+// 5: no-cache. 2 is reserved (retired chunk bytes).
 func (m *CollectAllReq) MarshalWire(e *wire.Encoder) {
 	e.Int(1, int64(m.Query))
-	e.Int(2, int64(m.ChunkBytes))
 	boolField(e, 3, m.Adaptive)
 	boolField(e, 4, m.Delta)
 	boolField(e, 5, m.NoCache)
@@ -764,8 +758,6 @@ func (m *CollectAllReq) UnmarshalWire(d *wire.Decoder) error {
 		switch d.Tag() {
 		case 1:
 			m.Query = int(d.Int())
-		case 2:
-			m.ChunkBytes = int(d.Int())
 		case 3:
 			m.Adaptive = d.Int() != 0
 		case 4:
@@ -778,8 +770,8 @@ func (m *CollectAllReq) UnmarshalWire(d *wire.Decoder) error {
 }
 
 // MarshalWire implements wire.Message. 1: pseudo IDs, 2: aggregated blocks,
-// 3: pack factor, 4: pack bits, 5: pack adds, 6: cached block indices,
-// 7: chunk-framed blocks.
+// 3: pack factor, 4: pack bits, 5: pack adds, 6: cached block indices.
+// 7 is reserved (retired chunk-framed blocks).
 func (m *CollectAllResp) MarshalWire(e *wire.Encoder) {
 	e.IDs(1, m.PseudoIDs)
 	e.Blobs(2, m.Aggregated)
@@ -787,7 +779,6 @@ func (m *CollectAllResp) MarshalWire(e *wire.Encoder) {
 	e.Int(4, int64(m.PackBits))
 	e.Int(5, int64(m.PackAdds))
 	e.IDs(6, m.CachedBlocks)
-	e.Chunks(7, m.Chunked)
 }
 
 // UnmarshalWire implements wire.Message.
@@ -806,20 +797,17 @@ func (m *CollectAllResp) UnmarshalWire(d *wire.Decoder) error {
 			m.PackAdds = int(d.Int())
 		case 6:
 			m.CachedBlocks = d.IDs()
-		case 7:
-			m.Chunked = d.Chunks()
 		}
 	}
 	return d.Err()
 }
 
-// MarshalWire implements wire.Message. 1: query, 2: k, 3: batch, 4: chunk
-// bytes, 5: adaptive, 6: delta, 7: no-cache.
+// MarshalWire implements wire.Message. 1: query, 2: k, 3: batch,
+// 5: adaptive, 6: delta, 7: no-cache. 4 is reserved (retired chunk bytes).
 func (m *FaginCollectReq) MarshalWire(e *wire.Encoder) {
 	e.Int(1, int64(m.Query))
 	e.Int(2, int64(m.K))
 	e.Int(3, int64(m.Batch))
-	e.Int(4, int64(m.ChunkBytes))
 	boolField(e, 5, m.Adaptive)
 	boolField(e, 6, m.Delta)
 	boolField(e, 7, m.NoCache)
@@ -835,8 +823,6 @@ func (m *FaginCollectReq) UnmarshalWire(d *wire.Decoder) error {
 			m.K = int(d.Int())
 		case 3:
 			m.Batch = int(d.Int())
-		case 4:
-			m.ChunkBytes = int(d.Int())
 		case 5:
 			m.Adaptive = d.Int() != 0
 		case 6:
@@ -873,7 +859,7 @@ func (m *FaginStats) UnmarshalWire(d *wire.Decoder) error {
 
 // MarshalWire implements wire.Message. 1: pseudo IDs, 2: aggregated blocks,
 // 3: pack factor, 4: Fagin stats (nested), 5: pack bits, 6: pack adds,
-// 7: cached block indices, 8: chunk-framed blocks.
+// 7: cached block indices. 8 is reserved (retired chunk-framed blocks).
 func (m *FaginCollectResp) MarshalWire(e *wire.Encoder) {
 	e.IDs(1, m.PseudoIDs)
 	e.Blobs(2, m.Aggregated)
@@ -882,7 +868,6 @@ func (m *FaginCollectResp) MarshalWire(e *wire.Encoder) {
 	e.Int(5, int64(m.PackBits))
 	e.Int(6, int64(m.PackAdds))
 	e.IDs(7, m.CachedBlocks)
-	e.Chunks(8, m.Chunked)
 }
 
 // UnmarshalWire implements wire.Message.
@@ -903,8 +888,6 @@ func (m *FaginCollectResp) UnmarshalWire(d *wire.Decoder) error {
 			m.PackAdds = int(d.Int())
 		case 7:
 			m.CachedBlocks = d.IDs()
-		case 8:
-			m.Chunked = d.Chunks()
 		}
 	}
 	return d.Err()

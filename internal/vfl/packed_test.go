@@ -3,11 +3,14 @@ package vfl
 import (
 	"context"
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"vfps/internal/dataset"
 	"vfps/internal/he"
+	"vfps/internal/submod"
 )
 
 // paillierCluster builds a Paillier cluster the way every caller gets one:
@@ -106,6 +109,59 @@ func TestPackedSelectionIdentity(t *testing.T) {
 	if pc.Encryptions >= sc.Encryptions {
 		t.Fatalf("packed run performed %d encryptions, scalar %d — counters should reflect packed ciphertexts",
 			pc.Encryptions, sc.Encryptions)
+	}
+}
+
+// TestEncryptWindowSelectionIdentity pins that how encryption randomizers are
+// sampled never reaches the answer: a packed Paillier cluster on classic
+// uniform-r sampling (EncryptWindow -1, the audit mode SECURITY.md documents)
+// computes the exact similarity matrix, and therefore the exact picks, of one
+// on the default fixed-base window, under every top-k variant.
+func TestEncryptWindowSelectionIdentity(t *testing.T) {
+	_, pt := testPartition(t, "Bank", 60, 4)
+	ctx := context.Background()
+	queries := []int{0, 11, 29, 58}
+	build := func(window int) *Cluster {
+		cl, err := NewLocalCluster(ctx, ClusterConfig{
+			Partition: pt, Scheme: "paillier", KeyBits: 256, ShuffleSeed: 7, Batch: 8,
+			Parallelism: 2, EncryptWindow: window, // Parallelism != 1 starts the randomizer pool
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(cl.Close)
+		if pf := cl.pubScheme.(*he.Paillier).PackFactor(); pf < 2 {
+			t.Fatalf("window %d: pack factor = %d, want ≥ 2", window, pf)
+		}
+		return cl
+	}
+	windowed, classic := build(0), build(-1)
+	for _, variant := range []Variant{VariantBase, VariantFagin, VariantThreshold} {
+		wrep, err := windowed.Leader.Similarities(ctx, queries, 3, variant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		crep, err := classic.Leader.Similarities(ctx, queries, 3, variant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(wrep.W, crep.W) {
+			t.Fatalf("%s: W differs between windowed and classic sampling:\n%v\n%v", variant, wrep.W, crep.W)
+		}
+		picks := func(w [][]float64) []int {
+			f, err := submod.NewFacilityLocation(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := submod.Greedy(f, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Selected
+		}
+		if wp, cp := picks(wrep.W), picks(crep.W); !slices.Equal(wp, cp) {
+			t.Fatalf("%s: picks differ: %v vs %v", variant, wp, cp)
+		}
 	}
 }
 

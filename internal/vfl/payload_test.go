@@ -17,7 +17,7 @@ import (
 	"vfps/internal/wire"
 )
 
-func payloadTestCluster(t *testing.T, pt *dataset.Partition, chunkBytes int, delta bool) *Cluster {
+func payloadTestCluster(t *testing.T, pt *dataset.Partition, delta bool) *Cluster {
 	t.Helper()
 	cl, err := NewLocalCluster(context.Background(), ClusterConfig{
 		Partition:   pt,
@@ -25,7 +25,6 @@ func payloadTestCluster(t *testing.T, pt *dataset.Partition, chunkBytes int, del
 		KeyBits:     256,
 		ShuffleSeed: 7,
 		Batch:       8,
-		ChunkBytes:  chunkBytes,
 		DeltaCache:  delta,
 	})
 	if err != nil {
@@ -44,17 +43,17 @@ func staticOracle(cl *Cluster) *Cluster {
 }
 
 // TestAdaptivePackSelectionIdentity is the payload determinism contract: a
-// consortium with every payload knob on — adaptive slot width, chunked
-// streaming, cross-round delta cache — computes bit-identical similarities to
-// static packing, across repeated rounds, while the second round actually
-// hits the delta cache and moves fewer bytes.
+// consortium with every payload knob on — adaptive slot width, cross-round
+// delta cache — computes bit-identical similarities to static packing, across
+// repeated rounds, while the second round actually hits the delta cache and
+// moves fewer bytes.
 func TestAdaptivePackSelectionIdentity(t *testing.T) {
 	ctx := context.Background()
 	_, pt := testPartition(t, "Bank", 48, 3)
 	queries := []int{0, 11, 47}
 
-	static := staticOracle(payloadTestCluster(t, pt, 0, false))
-	full := payloadTestCluster(t, pt, 2048, true)
+	static := staticOracle(payloadTestCluster(t, pt, false))
+	full := payloadTestCluster(t, pt, true)
 
 	for _, variant := range []Variant{VariantBase, VariantFagin} {
 		sref, err := static.Leader.Similarities(ctx, queries, 3, variant)
@@ -115,7 +114,7 @@ func TestAdaptivePackSelectionIdentity(t *testing.T) {
 func TestMaliciousPackDepthRejected(t *testing.T) {
 	ctx := context.Background()
 	_, pt := testPartition(t, "Bank", 24, 3)
-	cl := payloadTestCluster(t, pt, 0, false)
+	cl := payloadTestCluster(t, pt, false)
 
 	col := &collected{
 		pids:   []int{0, 1, 2},
@@ -218,5 +217,39 @@ func TestRankingBatchHostileCount(t *testing.T) {
 	var batch RankingBatchResp
 	if err := call(lone, MethodRankingBatch, &RankingBatchReq{Query: 0, Offset: 0, Count: math.MaxInt}, &batch); err != nil || len(batch.PseudoIDs) != 0 {
 		t.Fatalf("one-row ranking batch: %v, %d ids", err, len(batch.PseudoIDs))
+	}
+}
+
+// TestRankingBatchOverlongRejected is the caller side of the count contract:
+// a party answering a ranking request with more ids than Count must not widen
+// the scan. One hostile party returns its whole list for every batch; both
+// scan drivers — the aggregation server's Fagin loop and the leader's
+// threshold scan — refuse it with the typed error naming that party.
+func TestRankingBatchOverlongRejected(t *testing.T) {
+	ctx := context.Background()
+	_, pt := testPartition(t, "Bank", 40, 3)
+	cl, err := NewLocalCluster(ctx, ClusterConfig{Partition: pt, ShuffleSeed: 7, Batch: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	hostile := PartyName(1)
+	honest := cl.Parties[1].Handler()
+	cl.Transport.Register(hostile, func(ctx context.Context, method string, req []byte) ([]byte, error) {
+		if method == MethodRankingBatch {
+			var r RankingBatchReq
+			if err := wire.Unmarshal(req, &r); err != nil {
+				return nil, err
+			}
+			r.Count = math.MaxInt // the party clamps this to its whole list
+			req = enc(&r)
+		}
+		return honest(ctx, method, req)
+	})
+	for _, variant := range []Variant{VariantFagin, VariantThreshold} {
+		_, err := cl.Leader.RunQuery(ctx, 0, 3, variant)
+		if !errors.Is(err, errRankingOverrun) || !strings.Contains(err.Error(), hostile) {
+			t.Fatalf("%s: err = %v, want errRankingOverrun naming %s", variant, err, hostile)
+		}
 	}
 }

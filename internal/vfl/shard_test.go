@@ -118,7 +118,7 @@ func TestShardedPaillierIdentity(t *testing.T) {
 	_, pt := testPartition(t, "Rice", 40, 5)
 	queries := []int{0, 9}
 	base := ClusterConfig{Partition: pt, Scheme: "paillier", KeyBits: 256,
-		ShuffleSeed: 7, Batch: 8, ChunkBytes: 2048, DeltaCache: true}
+		ShuffleSeed: 7, Batch: 8, DeltaCache: true}
 	refW, refAdds, refEnc := shardedSimilarities(t, base, queries, 3, 2)
 	for _, workers := range []int{2, 3} {
 		cfg := base

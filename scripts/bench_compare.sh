@@ -5,33 +5,18 @@
 #   scripts/bench_compare.sh <candidate.json>
 #
 # The candidate JSON's top-level key picks the gate set; a candidate with no
-# recognized top-level key (.encrypt / .churn / .soak), and any recognized
+# recognized top-level key (.churn / .soak), and any recognized
 # section missing a key the gates read, is itself a hard failure — a renamed
 # or dropped field must never silently pass. Every gate is an absolute
 # contract of the candidate, independent of machine.
-#
-# A `.encrypt` result (BENCH_encrypt.json, from `make bench-encrypt`) must
-# show:
-#
-#   * fixed-base windowed randomizer production at least MIN_ENCRYPT_SPEEDUP
-#     over the classic inline path (the party-side encryption throughput
-#     contract),
-#   * the Montgomery kernel at least MIN_MONT_SPEEDUP over pure math/big on
-#     the modmul-bound arms (windowed encryption, ciphertext summation), and
-#     no worse than MIN_MONT_DECRYPT_RATIO on the modexp-bound CRT decrypt
-#     arm (big.Int.Exp already runs Montgomery internally, so parity — not a
-#     speedup — is the contract there; see DESIGN.md §12),
-#   * every end-to-end selection — windowed pools, shared PoolSet, and the
-#     mont-off arm proving both arithmetic backends select identically —
-#     matching the classic-sampling baseline exactly.
 #
 # A `.churn` result (BENCH_churn.json, from `make bench-churn`) must show:
 #
 #   * the in-place join paying at least MIN_CHURN_HE_REDUCTION fewer
 #     encryptions than a cold rebuild at the same final membership (the
 #     delta cache spares every survivor; the base roster is floored at 6),
-#   * every churn arm — join, leave, roster revisit, speculative TA —
-#     selecting bit-identically to its cold or serial twin,
+#   * every churn arm — join, leave, roster revisit — selecting
+#     bit-identically to its cold twin,
 #   * the roster revisit through the set-keyed similarity cache paying
 #     exactly 0 HE operations.
 #
@@ -52,13 +37,10 @@
 set -euo pipefail
 
 CANDIDATE=${1:?usage: bench_compare.sh <candidate.json>}
-MIN_ENCRYPT_SPEEDUP=${MIN_ENCRYPT_SPEEDUP:-2.0}
-MIN_MONT_SPEEDUP=${MIN_MONT_SPEEDUP:-1.5}
-MIN_MONT_DECRYPT_RATIO=${MIN_MONT_DECRYPT_RATIO:-0.9}
 MIN_CHURN_HE_REDUCTION=${MIN_CHURN_HE_REDUCTION:-2.0}
 
 command -v jq >/dev/null || { echo "bench_compare: jq not found" >&2; exit 1; }
-[ -f "$CANDIDATE" ] || { echo "bench_compare: candidate $CANDIDATE not found (run make bench-encrypt / bench-churn / soak)" >&2; exit 1; }
+[ -f "$CANDIDATE" ] || { echo "bench_compare: candidate $CANDIDATE not found (run make bench-churn / soak)" >&2; exit 1; }
 
 fail=0
 say() { echo "bench_compare: $*"; }
@@ -77,47 +59,6 @@ require() {
 }
 
 recognized=0
-
-# --- encryption hot-path gates -----------------------------------------------
-if jq -e '.encrypt' "$CANDIDATE" >/dev/null 2>&1; then
-  recognized=1
-  if require '.encrypt.Micro.WindowedSpeedup' "windowed encrypt speedup"; then
-    wsp=$(jq -r '.encrypt.Micro.WindowedSpeedup' "$CANDIDATE")
-    csp=$(jq -r '.encrypt.Micro.CRTWindowedSpeedup // "?"' "$CANDIDATE")
-    jq -e --argjson min "$MIN_ENCRYPT_SPEEDUP" '.encrypt.Micro.WindowedSpeedup >= $min' "$CANDIDATE" >/dev/null \
-      && say "windowed encrypt speedup ${wsp}x (floor ${MIN_ENCRYPT_SPEEDUP}x; CRT+window ${csp}x)" \
-      || bad "windowed encrypt speedup ${wsp}x below floor ${MIN_ENCRYPT_SPEEDUP}x"
-  fi
-
-  # Montgomery kernel A/B: ≥ MIN_MONT_SPEEDUP on the modmul-bound arms,
-  # ≥ MIN_MONT_DECRYPT_RATIO (parity) on the modexp-bound decrypt arm.
-  for arm in MontWindowedSpeedup MontSumSpeedup; do
-    if require ".encrypt.Micro.$arm" "Montgomery A/B arm $arm"; then
-      v=$(jq -r ".encrypt.Micro.$arm" "$CANDIDATE")
-      jq -e --argjson min "$MIN_MONT_SPEEDUP" ".encrypt.Micro.$arm >= \$min" "$CANDIDATE" >/dev/null \
-        && say "mont kernel $arm ${v}x (floor ${MIN_MONT_SPEEDUP}x)" \
-        || bad "mont kernel $arm ${v}x below floor ${MIN_MONT_SPEEDUP}x"
-    fi
-  done
-  if require '.encrypt.Micro.MontDecryptRatio' "Montgomery A/B arm MontDecryptRatio"; then
-    v=$(jq -r '.encrypt.Micro.MontDecryptRatio' "$CANDIDATE")
-    jq -e --argjson min "$MIN_MONT_DECRYPT_RATIO" '.encrypt.Micro.MontDecryptRatio >= $min' "$CANDIDATE" >/dev/null \
-      && say "mont kernel CRT decrypt ratio ${v}x (parity floor ${MIN_MONT_DECRYPT_RATIO}x)" \
-      || bad "mont kernel CRT decrypt ratio ${v}x below parity floor ${MIN_MONT_DECRYPT_RATIO}x"
-  fi
-
-  if require '.encrypt.EndToEnd | length > 0' "encrypt end-to-end rows"; then
-    require '[.encrypt.EndToEnd[] | select(.Mode == "mont-off")] | length > 0' \
-      "mont-off end-to-end arm (backend selection-identity proof)" || true
-    while IFS=$'\t' read -r variant mode match; do
-      if [ "$match" = "true" ]; then
-        say "selection $variant/$mode: selected the identical set"
-      else
-        bad "selection $variant/$mode: selected a DIFFERENT set than classic sampling"
-      fi
-    done < <(jq -r '.encrypt.EndToEnd[] | [.Variant, .Mode, (.SelectedMatch|tostring)] | @tsv' "$CANDIDATE")
-  fi
-fi
 
 # --- membership churn gates --------------------------------------------------
 if jq -e '.churn' "$CANDIDATE" >/dev/null 2>&1; then
@@ -138,12 +79,12 @@ if jq -e '.churn' "$CANDIDATE" >/dev/null 2>&1; then
       && say "incremental join cut encryptions ${red}x (cold $cold vs join $joine, floor ${MIN_CHURN_HE_REDUCTION}x)" \
       || bad "incremental join cut encryptions only ${red}x (cold $cold vs join $joine), floor ${MIN_CHURN_HE_REDUCTION}x"
   fi
-  for arm in JoinMatch LeaveMatch RevisitMatch TAMatch; do
+  for arm in JoinMatch LeaveMatch RevisitMatch; do
     if require ".churn.${arm}" "churn identity flag ${arm}"; then
       if [ "$(jq -r ".churn.${arm}" "$CANDIDATE")" = "true" ]; then
-        say "churn arm ${arm%Match}: selected bit-identically to its cold/serial twin"
+        say "churn arm ${arm%Match}: selected bit-identically to its cold twin"
       else
-        bad "churn arm ${arm%Match}: selected a DIFFERENT set than its cold/serial twin"
+        bad "churn arm ${arm%Match}: selected a DIFFERENT set than its cold twin"
       fi
     fi
   done
@@ -152,12 +93,6 @@ if jq -e '.churn' "$CANDIDATE" >/dev/null 2>&1; then
     jq -e '.churn.RevisitHEOps == 0' "$CANDIDATE" >/dev/null \
       && say "roster revisit paid 0 HE ops through the set-keyed similarity cache" \
       || bad "roster revisit still paid $ops HE ops — the similarity cache did not engage"
-  fi
-  if require '.churn | has("TASpecWaste")' "speculative-TA waste counter"; then
-    waste=$(jq -r '.churn.TASpecWaste' "$CANDIDATE")
-    serial=$(jq -r '.churn.TASerialSeconds // "?"' "$CANDIDATE")
-    spec=$(jq -r '.churn.TASpecSeconds // "?"' "$CANDIDATE")
-    say "speculative TA: ${spec}s vs ${serial}s serial, $waste wasted decryptions surfaced in vfps_ta_speculative_waste_total"
   fi
 fi
 
@@ -210,7 +145,7 @@ if jq -e '.soak' "$CANDIDATE" >/dev/null 2>&1; then
 fi
 
 if [ "$recognized" -eq 0 ]; then
-  bad "candidate $CANDIDATE has no recognized top-level section (.encrypt / .churn / .soak)"
+  bad "candidate $CANDIDATE has no recognized top-level section (.churn / .soak)"
 fi
 if [ "$fail" -ne 0 ]; then
   echo "bench_compare: REGRESSION DETECTED" >&2

@@ -41,12 +41,12 @@ for i in $(seq 1 50); do
 done
 curl -sf "${BASE}/healthz" >/dev/null
 
-echo "obs-smoke: driving two encrypted selections (chunked, delta-cached)"
+echo "obs-smoke: driving two encrypted selections (delta-cached)"
 # Two identical selections on one consortium: the first warms the cross-round
 # delta cache, the second must hit it — so the cache-hit counter below carries
 # a real value, not just a declared family.
 ID=$(curl -sf -X POST "${BASE}/v1/consortiums" \
-    -d '{"dataset":"Rice","rows":150,"parties":3,"scheme":"paillier","chunkBytes":4096,"deltaCache":true}' \
+    -d '{"dataset":"Rice","rows":150,"parties":3,"scheme":"paillier","deltaCache":true}' \
     | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
 [[ -n "${ID}" ]] || { echo "obs-smoke: consortium creation failed" >&2; exit 1; }
 curl -sf -X POST "${BASE}/v1/consortiums/${ID}/select" \

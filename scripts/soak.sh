@@ -139,13 +139,12 @@ if [ "${SHARDS}" -ge 2 ]; then
 fi
 
 # The full payload pipeline rides the soak: the packed Paillier layout with
-# its per-round width negotiation (no flag: it is what every node does),
-# chunked streaming of collection responses over the real TCP transport, and
+# its per-round width negotiation (no flag: it is what every node does) and
 # the cross-round delta cache (repeat rounds rerun the same query set, so
 # round 2+ must hit it).
 COMMON=(-scheme paillier -keybits 256 -dataset Bank -rows "${ROWS}" \
         -parties "${PARTIES}" -directory "${DIRECTORY}" \
-        -chunk-bytes 2048 -delta-cache)
+        -delta-cache)
 
 start_node() { # logname, args...
     local log="${WORK}/$1.log"; shift
@@ -204,15 +203,6 @@ EVENTS=$(jq -s '[.[] | select(.event.kind == "query")] | length' "${QLOG}")
 [ "${EVENTS}" -eq "${TOTAL}" ] || die "query log has ${EVENTS} query events, want ${TOTAL}"
 jq -s -e '[.[] | select(.event.kind == "query") | .event] | all(.id != "" and .trace != "" and (.phases | length) > 0)' \
     "${QLOG}" >/dev/null || die "query events missing id/trace/phases"
-
-# --- chunked streaming over TCP ----------------------------------------------
-# Every query must have streamed its collection response in chunks, and no
-# query may have logged a chunk-reassembly error.
-jq -s -e '[.[] | select(.event.kind == "query") | .event] | all(.attrs.chunks >= 1)' \
-    "${QLOG}" >/dev/null || die "queries ran without chunked collection responses (attrs.chunks missing or 0)"
-CHUNK_ERRS=$(jq -s '[.[] | select(.event.kind == "query") | .event.attrs.error // "" | select(test("chunk"))] | length' "${QLOG}")
-[ "${CHUNK_ERRS}" -eq 0 ] || die "${CHUNK_ERRS} query event(s) carry chunk-reassembly errors"
-say "chunked streaming: all ${TOTAL} queries chunked, 0 reassembly errors"
 
 WALL=$(awk '/^round [0-9]+:/ { for (i=1; i<=NF; i++) if ($i == "in") { sub(/s$/, "", $(i+1)); w += $(i+1) } } END { printf "%.6f", w }' "${LEADER_LOG}")
 read -r P50MS P99MS QPS <<EOF

@@ -113,13 +113,10 @@ type Config struct {
 	// Parallelism caps the concurrency of every role: the party fan-out and
 	// the worker pools that encrypt, add and decrypt ciphertext vectors.
 	// 1 runs everything serially (and, without a SharedPool, precomputes no
-	// encryption randomizers in the background); 0 uses the process default (GOMAXPROCS unless VFPS_PARALLELISM
-	// overrides it). It is a resource limit, not a mode: selections and
-	// operation counts are identical at every setting.
+	// encryption randomizers in the background); 0 uses GOMAXPROCS. It is a
+	// resource limit, not a mode: selections and operation counts are
+	// identical at every setting.
 	Parallelism int
-	// ChunkBytes > 0 splits collection responses into ≤ChunkBytes ciphertext
-	// chunks, letting the leader pipeline chunk decryption.
-	ChunkBytes int
 	// DeltaCache enables cross-round delta encoding: repeat queries resend
 	// only the ciphertext blocks that changed since the previous round.
 	DeltaCache bool
@@ -139,25 +136,12 @@ type Config struct {
 	// randomizer; see SECURITY.md on the subgroup-sampling trade-off).
 	// Selection results are bit-identical at every setting.
 	EncryptWindow int
-	// Mont selects the Paillier modular-arithmetic backend: 0 follows the
-	// process default (the Montgomery kernel of internal/mont, unless
-	// VFPS_MONT=0 in the environment), positive forces the kernel, negative
-	// forces pure math/big. Both backends compute identical residues, so
-	// selection results are bit-identical at every setting; the stdlib path
-	// exists for auditability. Ignored by the other schemes.
-	Mont int
 	// SharedPool, when non-nil, attaches this consortium's encrypting roles
 	// to a cluster-lifetime PoolSet shared with other consortiums instead of
 	// starting private pools. The caller owns the set's lifecycle
 	// (PoolSet.Close); closing the consortium leaves the shared pools
 	// running.
 	SharedPool *PoolSet
-	// SpeculateTA lets the leader's threshold-variant scan decrypt round r+1
-	// concurrently with evaluating round r's stop condition; a speculation the
-	// threshold invalidates is discarded and its decryptions are surfaced as
-	// vfps_ta_speculative_waste_total (never in the cost counters, which stay
-	// identical to the serial scan). Selections are bit-identical either way.
-	SpeculateTA bool
 	// SimCache memoises similarity reports by (roster, query set, variant, K)
 	// across this consortium's selections: a selection whose membership and
 	// parameters recur skips the encrypted similarity phase entirely. Exact —
@@ -213,13 +197,10 @@ func NewConsortium(ctx context.Context, cfg Config) (*Consortium, error) {
 		DPEpsilon:     cfg.DPEpsilon,
 		DPDelta:       cfg.DPDelta,
 		Parallelism:   cfg.Parallelism,
-		ChunkBytes:    cfg.ChunkBytes,
 		DeltaCache:    cfg.DeltaCache,
 		ShardWorkers:  cfg.ShardWorkers,
-		SpeculateTA:   cfg.SpeculateTA,
 		PackHint:      cfg.PackWidthHint,
 		EncryptWindow: cfg.EncryptWindow,
-		Mont:          cfg.Mont,
 		Pool:          cfg.SharedPool,
 		Obs:           cfg.Obs,
 		Instance:      cfg.Instance,
