@@ -21,7 +21,7 @@ check:
 	$(GO) test ./internal/paillier -run='^$$' -fuzz='^FuzzFixedBaseExp$$' -fuzztime=5s
 	$(GO) test ./internal/mont -run='^$$' -fuzz='^FuzzMontMulExp$$' -fuzztime=5s
 	$(MAKE) obs-smoke
-	SOAK_ROUNDS=1 SOAK_QUERIES=6 SOAK_MT_ROUNDS=1 $(MAKE) soak
+	SOAK_ROUNDS=1 SOAK_QUERIES=6 SOAK_MT_ROUNDS=3 $(MAKE) soak
 
 # Start vfpsserve, drive an encrypted selection, and assert the /metrics,
 # /metrics.json, /v1/trace and /debug/vars endpoints expose every wired
@@ -35,9 +35,10 @@ obs-smoke:
 # latency (SOAK_P99_MS), a cross-process span forest with zero orphans, and
 # the structured query log; then the multi-tenant load arm — an
 # admission-controlled vfpsserve multiplexing sharded consortiums — gated on
-# concurrent-vs-sequential speedup (SOAK_MIN_MT_SPEEDUP, scaled to the core
-# count), concurrent p99 (SOAK_MT_P99_MS), and admission accounting
-# (see scripts/soak.sh for all knobs).
+# the median speedup of alternated sequential/concurrent round pairs
+# (SOAK_MIN_MT_SPEEDUP, scaled to the core count), concurrent p99
+# (SOAK_MT_P99_MS), and admission accounting (see scripts/soak.sh for all
+# knobs).
 soak:
 	./scripts/soak.sh
 

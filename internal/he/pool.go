@@ -28,7 +28,7 @@ type PoolSet struct {
 
 // NewPoolSet returns an empty set whose pools are created on first use with
 // the given buffer and worker count (<= 0 select the paillier defaults:
-// buffer 64, one worker). Fixed-base windowing runs at DefaultWindow; see
+// buffer 64, one worker). Fixed-base comb tables are sized by DefaultWindow; see
 // SetWindow.
 func NewPoolSet(buffer, workers int) *PoolSet {
 	return &PoolSet{buffer: buffer, workers: workers, pools: make(map[string]*paillier.Randomizer)}

@@ -112,7 +112,7 @@ func (p *Paillier) EncryptWindow() int {
 // StartRandomizerPool starts background precomputation of encryption
 // randomizers (r^n mod n²) so subsequent encryptions hit the two-mulmod fast
 // path. buffer bounds the pool (<= 0 → 64); workers is the number of filler
-// goroutines (<= 0 → 1). Production uses fixed-base windowing per
+// goroutines (<= 0 → 1). Production uses fixed-base comb tables sized by
 // SetEncryptWindow and, on a key-holding scheme, the CRT half-width path.
 // Calling it again is a no-op. Close releases the pool's goroutines.
 func (p *Paillier) StartRandomizerPool(buffer, workers int) {

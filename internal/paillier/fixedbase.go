@@ -3,6 +3,7 @@ package paillier
 import (
 	"io"
 	"math/big"
+	"math/bits"
 	"sync"
 
 	"vfps/internal/mont"
@@ -12,30 +13,33 @@ import (
 // c = g^m · r^n mod n²; with g = n+1 the g^m part is two mulmods, so ~99% of
 // the cost is the randomizer r^n mod n². Two orthogonal accelerations apply:
 //
-//  1. Fixed-base windowing. Instead of a fresh uniform r per ciphertext,
-//     sample one r_base ∈ Z_n* per pool, precompute a radix-2^w table of
-//     powers of g_r = r_base^n mod n², and derive each randomizer as
-//     g_r^e = (r_base^e)^n for a fresh random exponent e. With window w and
+//  1. Fixed-base exponentiation. Instead of a fresh uniform r per
+//     ciphertext, sample one r_base ∈ Z_n* per pool, precompute a Lim–Lee
+//     comb table of powers of g_r = r_base^n mod n², and derive each
+//     randomizer as g_r^e = (r_base^e)^n for a fresh random exponent e. For
 //     L-bit exponents the per-randomizer cost drops from a full modexp
-//     (~1.5·L modular multiplications) to ⌈L/w⌉ multiplications against the
-//     table — ~3× wall-clock at 1024-bit keys with w=6 (see BENCH_encrypt).
-//     The randomizer then ranges over the cyclic subgroup ⟨r_base^n⟩ rather
-//     than all n-th residues — the standard precomputation trade-off,
-//     documented in SECURITY.md; set Window < 0 to keep uniform sampling.
+//     (~1.5·L modular multiplications) to (b−1) squarings and v·b products
+//     against the table — 17 + 198 at 2048-bit keys and w=6, where a radix-2^w
+//     table of the same size would spend 352 products. The randomizer then
+//     ranges over the cyclic subgroup ⟨r_base^n⟩ rather than all n-th
+//     residues — the standard precomputation trade-off, documented in
+//     SECURITY.md; set Window < 0 to keep uniform sampling.
 //
 //  2. CRT encryption for the key holder. When the private key's factors are
 //     present, r^n mod n² splits into two half-width exponentiations mod p²
 //     and q² (with exponents reduced mod p(p−1) and q(q−1)) recombined by
 //     Garner — the same machinery as CRT decryption, ~1.6× serial. It
-//     composes with the window tables: half-width tables mod p² and q².
+//     composes with the comb tables: half-width tables mod p² and q².
 
-// DefaultWindow is the fixed-base window width in bits. 6 balances table
-// build time and memory (⌈L/6⌉·64 bigints, ~3 MB at 1024-bit keys) against
-// the per-randomizer multiplication count.
+// DefaultWindow is the fixed-base window width in bits. The width sets the
+// table's memory budget: the comb gets as many entries as a radix-2^w table
+// would hold, ⌈L/w⌉·2^w (22 528 entries, 11.5 MB at 2048-bit keys for w=6),
+// which balances table build time and memory against the per-randomizer
+// operation count.
 const DefaultWindow = 6
 
-// maxWindow caps the table width: beyond 8 bits the 2^w-entry rows cost more
-// memory and build time than the shrinking multiplication count repays.
+// maxWindow caps the width: beyond 8 bits the table costs more memory and
+// build time than the shrinking operation count repays.
 const maxWindow = 8
 
 // exponentSlack is the extra exponent bits beyond |n| sampled for fixed-base
@@ -43,111 +47,167 @@ const maxWindow = 8
 // over the subgroup ⟨r_base⟩ despite its order being unknown.
 const exponentSlack = 64
 
-// fbTable is a radix-2^w fixed-base exponentiation table:
-// rows[j][d] = base^(d·2^(j·w)) mod m. Exponentiation by an L-bit exponent is
-// then a product of ⌈L/w⌉ table entries — no squarings, no full modexp. The
-// table is read-only after newFBTable, so concurrent exp calls share it.
+// fbTable is a Lim–Lee fixed-base comb for base^e mod m. The exponent is cut
+// into h·v consecutive b-bit pieces, piece i·v+j being tooth i of block j, and
+// the table holds, for every block j and every h-bit tooth mask u,
 //
-// With a Montgomery context the entries are stored in Montgomery form
-// (flattened per row, entry d at mrows[j][d·k:(d+1)·k]): since
-// MulREDC(a·R, b·R) = (a·b)·R, Montgomery-form entries chain through the
-// whole per-window product with no per-step conversions, and the accumulator
-// leaves Montgomery form exactly once at the end. That turns the table
-// product — the windowed-encryption hot loop — from ⌈L/w⌉ divisions into
-// ⌈L/w⌉ CIOS passes.
+//	G[j][u] = Π_{i∈u} base^(2^((i·v+j)·b)) mod m.
+//
+// Column c of block j — bit c of each of its h pieces — then selects one
+// entry, and base^e is Horner's rule over the columns from c = b−1 down to 0:
+// square the accumulator, multiply in G[j][u_{j,c}] for every block. That is
+// b−1 squarings and at most v·b products, no full modexp. A radix-2^w table
+// has the b = 1 shape (h = w, v = ⌈L/w⌉: one product per block, no
+// squarings). The table is read-only after newFBTable, so concurrent exp
+// calls share it.
+//
+// With a Montgomery context the entries are stored in Montgomery form (entry
+// (j, u) at ments[j][u·k:][:k]): since MulREDC(a·R, b·R) = (a·b)·R, the
+// accumulator chains through every squaring and product with no per-step
+// conversions and leaves Montgomery form exactly once at the end.
 type fbTable struct {
-	window int
-	mod    *big.Int
-	rows   [][]*big.Int // plain residues (mctx == nil)
+	h, v, b int // teeth per block, blocks, columns
+	mod     *big.Int
+	ents    [][]*big.Int // plain residues (mctx == nil), entry (j, u) at ents[j][u]
 
 	mctx  *mont.Ctx    // non-nil → Montgomery-form table
-	mrows [][]big.Word // Montgomery-form rows, flattened
+	ments [][]big.Word // Montgomery-form entries, one flattened slice per block
 }
 
-// newFBTable precomputes the table for exponents up to expBits bits; a
-// non-nil ctx builds it in Montgomery form.
+// combShape derives the comb for expBits-bit exponents from the memory of a
+// width-window radix table, ⌈L/w⌉·2^w entries: of the shapes with
+// v·2^h ≤ that budget it returns the one with the fewest sequential
+// operations, (b−1) + v·b, and on a tie the one with the fewest squarings.
+// The radix shape (h = w, v = ⌈L/w⌉, b = 1) is among the candidates, so the
+// comb never costs more than the radix table it replaces.
+func combShape(expBits, window int) (h, v, b int) {
+	budget := (expBits + window - 1) / window << window
+	best := -1
+	for th := 1; 1<<th <= budget; th++ {
+		a := (expBits + th - 1) / th // bits per tooth
+		for tv := 1; tv<<th <= budget && tv <= a; tv++ {
+			tb := (a + tv - 1) / tv
+			if cost := tb - 1 + tv*tb; best < 0 || cost < best || cost == best && tb < b {
+				best, h, v, b = cost, th, tv, tb
+			}
+		}
+	}
+	return h, v, b
+}
+
+// newFBTable precomputes the comb for exponents below 2^expBits within the
+// memory budget of a width-window radix table; a non-nil ctx builds it in
+// Montgomery form. The h·v tooth bases base^(2^(q·b)) come from one running
+// squaring, and every other entry is one product of two earlier ones. Each
+// block is its own allocation, made only when the previous one is filled, so
+// the garbage collector paces with the build as it did with the radix rows
+// instead of sizing its heap goal around the whole table at once.
 func newFBTable(base, mod *big.Int, expBits, window int, ctx *mont.Ctx) *fbTable {
-	nRows := (expBits + window - 1) / window
-	t := &fbTable{window: window, mod: mod, mctx: ctx}
+	h, v, b := combShape(expBits, window)
+	t := &fbTable{h: h, v: v, b: b, mod: mod, mctx: ctx}
 	if ctx != nil {
 		k := ctx.K()
-		t.mrows = make([][]big.Word, nRows)
-		cur := ctx.NewNat() // base^(2^(j·w)) in Montgomery form as j advances
-		ctx.ToMont(cur, ctx.SetBig(cur, base))
-		for j := 0; j < nRows; j++ {
-			row := make([]big.Word, (1<<window)*k)
-			copy(row[0:k], ctx.One())
-			copy(row[k:2*k], cur)
-			for d := 2; d < 1<<window; d++ {
-				ctx.MulREDC(row[d*k:(d+1)*k], row[(d-1)*k:d*k], cur)
-			}
-			t.mrows[j] = row
-			for s := 0; s < window; s++ {
+		bases := make([]big.Word, h*v*k) // tooth base q at bases[q·k:][:k]
+		ctx.ToMont(bases[:k], ctx.SetBig(bases[:k], base))
+		for q := 1; q < h*v; q++ {
+			cur := bases[q*k:][:k]
+			copy(cur, bases[(q-1)*k:][:k])
+			for s := 0; s < b; s++ {
 				ctx.SqrREDC(cur, cur)
 			}
 		}
+		t.ments = make([][]big.Word, v)
+		for j := range t.ments {
+			blk := make([]big.Word, k<<h)
+			copy(blk[:k], ctx.One())
+			for i := 0; i < h; i++ {
+				copy(blk[k<<i:][:k], bases[(i*v+j)*k:][:k])
+			}
+			for u := 3; u < 1<<h; u++ {
+				if low := u & -u; low != u {
+					ctx.MulREDC(blk[u*k:][:k], blk[(u^low)*k:][:k], blk[low*k:][:k])
+				}
+			}
+			t.ments[j] = blk
+		}
 		return t
 	}
-	t.rows = make([][]*big.Int, nRows)
-	cur := new(big.Int).Mod(base, mod) // base^(2^(j·w)) as j advances
-	for j := 0; j < nRows; j++ {
-		row := make([]*big.Int, 1<<window)
-		row[0] = one
-		row[1] = new(big.Int).Set(cur)
-		for d := 2; d < len(row); d++ {
-			row[d] = new(big.Int).Mul(row[d-1], cur)
-			row[d].Mod(row[d], mod)
-		}
-		t.rows[j] = row
-		for s := 0; s < window; s++ {
+	bases := make([]*big.Int, h*v)
+	bases[0] = new(big.Int).Mod(base, mod)
+	for q := 1; q < h*v; q++ {
+		cur := new(big.Int).Set(bases[q-1])
+		for s := 0; s < b; s++ {
 			cur.Mul(cur, cur)
 			cur.Mod(cur, mod)
 		}
+		bases[q] = cur
+	}
+	t.ents = make([][]*big.Int, v)
+	for j := range t.ents {
+		blk := make([]*big.Int, 1<<h)
+		blk[0] = one
+		for i := 0; i < h; i++ {
+			blk[1<<i] = bases[i*v+j]
+		}
+		for u := 3; u < 1<<h; u++ {
+			if low := u & -u; low != u {
+				blk[u] = new(big.Int).Mul(blk[u^low], blk[low])
+				blk[u].Mod(blk[u], mod)
+			}
+		}
+		t.ents[j] = blk
 	}
 	return t
 }
 
-// exp computes base^e mod m as the product of one table entry per window.
+// exp computes base^e mod m for 0 ≤ e < 2^expBits by the comb.
 func (t *fbTable) exp(e *big.Int) *big.Int {
-	if t.mctx != nil {
-		return t.expMont(e)
+	ew := e.Bits()
+	if ctx := t.mctx; ctx != nil {
+		k := ctx.K()
+		var accBuf [mont.MaxLimbs]big.Word
+		acc := accBuf[:k]
+		copy(acc, ctx.One())
+		for c := t.b - 1; c >= 0; c-- {
+			if c < t.b-1 {
+				ctx.SqrREDC(acc, acc)
+			}
+			for j := 0; j < t.v; j++ {
+				if u := t.teeth(ew, j, c); u != 0 {
+					ctx.MulREDC(acc, acc, t.ments[j][u*k:][:k])
+				}
+			}
+		}
+		ctx.FromMont(acc, acc)
+		return ctx.PutBig(new(big.Int), acc)
 	}
 	acc := new(big.Int).Set(one)
-	for j := range t.rows {
-		if d := t.digit(e, j); d != 0 {
-			acc.Mul(acc, t.rows[j][d])
+	for c := t.b - 1; c >= 0; c-- {
+		if c < t.b-1 {
+			acc.Mul(acc, acc)
 			acc.Mod(acc, t.mod)
+		}
+		for j := 0; j < t.v; j++ {
+			if u := t.teeth(ew, j, c); u != 0 {
+				acc.Mul(acc, t.ents[j][u])
+				acc.Mod(acc, t.mod)
+			}
 		}
 	}
 	return acc
 }
 
-// expMont is exp over the Montgomery-form table: the accumulator stays in
-// Montgomery form across every window and converts back exactly once.
-func (t *fbTable) expMont(e *big.Int) *big.Int {
-	ctx := t.mctx
-	k := ctx.K()
-	var accBuf [mont.MaxLimbs]big.Word
-	acc := accBuf[:k]
-	copy(acc, ctx.One())
-	for j := range t.mrows {
-		if d := t.digit(e, j); d != 0 {
-			ctx.MulREDC(acc, acc, t.mrows[j][d*k:(d+1)*k])
+// teeth gathers column c of block j from the exponent's words ew: bit i of
+// the result is bit c of piece i·v+j.
+func (t *fbTable) teeth(ew []big.Word, j, c int) int {
+	u := 0
+	for i := 0; i < t.h; i++ {
+		p := (i*t.v+j)*t.b + c
+		if w := p / bits.UintSize; w < len(ew) && ew[w]>>(p%bits.UintSize)&1 != 0 {
+			u |= 1 << i
 		}
 	}
-	ctx.FromMont(acc, acc)
-	return ctx.PutBig(new(big.Int), acc)
-}
-
-// digit extracts e's j-th base-2^w digit.
-func (t *fbTable) digit(e *big.Int, j int) int {
-	d := 0
-	for b := 0; b < t.window; b++ {
-		if e.Bit(j*t.window+b) == 1 {
-			d |= 1 << b
-		}
-	}
-	return d
+	return u
 }
 
 // crtEnc caches the constants of CRT-accelerated randomizer production for a
@@ -217,7 +277,7 @@ func (e *crtEnc) exp(r *big.Int) *big.Int {
 }
 
 // rnSource produces encryption randomizers r^n mod n², picking the fastest
-// strategy available at construction: fixed-base window tables (optionally in
+// strategy available at construction: fixed-base comb tables (optionally in
 // the CRT domain for a key holder), CRT exponentiation, or the classic
 // uniform-r modexp. Entropy reads and the lazy table build are serialised
 // internally; the table products run outside the lock, so concurrent
@@ -230,13 +290,13 @@ type rnSource struct {
 
 	mu     sync.Mutex
 	built  bool
-	tab    *fbTable // plain window table mod n² (nil in CRT mode)
-	tp, tq *fbTable // CRT window tables mod p², q²
+	tab    *fbTable // plain comb table mod n² (nil in CRT mode)
+	tp, tq *fbTable // CRT comb tables mod p², q²
 }
 
 // newRnSource builds a source for pk. window 0 selects DefaultWindow,
 // negative disables fixed-base derivation; sk optionally enables the CRT
-// path. The window tables are built lazily on first use (and rebuilt never),
+// path. The comb tables are built lazily on first use (and rebuilt never),
 // so construction is cheap and a pool's background workers absorb the
 // one-time build cost off the caller's latency path.
 func newRnSource(pk *PublicKey, sk *PrivateKey, window int) *rnSource {
@@ -255,7 +315,7 @@ func newRnSource(pk *PublicKey, sk *PrivateKey, window int) *rnSource {
 }
 
 // build samples r_base, computes g_r = r_base^n mod n² and precomputes the
-// window tables. Called with s.mu held; an entropy failure leaves the source
+// comb tables. Called with s.mu held; an entropy failure leaves the source
 // unbuilt so the next call retries.
 func (s *rnSource) build(random io.Reader) error {
 	rb, err := s.pk.sampleR(random)

@@ -10,8 +10,9 @@ import (
 	"vfps/internal/mont"
 )
 
-// TestFBTableMatchesExp checks the radix-2^w table product against
-// math/big.Exp across window widths and exponent sizes.
+// TestFBTableMatchesExp checks the comb against math/big.Exp for every
+// window width, exponent widths from one bit to exactly |n|+64, and the
+// zero and all-ones exponents, through both table representations.
 func TestFBTableMatchesExp(t *testing.T) {
 	sk := key(t)
 	mod := sk.N2
@@ -19,26 +20,100 @@ func TestFBTableMatchesExp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []int{1, 2, 4, 6, 8} {
+	for w := 1; w <= maxWindow; w++ {
 		for _, expBits := range []int{1, 7, 64, sk.N.BitLen() + exponentSlack} {
-			// Both table representations — plain residues and the
-			// Montgomery-form rows — must agree with big.Int.Exp.
+			top := new(big.Int).Lsh(one, uint(expBits))
+			exps := []*big.Int{new(big.Int), new(big.Int).Sub(top, one)}
+			for i := 0; i < 4; i++ {
+				e, err := rand.Int(rand.Reader, top)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 {
+					e.SetBit(e, expBits-1, 1) // exactly expBits wide
+				}
+				exps = append(exps, e)
+			}
+			// Both table representations — plain residues and Montgomery
+			// form — must agree with big.Int.Exp.
 			for _, ctx := range []*mont.Ctx{nil, mont.CtxFor(mod)} {
 				tab := newFBTable(base, mod, expBits, w, ctx)
-				for i := 0; i < 5; i++ {
-					e, err := rand.Int(rand.Reader, new(big.Int).Lsh(one, uint(expBits)))
-					if err != nil {
-						t.Fatal(err)
-					}
+				for _, e := range exps {
 					want := new(big.Int).Exp(base, e, mod)
 					if got := tab.exp(e); got.Cmp(want) != 0 {
-						t.Fatalf("w=%d expBits=%d mont=%v: table exp mismatch", w, expBits, ctx != nil)
+						t.Fatalf("w=%d expBits=%d mont=%v e=%x: comb exp mismatch", w, expBits, ctx != nil, e)
 					}
 				}
-				// Exponent zero must yield the identity.
-				if got := tab.exp(new(big.Int)); got.Cmp(one) != 0 {
-					t.Fatalf("w=%d mont=%v: exp(0) = %v, want 1", w, ctx != nil, got)
-				}
+			}
+		}
+	}
+}
+
+// TestFBTableShape pins the comb's cost at the benchmarked shape — a
+// 2048-bit key (4096-bit n², |n|+64-bit exponents) at the default width: the
+// table is no larger than the radix-2^6 table it replaced (352 rows × 64
+// entries), an exponentiation takes at most 216 sequential operations
+// instead of 352 products, and it allocates only its result.
+func TestFBTableShape(t *testing.T) {
+	const nBits = 2048
+	expBits := nBits + exponentSlack
+	h, v, b := combShape(expBits, DefaultWindow)
+	if h != 11 || v != 11 || b != 18 {
+		t.Fatalf("combShape(%d, %d) = (h %d, v %d, b %d), want (11, 11, 18)", expBits, DefaultWindow, h, v, b)
+	}
+	if ops := b - 1 + v*b; ops > 216 {
+		t.Fatalf("comb exp costs %d squarings+products, want <= 216", ops)
+	}
+	mod, err := rand.Int(rand.Reader, new(big.Int).Lsh(one, 2*nBits))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod.SetBit(mod, 2*nBits-1, 1).SetBit(mod, 0, 1) // odd, exactly 2·nBits wide
+	ctx := mont.CtxFor(mod)
+	tab := newFBTable(big.NewInt(3), mod, expBits, DefaultWindow, ctx)
+	radix := (expBits + DefaultWindow - 1) / DefaultWindow << DefaultWindow
+	if entries := len(tab.ments) * len(tab.ments[0]) / ctx.K(); entries > radix || radix != 22528 {
+		t.Fatalf("comb holds %d entries, radix budget %d (want <= 22528)", entries, radix)
+	}
+	e, err := rand.Int(rand.Reader, new(big.Int).Lsh(one, uint(expBits)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := tab.exp(e), new(big.Int).Exp(big.NewInt(3), e, mod); got.Cmp(want) != 0 {
+		t.Fatal("comb exp mismatch at the 2048-bit shape")
+	}
+	// The result is a *big.Int and its limb slice; nothing else may escape.
+	if n := testing.AllocsPerRun(5, func() { tab.exp(e) }); n > 2 {
+		t.Fatalf("comb exp allocates %.1f objects, want only its result (2)", n)
+	}
+}
+
+// TestPooledRandomizerIsGrToTheSampledExponent pins that the comb changes no
+// value: for a fixed entropy stream, the source's randomizer equals
+// big.Int.Exp(g_r, e, n²) for the g_r and e sampled from that stream, in the
+// plain and CRT domains and through both table representations.
+func TestPooledRandomizerIsGrToTheSampledExponent(t *testing.T) {
+	on, off := montKeys(t, 512)
+	for _, sk := range []*PrivateKey{on, off} {
+		pk := &sk.PublicKey
+		for _, holder := range []*PrivateKey{nil, sk} {
+			src := newRnSource(pk, holder, 0)
+			got, err := src.value(&countingReader{seed: 11})
+			if err != nil {
+				t.Fatal(err)
+			}
+			replay := &countingReader{seed: 11}
+			rb, err := pk.sampleR(replay)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := src.sampleExp(replay)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gr := new(big.Int).Exp(rb, pk.N, pk.N2)
+			if want := new(big.Int).Exp(gr, e, pk.N2); got.Cmp(want) != 0 {
+				t.Fatalf("stdlib=%v crt=%v: randomizer != g_r^e mod n²", sk.stdlib, holder != nil)
 			}
 		}
 	}
@@ -146,30 +221,33 @@ func TestPrivateKeyEncrypt(t *testing.T) {
 	}
 }
 
-// FuzzFixedBaseExp cross-checks the window-table product against big.Int.Exp
-// on arbitrary bases and exponents (the make-check smoke for the encryption
-// hot path).
+// FuzzFixedBaseExp cross-checks the comb against big.Int.Exp on arbitrary
+// bases, exponents and widths, through both table representations (the
+// make-check smoke for the encryption hot path). The table is sized for the
+// exponent's byte length, so leading zero bytes run it through shapes wider
+// than the exponent.
 func FuzzFixedBaseExp(f *testing.F) {
 	// Fixed odd modulus: a product of two 64-bit primes squared would be
 	// ideal, but any odd modulus > 1 exercises the table arithmetic.
 	mod, _ := new(big.Int).SetString("c90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74020bbea63b139b23", 16)
 	f.Add([]byte{2}, []byte{5}, uint8(4))
 	f.Add([]byte{0xff, 0x13}, []byte{0x80, 0x00, 0x01}, uint8(6))
+	f.Add([]byte{7}, []byte{0, 0, 0}, uint8(0))
+	f.Add([]byte{3}, bytes.Repeat([]byte{0xff}, 64), uint8(7))
 	f.Fuzz(func(t *testing.T, baseB, expB []byte, w uint8) {
-		window := int(w%8) + 1
+		window := int(w%maxWindow) + 1
 		if len(expB) > 64 {
 			expB = expB[:64]
 		}
 		base := new(big.Int).SetBytes(baseB)
 		e := new(big.Int).SetBytes(expB)
+		expBits := max(8*len(expB), 1)
 		want := new(big.Int).Exp(new(big.Int).Mod(base, mod), e, mod)
-		tab := newFBTable(base, mod, max(e.BitLen(), 1), window, nil)
-		if got := tab.exp(e); got.Cmp(want) != 0 {
-			t.Fatalf("base=%x e=%x w=%d: got %v want %v", baseB, expB, window, got, want)
-		}
-		mtab := newFBTable(base, mod, max(e.BitLen(), 1), window, mont.CtxFor(mod))
-		if got := mtab.exp(e); got.Cmp(want) != 0 {
-			t.Fatalf("base=%x e=%x w=%d (mont): got %v want %v", baseB, expB, window, got, want)
+		for _, ctx := range []*mont.Ctx{nil, mont.CtxFor(mod)} {
+			tab := newFBTable(base, mod, expBits, window, ctx)
+			if got := tab.exp(e); got.Cmp(want) != 0 {
+				t.Fatalf("base=%x e=%x w=%d expBits=%d mont=%v: got %v want %v", baseB, expB, window, expBits, ctx != nil, got, want)
+			}
 		}
 	})
 }

@@ -8,7 +8,7 @@ import (
 
 // The Montgomery kernel (internal/mont) replaces division-based big.Int
 // reduction on the modular-multiplication hot paths: fixed-base table
-// products (operands chained in Montgomery form across the whole windowed
+// products (operands chained in Montgomery form across the whole comb
 // product), Garner recombination, and ciphertext accumulation
 // (AddCipher/AddCipherInto/Sum). Plain modular exponentiations deliberately
 // stay on big.Int.Exp, which already runs an assembly Montgomery ladder

@@ -17,7 +17,7 @@ import (
 // channel is never closed and is the only hand-out path, so no randomizer is
 // ever issued twice), and ciphertext randomness is never reused.
 //
-// Production goes through an rnSource (fixed-base window tables, optionally
+// Production goes through an rnSource (fixed-base comb tables, optionally
 // CRT-accelerated for a key holder; see fixedbase.go), so even the pool-miss
 // fallback is ~3× cheaper than a full modexp once the one-time table is
 // built.
@@ -54,7 +54,7 @@ type PoolOptions struct {
 	Buffer int
 	// Workers is the number of background fill goroutines (0 → 1; negative →
 	// none, leaving a pure source whose Next always computes inline through
-	// the window tables — useful for benchmarks and single-shot callers).
+	// the comb tables — useful for benchmarks and single-shot callers).
 	Workers int
 	// Window is the fixed-base window width in bits: 0 selects DefaultWindow,
 	// negative restores classic uniform-r sampling with a full modexp per
@@ -77,7 +77,7 @@ const (
 // the given number of background workers (minimum 1) into a buffer of the
 // given size (default 64 when <= 0). random must tolerate the pool's
 // internally serialised concurrent reads; crypto/rand.Reader is the usual
-// choice. Production uses fixed-base windowing at DefaultWindow; use
+// choice. Production uses fixed-base comb tables sized by DefaultWindow; use
 // NewRandomizerOpts to tune or disable it.
 func NewRandomizer(pk *PublicKey, random io.Reader, buffer, workers int) *Randomizer {
 	return NewRandomizerOpts(pk, random, PoolOptions{Buffer: buffer, Workers: workers})
@@ -216,13 +216,12 @@ func (rz *Randomizer) Next() (*big.Int, error) {
 // by spare buffer capacity) and returns how many were added. Call it at
 // startup — or between protocol rounds, when the party is otherwise idle —
 // to guarantee the next burst of encryptions hits the fast path. A closed
-// pool accepts nothing.
+// pool accepts nothing. Spare capacity is checked before each value is
+// computed, so a full pool costs no work; only a value whose slot a fill
+// worker took in the meantime is dropped, and Prefill never blocks.
 func (rz *Randomizer) Prefill(n int) (int, error) {
 	added := 0
-	for added < n {
-		if rz.closed.Load() {
-			return added, nil
-		}
+	for added < n && !rz.closed.Load() && len(rz.ch) < cap(rz.ch) {
 		rn, err := rz.value()
 		if err != nil {
 			return added, err
@@ -231,7 +230,7 @@ func (rz *Randomizer) Prefill(n int) (int, error) {
 		case rz.ch <- rn:
 			added++
 		default:
-			return added, nil // buffer full
+			return added, nil // a fill worker took the last slot
 		}
 	}
 	return added, nil

@@ -173,4 +173,37 @@ func TestPrefillAfterCloseAddsNothing(t *testing.T) {
 	}
 }
 
+// meteredReader counts the entropy bytes drawn from crypto/rand: every
+// randomizer computed reads some, so zero bytes means zero work.
+type meteredReader struct{ bytes atomic.Int64 }
+
+func (m *meteredReader) Read(p []byte) (int, error) {
+	n, err := rand.Read(p)
+	m.bytes.Add(int64(n))
+	return n, err
+}
+
+// TestPrefillFullPoolComputesNothing pins that Prefill checks spare capacity
+// before computing: on a full pool it reads no entropy, so a RefillHint that
+// races the fill workers for the last slots throws no randomizer away.
+func TestPrefillFullPoolComputesNothing(t *testing.T) {
+	sk, err := GenerateKey(rand.Reader, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &meteredReader{}
+	rz := NewRandomizerOpts(&sk.PublicKey, src, PoolOptions{Buffer: 4, Workers: -1})
+	defer rz.Close()
+	if added, err := rz.Prefill(4); err != nil || added != 4 {
+		t.Fatalf("Prefill on an empty pool added %d (%v), want 4", added, err)
+	}
+	before := src.bytes.Load()
+	if added, err := rz.Prefill(3); err != nil || added != 0 {
+		t.Fatalf("Prefill on a full pool added %d (%v), want 0", added, err)
+	}
+	if read := src.bytes.Load() - before; read != 0 {
+		t.Fatalf("Prefill on a full pool read %d entropy bytes, want 0 (it computed a randomizer and dropped it)", read)
+	}
+}
+
 var _ io.Reader = (*flakyReader)(nil)

@@ -14,10 +14,10 @@ import (
 	"sync/atomic"
 )
 
-// chunk is the number of loop iterations handed to a worker at a time, and
-// the interval at which the serial path polls ctx. Items on the HE hot path
-// cost ~ms each, so a small chunk keeps the load balanced without measurable
-// dispatch overhead.
+// chunk is the largest number of loop iterations handed to a worker at a
+// time, and the interval at which the serial path polls ctx. Items on the HE
+// hot path cost ~ms each, so a small chunk keeps the load balanced without
+// measurable dispatch overhead.
 const chunk = 8
 
 // Degree returns the default parallelism, runtime.GOMAXPROCS(0).
@@ -33,9 +33,11 @@ func Normalize(n int) int {
 
 // For runs fn(i) for every i in [0, n) using up to workers goroutines
 // (workers <= 0 means Degree(); workers == 1 runs serially on the calling
-// goroutine). Iterations are dispatched in fixed-size chunks and ctx is
-// polled between chunks, so a cancelled context stops the loop within one
-// chunk rather than after all n iterations.
+// goroutine). Iterations are dispatched in chunks of min(8, ⌈n/workers⌉),
+// so a vector shorter than workers×8 — a packed HE vector is a handful of
+// ciphertexts — still spreads over every worker, and ctx is polled between
+// chunks, so a cancelled context stops the loop within one chunk rather than
+// after all n iterations.
 //
 // All scheduled iterations run to completion even if some fail; the error
 // for the lowest index is returned, matching the error a serial loop would
@@ -46,12 +48,11 @@ func For(ctx context.Context, n, workers int, fn func(i int) error) error {
 		return nil
 	}
 	workers = Normalize(workers)
-	if workers > (n+chunk-1)/chunk {
-		workers = (n + chunk - 1) / chunk
-	}
+	size := min(chunk, (n+workers-1)/workers)
+	workers = min(workers, (n+size-1)/size) // every worker gets a chunk
 	if workers == 1 {
 		for i := 0; i < n; i++ {
-			if i%chunk == 0 {
+			if i%size == 0 {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
@@ -85,14 +86,11 @@ func For(ctx context.Context, n, workers int, fn func(i int) error) error {
 				if err := ctx.Err(); err != nil {
 					return
 				}
-				start := int(next.Add(chunk)) - chunk
+				start := int(next.Add(int64(size))) - size
 				if start >= n {
 					return
 				}
-				end := start + chunk
-				if end > n {
-					end = n
-				}
+				end := min(start+size, n)
 				for i := start; i < end; i++ {
 					if err := fn(i); err != nil {
 						record(i, err)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestNormalize(t *testing.T) {
@@ -101,5 +102,92 @@ func TestForEmptyIgnoresContextState(t *testing.T) {
 	cancel()
 	if err := For(ctx, 0, 4, func(int) error { return nil }); err != nil {
 		t.Fatalf("For(n=0) on cancelled ctx = %v, want nil", err)
+	}
+}
+
+// TestForSpreadsShortVectors pins that a vector shorter than workers×8 — a
+// packed HE vector of a few ciphertexts — runs on several workers: two of
+// the three iterations must be in flight at once. Capping the workers at
+// ⌈n/8⌉ would run the loop on one goroutine and leave the barrier waiting.
+func TestForSpreadsShortVectors(t *testing.T) {
+	var arrived atomic.Int32
+	both := make(chan struct{})
+	err := For(context.Background(), 3, 2, func(i int) error {
+		if arrived.Add(1) == 2 {
+			close(both)
+		}
+		select {
+		case <-both:
+			return nil
+		case <-time.After(5 * time.Second):
+			return fmt.Errorf("iteration %d ran alone for 5 s: the short vector was not spread over two workers", i)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestForLongVectorKeepsChunksOfEight pins that vectors with at least eight
+// items per worker are dispatched exactly as before: with n=20 on two
+// workers, while the holder of index 0 waits, the other worker runs the
+// remaining chunks [8,16) and [16,20) — and nothing of [1,8).
+func TestForLongVectorKeepsChunksOfEight(t *testing.T) {
+	const n = 20
+	var done [n]atomic.Bool
+	last := make(chan struct{})
+	err := For(context.Background(), n, 2, func(i int) error {
+		switch i {
+		case 0:
+			select {
+			case <-last:
+			case <-time.After(5 * time.Second):
+				return errors.New("index 19 never ran while index 0 was held")
+			}
+			for j := range done {
+				if got, want := done[j].Load(), j >= 8; got != want {
+					return fmt.Errorf("index %d done=%v while the first chunk was held, want %v (chunks of 8)", j, got, want)
+				}
+			}
+		case n - 1:
+			defer close(last)
+		}
+		done[i].Store(true)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestForShortVectorHonorsContextCancellation pins that spreading a short
+// vector keeps the per-chunk ctx poll: a context cancelled before the loop
+// runs nothing, and one cancelled mid-loop surfaces as the loop's error with
+// every index run at most once.
+func TestForShortVectorHonorsContextCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var ran atomic.Int32
+	err := For(ctx, 6, 2, func(int) error { ran.Add(1); return nil })
+	if !errors.Is(err, context.Canceled) || ran.Load() != 0 {
+		t.Fatalf("pre-cancelled: err %v after %d iterations, want context.Canceled after 0", err, ran.Load())
+	}
+
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	visits := make([]atomic.Int32, 6)
+	err = For(ctx, 6, 2, func(i int) error {
+		if visits[i].Add(1) == 1 && i == 0 {
+			cancel()
+		}
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled mid-loop: got %v, want context.Canceled", err)
+	}
+	for i := range visits {
+		if c := visits[i].Load(); c > 1 {
+			t.Fatalf("index %d visited %d times", i, c)
+		}
 	}
 }

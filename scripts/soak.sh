@@ -25,13 +25,15 @@
 #                   one; removing an unknown participant 404s.
 #
 # It then runs the multi-tenant load arm: an admission-controlled vfpsserve
-# multiplexes SOAK_MT_CONSORTIUMS sharded consortiums, first sequentially and
-# then concurrently, gating
+# multiplexes SOAK_MT_CONSORTIUMS sharded consortiums through SOAK_MT_ROUNDS
+# pairs of one sequential and one concurrent round of MT_BURST selections per
+# consortium (alternating which goes first, so drift and warm-up hit both
+# sides), printing every pair and gating
 #
-#   * concurrent/sequential throughput speedup >= SOAK_MIN_MT_SPEEDUP (the
-#     default scales with the machine: 2.0 with >= 3 cores, 1.5 with 2, 0.9
-#     on a single core where concurrency cannot beat sequential by CPU — the
-#     floor then only catches pathological contention),
+#   * the median per-pair concurrent/sequential speedup >= SOAK_MIN_MT_SPEEDUP
+#     (the default scales with the machine: 2.0 with >= 3 cores, 1.5 with 2,
+#     0.9 on a single core where concurrency cannot beat sequential by CPU —
+#     the floor then only catches pathological contention),
 #   * concurrent-phase p99 <= SOAK_MT_P99_MS,
 #   * admission accounting: every load request admitted, and a budget probe
 #     against a 1-op tenant HE budget must be rejected with 429.
@@ -62,6 +64,7 @@ BASE="${SOAK_PORT_BASE:-19300}"
 OUT="${SOAK_OUT:-SOAK_summary.json}"
 ROWS=120
 K=4
+MT_BURST=4 # selections per consortium per multi-tenant round (see the arm below)
 
 command -v jq >/dev/null || { echo "soak: jq not found" >&2; exit 1; }
 
@@ -333,11 +336,14 @@ grep -q '^vfps_he_pack_slots{.*} [1-9]' "${WORK}/party_metrics.txt" \
 
 # --- multi-tenant load arm ----------------------------------------------------
 # An admission-controlled vfpsserve multiplexes NCONS sharded consortiums.
-# Phase 1 runs the selections sequentially, phase 2 runs the same number
-# concurrently (one in flight per consortium — the per-consortium run lock
-# serializes deeper stacking anyway); the speedup and the concurrent p99 are
-# gated.
-say "multi-tenant arm: ${NCONS} consortiums x ${MT_ROUNDS} rounds on ${MT_ADDR} (speedup floor ${MIN_MT_SPEEDUP}, ${CORES} core(s))"
+# Each of MT_ROUNDS pairs runs one round sequentially and one concurrently
+# (one in flight per consortium — the per-consortium run lock serializes
+# deeper stacking anyway), back to back, so the pair's speedup compares two
+# rounds under the same machine load. A round is MT_BURST back-to-back
+# selections per consortium: one ~10 ms selection each made a round ~30 ms,
+# short enough for scheduler jitter to swing a pair's speedup from 1.05x to
+# 1.77x on 2 cores. The median pair speedup and the concurrent p99 are gated.
+say "multi-tenant arm: ${NCONS} consortiums x ${MT_ROUNDS} round pairs x ${MT_BURST} selections on ${MT_ADDR} (speedup floor ${MIN_MT_SPEEDUP}, ${CORES} core(s))"
 "${WORK}/vfpsserve" -addr "${MT_ADDR}" -max-concurrent 4 -queue-depth 8 \
     >"${WORK}/mt_serve.log" 2>&1 &
 PIDS+=($!)
@@ -365,36 +371,61 @@ mt_select() { # cid latency-file
 
 now() { date +%s.%N; }
 
-SEQ_START=$(now)
-for r in $(seq 1 "${MT_ROUNDS}"); do
-    for i in $(seq 0 $((NCONS - 1))); do
-        mt_select "${MT_CIDS[i]}" "${WORK}/seq_${r}_${i}.t"
+mt_burst() { # kind round consortium-index — MT_BURST selections on one consortium
+    local x
+    for x in $(seq 1 "${MT_BURST}"); do
+        mt_select "${MT_CIDS[$3]}" "${WORK}/$1_$2_$3_${x}.t"
     done
-done
-SEQ_WALL=$(jq -n --argjson a "$(now)" --argjson b "${SEQ_START}" '$a - $b')
+}
 
-CONC_START=$(now)
-for r in $(seq 1 "${MT_ROUNDS}"); do
-    CURL_PIDS=()
+mt_round() { # seq|conc round — one burst per consortium, sets ROUND_WALL
+    local kind=$1 r=$2 start i pids=()
+    start=$(now)
     for i in $(seq 0 $((NCONS - 1))); do
-        mt_select "${MT_CIDS[i]}" "${WORK}/conc_${r}_${i}.t" &
-        CURL_PIDS+=($!)
+        if [ "${kind}" = seq ]; then
+            mt_burst seq "${r}" "${i}"
+        else
+            mt_burst conc "${r}" "${i}" &
+            pids+=($!)
+        fi
     done
-    for pid in "${CURL_PIDS[@]}"; do
-        wait "${pid}" || die "concurrent multi-tenant selection failed"
-    done
-done
-CONC_WALL=$(jq -n --argjson a "$(now)" --argjson b "${CONC_START}" '$a - $b')
+    if [ "${kind}" = conc ]; then
+        for pid in "${pids[@]}"; do
+            wait "${pid}" || die "concurrent multi-tenant selection failed"
+        done
+    fi
+    ROUND_WALL=$(jq -n --argjson a "$(now)" --argjson b "${start}" '$a - $b')
+}
 
-MT_TOTAL=$((NCONS * MT_ROUNDS))
-read -r SEQ_QPS CONC_QPS MT_SPEEDUP <<EOF
+SEQ_WALL=0
+CONC_WALL=0
+SPEEDUPS=()
+for r in $(seq 1 "${MT_ROUNDS}"); do
+    if [ $((r % 2)) -eq 1 ]; then ORDER="seq conc"; else ORDER="conc seq"; fi
+    for kind in ${ORDER}; do
+        mt_round "${kind}" "${r}"
+        if [ "${kind}" = seq ]; then SW=${ROUND_WALL}; else CW=${ROUND_WALL}; fi
+    done
+    S=$(jq -n --argjson s "${SW}" --argjson c "${CW}" '$s / $c * 1000 | round / 1000')
+    say "$(printf 'multi-tenant pair %d (%s): sequential %.3fs, concurrent %.3fs, speedup %sx' \
+        "${r}" "${ORDER/ / first, then }" "${SW}" "${CW}" "${S}")"
+    SPEEDUPS+=("${S}")
+    SEQ_WALL=$(jq -n --argjson a "${SEQ_WALL}" --argjson b "${SW}" '$a + $b')
+    CONC_WALL=$(jq -n --argjson a "${CONC_WALL}" --argjson b "${CW}" '$a + $b')
+done
+
+MT_TOTAL=$((NCONS * MT_ROUNDS * MT_BURST))
+MT_SPEEDUPS=$(printf '%s\n' "${SPEEDUPS[@]}" | jq -s -c '.')
+MT_SPEEDUP=$(echo "${MT_SPEEDUPS}" | jq 'sort | if length % 2 == 1 then .[length / 2 | floor]
+    else (.[length / 2 - 1] + .[length / 2]) / 2 end | . * 1000 | round / 1000')
+read -r SEQ_QPS CONC_QPS <<EOF
 $(jq -n --argjson n "${MT_TOTAL}" --argjson sw "${SEQ_WALL}" --argjson cw "${CONC_WALL}" \
-    '[$n / $sw, $n / $cw, $sw / $cw] | map(. * 1000 | round / 1000) | @tsv' -r)
+    '[$n / $sw, $n / $cw] | map(. * 1000 | round / 1000) | @tsv' -r)
 EOF
 MT_P99=$(cat "${WORK}"/conc_*.t | jq -s 'sort | .[((length - 1) * 0.99 | round)] * 1000 | (. * 1000 | round / 1000)')
-say "multi-tenant: sequential ${SEQ_QPS} sel/s, concurrent ${CONC_QPS} sel/s (speedup ${MT_SPEEDUP}x), concurrent p99 ${MT_P99}ms"
+say "multi-tenant: sequential ${SEQ_QPS} sel/s, concurrent ${CONC_QPS} sel/s, pair speedups ${MT_SPEEDUPS} (median ${MT_SPEEDUP}x), concurrent p99 ${MT_P99}ms"
 jq -n -e --argjson s "${MT_SPEEDUP}" --argjson min "${MIN_MT_SPEEDUP}" '$s >= $min' >/dev/null \
-    || die "multi-tenant speedup ${MT_SPEEDUP}x below floor SOAK_MIN_MT_SPEEDUP=${MIN_MT_SPEEDUP}x"
+    || die "multi-tenant median pair speedup ${MT_SPEEDUP}x below floor SOAK_MIN_MT_SPEEDUP=${MIN_MT_SPEEDUP}x (pairs ${MT_SPEEDUPS})"
 jq -n -e --argjson p "${MT_P99}" --argjson lim "${MT_P99_MS}" '$p <= $lim' >/dev/null \
     || die "multi-tenant concurrent p99 ${MT_P99}ms exceeds gate SOAK_MT_P99_MS=${MT_P99_MS}ms"
 
@@ -436,13 +467,15 @@ jq -n \
     --argjson slow "${SLOW_COUNT}" --argjson shards "${SHARDS}" \
     --argjson mtsels "${MT_TOTAL}" --argjson mtseq "${SEQ_QPS}" \
     --argjson mtconc "${CONC_QPS}" --argjson mtspeed "${MT_SPEEDUP}" \
+    --argjson mtpairs "${MT_SPEEDUPS}" \
     --argjson mtfloor "${MIN_MT_SPEEDUP}" --argjson mtp99 "${MT_P99}" \
     --argjson admitted "${ADMITTED}" --argjson rejected "${REJECTED}" \
     '{soak: {queries: $queries, qps: $qps, p50Ms: $p50, p99Ms: $p99,
              processes: $procs, traceId: $trace, slowEvents: $slow,
              shardWorkers: $shards, mtSelections: $mtsels,
              mtSeqQps: $mtseq, mtConcQps: $mtconc,
-             mtSpeedup: $mtspeed, mtSpeedupFloor: $mtfloor, mtP99Ms: $mtp99,
+             mtSpeedup: $mtspeed, mtPairSpeedups: $mtpairs,
+             mtSpeedupFloor: $mtfloor, mtP99Ms: $mtp99,
              admitted: $admitted, rejected: $rejected}}' > "${OUT}"
 say "summary written to ${OUT}"
 ./scripts/bench_compare.sh "${OUT}"
