@@ -245,7 +245,7 @@ func BenchmarkParallelSelection(b *testing.B) {
 			cons, err := vfps.NewConsortium(context.Background(), vfps.Config{
 				Partition: pt, Labels: d.Y, Classes: d.Classes,
 				Scheme: "paillier", KeyBits: 512, ShuffleSeed: 7,
-				Parallelism: mode.parallelism,
+				Options: vfps.Options{Parallelism: mode.parallelism},
 			})
 			if err != nil {
 				b.Fatal(err)

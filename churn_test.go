@@ -71,7 +71,7 @@ func TestChurnSelectionMatchesColdRebuild(t *testing.T) {
 				cons, err := NewConsortium(ctx, Config{
 					Partition: pt, Labels: d.Y, Classes: d.Classes,
 					Scheme: tc.scheme, KeyBits: 256, ShuffleSeed: 7,
-					DeltaCache: true, Parallelism: tc.parallelism,
+					Options: Options{DeltaCache: true, Parallelism: tc.parallelism},
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -39,32 +39,10 @@ import (
 	"vfps/internal/dataset"
 	"vfps/internal/he"
 	"vfps/internal/obs"
+	"vfps/internal/submod"
 	"vfps/internal/transport"
 	"vfps/internal/vfl"
 )
-
-// tuneScheme applies the -parallelism flag to an HE scheme; only
-// Paillier has tunables. Parties that bulk-encrypt also get a randomizer pool
-// unless the node is pinned fully serial, and the slot-packing geometry for a
-// consortium of `parties` (the -parties every node shares), matching the one-
-// ciphertext-per-party aggregation tree; the leader's is installed by
-// vfl.NewLeader from its directory roster, and the aggregation roles only add.
-func tuneScheme(s he.Scheme, parallelism, window int, pool bool, parties int) {
-	p, ok := s.(*he.Paillier)
-	if !ok {
-		return
-	}
-	p.SetParallelism(parallelism)
-	if pool && parallelism != 1 {
-		p.SetEncryptWindow(window)
-		p.StartRandomizerPool(4*p.Parallelism(), 1)
-	}
-	if parties > 0 {
-		if err := p.EnablePacking(parties); err != nil {
-			fatal("%v", err)
-		}
-	}
-}
 
 func main() {
 	var (
@@ -74,7 +52,6 @@ func main() {
 		scheme      = flag.String("scheme", "paillier", "protection scheme: paillier|plain|secagg")
 		keyBits     = flag.Int("keybits", 1024, "Paillier modulus bits")
 		index       = flag.Int("index", 0, "participant index (role=party) or shard index (role=aggworker)")
-		shardWkrs   = flag.Int("shard-workers", 0, "shard the ciphertext reduce across this many aggregation workers (roles aggserver/aggworker; 0 = unsharded)")
 		ds          = flag.String("dataset", "Bank", "synthetic dataset name")
 		rows        = flag.Int("rows", 800, "max dataset rows")
 		parties     = flag.Int("parties", 4, "consortium size")
@@ -85,16 +62,15 @@ func main() {
 		queries     = flag.Int("queries", 32, "query sample count (role=leader)")
 		batch       = flag.Int("batch", 32, "Fagin mini-batch size (role=leader)")
 		variant     = flag.String("variant", "fagin", "KNN variant: fagin|base|threshold (role=leader)")
-		parallelism = flag.Int("parallelism", 0, "HE pipeline concurrency (0 = GOMAXPROCS, 1 = serial)")
-		deltaCache  = flag.Bool("delta-cache", false, "cross-round delta encoding: repeat queries resend only changed ciphertext blocks (role=leader)")
-		window      = flag.Int("encrypt-window", 0, "fixed-base window for randomizer precompute (0 = default 6, negative = classic uniform sampling)")
 		obsAddr     = flag.String("obs-addr", "", "optional debug listen address serving /metrics, /v1/trace, /v1/slow and /debug/pprof")
 		logJSON     = flag.String("log-json", "", `structured query-log destination: "-"/"stdout", "stderr", or a file path (off when empty)`)
 		slowRing    = flag.Int("slow-ring", 0, "flight-recorder capacity for /v1/slow (0 = default)")
 		rounds      = flag.Int("rounds", 1, "similarity rounds to run (role=leader); each round is one trace")
 		qworkers    = flag.Int("qworkers", 1, "concurrent queries in flight per round (role=leader)")
 		linger      = flag.Duration("linger", 0, "how long the leader keeps its obs listener up after finishing, for trace scrapes (role=leader)")
+		opts        vfl.Options
 	)
+	opts.BindFlags(flag.CommandLine)
 	flag.Parse()
 
 	dir, err := parseDirectory(*directory)
@@ -172,13 +148,17 @@ func main() {
 		if err != nil {
 			fatal("fetching public key: %v", err)
 		}
-		tuneScheme(pub, *parallelism, *window, true, pt.P())
+		// Parties bulk-encrypt, and lay out slots for the -parties every node
+		// shares; the leader sizes its geometry from the directory in NewLeader.
+		vfl.ConfigureScheme(pub, opts, true)
+		if err := vfl.ConfigurePacking(pub, pt.P()); err != nil {
+			fatal("%v", err)
+		}
 		observeScheme(pub, o, "party")
-		part, err := vfl.NewParticipant(*index, pt.Parties[*index], pub, *shuffleSeed)
+		part, err := vfl.NewParticipant(*index, pt.Parties[*index], pub, *shuffleSeed, opts)
 		if err != nil {
 			fatal("%v", err)
 		}
-		part.SetParallelism(*parallelism)
 		part.SetObserver(o, "node")
 		serve(*addr, fmt.Sprintf("participant %d (%d features)", *index, part.Features()), part.Handler(), o)
 	case "aggserver":
@@ -193,20 +173,19 @@ func main() {
 		if len(names) == 0 {
 			fatal("directory lists no party/<i> entries")
 		}
-		tuneScheme(pub, *parallelism, *window, false, 0) // agg only adds; the pack geometry lives on parties and leader
+		vfl.ConfigureScheme(pub, opts, false) // agg only adds; the pack geometry lives on parties and leader
 		observeScheme(pub, o, "aggserver")
-		agg, err := vfl.NewAggServer(cli, names, pub)
+		agg, err := vfl.NewAggServer(cli, names, pub, opts)
 		if err != nil {
 			fatal("%v", err)
 		}
-		agg.SetParallelism(*parallelism)
 		agg.SetObserver(o, "node")
-		if size, shards := vfl.PlanSubtrees(len(names), *shardWkrs); *shardWkrs >= 2 && shards >= 2 {
+		if size, shards := vfl.PlanSubtrees(len(names), opts.ShardWorkers); opts.ShardWorkers >= 2 && shards >= 2 {
 			plan := &vfl.ShardPlan{SubtreeSize: size}
 			for wi := 0; wi < shards; wi++ {
 				w := vfl.AggWorkerName(wi)
 				if _, ok := dir[w]; !ok {
-					fatal("-shard-workers %d needs %q in the directory", *shardWkrs, w)
+					fatal("-shard-workers %d needs %q in the directory", opts.ShardWorkers, w)
 				}
 				plan.Workers = append(plan.Workers, w)
 			}
@@ -228,22 +207,21 @@ func main() {
 		if len(names) == 0 {
 			fatal("directory lists no party/<i> entries")
 		}
-		size, shards := vfl.PlanSubtrees(len(names), *shardWkrs)
-		if *shardWkrs < 2 || shards < 2 {
-			fatal("role aggworker needs -shard-workers >= 2 (got %d over %d parties)", *shardWkrs, len(names))
+		size, shards := vfl.PlanSubtrees(len(names), opts.ShardWorkers)
+		if opts.ShardWorkers < 2 || shards < 2 {
+			fatal("role aggworker needs -shard-workers >= 2 (got %d over %d parties)", opts.ShardWorkers, len(names))
 		}
 		if *index < 0 || *index >= shards {
 			fatal("shard index %d out of range [0,%d)", *index, shards)
 		}
 		plan := &vfl.ShardPlan{SubtreeSize: size}
 		lo, hi := plan.Range(*index, len(names))
-		tuneScheme(pub, *parallelism, *window, false, 0) // workers only add, like the aggserver
+		vfl.ConfigureScheme(pub, opts, false) // workers only add, like the aggserver
 		observeScheme(pub, o, "aggworker")
-		wkr, err := vfl.NewAggServer(cli, names[lo:hi], pub)
+		wkr, err := vfl.NewAggServer(cli, names[lo:hi], pub, opts)
 		if err != nil {
 			fatal("%v", err)
 		}
-		wkr.SetParallelism(*parallelism)
 		wkr.SetRole(vfl.AggWorkerName(*index))
 		wkr.SetObserver(o, "node")
 		serve(*addr, fmt.Sprintf("aggregation worker %d (parties %d..%d)", *index, lo, hi-1), wkr.Handler(), o)
@@ -256,15 +234,13 @@ func main() {
 			fatal("fetching private key: %v", err)
 		}
 		names := partyNames(dir)
-		tuneScheme(priv, *parallelism, *window, false, 0)
+		vfl.ConfigureScheme(priv, opts, false)
 		observeScheme(priv, o, "leader")
-		leader, err := vfl.NewLeader(cli, vfl.AggServerName, names, priv, *batch)
+		leader, err := vfl.NewLeader(cli, vfl.AggServerName, names, priv, *batch, opts)
 		if err != nil {
 			fatal("%v", err)
 		}
-		leader.SetParallelism(*parallelism)
 		leader.SetObserver(o, "node")
-		leader.SetPayloadOptions(*deltaCache)
 		// Shard workers hold per-role op counters; fold them into the totals.
 		leader.SetExtraCountNodes(aggWorkerNames(dir))
 		runLeader(ctx, leader, o, *rows, *selCount, *k, *queries, vfl.Variant(*variant), *rounds, *qworkers)
@@ -316,11 +292,11 @@ func runLeader(ctx context.Context, leader *vfl.Leader, o *obs.Observer, rows, s
 		}
 		fmt.Println()
 	}
-	selected, value, err := greedySelect(rep.W, selCount)
+	res, err := selectGreedy(rep.W, selCount)
 	if err != nil {
 		fatal("%v", err)
 	}
-	fmt.Printf("selected participants: %v (objective %.4f)\n", selected, value)
+	fmt.Printf("selected participants: %v (objective %.4f)\n", res.Selected, res.Value)
 	fmt.Printf("avg encrypted candidates per query: %.1f\n", rep.AvgCandidates)
 	total, err := leader.TotalCounts(ctx)
 	if err != nil {
@@ -419,43 +395,14 @@ func sampleQueries(n, count int) []int {
 	return out
 }
 
-// greedySelect runs Algorithm 1 directly on the similarity matrix (the
-// leader-side selection step).
-func greedySelect(w [][]float64, count int) ([]int, float64, error) {
-	p := len(w)
-	if count <= 0 || count > p {
-		return nil, 0, fmt.Errorf("select count %d out of range [1,%d]", count, p)
+// selectGreedy runs Algorithm 1 on the similarity matrix (the leader-side
+// selection step); the objective rejects non-finite and negative entries.
+func selectGreedy(w [][]float64, count int) (*submod.Result, error) {
+	obj, err := submod.NewFacilityLocation(w)
+	if err != nil {
+		return nil, err
 	}
-	selected := []int{}
-	in := make([]bool, p)
-	covered := make([]float64, p)
-	var value float64
-	for len(selected) < count {
-		bestV, bestGain := -1, -1.0
-		for v := 0; v < p; v++ {
-			if in[v] {
-				continue
-			}
-			var gain float64
-			for q := 0; q < p; q++ {
-				if w[q][v] > covered[q] {
-					gain += w[q][v] - covered[q]
-				}
-			}
-			if gain > bestGain {
-				bestGain, bestV = gain, v
-			}
-		}
-		in[bestV] = true
-		selected = append(selected, bestV)
-		for q := 0; q < p; q++ {
-			if w[q][bestV] > covered[q] {
-				covered[q] = w[q][bestV]
-			}
-		}
-		value += bestGain
-	}
-	return selected, value, nil
+	return submod.Greedy(obj, count)
 }
 
 // openLog resolves the -log-json destination. The returned close func is a

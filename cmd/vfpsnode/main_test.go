@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -178,10 +179,11 @@ func TestGreedySelectLocal(t *testing.T) {
 		{0.95, 1.00, 0.30},
 		{0.30, 0.30, 1.00},
 	}
-	sel, value, err := greedySelect(w, 2)
+	res, err := selectGreedy(w, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sel := res.Selected
 	if len(sel) != 2 {
 		t.Fatalf("selection %v", sel)
 	}
@@ -189,14 +191,21 @@ func TestGreedySelectLocal(t *testing.T) {
 	if !has2 {
 		t.Fatalf("diverse element not selected: %v", sel)
 	}
-	if value <= 0 {
+	if res.Value <= 0 {
 		t.Fatal("value missing")
 	}
-	if _, _, err := greedySelect(w, 0); err == nil {
+	if _, err := selectGreedy(w, 0); err == nil {
 		t.Fatal("expected count error")
 	}
-	if _, _, err := greedySelect(w, 4); err == nil {
+	if _, err := selectGreedy(w, 4); err == nil {
 		t.Fatal("expected count>P error")
+	}
+	// A corrupted similarity matrix is refused, not silently maximised.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), -0.5} {
+		w[1][2] = bad
+		if _, err := selectGreedy(w, 2); err == nil {
+			t.Fatalf("W entry %g accepted", bad)
+		}
 	}
 }
 

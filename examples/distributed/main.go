@@ -61,7 +61,7 @@ func main() {
 	}
 	var partyNames []string
 	for i := 0; i < partition.P(); i++ {
-		part, err := vfl.NewParticipant(i, partition.Parties[i], pub, 7)
+		part, err := vfl.NewParticipant(i, partition.Parties[i], pub, 7, vfl.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func main() {
 	// Aggregation server: merges rankings with Fagin and sums ciphertexts.
 	aggCli := transport.NewTCPClient(directory)
 	defer aggCli.Close()
-	agg, err := vfl.NewAggServer(aggCli, partyNames, pub)
+	agg, err := vfl.NewAggServer(aggCli, partyNames, pub, vfl.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	leader, err := vfl.NewLeader(leaderCli, vfl.AggServerName, partyNames, priv, 16)
+	leader, err := vfl.NewLeader(leaderCli, vfl.AggServerName, partyNames, priv, 16, vfl.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

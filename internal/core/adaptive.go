@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
 
 	"vfps/internal/costmodel"
@@ -88,21 +87,9 @@ func SelectAdaptive(ctx context.Context, leader *vfl.Leader, selectCount int, cf
 	if err != nil {
 		return nil, fmt.Errorf("core: building objective: %w", err)
 	}
-	var res *submod.Result
-	switch cfg.Optimizer {
-	case OptGreedy:
-		res, err = submod.Greedy(obj, selectCount)
-	case OptLazy:
-		res, err = submod.LazyGreedy(obj, selectCount)
-	case OptStochastic:
-		res, err = submod.StochasticGreedy(obj, selectCount, 0.1, rand.New(rand.NewSource(cfg.Seed)))
-	case OptWarmStart:
-		res, err = submod.GreedyWarmStart(obj, selectCount, cfg.WarmStart)
-	default:
-		return nil, fmt.Errorf("core: unknown optimizer %q", cfg.Optimizer)
-	}
+	res, err := maximize(obj, selectCount, cfg.Config)
 	if err != nil {
-		return nil, fmt.Errorf("core: maximization: %w", err)
+		return nil, err
 	}
 	perRole, err := leader.GatherCounts(ctx)
 	if err != nil {

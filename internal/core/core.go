@@ -157,6 +157,29 @@ func SampleQueriesStratified(y []int, classes, count int, seed int64) []int {
 	return out
 }
 
+// maximize picks count elements of the objective with the configured
+// optimizer (cfg.Optimizer, cfg.Seed, cfg.WarmStart).
+func maximize(obj *submod.FacilityLocation, count int, cfg Config) (*submod.Result, error) {
+	var res *submod.Result
+	var err error
+	switch cfg.Optimizer {
+	case OptGreedy:
+		res, err = submod.Greedy(obj, count)
+	case OptLazy:
+		res, err = submod.LazyGreedy(obj, count)
+	case OptStochastic:
+		res, err = submod.StochasticGreedy(obj, count, 0.1, rand.New(rand.NewSource(cfg.Seed)))
+	case OptWarmStart:
+		res, err = submod.GreedyWarmStart(obj, count, cfg.WarmStart)
+	default:
+		return nil, fmt.Errorf("core: unknown optimizer %q", cfg.Optimizer)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: maximization: %w", err)
+	}
+	return res, nil
+}
+
 // Select runs the full VFPS-SM pipeline against an already wired cluster
 // leader, choosing selectCount of the leader's participants.
 func Select(ctx context.Context, leader *vfl.Leader, selectCount int, cfg Config) (*Selection, error) {
@@ -247,23 +270,10 @@ func Select(ctx context.Context, leader *vfl.Leader, selectCount int, cfg Config
 		msp.End()
 		return nil, fmt.Errorf("core: building objective: %w", err)
 	}
-	var res *submod.Result
-	switch cfg.Optimizer {
-	case OptGreedy:
-		res, err = submod.Greedy(obj, selectCount)
-	case OptLazy:
-		res, err = submod.LazyGreedy(obj, selectCount)
-	case OptStochastic:
-		res, err = submod.StochasticGreedy(obj, selectCount, 0.1, rand.New(rand.NewSource(cfg.Seed)))
-	case OptWarmStart:
-		res, err = submod.GreedyWarmStart(obj, selectCount, cfg.WarmStart)
-	default:
-		msp.End()
-		return nil, fmt.Errorf("core: unknown optimizer %q", cfg.Optimizer)
-	}
+	res, err := maximize(obj, selectCount, cfg)
 	if err != nil {
 		msp.End()
-		return nil, fmt.Errorf("core: maximization: %w", err)
+		return nil, err
 	}
 	msp.SetLabelInt("evaluations", int64(res.Evaluations))
 	msp.End()

@@ -114,7 +114,7 @@ func churnAt(ctx context.Context, opt Options, e2eBits int) (*ChurnResult, error
 			Scheme:      "paillier",
 			KeyBits:     e2eBits,
 			ShuffleSeed: opt.Seed + 303,
-			DeltaCache:  true,
+			Options:     vfl.Options{DeltaCache: true},
 			Instance:    "churn/" + name,
 		})
 	}

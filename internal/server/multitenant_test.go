@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"vfps"
 )
 
 func startServerOpts(t *testing.T, opts Options) (*Server, *httptest.Server) {
@@ -364,7 +366,7 @@ func TestShardedConsortiumHTTP(t *testing.T) {
 	_, ts := startServerOpts(t, Options{})
 	var created CreateResponse
 	code := doJSON(t, "POST", ts.URL+"/v1/consortiums",
-		CreateRequest{Dataset: "Rice", Rows: 120, Parties: 4, ShardWorkers: 2}, &created)
+		CreateRequest{Dataset: "Rice", Rows: 120, Parties: 4, Options: vfps.Options{ShardWorkers: 2}}, &created)
 	if code != http.StatusCreated {
 		t.Fatalf("create returned %d", code)
 	}

@@ -295,18 +295,11 @@ type CreateRequest struct {
 	SplitSeed   int64   `json:"splitSeed"`
 	ShuffleSeed int64   `json:"shuffleSeed"`
 	KeyBits     int     `json:"keyBits"` // Paillier modulus size (0 → library default)
-	// DeltaCache enables cross-round delta encoding of ciphertext payloads
-	// (DESIGN.md §14).
-	DeltaCache bool `json:"deltaCache"`
-	// ShardWorkers >= 2 shards the aggregation tree reduce across that many
-	// in-process workers (DESIGN.md §15).
-	ShardWorkers int `json:"shardWorkers"`
-	// Parallelism pins per-role HE pipeline concurrency (0 → automatic).
-	Parallelism int `json:"parallelism"`
-	// SimCache memoises similarity reports by (roster, queries, variant, K)
-	// across this consortium's selections, so a recurring membership skips
-	// the encrypted similarity phase (DESIGN.md §16).
-	SimCache bool `json:"simCache"`
+	// Options carries the performance settings. JSON reaches only
+	// "parallelism", "shardWorkers", "deltaCache" and "simCache"; the server
+	// owns the shared pool and the pack-width carry, and the encrypt window
+	// stays at its default.
+	vfps.Options
 }
 
 // CreateResponse identifies the new consortium.
@@ -343,24 +336,21 @@ func (s *Server) createConsortium(w http.ResponseWriter, r *http.Request) {
 	id := s.reg.allocID()
 	hintKey := hintKeyFor(req.Dataset, req.Rows, req.Parties, req.Scheme)
 	cfg := vfps.Config{
-		Partition:    pt,
-		Labels:       d.Y,
-		Classes:      d.Classes,
-		Scheme:       req.Scheme,
-		DPEpsilon:    req.DPEpsilon,
-		ShuffleSeed:  req.ShuffleSeed,
-		KeyBits:      req.KeyBits,
-		DeltaCache:   req.DeltaCache,
-		ShardWorkers: req.ShardWorkers,
-		Parallelism:  req.Parallelism,
-		SimCache:     req.SimCache,
-		SharedPool:   s.pool,
-		Obs:          s.obs,
-		Instance:     id,
-		// Seed the slot-width negotiation with the width a same-shape
-		// predecessor learned, skipping its static warm-up round.
-		PackWidthHint: s.reg.hintFor(hintKey),
+		Partition:   pt,
+		Labels:      d.Y,
+		Classes:     d.Classes,
+		Scheme:      req.Scheme,
+		DPEpsilon:   req.DPEpsilon,
+		ShuffleSeed: req.ShuffleSeed,
+		KeyBits:     req.KeyBits,
+		Options:     req.Options,
+		Obs:         s.obs,
+		Instance:    id,
 	}
+	cfg.Pool = s.pool
+	// Seed the slot-width negotiation with the width a same-shape
+	// predecessor learned, skipping its static warm-up round.
+	cfg.PackHint = s.reg.hintFor(hintKey)
 	cons, err := vfps.NewConsortium(context.Background(), cfg)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)

@@ -6,7 +6,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
 	"testing"
+
+	"vfps"
 )
 
 func startServer(t *testing.T) *httptest.Server {
@@ -129,7 +133,7 @@ func TestMembershipChurnEndpoints(t *testing.T) {
 	ts := startServer(t)
 	var created CreateResponse
 	code := doJSON(t, "POST", ts.URL+"/v1/consortiums",
-		CreateRequest{Dataset: "Rice", Rows: 200, Parties: 3, DeltaCache: true, SimCache: true}, &created)
+		CreateRequest{Dataset: "Rice", Rows: 200, Parties: 3, Options: vfps.Options{DeltaCache: true, SimCache: true}}, &created)
 	if code != http.StatusCreated {
 		t.Fatalf("create returned %d", code)
 	}
@@ -265,6 +269,51 @@ func TestErrorPaths(t *testing.T) {
 	if code := doJSON(t, "POST", fmt.Sprintf("%s/v1/consortiums/%s/evaluate", ts.URL, id),
 		EvaluateRequest{Model: "svm"}, &e); code != http.StatusBadRequest {
 		t.Fatalf("bad model: %d", code)
+	}
+}
+
+// TestCreateRequestJSONUnchanged pins the create body's performance surface
+// to the four keys it had before the settings moved into the embedded
+// vfps.Options: they decode into the options, the settings the server owns
+// ("encryptWindow", "packHint", the pool) stay unknown fields — readJSON
+// rejects them — and an encoded request carries exactly the old key set.
+func TestCreateRequestJSONUnchanged(t *testing.T) {
+	decode := func(body string) (CreateRequest, error) {
+		var req CreateRequest
+		dec := json.NewDecoder(strings.NewReader(body))
+		dec.DisallowUnknownFields()
+		return req, dec.Decode(&req)
+	}
+	req, err := decode(`{"dataset":"Rice","deltaCache":true,"shardWorkers":2,"parallelism":3,"simCache":true}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := vfps.Options{Parallelism: 3, ShardWorkers: 2, DeltaCache: true, SimCache: true}
+	if req.Options != want {
+		t.Fatalf("decoded options %+v, want %+v", req.Options, want)
+	}
+	for _, key := range []string{"encryptWindow", "EncryptWindow", "packHint", "PackHint", "pool", "Pool"} {
+		if _, err := decode(`{"dataset":"Rice","` + key + `":1}`); err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Fatalf("%q: want an unknown-field error, got %v", key, err)
+		}
+	}
+	raw, err := json.Marshal(CreateRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]any
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for k := range fields {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	wantKeys := []string{"dataset", "deltaCache", "dpEpsilon", "keyBits", "parallelism", "parties",
+		"rows", "scheme", "shardWorkers", "shuffleSeed", "simCache", "splitSeed"}
+	if !slices.Equal(keys, wantKeys) {
+		t.Fatalf("encoded keys %v, want %v", keys, wantKeys)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"vfps/internal/costmodel"
@@ -23,14 +22,14 @@ import (
 // Party requests fan out concurrently (indexed result slots keep pseudo-ID
 // ordering and error precedence identical to the serial implementation) and
 // ciphertext vectors are tree-reduced with a chunked worker pool; see
-// SetParallelism.
+// Options.Parallelism.
 type AggServer struct {
 	roleObs
 	cc          *transport.CodecCaller
 	parties     []string // node names of the participants
 	scheme      he.Scheme
 	counts      costmodel.Counts
-	parallelism int // 0 → par.Degree(); 1 → fully serial
+	parallelism int // ≤ 0 → par.Degree(); 1 → fully serial
 
 	// role labels this server's metric series: AggServerName for the
 	// coordinator (default), AggWorkerName(i) for a shard worker.
@@ -100,8 +99,11 @@ func (a *AggServer) observeNeedBits(needs []int) {
 }
 
 // NewAggServer wires the server to its participants through the given
-// transport. scheme must be the public (encrypt/add) scheme.
-func NewAggServer(caller transport.Caller, parties []string, scheme he.Scheme) (*AggServer, error) {
+// transport. scheme must be the public (encrypt/add) scheme. It reads
+// opts.Parallelism (party fan-out and reduce concurrency) and opts.PackHint,
+// which seeds the slot-width negotiation (see Options.PackHint); a hint the
+// data outgrew just triggers the standard static-fallback round.
+func NewAggServer(caller transport.Caller, parties []string, scheme he.Scheme, opts Options) (*AggServer, error) {
 	if caller == nil {
 		return nil, fmt.Errorf("vfl: aggregation server needs a transport")
 	}
@@ -111,7 +113,11 @@ func NewAggServer(caller transport.Caller, parties []string, scheme he.Scheme) (
 	if scheme == nil {
 		return nil, fmt.Errorf("vfl: aggregation server needs an HE scheme")
 	}
-	return &AggServer{cc: transport.NewCodecCaller(caller), parties: parties, scheme: scheme}, nil
+	a := &AggServer{cc: transport.NewCodecCaller(caller), parties: parties, scheme: scheme, parallelism: opts.Parallelism}
+	if opts.PackHint > 0 {
+		a.packNeed.Store(int64(opts.PackHint))
+	}
+	return a, nil
 }
 
 // call performs one outbound RPC and charges the encoded request bytes to the
@@ -142,17 +148,6 @@ func (a *AggServer) SetParties(parties []string) error {
 	return nil
 }
 
-// SetParallelism pins the server's concurrency: 1 restores the serial party
-// loop and serial reduction (the determinism baseline), <= 0 restores the
-// default degree. Results are identical at every setting; only wall-clock
-// time changes.
-func (a *AggServer) SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	a.parallelism = n
-}
-
 // Counts exposes the server's operation counters.
 func (a *AggServer) Counts() costmodel.Raw { return a.counts.Snapshot() }
 
@@ -178,23 +173,6 @@ func (a *AggServer) roleName() string {
 // width, margin included; 0 before the first advertisement) so a serving
 // layer can carry the learned width across consortium restarts.
 func (a *AggServer) PackHint() int { return int(a.packNeed.Load()) }
-
-// SetPackHint seeds the negotiation state with a previously learned width
-// (monotone, like the in-band advertisements), turning the static round-one
-// warm-up into an adaptive round. Safe to leave unset; a hint the data
-// outgrew just triggers the standard static-fallback round.
-func (a *AggServer) SetPackHint(bits int) {
-	target := int64(bits)
-	if target <= 0 {
-		return
-	}
-	for {
-		cur := a.packNeed.Load()
-		if target <= cur || a.packNeed.CompareAndSwap(cur, target) {
-			return
-		}
-	}
-}
 
 // SetObserver installs metrics and tracing on the server: aggregation-phase
 // spans and cost-model gauges labelled {instance, role} (role "aggserver"
@@ -263,51 +241,6 @@ func (a *AggServer) Handler() transport.Handler {
 			return nil, fmt.Errorf("%w: %s", transport.ErrUnknownMethod, method)
 		}
 	}
-}
-
-// fanOut runs fn once per party, concurrently unless parallelism is pinned
-// to 1. Results land in caller-provided indexed slots, so ordering is
-// independent of completion order; the lowest-indexed party's error wins,
-// matching the serial loop's error precedence.
-func (a *AggServer) fanOut(ctx context.Context, fn func(pi int, party string) error) error {
-	return a.fanOutOver(ctx, a.parties, fn)
-}
-
-// fanOutOver is fanOut over an arbitrary node roster (party subset on a shard
-// worker, worker roster on the coordinator), with the same ordering and
-// error-precedence guarantees.
-func (a *AggServer) fanOutOver(ctx context.Context, nodes []string, fn func(i int, node string) error) error {
-	if a.parallelism == 1 {
-		for i, node := range nodes {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(i, node); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, len(nodes))
-	var wg sync.WaitGroup
-	for i, node := range nodes {
-		wg.Add(1)
-		go func(i int, node string) {
-			defer wg.Done()
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				return
-			}
-			errs[i] = fn(i, node)
-		}(i, node)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // reduceVectors tree-reduces the per-party ciphertext vectors element-wise
@@ -477,7 +410,7 @@ func samePseudoIDs(names []string, pvs []partyVec) error {
 // full-vector BASE pattern otherwise.
 func (a *AggServer) collectSubtree(ctx context.Context, parties []string, query int, pids []int, all bool, dictate int, opt payloadOpts) ([]partyVec, error) {
 	pvs := make([]partyVec, len(parties))
-	err := a.fanOutOver(ctx, parties, func(pi int, party string) error {
+	err := fanOut(ctx, a.parallelism, parties, func(pi int, party string) error {
 		var pv partyVec
 		var err error
 		if all {
@@ -596,7 +529,7 @@ func (a *AggServer) aggregateFrontier(ctx context.Context, r AggregateFrontierRe
 	ctx, fsp := a.tracer().Start(ctx, SpanFrontier)
 	defer fsp.End()
 	singles := make([][][]byte, len(a.parties))
-	err := a.fanOut(ctx, func(pi int, party string) error {
+	err := fanOut(ctx, a.parallelism, a.parties, func(pi int, party string) error {
 		var resp EncryptRankScoreResp
 		if err := a.call(ctx, party, MethodEncryptRankScore,
 			&EncryptRankScoreReq{Query: r.Query, Rank: r.Rank}, &resp); err != nil {
@@ -674,7 +607,7 @@ func (a *AggServer) faginCollect(ctx context.Context, r FaginCollectReq) ([]byte
 		// indexed responses in party order so the candidate first-seen order
 		// is identical to the serial scan.
 		batches := make([][]int, p)
-		err := a.fanOut(ctx, func(pi int, party string) error {
+		err := fanOut(ctx, a.parallelism, a.parties, func(pi int, party string) error {
 			var resp RankingBatchResp
 			if err := a.call(ctx, party, MethodRankingBatch,
 				&RankingBatchReq{Query: r.Query, Offset: depth, Count: r.Batch}, &resp); err != nil {

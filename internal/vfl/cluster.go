@@ -29,45 +29,8 @@ type ClusterConfig struct {
 	ShuffleSeed int64
 	// Batch is the Fagin mini-batch size b (default 32).
 	Batch int
-	// Parallelism pins the concurrency of the HE pipeline on every role
-	// (party fan-out, worker-pool encryption/decryption): 1 restores fully
-	// serial execution, 0 or negative uses the default degree (GOMAXPROCS).
-	// Results are identical at every setting.
-	Parallelism int
-	// RandomizerPool sizes the Paillier pool of precomputed encryption
-	// randomizers (0 → a default when Parallelism != 1; negative disables).
-	// Ignored by the other schemes.
-	RandomizerPool int
-	// Pool, when non-nil, attaches the cluster's encrypting roles to a shared
-	// cluster-lifetime PoolSet instead of starting a private pool: randomizer
-	// precomputation then survives across protocol rounds and across clusters
-	// sharing the same key, and the caller owns teardown (ps.Close). It takes
-	// effect even at Parallelism 1 — pooling does not change call order, so
-	// selections stay bit-identical. RandomizerPool < 0 still disables
-	// pooling entirely.
-	Pool *he.PoolSet
-	// EncryptWindow pins the fixed-base window width used by randomizer
-	// production in pools this cluster starts: 0 keeps the paillier default
-	// (currently 6), negative restores classic uniform-r sampling (one full
-	// modexp per randomizer). Ignored when Pool is set (the PoolSet carries
-	// its own window) and by non-Paillier schemes.
-	EncryptWindow int
-	// ShardWorkers ≥ 2 shards the aggregation tree reduce: that many in-process
-	// shard workers are built over aligned power-of-two party subtrees (see
-	// PlanSubtrees) and the aggregation server becomes their coordinator.
-	// Selections are bit-identical at every worker count, 0/1 included; only
-	// where the ciphertext additions run changes. Counts of ≤ 1 (or plans that
-	// collapse to one shard) keep the unsharded path.
-	ShardWorkers int
-	// PackHint seeds the Paillier slot-width negotiation with a width learned
-	// by an earlier consortium over the same data shape (margin included), so
-	// round one already packs at the negotiated width instead of the static
-	// geometry. 0 keeps the in-band negotiation; ignored by the other schemes.
-	PackHint int
-	// DeltaCache enables cross-round delta encoding: both ends of each link
-	// cache ciphertext blocks by (query, geometry, pseudo-ID segment) and
-	// repeat queries resend only changed blocks.
-	DeltaCache bool
+	// Options are the performance settings (see Options).
+	Options
 	// Obs installs metrics and tracing on the transport, every role and the
 	// HE schemes. Nil falls back to the process-wide default observer
 	// (obs.SetDefault); when that is also unset, observability stays fully
@@ -91,49 +54,19 @@ type Cluster struct {
 	shuffleSeed int64
 	pubScheme   he.Scheme
 	privScheme  he.Scheme
-	parallelism int
+	opts        Options
 	observer    *obs.Observer
 	instance    string
 
 	// Membership state (see AddParticipant / RemoveParticipant): the current
-	// roster in index order, a monotone index counter so node names are never
-	// reused after a removal, and the construction knobs rewiring needs.
-	partyNames   []string
-	nextIndex    int
-	shardWorkers int
+	// roster in index order and a monotone index counter so node names are
+	// never reused after a removal.
+	partyNames []string
+	nextIndex  int
 }
 
 // Observer returns the cluster's observer (nil when observability is off).
 func (c *Cluster) Observer() *obs.Observer { return c.observer }
-
-// configureScheme applies the cluster parallelism and pooling settings to an
-// HE scheme; only Paillier has tunables today. A shared PoolSet wins over a
-// private pool and attaches even at Parallelism 1 (pooling never changes call
-// order, so the determinism baseline is preserved); otherwise a private pool
-// is started unless the cluster is pinned fully serial or the pool is
-// explicitly disabled.
-func configureScheme(s he.Scheme, parallelism, pool, window int, shared *he.PoolSet) {
-	p, ok := s.(*he.Paillier)
-	if !ok {
-		return
-	}
-	p.SetParallelism(parallelism)
-	if pool < 0 {
-		return
-	}
-	if shared != nil {
-		p.AttachPool(shared)
-		return
-	}
-	if parallelism == 1 {
-		return
-	}
-	if pool == 0 {
-		pool = 4 * p.Parallelism()
-	}
-	p.SetEncryptWindow(window)
-	p.StartRandomizerPool(pool, 1)
-}
 
 // ConfigurePacking installs the Paillier layout's static slot geometry on a
 // scheme, with headroom for summing one ciphertext per party — exactly what
@@ -217,7 +150,7 @@ func NewLocalCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	configureScheme(pubScheme, cfg.Parallelism, cfg.RandomizerPool, cfg.EncryptWindow, cfg.Pool)
+	ConfigureScheme(pubScheme, cfg.Options, true)
 	if err := ConfigurePacking(pubScheme, cfg.Partition.P()); err != nil {
 		return nil, err
 	}
@@ -228,26 +161,23 @@ func NewLocalCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 	partyNames := make([]string, p)
 	parties := make([]*Participant, p)
 	for i := 0; i < p; i++ {
-		part, err := NewParticipant(i, cfg.Partition.Parties[i], pubScheme, cfg.ShuffleSeed)
+		part, err := NewParticipant(i, cfg.Partition.Parties[i], pubScheme, cfg.ShuffleSeed, cfg.Options)
 		if err != nil {
 			return nil, err
 		}
-		part.SetParallelism(cfg.Parallelism)
 		part.SetObserver(o, instance)
 		parties[i] = part
 		partyNames[i] = PartyName(i)
 		tr.Register(partyNames[i], part.Handler())
 	}
-	agg, err := NewAggServer(tr, partyNames, pubScheme)
+	agg, err := NewAggServer(tr, partyNames, pubScheme, cfg.Options)
 	if err != nil {
 		return nil, err
 	}
-	agg.SetParallelism(cfg.Parallelism)
 	agg.SetObserver(o, instance)
-	agg.SetPackHint(cfg.PackHint)
 	tr.Register(AggServerName, agg.Handler())
 
-	workers, plan, err := buildShardWorkers(tr, partyNames, pubScheme, cfg.ShardWorkers, cfg.Parallelism, o, instance)
+	workers, plan, err := buildShardWorkers(tr, partyNames, pubScheme, cfg.Options, o, instance)
 	if err != nil {
 		return nil, err
 	}
@@ -264,34 +194,31 @@ func NewLocalCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 		return nil, err
 	}
 	// The leader decrypts but never bulk-encrypts, so it gets no pool.
-	configureScheme(privScheme, cfg.Parallelism, -1, cfg.EncryptWindow, nil)
+	ConfigureScheme(privScheme, cfg.Options, false)
 	if ob, ok := privScheme.(he.Observable); ok {
 		ob.SetObserver(o.Registry(), instance+"/leader")
 	}
-	leader, err := NewLeader(tr, AggServerName, partyNames, privScheme, cfg.Batch)
+	leader, err := NewLeader(tr, AggServerName, partyNames, privScheme, cfg.Batch, cfg.Options)
 	if err != nil {
 		return nil, err
 	}
-	leader.SetParallelism(cfg.Parallelism)
 	leader.SetObserver(o, instance)
-	leader.SetPayloadOptions(cfg.DeltaCache)
 	leader.SetExtraCountNodes(workerNames)
 	return &Cluster{
-		Transport:    tr,
-		Leader:       leader,
-		Parties:      parties,
-		Agg:          agg,
-		Workers:      workers,
-		Keys:         ks,
-		shuffleSeed:  cfg.ShuffleSeed,
-		pubScheme:    pubScheme,
-		privScheme:   privScheme,
-		parallelism:  cfg.Parallelism,
-		observer:     o,
-		instance:     instance,
-		partyNames:   partyNames,
-		nextIndex:    p,
-		shardWorkers: cfg.ShardWorkers,
+		Transport:   tr,
+		Leader:      leader,
+		Parties:     parties,
+		Agg:         agg,
+		Workers:     workers,
+		Keys:        ks,
+		shuffleSeed: cfg.ShuffleSeed,
+		pubScheme:   pubScheme,
+		privScheme:  privScheme,
+		opts:        cfg.Options,
+		observer:    o,
+		instance:    instance,
+		partyNames:  partyNames,
+		nextIndex:   p,
 	}, nil
 }
 
@@ -301,20 +228,19 @@ func NewLocalCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 // name, which is what lets a membership change rebuild the shard layer in
 // place). Returns (nil, nil, nil) when the plan collapses to the unsharded
 // path.
-func buildShardWorkers(tr *transport.Memory, partyNames []string, pubScheme he.Scheme, shardWorkers, parallelism int, o *obs.Observer, instance string) ([]*AggServer, *ShardPlan, error) {
-	size, shards := PlanSubtrees(len(partyNames), shardWorkers)
-	if shardWorkers < 2 || shards < 2 {
+func buildShardWorkers(tr *transport.Memory, partyNames []string, pubScheme he.Scheme, opts Options, o *obs.Observer, instance string) ([]*AggServer, *ShardPlan, error) {
+	size, shards := PlanSubtrees(len(partyNames), opts.ShardWorkers)
+	if opts.ShardWorkers < 2 || shards < 2 {
 		return nil, nil, nil
 	}
 	plan := &ShardPlan{SubtreeSize: size}
 	var workers []*AggServer
 	for wi := 0; wi < shards; wi++ {
 		lo, hi := plan.shardRange(wi, len(partyNames))
-		w, err := NewAggServer(tr, partyNames[lo:hi], pubScheme)
+		w, err := NewAggServer(tr, partyNames[lo:hi], pubScheme, opts)
 		if err != nil {
 			return nil, nil, err
 		}
-		w.SetParallelism(parallelism)
 		w.SetRole(AggWorkerName(wi))
 		w.SetObserver(o, instance)
 		name := AggWorkerName(wi)
@@ -355,11 +281,10 @@ func (c *Cluster) AddParticipant(x *mat.Matrix) (string, error) {
 		return "", err
 	}
 	index := c.nextIndex
-	part, err := NewParticipant(index, x, c.pubScheme, c.shuffleSeed)
+	part, err := NewParticipant(index, x, c.pubScheme, c.shuffleSeed, c.opts)
 	if err != nil {
 		return "", err
 	}
-	part.SetParallelism(c.parallelism)
 	part.SetObserver(c.observer, c.instance)
 	name := PartyName(index)
 	c.Transport.Register(name, part.Handler())
@@ -415,7 +340,7 @@ func (c *Cluster) rewire() error {
 	if err := c.Agg.SetParties(c.partyNames); err != nil {
 		return err
 	}
-	workers, plan, err := buildShardWorkers(c.Transport, c.partyNames, c.pubScheme, c.shardWorkers, c.parallelism, c.observer, c.instance)
+	workers, plan, err := buildShardWorkers(c.Transport, c.partyNames, c.pubScheme, c.opts, c.observer, c.instance)
 	if err != nil {
 		return err
 	}

@@ -258,7 +258,7 @@ func TestRetiredChunkTagSkipped(t *testing.T) {
 		}
 		return fagin, nil
 	})
-	leader, err := NewLeader(tr, AggServerName, []string{PartyName(0)}, he.NewPlain(), 0)
+	leader, err := NewLeader(tr, AggServerName, []string{PartyName(0)}, he.NewPlain(), 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ var gobBlob = []byte{
 func TestHostileInputPerRole(t *testing.T) {
 	ctx := context.Background()
 	_, pt := testPartition(t, "Bank", 20, 4)
-	cl, err := NewLocalCluster(ctx, ClusterConfig{Partition: pt, ShuffleSeed: 7, ShardWorkers: 2})
+	cl, err := NewLocalCluster(ctx, ClusterConfig{Partition: pt, ShuffleSeed: 7, Options: Options{ShardWorkers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ type Leader struct {
 	scheme      he.Scheme // full scheme (with private key)
 	batch       int       // Fagin mini-batch size b
 	counts      costmodel.Counts
-	parallelism int      // 0 → par.Degree(); 1 → fully serial party fan-out
+	parallelism int      // 1 → fully serial party fan-out
 	instance    string   // observer instance label; the query log's tenant
 	extraNodes  []string // additional accounting nodes (shard workers)
 
@@ -58,17 +58,20 @@ type Leader struct {
 	// the static-geometry reference.
 	adaptive bool
 	// delta asks the aggregation server for cross-round delta encoding (see
-	// SetPayloadOptions); recvCache is the receive half of that leader-link
+	// Options.DeltaCache); recvCache is the receive half of that leader-link
 	// cache.
 	delta     bool
 	recvCache deltaCache
 }
 
 // NewLeader wires the leader to the cluster. batch is the Fagin mini-batch
-// size (paper's b); a non-positive value defaults to 32. Under Paillier the
-// leader's scheme gets the static slot geometry for this roster (see
-// ConfigurePacking), which fails when the key cannot hold one slot.
-func NewLeader(caller transport.Caller, aggNode string, parties []string, scheme he.Scheme, batch int) (*Leader, error) {
+// size (paper's b); a non-positive value defaults to 32. It reads
+// opts.Parallelism (1 serialises the party fan-out; vector decryption
+// follows the scheme's own setting, see ConfigureScheme) and opts.DeltaCache.
+// Under Paillier the leader's scheme gets the static slot geometry for this
+// roster (see ConfigurePacking), which fails when the key cannot hold one
+// slot.
+func NewLeader(caller transport.Caller, aggNode string, parties []string, scheme he.Scheme, batch int, opts Options) (*Leader, error) {
 	if caller == nil {
 		return nil, fmt.Errorf("vfl: leader needs a transport")
 	}
@@ -85,7 +88,8 @@ func NewLeader(caller transport.Caller, aggNode string, parties []string, scheme
 		return nil, err
 	}
 	_, isPaillier := scheme.(*he.Paillier)
-	return &Leader{cc: transport.NewCodecCaller(caller), agg: aggNode, parties: parties, scheme: scheme, batch: batch, adaptive: isPaillier}, nil
+	return &Leader{cc: transport.NewCodecCaller(caller), agg: aggNode, parties: parties, scheme: scheme, batch: batch,
+		parallelism: opts.Parallelism, adaptive: isPaillier, delta: opts.DeltaCache}, nil
 }
 
 // call performs one outbound RPC and charges the encoded request bytes to the
@@ -115,16 +119,6 @@ func (l *Leader) SetObserver(o *obs.Observer, instance string) {
 // off); selection-level query-log events reuse it as the tenant.
 func (l *Leader) Instance() string { return l.instance }
 
-// SetParallelism pins the leader's party fan-out concurrency: 1 restores the
-// serial loops, <= 0 restores the default degree. Vector decryption
-// parallelism is governed by the HE scheme itself (he.Paillier.SetParallelism).
-func (l *Leader) SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	l.parallelism = n
-}
-
 // P returns the number of participants.
 func (l *Leader) P() int { return len(l.parties) }
 
@@ -146,12 +140,6 @@ func (l *Leader) SetParties(parties []string) error {
 	l.parties = append([]string(nil), parties...)
 	return nil
 }
-
-// SetPayloadOptions configures the ciphertext-payload optimisation the leader
-// requests from the aggregation server: cross-round delta caching (repeat
-// queries resend only changed ciphertext blocks). Off by default; selections
-// are identical either way.
-func (l *Leader) SetPayloadOptions(delta bool) { l.delta = delta }
 
 // QueryResult is the outcome of one vertical-KNN query.
 type QueryResult struct {
@@ -424,7 +412,7 @@ func (l *Leader) finishQuery(ctx context.Context, query, k int, pids []int, dist
 	nctx, nsp := l.tracer().Start(ctx, SpanNeighborSums)
 	ctx = nctx
 	sums := make([]float64, len(l.parties))
-	err := l.fanOut(ctx, func(pi int, party string) error {
+	err := fanOut(ctx, l.parallelism, l.parties, func(pi int, party string) error {
 		var resp NeighborSumResp
 		if err := l.call(ctx, party, MethodNeighborSum,
 			&NeighborSumReq{Query: query, PseudoIDs: neighbors}, &resp); err != nil {
@@ -441,33 +429,36 @@ func (l *Leader) finishQuery(ctx context.Context, query, k int, pids []int, dist
 	return &QueryResult{Neighbors: neighbors, PartySums: sums, Fagin: stats}, nil
 }
 
-// fanOut runs fn once per party, concurrently unless parallelism is pinned
-// to 1, with indexed result slots and lowest-index error precedence (the
-// same semantics as the serial loop).
-func (l *Leader) fanOut(ctx context.Context, fn func(pi int, party string) error) error {
-	if l.parallelism == 1 {
-		for pi, party := range l.parties {
+// fanOut runs fn once per node — a party roster, a party subset on a shard
+// worker, or the worker roster on a coordinator — serially when parallelism is
+// 1 and otherwise on one goroutine per node. No worker bound: the calls wait on
+// peers, not on local cores. Results land in caller-indexed slots, so ordering
+// is independent of completion order, and the lowest-indexed node's error
+// wins, matching the serial loop.
+func fanOut(ctx context.Context, parallelism int, nodes []string, fn func(i int, node string) error) error {
+	if parallelism == 1 {
+		for i, node := range nodes {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := fn(pi, party); err != nil {
+			if err := fn(i, node); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	errs := make([]error, len(l.parties))
+	errs := make([]error, len(nodes))
 	var wg sync.WaitGroup
-	for pi, party := range l.parties {
+	for i, node := range nodes {
 		wg.Add(1)
-		go func(pi int, party string) {
+		go func(i int, node string) {
 			defer wg.Done()
 			if err := ctx.Err(); err != nil {
-				errs[pi] = err
+				errs[i] = err
 				return
 			}
-			errs[pi] = fn(pi, party)
-		}(pi, party)
+			errs[i] = fn(i, node)
+		}(i, node)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -511,7 +502,7 @@ func (l *Leader) thresholdScan(ctx context.Context, query, k int) ([]int, []floa
 		// Sorted access: next batch of every party's ranking, all parties in
 		// flight concurrently; merge in party order for determinism.
 		batches := make([][]int, len(l.parties))
-		err := l.fanOut(ctx, func(pi int, party string) error {
+		err := fanOut(ctx, l.parallelism, l.parties, func(pi int, party string) error {
 			var resp RankingBatchResp
 			if err := l.call(ctx, party, MethodRankingBatch,
 				&RankingBatchReq{Query: query, Offset: depth, Count: l.batch}, &resp); err != nil {

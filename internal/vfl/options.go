@@ -1,0 +1,84 @@
+package vfl
+
+import (
+	"flag"
+
+	"vfps/internal/he"
+)
+
+// Options are a deployment's performance settings. None of them changes a
+// selection, a wire byte or an operation count: they bound resources and
+// decide where work runs. They are declared here once; ClusterConfig,
+// vfps.Config and the HTTP create request embed them, vfpsnode binds them to
+// flags (BindFlags), and the constructors read them (NewParticipant,
+// NewAggServer, NewLeader, ConfigureScheme).
+type Options struct {
+	// Parallelism caps the concurrency of every role: the party fan-out and
+	// the worker pools that encrypt, add and decrypt ciphertext vectors. 1 runs
+	// everything serially (and, without a Pool, precomputes no encryption
+	// randomizers in the background); 0 or negative uses GOMAXPROCS.
+	Parallelism int `json:"parallelism"`
+	// ShardWorkers ≥ 2 shards the ciphertext tree reduce across that many
+	// aggregation workers over aligned power-of-two party subtrees (see
+	// PlanSubtrees); the aggregation server becomes their coordinator. Counts
+	// of ≤ 1, or plans that collapse to one shard, keep the unsharded reduce.
+	ShardWorkers int `json:"shardWorkers"`
+	// EncryptWindow sets the memory budget of the fixed-base randomizer table
+	// in pools a deployment starts: that of a width-w radix table; 0 keeps the
+	// paillier default (6), negative restores classic uniform-r sampling (one
+	// full modexp per randomizer; see SECURITY.md). Ignored when Pool is set
+	// (the PoolSet carries its own window) and by non-Paillier schemes.
+	EncryptWindow int `json:"-"`
+	// DeltaCache enables cross-round delta encoding: both ends of each link
+	// cache ciphertext blocks by (query, geometry, pseudo-ID segment) and
+	// repeat queries resend only the blocks that changed.
+	DeltaCache bool `json:"deltaCache"`
+	// SimCache memoises similarity reports by (roster, query set, variant, K)
+	// across a consortium's selections, so a recurring membership skips the
+	// encrypted similarity phase. Exact, but opt-in: it short-circuits the
+	// per-run cost profile benchmarks measure. Honoured by vfps.Consortium; a
+	// bare Cluster has no similarity cache.
+	SimCache bool `json:"simCache"`
+	// PackHint seeds the Paillier slot-width negotiation with a width an
+	// earlier consortium learned over the same data shape (margin included),
+	// so round one already packs at the negotiated width instead of the static
+	// geometry. 0 keeps the in-band negotiation; ignored by the other schemes.
+	PackHint int `json:"-"`
+	// Pool, when non-nil, attaches the encrypting roles to a shared
+	// cluster-lifetime PoolSet instead of starting a private randomizer pool:
+	// precomputation then survives across rounds and across consortiums
+	// sharing the key, and the caller owns teardown (PoolSet.Close). It takes
+	// effect even at Parallelism 1, since pooling does not change call order.
+	Pool *he.PoolSet `json:"-"`
+}
+
+// BindFlags registers the settings a vfpsnode process takes as flags on fs:
+// -parallelism, -shard-workers, -delta-cache and -encrypt-window.
+func (o *Options) BindFlags(fs *flag.FlagSet) {
+	fs.IntVar(&o.Parallelism, "parallelism", 0, "HE pipeline concurrency (0 = GOMAXPROCS, 1 = serial)")
+	fs.IntVar(&o.ShardWorkers, "shard-workers", 0, "shard the ciphertext reduce across this many aggregation workers (roles aggserver/aggworker; 0 = unsharded)")
+	fs.BoolVar(&o.DeltaCache, "delta-cache", false, "cross-round delta encoding: repeat queries resend only changed ciphertext blocks (role=leader)")
+	fs.IntVar(&o.EncryptWindow, "encrypt-window", 0, "fixed-base window for randomizer precompute (0 = default 6, negative = classic uniform sampling)")
+}
+
+// ConfigureScheme applies the options to an HE scheme; only Paillier has
+// tunables. Every role gets the vector parallelism. A role that bulk-encrypts
+// (encrypts) is also given randomizers: the shared Pool when one is set, even
+// at Parallelism 1 (pooling never changes call order), otherwise a private
+// pool unless the role is pinned fully serial. Roles that only add or decrypt
+// get no pool.
+func ConfigureScheme(s he.Scheme, opts Options, encrypts bool) {
+	p, ok := s.(*he.Paillier)
+	if !ok {
+		return
+	}
+	p.SetParallelism(opts.Parallelism)
+	switch {
+	case !encrypts:
+	case opts.Pool != nil:
+		p.AttachPool(opts.Pool)
+	case opts.Parallelism != 1:
+		p.SetEncryptWindow(opts.EncryptWindow)
+		p.StartRandomizerPool(4*p.Parallelism(), 1)
+	}
+}

@@ -124,7 +124,7 @@ func TestEncryptWindowSelectionIdentity(t *testing.T) {
 	build := func(window int) *Cluster {
 		cl, err := NewLocalCluster(ctx, ClusterConfig{
 			Partition: pt, Scheme: "paillier", KeyBits: 256, ShuffleSeed: 7, Batch: 8,
-			Parallelism: 2, EncryptWindow: window, // Parallelism != 1 starts the randomizer pool
+			Options: Options{Parallelism: 2, EncryptWindow: window}, // Parallelism != 1 starts the randomizer pool
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -27,7 +27,7 @@ func parallelCluster(t *testing.T, pt *dataset.Partition, scheme string, paralle
 		KeyBits:     256,
 		ShuffleSeed: 7,
 		Batch:       8,
-		Parallelism: parallelism,
+		Options:     Options{Parallelism: parallelism},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -35,7 +35,7 @@ type Participant struct {
 	inv  []int // pseudo id -> original id
 
 	counts      costmodel.Counts
-	parallelism int // 0 → par.Degree(); 1 → fully serial encryption
+	parallelism int // ≤ 0 → par.Degree(); 1 → fully serial encryption
 
 	// deltaSent caches ciphertext blocks sent to the aggregator, keyed by
 	// block identity; a hit reuses the cached bytes (skipping re-encryption)
@@ -106,8 +106,9 @@ func (qc *queryCache) ranked(upto int) []topk.Item {
 }
 
 // NewParticipant constructs participant p over its local features.
-// shuffleSeed must be identical across all participants of a consortium.
-func NewParticipant(index int, x *mat.Matrix, scheme he.Scheme, shuffleSeed int64) (*Participant, error) {
+// shuffleSeed must be identical across all participants of a consortium;
+// opts.Parallelism bounds the encryption worker pool.
+func NewParticipant(index int, x *mat.Matrix, scheme he.Scheme, shuffleSeed int64, opts Options) (*Participant, error) {
 	if x == nil || x.Rows == 0 || x.Cols == 0 {
 		return nil, fmt.Errorf("vfl: participant %d has no data", index)
 	}
@@ -138,12 +139,13 @@ func NewParticipant(index int, x *mat.Matrix, scheme he.Scheme, shuffleSeed int6
 		inv[pid] = orig
 	}
 	return &Participant{
-		index:  index,
-		x:      x,
-		scheme: scheme,
-		perm:   perm,
-		inv:    inv,
-		cache:  make(map[int]*queryCache),
+		index:       index,
+		x:           x,
+		scheme:      scheme,
+		perm:        perm,
+		inv:         inv,
+		parallelism: opts.Parallelism,
+		cache:       make(map[int]*queryCache),
 	}, nil
 }
 
@@ -161,15 +163,6 @@ func (p *Participant) Counts() costmodel.Raw { return p.counts.Snapshot() }
 func (p *Participant) SetObserver(o *obs.Observer, instance string) {
 	p.store(o)
 	p.counts.Register(o.Registry(), instance, PartyName(p.index))
-}
-
-// SetParallelism pins the participant's encryption concurrency: 1 restores
-// the serial loop, <= 0 restores the default degree.
-func (p *Participant) SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	p.parallelism = n
 }
 
 // encryptValue protects one protocol value, using item-bound masking when

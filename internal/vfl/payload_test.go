@@ -25,7 +25,7 @@ func payloadTestCluster(t *testing.T, pt *dataset.Partition, delta bool) *Cluste
 		KeyBits:     256,
 		ShuffleSeed: 7,
 		Batch:       8,
-		DeltaCache:  delta,
+		Options:     Options{DeltaCache: delta},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +207,7 @@ func TestRankingBatchHostileCount(t *testing.T) {
 	}
 	// A one-row participant ranks nothing; its frontier must be an error, not
 	// an index panic.
-	lone, err := NewParticipant(0, mat.New(1, 2), he.NewPlain(), 1)
+	lone, err := NewParticipant(0, mat.New(1, 2), he.NewPlain(), 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

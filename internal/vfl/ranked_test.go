@@ -68,7 +68,7 @@ func tiedFeatures(rng *rand.Rand, n int) *mat.Matrix {
 // cache entry and returns it with the oracle ranking.
 func rankedTestParty(t *testing.T, rng *rand.Rand, n int) (p *Participant, query int, qc *queryCache, want []topk.Item) {
 	t.Helper()
-	p, err := NewParticipant(0, tiedFeatures(rng, n), he.NewPlain(), rng.Int63())
+	p, err := NewParticipant(0, tiedFeatures(rng, n), he.NewPlain(), rng.Int63(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func buildRecordedCluster(t *testing.T, scheme string) (*Cluster, *recordingCall
 	for i := range partyNames {
 		partyNames[i] = PartyName(i)
 	}
-	agg, err := NewAggServer(rec, partyNames, pub)
+	agg, err := NewAggServer(rec, partyNames, pub, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func buildRecordedCluster(t *testing.T, scheme string) (*Cluster, *recordingCall
 	if err != nil {
 		t.Fatal(err)
 	}
-	leader, err := NewLeader(rec, AggServerName, partyNames, priv, 8)
+	leader, err := NewLeader(rec, AggServerName, partyNames, priv, 8, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,7 +104,7 @@ func PlanSubtrees(parties, maxWorkers int) (size, shards int) {
 // SetShardPlan installs (or, with nil, removes) the coordinator's shard plan.
 // With a plan set, collection fan-outs go to the shard workers instead of the
 // parties; the workers must be registered on the same transport and built
-// over the matching party subsets (see ClusterConfig.ShardWorkers). Not safe
+// over the matching party subsets (see Options.ShardWorkers). Not safe
 // to call concurrently with in-flight collections.
 func (a *AggServer) SetShardPlan(plan *ShardPlan) error {
 	if plan == nil {
@@ -160,7 +160,7 @@ func (a *AggServer) collectSharded(ctx context.Context, query int, pids []int, a
 	defer msp.End()
 	collect := func(d int) ([]partyVec, error) {
 		pvs := make([]partyVec, len(a.plan.Workers))
-		err := a.fanOutOver(ctx, a.plan.Workers, func(wi int, worker string) error {
+		err := fanOut(ctx, a.parallelism, a.plan.Workers, func(wi int, worker string) error {
 			pv, err := a.pullShard(ctx, wi, worker, query, pids, all, d, opt)
 			if err != nil {
 				return err

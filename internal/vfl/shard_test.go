@@ -118,7 +118,7 @@ func TestShardedPaillierIdentity(t *testing.T) {
 	_, pt := testPartition(t, "Rice", 40, 5)
 	queries := []int{0, 9}
 	base := ClusterConfig{Partition: pt, Scheme: "paillier", KeyBits: 256,
-		ShuffleSeed: 7, Batch: 8, DeltaCache: true}
+		ShuffleSeed: 7, Batch: 8, Options: Options{DeltaCache: true}}
 	refW, refAdds, refEnc := shardedSimilarities(t, base, queries, 3, 2)
 	for _, workers := range []int{2, 3} {
 		cfg := base
@@ -149,7 +149,7 @@ func TestShardWorkerFailureFallback(t *testing.T) {
 		ShuffleSeed: 7, Batch: 8}, queries, 4, 1)
 
 	cl, err := NewLocalCluster(context.Background(), ClusterConfig{Partition: pt,
-		Scheme: "plain", ShuffleSeed: 7, Batch: 8, ShardWorkers: 2})
+		Scheme: "plain", ShuffleSeed: 7, Batch: 8, Options: Options{ShardWorkers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestShardedBaseVariantIdentity(t *testing.T) {
 	}
 	defer ref.Close()
 	sh, err := NewLocalCluster(context.Background(), ClusterConfig{Partition: pt,
-		Scheme: "plain", ShuffleSeed: 7, Batch: 8, ShardWorkers: 2})
+		Scheme: "plain", ShuffleSeed: 7, Batch: 8, Options: Options{ShardWorkers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

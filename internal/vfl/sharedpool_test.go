@@ -17,8 +17,7 @@ func sharedPoolCluster(t *testing.T, pt *dataset.Partition, ps *he.PoolSet, para
 		KeyBits:     256,
 		ShuffleSeed: 7,
 		Batch:       8,
-		Parallelism: parallelism,
-		Pool:        ps,
+		Options:     Options{Parallelism: parallelism, Pool: ps},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -389,11 +389,11 @@ func TestIdentitySecurityPseudoIDs(t *testing.T) {
 }
 
 func TestParticipantValidation(t *testing.T) {
-	if _, err := NewParticipant(0, nil, nil, 1); err == nil {
+	if _, err := NewParticipant(0, nil, nil, 1, Options{}); err == nil {
 		t.Fatal("expected nil-data error")
 	}
 	m := mat.New(3, 2)
-	if _, err := NewParticipant(0, m, nil, 1); err == nil {
+	if _, err := NewParticipant(0, m, nil, 1, Options{}); err == nil {
 		t.Fatal("expected nil-scheme error")
 	}
 }
@@ -424,7 +424,7 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 	partyNames := make([]string, pt.P())
 	var partySrvs []*transport.TCPServer
 	for i := 0; i < pt.P(); i++ {
-		part, err := NewParticipant(i, pt.Parties[i], pub, 7)
+		part, err := NewParticipant(i, pt.Parties[i], pub, 7, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -441,7 +441,7 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 
 	aggCli := transport.NewTCPClient(directory)
 	defer aggCli.Close()
-	agg, err := NewAggServer(aggCli, partyNames, pub)
+	agg, err := NewAggServer(aggCli, partyNames, pub, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +458,7 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leader, err := NewLeader(leaderCli, AggServerName, partyNames, priv, 8)
+	leader, err := NewLeader(leaderCli, AggServerName, partyNames, priv, 8, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -879,7 +879,7 @@ func TestAddParticipantSecAggRejected(t *testing.T) {
 func TestChurnUnregistersDepartedNodes(t *testing.T) {
 	ctx := context.Background()
 	_, pt := testPartition(t, "Rice", 30, 4)
-	cl, err := NewLocalCluster(ctx, ClusterConfig{Partition: pt, ShuffleSeed: 7, ShardWorkers: 4})
+	cl, err := NewLocalCluster(ctx, ClusterConfig{Partition: pt, ShuffleSeed: 7, Options: Options{ShardWorkers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}

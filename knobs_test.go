@@ -1,0 +1,114 @@
+package vfps
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// TestKnobsDeclaredOnce keeps the performance settings in one place. It
+// parses the non-test Go of the configuration surfaces (vfps.go,
+// internal/vfl, internal/server, cmd/) and fails when a setting is declared
+// as a struct field anywhere but vfl.Options, when one of its vfpsnode flags
+// is registered outside Options.BindFlags, or when a mutator that re-plumbed
+// a setting after construction is declared again.
+func TestKnobsDeclaredOnce(t *testing.T) {
+	settings := map[string]bool{
+		"Parallelism": true, "ShardWorkers": true, "EncryptWindow": true, "DeltaCache": true,
+		"SimCache": true, "PackHint": true, "Pool": true,
+		// Names the settings had in the hand-copied structs.
+		"PackWidthHint": true, "SharedPool": true, "RandomizerPool": true,
+	}
+	flags := map[string]bool{"parallelism": true, "shard-workers": true, "delta-cache": true, "encrypt-window": true}
+	mutators := map[string]bool{"SetParallelism": true, "SetPayloadOptions": true, "SetPackHint": true}
+	// SelectOptions.Parallelism is the per-selection count of queries in
+	// flight, not the deployment setting.
+	allowed := map[string]bool{"vfps.go SelectOptions.Parallelism": true}
+
+	var files []string
+	files = append(files, "vfps.go")
+	for _, root := range []string{"internal/vfl", "internal/server", "cmd"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+				files = append(files, path)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	optionsFile := filepath.Join("internal", "vfl", "options.go")
+	declared := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inOptions := path == optionsFile
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				st, ok := n.Type.(*ast.StructType)
+				if !ok {
+					return true
+				}
+				for _, field := range st.Fields.List {
+					for _, name := range field.Names {
+						if !settings[name.Name] {
+							continue
+						}
+						switch {
+						case inOptions && n.Name.Name == "Options":
+							declared[name.Name] = true
+						case allowed[path+" "+n.Name.Name+"."+name.Name]:
+						default:
+							t.Errorf("%s: %s.%s re-declares a setting of vfl.Options; embed Options instead",
+								fset.Position(name.Pos()), n.Name.Name, name.Name)
+						}
+					}
+				}
+			case *ast.FuncDecl:
+				if n.Recv != nil && mutators[n.Name.Name] {
+					t.Errorf("%s: %s re-plumbs a setting after construction; pass Options to the constructor",
+						fset.Position(n.Pos()), n.Name.Name)
+				}
+			case *ast.CallExpr:
+				sel, ok := n.Fun.(*ast.SelectorExpr)
+				if !ok || inOptions || !isFlagRegistration(sel.Sel.Name) {
+					return true
+				}
+				for _, arg := range n.Args {
+					if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+						if name, err := strconv.Unquote(lit.Value); err == nil && flags[name] {
+							t.Errorf("%s: flag -%s registered outside vfl.Options.BindFlags", fset.Position(lit.Pos()), name)
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	for _, name := range []string{"Parallelism", "ShardWorkers", "EncryptWindow", "DeltaCache", "SimCache", "PackHint", "Pool"} {
+		if !declared[name] {
+			t.Errorf("vfl.Options does not declare %s", name)
+		}
+	}
+}
+
+// isFlagRegistration reports whether a method name registers a flag on a
+// flag.FlagSet (or the flag package's CommandLine helpers).
+func isFlagRegistration(name string) bool {
+	switch strings.TrimSuffix(name, "Var") {
+	case "Bool", "Int", "Int64", "Uint", "Uint64", "String", "Float64", "Duration", "Func", "Text":
+		return true
+	}
+	return false
+}

@@ -46,7 +46,7 @@ import (
 // PoolSet is a cluster-lifetime registry of Paillier randomizer pools shared
 // across consortiums (and across rounds of one): precomputed randomizers
 // survive the gaps between protocol phases instead of each consortium paying
-// pool warm-up again. Pass one via Config.SharedPool; the caller owns Close.
+// pool warm-up again. Pass one via Config.Pool; the caller owns Close.
 type PoolSet = he.PoolSet
 
 // NewPoolSet builds a shared randomizer pool registry; buffer and workers
@@ -64,6 +64,10 @@ type (
 	Selection = core.Selection
 	// CostCounts is a snapshot of primitive-operation counts.
 	CostCounts = costmodel.Raw
+	// Options are the performance settings Config embeds: resource limits
+	// and caches that never change a selection, a wire byte or an operation
+	// count.
+	Options = vfl.Options
 )
 
 // Method identifies a participant-selection strategy.
@@ -110,44 +114,9 @@ type Config struct {
 	// FaginBatch is the mini-batch size b for ranked-list streaming
 	// (default 32).
 	FaginBatch int
-	// Parallelism caps the concurrency of every role: the party fan-out and
-	// the worker pools that encrypt, add and decrypt ciphertext vectors.
-	// 1 runs everything serially (and, without a SharedPool, precomputes no
-	// encryption randomizers in the background); 0 uses GOMAXPROCS. It is a
-	// resource limit, not a mode: selections and operation counts are
-	// identical at every setting.
-	Parallelism int
-	// DeltaCache enables cross-round delta encoding: repeat queries resend
-	// only the ciphertext blocks that changed since the previous round.
-	DeltaCache bool
-	// ShardWorkers ≥ 2 shards the ciphertext tree reduce across that many
-	// aggregation workers over aligned power-of-two party subtrees.
-	// Selections are bit-identical at every worker count.
-	ShardWorkers int
-	// PackWidthHint seeds the Paillier slot-width negotiation with a width a
-	// previous consortium learned over the same data shape (see
-	// Consortium.PackWidthHint), so round one already packs at the negotiated
-	// width instead of the static geometry. 0 keeps pure in-band negotiation;
-	// ignored by the other schemes.
-	PackWidthHint int
-	// EncryptWindow pins the fixed-base window width used by encryption
-	// randomizer precompute: 0 keeps the default (6), negative restores
-	// classic uniform-r sampling (one full modular exponentiation per
-	// randomizer; see SECURITY.md on the subgroup-sampling trade-off).
-	// Selection results are bit-identical at every setting.
-	EncryptWindow int
-	// SharedPool, when non-nil, attaches this consortium's encrypting roles
-	// to a cluster-lifetime PoolSet shared with other consortiums instead of
-	// starting private pools. The caller owns the set's lifecycle
-	// (PoolSet.Close); closing the consortium leaves the shared pools
-	// running.
-	SharedPool *PoolSet
-	// SimCache memoises similarity reports by (roster, query set, variant, K)
-	// across this consortium's selections: a selection whose membership and
-	// parameters recur skips the encrypted similarity phase entirely. Exact —
-	// the replayed W is the one a fresh run would compute — but opt-in, since
-	// it short-circuits the per-run cost profile benchmarks measure.
-	SimCache bool
+	// Options are the performance settings: Parallelism, ShardWorkers,
+	// EncryptWindow, DeltaCache, SimCache, PackHint and Pool (see Options).
+	Options
 	// Obs installs metrics and tracing on every role of the consortium. Nil
 	// falls back to the process default observer (obs.SetDefault); when that
 	// is also unset, observability stays disabled at no measurable cost.
@@ -189,21 +158,16 @@ func NewConsortium(ctx context.Context, cfg Config) (*Consortium, error) {
 		return nil, fmt.Errorf("vfps: need at least 2 classes")
 	}
 	cl, err := vfl.NewLocalCluster(ctx, vfl.ClusterConfig{
-		Partition:     cfg.Partition,
-		Scheme:        cfg.Scheme,
-		KeyBits:       cfg.KeyBits,
-		ShuffleSeed:   cfg.ShuffleSeed,
-		Batch:         cfg.FaginBatch,
-		DPEpsilon:     cfg.DPEpsilon,
-		DPDelta:       cfg.DPDelta,
-		Parallelism:   cfg.Parallelism,
-		DeltaCache:    cfg.DeltaCache,
-		ShardWorkers:  cfg.ShardWorkers,
-		PackHint:      cfg.PackWidthHint,
-		EncryptWindow: cfg.EncryptWindow,
-		Pool:          cfg.SharedPool,
-		Obs:           cfg.Obs,
-		Instance:      cfg.Instance,
+		Partition:   cfg.Partition,
+		Scheme:      cfg.Scheme,
+		KeyBits:     cfg.KeyBits,
+		ShuffleSeed: cfg.ShuffleSeed,
+		Batch:       cfg.FaginBatch,
+		DPEpsilon:   cfg.DPEpsilon,
+		DPDelta:     cfg.DPDelta,
+		Options:     cfg.Options,
+		Obs:         cfg.Obs,
+		Instance:    cfg.Instance,
 	})
 	if err != nil {
 		return nil, err
@@ -225,7 +189,7 @@ func (c *Consortium) Close() { c.cluster.Close() }
 // PackWidthHint exports the slot width the consortium's aggregation
 // coordinator has learned (margin included; 0 before the first Paillier round
 // and under the other schemes). A serving layer can feed it into a successor
-// consortium's Config.PackWidthHint to skip the static warm-up round.
+// consortium's Config.PackHint to skip the static warm-up round.
 func (c *Consortium) PackWidthHint() int { return c.cluster.Agg.PackHint() }
 
 // ShardWorkers reports how many aggregation shard workers the consortium
@@ -330,9 +294,10 @@ func (o SelectOptions) k() int {
 	return o.K
 }
 
-// Select runs VFPS-SM and returns the chosen sub-consortium with full cost
-// accounting.
-func (c *Consortium) Select(ctx context.Context, count int, opts SelectOptions) (*Selection, error) {
+// coreConfig resolves SelectOptions into the protocol configuration: the
+// top-k variant (TopK over Base over Fagin) and the warm-start prior
+// (WarmStart, otherwise the consortium's most recent selection).
+func (c *Consortium) coreConfig(opts SelectOptions) core.Config {
 	variant := vfl.VariantFagin
 	if opts.Base {
 		variant = vfl.VariantBase
@@ -340,14 +305,13 @@ func (c *Consortium) Select(ctx context.Context, count int, opts SelectOptions) 
 	if opts.TopK != "" {
 		variant = vfl.Variant(opts.TopK)
 	}
-	c.mu.Lock()
 	prior := opts.WarmStart
 	if prior == nil {
+		c.mu.Lock()
 		prior = c.lastSelected
+		c.mu.Unlock()
 	}
-	cache := c.simCache
-	c.mu.Unlock()
-	sel, err := core.Select(ctx, c.cluster.Leader, count, core.Config{
+	return core.Config{
 		K:           opts.k(),
 		Queries:     c.queriesFor(opts),
 		Variant:     variant,
@@ -355,8 +319,15 @@ func (c *Consortium) Select(ctx context.Context, count int, opts SelectOptions) 
 		Seed:        opts.Seed,
 		Parallelism: opts.Parallelism,
 		WarmStart:   prior,
-		Cache:       cache,
-	})
+	}
+}
+
+// Select runs VFPS-SM and returns the chosen sub-consortium with full cost
+// accounting.
+func (c *Consortium) Select(ctx context.Context, count int, opts SelectOptions) (*Selection, error) {
+	cfg := c.coreConfig(opts)
+	cfg.Cache = c.simCache
+	sel, err := core.Select(ctx, c.cluster.Leader, count, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -384,29 +355,8 @@ type AdaptiveOptions struct {
 // similarity estimates agree within Tolerance. Selection.QueriesUsed reports
 // the realised budget.
 func (c *Consortium) SelectAdaptive(ctx context.Context, count int, opts AdaptiveOptions) (*Selection, error) {
-	variant := vfl.VariantFagin
-	if opts.Base {
-		variant = vfl.VariantBase
-	}
-	if opts.TopK != "" {
-		variant = vfl.Variant(opts.TopK)
-	}
-	c.mu.Lock()
-	prior := opts.WarmStart
-	if prior == nil {
-		prior = c.lastSelected
-	}
-	c.mu.Unlock()
 	return core.SelectAdaptive(ctx, c.cluster.Leader, count, core.AdaptiveConfig{
-		Config: core.Config{
-			K:           opts.k(),
-			Queries:     c.queriesFor(opts.SelectOptions),
-			Variant:     variant,
-			Optimizer:   core.Optimizer(opts.Optimizer),
-			Seed:        opts.Seed,
-			Parallelism: opts.Parallelism,
-			WarmStart:   prior,
-		},
+		Config:     c.coreConfig(opts.SelectOptions),
 		ChunkSize:  opts.ChunkSize,
 		Tolerance:  opts.Tolerance,
 		MinQueries: opts.MinQueries,
