@@ -2,7 +2,6 @@ package vfl
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -77,15 +76,9 @@ func (a *AggServer) packDictate(adaptive bool) int {
 	return int(a.packNeed.Load())
 }
 
-// observeNeedBits folds the parties' advertised magnitude bounds into the
-// negotiation state for the next round (monotone maximum).
-func (a *AggServer) observeNeedBits(needs []int) {
-	maxNeed := 0
-	for _, n := range needs {
-		if n > maxNeed {
-			maxNeed = n
-		}
-	}
+// observeNeedBits folds the largest magnitude bound one round advertised into
+// the negotiation state for the next round (monotone maximum).
+func (a *AggServer) observeNeedBits(maxNeed int) {
 	if maxNeed == 0 {
 		return
 	}
@@ -191,35 +184,8 @@ func (a *AggServer) Handler() transport.Handler {
 			return nil, err
 		}
 		switch method {
-		case MethodCollectAll:
-			var r CollectAllReq
-			if err := wire.Unmarshal(req, &r); err != nil {
-				return nil, err
-			}
-			return a.collectAll(ctx, r)
-		case MethodFaginCollect:
-			var r FaginCollectReq
-			if err := wire.Unmarshal(req, &r); err != nil {
-				return nil, err
-			}
-			return a.faginCollect(ctx, r)
-		case MethodAggregateCandidates:
-			var r AggregateCandidatesReq
-			if err := wire.Unmarshal(req, &r); err != nil {
-				return nil, err
-			}
-			opt := payloadOpts{adaptive: r.Adaptive, delta: r.Delta, noCache: r.NoCache}
-			agg, factor, packBits, err := a.aggregateCandidates(ctx, r.Query, r.PseudoIDs, opt)
-			if err != nil {
-				return nil, err
-			}
-			resp := &AggregateCandidatesResp{PackFactor: factor, PackBits: packBits}
-			if factor > 1 {
-				resp.PackAdds = len(a.parties)
-			}
-			resp.Aggregated, resp.CachedBlocks = a.trimForLeader(r.Query, r.PseudoIDs, agg, factor, packBits, opt)
-			return reply(resp, &a.counts, &a.roleObs,
-				costmodel.Raw{ItemsSent: int64(len(agg) - len(resp.CachedBlocks)), Messages: 1})
+		case MethodCollectAll, MethodFaginCollect, MethodAggregateCandidates:
+			return a.serveLeader(ctx, method, req)
 		case MethodShardCollect:
 			var r ShardCollectReq
 			if err := wire.Unmarshal(req, &r); err != nil {
@@ -241,6 +207,274 @@ func (a *AggServer) Handler() transport.Handler {
 			return nil, fmt.Errorf("%w: %s", transport.ErrUnknownMethod, method)
 		}
 	}
+}
+
+// serveLeader is the server's one collection pipeline towards the leader:
+// candidate IDs → pull → uniform geometry → reduce → leader-link trim → reply.
+// The request picks the candidate-ID source: every party's full vector
+// (CollectAll, the BASE variant), a Fagin scan over the parties' rankings
+// (FaginCollect), or the leader's own list (AggregateCandidates, one
+// Threshold-Algorithm round).
+func (a *AggServer) serveLeader(ctx context.Context, method string, req []byte) ([]byte, error) {
+	var query int
+	var ids []int
+	var stats FaginStats
+	var opt payloadOpts
+	all := method == MethodCollectAll
+	switch method {
+	case MethodCollectAll:
+		var r CollectAllReq
+		if err := wire.Unmarshal(req, &r); err != nil {
+			return nil, err
+		}
+		query, opt = r.Query, payloadOpts{adaptive: r.Adaptive, delta: r.Delta, noCache: r.NoCache}
+		var csp *obs.Span
+		ctx, csp = a.tracer().Start(ctx, SpanCollectAll)
+		defer csp.End()
+	case MethodFaginCollect:
+		var r FaginCollectReq
+		if err := wire.Unmarshal(req, &r); err != nil {
+			return nil, err
+		}
+		query, opt = r.Query, payloadOpts{adaptive: r.Adaptive, delta: r.Delta, noCache: r.NoCache}
+		var fsp *obs.Span
+		ctx, fsp = a.tracer().Start(ctx, SpanFagin)
+		defer fsp.End()
+		var err error
+		if ids, stats, err = a.faginScan(ctx, r); err != nil {
+			return nil, err
+		}
+		fsp.SetLabelInt("rounds", int64(stats.Rounds))
+		fsp.SetLabelInt("candidates", int64(stats.Candidates))
+	default:
+		var r AggregateCandidatesReq
+		if err := wire.Unmarshal(req, &r); err != nil {
+			return nil, err
+		}
+		query, ids, opt = r.Query, r.PseudoIDs, payloadOpts{adaptive: r.Adaptive, delta: r.Delta, noCache: r.NoCache}
+	}
+
+	actx := ctx
+	var asp *obs.Span
+	if !all {
+		actx, asp = a.tracer().Start(ctx, SpanAggregate)
+		asp.SetLabelInt("candidates", int64(len(ids)))
+	}
+	root, err := a.collect(actx, query, ids, all, opt)
+	asp.End()
+	if err != nil {
+		return nil, err
+	}
+
+	adds := 0
+	if root.factor > 1 {
+		adds = len(a.parties)
+	}
+	out, cached := a.trimForLeader(query, root, opt)
+	var resp wire.Message
+	switch method {
+	case MethodCollectAll:
+		resp = &CollectAllResp{PseudoIDs: root.pids, Aggregated: out, PackFactor: root.factor,
+			PackBits: root.bits, PackAdds: adds, CachedBlocks: cached}
+	case MethodFaginCollect:
+		resp = &FaginCollectResp{PseudoIDs: root.pids, Aggregated: out, PackFactor: root.factor,
+			Stats: stats, PackBits: root.bits, PackAdds: adds, CachedBlocks: cached}
+	default:
+		resp = &AggregateCandidatesResp{Aggregated: out, PackFactor: root.factor,
+			PackBits: root.bits, PackAdds: adds, CachedBlocks: cached}
+	}
+	return reply(resp, &a.counts, &a.roleObs,
+		costmodel.Raw{ItemsSent: int64(len(out) - len(cached)), Messages: 1})
+}
+
+// faginScan runs Fagin's algorithm over the parties' sub-rankings, pulled in
+// mini-batches, until r.K pseudo IDs have been seen in every list. Returns the
+// candidates in first-seen order.
+func (a *AggServer) faginScan(ctx context.Context, r FaginCollectReq) ([]int, FaginStats, error) {
+	var stats FaginStats
+	if r.K <= 0 {
+		return nil, stats, fmt.Errorf("vfl: k=%d must be positive", r.K)
+	}
+	if r.Batch <= 0 {
+		return nil, stats, fmt.Errorf("vfl: batch=%d must be positive", r.Batch)
+	}
+	p := len(a.parties)
+	seenCount := map[int]int{}
+	var candidates []int
+	fullySeen, depth := 0, 0
+	for fullySeen < r.K {
+		batches, err := rankingRound(ctx, a.call, a.parallelism, a.parties, r.Query, depth, r.Batch)
+		if err != nil {
+			return nil, stats, err
+		}
+		exhausted := true
+		for _, batch := range batches {
+			if len(batch) > 0 {
+				exhausted = false
+			}
+			for _, pid := range batch {
+				c := seenCount[pid]
+				if c == 0 {
+					candidates = append(candidates, pid)
+				}
+				seenCount[pid] = c + 1
+				if c+1 == p {
+					fullySeen++
+				}
+			}
+			a.counts.Add(costmodel.Raw{PlainAdds: int64(len(batch))})
+		}
+		stats.Rounds++
+		depth += r.Batch
+		if exhausted {
+			if fullySeen < r.K {
+				return nil, stats, fmt.Errorf("vfl: lists exhausted with only %d of %d ids fully seen", fullySeen, r.K)
+			}
+			break
+		}
+	}
+	stats.ScanDepth = depth
+	stats.Candidates = len(candidates)
+	return candidates, stats, nil
+}
+
+// collect runs one collection round for the given pseudo IDs (every party's
+// full vector when all is set) and returns the reduced aggregate: straight
+// over the parties, or, with a shard plan, over the shard workers' subtree
+// roots (see shard.go).
+func (a *AggServer) collect(ctx context.Context, query int, ids []int, all bool, opt payloadOpts) (*collected, error) {
+	dictate := a.packDictate(opt.adaptive)
+	if a.plan == nil {
+		return a.collectParties(ctx, a.parties, query, ids, all, dictate, opt)
+	}
+	ctx, msp := a.tracer().Start(ctx, SpanShardMerge)
+	msp.SetLabelInt("shards", int64(len(a.plan.Workers)))
+	defer msp.End()
+	return a.collectReduce(ctx, a.plan.Workers, all, dictate, func(wi int, worker string, d int) (*collected, error) {
+		return a.pullShard(ctx, wi, worker, query, ids, all, d, opt)
+	})
+}
+
+// collectParties is collectReduce over parties: each pulled with pullParty.
+func (a *AggServer) collectParties(ctx context.Context, parties []string, query int, ids []int, all bool, dictate int, opt payloadOpts) (*collected, error) {
+	return a.collectReduce(ctx, parties, all, dictate, func(_ int, party string, d int) (*collected, error) {
+		return a.pullParty(ctx, party, query, ids, all, d, opt)
+	})
+}
+
+// collectReduce runs one collection round over sources — parties, or the
+// shard workers on a coordinator — and tree-reduces it to one root vector.
+// pull fetches source i's vector under a dictated slot width. The advertised
+// NeedBits feed the width negotiation; geometry must be uniform across
+// sources, and an adaptive dictation that produced a mixed round is
+// re-collected once under the static geometry (shared by construction, so
+// one static round always restores uniformity). Under the BASE pattern (all)
+// every source must also cover the same pseudo IDs in the same order. The
+// root carries the largest NeedBits upward; sources label errors.
+func (a *AggServer) collectReduce(ctx context.Context, sources []string, all bool, dictate int, pull func(i int, source string, dictate int) (*collected, error)) (*collected, error) {
+	round := func(d int) ([]*collected, error) {
+		cols := make([]*collected, len(sources))
+		err := fanOut(ctx, a.parallelism, sources, func(i int, source string) error {
+			col, err := pull(i, source, d)
+			cols[i] = col
+			return err
+		})
+		return cols, err
+	}
+	cols, err := round(dictate)
+	if err != nil {
+		return nil, err
+	}
+	a.observeNeedBits(maxNeed(cols))
+	uerr := uniformPacking(sources, cols)
+	if uerr != nil && dictate > 0 {
+		if cols, err = round(0); err != nil {
+			return nil, err
+		}
+		uerr = uniformPacking(sources, cols)
+	}
+	if uerr != nil {
+		return nil, uerr
+	}
+	if all {
+		if err := samePseudoIDs(sources, cols); err != nil {
+			return nil, err
+		}
+	}
+	vecs := make([][][]byte, len(cols))
+	for i, col := range cols {
+		vecs[i] = col.blobs
+	}
+	agg, err := a.reduceVectors(ctx, vecs)
+	if err != nil {
+		return nil, err
+	}
+	return &collected{pids: cols[0].pids, blobs: agg, factor: cols[0].factor,
+		bits: cols[0].bits, need: maxNeed(cols)}, nil
+}
+
+// pullParty fetches one party's encrypted vector under the dictated slot
+// width — every pseudo ID but the query's (EncryptAll, the BASE pattern) when
+// all is set, the given candidates (EncryptCandidates) otherwise — through the
+// receive path of the party link.
+func (a *AggServer) pullParty(ctx context.Context, party string, query int, ids []int, all bool, dictate int, opt payloadOpts) (*collected, error) {
+	link := recvLink{peer: party, role: a.roleName(), counts: &a.counts, ro: &a.roleObs}
+	if opt.delta {
+		link.cache = a.recvCache.forPeer(party)
+	}
+	return link.fetch(query, opt.noCache, func(noCache bool) (*collected, []int, error) {
+		if all {
+			var resp EncryptAllResp
+			err := a.call(ctx, party, MethodEncryptAll,
+				&EncryptAllReq{Query: query, PackBits: dictate, Delta: opt.delta, NoCache: noCache}, &resp)
+			return &collected{pids: resp.PseudoIDs, blobs: resp.Ciphers, factor: resp.PackFactor,
+				bits: resp.PackBits, need: resp.NeedBits}, resp.CachedBlocks, err
+		}
+		var resp EncryptCandidatesResp
+		err := a.call(ctx, party, MethodEncryptCandidates,
+			&EncryptCandidatesReq{Query: query, PseudoIDs: ids, PackBits: dictate, Delta: opt.delta, NoCache: noCache}, &resp)
+		return &collected{pids: ids, blobs: resp.Ciphers, factor: resp.PackFactor,
+			bits: resp.PackBits, need: resp.NeedBits}, resp.CachedBlocks, err
+	})
+}
+
+// maxNeed returns the largest NeedBits advertised by one collection round.
+func maxNeed(cols []*collected) int {
+	need := 0
+	for _, col := range cols {
+		need = max(need, col.need)
+	}
+	return need
+}
+
+// uniformPacking checks that all collected vectors agree on the (pack
+// factor, slot width) pair — slotwise addition is only meaningful over
+// identical layouts. names labels the sources for error reporting.
+func uniformPacking(names []string, cols []*collected) error {
+	for i, col := range cols {
+		if col.factor != cols[0].factor || col.bits != cols[0].bits {
+			return fmt.Errorf("vfl: %s pack geometry (S=%d, V=%d) differs from %s's (S=%d, V=%d) — inconsistent packing configuration",
+				names[i], col.factor, col.bits, names[0], cols[0].factor, cols[0].bits)
+		}
+	}
+	return nil
+}
+
+// samePseudoIDs checks that every collected vector covers the same pseudo
+// IDs in the same order (the BASE access pattern's alignment invariant).
+func samePseudoIDs(names []string, cols []*collected) error {
+	pids := cols[0].pids
+	for i := 1; i < len(cols); i++ {
+		if len(cols[i].pids) != len(pids) {
+			return fmt.Errorf("vfl: %s returned %d items, want %d", names[i], len(cols[i].pids), len(pids))
+		}
+		for j := range pids {
+			if cols[i].pids[j] != pids[j] {
+				return fmt.Errorf("vfl: %s pseudo-id order mismatch at %d", names[i], j)
+			}
+		}
+	}
+	return nil
 }
 
 // reduceVectors tree-reduces the per-party ciphertext vectors element-wise
@@ -279,248 +513,23 @@ func (a *AggServer) reduceVectors(ctx context.Context, vecs [][][]byte) ([][]byt
 	return vecs[0], nil
 }
 
-// restoreFromParty folds one party response's delta-withheld blocks back in
-// from the receive cache and refreshes that cache. A cache miss (the agg
-// evicted a block the party assumed cached) is reported via ErrDeltaCacheMiss
-// so the caller can retry that party once with NoCache set.
-func (a *AggServer) restoreFromParty(party string, query, packBits, factor int, pids []int, blobs [][]byte, cachedIdx []int) error {
-	keys := blockKeys(party, query, packBits, factor, pids)
-	hits, err := a.recvCache.forPeer(party).restore(keys, blobs, cachedIdx)
-	if hits > 0 {
-		a.counts.Add(costmodel.Raw{CacheHits: int64(hits)})
-		a.recordDelta(a.roleName(), hits, 0)
-	}
-	if err != nil {
-		return fmt.Errorf("vfl: restoring delta blocks from %s: %w", party, err)
-	}
-	return nil
-}
-
-// partyVec is one party's validated, fully restored ciphertext vector.
-type partyVec struct {
-	pids     []int
-	ciphers  [][]byte
-	factor   int
-	packBits int
-	needBits int
-}
-
-// pullCandidates fetches one party's encrypted candidate vector, retrying
-// once with NoCache after a delta-cache miss.
-func (a *AggServer) pullCandidates(ctx context.Context, party string, query int, pseudoIDs []int, dictate int, opt payloadOpts) (partyVec, error) {
-	noCache := opt.noCache
-	for attempt := 0; ; attempt++ {
-		var resp EncryptCandidatesResp
-		req := &EncryptCandidatesReq{Query: query, PseudoIDs: pseudoIDs,
-			PackBits: dictate, Delta: opt.delta, NoCache: noCache}
-		if err := a.call(ctx, party, MethodEncryptCandidates, req, &resp); err != nil {
-			return partyVec{}, fmt.Errorf("vfl: collecting candidates from %s: %w", party, err)
-		}
-		factor := normFactor(resp.PackFactor)
-		if want := packedLen(len(pseudoIDs), factor); len(resp.Ciphers) != want {
-			return partyVec{}, fmt.Errorf("vfl: %s returned %d ciphertexts, want %d", party, len(resp.Ciphers), want)
-		}
-		if opt.delta {
-			err := a.restoreFromParty(party, query, resp.PackBits, factor, pseudoIDs, resp.Ciphers, resp.CachedBlocks)
-			if err != nil {
-				if errors.Is(err, ErrDeltaCacheMiss) && attempt == 0 {
-					a.counts.Add(costmodel.Raw{CacheMisses: 1})
-					a.recordDelta(a.roleName(), 0, 1)
-					noCache = true
-					continue
-				}
-				return partyVec{}, err
-			}
-		} else if len(resp.CachedBlocks) > 0 {
-			return partyVec{}, fmt.Errorf("vfl: %s withheld %d blocks without delta caching", party, len(resp.CachedBlocks))
-		}
-		return partyVec{pids: pseudoIDs, ciphers: resp.Ciphers, factor: factor,
-			packBits: resp.PackBits, needBits: resp.NeedBits}, nil
-	}
-}
-
-// pullAll fetches one party's full encrypted vector (BASE variant), retrying
-// once with NoCache after a delta-cache miss.
-func (a *AggServer) pullAll(ctx context.Context, party string, query, dictate int, opt payloadOpts) (partyVec, error) {
-	noCache := opt.noCache
-	for attempt := 0; ; attempt++ {
-		var resp EncryptAllResp
-		req := &EncryptAllReq{Query: query, PackBits: dictate, Delta: opt.delta, NoCache: noCache}
-		if err := a.call(ctx, party, MethodEncryptAll, req, &resp); err != nil {
-			return partyVec{}, fmt.Errorf("vfl: collecting from %s: %w", party, err)
-		}
-		factor := normFactor(resp.PackFactor)
-		if want := packedLen(len(resp.PseudoIDs), factor); len(resp.Ciphers) != want {
-			return partyVec{}, fmt.Errorf("vfl: %s returned %d ciphertexts for %d items, want %d",
-				party, len(resp.Ciphers), len(resp.PseudoIDs), want)
-		}
-		if opt.delta {
-			err := a.restoreFromParty(party, query, resp.PackBits, factor, resp.PseudoIDs, resp.Ciphers, resp.CachedBlocks)
-			if err != nil {
-				if errors.Is(err, ErrDeltaCacheMiss) && attempt == 0 {
-					a.counts.Add(costmodel.Raw{CacheMisses: 1})
-					a.recordDelta(a.roleName(), 0, 1)
-					noCache = true
-					continue
-				}
-				return partyVec{}, err
-			}
-		} else if len(resp.CachedBlocks) > 0 {
-			return partyVec{}, fmt.Errorf("vfl: %s withheld %d blocks without delta caching", party, len(resp.CachedBlocks))
-		}
-		return partyVec{pids: resp.PseudoIDs, ciphers: resp.Ciphers, factor: factor,
-			packBits: resp.PackBits, needBits: resp.NeedBits}, nil
-	}
-}
-
-// uniformPacking checks that all collected vectors agree on the (pack
-// factor, slot width) pair — slotwise addition is only meaningful over
-// identical layouts. names labels the sources (parties, or shard workers on
-// a coordinator) for error reporting.
-func uniformPacking(names []string, pvs []partyVec) (factor, packBits int, err error) {
-	factor, packBits = pvs[0].factor, pvs[0].packBits
-	for pi := range pvs {
-		if pvs[pi].factor != factor || pvs[pi].packBits != packBits {
-			return 0, 0, fmt.Errorf("vfl: %s pack geometry (S=%d, V=%d) differs from %s's (S=%d, V=%d) — inconsistent packing configuration",
-				names[pi], pvs[pi].factor, pvs[pi].packBits, names[0], factor, packBits)
-		}
-	}
-	return factor, packBits, nil
-}
-
-// samePseudoIDs checks that every collected vector covers the same pseudo
-// IDs in the same order (the BASE access pattern's alignment invariant).
-func samePseudoIDs(names []string, pvs []partyVec) error {
-	pids := pvs[0].pids
-	for pi := 1; pi < len(pvs); pi++ {
-		if len(pvs[pi].pids) != len(pids) {
-			return fmt.Errorf("vfl: %s returned %d items, want %d", names[pi], len(pvs[pi].pids), len(pids))
-		}
-		for i := range pids {
-			if pvs[pi].pids[i] != pids[i] {
-				return fmt.Errorf("vfl: %s pseudo-id order mismatch at %d", names[pi], i)
-			}
-		}
-	}
-	return nil
-}
-
-// collectSubtree pulls the given parties' encrypted vectors concurrently
-// under one dictated geometry: the candidate pattern when all is false, the
-// full-vector BASE pattern otherwise.
-func (a *AggServer) collectSubtree(ctx context.Context, parties []string, query int, pids []int, all bool, dictate int, opt payloadOpts) ([]partyVec, error) {
-	pvs := make([]partyVec, len(parties))
-	err := fanOut(ctx, a.parallelism, parties, func(pi int, party string) error {
-		var pv partyVec
-		var err error
-		if all {
-			pv, err = a.pullAll(ctx, party, query, dictate, opt)
-		} else {
-			pv, err = a.pullCandidates(ctx, party, query, pids, dictate, opt)
-		}
-		if err != nil {
-			return err
-		}
-		pvs[pi] = pv
-		return nil
-	})
-	return pvs, err
-}
-
-// collectVectors runs one full collection round — direct party fan-out, or
-// worker fan-out with per-shard local reduction when a shard plan is set —
-// and returns geometry-uniform vectors ready for the final reduce.
-func (a *AggServer) collectVectors(ctx context.Context, query int, pids []int, all bool, opt payloadOpts) ([]partyVec, int, int, error) {
-	dictate := a.packDictate(opt.adaptive)
-	if a.plan != nil {
-		return a.collectSharded(ctx, query, pids, all, dictate, opt)
-	}
-	collect := func(d int) ([]partyVec, error) {
-		return a.collectSubtree(ctx, a.parties, query, pids, all, d, opt)
-	}
-	return a.collectUniform(a.parties, dictate, collect)
-}
-
-// collectNames labels the sources of one collection round: the shard workers
-// on a sharded coordinator, the parties otherwise.
-func (a *AggServer) collectNames() []string {
-	if a.plan != nil {
-		return a.plan.Workers
-	}
-	return a.parties
-}
-
-// aggregateCandidates pulls every party's encrypted partial distances for
-// the given pseudo IDs concurrently and sums them element-wise. On adaptive
-// rounds the dictated slot width is only kept when every party complied
-// (a party whose values outgrew it falls back to static); a mixed round is
-// re-collected under the static geometry once before giving up.
-func (a *AggServer) aggregateCandidates(ctx context.Context, query int, pseudoIDs []int, opt payloadOpts) ([][]byte, int, int, error) {
-	ctx, asp := a.tracer().Start(ctx, SpanAggregate)
-	asp.SetLabelInt("candidates", int64(len(pseudoIDs)))
-	defer asp.End()
-	pvs, factor, packBits, err := a.collectVectors(ctx, query, pseudoIDs, false, opt)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	vecs := make([][][]byte, len(pvs))
-	for pi := range pvs {
-		vecs[pi] = pvs[pi].ciphers
-	}
-	agg, err := a.reduceVectors(ctx, vecs)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return agg, factor, packBits, nil
-}
-
-// collectUniform runs one collection fan-out and enforces geometry
-// uniformity, re-collecting once under the static geometry when an adaptive
-// dictation produced a mixed round. Advertised NeedBits feed the negotiation
-// state either way. names labels the fan-out targets for error reporting.
-func (a *AggServer) collectUniform(names []string, dictate int, collect func(dictate int) ([]partyVec, error)) ([]partyVec, int, int, error) {
-	pvs, err := collect(dictate)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	needs := make([]int, len(pvs))
-	for pi := range pvs {
-		needs[pi] = pvs[pi].needBits
-	}
-	a.observeNeedBits(needs)
-	factor, packBits, uerr := uniformPacking(names, pvs)
-	if uerr != nil && dictate > 0 {
-		// Mixed compliance: at least one party could not fit the dictated
-		// width. The static EnablePacking geometry is shared by construction,
-		// so one static round always restores uniformity.
-		if pvs, err = collect(0); err != nil {
-			return nil, 0, 0, err
-		}
-		factor, packBits, uerr = uniformPacking(names, pvs)
-	}
-	if uerr != nil {
-		return nil, 0, 0, uerr
-	}
-	return pvs, factor, packBits, nil
-}
-
 // trimForLeader applies the leader-link delta encoding to an outgoing
-// aggregate vector: blocks the sent cache already holds are withheld
-// (aggregation is recomputed every round, but homomorphic addition is
-// deterministic, so an all-inputs-identical round reproduces the aggregate
-// byte for byte). Returns the wire vector and the withheld indices.
-func (a *AggServer) trimForLeader(query int, pids []int, agg [][]byte, factor, packBits int, opt payloadOpts) (out [][]byte, cached []int) {
+// aggregate: blocks the sent cache already holds are withheld (aggregation is
+// recomputed every round, but homomorphic addition is deterministic, so an
+// all-inputs-identical round reproduces the aggregate byte for byte). Returns
+// the wire vector and the withheld indices.
+func (a *AggServer) trimForLeader(query int, root *collected, opt payloadOpts) (out [][]byte, cached []int) {
 	if !opt.delta {
-		return agg, nil
+		return root.blobs, nil
 	}
-	keys := blockKeys("leader", query, packBits, factor, pids)
+	keys := blockKeys("leader", query, root.bits, root.factor, root.pids)
 	if opt.noCache {
 		for b, key := range keys {
-			a.sentCache.put(key, agg[b])
+			a.sentCache.put(key, root.blobs[b])
 		}
-		return agg, nil
+		return root.blobs, nil
 	}
-	return a.sentCache.trim(keys, agg)
+	return a.sentCache.trim(keys, root.blobs)
 }
 
 // aggregateFrontier sums the parties' encrypted scores at one scan rank —
@@ -547,120 +556,4 @@ func (a *AggServer) aggregateFrontier(ctx context.Context, r AggregateFrontierRe
 	}
 	return reply(&AggregateFrontierResp{Cipher: agg[0]}, &a.counts, &a.roleObs,
 		costmodel.Raw{ItemsSent: 1, Messages: 1})
-}
-
-// collectAll implements the BASE variant: pull every participant's full
-// encrypted partial-distance vector concurrently and sum them per pseudo ID.
-func (a *AggServer) collectAll(ctx context.Context, r CollectAllReq) ([]byte, error) {
-	ctx, csp := a.tracer().Start(ctx, SpanCollectAll)
-	defer csp.End()
-	opt := payloadOpts{adaptive: r.Adaptive, delta: r.Delta, noCache: r.NoCache}
-	pvs, factor, packBits, err := a.collectVectors(ctx, r.Query, nil, true, opt)
-	if err != nil {
-		return nil, err
-	}
-	if err := samePseudoIDs(a.collectNames(), pvs); err != nil {
-		return nil, err
-	}
-	pids := pvs[0].pids
-	vecs := make([][][]byte, len(pvs))
-	for pi := range pvs {
-		vecs[pi] = pvs[pi].ciphers
-	}
-	agg, err := a.reduceVectors(ctx, vecs)
-	if err != nil {
-		return nil, err
-	}
-	resp := &CollectAllResp{PseudoIDs: pids, PackFactor: factor, PackBits: packBits}
-	if factor > 1 {
-		resp.PackAdds = len(a.parties)
-	}
-	resp.Aggregated, resp.CachedBlocks = a.trimForLeader(r.Query, pids, agg, factor, packBits, opt)
-	return reply(resp, &a.counts, &a.roleObs,
-		costmodel.Raw{ItemsSent: int64(len(agg) - len(resp.CachedBlocks)), Messages: 1})
-}
-
-// faginCollect implements the optimized variant: run Fagin's algorithm over
-// the participants' sub-rankings (pulled in mini-batches, all parties in
-// flight concurrently), then collect and aggregate encrypted partial
-// distances for the candidate set only.
-func (a *AggServer) faginCollect(ctx context.Context, r FaginCollectReq) ([]byte, error) {
-	if r.K <= 0 {
-		return nil, fmt.Errorf("vfl: k=%d must be positive", r.K)
-	}
-	if r.Batch <= 0 {
-		return nil, fmt.Errorf("vfl: batch=%d must be positive", r.Batch)
-	}
-	ctx, fsp := a.tracer().Start(ctx, SpanFagin)
-	defer fsp.End()
-	p := len(a.parties)
-	seenCount := map[int]int{}
-	var candidates []int // in first-seen order
-	fullySeen := 0
-	depth := 0
-	stats := FaginStats{}
-	for fullySeen < r.K {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// Pull the next mini-batch from every list concurrently; merge the
-		// indexed responses in party order so the candidate first-seen order
-		// is identical to the serial scan.
-		batches := make([][]int, p)
-		err := fanOut(ctx, a.parallelism, a.parties, func(pi int, party string) error {
-			var resp RankingBatchResp
-			if err := a.call(ctx, party, MethodRankingBatch,
-				&RankingBatchReq{Query: r.Query, Offset: depth, Count: r.Batch}, &resp); err != nil {
-				return fmt.Errorf("vfl: pulling ranking from %s: %w", party, err)
-			}
-			batches[pi] = resp.PseudoIDs
-			return checkRankingBatch(party, resp.PseudoIDs, r.Batch)
-		})
-		if err != nil {
-			return nil, err
-		}
-		exhausted := true
-		for _, batch := range batches {
-			if len(batch) > 0 {
-				exhausted = false
-			}
-			for _, pid := range batch {
-				c := seenCount[pid]
-				if c == 0 {
-					candidates = append(candidates, pid)
-				}
-				seenCount[pid] = c + 1
-				if c+1 == p {
-					fullySeen++
-				}
-			}
-			a.counts.Add(costmodel.Raw{PlainAdds: int64(len(batch))})
-		}
-		stats.Rounds++
-		depth += r.Batch
-		if exhausted {
-			if fullySeen < r.K {
-				return nil, fmt.Errorf("vfl: lists exhausted with only %d of %d ids fully seen", fullySeen, r.K)
-			}
-			break
-		}
-	}
-	stats.ScanDepth = depth
-	stats.Candidates = len(candidates)
-	fsp.SetLabelInt("rounds", int64(stats.Rounds))
-	fsp.SetLabelInt("candidates", int64(stats.Candidates))
-
-	// Random-access phase: encrypted partial distances for candidates only.
-	opt := payloadOpts{adaptive: r.Adaptive, delta: r.Delta, noCache: r.NoCache}
-	agg, factor, packBits, err := a.aggregateCandidates(ctx, r.Query, candidates, opt)
-	if err != nil {
-		return nil, err
-	}
-	resp := &FaginCollectResp{PseudoIDs: candidates, PackFactor: factor, PackBits: packBits, Stats: stats}
-	if factor > 1 {
-		resp.PackAdds = len(a.parties)
-	}
-	resp.Aggregated, resp.CachedBlocks = a.trimForLeader(r.Query, candidates, agg, factor, packBits, opt)
-	return reply(resp, &a.counts, &a.roleObs,
-		costmodel.Raw{ItemsSent: int64(len(agg) - len(resp.CachedBlocks)), Messages: 1})
 }

@@ -236,7 +236,7 @@ func buildShardWorkers(tr *transport.Memory, partyNames []string, pubScheme he.S
 	plan := &ShardPlan{SubtreeSize: size}
 	var workers []*AggServer
 	for wi := 0; wi < shards; wi++ {
-		lo, hi := plan.shardRange(wi, len(partyNames))
+		lo, hi := plan.Range(wi, len(partyNames))
 		w, err := NewAggServer(tr, partyNames[lo:hi], pubScheme, opts)
 		if err != nil {
 			return nil, nil, err

@@ -1,0 +1,362 @@
+package vfl
+
+import (
+	"context"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"vfps/internal/transport"
+	"vfps/internal/wire"
+)
+
+// clearCache empties a delta cache in place, as FIFO pressure would.
+func clearCache(c *deltaCache) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.m, c.order, c.head = nil, nil, 0
+}
+
+// linkTap counts the traffic on the links into one node: responses that
+// withheld blocks from a request without NoCache (each one a forced miss once
+// the requester's cache is gone) and requests that carried NoCache (retries).
+type linkTap struct {
+	withheld, retried atomic.Int64
+}
+
+// tap re-registers node on tr behind h, counting its collection traffic.
+func (lt *linkTap) tap(tr *transport.Memory, node string, h transport.Handler) {
+	tr.Register(node, func(ctx context.Context, method string, req []byte) ([]byte, error) {
+		out, err := h(ctx, method, req)
+		if err != nil {
+			return out, err
+		}
+		var noCache bool
+		var withheld int
+		switch method {
+		case MethodFaginCollect:
+			var r FaginCollectReq
+			var resp FaginCollectResp
+			if err := wire.Unmarshal(req, &r); err != nil {
+				return nil, err
+			}
+			if err := wire.Unmarshal(out, &resp); err != nil {
+				return nil, err
+			}
+			noCache, withheld = r.NoCache, len(resp.CachedBlocks)
+		case MethodEncryptCandidates:
+			var r EncryptCandidatesReq
+			var resp EncryptCandidatesResp
+			if err := wire.Unmarshal(req, &r); err != nil {
+				return nil, err
+			}
+			if err := wire.Unmarshal(out, &resp); err != nil {
+				return nil, err
+			}
+			noCache, withheld = r.NoCache, len(resp.CachedBlocks)
+		default:
+			return out, nil
+		}
+		if noCache {
+			lt.retried.Add(1)
+		} else if withheld > 0 {
+			lt.withheld.Add(1)
+		}
+		return out, nil
+	})
+}
+
+// TestDeltaMissRetry is the fault test of the delta-cache miss retry on each
+// link it guards. Two warm rounds bring the delta cache to its steady state;
+// then the receiving end of one link loses its cache — emptied in place, or,
+// for the coordinator, never filled because the shard worker that held the
+// link died — and a third round must still select exactly what a delta-off
+// consortium selects. Every response that withheld blocks the receiver no
+// longer holds is one charged miss, and each miss costs exactly one NoCache
+// retry on that link.
+func TestDeltaMissRetry(t *testing.T) {
+	ctx := context.Background()
+	_, pt := testPartition(t, "Rice", 40, 4)
+	queries := []int{0, 9, 23}
+	ref, err := NewLocalCluster(ctx, ClusterConfig{Partition: pt, Scheme: "paillier", KeyBits: 256,
+		ShuffleSeed: 7, Batch: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ref.Close)
+	want, err := ref.Leader.Similarities(ctx, queries, 3, VariantFagin)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		name    string
+		workers int
+		// fault drops the receiving cache of one link and taps its sender(s).
+		fault func(cl *Cluster, lt *linkTap)
+	}{
+		{"leader<-agg", 0, func(cl *Cluster, lt *linkTap) {
+			clearCache(&cl.Leader.recvCache)
+			lt.tap(cl.Transport, AggServerName, cl.Agg.Handler())
+		}},
+		{"agg<-party", 0, func(cl *Cluster, lt *linkTap) {
+			for i, name := range cl.PartyNames() {
+				clearCache(cl.Agg.recvCache.forPeer(name))
+				lt.tap(cl.Transport, name, cl.Parties[i].Handler())
+			}
+		}},
+		{"coordinator<-party after failover", 2, func(cl *Cluster, lt *linkTap) {
+			cl.Transport.InjectFailure(AggWorkerName(1))
+			lo, hi := cl.Agg.plan.Range(1, len(cl.Parties))
+			for i := lo; i < hi; i++ {
+				lt.tap(cl.Transport, PartyName(i), cl.Parties[i].Handler())
+			}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cl, err := NewLocalCluster(ctx, ClusterConfig{Partition: pt, Scheme: "paillier", KeyBits: 256,
+				ShuffleSeed: 7, Batch: 8, Options: Options{DeltaCache: true, ShardWorkers: c.workers}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(cl.Close)
+			for round := 0; round < 2; round++ {
+				if _, err := cl.Leader.Similarities(ctx, queries, 3, VariantFagin); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := cl.Leader.ResetAllCounts(ctx); err != nil {
+				t.Fatal(err)
+			}
+			var lt linkTap
+			c.fault(cl, &lt)
+			got, err := cl.Leader.Similarities(ctx, queries, 3, VariantFagin)
+			if err != nil {
+				t.Fatalf("round after the fault: %v", err)
+			}
+			for i := range want.W {
+				for j := range want.W[i] {
+					if got.W[i][j] != want.W[i][j] {
+						t.Fatalf("W[%d][%d] = %v after the retry, %v without delta caching", i, j, got.W[i][j], want.W[i][j])
+					}
+				}
+			}
+			cl.Transport.InjectFailure("")
+			total, err := cl.Leader.TotalCounts(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			misses, retried := lt.withheld.Load(), lt.retried.Load()
+			if misses == 0 {
+				t.Fatal("the fault forced no delta-cache miss; the retry went unexercised")
+			}
+			if total.CacheMisses != misses {
+				t.Fatalf("charged %d cache misses, forced %d", total.CacheMisses, misses)
+			}
+			if retried != misses {
+				t.Fatalf("%d NoCache retries for %d misses, want exactly one each", retried, misses)
+			}
+		})
+	}
+}
+
+// TestCollectRejectsHostileLayout pins each layout check of the collect
+// pipeline against a peer that answers with a well-framed but inconsistent
+// vector. Every case must fail fast with an error naming that peer.
+func TestCollectRejectsHostileLayout(t *testing.T) {
+	_, pt := testPartition(t, "Rice", 40, 4)
+	hostileParty := PartyName(1)
+	for _, c := range []struct {
+		name    string
+		workers int
+		node    string
+		method  string
+		edit    func(resp []byte) []byte
+		want    string
+	}{
+		{"party withholds without delta", 0, hostileParty, MethodEncryptCandidates, func(raw []byte) []byte {
+			var resp EncryptCandidatesResp
+			mustUnmarshal(t, raw, &resp)
+			resp.Ciphers[0], resp.CachedBlocks = nil, []int{0}
+			return enc(&resp)
+		}, "withheld 1 blocks without delta caching"},
+		{"party returns too few ciphertexts", 0, hostileParty, MethodEncryptCandidates, func(raw []byte) []byte {
+			var resp EncryptCandidatesResp
+			mustUnmarshal(t, raw, &resp)
+			resp.Ciphers = resp.Ciphers[:len(resp.Ciphers)-1]
+			return enc(&resp)
+		}, "aggregates for"},
+		{"party returns too many ciphertexts for BASE", 0, hostileParty, MethodEncryptAll, func(raw []byte) []byte {
+			var resp EncryptAllResp
+			mustUnmarshal(t, raw, &resp)
+			resp.Ciphers = append(resp.Ciphers, resp.Ciphers[0])
+			return enc(&resp)
+		}, "aggregates for"},
+		{"shard worker returns too many aggregates", 2, AggWorkerName(1), MethodShardCollect, func(raw []byte) []byte {
+			var resp ShardCollectResp
+			mustUnmarshal(t, raw, &resp)
+			resp.Ciphers = append(resp.Ciphers, resp.Ciphers[0])
+			return enc(&resp)
+		}, "aggregates for"},
+		{"aggregation server withholds without delta", 0, AggServerName, MethodFaginCollect, func(raw []byte) []byte {
+			var resp FaginCollectResp
+			mustUnmarshal(t, raw, &resp)
+			resp.Aggregated[0], resp.CachedBlocks = nil, []int{0}
+			return enc(&resp)
+		}, "withheld 1 blocks without delta caching"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			cl, err := NewLocalCluster(ctx, ClusterConfig{Partition: pt, Scheme: "paillier", KeyBits: 256,
+				ShuffleSeed: 7, Batch: 8, Options: Options{ShardWorkers: c.workers}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(cl.Close)
+			var honest transport.Handler
+			switch {
+			case c.node == AggServerName:
+				honest = cl.Agg.Handler()
+			case c.workers > 0:
+				honest = cl.Workers[1].Handler()
+			default:
+				honest = cl.Parties[1].Handler()
+			}
+			cl.Transport.Register(c.node, func(ctx context.Context, method string, req []byte) ([]byte, error) {
+				out, err := honest(ctx, method, req)
+				if err != nil || method != c.method {
+					return out, err
+				}
+				return c.edit(out), nil
+			})
+			variant := VariantFagin
+			if c.method == MethodEncryptAll {
+				variant = VariantBase
+			}
+			_, err = cl.Leader.RunQuery(ctx, 0, 3, variant)
+			if ctx.Err() != nil {
+				t.Fatalf("query hung until the deadline: %v", err)
+			}
+			if err == nil || !strings.Contains(err.Error(), c.node) || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("err = %v, want %q naming %s", err, c.want, c.node)
+			}
+		})
+	}
+}
+
+// mustUnmarshal decodes a response inside a handler, which may run off the
+// test goroutine, so a failure is reported without FailNow.
+func mustUnmarshal(t *testing.T, raw []byte, m wire.Message) {
+	t.Helper()
+	if err := wire.Unmarshal(raw, m); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestOneCollectPipeline keeps the collect pipeline single. It parses this
+// package's non-test Go and fails unless exactly one function sends ranking
+// batches, exactly one pulls encrypted party vectors, and exactly one tests
+// for a delta-cache miss — the checks and the retry those paths carry then
+// have one home.
+func TestOneCollectPipeline(t *testing.T) {
+	ident := func(names ...string) func(ast.Node) bool {
+		return func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
+			if !ok {
+				return false
+			}
+			for _, name := range names {
+				if id.Name == name {
+					return true
+				}
+			}
+			return false
+		}
+	}
+	missTest := func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok || sel.Sel.Name != "Is" {
+			return false
+		}
+		if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "errors" {
+			return false
+		}
+		for _, arg := range call.Args {
+			if id, ok := arg.(*ast.Ident); ok && id.Name == "ErrDeltaCacheMiss" {
+				return true
+			}
+		}
+		return false
+	}
+	ops := []struct {
+		what  string
+		match func(ast.Node) bool
+	}{
+		{"send MethodRankingBatch", ident("MethodRankingBatch")},
+		{"send MethodEncryptAll/MethodEncryptCandidates", ident("MethodEncryptAll", "MethodEncryptCandidates")},
+		{"test errors.Is(…, ErrDeltaCacheMiss)", missTest},
+	}
+
+	paths, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := make([][]string, len(ops))
+	fset := token.NewFileSet()
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			for i, op := range ops {
+				if usedOutsideCases(fn.Body, op.match) {
+					found[i] = append(found[i], fset.Position(fn.Pos()).String()+" "+fn.Name.Name)
+				}
+			}
+		}
+	}
+	for i, op := range ops {
+		if len(found[i]) != 1 {
+			t.Errorf("%d functions %s, want exactly one — the collect pipeline's: %v", len(found[i]), op.what, found[i])
+		}
+	}
+}
+
+// usedOutsideCases reports whether match holds anywhere under n except in a
+// switch case's labels: a handler dispatching on a method name serves that
+// method, it does not send it.
+func usedOutsideCases(n ast.Node, match func(ast.Node) bool) bool {
+	hit := false
+	ast.Inspect(n, func(n ast.Node) bool {
+		if hit {
+			return false
+		}
+		if cc, ok := n.(*ast.CaseClause); ok {
+			for _, s := range cc.Body {
+				hit = hit || usedOutsideCases(s, match)
+			}
+			return false
+		}
+		hit = match(n)
+		return !hit
+	})
+	return hit
+}

@@ -212,29 +212,19 @@ func (l *Leader) RunQuery(ctx context.Context, query, k int, variant Variant) (r
 	var dist []float64
 	var stats FaginStats
 	collectStart := time.Now()
+	var cerr error
 	switch variant {
 	case VariantThreshold:
-		var terr error
-		pids, dist, stats, terr = l.thresholdScan(ctx, query, k)
-		if terr != nil {
-			return nil, terr
+		pids, dist, stats, cerr = l.thresholdScan(ctx, query, k)
+	case VariantBase, VariantFagin:
+		if col, stats, cerr = l.collect(ctx, query, k, variant, nil); cerr == nil {
+			pids = col.pids
 		}
-	case VariantBase:
-		var cerr error
-		col, stats, cerr = l.collectBase(ctx, query)
-		if cerr != nil {
-			return nil, cerr
-		}
-		pids = col.pids
-	case VariantFagin:
-		var cerr error
-		col, stats, cerr = l.collectFagin(ctx, query, k)
-		if cerr != nil {
-			return nil, cerr
-		}
-		pids = col.pids
 	default:
 		return nil, fmt.Errorf("vfl: unknown variant %q", variant)
+	}
+	if cerr != nil {
+		return nil, cerr
 	}
 	phase("collect", collectStart)
 	if k > len(pids) {
@@ -243,120 +233,140 @@ func (l *Leader) RunQuery(ctx context.Context, query, k int, variant Variant) (r
 
 	// Decrypt complete distances for the candidates and take the k nearest
 	// (the Threshold variant arrives pre-decrypted).
-	if dist == nil {
+	if col != nil {
 		decStart := time.Now()
 		dctx, dsp := l.tracer().Start(ctx, SpanDecrypt)
 		dsp.SetLabelInt("n", int64(len(col.blobs)))
-		dist, derr := l.decryptCollected(dctx, col)
+		var derr error
+		dist, derr = l.decryptCollected(dctx, col)
 		dsp.End()
 		phase("decrypt", decStart)
 		if derr != nil {
 			return nil, fmt.Errorf("vfl: leader decrypting: %w", derr)
 		}
 		l.counts.Add(costmodel.Raw{Decryptions: int64(len(col.blobs))})
-		return l.finishQuery(ctx, query, k, pids, dist, stats, phase)
 	}
 	return l.finishQuery(ctx, query, k, pids, dist, stats, phase)
 }
 
-// collected is one collection round's aggregate ciphertext vector with the
-// layout metadata the decrypt step validates: as received until
-// resolveCollected has restored the delta-withheld blocks, complete after.
+// collected is one received ciphertext vector with its layout metadata — a
+// party's vector or a shard root on the aggregation side, the aggregate on
+// the leader: as received until recvLink.fetch has checked its length and
+// restored its delta-withheld blocks, complete after.
 type collected struct {
 	pids   []int
 	blobs  [][]byte
-	factor int // PackFactor as sent; resolveCollected normalises 0 to 1
+	factor int // PackFactor as sent; checkLen normalises 0 to 1
 	bits   int // adaptive slot width; 0 = static geometry
-	adds   int // advertised aggregation depth (PackAdds)
+	adds   int // advertised aggregation depth (PackAdds, leader side)
+	need   int // advertised NeedBits (aggregation side)
 }
 
-// resolveCollected makes a collection response usable: validate the packed
-// length and restore the delta-withheld blocks (cached, the response's
-// CachedBlocks) from the receive cache. An ErrDeltaCacheMiss is returned
-// typed so the caller can retry the call with NoCache.
-func (l *Leader) resolveCollected(query int, col *collected, cached []int) error {
-	col.factor = normFactor(col.factor)
-	if want := packedLen(len(col.pids), col.factor); len(col.blobs) != want {
-		return fmt.Errorf("vfl: got %d aggregates for %d candidates, want %d", len(col.blobs), len(col.pids), want)
+// checkLen normalises the pack factor and checks that the vector holds one
+// ciphertext per factor-wide block of its pseudo IDs. peer names the sender;
+// a party's vector counts as the one-party aggregate it is in the reduce tree.
+func (c *collected) checkLen(peer string) error {
+	c.factor = normFactor(c.factor)
+	if want := packedLen(len(c.pids), c.factor); len(c.blobs) != want {
+		return fmt.Errorf("vfl: %s: got %d aggregates for %d candidates, want %d", peer, len(c.blobs), len(c.pids), want)
 	}
-	if !l.delta {
-		if len(cached) > 0 {
-			return fmt.Errorf("vfl: response withheld %d blocks without delta caching", len(cached))
-		}
-		return nil
-	}
-	keys := blockKeys("agg", query, col.bits, col.factor, col.pids)
-	hits, err := l.recvCache.restore(keys, col.blobs, cached)
-	if hits > 0 {
-		l.counts.Add(costmodel.Raw{CacheHits: int64(hits)})
-		l.recordDelta("leader", hits, 0)
-	}
-	return err
+	return nil
 }
 
-// deltaMissRetry reports whether err is a first-attempt delta-cache miss
-// (the leader evicted a block the agg assumed cached) and charges the miss;
-// the caller then retries the same call once with NoCache set.
-func (l *Leader) deltaMissRetry(err error, attempt int) bool {
-	if !errors.Is(err, ErrDeltaCacheMiss) || attempt != 0 {
-		return false
-	}
-	l.counts.Add(costmodel.Raw{CacheMisses: 1})
-	l.recordDelta("leader", 0, 1)
-	return true
+// recvLink is the receiving end of one delta-encodable collection link:
+// leader ← aggregation server, or aggregation server ← party.
+type recvLink struct {
+	peer   string            // the sender: named in errors, scopes the block keys
+	cache  *deltaCache       // withheld blocks restore from it; nil without delta
+	role   string            // metric series charged with the link's hits and misses
+	counts *costmodel.Counts // counters charged likewise
+	ro     *roleObs
 }
 
-// collect runs one collection round trip against the aggregation server:
-// call performs the variant's RPC with the given NoCache flag and returns the
-// response's aggregate and CachedBlocks. A first-attempt delta-cache miss
-// repeats the call once with NoCache set.
-func (l *Leader) collect(query int, call func(noCache bool) (*collected, []int, error)) (*collected, error) {
+// fetch is the one receive path of every delta-encodable collection: call
+// performs the RPC with the given NoCache flag and returns the decoded vector
+// with its withheld block indices. The vector's length is checked and its
+// withheld blocks restored from the link's cache (without one, withholding is
+// refused). A first-attempt ErrDeltaCacheMiss — the receiver evicted a block
+// the sender assumed cached — is charged as a cache miss, and the call is
+// repeated once with NoCache set, which forces a full resend.
+func (in recvLink) fetch(query int, noCache bool, call func(noCache bool) (*collected, []int, error)) (*collected, error) {
 	for attempt := 0; ; attempt++ {
-		col, cached, err := call(attempt > 0)
+		col, cached, err := call(noCache)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("vfl: collecting from %s: %w", in.peer, err)
 		}
-		err = l.resolveCollected(query, col, cached)
+		err = in.restore(query, col, cached)
 		if err == nil {
 			return col, nil
 		}
-		if !l.deltaMissRetry(err, attempt) {
+		if attempt > 0 || !errors.Is(err, ErrDeltaCacheMiss) {
 			return nil, err
 		}
+		in.counts.Add(costmodel.Raw{CacheMisses: 1})
+		in.ro.recordDelta(in.role, 0, 1)
+		noCache = true
 	}
 }
 
-// collectBase performs the BASE variant's collection round trip.
-func (l *Leader) collectBase(ctx context.Context, query int) (*collected, FaginStats, error) {
-	col, err := l.collect(query, func(noCache bool) (*collected, []int, error) {
-		var resp CollectAllResp
-		err := l.call(ctx, l.agg, MethodCollectAll,
-			&CollectAllReq{Query: query, Adaptive: l.adaptive, Delta: l.delta, NoCache: noCache}, &resp)
-		return &collected{pids: resp.PseudoIDs, blobs: resp.Aggregated,
-			factor: resp.PackFactor, bits: resp.PackBits, adds: resp.PackAdds}, resp.CachedBlocks, err
-	})
+// restore checks a received vector's length and fills its withheld blocks
+// (cached) from the link's cache, refreshing the cache and charging the hits.
+func (in recvLink) restore(query int, col *collected, cached []int) error {
+	if err := col.checkLen(in.peer); err != nil {
+		return err
+	}
+	if in.cache == nil {
+		if len(cached) > 0 {
+			return fmt.Errorf("vfl: %s withheld %d blocks without delta caching", in.peer, len(cached))
+		}
+		return nil
+	}
+	hits, err := in.cache.restore(blockKeys(in.peer, query, col.bits, col.factor, col.pids), col.blobs, cached)
+	if hits > 0 {
+		in.counts.Add(costmodel.Raw{CacheHits: int64(hits)})
+		in.ro.recordDelta(in.role, hits, 0)
+	}
 	if err != nil {
-		return nil, FaginStats{}, err
+		return fmt.Errorf("vfl: restoring delta blocks from %s: %w", in.peer, err)
 	}
-	n := len(col.pids)
-	return col, FaginStats{Candidates: n, Rounds: 1, ScanDepth: n}, nil
+	return nil
 }
 
-// collectFagin performs the Fagin variant's collection round trip.
-func (l *Leader) collectFagin(ctx context.Context, query, k int) (*collected, FaginStats, error) {
+// collect runs one collection round trip against the aggregation server and
+// returns the restored aggregate: the whole collection of the BASE or Fagin
+// variant, or, for the Threshold variant, one random-access round over ids.
+func (l *Leader) collect(ctx context.Context, query, k int, variant Variant, ids []int) (*collected, FaginStats, error) {
+	link := recvLink{peer: l.agg, role: "leader", counts: &l.counts, ro: &l.roleObs}
+	if l.delta {
+		link.cache = &l.recvCache
+	}
 	var stats FaginStats
-	col, err := l.collect(query, func(noCache bool) (*collected, []int, error) {
-		var resp FaginCollectResp
-		err := l.call(ctx, l.agg, MethodFaginCollect,
-			&FaginCollectReq{Query: query, K: k, Batch: l.batch, Adaptive: l.adaptive, Delta: l.delta, NoCache: noCache}, &resp)
-		stats = resp.Stats
-		return &collected{pids: resp.PseudoIDs, blobs: resp.Aggregated,
-			factor: resp.PackFactor, bits: resp.PackBits, adds: resp.PackAdds}, resp.CachedBlocks, err
+	col, err := link.fetch(query, false, func(noCache bool) (*collected, []int, error) {
+		switch variant {
+		case VariantBase:
+			var resp CollectAllResp
+			err := l.call(ctx, l.agg, MethodCollectAll,
+				&CollectAllReq{Query: query, Adaptive: l.adaptive, Delta: l.delta, NoCache: noCache}, &resp)
+			n := len(resp.PseudoIDs)
+			stats = FaginStats{Candidates: n, Rounds: 1, ScanDepth: n}
+			return &collected{pids: resp.PseudoIDs, blobs: resp.Aggregated, factor: resp.PackFactor,
+				bits: resp.PackBits, adds: resp.PackAdds}, resp.CachedBlocks, err
+		case VariantFagin:
+			var resp FaginCollectResp
+			err := l.call(ctx, l.agg, MethodFaginCollect,
+				&FaginCollectReq{Query: query, K: k, Batch: l.batch, Adaptive: l.adaptive, Delta: l.delta, NoCache: noCache}, &resp)
+			stats = resp.Stats
+			return &collected{pids: resp.PseudoIDs, blobs: resp.Aggregated, factor: resp.PackFactor,
+				bits: resp.PackBits, adds: resp.PackAdds}, resp.CachedBlocks, err
+		default:
+			var resp AggregateCandidatesResp
+			err := l.call(ctx, l.agg, MethodAggregateCandidates,
+				&AggregateCandidatesReq{Query: query, PseudoIDs: ids, Adaptive: l.adaptive, Delta: l.delta, NoCache: noCache}, &resp)
+			return &collected{pids: ids, blobs: resp.Aggregated, factor: resp.PackFactor,
+				bits: resp.PackBits, adds: resp.PackAdds}, resp.CachedBlocks, err
+		}
 	})
-	if err != nil {
-		return nil, FaginStats{}, err
-	}
-	return col, stats, nil
+	return col, stats, err
 }
 
 // decryptCollected recovers the aggregate distances of one collection round.
@@ -474,13 +484,28 @@ func fanOut(ctx context.Context, parallelism int, nodes []string, fn func(i int,
 // answering with more would silently turn a pruned scan into BASE-sized work.
 var errRankingOverrun = errors.New("vfl: ranking batch longer than requested")
 
-// checkRankingBatch rejects a party's ranking batch that exceeds the
-// requested count.
-func checkRankingBatch(party string, ids []int, count int) error {
-	if len(ids) > count {
-		return fmt.Errorf("%w: %s returned %d ids for a batch of %d", errRankingOverrun, party, len(ids), count)
-	}
-	return nil
+// rankingRound pulls the next mini-batch of every party's sub-ranking — count
+// pseudo IDs from rank depth on — with all parties in flight concurrently.
+// call is the caller's charging RPC, so each role books its own bytes. The
+// batches come back indexed in party order: merging them in that order
+// reproduces the serial scan's first-seen order. A party answering with more
+// than count IDs is refused with errRankingOverrun.
+func rankingRound(ctx context.Context, call func(ctx context.Context, node, method string, req, resp wire.Message) error,
+	parallelism int, parties []string, query, depth, count int) ([][]int, error) {
+	batches := make([][]int, len(parties))
+	err := fanOut(ctx, parallelism, parties, func(pi int, party string) error {
+		var resp RankingBatchResp
+		if err := call(ctx, party, MethodRankingBatch,
+			&RankingBatchReq{Query: query, Offset: depth, Count: count}, &resp); err != nil {
+			return fmt.Errorf("vfl: pulling ranking from %s: %w", party, err)
+		}
+		if len(resp.PseudoIDs) > count {
+			return fmt.Errorf("%w: %s returned %d ids for a batch of %d", errRankingOverrun, party, len(resp.PseudoIDs), count)
+		}
+		batches[pi] = resp.PseudoIDs
+		return nil
+	})
+	return batches, err
 }
 
 // thresholdScan drives the leader-assisted Threshold Algorithm for one
@@ -496,21 +521,8 @@ func (l *Leader) thresholdScan(ctx context.Context, query, k int) ([]int, []floa
 	var dist []float64
 	depth := 0
 	for {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, stats, err
-		}
-		// Sorted access: next batch of every party's ranking, all parties in
-		// flight concurrently; merge in party order for determinism.
-		batches := make([][]int, len(l.parties))
-		err := fanOut(ctx, l.parallelism, l.parties, func(pi int, party string) error {
-			var resp RankingBatchResp
-			if err := l.call(ctx, party, MethodRankingBatch,
-				&RankingBatchReq{Query: query, Offset: depth, Count: l.batch}, &resp); err != nil {
-				return fmt.Errorf("vfl: TA ranking from %s: %w", party, err)
-			}
-			batches[pi] = resp.PseudoIDs
-			return checkRankingBatch(party, resp.PseudoIDs, l.batch)
-		})
+		// Sorted access: the next batch of every party's ranking.
+		batches, err := rankingRound(ctx, l.call, l.parallelism, l.parties, query, depth, l.batch)
 		if err != nil {
 			return nil, nil, stats, err
 		}
@@ -532,13 +544,7 @@ func (l *Leader) thresholdScan(ctx context.Context, query, k int) ([]int, []floa
 
 		// Random access: aggregated ciphertexts for the new candidates.
 		if len(newIDs) > 0 {
-			col, err := l.collect(query, func(noCache bool) (*collected, []int, error) {
-				var resp AggregateCandidatesResp
-				err := l.call(ctx, l.agg, MethodAggregateCandidates,
-					&AggregateCandidatesReq{Query: query, PseudoIDs: newIDs, Adaptive: l.adaptive, Delta: l.delta, NoCache: noCache}, &resp)
-				return &collected{pids: newIDs, blobs: resp.Aggregated,
-					factor: resp.PackFactor, bits: resp.PackBits, adds: resp.PackAdds}, resp.CachedBlocks, err
-			})
+			col, _, err := l.collect(ctx, query, k, VariantThreshold, newIDs)
 			if err != nil {
 				return nil, nil, stats, fmt.Errorf("vfl: TA aggregate round: %w", err)
 			}

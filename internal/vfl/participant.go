@@ -382,13 +382,14 @@ func (p *Participant) Handler() transport.Handler {
 			if err := wire.Unmarshal(req, &r); err != nil {
 				return nil, err
 			}
-			return p.encryptAll(ctx, r)
+			return p.encrypt(ctx, EncryptCandidatesReq{Query: r.Query, PackBits: r.PackBits,
+				Delta: r.Delta, NoCache: r.NoCache}, true)
 		case MethodEncryptCandidates:
 			var r EncryptCandidatesReq
 			if err := wire.Unmarshal(req, &r); err != nil {
 				return nil, err
 			}
-			return p.encryptCandidates(ctx, r)
+			return p.encrypt(ctx, r, false)
 		case MethodEncryptRankScore:
 			var r EncryptRankScoreReq
 			if err := wire.Unmarshal(req, &r); err != nil {
@@ -434,61 +435,50 @@ func (p *Participant) rankingBatch(ctx context.Context, r RankingBatchReq) ([]by
 		costmodel.Raw{ItemsSent: int64(len(batch)), Messages: 1})
 }
 
-func (p *Participant) encryptAll(ctx context.Context, r EncryptAllReq) ([]byte, error) {
+// encrypt serves both collection pulls: the encrypted partial distances of
+// every pseudo ID but the query's own (EncryptAll, the BASE pattern, all set)
+// or of the requested candidates (EncryptCandidates). r carries the query,
+// the candidates and the payload knobs of either request.
+func (p *Participant) encrypt(ctx context.Context, r EncryptCandidatesReq, all bool) ([]byte, error) {
 	qc, err := p.distances(ctx, r.Query)
 	if err != nil {
 		return nil, err
 	}
 	n := p.N()
 	queryPid := p.perm[r.Query]
-	pids := make([]int, 0, n-1)
-	vals := make([]float64, 0, n-1)
-	for pid := 0; pid < n; pid++ {
-		if pid == queryPid {
-			continue
+	pids := r.PseudoIDs
+	if all {
+		pids = make([]int, 0, n-1)
+		for pid := 0; pid < n; pid++ {
+			if pid != queryPid {
+				pids = append(pids, pid)
+			}
 		}
-		pids = append(pids, pid)
-		vals = append(vals, qc.dist[p.inv[pid]])
+	}
+	vals := make([]float64, len(pids))
+	for i, pid := range pids {
+		if pid < 0 || pid >= n || pid == queryPid {
+			return nil, fmt.Errorf("vfl: candidate pseudo id %d invalid", pid)
+		}
+		vals[i] = qc.dist[p.inv[pid]]
 	}
 	enc, err := p.encryptItems(ctx, r.Query, pids, vals, r.PackBits, r.Delta, r.NoCache)
 	if err != nil {
 		return nil, fmt.Errorf("vfl: party %d encrypting: %w", p.index, err)
 	}
+	var resp wire.Message
+	if all {
+		resp = &EncryptAllResp{PseudoIDs: pids, Ciphers: enc.ciphers, PackFactor: enc.factor,
+			PackBits: enc.packBits, NeedBits: enc.needBits, CachedBlocks: enc.cached}
+	} else {
+		resp = &EncryptCandidatesResp{Ciphers: enc.ciphers, PackFactor: enc.factor,
+			PackBits: enc.packBits, NeedBits: enc.needBits, CachedBlocks: enc.cached}
+	}
 	// Counters reflect actual work and wire traffic: packing drops the
 	// exponentiation and ciphertext counts by the pack factor, delta hits skip
 	// both the exponentiation and the wire, and reply charges the bytes as
 	// actually encoded.
-	return reply(&EncryptAllResp{
-		PseudoIDs: pids, Ciphers: enc.ciphers, PackFactor: enc.factor,
-		PackBits: enc.packBits, NeedBits: enc.needBits, CachedBlocks: enc.cached,
-	}, &p.counts, &p.roleObs, costmodel.Raw{
-		Encryptions: int64(enc.encrypted),
-		ItemsSent:   int64(len(enc.ciphers) - len(enc.cached)),
-		Messages:    1,
-	})
-}
-
-func (p *Participant) encryptCandidates(ctx context.Context, r EncryptCandidatesReq) ([]byte, error) {
-	qc, err := p.distances(ctx, r.Query)
-	if err != nil {
-		return nil, err
-	}
-	queryPid := p.perm[r.Query]
-	vals := make([]float64, len(r.PseudoIDs))
-	for i, pid := range r.PseudoIDs {
-		if pid < 0 || pid >= p.N() || pid == queryPid {
-			return nil, fmt.Errorf("vfl: candidate pseudo id %d invalid", pid)
-		}
-		vals[i] = qc.dist[p.inv[pid]]
-	}
-	enc, err := p.encryptItems(ctx, r.Query, r.PseudoIDs, vals, r.PackBits, r.Delta, r.NoCache)
-	if err != nil {
-		return nil, fmt.Errorf("vfl: party %d encrypting candidate: %w", p.index, err)
-	}
-	return reply(&EncryptCandidatesResp{
-		Ciphers: enc.ciphers, PackFactor: enc.factor,
-		PackBits: enc.packBits, NeedBits: enc.needBits, CachedBlocks: enc.cached,
-	}, &p.counts, &p.roleObs, costmodel.Raw{
+	return reply(resp, &p.counts, &p.roleObs, costmodel.Raw{
 		Encryptions: int64(enc.encrypted),
 		ItemsSent:   int64(len(enc.ciphers) - len(enc.cached)),
 		Messages:    1,

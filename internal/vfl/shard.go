@@ -27,11 +27,14 @@ import (
 // the same monotone maximum the unsharded server folds over all parties — so
 // the dictated geometry trajectory is identical round for round.
 //
-// A worker RPC failure degrades, not fails: the coordinator re-collects that
-// shard's parties directly and reduces the subtree locally (counted in
-// vfps_shard_retries_total). Parties key their delta caches per aggregator
-// link, so a failover pull may trip ErrDeltaCacheMiss; the standard one-shot
-// NoCache retry in pullCandidates/pullAll absorbs it with a full resend.
+// Coordinator, workers and failover all run the same collectReduce: a worker
+// over its parties, the coordinator over the worker roster with each worker's
+// root standing in for a party. A worker RPC failure degrades, not fails: the
+// coordinator runs that shard's collectReduce over its parties itself
+// (counted in vfps_shard_retries_total). The parties' sent caches do not know
+// the worker is gone, so the failover pull withholds blocks the coordinator
+// never received; the party link's one-shot NoCache retry (recvLink.fetch)
+// absorbs that miss with a full resend.
 
 // AggWorkerName returns the node name of shard worker i, mirroring PartyName.
 func AggWorkerName(i int) string { return fmt.Sprintf("aggworker/%d", i) }
@@ -75,16 +78,12 @@ func (sp *ShardPlan) Validate(parties int) error {
 	return nil
 }
 
-// shardRange returns the party index range [lo, hi) of shard i.
-func (sp *ShardPlan) shardRange(i, parties int) (lo, hi int) {
+// Range returns the party index range [lo, hi) of shard i.
+func (sp *ShardPlan) Range(i, parties int) (lo, hi int) {
 	lo = i * sp.SubtreeSize
 	hi = min(lo+sp.SubtreeSize, parties)
 	return lo, hi
 }
-
-// Range is shardRange for external deployment tooling (cmd/vfpsnode builds
-// each worker's party subset from it).
-func (sp *ShardPlan) Range(i, parties int) (lo, hi int) { return sp.shardRange(i, parties) }
 
 // PlanSubtrees sizes a shard plan: the smallest power-of-two subtree that
 // spreads parties over at most maxWorkers shards. Returns the subtree size
@@ -150,96 +149,31 @@ func (a *AggServer) recordShardRetry(worker string) {
 	declareShard(reg).With(worker).Inc()
 }
 
-// collectSharded fans one collection out over the shard workers and enforces
-// cross-shard geometry uniformity, mirroring the direct party fan-out: each
-// worker returns its locally reduced subtree root, and the roots stand in for
-// parties in the coordinator's uniformity/negotiation logic.
-func (a *AggServer) collectSharded(ctx context.Context, query int, pids []int, all bool, dictate int, opt payloadOpts) ([]partyVec, int, int, error) {
-	ctx, msp := a.tracer().Start(ctx, SpanShardMerge)
-	msp.SetLabelInt("shards", int64(len(a.plan.Workers)))
-	defer msp.End()
-	collect := func(d int) ([]partyVec, error) {
-		pvs := make([]partyVec, len(a.plan.Workers))
-		err := fanOut(ctx, a.parallelism, a.plan.Workers, func(wi int, worker string) error {
-			pv, err := a.pullShard(ctx, wi, worker, query, pids, all, d, opt)
-			if err != nil {
-				return err
-			}
-			pvs[wi] = pv
-			return nil
-		})
-		return pvs, err
-	}
-	return a.collectUniform(a.plan.Workers, dictate, collect)
-}
-
-// pullShard fetches one shard's reduced vector from its worker, falling back
-// to a direct collection over the shard's parties when the worker RPC fails.
-func (a *AggServer) pullShard(ctx context.Context, wi int, worker string, query int, pids []int, all bool, dictate int, opt payloadOpts) (partyVec, error) {
+// pullShard fetches one shard's reduced vector from its worker. When the
+// worker RPC fails the coordinator collects the shard's parties itself,
+// reproducing the worker's root bit for bit (same parties, same dictate, same
+// tree shape).
+func (a *AggServer) pullShard(ctx context.Context, wi int, worker string, query int, ids []int, all bool, dictate int, opt payloadOpts) (*collected, error) {
 	req := &ShardCollectReq{Query: query, All: all, PackBits: dictate,
 		Delta: opt.delta, NoCache: opt.noCache}
 	if !all {
-		req.PseudoIDs = pids
+		req.PseudoIDs = ids
 	}
 	var resp ShardCollectResp
 	if err := a.call(ctx, worker, MethodShardCollect, req, &resp); err != nil {
 		if cerr := ctx.Err(); cerr != nil {
-			return partyVec{}, cerr
+			return nil, cerr
 		}
 		a.recordShardRetry(worker)
-		return a.collectShardLocal(ctx, wi, query, pids, all, dictate, opt)
+		lo, hi := a.plan.Range(wi, len(a.parties))
+		return a.collectParties(ctx, a.parties[lo:hi], query, ids, all, dictate, opt)
 	}
-	out := pids
+	col := &collected{pids: ids, blobs: resp.Ciphers, factor: resp.PackFactor,
+		bits: resp.PackBits, need: resp.NeedBits}
 	if all {
-		out = resp.PseudoIDs
+		col.pids = resp.PseudoIDs
 	}
-	factor := normFactor(resp.PackFactor)
-	if want := packedLen(len(out), factor); len(resp.Ciphers) != want {
-		return partyVec{}, fmt.Errorf("vfl: %s returned %d aggregates for %d ids, want %d",
-			worker, len(resp.Ciphers), len(out), want)
-	}
-	return partyVec{pids: out, ciphers: resp.Ciphers, factor: factor,
-		packBits: resp.PackBits, needBits: resp.NeedBits}, nil
-}
-
-// collectShardLocal is the failover path: the coordinator collects the
-// shard's parties itself and reduces the subtree locally, reproducing the
-// worker's output bit for bit (same parties, same dictate, same tree shape).
-func (a *AggServer) collectShardLocal(ctx context.Context, wi, query int, pids []int, all bool, dictate int, opt payloadOpts) (partyVec, error) {
-	lo, hi := a.plan.shardRange(wi, len(a.parties))
-	parties := a.parties[lo:hi]
-	collect := func(d int) ([]partyVec, error) {
-		return a.collectSubtree(ctx, parties, query, pids, all, d, opt)
-	}
-	pvs, factor, packBits, err := a.collectUniform(parties, dictate, collect)
-	if err != nil {
-		return partyVec{}, err
-	}
-	if all {
-		if err := samePseudoIDs(parties, pvs); err != nil {
-			return partyVec{}, err
-		}
-	}
-	return a.reduceSubtree(ctx, pvs, factor, packBits)
-}
-
-// reduceSubtree tree-reduces a shard's party vectors into one root vector,
-// carrying the shard-maximum NeedBits advertisement upward.
-func (a *AggServer) reduceSubtree(ctx context.Context, pvs []partyVec, factor, packBits int) (partyVec, error) {
-	need := 0
-	vecs := make([][][]byte, len(pvs))
-	for i := range pvs {
-		vecs[i] = pvs[i].ciphers
-		if pvs[i].needBits > need {
-			need = pvs[i].needBits
-		}
-	}
-	agg, err := a.reduceVectors(ctx, vecs)
-	if err != nil {
-		return partyVec{}, err
-	}
-	return partyVec{pids: pvs[0].pids, ciphers: agg, factor: factor,
-		packBits: packBits, needBits: need}, nil
+	return col, col.checkLen(worker)
 }
 
 // shardCollect serves MethodShardCollect on a shard worker: collect this
@@ -252,28 +186,16 @@ func (a *AggServer) shardCollect(ctx context.Context, r ShardCollectReq) ([]byte
 	ctx, ssp := a.tracer().Start(ctx, SpanShardCollect)
 	ssp.SetLabelInt("parties", int64(len(a.parties)))
 	defer ssp.End()
-	opt := payloadOpts{delta: r.Delta, noCache: r.NoCache}
-	collect := func(d int) ([]partyVec, error) {
-		return a.collectSubtree(ctx, a.parties, r.Query, r.PseudoIDs, r.All, d, opt)
-	}
-	pvs, factor, packBits, err := a.collectUniform(a.parties, r.PackBits, collect)
+	root, err := a.collectParties(ctx, a.parties, r.Query, r.PseudoIDs, r.All, r.PackBits,
+		payloadOpts{delta: r.Delta, noCache: r.NoCache})
 	if err != nil {
 		return nil, err
 	}
+	resp := &ShardCollectResp{Ciphers: root.blobs, PackFactor: root.factor,
+		PackBits: root.bits, NeedBits: root.need}
 	if r.All {
-		if err := samePseudoIDs(a.parties, pvs); err != nil {
-			return nil, err
-		}
-	}
-	pv, err := a.reduceSubtree(ctx, pvs, factor, packBits)
-	if err != nil {
-		return nil, err
-	}
-	resp := &ShardCollectResp{Ciphers: pv.ciphers, PackFactor: factor,
-		PackBits: packBits, NeedBits: pv.needBits}
-	if r.All {
-		resp.PseudoIDs = pv.pids
+		resp.PseudoIDs = root.pids
 	}
 	return reply(resp, &a.counts, &a.roleObs,
-		costmodel.Raw{ItemsSent: int64(len(pv.ciphers)), Messages: 1})
+		costmodel.Raw{ItemsSent: int64(len(root.blobs)), Messages: 1})
 }
