@@ -8,7 +8,7 @@ build:
 test:
 	$(GO) test ./...
 
-# Formatting and vet first, then the full suite, a wire-format fuzz smoke,
+# Formatting and vet first, then the full suite, the wire-format fuzz smokes,
 # and the live observability surface — the pre-commit gate.
 check:
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then echo "gofmt needed on:"; echo "$$fmt"; exit 1; fi
@@ -17,6 +17,7 @@ check:
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzWire$$' -fuzztime=5s
+	$(GO) test ./internal/vfl -run='^$$' -fuzz='^FuzzMessages$$' -fuzztime=5s
 	$(GO) test -race ./...
 	$(GO) test ./internal/paillier -run='^$$' -fuzz='^FuzzFixedBaseExp$$' -fuzztime=5s
 	$(GO) test ./internal/mont -run='^$$' -fuzz='^FuzzMontMulExp$$' -fuzztime=5s
@@ -80,6 +81,7 @@ fuzz:
 	$(GO) test ./internal/dataset -run='^$$' -fuzz=FuzzLoadCSV -fuzztime=30s
 	$(GO) test ./internal/transport -run='^$$' -fuzz=FuzzReadRequest -fuzztime=30s
 	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzWire$$' -fuzztime=30s
+	$(GO) test ./internal/vfl -run='^$$' -fuzz='^FuzzMessages$$' -fuzztime=30s
 	$(GO) test ./internal/paillier -run='^$$' -fuzz='^FuzzFixedBaseExp$$' -fuzztime=30s
 	$(GO) test ./internal/mont -run='^$$' -fuzz='^FuzzMontMulExp$$' -fuzztime=30s
 

@@ -14,21 +14,9 @@ type echoMsg struct {
 	BB [][]byte
 }
 
-func (m *echoMsg) MarshalWire(e *wire.Encoder) {
-	e.Int(1, m.N)
-	e.Blobs(2, m.BB)
-}
-
-func (m *echoMsg) UnmarshalWire(d *wire.Decoder) error {
-	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			m.N = d.Int()
-		case 2:
-			m.BB = d.Blobs()
-		}
-	}
-	return d.Err()
+func (m *echoMsg) Fields(f *wire.Fields) {
+	f.Int64(1, &m.N)
+	f.Blobs(2, &m.BB)
 }
 
 // echo decodes an echoMsg request and answers it incremented — the

@@ -318,638 +318,183 @@ type FaginCollectResp struct {
 
 // ---- wire layouts --------------------------------------------------------
 //
-// Every message carries explicit MarshalWire/UnmarshalWire methods pinning
-// its v1 layout (see internal/wire for the field grammar and golden_test.go
-// for byte-level vectors). Tags are append-only: new fields take fresh tags
-// so v1 peers skip them, and a retired field's tag stays reserved — never
-// reused — so a peer that still sends it is skipped the same way. Absent
-// fields decode as zero, which the normFactor/packedLen helpers already
-// normalise.
+// Each message declares its v1 layout once, as a field table (wire.Fields):
+// one entry per field, in ascending tag order, from which wire.Marshal and
+// wire.Unmarshal derive both directions. internal/wire documents the field
+// grammar, golden_test.go pins byte-level vectors, and docs/wire_tags.md is
+// the tag table rendered from these tables. Tags are append-only: new fields
+// take fresh tags so v1 peers skip them, and a retired field's tag stays
+// reserved — never reused — so a peer that still sends it is skipped the
+// same way (TestFieldTables holds the reserved list). Absent fields decode
+// as zero, which the normFactor/packedLen helpers already normalise.
 
-// MarshalWire implements wire.Message. 1: scheme, 2: key, 3: parties,
-// 4: maskSeed, 5: epsilon, 6: delta.
-func (m *PublicKeyResp) MarshalWire(e *wire.Encoder) {
-	e.String(1, m.Scheme)
-	e.Bytes(2, m.Key)
-	e.Int(3, int64(m.Parties))
-	e.Int(4, m.MaskSeed)
-	e.Float(5, m.Epsilon)
-	e.Float(6, m.Delta)
+func (m *PublicKeyResp) Fields(f *wire.Fields) {
+	f.String(1, &m.Scheme)
+	f.Bytes(2, &m.Key)
+	f.Int(3, &m.Parties)
+	f.Int64(4, &m.MaskSeed)
+	f.Float(5, &m.Epsilon)
+	f.Float(6, &m.Delta)
 }
 
-// UnmarshalWire implements wire.Message.
-func (m *PublicKeyResp) UnmarshalWire(d *wire.Decoder) error {
-	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			m.Scheme = d.String()
-		case 2:
-			m.Key = d.Bytes()
-		case 3:
-			m.Parties = int(d.Int())
-		case 4:
-			m.MaskSeed = d.Int()
-		case 5:
-			m.Epsilon = d.Float()
-		case 6:
-			m.Delta = d.Float()
-		}
-	}
-	return d.Err()
+// Fields keeps PublicKeyResp's layout.
+func (m *PrivateKeyResp) Fields(f *wire.Fields) { (*PublicKeyResp)(m).Fields(f) }
+
+func (m *RankingBatchReq) Fields(f *wire.Fields) {
+	f.Int(1, &m.Query)
+	f.Int(2, &m.Offset)
+	f.Int(3, &m.Count)
 }
 
-// MarshalWire implements wire.Message; same layout as PublicKeyResp.
-func (m *PrivateKeyResp) MarshalWire(e *wire.Encoder) {
-	(*PublicKeyResp)(m).MarshalWire(e)
+func (m *RankingBatchResp) Fields(f *wire.Fields) { f.IDs(1, &m.PseudoIDs) }
+
+func (m *EncryptAllReq) Fields(f *wire.Fields) {
+	f.Int(1, &m.Query)
+	f.Int(2, &m.PackBits)
+	f.Bool(3, &m.Delta)
+	f.Bool(4, &m.NoCache)
 }
 
-// UnmarshalWire implements wire.Message.
-func (m *PrivateKeyResp) UnmarshalWire(d *wire.Decoder) error {
-	return (*PublicKeyResp)(m).UnmarshalWire(d)
+func (m *EncryptAllResp) Fields(f *wire.Fields) {
+	f.IDs(1, &m.PseudoIDs)
+	f.Blobs(2, &m.Ciphers)
+	f.Int(3, &m.PackFactor)
+	f.Int(4, &m.PackBits)
+	f.Int(5, &m.NeedBits)
+	f.IDs(6, &m.CachedBlocks)
 }
 
-// MarshalWire implements wire.Message. 1: query, 2: offset, 3: count.
-func (m *RankingBatchReq) MarshalWire(e *wire.Encoder) {
-	e.Int(1, int64(m.Query))
-	e.Int(2, int64(m.Offset))
-	e.Int(3, int64(m.Count))
+func (m *EncryptCandidatesReq) Fields(f *wire.Fields) {
+	f.Int(1, &m.Query)
+	f.IDs(2, &m.PseudoIDs)
+	f.Int(3, &m.PackBits)
+	f.Bool(4, &m.Delta)
+	f.Bool(5, &m.NoCache)
 }
 
-// UnmarshalWire implements wire.Message.
-func (m *RankingBatchReq) UnmarshalWire(d *wire.Decoder) error {
-	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			m.Query = int(d.Int())
-		case 2:
-			m.Offset = int(d.Int())
-		case 3:
-			m.Count = int(d.Int())
-		}
-	}
-	return d.Err()
+func (m *EncryptCandidatesResp) Fields(f *wire.Fields) {
+	f.Blobs(1, &m.Ciphers)
+	f.Int(2, &m.PackFactor)
+	f.Int(3, &m.PackBits)
+	f.Int(4, &m.NeedBits)
+	f.IDs(5, &m.CachedBlocks)
 }
 
-// MarshalWire implements wire.Message. 1: pseudo IDs (delta block).
-func (m *RankingBatchResp) MarshalWire(e *wire.Encoder) { e.IDs(1, m.PseudoIDs) }
-
-// UnmarshalWire implements wire.Message.
-func (m *RankingBatchResp) UnmarshalWire(d *wire.Decoder) error {
-	for d.Next() {
-		if d.Tag() == 1 {
-			m.PseudoIDs = d.IDs()
-		}
-	}
-	return d.Err()
+func (m *NeighborSumReq) Fields(f *wire.Fields) {
+	f.Int(1, &m.Query)
+	f.IDs(2, &m.PseudoIDs)
 }
 
-// boolField encodes a flag as an omitted-when-false varint 1, so legacy
-// messages stay byte-identical and legacy peers skip the tag.
-func boolField(e *wire.Encoder, tag int, v bool) {
-	if v {
-		e.Int(tag, 1)
-	}
-}
+func (m *NeighborSumResp) Fields(f *wire.Fields) { f.Float(1, &m.Sum) }
 
-// MarshalWire implements wire.Message. 1: query, 2: pack bits, 3: delta,
-// 4: no-cache.
-func (m *EncryptAllReq) MarshalWire(e *wire.Encoder) {
-	e.Int(1, int64(m.Query))
-	e.Int(2, int64(m.PackBits))
-	boolField(e, 3, m.Delta)
-	boolField(e, 4, m.NoCache)
-}
-
-// UnmarshalWire implements wire.Message.
-func (m *EncryptAllReq) UnmarshalWire(d *wire.Decoder) error {
-	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			m.Query = int(d.Int())
-		case 2:
-			m.PackBits = int(d.Int())
-		case 3:
-			m.Delta = d.Int() != 0
-		case 4:
-			m.NoCache = d.Int() != 0
-		}
-	}
-	return d.Err()
-}
-
-// MarshalWire implements wire.Message. 1: pseudo IDs, 2: ciphertext blocks,
-// 3: pack factor, 4: pack bits, 5: need bits, 6: cached block indices.
-func (m *EncryptAllResp) MarshalWire(e *wire.Encoder) {
-	e.IDs(1, m.PseudoIDs)
-	e.Blobs(2, m.Ciphers)
-	e.Int(3, int64(m.PackFactor))
-	e.Int(4, int64(m.PackBits))
-	e.Int(5, int64(m.NeedBits))
-	e.IDs(6, m.CachedBlocks)
-}
-
-// UnmarshalWire implements wire.Message.
-func (m *EncryptAllResp) UnmarshalWire(d *wire.Decoder) error {
-	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			m.PseudoIDs = d.IDs()
-		case 2:
-			m.Ciphers = d.Blobs()
-		case 3:
-			m.PackFactor = int(d.Int())
-		case 4:
-			m.PackBits = int(d.Int())
-		case 5:
-			m.NeedBits = int(d.Int())
-		case 6:
-			m.CachedBlocks = d.IDs()
-		}
-	}
-	return d.Err()
-}
-
-// MarshalWire implements wire.Message. 1: query, 2: pseudo IDs, 3: pack bits,
-// 4: delta, 5: no-cache.
-func (m *EncryptCandidatesReq) MarshalWire(e *wire.Encoder) {
-	e.Int(1, int64(m.Query))
-	e.IDs(2, m.PseudoIDs)
-	e.Int(3, int64(m.PackBits))
-	boolField(e, 4, m.Delta)
-	boolField(e, 5, m.NoCache)
-}
-
-// UnmarshalWire implements wire.Message.
-func (m *EncryptCandidatesReq) UnmarshalWire(d *wire.Decoder) error {
-	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			m.Query = int(d.Int())
-		case 2:
-			m.PseudoIDs = d.IDs()
-		case 3:
-			m.PackBits = int(d.Int())
-		case 4:
-			m.Delta = d.Int() != 0
-		case 5:
-			m.NoCache = d.Int() != 0
-		}
-	}
-	return d.Err()
-}
-
-// MarshalWire implements wire.Message. 1: ciphertext blocks, 2: pack factor,
-// 3: pack bits, 4: need bits, 5: cached block indices.
-func (m *EncryptCandidatesResp) MarshalWire(e *wire.Encoder) {
-	e.Blobs(1, m.Ciphers)
-	e.Int(2, int64(m.PackFactor))
-	e.Int(3, int64(m.PackBits))
-	e.Int(4, int64(m.NeedBits))
-	e.IDs(5, m.CachedBlocks)
-}
-
-// UnmarshalWire implements wire.Message.
-func (m *EncryptCandidatesResp) UnmarshalWire(d *wire.Decoder) error {
-	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			m.Ciphers = d.Blobs()
-		case 2:
-			m.PackFactor = int(d.Int())
-		case 3:
-			m.PackBits = int(d.Int())
-		case 4:
-			m.NeedBits = int(d.Int())
-		case 5:
-			m.CachedBlocks = d.IDs()
-		}
-	}
-	return d.Err()
-}
-
-// MarshalWire implements wire.Message. 1: query, 2: pseudo IDs.
-func (m *NeighborSumReq) MarshalWire(e *wire.Encoder) {
-	e.Int(1, int64(m.Query))
-	e.IDs(2, m.PseudoIDs)
-}
-
-// UnmarshalWire implements wire.Message.
-func (m *NeighborSumReq) UnmarshalWire(d *wire.Decoder) error {
-	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			m.Query = int(d.Int())
-		case 2:
-			m.PseudoIDs = d.IDs()
-		}
-	}
-	return d.Err()
-}
-
-// MarshalWire implements wire.Message. 1: sum (fixed64, bit-exact).
-func (m *NeighborSumResp) MarshalWire(e *wire.Encoder) { e.Float(1, m.Sum) }
-
-// UnmarshalWire implements wire.Message.
-func (m *NeighborSumResp) UnmarshalWire(d *wire.Decoder) error {
-	for d.Next() {
-		if d.Tag() == 1 {
-			m.Sum = d.Float()
-		}
-	}
-	return d.Err()
-}
-
-// wireRaw pins costmodel.Raw's nested wire layout without coupling costmodel
-// to internal/wire. 1: flops, 2: enc, 3: dec, 4: cadd, 5: padd, 6: items,
-// 7: msgs, 8: bytes, 9: framing, 10: cache hits, 11: cache misses.
+// wireRaw gives costmodel.Raw its nested wire layout without coupling
+// costmodel to internal/wire.
 type wireRaw costmodel.Raw
 
-func (r *wireRaw) MarshalWire(e *wire.Encoder) {
-	e.Int(1, r.DistanceFlops)
-	e.Int(2, r.Encryptions)
-	e.Int(3, r.Decryptions)
-	e.Int(4, r.CipherAdds)
-	e.Int(5, r.PlainAdds)
-	e.Int(6, r.ItemsSent)
-	e.Int(7, r.Messages)
-	e.Int(8, r.BytesSent)
-	e.Int(9, r.FramingBytes)
-	e.Int(10, r.CacheHits)
-	e.Int(11, r.CacheMisses)
+func (r *wireRaw) Fields(f *wire.Fields) {
+	f.Int64(1, &r.DistanceFlops)
+	f.Int64(2, &r.Encryptions)
+	f.Int64(3, &r.Decryptions)
+	f.Int64(4, &r.CipherAdds)
+	f.Int64(5, &r.PlainAdds)
+	f.Int64(6, &r.ItemsSent)
+	f.Int64(7, &r.Messages)
+	f.Int64(8, &r.BytesSent)
+	f.Int64(9, &r.FramingBytes)
+	f.Int64(10, &r.CacheHits)
+	f.Int64(11, &r.CacheMisses)
 }
 
-func (r *wireRaw) UnmarshalWire(d *wire.Decoder) error {
-	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			r.DistanceFlops = d.Int()
-		case 2:
-			r.Encryptions = d.Int()
-		case 3:
-			r.Decryptions = d.Int()
-		case 4:
-			r.CipherAdds = d.Int()
-		case 5:
-			r.PlainAdds = d.Int()
-		case 6:
-			r.ItemsSent = d.Int()
-		case 7:
-			r.Messages = d.Int()
-		case 8:
-			r.BytesSent = d.Int()
-		case 9:
-			r.FramingBytes = d.Int()
-		case 10:
-			r.CacheHits = d.Int()
-		case 11:
-			r.CacheMisses = d.Int()
-		}
-	}
-	return d.Err()
+func (m *CountsResp) Fields(f *wire.Fields) { f.Msg(1, (*wireRaw)(&m.Counts)) }
+
+func (m *EncryptRankScoreReq) Fields(f *wire.Fields) {
+	f.Int(1, &m.Query)
+	f.Int(2, &m.Rank)
 }
 
-// MarshalWire implements wire.Message. 1: counts (nested wireRaw).
-func (m *CountsResp) MarshalWire(e *wire.Encoder) { e.Msg(1, (*wireRaw)(&m.Counts)) }
+func (m *EncryptRankScoreResp) Fields(f *wire.Fields) { f.Bytes(1, &m.Cipher) }
 
-// UnmarshalWire implements wire.Message.
-func (m *CountsResp) UnmarshalWire(d *wire.Decoder) error {
-	for d.Next() {
-		if d.Tag() == 1 {
-			d.Msg((*wireRaw)(&m.Counts))
-		}
-	}
-	return d.Err()
+func (m *AggregateCandidatesReq) Fields(f *wire.Fields) {
+	f.Int(1, &m.Query)
+	f.IDs(2, &m.PseudoIDs)
+	f.Bool(3, &m.Adaptive)
+	f.Bool(4, &m.Delta)
+	f.Bool(5, &m.NoCache)
 }
 
-// MarshalWire implements wire.Message. 1: query, 2: rank.
-func (m *EncryptRankScoreReq) MarshalWire(e *wire.Encoder) {
-	e.Int(1, int64(m.Query))
-	e.Int(2, int64(m.Rank))
+func (m *AggregateCandidatesResp) Fields(f *wire.Fields) {
+	f.Blobs(1, &m.Aggregated)
+	f.Int(2, &m.PackFactor)
+	f.Int(3, &m.PackBits)
+	f.Int(4, &m.PackAdds)
+	f.IDs(5, &m.CachedBlocks)
 }
 
-// UnmarshalWire implements wire.Message.
-func (m *EncryptRankScoreReq) UnmarshalWire(d *wire.Decoder) error {
-	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			m.Query = int(d.Int())
-		case 2:
-			m.Rank = int(d.Int())
-		}
-	}
-	return d.Err()
+func (m *AggregateFrontierReq) Fields(f *wire.Fields) {
+	f.Int(1, &m.Query)
+	f.Int(2, &m.Rank)
 }
 
-// MarshalWire implements wire.Message. 1: ciphertext.
-func (m *EncryptRankScoreResp) MarshalWire(e *wire.Encoder) { e.Bytes(1, m.Cipher) }
+func (m *AggregateFrontierResp) Fields(f *wire.Fields) { f.Bytes(1, &m.Cipher) }
 
-// UnmarshalWire implements wire.Message.
-func (m *EncryptRankScoreResp) UnmarshalWire(d *wire.Decoder) error {
-	for d.Next() {
-		if d.Tag() == 1 {
-			m.Cipher = d.Bytes()
-		}
-	}
-	return d.Err()
+// Fields skips tag 2, reserved for the retired chunk size.
+func (m *CollectAllReq) Fields(f *wire.Fields) {
+	f.Int(1, &m.Query)
+	f.Bool(3, &m.Adaptive)
+	f.Bool(4, &m.Delta)
+	f.Bool(5, &m.NoCache)
 }
 
-// MarshalWire implements wire.Message. 1: query, 2: pseudo IDs, 3: adaptive,
-// 4: delta, 5: no-cache.
-func (m *AggregateCandidatesReq) MarshalWire(e *wire.Encoder) {
-	e.Int(1, int64(m.Query))
-	e.IDs(2, m.PseudoIDs)
-	boolField(e, 3, m.Adaptive)
-	boolField(e, 4, m.Delta)
-	boolField(e, 5, m.NoCache)
+// Fields leaves tag 7 reserved for the retired chunk-framed blocks.
+func (m *CollectAllResp) Fields(f *wire.Fields) {
+	f.IDs(1, &m.PseudoIDs)
+	f.Blobs(2, &m.Aggregated)
+	f.Int(3, &m.PackFactor)
+	f.Int(4, &m.PackBits)
+	f.Int(5, &m.PackAdds)
+	f.IDs(6, &m.CachedBlocks)
 }
 
-// UnmarshalWire implements wire.Message.
-func (m *AggregateCandidatesReq) UnmarshalWire(d *wire.Decoder) error {
-	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			m.Query = int(d.Int())
-		case 2:
-			m.PseudoIDs = d.IDs()
-		case 3:
-			m.Adaptive = d.Int() != 0
-		case 4:
-			m.Delta = d.Int() != 0
-		case 5:
-			m.NoCache = d.Int() != 0
-		}
-	}
-	return d.Err()
+// Fields skips tag 4, reserved for the retired chunk size.
+func (m *FaginCollectReq) Fields(f *wire.Fields) {
+	f.Int(1, &m.Query)
+	f.Int(2, &m.K)
+	f.Int(3, &m.Batch)
+	f.Bool(5, &m.Adaptive)
+	f.Bool(6, &m.Delta)
+	f.Bool(7, &m.NoCache)
 }
 
-// MarshalWire implements wire.Message. 1: aggregated blocks, 2: pack factor,
-// 3: pack bits, 4: pack adds, 5: cached block indices.
-func (m *AggregateCandidatesResp) MarshalWire(e *wire.Encoder) {
-	e.Blobs(1, m.Aggregated)
-	e.Int(2, int64(m.PackFactor))
-	e.Int(3, int64(m.PackBits))
-	e.Int(4, int64(m.PackAdds))
-	e.IDs(5, m.CachedBlocks)
+func (m *FaginStats) Fields(f *wire.Fields) {
+	f.Int(1, &m.Rounds)
+	f.Int(2, &m.ScanDepth)
+	f.Int(3, &m.Candidates)
 }
 
-// UnmarshalWire implements wire.Message.
-func (m *AggregateCandidatesResp) UnmarshalWire(d *wire.Decoder) error {
-	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			m.Aggregated = d.Blobs()
-		case 2:
-			m.PackFactor = int(d.Int())
-		case 3:
-			m.PackBits = int(d.Int())
-		case 4:
-			m.PackAdds = int(d.Int())
-		case 5:
-			m.CachedBlocks = d.IDs()
-		}
-	}
-	return d.Err()
+// Fields leaves tag 8 reserved for the retired chunk-framed blocks.
+func (m *FaginCollectResp) Fields(f *wire.Fields) {
+	f.IDs(1, &m.PseudoIDs)
+	f.Blobs(2, &m.Aggregated)
+	f.Int(3, &m.PackFactor)
+	f.Msg(4, &m.Stats)
+	f.Int(5, &m.PackBits)
+	f.Int(6, &m.PackAdds)
+	f.IDs(7, &m.CachedBlocks)
 }
 
-// MarshalWire implements wire.Message. 1: query, 2: rank.
-func (m *AggregateFrontierReq) MarshalWire(e *wire.Encoder) {
-	e.Int(1, int64(m.Query))
-	e.Int(2, int64(m.Rank))
+func (m *ShardCollectReq) Fields(f *wire.Fields) {
+	f.Int(1, &m.Query)
+	f.IDs(2, &m.PseudoIDs)
+	f.Bool(3, &m.All)
+	f.Int(4, &m.PackBits)
+	f.Bool(5, &m.Delta)
+	f.Bool(6, &m.NoCache)
 }
 
-// UnmarshalWire implements wire.Message.
-func (m *AggregateFrontierReq) UnmarshalWire(d *wire.Decoder) error {
-	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			m.Query = int(d.Int())
-		case 2:
-			m.Rank = int(d.Int())
-		}
-	}
-	return d.Err()
-}
-
-// MarshalWire implements wire.Message. 1: ciphertext.
-func (m *AggregateFrontierResp) MarshalWire(e *wire.Encoder) { e.Bytes(1, m.Cipher) }
-
-// UnmarshalWire implements wire.Message.
-func (m *AggregateFrontierResp) UnmarshalWire(d *wire.Decoder) error {
-	for d.Next() {
-		if d.Tag() == 1 {
-			m.Cipher = d.Bytes()
-		}
-	}
-	return d.Err()
-}
-
-// MarshalWire implements wire.Message. 1: query, 3: adaptive, 4: delta,
-// 5: no-cache. 2 is reserved (retired chunk bytes).
-func (m *CollectAllReq) MarshalWire(e *wire.Encoder) {
-	e.Int(1, int64(m.Query))
-	boolField(e, 3, m.Adaptive)
-	boolField(e, 4, m.Delta)
-	boolField(e, 5, m.NoCache)
-}
-
-// UnmarshalWire implements wire.Message.
-func (m *CollectAllReq) UnmarshalWire(d *wire.Decoder) error {
-	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			m.Query = int(d.Int())
-		case 3:
-			m.Adaptive = d.Int() != 0
-		case 4:
-			m.Delta = d.Int() != 0
-		case 5:
-			m.NoCache = d.Int() != 0
-		}
-	}
-	return d.Err()
-}
-
-// MarshalWire implements wire.Message. 1: pseudo IDs, 2: aggregated blocks,
-// 3: pack factor, 4: pack bits, 5: pack adds, 6: cached block indices.
-// 7 is reserved (retired chunk-framed blocks).
-func (m *CollectAllResp) MarshalWire(e *wire.Encoder) {
-	e.IDs(1, m.PseudoIDs)
-	e.Blobs(2, m.Aggregated)
-	e.Int(3, int64(m.PackFactor))
-	e.Int(4, int64(m.PackBits))
-	e.Int(5, int64(m.PackAdds))
-	e.IDs(6, m.CachedBlocks)
-}
-
-// UnmarshalWire implements wire.Message.
-func (m *CollectAllResp) UnmarshalWire(d *wire.Decoder) error {
-	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			m.PseudoIDs = d.IDs()
-		case 2:
-			m.Aggregated = d.Blobs()
-		case 3:
-			m.PackFactor = int(d.Int())
-		case 4:
-			m.PackBits = int(d.Int())
-		case 5:
-			m.PackAdds = int(d.Int())
-		case 6:
-			m.CachedBlocks = d.IDs()
-		}
-	}
-	return d.Err()
-}
-
-// MarshalWire implements wire.Message. 1: query, 2: k, 3: batch,
-// 5: adaptive, 6: delta, 7: no-cache. 4 is reserved (retired chunk bytes).
-func (m *FaginCollectReq) MarshalWire(e *wire.Encoder) {
-	e.Int(1, int64(m.Query))
-	e.Int(2, int64(m.K))
-	e.Int(3, int64(m.Batch))
-	boolField(e, 5, m.Adaptive)
-	boolField(e, 6, m.Delta)
-	boolField(e, 7, m.NoCache)
-}
-
-// UnmarshalWire implements wire.Message.
-func (m *FaginCollectReq) UnmarshalWire(d *wire.Decoder) error {
-	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			m.Query = int(d.Int())
-		case 2:
-			m.K = int(d.Int())
-		case 3:
-			m.Batch = int(d.Int())
-		case 5:
-			m.Adaptive = d.Int() != 0
-		case 6:
-			m.Delta = d.Int() != 0
-		case 7:
-			m.NoCache = d.Int() != 0
-		}
-	}
-	return d.Err()
-}
-
-// MarshalWire implements wire.Message. 1: rounds, 2: scan depth,
-// 3: candidates.
-func (m *FaginStats) MarshalWire(e *wire.Encoder) {
-	e.Int(1, int64(m.Rounds))
-	e.Int(2, int64(m.ScanDepth))
-	e.Int(3, int64(m.Candidates))
-}
-
-// UnmarshalWire implements wire.Message.
-func (m *FaginStats) UnmarshalWire(d *wire.Decoder) error {
-	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			m.Rounds = int(d.Int())
-		case 2:
-			m.ScanDepth = int(d.Int())
-		case 3:
-			m.Candidates = int(d.Int())
-		}
-	}
-	return d.Err()
-}
-
-// MarshalWire implements wire.Message. 1: pseudo IDs, 2: aggregated blocks,
-// 3: pack factor, 4: Fagin stats (nested), 5: pack bits, 6: pack adds,
-// 7: cached block indices. 8 is reserved (retired chunk-framed blocks).
-func (m *FaginCollectResp) MarshalWire(e *wire.Encoder) {
-	e.IDs(1, m.PseudoIDs)
-	e.Blobs(2, m.Aggregated)
-	e.Int(3, int64(m.PackFactor))
-	e.Msg(4, &m.Stats)
-	e.Int(5, int64(m.PackBits))
-	e.Int(6, int64(m.PackAdds))
-	e.IDs(7, m.CachedBlocks)
-}
-
-// UnmarshalWire implements wire.Message.
-func (m *FaginCollectResp) UnmarshalWire(d *wire.Decoder) error {
-	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			m.PseudoIDs = d.IDs()
-		case 2:
-			m.Aggregated = d.Blobs()
-		case 3:
-			m.PackFactor = int(d.Int())
-		case 4:
-			d.Msg(&m.Stats)
-		case 5:
-			m.PackBits = int(d.Int())
-		case 6:
-			m.PackAdds = int(d.Int())
-		case 7:
-			m.CachedBlocks = d.IDs()
-		}
-	}
-	return d.Err()
-}
-
-// MarshalWire implements wire.Message. 1: query, 2: pseudo IDs, 3: all,
-// 4: pack bits, 5: delta, 6: no-cache.
-func (m *ShardCollectReq) MarshalWire(e *wire.Encoder) {
-	e.Int(1, int64(m.Query))
-	e.IDs(2, m.PseudoIDs)
-	boolField(e, 3, m.All)
-	e.Int(4, int64(m.PackBits))
-	boolField(e, 5, m.Delta)
-	boolField(e, 6, m.NoCache)
-}
-
-// UnmarshalWire implements wire.Message.
-func (m *ShardCollectReq) UnmarshalWire(d *wire.Decoder) error {
-	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			m.Query = int(d.Int())
-		case 2:
-			m.PseudoIDs = d.IDs()
-		case 3:
-			m.All = d.Int() != 0
-		case 4:
-			m.PackBits = int(d.Int())
-		case 5:
-			m.Delta = d.Int() != 0
-		case 6:
-			m.NoCache = d.Int() != 0
-		}
-	}
-	return d.Err()
-}
-
-// MarshalWire implements wire.Message. 1: pseudo IDs, 2: ciphertext blocks,
-// 3: pack factor, 4: pack bits, 5: need bits.
-func (m *ShardCollectResp) MarshalWire(e *wire.Encoder) {
-	e.IDs(1, m.PseudoIDs)
-	e.Blobs(2, m.Ciphers)
-	e.Int(3, int64(m.PackFactor))
-	e.Int(4, int64(m.PackBits))
-	e.Int(5, int64(m.NeedBits))
-}
-
-// UnmarshalWire implements wire.Message.
-func (m *ShardCollectResp) UnmarshalWire(d *wire.Decoder) error {
-	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			m.PseudoIDs = d.IDs()
-		case 2:
-			m.Ciphers = d.Blobs()
-		case 3:
-			m.PackFactor = int(d.Int())
-		case 4:
-			m.PackBits = int(d.Int())
-		case 5:
-			m.NeedBits = int(d.Int())
-		}
-	}
-	return d.Err()
+func (m *ShardCollectResp) Fields(f *wire.Fields) {
+	f.IDs(1, &m.PseudoIDs)
+	f.Blobs(2, &m.Ciphers)
+	f.Int(3, &m.PackFactor)
+	f.Int(4, &m.PackBits)
+	f.Int(5, &m.NeedBits)
 }

@@ -18,15 +18,16 @@ const Version uint64 = 1
 // payload is the value-content share of raw (ciphertext/key blobs, 8 per
 // float scalar); the remainder is framing — envelope, field keys, length
 // prefixes, ID lists. costmodel charges the two shares to BytesSent and
-// FramingBytes respectively. Bytes and tally come out of one Encoder pass.
+// FramingBytes respectively. Bytes and tally come out of one walk over m's
+// field table.
 func Marshal(m Message) (raw []byte, payload int64) {
 	// Requests are mostly a few scalars: start with room for them.
 	buf := append(make([]byte, 0, 32), envelopeMagic)
-	e := Encoder{buf: binary.AppendUvarint(buf, Version)}
+	f := Fields{e: encoder{buf: binary.AppendUvarint(buf, Version)}}
 	if m != nil {
-		m.MarshalWire(&e)
+		m.Fields(&f)
 	}
-	return e.buf, e.payload
+	return f.e.buf, f.e.payload
 }
 
 // Unmarshal checks the envelope of data and decodes the body into m. A nil m
@@ -52,7 +53,8 @@ func Unmarshal(data []byte, m Message) error {
 	if m == nil {
 		return nil
 	}
-	if err := m.UnmarshalWire(NewDecoder(data[1+n:])); err != nil {
+	f := Fields{mode: decoding, d: decoder{data: data[1+n:]}}
+	if err := f.decode(m); err != nil {
 		return fmt.Errorf("wire: decoding %T: %w", m, err)
 	}
 	return nil

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"testing"
 )
 
@@ -12,27 +13,26 @@ func FuzzWire(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x01})
 	f.Add([]byte{0x00, 0x01, 0x08, 0x01})
-	var seed Encoder
-	(&allFields{U: 3, I: -9, F: 2.5, B: []byte("b"), S: "s", IDs: []int{5, 1}, BB: [][]byte{[]byte("x")}}).MarshalWire(&seed)
-	f.Add(seed.buf)
+	// A bare body setting tags 1–7 once each: varint 3, zigzag -9, float
+	// 2.5, blob "b", text "s", IDs {5, 1} and blobs {"x"}.
+	seed, _ := hex.DecodeString("08031011190000000000000440220162" + "2a01733203020a073a03010178")
+	f.Add(seed)
 	f.Add(gobBlob)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_ = Unmarshal(data, &allFields{})
 		var m allFields
-		if err := m.UnmarshalWire(NewDecoder(data)); err != nil {
+		body := Fields{mode: decoding, d: decoder{data: data}}
+		if err := body.decode(&m); err != nil {
 			return // corrupt input rejected is fine; panics are not
 		}
 		// Canonical property: decode → encode → decode is a fixed point.
-		var e Encoder
-		m.MarshalWire(&e)
+		raw, _ := Marshal(&m)
 		var m2 allFields
-		if err := m2.UnmarshalWire(NewDecoder(e.buf)); err != nil {
+		if err := Unmarshal(raw, &m2); err != nil {
 			t.Fatalf("re-decode of re-encoded message failed: %v", err)
 		}
-		var e2 Encoder
-		m2.MarshalWire(&e2)
-		if !bytes.Equal(e.buf, e2.buf) {
-			t.Fatalf("re-encode not canonical: %x vs %x", e.buf, e2.buf)
+		if raw2, _ := Marshal(&m2); !bytes.Equal(raw, raw2) {
+			t.Fatalf("re-encode not canonical: %x vs %x", raw, raw2)
 		}
 	})
 }

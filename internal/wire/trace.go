@@ -3,10 +3,10 @@ package wire
 import "encoding/binary"
 
 // Trace context rides the v1 envelope as one reserved tagged field appended
-// after the message's own fields. Decoders skip unknown tags (the Decoder
-// consumes a whole field per Next), so a peer that predates the field — or
-// any message's UnmarshalWire loop — ignores it without error; that is the
-// same forward-compatibility contract new message fields rely on.
+// after the message's own fields. Decoders skip unknown tags (the decoder
+// consumes a whole field per step), so a peer that predates the field — or
+// any message's field table — ignores it without error; that is the same
+// forward-compatibility contract new message fields rely on.
 //
 // Field value layout (TraceTag, wire type 2):
 //
@@ -62,13 +62,13 @@ func ExtractTraceContext(data []byte) (TraceContext, bool) {
 	if err != nil || v == 0 {
 		return tc, false
 	}
-	d := NewDecoder(data[1+n:])
-	for d.Next() {
-		if d.Tag() != TraceTag {
+	d := decoder{data: data[1+n:]}
+	for d.next() {
+		if d.tag != TraceTag {
 			continue
 		}
-		b := d.Bytes()
-		if d.Err() != nil || len(b) < traceFixed {
+		b := d.blob()
+		if d.err != nil || len(b) < traceFixed {
 			return TraceContext{}, false
 		}
 		copy(tc.Trace[:], b[:16])

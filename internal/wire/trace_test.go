@@ -6,7 +6,7 @@ import (
 )
 
 func TestTraceContextRoundTrip(t *testing.T) {
-	base, _ := Marshal(&allFields{U: 7})
+	base, _ := Marshal(&allFields{N: 7})
 	tc := TraceContext{Span: 0x1122334455667788, Query: "q-deadbeef"}
 	for i := range tc.Trace {
 		tc.Trace[i] = byte(i + 1)
@@ -22,8 +22,8 @@ func TestTraceContextRoundTrip(t *testing.T) {
 	if err := Unmarshal(raw, &m); err != nil {
 		t.Fatalf("decoding with trace field: %v", err)
 	}
-	if m.U != 7 {
-		t.Fatalf("U = %d, want 7", m.U)
+	if m.N != 7 {
+		t.Fatalf("N = %d, want 7", m.N)
 	}
 
 	got, ok := ExtractTraceContext(raw)
@@ -56,7 +56,7 @@ func TestTraceContextNonEnvelopePayloadsUntouched(t *testing.T) {
 	}
 
 	// A zero context is never appended.
-	base, _ := Marshal(&allFields{U: 1})
+	base, _ := Marshal(&allFields{N: 1})
 	if out := AppendTraceContext(append([]byte(nil), base...), TraceContext{}); !bytes.Equal(out, base) {
 		t.Fatal("zero context was appended")
 	}
@@ -66,7 +66,7 @@ func TestTraceContextNonEnvelopePayloadsUntouched(t *testing.T) {
 }
 
 func TestTraceContextMalformedFieldIgnored(t *testing.T) {
-	base, _ := Marshal(&allFields{U: 1})
+	base, _ := Marshal(&allFields{N: 1})
 	// A trace field shorter than the fixed trace+span prefix must be
 	// rejected quietly, not panic or misparse.
 	raw := AppendUvarint(append([]byte(nil), base...), uint64(TraceTag)<<3|uint64(wtBytes))

@@ -18,9 +18,10 @@
 //	ID list   = wiretype 2: uvarint count | zigzag delta from previous id*
 //	blob list = wiretype 2: uvarint count | (uvarint len | bytes)*
 //
-// Zero-valued fields are omitted; decoders treat absent fields as zero and
-// skip unknown tags, so fields can be added without breaking v1 peers
-// (forward-compatible tags). Unmarshal rejects anything that does not open
+// Each message declares its layout once, as a field table (see Fields).
+// Zero-valued fields are omitted; decoders leave absent fields untouched
+// (zero in a fresh message) and skip unknown tags, so fields can be added
+// without breaking v1 peers (forward-compatible tags). Unmarshal rejects anything that does not open
 // with the envelope, and any version but its own, with a typed error.
 package wire
 

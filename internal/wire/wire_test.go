@@ -139,75 +139,61 @@ func TestBlobsCorruptLengthRejected(t *testing.T) {
 	}
 }
 
-// allFields exercises every field kind the encoder supports.
+// allFields binds every field kind a table supports.
 type allFields struct {
-	U   uint64
+	N   int
 	I   int64
 	F   float64
 	B   []byte
 	S   string
 	IDs []int
 	BB  [][]byte
-	Sub *allFields
+	Sub subFields
+	On  bool
 }
 
-func (a *allFields) MarshalWire(e *Encoder) {
-	e.Uint(1, a.U)
-	e.Int(2, a.I)
-	e.Float(3, a.F)
-	e.Bytes(4, a.B)
-	e.String(5, a.S)
-	e.IDs(6, a.IDs)
-	e.Blobs(7, a.BB)
-	if a.Sub != nil {
-		e.Msg(8, a.Sub)
-	}
+// subFields is allFields' nested message.
+type subFields struct {
+	I int64
+	F float64
 }
 
-func (a *allFields) UnmarshalWire(d *Decoder) error {
-	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			a.U = d.Uint()
-		case 2:
-			a.I = d.Int()
-		case 3:
-			a.F = d.Float()
-		case 4:
-			a.B = d.Bytes()
-		case 5:
-			a.S = d.String()
-		case 6:
-			a.IDs = d.IDs()
-		case 7:
-			a.BB = d.Blobs()
-		case 8:
-			a.Sub = &allFields{}
-			d.Msg(a.Sub)
-		}
-	}
-	return d.Err()
+func (a *allFields) Fields(f *Fields) {
+	f.Int(1, &a.N)
+	f.Int64(2, &a.I)
+	f.Float(3, &a.F)
+	f.Bytes(4, &a.B)
+	f.String(5, &a.S)
+	f.IDs(6, &a.IDs)
+	f.Blobs(7, &a.BB)
+	f.Msg(8, &a.Sub)
+	f.Bool(9, &a.On)
+}
+
+func (s *subFields) Fields(f *Fields) {
+	f.Int64(1, &s.I)
+	f.Float(2, &s.F)
 }
 
 func TestEncoderDecoderAllFields(t *testing.T) {
 	in := &allFields{
-		U:   77,
+		N:   77,
 		I:   -12345,
 		F:   3.14159,
 		B:   []byte{0, 1, 2, 255},
 		S:   "paillier",
 		IDs: []int{9, 4, 11, 11, 2},
 		BB:  [][]byte{[]byte("aa"), nil, []byte("c")},
-		Sub: &allFields{I: 8, F: -0.5},
+		Sub: subFields{I: 8, F: -0.5},
+		On:  true,
 	}
-	var e Encoder
-	in.MarshalWire(&e)
+	raw, payload := Marshal(in)
 	var out allFields
-	if err := out.UnmarshalWire(NewDecoder(e.buf)); err != nil {
-		t.Fatalf("UnmarshalWire: %v", err)
+	if err := Unmarshal(raw, &out); err != nil {
+		t.Fatalf("Unmarshal: %v", err)
 	}
 	// Blob round trip normalises nil entries to empty; compare per field.
-	if out.U != in.U || out.I != in.I || out.F != in.F || out.S != in.S {
+	if out.N != in.N || out.I != in.I || out.F != in.F || out.S != in.S || out.Sub != in.Sub || !out.On {
 		t.Fatalf("scalars: got %+v", out)
 	}
 	if !bytes.Equal(out.B, in.B) || !reflect.DeepEqual(out.IDs, in.IDs) {
@@ -216,39 +202,54 @@ func TestEncoderDecoderAllFields(t *testing.T) {
 	if len(out.BB) != 3 || !bytes.Equal(out.BB[0], []byte("aa")) || len(out.BB[1]) != 0 || !bytes.Equal(out.BB[2], []byte("c")) {
 		t.Fatalf("blobs: got %v", out.BB)
 	}
-	if out.Sub == nil || out.Sub.I != 8 || out.Sub.F != -0.5 {
-		t.Fatalf("nested: got %+v", out.Sub)
-	}
 	// Payload tally: float 8 + bytes 4 + blobs 3 + nested float 8.
-	if want := int64(8 + 4 + 3 + 8); e.Payload() != want {
-		t.Fatalf("payload = %d, want %d", e.Payload(), want)
+	if want := int64(8 + 4 + 3 + 8); payload != want {
+		t.Fatalf("payload = %d, want %d", payload, want)
+	}
+	// A nested message with nothing set is omitted like any zero field.
+	if raw, _ := Marshal(&allFields{}); len(raw) != 2 {
+		t.Fatalf("zero message encodes as %x, want the bare envelope", raw)
+	}
+	// Layout lists the table in order, each entry bound to its own field.
+	layout := Layout(in)
+	if len(layout) != 9 || layout[0].Ptr != any(&in.N) || layout[7].Ptr != any(&in.Sub) || layout[8].Kind != "bool" {
+		t.Fatalf("Layout = %+v", layout)
 	}
 }
 
 func TestDecoderSkipsUnknownTags(t *testing.T) {
-	// A future peer adds fields this build doesn't know: tags 9 (varint),
-	// 10 (fixed64) and 11 (bytes) must be skipped without error.
-	var e Encoder
-	(&allFields{U: 5}).MarshalWire(&e)
-	e.Uint(9, 123)
-	e.Float(10, 2.5)
-	e.Bytes(11, []byte("future"))
-	e.Int(2, -3) // known field after unknown ones still decodes
-	var out allFields
-	if err := out.UnmarshalWire(NewDecoder(e.buf)); err != nil {
-		t.Fatalf("UnmarshalWire with unknown tags: %v", err)
+	// A future peer adds fields this build doesn't know: tags 10 (varint),
+	// 11 (fixed64), 12 (bytes) and the trace tag must be skipped without
+	// error. Tag 2 arrives again after them: fields decode in any order and
+	// the last value wins. Fields absent from the body keep their values.
+	raw, _ := Marshal(&allFields{N: 5, I: 1})
+	e := encoder{buf: raw}
+	e.varint(10, 123)
+	e.fixed(11, 2.5)
+	e.blob(12, []byte("future"))
+	e.text(TraceTag, "not a trace context")
+	e.varint(2, -3)
+	out := allFields{S: "kept"}
+	if err := Unmarshal(e.buf, &out); err != nil {
+		t.Fatalf("Unmarshal with unknown tags: %v", err)
 	}
-	if out.U != 5 || out.I != -3 {
+	if out.N != 5 || out.I != -3 || out.S != "kept" {
 		t.Fatalf("got %+v", out)
 	}
 }
 
 func TestDecoderWireTypeMismatch(t *testing.T) {
-	var e Encoder
-	e.Uint(3, 9) // tag 3 is a float field in allFields, encoded as varint here
-	var out allFields
-	if err := out.UnmarshalWire(NewDecoder(e.buf)); !errors.Is(err, ErrWireType) {
-		t.Fatalf("wire type mismatch: got %v, want ErrWireType", err)
+	envelope, _ := Marshal(nil)
+	flat := encoder{buf: append([]byte(nil), envelope...)}
+	flat.varint(3, 9) // tag 3 is a float field in allFields, encoded as varint here
+	var sub encoder
+	sub.varint(2, 9) // likewise the nested message's float field
+	nested := encoder{buf: append([]byte(nil), envelope...)}
+	nested.blob(8, sub.buf)
+	for name, raw := range map[string][]byte{"flat": flat.buf, "nested": nested.buf} {
+		if err := Unmarshal(raw, &allFields{}); !errors.Is(err, ErrWireType) {
+			t.Errorf("%s wire type mismatch: got %v, want ErrWireType", name, err)
+		}
 	}
 }
 
