@@ -40,7 +40,6 @@ func main() {
 	tenantConcurrent := flag.Int("tenant-concurrent", 0, "per-tenant cap on concurrent selections (0 = unlimited)")
 	tenantHEBudget := flag.Int64("tenant-he-budget", 0, "per-tenant cumulative HE-operation budget (0 = unlimited)")
 	idleTTL := flag.Duration("idle-ttl", 0, "evict consortiums idle for this long (0 = never)")
-	poolWorkers := flag.Int("pool-workers", 0, "shared Paillier randomizer pool workers (0 = 1)")
 	flag.Parse()
 
 	opts := server.Options{
@@ -51,8 +50,7 @@ func main() {
 			TenantConcurrent: *tenantConcurrent,
 			TenantHEBudget:   *tenantHEBudget,
 		},
-		IdleTTL:     *idleTTL,
-		PoolWorkers: *poolWorkers,
+		IdleTTL: *idleTTL,
 	}
 	if *peers != "" {
 		for _, p := range strings.Split(*peers, ",") {

@@ -64,9 +64,8 @@ type Paillier struct {
 
 	mu          sync.RWMutex
 	parallelism int                         // 0 → par.Degree()
-	rz          *paillier.Randomizer        // nil until StartRandomizerPool/AttachPool
-	ownPool     bool                        // pool started here (Close stops it) vs attached shared
-	window      int                         // fixed-base window for own pools (SetEncryptWindow)
+	rz          *paillier.Randomizer        // nil until StartRandomizerPool; Close stops it
+	window      int                         // fixed-base window of the pool (SetEncryptWindow)
 	packer      *fixed.Packer               // nil until EnablePacking (see pack.go)
 	packers     map[packerKey]*fixed.Packer // adaptive geometries from PackerFor
 

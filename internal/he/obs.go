@@ -148,9 +148,8 @@ func (p *Paillier) SetObserver(reg *obs.Registry, instance string) {
 }
 
 // syncPoolObs bridges the pool's entropy-failure counter to the registry.
-// Called whenever either side appears (SetObserver, StartRandomizerPool,
-// AttachPool), so the hook lands regardless of wiring order. On a pool
-// shared across schemes the most recent sharer's instance labels the series.
+// Called whenever either side appears (SetObserver, StartRandomizerPool), so
+// the hook lands regardless of wiring order.
 func (p *Paillier) syncPoolObs() {
 	om := p.om.Load()
 	rz := p.pool()

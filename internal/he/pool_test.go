@@ -17,86 +17,22 @@ func poolTestKey(t *testing.T) *paillier.PrivateKey {
 	return sk
 }
 
-// TestPoolSetReusesPerKey checks that For returns one pool per modulus and
-// distinct pools for distinct keys.
-func TestPoolSetReusesPerKey(t *testing.T) {
-	ska, skb := poolTestKey(t), poolTestKey(t)
-	ps := NewPoolSet(4, 1)
-	defer ps.Close()
-
-	a1 := ps.For(&ska.PublicKey, rand.Reader, nil)
-	a2 := ps.For(&ska.PublicKey, rand.Reader, ska) // sk honoured only at creation
-	b := ps.For(&skb.PublicKey, rand.Reader, nil)
-	if a1 == nil || b == nil {
-		t.Fatal("For returned nil on an open set")
-	}
-	if a1 != a2 {
-		t.Fatal("same key produced distinct pools")
-	}
-	if a1 == b {
-		t.Fatal("distinct keys share one pool")
-	}
-	if ps.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", ps.Len())
-	}
-}
-
-// TestPoolSetClose verifies Close stops every pool and that a closed set
-// refuses to mint new ones.
-func TestPoolSetClose(t *testing.T) {
-	sk := poolTestKey(t)
-	ps := NewPoolSet(2, 1)
-	rz := ps.For(&sk.PublicKey, rand.Reader, nil)
-	ps.Close()
-	if !rz.Closed() {
-		t.Fatal("pool still open after set Close")
-	}
-	if got := ps.For(&sk.PublicKey, rand.Reader, nil); got != nil {
-		t.Fatal("For on a closed set returned a pool")
-	}
-	if ps.Len() != 0 {
-		t.Fatalf("Len after Close = %d, want 0", ps.Len())
-	}
-}
-
-// TestAttachPoolOwnership checks that a scheme closing after AttachPool
-// leaves the shared pool running for other sharers, while StartRandomizerPool
-// pools are torn down by the scheme itself.
+// TestAttachPoolOwnership checks that every pool is owned by the scheme that
+// started it: the scheme's Close stops the pool and drops its reference.
 func TestAttachPoolOwnership(t *testing.T) {
 	sk := poolTestKey(t)
-	ps := NewPoolSet(4, 1)
-	defer ps.Close()
-
-	shared := NewPaillier(&sk.PublicKey, nil)
-	shared.AttachPool(ps)
-	rz := shared.pool()
-	if rz == nil {
-		t.Fatal("AttachPool installed no pool")
-	}
-	shared.Close()
-	if rz.Closed() {
-		t.Fatal("scheme Close killed the shared pool")
-	}
-	if shared.pool() != nil {
-		t.Fatal("scheme still references the pool after Close")
-	}
-
 	own := NewPaillier(&sk.PublicKey, nil)
 	own.StartRandomizerPool(2, 1)
 	ownRz := own.pool()
+	if ownRz == nil {
+		t.Fatal("StartRandomizerPool installed no pool")
+	}
 	own.Close()
 	if !ownRz.Closed() {
 		t.Fatal("scheme Close left its own pool running")
 	}
-
-	// AttachPool is a no-op once a pool is present.
-	p2 := NewPaillier(&sk.PublicKey, nil)
-	p2.StartRandomizerPool(2, 1)
-	defer p2.Close()
-	before := p2.pool()
-	p2.AttachPool(ps)
-	if p2.pool() != before {
-		t.Fatal("AttachPool replaced a running pool")
+	if own.pool() != nil {
+		t.Fatal("scheme still references the pool after Close")
 	}
 }
 
@@ -109,7 +45,6 @@ func TestRefillHint(t *testing.T) {
 	// only moves when the hint's Prefill runs.
 	p.mu.Lock()
 	p.rz = paillier.NewRandomizerOpts(&sk.PublicKey, rand.Reader, paillier.PoolOptions{Buffer: 8, Workers: -1})
-	p.ownPool = true
 	p.mu.Unlock()
 	defer p.Close()
 
@@ -127,18 +62,4 @@ func TestRefillHint(t *testing.T) {
 	none.RefillHint(5)
 	Hint(none, 5)
 	Hint(NewPlain(), 5)
-}
-
-// TestPoolSetStatsAggregates checks the set-level counter roll-up.
-func TestPoolSetStatsAggregates(t *testing.T) {
-	sk := poolTestKey(t)
-	ps := NewPoolSet(2, -1) // pull-only pools: Next always misses
-	defer ps.Close()
-	rz := ps.For(&sk.PublicKey, rand.Reader, nil)
-	if _, err := rz.Next(); err != nil {
-		t.Fatal(err)
-	}
-	if s := ps.Stats(); s.Misses == 0 {
-		t.Fatalf("aggregate stats show no misses: %+v", s)
-	}
 }

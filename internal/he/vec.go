@@ -93,20 +93,13 @@ func (p *Paillier) Parallelism() int {
 }
 
 // SetEncryptWindow pins the fixed-base window width used when this scheme
-// starts its own randomizer pool: 0 keeps paillier.DefaultWindow, negative
+// starts its randomizer pool: 0 keeps paillier.DefaultWindow, negative
 // restores classic uniform-r sampling (full modexp per randomizer). It has
-// no effect on an already-running or attached pool.
+// no effect on an already-running pool.
 func (p *Paillier) SetEncryptWindow(w int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.window = w
-}
-
-// EncryptWindow reports the configured fixed-base window width.
-func (p *Paillier) EncryptWindow() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.window
 }
 
 // StartRandomizerPool starts background precomputation of encryption
@@ -127,33 +120,25 @@ func (p *Paillier) StartRandomizerPool(buffer, workers int) {
 		Window:  p.window,
 		Key:     p.sk,
 	})
-	p.ownPool = true
 	p.mu.Unlock()
 	p.syncPoolObs()
 }
 
-// AttachPool points the scheme at a shared cluster-lifetime pool from ps
-// (created on first use for this scheme's key). The pool is owned by the
-// set — Close on this scheme leaves it running for the other sharers. A
-// no-op when a pool is already running or the set is closed.
-func (p *Paillier) AttachPool(ps *PoolSet) {
-	if ps == nil {
-		return
+// Refiller is implemented by schemes whose encryption draws on a precomputed
+// pool that benefits from between-round refill hints.
+type Refiller interface {
+	// RefillHint asynchronously tops the pool up by up to n values, bounded
+	// by spare buffer capacity. It never blocks the caller.
+	RefillHint(n int)
+}
+
+// Hint forwards a refill hint to schemes that support one; a protocol role
+// calls it when it knows a round just drained the pool and an idle gap
+// follows (the leader is off aggregating or decrypting).
+func Hint(s Scheme, n int) {
+	if r, ok := s.(Refiller); ok {
+		r.RefillHint(n)
 	}
-	p.mu.Lock()
-	if p.rz != nil {
-		p.mu.Unlock()
-		return
-	}
-	rz := ps.For(p.pk, p.random, p.sk)
-	if rz == nil {
-		p.mu.Unlock()
-		return
-	}
-	p.rz = rz
-	p.ownPool = false
-	p.mu.Unlock()
-	p.syncPoolObs()
 }
 
 // RefillHint implements Refiller: it asynchronously prefills up to n pooled
@@ -186,16 +171,14 @@ func (p *Paillier) PrefillRandomizers(n int) (int, error) {
 	return rz.Prefill(n)
 }
 
-// Close stops the randomizer pool if this scheme owns one; a pool attached
-// from a shared PoolSet is only detached (its owner closes it). The scheme
+// Close stops the scheme's randomizer pool, if it started one. The scheme
 // remains usable; encryption just computes randomizers inline again.
 func (p *Paillier) Close() {
 	p.mu.Lock()
-	rz, own := p.rz, p.ownPool
+	rz := p.rz
 	p.rz = nil
-	p.ownPool = false
 	p.mu.Unlock()
-	if rz != nil && own {
+	if rz != nil {
 		rz.Close()
 	}
 }

@@ -1,7 +1,6 @@
 package paillier
 
 import (
-	"context"
 	"io"
 	"math/big"
 	"sync"
@@ -34,7 +33,7 @@ type Randomizer struct {
 	once    sync.Once
 	closed  atomic.Bool
 	fillers sync.WaitGroup // fill goroutines only (Close's drain waits on these)
-	workers sync.WaitGroup // fill goroutines plus the context watcher and drain
+	workers sync.WaitGroup // fill goroutines plus Close's drain
 
 	hits, misses, errs atomic.Int64
 	errHook            atomic.Value // func(), invoked on every entropy failure
@@ -107,29 +106,6 @@ func NewRandomizerOpts(pk *PublicKey, random io.Reader, opt PoolOptions) *Random
 		rz.fillers.Add(1)
 		rz.workers.Add(1)
 		go rz.fill()
-	}
-	return rz
-}
-
-// NewRandomizerContext is NewRandomizer with the pool's lifetime additionally
-// bound to ctx: cancelling ctx closes the pool, so callers that forget the
-// explicit Close still release the precompute goroutines when their request
-// or process context unwinds. Close remains safe to call as well.
-func NewRandomizerContext(ctx context.Context, pk *PublicKey, random io.Reader, buffer, workers int) *Randomizer {
-	rz := NewRandomizer(pk, random, buffer, workers)
-	if ctx == nil {
-		return rz
-	}
-	if done := ctx.Done(); done != nil {
-		rz.workers.Add(1)
-		go func() {
-			defer rz.workers.Done()
-			select {
-			case <-done:
-				rz.Close()
-			case <-rz.done:
-			}
-		}()
 	}
 	return rz
 }
@@ -256,7 +232,7 @@ func (rz *Randomizer) Stats() PoolStats {
 	}
 }
 
-// Closed reports whether Close (or a bound context cancel) has run.
+// Closed reports whether Close has run.
 func (rz *Randomizer) Closed() bool { return rz.closed.Load() }
 
 // Close stops the background workers and discards pooled values once the

@@ -1,7 +1,6 @@
 package paillier
 
 import (
-	"context"
 	"crypto/rand"
 	"testing"
 	"time"
@@ -53,38 +52,4 @@ func TestRandomizerCloseStopsWorkers(t *testing.T) {
 			t.Fatalf("Next after Close: %v", err)
 		}
 	}
-}
-
-// TestRandomizerContextCancelStopsWorkers verifies the ctx-bound constructor
-// tears the pool down on cancellation without an explicit Close.
-func TestRandomizerContextCancelStopsWorkers(t *testing.T) {
-	sk, err := GenerateKey(rand.Reader, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	rz := NewRandomizerContext(ctx, &sk.PublicKey, rand.Reader, 4, 2)
-	cancel()
-	waitWorkers(t, rz)
-	if d := rz.Depth(); d != 0 {
-		t.Fatalf("Depth after context cancel = %d, want 0", d)
-	}
-	if _, err := rz.Next(); err != nil {
-		t.Fatalf("Next after cancel: %v", err)
-	}
-	rz.Close() // explicit Close after cancel must stay a no-op
-}
-
-// TestRandomizerCloseUnblocksWatcher checks the inverse path: an explicit
-// Close with a still-live context must also release the watcher goroutine.
-func TestRandomizerCloseUnblocksWatcher(t *testing.T) {
-	sk, err := GenerateKey(rand.Reader, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	rz := NewRandomizerContext(ctx, &sk.PublicKey, rand.Reader, 2, 1)
-	rz.Close()
-	waitWorkers(t, rz)
 }

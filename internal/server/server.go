@@ -2,7 +2,8 @@
 // a JSON-over-HTTP service, so non-Go stacks can drive the library. State is
 // an in-memory registry of consortiums keyed by caller-visible ids; many
 // selections across consortiums run concurrently behind per-tenant admission
-// control, sharing one Paillier randomizer PoolSet.
+// control. Each Paillier consortium owns its randomizer pool, which stops when
+// the consortium is deleted or evicted.
 //
 // Endpoints:
 //
@@ -60,7 +61,6 @@ import (
 type Server struct {
 	reg     *registry
 	adm     *admission
-	pool    *vfps.PoolSet
 	mux     *http.ServeMux
 	obs     *obs.Observer
 	reqs    *obs.CounterVec
@@ -89,9 +89,6 @@ type Options struct {
 	// IdleTTL, when positive, evicts consortiums untouched for that long
 	// (their learned pack width is kept for successors of the same shape).
 	IdleTTL time.Duration
-	// PoolWorkers sizes the shared Paillier randomizer pool attached to
-	// every consortium (<= 0 → 1).
-	PoolWorkers int
 }
 
 // New builds the server with its routes and a live observer: every consortium
@@ -107,13 +104,8 @@ func NewWithOptions(opts Options) *Server {
 		o.Events = obs.NewQueryLog(opts.LogWriter, opts.SlowRing)
 	}
 	o.SetTracePeers(opts.TracePeers)
-	workers := opts.PoolWorkers
-	if workers <= 0 {
-		workers = 1
-	}
 	s := &Server{
 		reg:     newRegistry(),
-		pool:    vfps.NewPoolSet(0, workers),
 		mux:     http.NewServeMux(),
 		obs:     o,
 		idleTTL: opts.IdleTTL,
@@ -191,8 +183,8 @@ func (s *Server) BeginDrain() { s.adm.BeginDrain() }
 // Drain blocks until every admitted selection has finished, or ctx expires.
 func (s *Server) Drain(ctx context.Context) error { return s.adm.Drain(ctx) }
 
-// Close stops the janitor and tears down every consortium plus the shared
-// randomizer pool. The server must not serve requests afterwards.
+// Close stops the janitor and tears down every consortium. The server must
+// not serve requests afterwards.
 func (s *Server) Close() {
 	if s.janitor != nil {
 		close(s.janitor)
@@ -201,7 +193,6 @@ func (s *Server) Close() {
 	for _, e := range s.reg.drainAll() {
 		s.teardown(e)
 	}
-	s.pool.Close()
 }
 
 // Observer exposes the server's observer (for embedding and tests).
@@ -297,8 +288,7 @@ type CreateRequest struct {
 	KeyBits     int     `json:"keyBits"` // Paillier modulus size (0 → library default)
 	// Options carries the performance settings. JSON reaches only
 	// "parallelism", "shardWorkers", "deltaCache" and "simCache"; the server
-	// owns the shared pool and the pack-width carry, and the encrypt window
-	// stays at its default.
+	// owns the pack-width carry, and the encrypt window stays at its default.
 	vfps.Options
 }
 
@@ -347,7 +337,6 @@ func (s *Server) createConsortium(w http.ResponseWriter, r *http.Request) {
 		Obs:         s.obs,
 		Instance:    id,
 	}
-	cfg.Pool = s.pool
 	// Seed the slot-width negotiation with the width a same-shape
 	// predecessor learned, skipping its static warm-up round.
 	cfg.PackHint = s.reg.hintFor(hintKey)

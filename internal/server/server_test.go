@@ -15,8 +15,7 @@ import (
 
 func startServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	ts := httptest.NewServer(New())
-	t.Cleanup(ts.Close)
+	_, ts := startServerOpts(t, Options{})
 	return ts
 }
 

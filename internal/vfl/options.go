@@ -15,8 +15,8 @@ import (
 type Options struct {
 	// Parallelism caps the concurrency of every role: the party fan-out and
 	// the worker pools that encrypt, add and decrypt ciphertext vectors. 1 runs
-	// everything serially (and, without a Pool, precomputes no encryption
-	// randomizers in the background); 0 or negative uses GOMAXPROCS.
+	// everything serially (and precomputes no encryption randomizers in the
+	// background); 0 or negative uses GOMAXPROCS.
 	Parallelism int `json:"parallelism"`
 	// ShardWorkers ≥ 2 shards the ciphertext tree reduce across that many
 	// aggregation workers over aligned power-of-two party subtrees (see
@@ -26,8 +26,8 @@ type Options struct {
 	// EncryptWindow sets the memory budget of the fixed-base randomizer table
 	// in pools a deployment starts: that of a width-w radix table; 0 keeps the
 	// paillier default (6), negative restores classic uniform-r sampling (one
-	// full modexp per randomizer; see SECURITY.md). Ignored when Pool is set
-	// (the PoolSet carries its own window) and by non-Paillier schemes.
+	// full modexp per randomizer; see SECURITY.md). Ignored by non-Paillier
+	// schemes.
 	EncryptWindow int `json:"-"`
 	// DeltaCache enables cross-round delta encoding: both ends of each link
 	// cache ciphertext blocks by (query, geometry, pseudo-ID segment) and
@@ -44,12 +44,6 @@ type Options struct {
 	// so round one already packs at the negotiated width instead of the static
 	// geometry. 0 keeps the in-band negotiation; ignored by the other schemes.
 	PackHint int `json:"-"`
-	// Pool, when non-nil, attaches the encrypting roles to a shared
-	// cluster-lifetime PoolSet instead of starting a private randomizer pool:
-	// precomputation then survives across rounds and across consortiums
-	// sharing the key, and the caller owns teardown (PoolSet.Close). It takes
-	// effect even at Parallelism 1, since pooling does not change call order.
-	Pool *he.PoolSet `json:"-"`
 }
 
 // BindFlags registers the settings a vfpsnode process takes as flags on fs:
@@ -63,21 +57,16 @@ func (o *Options) BindFlags(fs *flag.FlagSet) {
 
 // ConfigureScheme applies the options to an HE scheme; only Paillier has
 // tunables. Every role gets the vector parallelism. A role that bulk-encrypts
-// (encrypts) is also given randomizers: the shared Pool when one is set, even
-// at Parallelism 1 (pooling never changes call order), otherwise a private
-// pool unless the role is pinned fully serial. Roles that only add or decrypt
-// get no pool.
+// (encrypts) also starts the scheme's randomizer pool, unless it is pinned
+// fully serial; the scheme owns the pool and Cluster.Close (or the scheme's
+// own Close) stops it. Roles that only add or decrypt get no pool.
 func ConfigureScheme(s he.Scheme, opts Options, encrypts bool) {
 	p, ok := s.(*he.Paillier)
 	if !ok {
 		return
 	}
 	p.SetParallelism(opts.Parallelism)
-	switch {
-	case !encrypts:
-	case opts.Pool != nil:
-		p.AttachPool(opts.Pool)
-	case opts.Parallelism != 1:
+	if encrypts && opts.Parallelism != 1 {
 		p.SetEncryptWindow(opts.EncryptWindow)
 		p.StartRandomizerPool(4*p.Parallelism(), 1)
 	}

@@ -14,15 +14,18 @@ import (
 // TestKnobsDeclaredOnce keeps the performance settings in one place. It
 // parses the non-test Go of the configuration surfaces (vfps.go,
 // internal/vfl, internal/server, cmd/) and fails when a setting is declared
-// as a struct field anywhere but vfl.Options, when one of its vfpsnode flags
-// is registered outside Options.BindFlags, or when a mutator that re-plumbed
-// a setting after construction is declared again.
+// as a struct field anywhere but vfl.Options, when a retired setting is
+// declared anywhere, when one of its vfpsnode flags is registered outside
+// Options.BindFlags, or when a mutator that re-plumbed a setting after
+// construction is declared again.
 func TestKnobsDeclaredOnce(t *testing.T) {
+	// true: a setting vfl.Options must declare. false: a retired setting (the
+	// shared randomizer pool) or a name a setting had in the hand-copied
+	// structs, which no struct may declare again.
 	settings := map[string]bool{
 		"Parallelism": true, "ShardWorkers": true, "EncryptWindow": true, "DeltaCache": true,
-		"SimCache": true, "PackHint": true, "Pool": true,
-		// Names the settings had in the hand-copied structs.
-		"PackWidthHint": true, "SharedPool": true, "RandomizerPool": true,
+		"SimCache": true, "PackHint": true,
+		"Pool": false, "SharedPool": false, "PackWidthHint": false, "RandomizerPool": false,
 	}
 	flags := map[string]bool{"parallelism": true, "shard-workers": true, "delta-cache": true, "encrypt-window": true}
 	mutators := map[string]bool{"SetParallelism": true, "SetPayloadOptions": true, "SetPackHint": true}
@@ -62,10 +65,11 @@ func TestKnobsDeclaredOnce(t *testing.T) {
 				}
 				for _, field := range st.Fields.List {
 					for _, name := range field.Names {
-						if !settings[name.Name] {
-							continue
-						}
+						live, ok := settings[name.Name]
 						switch {
+						case !ok:
+						case !live:
+							t.Errorf("%s: %s.%s declares a retired setting", fset.Position(name.Pos()), n.Name.Name, name.Name)
 						case inOptions && n.Name.Name == "Options":
 							declared[name.Name] = true
 						case allowed[path+" "+n.Name.Name+"."+name.Name]:
@@ -96,8 +100,8 @@ func TestKnobsDeclaredOnce(t *testing.T) {
 			return true
 		})
 	}
-	for _, name := range []string{"Parallelism", "ShardWorkers", "EncryptWindow", "DeltaCache", "SimCache", "PackHint", "Pool"} {
-		if !declared[name] {
+	for name, live := range settings {
+		if live && !declared[name] {
 			t.Errorf("vfl.Options does not declare %s", name)
 		}
 	}

@@ -37,21 +37,10 @@ import (
 	"vfps/internal/core"
 	"vfps/internal/costmodel"
 	"vfps/internal/dataset"
-	"vfps/internal/he"
 	"vfps/internal/mat"
 	"vfps/internal/obs"
 	"vfps/internal/vfl"
 )
-
-// PoolSet is a cluster-lifetime registry of Paillier randomizer pools shared
-// across consortiums (and across rounds of one): precomputed randomizers
-// survive the gaps between protocol phases instead of each consortium paying
-// pool warm-up again. Pass one via Config.Pool; the caller owns Close.
-type PoolSet = he.PoolSet
-
-// NewPoolSet builds a shared randomizer pool registry; buffer and workers
-// size each per-key pool (<= 0 select the defaults: buffer 64, one worker).
-func NewPoolSet(buffer, workers int) *PoolSet { return he.NewPoolSet(buffer, workers) }
 
 // Re-exported data types: the dataset layer is part of the public surface.
 type (
@@ -115,7 +104,7 @@ type Config struct {
 	// (default 32).
 	FaginBatch int
 	// Options are the performance settings: Parallelism, ShardWorkers,
-	// EncryptWindow, DeltaCache, SimCache, PackHint and Pool (see Options).
+	// EncryptWindow, DeltaCache, SimCache and PackHint (see Options).
 	Options
 	// Obs installs metrics and tracing on every role of the consortium. Nil
 	// falls back to the process default observer (obs.SetDefault); when that
