@@ -15,6 +15,7 @@ check:
 	@gob=$$(grep -rl --include='*.go' '"encoding/gob"' . | grep -v '^\./internal/ml/'); if [ -n "$$gob" ]; then echo "encoding/gob is for model snapshots (internal/ml) only; the protocol has one wire format. Imported by:"; echo "$$gob"; exit 1; fi
 	@knob=$$(grep -rlE --include='*.go' 'PackAdaptive|[^a-zA-Z]Pack +bool|"pack(-adaptive)?"|ChunkBytes|SpeculateTA|SetMont|VFPS_MONT|VFPS_PARALLELISM|"chunk-bytes"|"speculate-ta"|"mont"|PoolSet|AttachPool|PoolWorkers|"pool-workers"|NewRandomizerContext' . | grep -v '_test\.go$$'); if [ -n "$$knob" ]; then echo "retired knobs stay retired (Pack/PackAdaptive, ChunkBytes, SpeculateTA, Mont, VFPS_MONT, VFPS_PARALLELISM, the shared PoolSet/AttachPool/PoolWorkers, NewRandomizerContext and their flags). Declared by:"; echo "$$knob"; exit 1; fi
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/mont ./internal/paillier
 	$(GO) test ./...
 	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzWire$$' -fuzztime=5s
 	$(GO) test ./internal/vfl -run='^$$' -fuzz='^FuzzMessages$$' -fuzztime=5s
@@ -60,9 +61,10 @@ bench-churn:
 	$(GO) run ./cmd/vfpsbench -exp churn -json BENCH_churn.json
 	./scripts/bench_compare.sh BENCH_churn.json
 
-# Go-test microbenchmarks of the Montgomery kernel alone: CIOS multiply and
-# square vs big.Int Mul+Mod, windowed exponentiation vs big.Int.Exp, with
-# allocation counts (the hot ops must report 0 allocs/op).
+# Go-test microbenchmarks of the Montgomery kernel alone, at 1024–4096 bits
+# (4096 is n² of the default key) and once per kernel the CPU runs (cios,
+# ifma): multiply and square vs big.Int Mul+Mod, windowed exponentiation vs
+# big.Int.Exp, with allocation counts (the hot ops must report 0 allocs/op).
 bench-mont:
 	$(GO) test ./internal/mont -run='^$$' -bench=. -benchmem
 

@@ -74,18 +74,20 @@ done:
 	MOVQ R15, carry+56(FP)
 	RET
 
-// func cpuidMaxLeaf() uint32
-TEXT ·cpuidMaxLeaf(SB), NOSPLIT, $0-4
-	XORL AX, AX
-	XORL CX, CX
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
 	CPUID
-	MOVL AX, ret+0(FP)
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
 	RET
 
-// func cpuid7EBX() uint32
-TEXT ·cpuid7EBX(SB), NOSPLIT, $0-4
-	MOVL $7, AX
+// func xgetbv0() uint32
+TEXT ·xgetbv0(SB), NOSPLIT, $0-4
 	XORL CX, CX
-	CPUID
-	MOVL BX, ret+0(FP)
+	XGETBV
+	MOVL AX, ret+0(FP)
 	RET

@@ -2,15 +2,18 @@ package mont
 
 import (
 	"crypto/rand"
+	"fmt"
 	"math/big"
 	"testing"
 )
 
-// Benchmarks compare the kernel against the math/big operations it replaces
-// at the production widths (n² of 1024/2048-bit keys, p² of their halves).
+// Benchmarks compare the kernels against the math/big operations they
+// replace at the production widths (n² of 1024/2048-bit keys at 2048 and
+// 4096 bits, p² of their halves), once per kernel the host runs:
+// BenchmarkMulREDC/cios/4096, BenchmarkMulREDC/ifma/4096, and so on.
 // `make bench-mont` runs these.
 
-func benchCtx(b *testing.B, bits int) (*Ctx, *big.Int, *big.Int) {
+func benchCtx(b *testing.B, bits int, kern kernel) (*Ctx, *big.Int, *big.Int) {
 	b.Helper()
 	m, err := rand.Int(rand.Reader, new(big.Int).Lsh(big.NewInt(1), uint(bits)))
 	if err != nil {
@@ -18,24 +21,30 @@ func benchCtx(b *testing.B, bits int) (*Ctx, *big.Int, *big.Int) {
 	}
 	m.SetBit(m, bits-1, 1)
 	m.SetBit(m, 0, 1)
-	c, err := NewCtx(m)
-	if err != nil {
-		b.Fatal(err)
-	}
+	c := mustCtx(b, m, kern)
 	x, _ := rand.Int(rand.Reader, m)
 	y, _ := rand.Int(rand.Reader, m)
 	return c, x, y
 }
 
-func benchWidths(b *testing.B, f func(b *testing.B, bits int)) {
-	for _, bits := range []int{1024, 2048, 3072} {
-		b.Run(big.NewInt(int64(bits)).String(), func(b *testing.B) { f(b, bits) })
+// benchWidths runs f per width, and per kernel the host runs when perKernel
+// is set (as cios/4096, ifma/4096, …). The math/big references run once per
+// width and take the context only for its modulus.
+func benchWidths(b *testing.B, perKernel bool, f func(b *testing.B, bits int, kern kernel)) {
+	for _, bits := range []int{1024, 2048, 3072, 4096} {
+		if !perKernel {
+			b.Run(fmt.Sprint(bits), func(b *testing.B) { f(b, bits, kernCIOS) })
+			continue
+		}
+		for _, kern := range kernels() {
+			b.Run(fmt.Sprintf("%s/%d", kernelNames[kern], bits), func(b *testing.B) { f(b, bits, kern) })
+		}
 	}
 }
 
 func BenchmarkMulREDC(b *testing.B) {
-	benchWidths(b, func(b *testing.B, bits int) {
-		c, x, y := benchCtx(b, bits)
+	benchWidths(b, true, func(b *testing.B, bits int, kern kernel) {
+		c, x, y := benchCtx(b, bits, kern)
 		xm, ym, z := c.NewNat(), c.NewNat(), c.NewNat()
 		c.ToMont(xm, c.SetBig(xm, x))
 		c.ToMont(ym, c.SetBig(ym, y))
@@ -48,8 +57,8 @@ func BenchmarkMulREDC(b *testing.B) {
 }
 
 func BenchmarkSqrREDC(b *testing.B) {
-	benchWidths(b, func(b *testing.B, bits int) {
-		c, x, _ := benchCtx(b, bits)
+	benchWidths(b, true, func(b *testing.B, bits int, kern kernel) {
+		c, x, _ := benchCtx(b, bits, kern)
 		xm, z := c.NewNat(), c.NewNat()
 		c.ToMont(xm, c.SetBig(xm, x))
 		b.ReportAllocs()
@@ -61,8 +70,8 @@ func BenchmarkSqrREDC(b *testing.B) {
 }
 
 func BenchmarkBigMulMod(b *testing.B) {
-	benchWidths(b, func(b *testing.B, bits int) {
-		c, x, y := benchCtx(b, bits)
+	benchWidths(b, false, func(b *testing.B, bits int, kern kernel) {
+		c, x, y := benchCtx(b, bits, kern)
 		z := new(big.Int)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -74,8 +83,8 @@ func BenchmarkBigMulMod(b *testing.B) {
 }
 
 func BenchmarkModMulBig(b *testing.B) {
-	benchWidths(b, func(b *testing.B, bits int) {
-		c, x, y := benchCtx(b, bits)
+	benchWidths(b, true, func(b *testing.B, bits int, kern kernel) {
+		c, x, y := benchCtx(b, bits, kern)
 		z := new(big.Int)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -86,8 +95,8 @@ func BenchmarkModMulBig(b *testing.B) {
 }
 
 func BenchmarkExpWindow(b *testing.B) {
-	benchWidths(b, func(b *testing.B, bits int) {
-		c, x, _ := benchCtx(b, bits)
+	benchWidths(b, true, func(b *testing.B, bits int, kern kernel) {
+		c, x, _ := benchCtx(b, bits, kern)
 		e, _ := rand.Int(rand.Reader, new(big.Int).Lsh(big.NewInt(1), uint(bits/2)))
 		z := new(big.Int)
 		b.ReportAllocs()
@@ -99,8 +108,8 @@ func BenchmarkExpWindow(b *testing.B) {
 }
 
 func BenchmarkBigExp(b *testing.B) {
-	benchWidths(b, func(b *testing.B, bits int) {
-		c, x, _ := benchCtx(b, bits)
+	benchWidths(b, false, func(b *testing.B, bits int, kern kernel) {
+		c, x, _ := benchCtx(b, bits, kern)
 		e, _ := rand.Int(rand.Reader, new(big.Int).Lsh(big.NewInt(1), uint(bits/2)))
 		z := new(big.Int)
 		b.ReportAllocs()

@@ -76,3 +76,14 @@ func (c *Ctx) ExpBig(z, base, e *big.Int) *big.Int {
 	c.FromMont(x, x)
 	return c.PutBig(z, x)
 }
+
+// Exp sets z = base^e mod m by the faster exponentiation for this context's
+// kernel, and returns z. On IFMA that is ExpBig; on CIOS it is big.Int.Exp,
+// whose own assembly Montgomery ladder ExpWindow does not beat (DESIGN.md
+// §12). Both return the same residue. z may alias base.
+func (c *Ctx) Exp(z, base, e *big.Int) *big.Int {
+	if c.kern == kernIFMA {
+		return c.ExpBig(z, base, e)
+	}
+	return z.Exp(base, e, c.m)
+}

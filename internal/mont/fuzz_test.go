@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// FuzzMontMulExp cross-checks the Montgomery kernel against math/big over
-// fuzz-chosen odd moduli of 1024–3072 bits: MulREDC (through ModMulBig, so
+// FuzzMontMulExp cross-checks every Montgomery kernel the host has against
+// math/big over fuzz-chosen odd moduli of 1024–3072 bits: MulREDC (through ModMulBig, so
 // both REDC directions are covered) against Mul+Mod, and ExpWindow against
 // Exp. The exponent is capped at 192 bits to keep iterations fast; window
 // extraction and the squaring ladder are width-independent.
@@ -24,10 +24,6 @@ func FuzzMontMulExp(f *testing.F) {
 			m.SetBit(m, width-1, 1)
 			m.SetBit(m, 0, 1)
 		}
-		c, err := NewCtx(m)
-		if err != nil {
-			t.Fatalf("NewCtx on %d-bit odd modulus: %v", width, err)
-		}
 		x := new(big.Int).SetBytes(xb)
 		x.Mod(x, m)
 		y := new(big.Int).SetBytes(yb)
@@ -39,13 +35,18 @@ func FuzzMontMulExp(f *testing.F) {
 
 		wantMul := new(big.Int).Mul(x, y)
 		wantMul.Mod(wantMul, m)
-		if got := c.ModMulBig(new(big.Int), x, y); got.Cmp(wantMul) != 0 {
-			t.Fatalf("ModMulBig mismatch at %d bits:\n got %x\nwant %x", width, got, wantMul)
-		}
-
 		wantExp := new(big.Int).Exp(x, e, m)
-		if got := c.ExpBig(new(big.Int), x, e); got.Cmp(wantExp) != 0 {
-			t.Fatalf("ExpBig mismatch at %d bits e=%x:\n got %x\nwant %x", width, e, got, wantExp)
+		for _, kern := range kernels() {
+			c, err := newCtx(m, kern)
+			if err != nil {
+				t.Fatalf("newCtx on %d-bit odd modulus: %v", width, err)
+			}
+			if got := c.ModMulBig(new(big.Int), x, y); got.Cmp(wantMul) != 0 {
+				t.Fatalf("%s: ModMulBig mismatch at %d bits:\n got %x\nwant %x", kernelNames[kern], width, got, wantMul)
+			}
+			if got := c.ExpBig(new(big.Int), x, e); got.Cmp(wantExp) != 0 {
+				t.Fatalf("%s: ExpBig mismatch at %d bits e=%x:\n got %x\nwant %x", kernelNames[kern], width, e, got, wantExp)
+			}
 		}
 	})
 }

@@ -32,10 +32,10 @@ import (
 //     composes with the comb tables: half-width tables mod p² and q².
 
 // DefaultWindow is the fixed-base window width in bits. The width sets the
-// table's memory budget: the comb gets as many entries as a radix-2^w table
-// would hold, ⌈L/w⌉·2^w (22 528 entries, 11.5 MB at 2048-bit keys for w=6),
-// which balances table build time and memory against the per-randomizer
-// operation count.
+// table's memory budget: the bytes of a radix-2^w table of ⌈L/w⌉·2^w entries
+// in 64-bit limbs (22 528 × 512 B = 11.5 MB at 2048-bit keys for w=6), which
+// balances table build time and memory against the per-randomizer operation
+// count. The comb gets as many entries of its own width as fit (combBudget).
 const DefaultWindow = 6
 
 // maxWindow caps the width: beyond 8 bits the table costs more memory and
@@ -74,14 +74,28 @@ type fbTable struct {
 	ments [][]big.Word // Montgomery-form entries, one flattened slice per block
 }
 
-// combShape derives the comb for expBits-bit exponents from the memory of a
-// width-window radix table, ⌈L/w⌉·2^w entries: of the shapes with
-// v·2^h ≤ that budget it returns the one with the fewest sequential
-// operations, (b−1) + v·b, and on a tie the one with the fewest squarings.
-// The radix shape (h = w, v = ⌈L/w⌉, b = 1) is among the candidates, so the
-// comb never costs more than the radix table it replaces.
-func combShape(expBits, window int) (h, v, b int) {
-	budget := (expBits + window - 1) / window << window
+// combBudget is how many comb entries fit the memory of a width-window radix
+// table for expBits-bit exponents mod mod: ⌈L/w⌉·2^w entries of ⌈|mod|/64⌉
+// 64-bit limbs. A Montgomery table's entries take ctx.K() limbs each — more
+// than that on the IFMA representation, whose radix-2^52 limbs with headroom
+// make a 4096-bit entry 640 B instead of 512 B. A plain table (nil ctx) gets
+// the radix entry count. The budget never drops below the smallest comb,
+// h = v = 1 with its two entries.
+func combBudget(expBits, window int, mod *big.Int, ctx *mont.Ctx) int {
+	entries := (expBits + window - 1) / window << window
+	if ctx == nil {
+		return entries
+	}
+	return max(entries*((mod.BitLen()+bits.UintSize-1)/bits.UintSize)/ctx.K(), 2)
+}
+
+// combShape derives the comb for expBits-bit exponents within budget
+// entries: of the shapes with v·2^h ≤ budget it returns the one with the
+// fewest sequential operations, (b−1) + v·b, and on a tie the one with the
+// fewest squarings. With the radix budget the radix shape (h = w,
+// v = ⌈L/w⌉, b = 1) is among the candidates, so the comb never costs more
+// than the radix table it replaces.
+func combShape(expBits, budget int) (h, v, b int) {
 	best := -1
 	for th := 1; 1<<th <= budget; th++ {
 		a := (expBits + th - 1) / th // bits per tooth
@@ -96,14 +110,14 @@ func combShape(expBits, window int) (h, v, b int) {
 }
 
 // newFBTable precomputes the comb for exponents below 2^expBits within the
-// memory budget of a width-window radix table; a non-nil ctx builds it in
-// Montgomery form. The h·v tooth bases base^(2^(q·b)) come from one running
-// squaring, and every other entry is one product of two earlier ones. Each
-// block is its own allocation, made only when the previous one is filled, so
-// the garbage collector paces with the build as it did with the radix rows
-// instead of sizing its heap goal around the whole table at once.
+// memory budget of a width-window radix table (combBudget); a non-nil ctx
+// builds it in Montgomery form. The h·v tooth bases base^(2^(q·b)) come from
+// one running squaring, and every other entry is one product of two earlier
+// ones. Each block is its own allocation, made only when the previous one is
+// filled, so the garbage collector paces with the build as it did with the
+// radix rows instead of sizing its heap goal around the whole table at once.
 func newFBTable(base, mod *big.Int, expBits, window int, ctx *mont.Ctx) *fbTable {
-	h, v, b := combShape(expBits, window)
+	h, v, b := combShape(expBits, combBudget(expBits, window, mod, ctx))
 	t := &fbTable{h: h, v: v, b: b, mod: mod, mctx: ctx}
 	if ctx != nil {
 		k := ctx.K()
@@ -264,15 +278,12 @@ func (e *crtEnc) combine(xp, xq *big.Int) *big.Int {
 	return u.Add(u, xp)
 }
 
-// exp computes r^n mod n² through the two half-width moduli. The
-// exponentiations stay on big.Int.Exp — already a Montgomery ladder
-// internally (DESIGN.md §12) — while combine's Garner multiply routes through
-// the kernel.
+// exp computes r^n mod n² through the two half-width moduli, each
+// exponentiation through its context's Exp (DESIGN.md §12), and combine's
+// Garner multiply through the kernel.
 func (e *crtEnc) exp(r *big.Int) *big.Int {
-	xp := new(big.Int).Mod(r, e.p2)
-	xp.Exp(xp, e.np, e.p2)
-	xq := new(big.Int).Mod(r, e.q2)
-	xq.Exp(xq, e.nq, e.q2)
+	xp := expMod(e.cp2, new(big.Int), r, e.np, e.p2)
+	xq := expMod(e.cq2, new(big.Int), r, e.nq, e.q2)
 	return e.combine(xp, xq)
 }
 
@@ -332,8 +343,9 @@ func (s *rnSource) build(random io.Reader) error {
 		s.tp = newFBTable(gr, s.enc.p2, s.expBits, s.window, cp2)
 		s.tq = newFBTable(gr, s.enc.q2, s.expBits, s.window, cq2)
 	} else {
-		gr = new(big.Int).Exp(rb, s.pk.N, s.pk.N2)
-		s.tab = newFBTable(gr, s.pk.N2, s.expBits, s.window, s.pk.montN2())
+		ctx := s.pk.montN2()
+		gr = expMod(ctx, new(big.Int), rb, s.pk.N, s.pk.N2)
+		s.tab = newFBTable(gr, s.pk.N2, s.expBits, s.window, ctx)
 	}
 	s.built = true
 	return nil
@@ -371,7 +383,7 @@ func (s *rnSource) value(random io.Reader) (*big.Int, error) {
 		if s.enc != nil {
 			return s.enc.exp(r), nil
 		}
-		return r.Exp(r, s.pk.N, s.pk.N2), nil
+		return expMod(s.pk.montN2(), r, r, s.pk.N, s.pk.N2), nil
 	}
 	s.mu.Lock()
 	if !s.built {

@@ -34,9 +34,9 @@ func TestFBTableMatchesExp(t *testing.T) {
 				}
 				exps = append(exps, e)
 			}
-			// Both table representations — plain residues and Montgomery
-			// form — must agree with big.Int.Exp.
-			for _, ctx := range []*mont.Ctx{nil, mont.CtxFor(mod)} {
+			// Every table representation — plain residues and Montgomery
+			// form on each kernel — must agree with big.Int.Exp.
+			for _, ctx := range []*mont.Ctx{nil, mont.CtxFor(mod), mont.CIOSFor(mod)} {
 				tab := newFBTable(base, mod, expBits, w, ctx)
 				for _, e := range exps {
 					want := new(big.Int).Exp(base, e, mod)
@@ -50,51 +50,58 @@ func TestFBTableMatchesExp(t *testing.T) {
 }
 
 // TestFBTableShape pins the comb's cost at the benchmarked shape — a
-// 2048-bit key (4096-bit n², |n|+64-bit exponents) at the default width: the
-// table is no larger than the radix-2^6 table it replaced (352 rows × 64
-// entries), an exponentiation takes at most 216 sequential operations
-// instead of 352 products, and it allocates only its result.
+// 2048-bit key (4096-bit n², |n|+64-bit exponents) at the default width — on
+// each kernel: the table takes no more bytes than the radix-2^6 table it
+// replaced (22 528 entries of 512 B), an exponentiation takes at most 216
+// sequential operations instead of 352 products, and it allocates only its
+// result. The 64-bit CIOS entries are 512 B and give (h 11, v 11, b 18); the
+// IFMA entries are 640 B, so fewer fit and the shape is (11, 8, 24) at the
+// same 215 operations.
 func TestFBTableShape(t *testing.T) {
 	const nBits = 2048
+	const radixBytes = 22528 * 512
 	expBits := nBits + exponentSlack
-	h, v, b := combShape(expBits, DefaultWindow)
-	if h != 11 || v != 11 || b != 18 {
-		t.Fatalf("combShape(%d, %d) = (h %d, v %d, b %d), want (11, 11, 18)", expBits, DefaultWindow, h, v, b)
-	}
-	if ops := b - 1 + v*b; ops > 216 {
-		t.Fatalf("comb exp costs %d squarings+products, want <= 216", ops)
-	}
 	mod, err := rand.Int(rand.Reader, new(big.Int).Lsh(one, 2*nBits))
 	if err != nil {
 		t.Fatal(err)
 	}
 	mod.SetBit(mod, 2*nBits-1, 1).SetBit(mod, 0, 1) // odd, exactly 2·nBits wide
-	ctx := mont.CtxFor(mod)
-	tab := newFBTable(big.NewInt(3), mod, expBits, DefaultWindow, ctx)
-	radix := (expBits + DefaultWindow - 1) / DefaultWindow << DefaultWindow
-	if entries := len(tab.ments) * len(tab.ments[0]) / ctx.K(); entries > radix || radix != 22528 {
-		t.Fatalf("comb holds %d entries, radix budget %d (want <= 22528)", entries, radix)
-	}
 	e, err := rand.Int(rand.Reader, new(big.Int).Lsh(one, uint(expBits)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := tab.exp(e), new(big.Int).Exp(big.NewInt(3), e, mod); got.Cmp(want) != 0 {
-		t.Fatal("comb exp mismatch at the 2048-bit shape")
-	}
-	// The result is a *big.Int and its limb slice; nothing else may escape.
-	if n := testing.AllocsPerRun(5, func() { tab.exp(e) }); n > 2 {
-		t.Fatalf("comb exp allocates %.1f objects, want only its result (2)", n)
+	for _, ctx := range []*mont.Ctx{mont.CIOSFor(mod), mont.CtxFor(mod)} {
+		want := [3]int{11, 11, 18}
+		if ctx.K() != 2*nBits/64 { // radix-2^52 limbs: the IFMA kernel
+			want = [3]int{11, 8, 24}
+		}
+		h, v, b := combShape(expBits, combBudget(expBits, DefaultWindow, mod, ctx))
+		if [3]int{h, v, b} != want {
+			t.Fatalf("%d-limb entries: combShape = (h %d, v %d, b %d), want %v", ctx.K(), h, v, b, want)
+		}
+		if ops := b - 1 + v*b; ops > 216 {
+			t.Fatalf("%d-limb entries: comb exp costs %d squarings+products, want <= 216", ctx.K(), ops)
+		}
+		tab := newFBTable(big.NewInt(3), mod, expBits, DefaultWindow, ctx)
+		if bytes := len(tab.ments) * len(tab.ments[0]) * 8; bytes > radixBytes {
+			t.Fatalf("%d-limb entries: comb holds %d B, radix budget %d B", ctx.K(), bytes, radixBytes)
+		}
+		if got, want := tab.exp(e), new(big.Int).Exp(big.NewInt(3), e, mod); got.Cmp(want) != 0 {
+			t.Fatalf("%d-limb entries: comb exp mismatch at the 2048-bit shape", ctx.K())
+		}
+		// The result is a *big.Int and its limb slice; nothing else may escape.
+		if n := testing.AllocsPerRun(5, func() { tab.exp(e) }); n > 2 {
+			t.Fatalf("%d-limb entries: comb exp allocates %.1f objects, want only its result (2)", ctx.K(), n)
+		}
 	}
 }
 
 // TestPooledRandomizerIsGrToTheSampledExponent pins that the comb changes no
 // value: for a fixed entropy stream, the source's randomizer equals
 // big.Int.Exp(g_r, e, n²) for the g_r and e sampled from that stream, in the
-// plain and CRT domains and through both table representations.
+// plain and CRT domains and through every table representation.
 func TestPooledRandomizerIsGrToTheSampledExponent(t *testing.T) {
-	on, off := montKeys(t, 512)
-	for _, sk := range []*PrivateKey{on, off} {
+	for _, sk := range montKeys(t, 512) {
 		pk := &sk.PublicKey
 		for _, holder := range []*PrivateKey{nil, sk} {
 			src := newRnSource(pk, holder, 0)
@@ -113,7 +120,7 @@ func TestPooledRandomizerIsGrToTheSampledExponent(t *testing.T) {
 			}
 			gr := new(big.Int).Exp(rb, pk.N, pk.N2)
 			if want := new(big.Int).Exp(gr, e, pk.N2); got.Cmp(want) != 0 {
-				t.Fatalf("stdlib=%v crt=%v: randomizer != g_r^e mod n²", sk.stdlib, holder != nil)
+				t.Fatalf("%s crt=%v: randomizer != g_r^e mod n²", arithNames[sk.arith], holder != nil)
 			}
 		}
 	}
@@ -243,7 +250,7 @@ func FuzzFixedBaseExp(f *testing.F) {
 		e := new(big.Int).SetBytes(expB)
 		expBits := max(8*len(expB), 1)
 		want := new(big.Int).Exp(new(big.Int).Mod(base, mod), e, mod)
-		for _, ctx := range []*mont.Ctx{nil, mont.CtxFor(mod)} {
+		for _, ctx := range []*mont.Ctx{nil, mont.CtxFor(mod), mont.CIOSFor(mod)} {
 			tab := newFBTable(base, mod, expBits, window, ctx)
 			if got := tab.exp(e); got.Cmp(want) != 0 {
 				t.Fatalf("base=%x e=%x w=%d expBits=%d mont=%v: got %v want %v", baseB, expB, window, expBits, ctx != nil, got, want)

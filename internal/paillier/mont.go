@@ -10,22 +10,27 @@ import (
 // reduction on the modular-multiplication hot paths: fixed-base table
 // products (operands chained in Montgomery form across the whole comb
 // product), Garner recombination, and ciphertext accumulation
-// (AddCipher/AddCipherInto/Sum). Plain modular exponentiations deliberately
-// stay on big.Int.Exp, which already runs an assembly Montgomery ladder
-// internally and cannot be beaten by re-entering/leaving the form per call
-// (DESIGN.md §12). The kernel runs whenever the modulus fits mont.MaxLimbs;
-// a wider one falls back to math/big. Both compute the exact same residues,
-// so ciphertexts, sums and selections do not depend on which one ran.
+// (AddCipher/AddCipherInto/Sum). Plain modular exponentiations — CRT
+// decryption, classic and CRT r^n randomizers — go through the context's Exp,
+// which runs the kernel's windowed exponentiation on the IFMA representation
+// and big.Int.Exp on CIOS, where big.Int's own assembly Montgomery ladder is
+// faster (DESIGN.md §12). The kernel runs whenever the modulus fits
+// mont.MaxLimbs; a wider one falls back to math/big. Every path computes the
+// exact same residues, so ciphertexts, sums and selections do not depend on
+// which one ran.
 
 // A nil context is how every call site learns to take its math/big branch:
 // the modulus is too wide for the kernel, or this package's tests set the
-// key's stdlib hook to reach that fallback on a key that would fit.
+// key's arith hook to reach that fallback on a key that would fit.
 
 // montN2 returns the shared Montgomery context for n², or nil (callers fall
 // back to math/big).
 func (pk *PublicKey) montN2() *mont.Ctx {
-	if pk.stdlib {
+	switch pk.arith {
+	case arithStdlib:
 		return nil
+	case arithCIOS:
+		return mont.CIOSFor(pk.N2)
 	}
 	return mont.CtxFor(pk.N2)
 }
@@ -33,8 +38,11 @@ func (pk *PublicKey) montN2() *mont.Ctx {
 // newMontCtx builds a private context for a key-local modulus (q, p², q²),
 // swallowing the only possible failure (modulus too wide) into nil.
 func (pk *PublicKey) newMontCtx(m *big.Int) *mont.Ctx {
-	if pk.stdlib {
+	switch pk.arith {
+	case arithStdlib:
 		return nil
+	case arithCIOS:
+		return mont.CIOSFor(m)
 	}
 	c, err := mont.NewCtx(m)
 	if err != nil {
@@ -43,8 +51,17 @@ func (pk *PublicKey) newMontCtx(m *big.Int) *mont.Ctx {
 	return c
 }
 
+// expMod sets z = x^e mod m through ctx's Exp, or big.Int.Exp without a
+// context, and returns z.
+func expMod(ctx *mont.Ctx, z, x, e, m *big.Int) *big.Int {
+	if ctx != nil {
+		return ctx.Exp(z, x, e)
+	}
+	return z.Exp(x, e, m)
+}
+
 // montSum folds the ciphertext product in a single fixed-width accumulator:
-// one CIOS pass per ciphertext (the operands stay un-normalised limb vectors
+// one REDC pass per ciphertext (the operands stay un-normalised limb vectors
 // across the whole reduction) plus one final pass against R^(t+1) to repair
 // the accumulated R^(−t) deficit, converting back to a big.Int exactly once.
 // Compare the stdlib fold's full Mul+Mod per element.

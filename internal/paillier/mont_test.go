@@ -9,22 +9,37 @@ import (
 	"vfps/internal/mont"
 )
 
-// montKeys returns the same generated key twice: once on the Montgomery
-// kernel (what a key this size selects) and once forced onto the stdlib
-// fallback. The clone shares the big.Int values (all read-only) but carries
-// its own stdlib hook and its own precomputed CRT state.
-func montKeys(t *testing.T, bits int) (on, off *PrivateKey) {
+var arithNames = [...]string{arithAuto: "auto", arithCIOS: "cios", arithStdlib: "stdlib"}
+
+// montKeys returns the same generated key once per arithmetic: the default
+// (what a key this size selects: the IFMA kernel on an IFMA host), then
+// forced onto the 64-bit CIOS kernel, then onto the stdlib fallback. The
+// clones share the big.Int values (all read-only) but carry their own arith
+// hook and their own precomputed CRT state.
+func montKeys(t *testing.T, bits int) []*PrivateKey {
 	t.Helper()
-	on = key2(t, bits)
-	off = &PrivateKey{
-		PublicKey: on.PublicKey,
-		Lambda:    on.Lambda, Mu: on.Mu, P: on.P, Q: on.Q,
+	on := key2(t, bits)
+	keys := []*PrivateKey{on}
+	for _, a := range []arith{arithCIOS, arithStdlib} {
+		off := &PrivateKey{
+			PublicKey: on.PublicKey,
+			Lambda:    on.Lambda, Mu: on.Mu, P: on.P, Q: on.Q,
+		}
+		off.arith = a
+		if err := off.Precompute(); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, off)
 	}
-	off.stdlib = true
-	if err := off.Precompute(); err != nil {
-		t.Fatal(err)
+	return keys
+}
+
+// forEachSlowArith runs f once per forced arithmetic against the default key.
+func forEachSlowArith(t *testing.T, bits int, f func(t *testing.T, on, off *PrivateKey)) {
+	keys := montKeys(t, bits)
+	for _, off := range keys[1:] {
+		t.Run(arithNames[off.arith], func(t *testing.T) { f(t, keys[0], off) })
 	}
-	return on, off
 }
 
 func key2(t *testing.T, bits int) *PrivateKey {
@@ -38,9 +53,10 @@ func key2(t *testing.T, bits int) *PrivateKey {
 
 // TestMontKnobBitIdentical drives every threaded operation — encryption
 // randomizers, CRT encrypt/decrypt, AddCipher, AddCipherInto, Sum — through
-// both arithmetic paths and demands identical residues.
-func TestMontKnobBitIdentical(t *testing.T) {
-	on, off := montKeys(t, 512)
+// the default arithmetic and each forced one, and demands identical residues.
+func TestMontKnobBitIdentical(t *testing.T) { forEachSlowArith(t, 512, testMontKnobBitIdentical) }
+
+func testMontKnobBitIdentical(t *testing.T, on, off *PrivateKey) {
 	// Deterministic entropy so both paths sample identical randomizers.
 	mkRead := func() *countingReader { return &countingReader{seed: 42} }
 
@@ -57,7 +73,7 @@ func TestMontKnobBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if a.C.Cmp(b.C) != 0 {
-			t.Fatalf("Encrypt(%v): mont and stdlib ciphertexts differ", m)
+			t.Fatalf("Encrypt(%v): ciphertexts differ", m)
 		}
 		csOn = append(csOn, a)
 		csOff = append(csOff, b)
@@ -111,8 +127,8 @@ func TestMontKnobBitIdentical(t *testing.T) {
 		t.Fatal("AddCipherInto: paths differ")
 	}
 
-	// Both keys decrypt both sums to the true total, through CRT-with-mont
-	// and CRT-with-stdlib respectively.
+	// Both keys decrypt both sums to the true total, each through its own
+	// CRT arithmetic.
 	want := big.NewInt(0)
 	for _, m := range msgs {
 		want.Add(want, m)
@@ -123,16 +139,19 @@ func TestMontKnobBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got.Cmp(want) != 0 {
-			t.Fatalf("Decrypt(sum) = %v, want %v (stdlib=%v)", got, want, sk.stdlib)
+			t.Fatalf("Decrypt(sum) = %v, want %v (%s)", got, want, arithNames[sk.arith])
 		}
 	}
 }
 
 // TestMontPooledRandomizersBitIdentical pins the fixed-base table paths:
 // with identical entropy, windowed randomizer production (plain and CRT
-// domains) yields identical values through both table representations.
+// domains) yields identical values through every table representation.
 func TestMontPooledRandomizersBitIdentical(t *testing.T) {
-	on, off := montKeys(t, 512)
+	forEachSlowArith(t, 512, testMontPooledRandomizersBitIdentical)
+}
+
+func testMontPooledRandomizersBitIdentical(t *testing.T, on, off *PrivateKey) {
 	for _, crt := range []bool{false, true} {
 		var skOn, skOff *PrivateKey
 		if crt {
@@ -199,15 +218,23 @@ func TestAddCipherIntoZeroAlloc(t *testing.T) {
 }
 
 // TestMontKnobDefault pins how the arithmetic backend is chosen now that no
-// knob selects it: a key whose n² fits mont.MaxLimbs runs the kernel, a wider
-// one (and the tests' stdlib hook) takes the math/big fallback.
+// knob selects it: a key whose n² fits mont.MaxLimbs runs the kernel mont
+// picks, a wider one (and the tests' stdlib hook) takes the math/big
+// fallback, and the CIOS hook takes mont's 64-bit kernel.
 func TestMontKnobDefault(t *testing.T) {
 	sk := key2(t, 128)
 	pk := &sk.PublicKey
 	if pk.montN2() == nil {
 		t.Fatal("a 128-bit key must run the Montgomery kernel")
 	}
-	pk.stdlib = true
+	if pk.montN2() != mont.CtxFor(pk.N2) {
+		t.Fatal("the default arithmetic must be mont's shared context")
+	}
+	pk.arith = arithCIOS
+	if pk.montN2() != mont.CIOSFor(pk.N2) {
+		t.Fatal("the CIOS hook must select mont's 64-bit kernel")
+	}
+	pk.arith = arithStdlib
 	if pk.montN2() != nil {
 		t.Fatal("the stdlib hook must select the math/big fallback")
 	}

@@ -38,11 +38,20 @@ type PublicKey struct {
 	N2 *big.Int // n²
 	G  *big.Int // generator, fixed to n+1
 
-	// stdlib forces the math/big branches a modulus wider than mont.MaxLimbs
-	// takes. Only this package's tests set it (before Precompute), to compare
-	// that fallback residue for residue against the Montgomery kernel.
-	stdlib bool
+	// arith forces a slower arithmetic than the default. Only this package's
+	// tests set it (before Precompute), to compare it residue for residue
+	// against the default.
+	arith arith
 }
+
+// arith selects the arithmetic behind a key's modular operations.
+type arith uint8
+
+const (
+	arithAuto   arith = iota // the fastest Montgomery kernel mont picks for this CPU
+	arithCIOS                // mont's 64-bit CIOS kernel, even on an IFMA host
+	arithStdlib              // math/big, what a modulus wider than mont.MaxLimbs takes
+)
 
 // PrivateKey holds the Paillier secret values along with the public key.
 //
@@ -70,7 +79,8 @@ type crtPrecomp struct {
 	hp, hq *big.Int // L_p(g^{p−1} mod p²)⁻¹ mod p, L_q(g^{q−1} mod q²)⁻¹ mod q
 	pinv   *big.Int // p⁻¹ mod q (Garner recombination)
 
-	mq *mont.Ctx // Montgomery context for q (Garner recombination multiply)
+	cp2, cq2 *mont.Ctx // Montgomery contexts for p², q² (the exponentiations)
+	mq       *mont.Ctx // Montgomery context for q (Garner recombination multiply)
 }
 
 // Precompute derives the CRT decryption constants from P and Q. It is called
@@ -90,16 +100,17 @@ func (sk *PrivateKey) Precompute() error {
 	q2 := new(big.Int).Mul(sk.Q, sk.Q)
 	ep := new(big.Int).Sub(sk.P, one)
 	eq := new(big.Int).Sub(sk.Q, one)
+	cp2, cq2 := sk.newMontCtx(p2), sk.newMontCtx(q2)
 	// hp = L_p(g^{p−1} mod p²)⁻¹ mod p, with L_p(x) = (x−1)/p.
-	hp := new(big.Int).ModInverse(lFunc(new(big.Int).Exp(sk.G, ep, p2), sk.P), sk.P)
-	hq := new(big.Int).ModInverse(lFunc(new(big.Int).Exp(sk.G, eq, q2), sk.Q), sk.Q)
+	hp := new(big.Int).ModInverse(lFunc(expMod(cp2, new(big.Int), sk.G, ep, p2), sk.P), sk.P)
+	hq := new(big.Int).ModInverse(lFunc(expMod(cq2, new(big.Int), sk.G, eq, q2), sk.Q), sk.Q)
 	pinv := new(big.Int).ModInverse(sk.P, sk.Q)
 	if hp == nil || hq == nil || pinv == nil {
 		return errors.New("paillier: CRT constants not invertible")
 	}
 	sk.crt = &crtPrecomp{
 		p2: p2, q2: q2, ep: ep, eq: eq, hp: hp, hq: hq, pinv: pinv,
-		mq: sk.newMontCtx(sk.Q),
+		cp2: cp2, cq2: cq2, mq: sk.newMontCtx(sk.Q),
 	}
 	sk.crte = newCRTEnc(sk)
 	return nil
@@ -255,7 +266,7 @@ func (sk *PrivateKey) randomizerValue(random io.Reader) (*big.Int, error) {
 	if sk.crte != nil {
 		return sk.crte.exp(r), nil
 	}
-	return r.Exp(r, sk.N, sk.N2), nil
+	return expMod(sk.montN2(), r, r, sk.N, sk.N2), nil
 }
 
 // sampleR samples r uniformly from Z_n* (gcd(r, n) == 1).
@@ -279,7 +290,7 @@ func (pk *PublicKey) randomizerValue(random io.Reader) (*big.Int, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.Exp(r, pk.N, pk.N2), nil
+	return expMod(pk.montN2(), r, r, pk.N, pk.N2), nil
 }
 
 // encryptWithRn assembles a ciphertext from an already encoded message and a
@@ -320,14 +331,11 @@ func (sk *PrivateKey) decryptRing(c *Ciphertext) *big.Int {
 	if t := sk.crt; t != nil {
 		// mp = L_p(c^{p−1} mod p²)·hp mod p, and symmetrically mod q: two
 		// half-width exponentiations with half-length exponents instead of one
-		// full-width exponentiation, ~4× cheaper in big.Int word operations.
-		// The exponentiations deliberately stay on big.Int.Exp even with the
-		// Montgomery kernel enabled: Exp already runs an assembly Montgomery
-		// ladder internally, so the kernel cannot beat it on plain modexp
-		// (DESIGN.md §12); only Garner's multiply routes through the kernel.
-		cp, cq := new(big.Int), new(big.Int)
-		cp.Exp(c.C, t.ep, t.p2)
-		cq.Exp(c.C, t.eq, t.q2)
+		// full-width exponentiation, ~4× cheaper in word operations. Each runs
+		// through its context's Exp, which picks the IFMA kernel's windowed
+		// exponentiation or big.Int.Exp (DESIGN.md §12).
+		cp := expMod(t.cp2, new(big.Int), c.C, t.ep, t.p2)
+		cq := expMod(t.cq2, new(big.Int), c.C, t.eq, t.q2)
 		mp := lFunc(cp, sk.P)
 		mp.Mul(mp, t.hp)
 		mp.Mod(mp, sk.P)
