@@ -128,6 +128,61 @@ func TestChurnSelectionMatchesColdRebuild(t *testing.T) {
 	}
 }
 
+// TestJoinReusesSurvivorCiphertexts pins what an in-place join saves: with
+// the delta cache on, a warm 6-party consortium that admits a 7th party
+// re-encrypts only the joiner's blocks, so its next selection pays at least
+// 2x fewer encryptions than a cold 7-party build — and selects exactly what
+// that cold build selects. BASE keeps the candidate set membership-invariant,
+// so every survivor's ciphertext blocks are byte-stable across the join.
+func TestJoinReusesSurvivorCiphertexts(t *testing.T) {
+	d, err := GenerateDataset("Bank", 96)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := VerticalSplit(d, 7, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	mk := func(members []int) *Consortium {
+		cons, err := NewConsortium(ctx, Config{
+			Partition: subPartition(full, members), Labels: d.Y, Classes: d.Classes,
+			Scheme: "paillier", KeyBits: 256, ShuffleSeed: 7,
+			Options: Options{DeltaCache: true},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(cons.Close)
+		return cons
+	}
+	opts := SelectOptions{K: 5, NumQueries: 6, Seed: 3, Base: true}
+
+	live := mk([]int{0, 1, 2, 3, 4, 5})
+	if _, err := live.Select(ctx, 2, opts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := live.AddParticipant(matRows(full.Parties[6])); err != nil {
+		t.Fatal(err)
+	}
+	join, err := live.Select(ctx, 2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := mk([]int{0, 1, 2, 3, 4, 5, 6}).Select(ctx, 2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(join.Selected, cold.Selected) || join.Value != cold.Value || !reflect.DeepEqual(join.W, cold.W) {
+		t.Fatalf("joined selection %v (%v) diverges from cold rebuild %v (%v)",
+			join.Selected, join.Value, cold.Selected, cold.Value)
+	}
+	if join.Counts.Encryptions <= 0 || cold.Counts.Encryptions < 2*join.Counts.Encryptions {
+		t.Fatalf("join paid %d encryptions against a cold rebuild's %d, want at most half",
+			join.Counts.Encryptions, cold.Counts.Encryptions)
+	}
+}
+
 // TestPaillierDefaultIsPackedAndExact drives the public API with no
 // performance field set: a Paillier consortium must pack (fewer encryptions
 // than half of one per party per candidate), select exactly what the

@@ -27,7 +27,7 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment: table1|table4|table5|fig4|fig5|fig6|fig7|fig8|fig9|exttopk|extscheme|extdp|extpruning|extbatch|churn|all")
+		exp       = flag.String("exp", "all", "experiment: table1|table4|table5|fig4|fig5|fig6|fig7|fig8|fig9|exttopk|extscheme|extdp|extpruning|extbatch|all")
 		rows      = flag.Int("rows", 800, "max instances per dataset")
 		queries   = flag.Int("queries", 32, "KNN query samples for selection")
 		k         = flag.Int("k", 10, "proxy-KNN neighbour count")
@@ -92,10 +92,7 @@ func main() {
 		"extdp":      func(ctx context.Context) (any, error) { return experiments.ExtDP(ctx, opt) },
 		"extpruning": func(ctx context.Context) (any, error) { return experiments.ExtPruning(ctx, opt) },
 		"extbatch":   func(ctx context.Context) (any, error) { return experiments.ExtBatch(ctx, opt) },
-		"churn":      func(ctx context.Context) (any, error) { return experiments.Churn(ctx, opt) },
 	}
-	// "churn" is a contract benchmark with its own recorded JSON, so it is
-	// run explicitly (-exp churn) rather than folded into -exp all.
 	order := []string{"table1", "table4", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
 		"exttopk", "extscheme", "extdp", "extpruning", "extbatch"}
 

@@ -253,7 +253,7 @@ func TestSelectSimCacheReusesReport(t *testing.T) {
 		t.Fatalf("cached selection diverged: %v vs %v", warm.Selected, cold.Selected)
 	}
 	// The hit skipped the encrypted similarity phase entirely.
-	if warm.Counts.Encryptions != 0 || warm.Counts.Decryptions != 0 {
+	if warm.Counts.Encryptions != 0 || warm.Counts.Decryptions != 0 || warm.Counts.CipherAdds != 0 {
 		t.Fatalf("cache hit still paid HE ops: %+v", warm.Counts)
 	}
 	if cold.Counts.Encryptions == 0 {

@@ -619,18 +619,6 @@ type SimAccumulator struct {
 	n      int
 	cands  int
 	rounds int
-	// Record, when set before accumulation, keeps each query's neighbour
-	// set and per-party sums so the similarity matrix can later be extended
-	// to late-joining participants without re-running the encrypted KNN.
-	Record  bool
-	records []QueryRecord
-}
-
-// QueryRecord is one query's reusable protocol outcome.
-type QueryRecord struct {
-	Query     int
-	Neighbors []int // pseudo IDs of the k nearest samples
-	PartySums []float64
 }
 
 // NewAccumulator returns an empty similarity accumulator for this
@@ -696,61 +684,11 @@ func (l *Leader) Accumulate(ctx context.Context, queries []int, k int, variant V
 	if err != nil {
 		return err
 	}
-	for i, res := range results {
+	for _, res := range results {
 		acc.add(res)
-		if acc.Record {
-			acc.records = append(acc.records, QueryRecord{
-				Query:     queries[i],
-				Neighbors: res.Neighbors,
-				PartySums: res.PartySums,
-			})
-		}
 	}
 	l.counts.Add(costmodel.Raw{PlainAdds: int64(len(queries) * acc.p * acc.p)})
 	return nil
-}
-
-// ExtendWithParties warm-starts the similarity matrix for late-joining
-// participants: instead of re-running the encrypted KNN protocol, the leader
-// asks only the new parties for their plaintext partial sums over each
-// recorded query's existing neighbour set (|Q| cheap messages per joiner).
-//
-// This is an approximation: the neighbour sets were computed over the
-// original consortium's joint feature space, so the new parties' features do
-// not influence which samples count as neighbours. For parties whose data
-// correlates with the consortium (the common case in VFL, where records
-// describe the same users) the approximation is close; re-run Similarities
-// from scratch when exactness matters. Requires an accumulator built with
-// Record set.
-func (l *Leader) ExtendWithParties(ctx context.Context, newParties []string, acc *SimAccumulator) (*SimilarityReport, error) {
-	if !acc.Record || len(acc.records) == 0 {
-		return nil, fmt.Errorf("vfl: extension requires a recording accumulator with at least one query")
-	}
-	if len(newParties) == 0 {
-		return nil, fmt.Errorf("vfl: no new parties to extend with")
-	}
-	oldP := acc.p
-	newP := oldP + len(newParties)
-	ext := &SimAccumulator{p: newP}
-	ext.sums = make([][]float64, newP)
-	for i := range ext.sums {
-		ext.sums[i] = make([]float64, newP)
-	}
-	for _, rec := range acc.records {
-		sums := make([]float64, newP)
-		copy(sums, rec.PartySums)
-		for ni, party := range newParties {
-			var resp NeighborSumResp
-			if err := l.call(ctx, party, MethodNeighborSum,
-				&NeighborSumReq{Query: rec.Query, PseudoIDs: rec.Neighbors}, &resp); err != nil {
-				return nil, fmt.Errorf("vfl: extending with %s: %w", party, err)
-			}
-			sums[oldP+ni] = resp.Sum
-		}
-		ext.add(&QueryResult{Neighbors: rec.Neighbors, PartySums: sums})
-	}
-	l.counts.Add(costmodel.Raw{PlainAdds: int64(len(acc.records) * newP * newP)})
-	return ext.Report(), nil
 }
 
 // SimilaritiesParallel is Similarities with up to `workers` queries in

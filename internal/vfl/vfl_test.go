@@ -783,86 +783,6 @@ func TestDPClusterValidation(t *testing.T) {
 	}
 }
 
-func TestExtendWithPartiesApproximatesFullRerun(t *testing.T) {
-	// Start with 3 of 4 parties, record the similarity run, then let the
-	// 4th join via the warm-start extension and compare against the exact
-	// 4-party protocol.
-	_, ptFull := testPartition(t, "Credit", 150, 4)
-	sub, err := ptFull.Select([]int{0, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := newCluster(t, sub, "plain")
-	ctx := context.Background()
-	queries := []int{2, 30, 60, 90, 120}
-
-	acc := cl.Leader.NewAccumulator()
-	acc.Record = true
-	if err := cl.Leader.Accumulate(ctx, queries, 5, VariantFagin, 1, acc); err != nil {
-		t.Fatal(err)
-	}
-	name, err := cl.AddParticipant(ptFull.Parties[3])
-	if err != nil {
-		t.Fatal(err)
-	}
-	ext, err := cl.Leader.ExtendWithParties(ctx, []string{name}, acc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ext.W) != 4 {
-		t.Fatalf("extended W is %dx", len(ext.W))
-	}
-
-	// Exact baseline: full 4-party cluster with the same seeds.
-	full := newCluster(t, ptFull, "plain")
-	exact, err := full.Leader.Similarities(ctx, queries, 5, VariantFagin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The old 3x3 block must match closely; the new row/column is an
-	// approximation (neighbour sets exclude the joiner's features) so allow
-	// a loose tolerance.
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			if math.Abs(ext.W[i][j]-exact.W[i][j]) > 0.15 {
-				t.Fatalf("old block drifted at %d,%d: %g vs %g", i, j, ext.W[i][j], exact.W[i][j])
-			}
-		}
-	}
-	for i := 0; i < 4; i++ {
-		if math.Abs(ext.W[i][3]-exact.W[i][3]) > 0.25 {
-			t.Fatalf("joiner column too far off at %d: %g vs %g", i, ext.W[i][3], exact.W[i][3])
-		}
-		if math.Abs(ext.W[i][3]-ext.W[3][i]) > 1e-12 {
-			t.Fatal("extended matrix not symmetric")
-		}
-	}
-}
-
-func TestExtendWithPartiesValidation(t *testing.T) {
-	_, pt := testPartition(t, "Rice", 40, 2)
-	cl := newCluster(t, pt, "plain")
-	ctx := context.Background()
-	acc := cl.Leader.NewAccumulator() // Record not set
-	if err := cl.Leader.Accumulate(ctx, []int{1}, 3, VariantFagin, 1, acc); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Leader.ExtendWithParties(ctx, []string{"party/9"}, acc); err == nil {
-		t.Fatal("expected recording-required error")
-	}
-	rec := cl.Leader.NewAccumulator()
-	rec.Record = true
-	if err := cl.Leader.Accumulate(ctx, []int{1}, 3, VariantFagin, 1, rec); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Leader.ExtendWithParties(ctx, nil, rec); err == nil {
-		t.Fatal("expected no-parties error")
-	}
-	if _, err := cl.Leader.ExtendWithParties(ctx, []string{"party/9"}, rec); err == nil {
-		t.Fatal("expected unknown-peer error")
-	}
-}
-
 func TestAddParticipantSecAggRejected(t *testing.T) {
 	_, pt := testPartition(t, "Rice", 40, 2)
 	cl := newCluster(t, pt, "secagg")

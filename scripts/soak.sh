@@ -33,14 +33,14 @@
 #   * the median per-pair concurrent/sequential speedup >= SOAK_MIN_MT_SPEEDUP
 #     (the default scales with the machine: 2.0 with >= 3 cores, 1.5 with 2,
 #     0.9 on a single core where concurrency cannot beat sequential by CPU —
-#     the floor then only catches pathological contention),
+#     the floor then only catches pathological contention; an override may
+#     relax the default for the machine but is refused below 0.9),
 #   * concurrent-phase p99 <= SOAK_MT_P99_MS,
 #   * admission accounting: every load request admitted, and a budget probe
 #     against a 1-op tenant HE budget must be rejected with 429.
 #
 # The summary is written as SOAK_OUT (default SOAK_summary.json) under a
-# top-level "soak" key and handed to scripts/bench_compare.sh, which requires
-# the summary keys so a renamed field can never silently drop a gate.
+# top-level "soak" key.
 #
 # Environment knobs (defaults in parentheses):
 #   SOAK_ROUNDS (2)  SOAK_QUERIES (8)  SOAK_QWORKERS (2)  SOAK_PARTIES (3)
@@ -66,6 +66,9 @@ ROWS=120
 K=4
 MT_BURST=4 # selections per consortium per multi-tenant round (see the arm below)
 
+say() { echo "soak: $*"; }
+die() { echo "soak: FAIL: $*" >&2; exit 1; }
+
 command -v jq >/dev/null || { echo "soak: jq not found" >&2; exit 1; }
 
 # The concurrent-vs-sequential speedup a machine can deliver depends on its
@@ -77,6 +80,8 @@ if [ "${CORES}" -ge 3 ]; then DEFAULT_MT_SPEEDUP=2.0
 elif [ "${CORES}" -eq 2 ]; then DEFAULT_MT_SPEEDUP=1.5
 else DEFAULT_MT_SPEEDUP=0.9; fi
 MIN_MT_SPEEDUP="${SOAK_MIN_MT_SPEEDUP:-${DEFAULT_MT_SPEEDUP}}"
+jq -n -e --argjson min "${MIN_MT_SPEEDUP}" '$min >= 0.9' >/dev/null 2>&1 \
+    || die "SOAK_MIN_MT_SPEEDUP=${MIN_MT_SPEEDUP} is below the 0.9 floor: an override may relax the gate, never disable it"
 
 WORK="$(mktemp -d)"
 PIDS=()
@@ -86,9 +91,6 @@ cleanup() {
     rm -rf "${WORK}"
 }
 trap cleanup EXIT
-
-say() { echo "soak: $*"; }
-die() { echo "soak: FAIL: $*" >&2; exit 1; }
 
 wait_tcp() { # host:port
     local hp=$1 i
@@ -478,6 +480,5 @@ jq -n \
              mtSpeedupFloor: $mtfloor, mtP99Ms: $mtp99,
              admitted: $admitted, rejected: $rejected}}' > "${OUT}"
 say "summary written to ${OUT}"
-./scripts/bench_compare.sh "${OUT}"
 
 say "OK"
