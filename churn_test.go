@@ -71,7 +71,7 @@ func TestChurnSelectionMatchesColdRebuild(t *testing.T) {
 				cons, err := NewConsortium(ctx, Config{
 					Partition: pt, Labels: d.Y, Classes: d.Classes,
 					Scheme: tc.scheme, KeyBits: 256, ShuffleSeed: 7,
-					Options: Options{DeltaCache: true, Parallelism: tc.parallelism},
+					Options: Options{Parallelism: tc.parallelism},
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -128,9 +128,9 @@ func TestChurnSelectionMatchesColdRebuild(t *testing.T) {
 	}
 }
 
-// TestJoinReusesSurvivorCiphertexts pins what an in-place join saves: with
-// the delta cache on, a warm 6-party consortium that admits a 7th party
-// re-encrypts only the joiner's blocks, so its next selection pays at least
+// TestJoinReusesSurvivorCiphertexts pins what an in-place join saves: a warm
+// 6-party Paillier consortium that admits a 7th party re-encrypts only the
+// joiner's blocks, so its next selection pays at least
 // 2x fewer encryptions than a cold 7-party build — and selects exactly what
 // that cold build selects. BASE keeps the candidate set membership-invariant,
 // so every survivor's ciphertext blocks are byte-stable across the join.
@@ -148,7 +148,6 @@ func TestJoinReusesSurvivorCiphertexts(t *testing.T) {
 		cons, err := NewConsortium(ctx, Config{
 			Partition: subPartition(full, members), Labels: d.Y, Classes: d.Classes,
 			Scheme: "paillier", KeyBits: 256, ShuffleSeed: 7,
-			Options: Options{DeltaCache: true},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -173,7 +173,12 @@ func main() {
 		if len(names) == 0 {
 			fatal("directory lists no party/<i> entries")
 		}
-		vfl.ConfigureScheme(pub, opts, false) // agg only adds; the pack geometry lives on parties and leader
+		// The aggregation server only adds, but keys the parties' delta-cached
+		// blocks by the slot layout the roster's geometry implies.
+		vfl.ConfigureScheme(pub, opts, false)
+		if err := vfl.ConfigurePacking(pub, len(names)); err != nil {
+			fatal("%v", err)
+		}
 		observeScheme(pub, o, "aggserver")
 		agg, err := vfl.NewAggServer(cli, names, pub, opts)
 		if err != nil {
@@ -216,7 +221,12 @@ func main() {
 		}
 		plan := &vfl.ShardPlan{SubtreeSize: size}
 		lo, hi := plan.Range(*index, len(names))
-		vfl.ConfigureScheme(pub, opts, false) // workers only add, like the aggserver
+		// Workers only add, like the aggregation server, and key the blocks of
+		// their parties by the whole roster's geometry, not their shard's.
+		vfl.ConfigureScheme(pub, opts, false)
+		if err := vfl.ConfigurePacking(pub, len(names)); err != nil {
+			fatal("%v", err)
+		}
 		observeScheme(pub, o, "aggworker")
 		wkr, err := vfl.NewAggServer(cli, names[lo:hi], pub, opts)
 		if err != nil {

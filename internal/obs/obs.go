@@ -141,6 +141,56 @@ func (f *family) with(labelVals []string) *series {
 	return s
 }
 
+// DeleteSeries removes every series, in every family, whose labels carry all
+// the given name → value pairs; a family lacking one of the names keeps its
+// series. It returns how many series went. Callers use it when the thing a
+// label names is gone for good (a departed party), so neither the series nor
+// a pull gauge's closure outlives it. Resolving the same label values again
+// starts a fresh series at zero. Safe on a nil registry.
+func (r *Registry) DeleteSeries(match map[string]string) int {
+	if r == nil || len(match) == 0 {
+		return 0
+	}
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	deleted := 0
+	for _, f := range r.families {
+		deleted += f.deleteSeries(match)
+	}
+	return deleted
+}
+
+func (f *family) deleteSeries(match map[string]string) int {
+	idx := make(map[int]string, len(match))
+	for i, name := range f.labelNames {
+		if v, ok := match[name]; ok {
+			idx[i] = v
+		}
+	}
+	if len(idx) != len(match) {
+		return 0
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	kept := f.order[:0]
+	for _, key := range f.order {
+		s := f.series[key]
+		hit := true
+		for i, v := range idx {
+			hit = hit && s.labelVals[i] == v
+		}
+		if hit {
+			delete(f.series, key)
+			continue
+		}
+		kept = append(kept, key)
+	}
+	deleted := len(f.order) - len(kept)
+	clear(f.order[len(kept):])
+	f.order = kept
+	return deleted
+}
+
 // ---- counters ----
 
 // CounterVec is a family of monotonically increasing counters.

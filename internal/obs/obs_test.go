@@ -2,7 +2,9 @@ package obs
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -82,6 +84,81 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if got := gv.With("x").Value(); got != 42 {
 		t.Fatalf("pull gauge = %g, want 42", got)
 	}
+}
+
+// TestDeleteSeries removes exactly the series whose labels carry every given
+// pair, in every family that has those labels, and leaves the rest — other
+// values, and families without one of the labels — alone.
+func TestDeleteSeries(t *testing.T) {
+	r := New()
+	cost := r.Gauge("cost", "cost", "instance", "role")
+	calls := r.Counter("calls_total", "calls", "peer", "method")
+	other := r.Counter("other_total", "other", "role")
+	cost.Func(func() float64 { return 1 }, "a", "party/1")
+	cost.Func(func() float64 { return 2 }, "b", "party/1")
+	cost.Func(func() float64 { return 3 }, "a", "party/2")
+	calls.With("party/1", "x").Inc()
+	calls.With("party/1", "y").Inc()
+	calls.With("party/2", "x").Inc()
+	other.With("party/1").Inc()
+
+	if n := r.DeleteSeries(map[string]string{"instance": "a", "role": "party/1"}); n != 1 {
+		t.Fatalf("deleted %d cost series, want 1", n)
+	}
+	if n := r.DeleteSeries(map[string]string{"peer": "party/1"}); n != 2 {
+		t.Fatalf("deleted %d call series, want 2", n)
+	}
+	var left []string
+	for _, f := range r.Snapshot() {
+		for _, s := range f.Series {
+			left = append(left, fmt.Sprintf("%s%v", f.Name, s.Labels))
+		}
+	}
+	want := []string{"calls_total" + fmt.Sprint(map[string]string{"peer": "party/2", "method": "x"}),
+		"cost" + fmt.Sprint(map[string]string{"instance": "b", "role": "party/1"}),
+		"cost" + fmt.Sprint(map[string]string{"instance": "a", "role": "party/2"}),
+		"other_total" + fmt.Sprint(map[string]string{"role": "party/1"})}
+	if !slices.Equal(left, want) {
+		t.Fatalf("series left %v, want %v", left, want)
+	}
+	// A deleted series comes back fresh when resolved again.
+	if got := calls.With("party/1", "x").Value(); got != 0 {
+		t.Fatalf("re-resolved deleted counter = %d, want 0", got)
+	}
+	var nilReg *Registry
+	if n := nilReg.DeleteSeries(map[string]string{"peer": "x"}); n != 0 {
+		t.Fatalf("nil registry deleted %d series", n)
+	}
+}
+
+// TestDeleteSeriesConcurrent races deletions against series creation,
+// pull-gauge installs and scrapes; run it under -race.
+func TestDeleteSeriesConcurrent(t *testing.T) {
+	r := New()
+	calls := r.Counter("calls_total", "calls", "peer")
+	cost := r.Gauge("cost", "cost", "role")
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				peer := fmt.Sprintf("party/%d", i%8)
+				switch g {
+				case 0:
+					calls.With(peer).Inc()
+				case 1:
+					cost.Func(func() float64 { return 1 }, peer)
+				case 2:
+					r.DeleteSeries(map[string]string{"peer": peer})
+					r.DeleteSeries(map[string]string{"role": peer})
+				default:
+					r.Snapshot()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestHistogramBinning(t *testing.T) {

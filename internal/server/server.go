@@ -287,8 +287,8 @@ type CreateRequest struct {
 	ShuffleSeed int64   `json:"shuffleSeed"`
 	KeyBits     int     `json:"keyBits"` // Paillier modulus size (0 → library default)
 	// Options carries the performance settings. JSON reaches only
-	// "parallelism", "shardWorkers", "deltaCache" and "simCache"; the server
-	// owns the pack-width carry, and the encrypt window stays at its default.
+	// "parallelism" and "shardWorkers"; the server owns the pack-width carry,
+	// and the encrypt window stays at its default.
 	vfps.Options
 }
 

@@ -132,7 +132,7 @@ func TestMembershipChurnEndpoints(t *testing.T) {
 	ts := startServer(t)
 	var created CreateResponse
 	code := doJSON(t, "POST", ts.URL+"/v1/consortiums",
-		CreateRequest{Dataset: "Rice", Rows: 200, Parties: 3, Options: vfps.Options{DeltaCache: true, SimCache: true}}, &created)
+		CreateRequest{Dataset: "Rice", Rows: 200, Parties: 3}, &created)
 	if code != http.StatusCreated {
 		t.Fatalf("create returned %d", code)
 	}
@@ -173,7 +173,8 @@ func TestMembershipChurnEndpoints(t *testing.T) {
 		t.Fatalf("leave %d %v", code, left)
 	}
 	// Back at the original roster: the selection must reproduce the original
-	// answer (and with simCache on, without re-running the similarity phase).
+	// answer (from the always-on similarity cache, without re-running the
+	// similarity phase).
 	var again SelectResponse
 	if code := doJSON(t, "POST", selectURL, req, &again); code != 200 {
 		t.Fatalf("post-leave select %d", code)
@@ -272,10 +273,11 @@ func TestErrorPaths(t *testing.T) {
 }
 
 // TestCreateRequestJSONUnchanged pins the create body's performance surface
-// to the four keys it had before the settings moved into the embedded
-// vfps.Options: they decode into the options, the settings the server owns
-// ("encryptWindow", "packHint", the pool) stay unknown fields — readJSON
-// rejects them — and an encoded request carries exactly the old key set.
+// to the two keys the embedded vfps.Options expose: they decode into the
+// options; the settings the server owns ("encryptWindow", "packHint", the
+// pool) and the retired cache switches ("deltaCache", "simCache": both caches
+// are always on) stay unknown fields, which the create endpoint answers with
+// a 400; and an encoded request carries exactly the expected key set.
 func TestCreateRequestJSONUnchanged(t *testing.T) {
 	decode := func(body string) (CreateRequest, error) {
 		var req CreateRequest
@@ -283,17 +285,26 @@ func TestCreateRequestJSONUnchanged(t *testing.T) {
 		dec.DisallowUnknownFields()
 		return req, dec.Decode(&req)
 	}
-	req, err := decode(`{"dataset":"Rice","deltaCache":true,"shardWorkers":2,"parallelism":3,"simCache":true}`)
+	req, err := decode(`{"dataset":"Rice","shardWorkers":2,"parallelism":3}`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := vfps.Options{Parallelism: 3, ShardWorkers: 2, DeltaCache: true, SimCache: true}
+	want := vfps.Options{Parallelism: 3, ShardWorkers: 2}
 	if req.Options != want {
 		t.Fatalf("decoded options %+v, want %+v", req.Options, want)
 	}
-	for _, key := range []string{"encryptWindow", "EncryptWindow", "packHint", "PackHint", "pool", "Pool"} {
+	for _, key := range []string{"encryptWindow", "EncryptWindow", "packHint", "PackHint", "pool", "Pool",
+		"deltaCache", "DeltaCache", "simCache", "SimCache"} {
 		if _, err := decode(`{"dataset":"Rice","` + key + `":1}`); err == nil || !strings.Contains(err.Error(), "unknown field") {
 			t.Fatalf("%q: want an unknown-field error, got %v", key, err)
+		}
+	}
+	s := New()
+	defer s.Close()
+	for _, key := range []string{"deltaCache", "simCache"} {
+		body := map[string]any{"dataset": "Rice", "rows": 40, "parties": 2, key: true}
+		if code := serveJSON(t, s, "POST", "/v1/consortiums", body, nil); code != http.StatusBadRequest {
+			t.Fatalf("create carrying %q returned %d, want 400", key, code)
 		}
 	}
 	raw, err := json.Marshal(CreateRequest{})
@@ -309,8 +320,8 @@ func TestCreateRequestJSONUnchanged(t *testing.T) {
 		keys = append(keys, k)
 	}
 	slices.Sort(keys)
-	wantKeys := []string{"dataset", "deltaCache", "dpEpsilon", "keyBits", "parallelism", "parties",
-		"rows", "scheme", "shardWorkers", "shuffleSeed", "simCache", "splitSeed"}
+	wantKeys := []string{"dataset", "dpEpsilon", "keyBits", "parallelism", "parties",
+		"rows", "scheme", "shardWorkers", "shuffleSeed", "splitSeed"}
 	if !slices.Equal(keys, wantKeys) {
 		t.Fatalf("encoded keys %v, want %v", keys, wantKeys)
 	}

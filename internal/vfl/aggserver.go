@@ -47,19 +47,19 @@ type AggServer struct {
 	packNeed atomic.Int64
 
 	// recvCache / sentCache hold the party→agg and agg→leader halves of the
-	// cross-round delta encoding (see deltacache.go). The receive side is a
-	// per-party pool: the FIFO bound applies per link, so one party's blocks
-	// never evict another's — a shared FIFO at a 6+ roster overflows during a
-	// single round and then never hits again.
+	// cross-round delta encoding (see deltacache.go), used exactly when the
+	// scheme is Paillier. The receive side is a per-party pool: the byte bound
+	// applies per link, so one party's blocks never evict another's — a
+	// shared FIFO at a 6+ roster overflows during a single round and then
+	// never hits again.
 	recvCache deltaCachePool
 	sentCache deltaCache
 }
 
-// payloadOpts carries the requester's payload-optimisation knobs through the
-// aggregation call tree.
+// payloadOpts carries the requester's payload flags through the aggregation
+// call tree.
 type payloadOpts struct {
 	adaptive bool
-	delta    bool
 	noCache  bool
 }
 
@@ -92,7 +92,10 @@ func (a *AggServer) observeNeedBits(maxNeed int) {
 }
 
 // NewAggServer wires the server to its participants through the given
-// transport. scheme must be the public (encrypt/add) scheme. It reads
+// transport. scheme must be the public (encrypt/add) scheme; under Paillier
+// with packed parties it must carry the whole roster's packing geometry
+// (ConfigurePacking with the full party count, also on a shard worker), from
+// which the delta cache keys the parties' blocks. It reads
 // opts.Parallelism (party fan-out and reduce concurrency) and opts.PackHint,
 // which seeds the slot-width negotiation (see Options.PackHint); a hint the
 // data outgrew just triggers the standard static-fallback round.
@@ -227,7 +230,7 @@ func (a *AggServer) serveLeader(ctx context.Context, method string, req []byte) 
 		if err := wire.Unmarshal(req, &r); err != nil {
 			return nil, err
 		}
-		query, opt = r.Query, payloadOpts{adaptive: r.Adaptive, delta: r.Delta, noCache: r.NoCache}
+		query, opt = r.Query, payloadOpts{adaptive: r.Adaptive, noCache: r.NoCache}
 		var csp *obs.Span
 		ctx, csp = a.tracer().Start(ctx, SpanCollectAll)
 		defer csp.End()
@@ -236,7 +239,7 @@ func (a *AggServer) serveLeader(ctx context.Context, method string, req []byte) 
 		if err := wire.Unmarshal(req, &r); err != nil {
 			return nil, err
 		}
-		query, opt = r.Query, payloadOpts{adaptive: r.Adaptive, delta: r.Delta, noCache: r.NoCache}
+		query, opt = r.Query, payloadOpts{adaptive: r.Adaptive, noCache: r.NoCache}
 		var fsp *obs.Span
 		ctx, fsp = a.tracer().Start(ctx, SpanFagin)
 		defer fsp.End()
@@ -251,7 +254,7 @@ func (a *AggServer) serveLeader(ctx context.Context, method string, req []byte) 
 		if err := wire.Unmarshal(req, &r); err != nil {
 			return nil, err
 		}
-		query, ids, opt = r.Query, r.PseudoIDs, payloadOpts{adaptive: r.Adaptive, delta: r.Delta, noCache: r.NoCache}
+		query, ids, opt = r.Query, r.PseudoIDs, payloadOpts{adaptive: r.Adaptive, noCache: r.NoCache}
 	}
 
 	actx := ctx
@@ -270,7 +273,10 @@ func (a *AggServer) serveLeader(ctx context.Context, method string, req []byte) 
 	if root.factor > 1 {
 		adds = len(a.parties)
 	}
-	out, cached := a.trimForLeader(query, root, opt)
+	out, cached, err := a.trimForLeader(query, root, opt)
+	if err != nil {
+		return nil, err
+	}
 	var resp wire.Message
 	switch method {
 	case MethodCollectAll:
@@ -418,21 +424,18 @@ func (a *AggServer) collectReduce(ctx context.Context, sources []string, all boo
 // all is set, the given candidates (EncryptCandidates) otherwise — through the
 // receive path of the party link.
 func (a *AggServer) pullParty(ctx context.Context, party string, query int, ids []int, all bool, dictate int, opt payloadOpts) (*collected, error) {
-	link := recvLink{peer: party, role: a.roleName(), counts: &a.counts, ro: &a.roleObs}
-	if opt.delta {
-		link.cache = a.recvCache.forPeer(party)
-	}
+	link := newRecvLink(party, a.scheme, a.recvCache.forPeer(party), a.roleName(), &a.counts, &a.roleObs)
 	return link.fetch(query, opt.noCache, func(noCache bool) (*collected, []int, error) {
 		if all {
 			var resp EncryptAllResp
 			err := a.call(ctx, party, MethodEncryptAll,
-				&EncryptAllReq{Query: query, PackBits: dictate, Delta: opt.delta, NoCache: noCache}, &resp)
+				&EncryptAllReq{Query: query, PackBits: dictate, NoCache: noCache}, &resp)
 			return &collected{pids: resp.PseudoIDs, blobs: resp.Ciphers, factor: resp.PackFactor,
 				bits: resp.PackBits, need: resp.NeedBits}, resp.CachedBlocks, err
 		}
 		var resp EncryptCandidatesResp
 		err := a.call(ctx, party, MethodEncryptCandidates,
-			&EncryptCandidatesReq{Query: query, PseudoIDs: ids, PackBits: dictate, Delta: opt.delta, NoCache: noCache}, &resp)
+			&EncryptCandidatesReq{Query: query, PseudoIDs: ids, PackBits: dictate, NoCache: noCache}, &resp)
 		return &collected{pids: ids, blobs: resp.Ciphers, factor: resp.PackFactor,
 			bits: resp.PackBits, need: resp.NeedBits}, resp.CachedBlocks, err
 	})
@@ -514,22 +517,28 @@ func (a *AggServer) reduceVectors(ctx context.Context, vecs [][][]byte) ([][]byt
 }
 
 // trimForLeader applies the leader-link delta encoding to an outgoing
-// aggregate: blocks the sent cache already holds are withheld (aggregation is
-// recomputed every round, but homomorphic addition is deterministic, so an
-// all-inputs-identical round reproduces the aggregate byte for byte). Returns
-// the wire vector and the withheld indices.
-func (a *AggServer) trimForLeader(query int, root *collected, opt payloadOpts) (out [][]byte, cached []int) {
-	if !opt.delta {
-		return root.blobs, nil
+// Paillier aggregate: blocks the sent cache already holds are withheld
+// (aggregation is recomputed every round, but homomorphic addition is
+// deterministic, so an all-inputs-identical round reproduces the aggregate
+// byte for byte). Returns the wire vector and the withheld indices.
+func (a *AggServer) trimForLeader(query int, root *collected, opt payloadOpts) (out [][]byte, cached []int, err error) {
+	pp, ok := a.scheme.(*he.Paillier)
+	if !ok {
+		return root.blobs, nil, nil
 	}
-	keys := blockKeys("leader", query, root.bits, root.factor, root.pids)
+	layout, err := layoutOf(pp, root.bits, root.factor)
+	if err != nil {
+		return nil, nil, err
+	}
+	keys := blockKeys("leader", query, layout, root.pids)
 	if opt.noCache {
 		for b, key := range keys {
 			a.sentCache.put(key, root.blobs[b])
 		}
-		return root.blobs, nil
+		return root.blobs, nil, nil
 	}
-	return a.sentCache.trim(keys, root.blobs)
+	out, cached = a.sentCache.trim(keys, root.blobs)
+	return out, cached, nil
 }
 
 // aggregateFrontier sums the parties' encrypted scores at one scan rank —

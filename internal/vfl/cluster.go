@@ -3,6 +3,7 @@ package vfl
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"vfps/internal/costmodel"
 	"vfps/internal/dataset"
@@ -268,8 +269,9 @@ func (c *Cluster) checkMembershipScheme() error {
 // the participant node over the shared public scheme and shuffle seed,
 // registers it on the transport, and rewires the aggregation roster, shard
 // plan, pack headroom and leader roster in place — no teardown, and every
-// surviving node keeps its state (delta caches included, so a re-selection
-// after the join re-encrypts only the new party's blocks). The joiner must
+// surviving node keeps its state (delta caches included, so a Paillier
+// re-selection after the join re-encrypts only the new party's blocks
+// wherever the candidates and the slot layout held). The joiner must
 // hold features for the same instance rows. Node names are never reused: a
 // join after a removal gets a fresh index, so cached ciphertext blocks can
 // never alias across distinct parties. Callers fence concurrent selections
@@ -321,12 +323,26 @@ func (c *Cluster) RemoveParticipant(index int) error {
 	if len(c.partyNames) == 1 {
 		return fmt.Errorf("vfl: cannot remove the last participant")
 	}
-	// Drop the handler too: it keeps the participant, its feature matrix and
-	// its query cache reachable for as long as it stays registered.
+	// Drop the handler, the metric series and the vacated slot too: each
+	// keeps the participant, its feature matrix, its query cache and its
+	// delta cache reachable for as long as it stays.
 	c.Transport.Unregister(name)
-	c.Parties = append(c.Parties[:pos], c.Parties[pos+1:]...)
-	c.partyNames = append(c.partyNames[:pos], c.partyNames[pos+1:]...)
+	c.dropSeries(name)
+	c.Parties = slices.Delete(c.Parties, pos, pos+1)
+	c.partyNames = slices.Delete(c.partyNames, pos, pos+1)
 	return c.rewire()
+}
+
+// dropSeries deletes the metric series of a node that left for good: its
+// cost gauges, whose pull closures hold the node's counters (and through
+// them the node), and the transport series of calls to it. Node names are
+// never reused, so without this the registry grows by one set per join.
+// The transport families carry no instance label, so a same-named peer of
+// another consortium on the registry restarts its transport series at zero.
+func (c *Cluster) dropSeries(node string) {
+	reg := c.observer.Registry()
+	reg.DeleteSeries(map[string]string{"instance": c.instance, "role": node})
+	reg.DeleteSeries(map[string]string{"peer": node})
 }
 
 // rewire propagates the current roster through every layer that depends on
@@ -348,6 +364,7 @@ func (c *Cluster) rewire() error {
 	// ones it dropped must not stay reachable.
 	for wi := len(workers); wi < len(c.Workers); wi++ {
 		c.Transport.Unregister(AggWorkerName(wi))
+		c.dropSeries(AggWorkerName(wi))
 	}
 	c.Workers = workers
 	var workerNames []string

@@ -75,8 +75,8 @@ func (lt *linkTap) tap(tr *transport.Memory, node string, h transport.Handler) {
 // link it guards. Two warm rounds bring the delta cache to its steady state;
 // then the receiving end of one link loses its cache — emptied in place, or,
 // for the coordinator, never filled because the shard worker that held the
-// link died — and a third round must still select exactly what a delta-off
-// consortium selects. Every response that withheld blocks the receiver no
+// link died — and a third round must still select exactly what a fresh
+// consortium's cold round selects. Every response that withheld blocks the receiver no
 // longer holds is one charged miss, and each miss costs exactly one NoCache
 // retry on that link.
 func TestDeltaMissRetry(t *testing.T) {
@@ -120,7 +120,7 @@ func TestDeltaMissRetry(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cl, err := NewLocalCluster(ctx, ClusterConfig{Partition: pt, Scheme: "paillier", KeyBits: 256,
-				ShuffleSeed: 7, Batch: 8, Options: Options{DeltaCache: true, ShardWorkers: c.workers}})
+				ShuffleSeed: 7, Batch: 8, Options: Options{ShardWorkers: c.workers}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,7 +142,7 @@ func TestDeltaMissRetry(t *testing.T) {
 			for i := range want.W {
 				for j := range want.W[i] {
 					if got.W[i][j] != want.W[i][j] {
-						t.Fatalf("W[%d][%d] = %v after the retry, %v without delta caching", i, j, got.W[i][j], want.W[i][j])
+						t.Fatalf("W[%d][%d] = %v after the retry, %v on a cold cluster", i, j, got.W[i][j], want.W[i][j])
 					}
 				}
 			}
@@ -167,53 +167,66 @@ func TestDeltaMissRetry(t *testing.T) {
 
 // TestCollectRejectsHostileLayout pins each layout check of the collect
 // pipeline against a peer that answers with a well-framed but inconsistent
-// vector. Every case must fail fast with an error naming that peer.
+// vector. Every case must fail fast with an error naming that peer. A
+// non-Paillier link caches nothing, so withholding there is refused outright;
+// a Paillier peer that still withholds after the NoCache retry broke the
+// layout contract rather than missing a cache.
 func TestCollectRejectsHostileLayout(t *testing.T) {
 	_, pt := testPartition(t, "Rice", 40, 4)
 	hostileParty := PartyName(1)
+	// Each edit withholds block 0 of every reply, NoCache or not.
+	withholdParty := func(raw []byte) []byte {
+		var resp EncryptCandidatesResp
+		mustUnmarshal(t, raw, &resp)
+		resp.Ciphers[0], resp.CachedBlocks = nil, []int{0}
+		return enc(&resp)
+	}
+	withholdAggregate := func(raw []byte) []byte {
+		var resp FaginCollectResp
+		mustUnmarshal(t, raw, &resp)
+		resp.Aggregated[0], resp.CachedBlocks = nil, []int{0}
+		return enc(&resp)
+	}
 	for _, c := range []struct {
 		name    string
+		scheme  string
 		workers int
 		node    string
 		method  string
 		edit    func(resp []byte) []byte
 		want    string
 	}{
-		{"party withholds without delta", 0, hostileParty, MethodEncryptCandidates, func(raw []byte) []byte {
-			var resp EncryptCandidatesResp
-			mustUnmarshal(t, raw, &resp)
-			resp.Ciphers[0], resp.CachedBlocks = nil, []int{0}
-			return enc(&resp)
-		}, "withheld 1 blocks without delta caching"},
-		{"party returns too few ciphertexts", 0, hostileParty, MethodEncryptCandidates, func(raw []byte) []byte {
+		{"party withholds without delta", "plain", 0, hostileParty, MethodEncryptCandidates, withholdParty,
+			"withheld 1 blocks without delta caching"},
+		{"party withholds from a NoCache resend", "paillier", 0, hostileParty, MethodEncryptCandidates, withholdParty,
+			"withheld 1 blocks from a NoCache resend"},
+		{"party returns too few ciphertexts", "paillier", 0, hostileParty, MethodEncryptCandidates, func(raw []byte) []byte {
 			var resp EncryptCandidatesResp
 			mustUnmarshal(t, raw, &resp)
 			resp.Ciphers = resp.Ciphers[:len(resp.Ciphers)-1]
 			return enc(&resp)
 		}, "aggregates for"},
-		{"party returns too many ciphertexts for BASE", 0, hostileParty, MethodEncryptAll, func(raw []byte) []byte {
+		{"party returns too many ciphertexts for BASE", "paillier", 0, hostileParty, MethodEncryptAll, func(raw []byte) []byte {
 			var resp EncryptAllResp
 			mustUnmarshal(t, raw, &resp)
 			resp.Ciphers = append(resp.Ciphers, resp.Ciphers[0])
 			return enc(&resp)
 		}, "aggregates for"},
-		{"shard worker returns too many aggregates", 2, AggWorkerName(1), MethodShardCollect, func(raw []byte) []byte {
+		{"shard worker returns too many aggregates", "paillier", 2, AggWorkerName(1), MethodShardCollect, func(raw []byte) []byte {
 			var resp ShardCollectResp
 			mustUnmarshal(t, raw, &resp)
 			resp.Ciphers = append(resp.Ciphers, resp.Ciphers[0])
 			return enc(&resp)
 		}, "aggregates for"},
-		{"aggregation server withholds without delta", 0, AggServerName, MethodFaginCollect, func(raw []byte) []byte {
-			var resp FaginCollectResp
-			mustUnmarshal(t, raw, &resp)
-			resp.Aggregated[0], resp.CachedBlocks = nil, []int{0}
-			return enc(&resp)
-		}, "withheld 1 blocks without delta caching"},
+		{"aggregation server withholds without delta", "plain", 0, AggServerName, MethodFaginCollect, withholdAggregate,
+			"withheld 1 blocks without delta caching"},
+		{"aggregation server withholds from a NoCache resend", "paillier", 0, AggServerName, MethodFaginCollect, withholdAggregate,
+			"withheld 1 blocks from a NoCache resend"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
-			cl, err := NewLocalCluster(ctx, ClusterConfig{Partition: pt, Scheme: "paillier", KeyBits: 256,
+			cl, err := NewLocalCluster(ctx, ClusterConfig{Partition: pt, Scheme: c.scheme, KeyBits: 256,
 				ShuffleSeed: 7, Batch: 8, Options: Options{ShardWorkers: c.workers}})
 			if err != nil {
 				t.Fatal(err)

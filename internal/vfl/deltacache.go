@@ -7,20 +7,27 @@ import (
 	"sort"
 	"sync"
 
+	"vfps/internal/fixed"
+	"vfps/internal/he"
 	"vfps/internal/obs"
 )
 
 // Cross-round delta encoding: partial distances are a pure function of
 // (query, pseudo-ID, party) over a static dataset, so when a monitoring
 // workload re-runs the same queries, most ciphertext blocks on the wire are
-// byte-identical to the previous round. Both ends of a transfer keep a
-// bounded per-link cache of blocks keyed by that identity; the sender withholds blocks
-// the receiver is known to hold (empty placeholder + index list) and the
-// receiver restores them locally. Paillier encryption is randomized, so a
-// sender-side hit must reuse the cached ciphertext bytes — which also skips
-// the re-encryption — rather than re-encrypt; aggregated blocks only hit when
-// every input block was identical, because the homomorphic sum is recomputed
-// every round and compared byte for byte before any withholding.
+// byte-identical to the previous round. Wherever a block is a Paillier
+// ciphertext, both ends of a transfer keep a bounded per-link cache of blocks
+// keyed by that identity and by the slot layout that encoded it; the sender
+// withholds blocks the receiver is known to hold (empty placeholder + index
+// list) and the receiver restores them locally. The scheme decides, not an
+// option: the only saving is skipped encryptions, so the other schemes never
+// cache. Paillier encryption is randomized, so a sender-side hit must reuse
+// the cached ciphertext bytes — which also skips the re-encryption — rather
+// than re-encrypt; aggregated blocks only hit when every input block was
+// identical, because the homomorphic sum is recomputed every round and
+// compared byte for byte before any withholding. The leader scopes reuse to
+// the previous round: only a query that round also ran may be withheld, and
+// every other query is collected with NoCache (Leader.beginRound).
 //
 // A receiver that evicted a block the sender assumed cached fails restore
 // with ErrDeltaCacheMiss; the requester retries once with NoCache set, which
@@ -30,26 +37,30 @@ import (
 // longer holds. It is the typed trigger for the full-resend retry.
 var ErrDeltaCacheMiss = errors.New("vfl: delta cache miss")
 
-// deltaCacheLimit bounds each link's block cache (FIFO eviction). At the
-// default packing density a block is one ciphertext, so the bound is a few MB
-// per link at paper scale. The bound is per peer link, not per role: a
-// receiver with many senders keys a separate cache per sender (deltaCachePool)
-// so one link's traffic cannot evict another's blocks. A shared FIFO at
-// capacity cascades — every full resend re-inserts its keys, evicting other
-// senders' still-needed blocks, until no withheld block ever hits.
-const deltaCacheLimit = 4096
+// deltaCacheBytes bounds each link's block cache by the ciphertext bytes it
+// holds (FIFO eviction): 64 ciphertexts at 2048-bit keys, 512 at 256-bit
+// ones. A block is one packed ciphertext, so that covers a few repeat queries
+// of a small consortium without the resident set following the query count.
+// The bound is per peer link, not per role: a receiver with many senders
+// keys a separate cache per sender (deltaCachePool) so one link's traffic
+// cannot evict another's blocks. A shared FIFO at capacity cascades — every
+// full resend re-inserts its keys, evicting other senders' still-needed
+// blocks, until no withheld block ever hits.
+const deltaCacheBytes = 32 << 10
 
-// deltaCache is a bounded FIFO map from block identity to ciphertext bytes.
-// The zero value is ready to use. Eviction advances a ring index into order
-// instead of reslicing it: a reslice (`order = order[1:]`) would pin the
-// evicted keys' backing array forever on a long-lived aggserver and grow the
-// dead prefix without bound. The dead prefix is compacted away once it
-// reaches half the slice, so memory stays O(deltaCacheLimit).
+// deltaCache is a byte-bounded FIFO map from block identity to ciphertext
+// bytes. The zero value is ready to use. Eviction advances a ring index into
+// order instead of reslicing it: a reslice (`order = order[1:]`) would pin
+// the evicted keys' backing array forever on a long-lived aggserver and grow
+// the dead prefix without bound. The dead prefix is compacted away once it
+// reaches half the slice, so the bookkeeping stays proportional to the live
+// entries.
 type deltaCache struct {
 	mu    sync.Mutex
 	m     map[string][]byte
 	order []string
 	head  int // index of the oldest live key in order; order[:head] is dead
+	size  int // bytes of the live blobs
 }
 
 func (c *deltaCache) get(key string) ([]byte, bool) {
@@ -65,31 +76,36 @@ func (c *deltaCache) put(key string, blob []byte) {
 	if c.m == nil {
 		c.m = make(map[string][]byte)
 	}
-	if prev, ok := c.m[key]; ok {
-		if bytes.Equal(prev, blob) {
-			// Byte-identical re-put (the common restore-refresh path): keep
-			// the copy already owned by the cache.
-			return
-		}
-	} else {
-		if len(c.order)-c.head >= deltaCacheLimit {
-			delete(c.m, c.order[c.head])
-			c.order[c.head] = "" // unpin the evicted key string
-			c.head++
-			if c.head*2 >= len(c.order) {
-				c.order = append(c.order[:0], c.order[c.head:]...)
-				c.head = 0
-			}
-		}
+	prev, ok := c.m[key]
+	if ok && bytes.Equal(prev, blob) {
+		// Byte-identical re-put (the common restore-refresh path): keep the
+		// copy already owned by the cache.
+		return
+	}
+	if !ok {
 		c.order = append(c.order, key)
 	}
 	// Defensive copy: callers reuse encode buffers, and an aliased blob
 	// mutated after the put would silently corrupt future hit comparisons.
 	c.m[key] = append([]byte(nil), blob...)
+	c.size += len(blob) - len(prev)
+	// Evict the oldest blocks until the bound holds again; the newest block
+	// stays even when it alone exceeds the bound.
+	for c.size > deltaCacheBytes && len(c.order)-c.head > 1 {
+		oldest := c.order[c.head]
+		c.size -= len(c.m[oldest])
+		delete(c.m, oldest)
+		c.order[c.head] = "" // unpin the evicted key string
+		c.head++
+	}
+	if c.head > 0 && c.head*2 >= len(c.order) {
+		c.order = append(c.order[:0], c.order[c.head:]...)
+		c.head = 0
+	}
 }
 
 // deltaCachePool partitions delta caches per peer link: each sender a
-// receiver talks to gets its own FIFO with its own deltaCacheLimit bound.
+// receiver talks to gets its own FIFO with its own deltaCacheBytes bound.
 // Block keys already embed the peer, so the partition only changes capacity
 // accounting, never key semantics. The zero value is ready to use.
 type deltaCachePool struct {
@@ -145,12 +161,13 @@ func (c *deltaCache) len() int {
 	return len(c.m)
 }
 
-// orderFootprint reports the bookkeeping slice's length and capacity (tests:
-// both must stay O(deltaCacheLimit) under sustained eviction pressure).
-func (c *deltaCache) orderFootprint() (length, capacity int) {
+// footprint reports the live blob bytes and the bookkeeping slice's length
+// and capacity (tests: all three must stay bounded under sustained eviction
+// pressure).
+func (c *deltaCache) footprint() (size, length, capacity int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.order), cap(c.order)
+	return c.size, len(c.order), cap(c.order)
 }
 
 // idSig folds a pseudo-ID segment into an order-sensitive FNV-style
@@ -164,17 +181,57 @@ func idSig(pids []int) uint64 {
 	return h
 }
 
+// slotLayout names how a vector's values were laid into its ciphertexts: the
+// pack factor S and the slot width W and value bound V of the packer that
+// packed them; W = V = 0 means one value per ciphertext.
+type slotLayout struct {
+	factor int
+	w, v   uint
+}
+
+// layoutOf derives the slot layout of a vector packed factor-wide under the
+// adaptive width bits (0 = the static geometry). The packer is the one
+// encryptItems encodes with — PackerFor(bits, MaxPackAdds()) when bits > 0,
+// Packer() otherwise — rebuilt from the scheme the caller holds, so sender
+// and receiver derive the same layout with no wire field. W follows the
+// roster's add headroom even when the factor and bits do not move, which is
+// why a block key must name it.
+func layoutOf(pp *he.Paillier, bits, factor int) (slotLayout, error) {
+	factor = normFactor(factor)
+	if factor == 1 {
+		return slotLayout{factor: 1}, nil
+	}
+	packer, err := encodingPacker(pp, bits)
+	if err != nil {
+		return slotLayout{}, err
+	}
+	if packer == nil {
+		return slotLayout{}, fmt.Errorf("vfl: %d-wide packed blocks, but this role's scheme has no packing geometry (ConfigurePacking with the roster size)", factor)
+	}
+	return slotLayout{factor: factor, w: packer.SlotBits(), v: packer.ValueBits()}, nil
+}
+
+// encodingPacker returns the packer a vector packed under the adaptive width
+// bits is encoded with: the dictated geometry at the roster's add headroom
+// when bits > 0, the static one otherwise.
+func encodingPacker(pp *he.Paillier, bits int) (*fixed.Packer, error) {
+	if bits > 0 {
+		return pp.PackerFor(uint(bits), pp.MaxPackAdds())
+	}
+	return pp.Packer(), nil
+}
+
 // blockKeys derives the cache key of every block of a ciphertext vector:
 // peer scopes the link (a receiver caches per sender), then the query, the
-// slot geometry (adaptive pack bits and factor — a renegotiated width is a
-// different block) and the covered pseudo-ID segment.
-func blockKeys(peer string, query, packBits, factor int, pids []int) []string {
-	blocks := packedLen(len(pids), factor)
+// slot layout (a renegotiated width or a resized headroom is a different
+// block) and the covered pseudo-ID segment.
+func blockKeys(peer string, query int, l slotLayout, pids []int) []string {
+	blocks := packedLen(len(pids), l.factor)
 	keys := make([]string, blocks)
 	for b := 0; b < blocks; b++ {
-		lo := b * factor
-		hi := min(lo+factor, len(pids))
-		keys[b] = fmt.Sprintf("%s|%d|%d|%d|%d|%x", peer, query, packBits, factor, b, idSig(pids[lo:hi]))
+		lo := b * l.factor
+		hi := min(lo+l.factor, len(pids))
+		keys[b] = fmt.Sprintf("%s|%d|%d|%d|%d|%d|%x", peer, query, l.factor, l.w, l.v, b, idSig(pids[lo:hi]))
 	}
 	return keys
 }

@@ -20,10 +20,14 @@ import (
 // reservedTags lists each message's retired tags. A retired tag is never
 // bound again, so a peer that still sends it is skipped like any unknown tag.
 var reservedTags = map[string]map[int]string{
-	"CollectAllReq":    {2: "retired chunk size"},
-	"CollectAllResp":   {7: "retired chunk-framed blocks"},
-	"FaginCollectReq":  {4: "retired chunk size"},
-	"FaginCollectResp": {8: "retired chunk-framed blocks"},
+	"EncryptAllReq":          {3: "retired delta flag"},
+	"EncryptCandidatesReq":   {4: "retired delta flag"},
+	"AggregateCandidatesReq": {4: "retired delta flag"},
+	"CollectAllReq":          {2: "retired chunk size", 4: "retired delta flag"},
+	"CollectAllResp":         {7: "retired chunk-framed blocks"},
+	"FaginCollectReq":        {4: "retired chunk size", 6: "retired delta flag"},
+	"FaginCollectResp":       {8: "retired chunk-framed blocks"},
+	"ShardCollectReq":        {5: "retired delta flag"},
 }
 
 // tableMessages returns one instance of every message type allMessages()

@@ -27,10 +27,10 @@ func allMessages() []wire.Message {
 		&PrivateKeyResp{Scheme: "secagg", Parties: 4, MaskSeed: 99},
 		&RankingBatchReq{Query: 3, Offset: 64, Count: 32},
 		&RankingBatchResp{PseudoIDs: []int{9, 4, 17, 16}}, // unsorted: negative deltas
-		&EncryptAllReq{Query: 12, PackBits: 40, Delta: true, NoCache: true},
+		&EncryptAllReq{Query: 12, PackBits: 40, NoCache: true},
 		&EncryptAllResp{PseudoIDs: []int{1, 2, 3}, Ciphers: [][]byte{{0xde, 0xad}, {0xbe}}, PackFactor: 2,
 			PackBits: 36, NeedBits: 30, CachedBlocks: []int{0, 2}},
-		&EncryptCandidatesReq{Query: 5, PseudoIDs: []int{100, 7}, PackBits: 20, Delta: true},
+		&EncryptCandidatesReq{Query: 5, PseudoIDs: []int{100, 7}, PackBits: 20, NoCache: true},
 		&EncryptCandidatesResp{Ciphers: [][]byte{{1}, {2, 3}}, PackFactor: 1,
 			NeedBits: 18, CachedBlocks: []int{1}},
 		&NeighborSumReq{Query: 2, PseudoIDs: []int{8, 3, 11}},
@@ -40,20 +40,20 @@ func allMessages() []wire.Message {
 			Messages: 7, BytesSent: 8, FramingBytes: 9, CacheHits: 10, CacheMisses: 11}},
 		&EncryptRankScoreReq{Query: 1, Rank: 9},
 		&EncryptRankScoreResp{Cipher: []byte{5, 6}},
-		&AggregateCandidatesReq{Query: 4, PseudoIDs: []int{2, 1}, Adaptive: true, Delta: true, NoCache: true},
+		&AggregateCandidatesReq{Query: 4, PseudoIDs: []int{2, 1}, Adaptive: true, NoCache: true},
 		&AggregateCandidatesResp{Aggregated: [][]byte{{9}}, PackFactor: 3,
 			PackBits: 36, PackAdds: 3, CachedBlocks: []int{0}},
 		&AggregateFrontierReq{Query: 6, Rank: 2},
 		&AggregateFrontierResp{Cipher: []byte{7}},
-		&CollectAllReq{Query: 8, Adaptive: true, Delta: true, NoCache: true},
+		&CollectAllReq{Query: 8, Adaptive: true, NoCache: true},
 		&CollectAllResp{PseudoIDs: []int{0, 5}, Aggregated: [][]byte{{1, 1}, {2, 2}}, PackFactor: 1,
 			PackBits: 36, PackAdds: 3, CachedBlocks: []int{1}},
-		&FaginCollectReq{Query: 7, K: 10, Batch: 32, Adaptive: true, Delta: true},
+		&FaginCollectReq{Query: 7, K: 10, Batch: 32, Adaptive: true, NoCache: true},
 		&FaginCollectResp{PseudoIDs: []int{3, 1}, Aggregated: [][]byte{{4}}, PackFactor: 2,
 			Stats: FaginStats{Rounds: 2, ScanDepth: 64, Candidates: 9}},
 		&FaginCollectResp{PseudoIDs: []int{3, 1}, PackFactor: 2, PackBits: 40, PackAdds: 4,
 			CachedBlocks: []int{0, 1}, Stats: FaginStats{Rounds: 1, ScanDepth: 8, Candidates: 2}},
-		&ShardCollectReq{Query: 11, PseudoIDs: []int{6, 2}, PackBits: 24, Delta: true, NoCache: true},
+		&ShardCollectReq{Query: 11, PseudoIDs: []int{6, 2}, PackBits: 24, NoCache: true},
 		&ShardCollectReq{Query: 11, All: true, PackBits: 24},
 		&ShardCollectResp{PseudoIDs: []int{0, 3}, Ciphers: [][]byte{{0xfe}, {0xff, 1}},
 			PackFactor: 2, PackBits: 30, NeedBits: 26},
@@ -88,12 +88,13 @@ func TestGoldenVectors(t *testing.T) {
 		// IDs + pack factor + nested FaginStats, blob field absent.
 		{&FaginCollectResp{PseudoIDs: []int{1}, PackFactor: 1, Stats: FaginStats{Rounds: 2}},
 			"00010a020102180222020804", 0},
-		// Adaptive/delta request flags: booleans encode as varint 1 when set
-		// and are omitted when clear (legacy peers skip the unknown tags).
-		{&EncryptAllReq{Query: 12, PackBits: 40, Delta: true, NoCache: true},
-			"00010818105018022002", 0},
-		{&AggregateCandidatesReq{Query: 4, PseudoIDs: []int{2, 1}, Adaptive: true, Delta: true},
-			"00010808120302040118022002", 0},
+		// Adaptive/no-cache request flags: booleans encode as varint 1 when
+		// set and are omitted when clear (legacy peers skip the unknown tags).
+		// The retired delta flag's tag stays unbound between them.
+		{&EncryptAllReq{Query: 12, PackBits: 40, NoCache: true},
+			"0001081810502002", 0},
+		{&AggregateCandidatesReq{Query: 4, PseudoIDs: []int{2, 1}, Adaptive: true},
+			"0001080812030204011802", 0},
 		// Delta response: a withheld block rides as a 0-length blob
 		// placeholder and its index appears in the CachedBlocks ID list.
 		{&EncryptAllResp{PseudoIDs: []int{4, 9}, Ciphers: [][]byte{{0xaa}, {}}, PackFactor: 2,
@@ -106,9 +107,9 @@ func TestGoldenVectors(t *testing.T) {
 		{&CountsResp{Counts: costmodel.Raw{CacheHits: 2, CacheMisses: 1}},
 			"00010a0450045802", 0},
 		// Shard collect request, candidate pattern: query, delta-coded IDs,
-		// dictated pack bits, then the delta/no-cache flags.
-		{&ShardCollectReq{Query: 11, PseudoIDs: []int{6, 2}, PackBits: 24, Delta: true, NoCache: true},
-			"000108161203020c07203028023002", 0},
+		// dictated pack bits, then the no-cache flag (tag 5 stays reserved).
+		{&ShardCollectReq{Query: 11, PseudoIDs: []int{6, 2}, PackBits: 24, NoCache: true},
+			"000108161203020c0720303002", 0},
 		// BASE pattern: the All flag rides tag 3, the ID list is absent.
 		{&ShardCollectReq{Query: 3, All: true, PackBits: 40},
 			"0001080618022050", 0},

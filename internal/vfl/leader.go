@@ -57,17 +57,19 @@ type Leader struct {
 	// flag; it is a field only so this package's tests can clear it to build
 	// the static-geometry reference.
 	adaptive bool
-	// delta asks the aggregation server for cross-round delta encoding (see
-	// Options.DeltaCache); recvCache is the receive half of that leader-link
-	// cache.
-	delta     bool
+	// recvCache is the receive half of the leader link's delta cache (see
+	// deltacache.go), used exactly when the scheme is Paillier.
 	recvCache deltaCache
+	// roundMu guards prevRound and round: the query sets of the previous and
+	// the current protocol round (see beginRound).
+	roundMu          sync.Mutex
+	prevRound, round map[int]bool
 }
 
 // NewLeader wires the leader to the cluster. batch is the Fagin mini-batch
 // size (paper's b); a non-positive value defaults to 32. It reads
 // opts.Parallelism (1 serialises the party fan-out; vector decryption
-// follows the scheme's own setting, see ConfigureScheme) and opts.DeltaCache.
+// follows the scheme's own setting, see ConfigureScheme).
 // Under Paillier the leader's scheme gets the static slot geometry for this
 // roster (see ConfigurePacking), which fails when the key cannot hold one
 // slot.
@@ -89,7 +91,7 @@ func NewLeader(caller transport.Caller, aggNode string, parties []string, scheme
 	}
 	_, isPaillier := scheme.(*he.Paillier)
 	return &Leader{cc: transport.NewCodecCaller(caller), agg: aggNode, parties: parties, scheme: scheme, batch: batch,
-		parallelism: opts.Parallelism, adaptive: isPaillier, delta: opts.DeltaCache}, nil
+		parallelism: opts.Parallelism, adaptive: isPaillier}, nil
 }
 
 // call performs one outbound RPC and charges the encoded request bytes to the
@@ -154,8 +156,40 @@ type QueryResult struct {
 	Fagin FaginStats
 }
 
-// RunQuery executes the vertical KNN oracle for one query sample.
-func (l *Leader) RunQuery(ctx context.Context, query, k int, variant Variant) (res *QueryResult, err error) {
+// beginRound opens a protocol round over queries. Cross-round reuse is a
+// delta against the previous round: a query's blocks may be withheld only
+// when the previous round ran that query too, and every other query is
+// collected with NoCache (a full resend that still warms the caches). A block
+// that some older round left in a cache is never withheld, so what a round
+// costs depends on the round before it, not on how long the consortium has
+// run or which random query recurred.
+func (l *Leader) beginRound(queries []int) {
+	next := make(map[int]bool, len(queries))
+	for _, q := range queries {
+		next[q] = true
+	}
+	l.roundMu.Lock()
+	l.prevRound, l.round = l.round, next
+	l.roundMu.Unlock()
+}
+
+// reusable reports whether the previous round ran query (see beginRound).
+func (l *Leader) reusable(query int) bool {
+	l.roundMu.Lock()
+	defer l.roundMu.Unlock()
+	return l.prevRound[query]
+}
+
+// RunQuery executes the vertical KNN oracle for one query sample as a round
+// of its own.
+func (l *Leader) RunQuery(ctx context.Context, query, k int, variant Variant) (*QueryResult, error) {
+	l.beginRound([]int{query})
+	return l.runQuery(ctx, query, k, variant)
+}
+
+// runQuery executes the vertical KNN oracle for one query of the current
+// round.
+func (l *Leader) runQuery(ctx context.Context, query, k int, variant Variant) (res *QueryResult, err error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("vfl: k=%d must be positive", k)
 	}
@@ -277,10 +311,21 @@ func (c *collected) checkLen(peer string) error {
 // leader ← aggregation server, or aggregation server ← party.
 type recvLink struct {
 	peer   string            // the sender: named in errors, scopes the block keys
-	cache  *deltaCache       // withheld blocks restore from it; nil without delta
+	cache  *deltaCache       // withheld blocks restore from it; nil unless Paillier
+	pp     *he.Paillier      // derives the block keys' slot layout; set with cache
 	role   string            // metric series charged with the link's hits and misses
 	counts *costmodel.Counts // counters charged likewise
 	ro     *roleObs
+}
+
+// newRecvLink opens the receiving end of the link from peer. The link caches
+// exactly when the scheme is Paillier, into cache.
+func newRecvLink(peer string, scheme he.Scheme, cache *deltaCache, role string, counts *costmodel.Counts, ro *roleObs) recvLink {
+	in := recvLink{peer: peer, role: role, counts: counts, ro: ro}
+	if pp, ok := scheme.(*he.Paillier); ok {
+		in.cache, in.pp = cache, pp
+	}
+	return in
 }
 
 // fetch is the one receive path of every delta-encodable collection: call
@@ -289,12 +334,17 @@ type recvLink struct {
 // withheld blocks restored from the link's cache (without one, withholding is
 // refused). A first-attempt ErrDeltaCacheMiss — the receiver evicted a block
 // the sender assumed cached — is charged as a cache miss, and the call is
-// repeated once with NoCache set, which forces a full resend.
+// repeated once with NoCache set, which forces a full resend. A reply to a
+// NoCache request that still withholds blocks breaks the layout contract and
+// is refused, not retried.
 func (in recvLink) fetch(query int, noCache bool, call func(noCache bool) (*collected, []int, error)) (*collected, error) {
 	for attempt := 0; ; attempt++ {
 		col, cached, err := call(noCache)
 		if err != nil {
 			return nil, fmt.Errorf("vfl: collecting from %s: %w", in.peer, err)
+		}
+		if noCache && in.cache != nil && len(cached) > 0 {
+			return nil, fmt.Errorf("vfl: %s withheld %d blocks from a NoCache resend", in.peer, len(cached))
 		}
 		err = in.restore(query, col, cached)
 		if err == nil {
@@ -321,7 +371,11 @@ func (in recvLink) restore(query int, col *collected, cached []int) error {
 		}
 		return nil
 	}
-	hits, err := in.cache.restore(blockKeys(in.peer, query, col.bits, col.factor, col.pids), col.blobs, cached)
+	layout, err := layoutOf(in.pp, col.bits, col.factor)
+	if err != nil {
+		return fmt.Errorf("vfl: %s: %w", in.peer, err)
+	}
+	hits, err := in.cache.restore(blockKeys(in.peer, query, layout, col.pids), col.blobs, cached)
 	if hits > 0 {
 		in.counts.Add(costmodel.Raw{CacheHits: int64(hits)})
 		in.ro.recordDelta(in.role, hits, 0)
@@ -336,17 +390,14 @@ func (in recvLink) restore(query int, col *collected, cached []int) error {
 // returns the restored aggregate: the whole collection of the BASE or Fagin
 // variant, or, for the Threshold variant, one random-access round over ids.
 func (l *Leader) collect(ctx context.Context, query, k int, variant Variant, ids []int) (*collected, FaginStats, error) {
-	link := recvLink{peer: l.agg, role: "leader", counts: &l.counts, ro: &l.roleObs}
-	if l.delta {
-		link.cache = &l.recvCache
-	}
+	link := newRecvLink(l.agg, l.scheme, &l.recvCache, "leader", &l.counts, &l.roleObs)
 	var stats FaginStats
-	col, err := link.fetch(query, false, func(noCache bool) (*collected, []int, error) {
+	col, err := link.fetch(query, link.cache != nil && !l.reusable(query), func(noCache bool) (*collected, []int, error) {
 		switch variant {
 		case VariantBase:
 			var resp CollectAllResp
 			err := l.call(ctx, l.agg, MethodCollectAll,
-				&CollectAllReq{Query: query, Adaptive: l.adaptive, Delta: l.delta, NoCache: noCache}, &resp)
+				&CollectAllReq{Query: query, Adaptive: l.adaptive, NoCache: noCache}, &resp)
 			n := len(resp.PseudoIDs)
 			stats = FaginStats{Candidates: n, Rounds: 1, ScanDepth: n}
 			return &collected{pids: resp.PseudoIDs, blobs: resp.Aggregated, factor: resp.PackFactor,
@@ -354,14 +405,14 @@ func (l *Leader) collect(ctx context.Context, query, k int, variant Variant, ids
 		case VariantFagin:
 			var resp FaginCollectResp
 			err := l.call(ctx, l.agg, MethodFaginCollect,
-				&FaginCollectReq{Query: query, K: k, Batch: l.batch, Adaptive: l.adaptive, Delta: l.delta, NoCache: noCache}, &resp)
+				&FaginCollectReq{Query: query, K: k, Batch: l.batch, Adaptive: l.adaptive, NoCache: noCache}, &resp)
 			stats = resp.Stats
 			return &collected{pids: resp.PseudoIDs, blobs: resp.Aggregated, factor: resp.PackFactor,
 				bits: resp.PackBits, adds: resp.PackAdds}, resp.CachedBlocks, err
 		default:
 			var resp AggregateCandidatesResp
 			err := l.call(ctx, l.agg, MethodAggregateCandidates,
-				&AggregateCandidatesReq{Query: query, PseudoIDs: ids, Adaptive: l.adaptive, Delta: l.delta, NoCache: noCache}, &resp)
+				&AggregateCandidatesReq{Query: query, PseudoIDs: ids, Adaptive: l.adaptive, NoCache: noCache}, &resp)
 			return &collected{pids: ids, blobs: resp.Aggregated, factor: resp.PackFactor,
 				bits: resp.PackBits, adds: resp.PackAdds}, resp.CachedBlocks, err
 		}
@@ -705,12 +756,13 @@ func (l *Leader) SimilaritiesParallel(ctx context.Context, queries []int, k int,
 	return acc.Report(), nil
 }
 
-// runQueries executes the KNN oracle for every query, optionally in
-// parallel, preserving query order in the results.
+// runQueries executes the KNN oracle for every query as one round,
+// optionally in parallel, preserving query order in the results.
 func (l *Leader) runQueries(ctx context.Context, queries []int, k int, variant Variant, workers int) ([]*QueryResult, error) {
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("vfl: empty query set")
 	}
+	l.beginRound(queries)
 	if workers <= 0 {
 		workers = 1
 	}
@@ -720,7 +772,7 @@ func (l *Leader) runQueries(ctx context.Context, queries []int, k int, variant V
 	results := make([]*QueryResult, len(queries))
 	if workers == 1 {
 		for qi, q := range queries {
-			res, err := l.RunQuery(ctx, q, k, variant)
+			res, err := l.runQuery(ctx, q, k, variant)
 			if err != nil {
 				return nil, fmt.Errorf("vfl: query %d: %w", q, err)
 			}
@@ -738,7 +790,7 @@ func (l *Leader) runQueries(ctx context.Context, queries []int, k int, variant V
 			go func() {
 				defer wg.Done()
 				for qi := range next {
-					res, err := l.RunQuery(ctx, queries[qi], k, variant)
+					res, err := l.runQuery(ctx, queries[qi], k, variant)
 					if err != nil {
 						errOnce.Do(func() {
 							firstErr = fmt.Errorf("vfl: query %d: %w", queries[qi], err)

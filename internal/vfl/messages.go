@@ -96,13 +96,12 @@ type RankingBatchResp struct {
 // PackBits > 0 dictates the adaptive slot width (per-value magnitude bound,
 // in bits) the party must pack under — negotiated from the NeedBits the
 // parties advertised last round. 0 keeps the static EnablePacking geometry.
-// Delta asks the party to withhold ciphertext blocks the aggregator already
+// Under Paillier the party withholds ciphertext blocks the aggregator already
 // caches from an earlier round; NoCache forces a full resend (the cache-miss
 // recovery path).
 type EncryptAllReq struct {
 	Query    int
 	PackBits int
-	Delta    bool
 	NoCache  bool
 }
 
@@ -129,13 +128,12 @@ type EncryptAllResp struct {
 }
 
 // EncryptCandidatesReq asks for encrypted partial distances of the given
-// candidate pseudo IDs only (the Fagin-pruned set). PackBits, Delta and
-// NoCache behave as in EncryptAllReq.
+// candidate pseudo IDs only (the Fagin-pruned set). PackBits and NoCache
+// behave as in EncryptAllReq.
 type EncryptCandidatesReq struct {
 	Query     int
 	PseudoIDs []int
 	PackBits  int
-	Delta     bool
 	NoCache   bool
 }
 
@@ -183,13 +181,12 @@ type EncryptRankScoreResp struct {
 // AggregateCandidatesReq asks the aggregation server to collect and
 // homomorphically sum the parties' encrypted partial distances for specific
 // pseudo IDs (TA random-access phase). Adaptive lets the aggregator negotiate
-// the slot width with the parties; Delta enables cross-round ciphertext
-// caching on the leader link; NoCache forces a full resend.
+// the slot width with the parties; NoCache forces a full resend of the
+// blocks the leader link's delta cache would withhold.
 type AggregateCandidatesReq struct {
 	Query     int
 	PseudoIDs []int
 	Adaptive  bool
-	Delta     bool
 	NoCache   bool
 }
 
@@ -218,12 +215,11 @@ type AggregateFrontierResp struct {
 	Cipher []byte
 }
 
-// CollectAllReq drives the BASE variant for one query. Adaptive, Delta and
-// NoCache behave as in AggregateCandidatesReq.
+// CollectAllReq drives the BASE variant for one query. Adaptive and NoCache
+// behave as in AggregateCandidatesReq.
 type CollectAllReq struct {
 	Query    int
 	Adaptive bool
-	Delta    bool
 	NoCache  bool
 }
 
@@ -239,14 +235,13 @@ type CollectAllResp struct {
 	CachedBlocks []int
 }
 
-// FaginCollectReq drives the optimized variant for one query. Adaptive, Delta
-// and NoCache behave as in CollectAllReq.
+// FaginCollectReq drives the optimized variant for one query. Adaptive and
+// NoCache behave as in CollectAllReq.
 type FaginCollectReq struct {
 	Query    int
 	K        int
 	Batch    int
 	Adaptive bool
-	Delta    bool
 	NoCache  bool
 }
 
@@ -256,13 +251,12 @@ type FaginCollectReq struct {
 // the response) over the candidate pattern (PseudoIDs echoes the request
 // order). PackBits dictates the slot width exactly as in EncryptAllReq — the
 // coordinator owns the adaptive negotiation, workers only relay the dictated
-// geometry. Delta/NoCache tune the worker↔party links as in EncryptAllReq.
+// geometry. NoCache tunes the worker↔party links as in EncryptAllReq.
 type ShardCollectReq struct {
 	Query     int
 	PseudoIDs []int
 	All       bool
 	PackBits  int
-	Delta     bool
 	NoCache   bool
 }
 
@@ -348,10 +342,10 @@ func (m *RankingBatchReq) Fields(f *wire.Fields) {
 
 func (m *RankingBatchResp) Fields(f *wire.Fields) { f.IDs(1, &m.PseudoIDs) }
 
+// Fields skips tag 3, reserved for the retired delta flag.
 func (m *EncryptAllReq) Fields(f *wire.Fields) {
 	f.Int(1, &m.Query)
 	f.Int(2, &m.PackBits)
-	f.Bool(3, &m.Delta)
 	f.Bool(4, &m.NoCache)
 }
 
@@ -364,11 +358,11 @@ func (m *EncryptAllResp) Fields(f *wire.Fields) {
 	f.IDs(6, &m.CachedBlocks)
 }
 
+// Fields skips tag 4, reserved for the retired delta flag.
 func (m *EncryptCandidatesReq) Fields(f *wire.Fields) {
 	f.Int(1, &m.Query)
 	f.IDs(2, &m.PseudoIDs)
 	f.Int(3, &m.PackBits)
-	f.Bool(4, &m.Delta)
 	f.Bool(5, &m.NoCache)
 }
 
@@ -414,11 +408,11 @@ func (m *EncryptRankScoreReq) Fields(f *wire.Fields) {
 
 func (m *EncryptRankScoreResp) Fields(f *wire.Fields) { f.Bytes(1, &m.Cipher) }
 
+// Fields skips tag 4, reserved for the retired delta flag.
 func (m *AggregateCandidatesReq) Fields(f *wire.Fields) {
 	f.Int(1, &m.Query)
 	f.IDs(2, &m.PseudoIDs)
 	f.Bool(3, &m.Adaptive)
-	f.Bool(4, &m.Delta)
 	f.Bool(5, &m.NoCache)
 }
 
@@ -437,11 +431,11 @@ func (m *AggregateFrontierReq) Fields(f *wire.Fields) {
 
 func (m *AggregateFrontierResp) Fields(f *wire.Fields) { f.Bytes(1, &m.Cipher) }
 
-// Fields skips tag 2, reserved for the retired chunk size.
+// Fields skips tags 2 and 4, reserved for the retired chunk size and delta
+// flag.
 func (m *CollectAllReq) Fields(f *wire.Fields) {
 	f.Int(1, &m.Query)
 	f.Bool(3, &m.Adaptive)
-	f.Bool(4, &m.Delta)
 	f.Bool(5, &m.NoCache)
 }
 
@@ -455,13 +449,13 @@ func (m *CollectAllResp) Fields(f *wire.Fields) {
 	f.IDs(6, &m.CachedBlocks)
 }
 
-// Fields skips tag 4, reserved for the retired chunk size.
+// Fields skips tags 4 and 6, reserved for the retired chunk size and delta
+// flag.
 func (m *FaginCollectReq) Fields(f *wire.Fields) {
 	f.Int(1, &m.Query)
 	f.Int(2, &m.K)
 	f.Int(3, &m.Batch)
 	f.Bool(5, &m.Adaptive)
-	f.Bool(6, &m.Delta)
 	f.Bool(7, &m.NoCache)
 }
 
@@ -482,12 +476,12 @@ func (m *FaginCollectResp) Fields(f *wire.Fields) {
 	f.IDs(7, &m.CachedBlocks)
 }
 
+// Fields skips tag 5, reserved for the retired delta flag.
 func (m *ShardCollectReq) Fields(f *wire.Fields) {
 	f.Int(1, &m.Query)
 	f.IDs(2, &m.PseudoIDs)
 	f.Bool(3, &m.All)
 	f.Int(4, &m.PackBits)
-	f.Bool(5, &m.Delta)
 	f.Bool(6, &m.NoCache)
 }
 

@@ -2,7 +2,9 @@ package vfl
 
 import (
 	"context"
+	"runtime"
 	"testing"
+	"weak"
 
 	"vfps/internal/obs"
 )
@@ -216,4 +218,65 @@ func names(spans []obs.SpanData) []string {
 		out[i] = s.Name
 	}
 	return out
+}
+
+// seriesCount is the number of labelled series reg exports.
+func seriesCount(reg *obs.Registry) int {
+	n := 0
+	for _, f := range reg.Snapshot() {
+		n += len(f.Series)
+	}
+	return n
+}
+
+// TestDepartedParticipantIsCollected pins the departure leak: with an
+// observer installed, a participant's cost gauges read its counters through
+// closures the registry holds, and node names are never reused, so unless a
+// leave deletes the departed name's series, every departed participant —
+// features, query cache, delta cache — stays reachable for the registry's
+// lifetime and the registry grows by one set of series per join.
+func TestDepartedParticipantIsCollected(t *testing.T) {
+	ctx := context.Background()
+	cl, o := observedCluster(t, 3)
+	queries := []int{2, 17}
+	cycle := func() weak.Pointer[Participant] {
+		t.Helper()
+		name, err := cl.AddParticipant(cl.Parties[0].x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Leader.Similarities(ctx, queries, 3, VariantFagin); err != nil {
+			t.Fatal(err)
+		}
+		joiner := cl.Parties[len(cl.Parties)-1]
+		wp := weak.Make(joiner)
+		if err := cl.RemoveParticipant(joiner.index); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Leader.Similarities(ctx, queries, 3, VariantFagin); err != nil {
+			t.Fatalf("selection after %s left: %v", name, err)
+		}
+		return wp
+	}
+	if _, err := cl.Leader.Similarities(ctx, queries, 3, VariantFagin); err != nil {
+		t.Fatal(err)
+	}
+	first := cycle()
+	series := seriesCount(o.Registry())
+	var last weak.Pointer[Participant]
+	for i := 1; i < 20; i++ {
+		last = cycle()
+	}
+	if got := seriesCount(o.Registry()); got != series {
+		t.Fatalf("registry exports %d series after 20 join/leave cycles, %d after the first", got, series)
+	}
+	for range 3 {
+		runtime.GC()
+	}
+	// The last one left with no join after it to overwrite its old slot.
+	for i, wp := range []weak.Pointer[Participant]{first, last} {
+		if wp.Value() != nil {
+			t.Fatalf("departed participant %d of 2 is still reachable after a GC", i+1)
+		}
+	}
 }

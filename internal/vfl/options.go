@@ -29,16 +29,6 @@ type Options struct {
 	// full modexp per randomizer; see SECURITY.md). Ignored by non-Paillier
 	// schemes.
 	EncryptWindow int `json:"-"`
-	// DeltaCache enables cross-round delta encoding: both ends of each link
-	// cache ciphertext blocks by (query, geometry, pseudo-ID segment) and
-	// repeat queries resend only the blocks that changed.
-	DeltaCache bool `json:"deltaCache"`
-	// SimCache memoises similarity reports by (roster, query set, variant, K)
-	// across a consortium's selections, so a recurring membership skips the
-	// encrypted similarity phase. Exact, but opt-in: it short-circuits the
-	// per-run cost profile benchmarks measure. Honoured by vfps.Consortium; a
-	// bare Cluster has no similarity cache.
-	SimCache bool `json:"simCache"`
 	// PackHint seeds the Paillier slot-width negotiation with a width an
 	// earlier consortium learned over the same data shape (margin included),
 	// so round one already packs at the negotiated width instead of the static
@@ -47,11 +37,10 @@ type Options struct {
 }
 
 // BindFlags registers the settings a vfpsnode process takes as flags on fs:
-// -parallelism, -shard-workers, -delta-cache and -encrypt-window.
+// -parallelism, -shard-workers and -encrypt-window.
 func (o *Options) BindFlags(fs *flag.FlagSet) {
 	fs.IntVar(&o.Parallelism, "parallelism", 0, "HE pipeline concurrency (0 = GOMAXPROCS, 1 = serial)")
 	fs.IntVar(&o.ShardWorkers, "shard-workers", 0, "shard the ciphertext reduce across this many aggregation workers (roles aggserver/aggworker; 0 = unsharded)")
-	fs.BoolVar(&o.DeltaCache, "delta-cache", false, "cross-round delta encoding: repeat queries resend only changed ciphertext blocks (role=leader)")
 	fs.IntVar(&o.EncryptWindow, "encrypt-window", 0, "fixed-base window for randomizer precompute (0 = default 6, negative = classic uniform sampling)")
 }
 

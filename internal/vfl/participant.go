@@ -37,10 +37,11 @@ type Participant struct {
 	counts      costmodel.Counts
 	parallelism int // ≤ 0 → par.Degree(); 1 → fully serial encryption
 
-	// deltaSent caches ciphertext blocks sent to the aggregator, keyed by
-	// block identity; a hit reuses the cached bytes (skipping re-encryption)
-	// and withholds the block from the wire. Sound because partial distances
-	// are a pure function of (query, pseudo ID) over the static dataset.
+	// deltaSent caches the Paillier ciphertext blocks sent to the aggregator,
+	// keyed by block identity and slot layout; a hit reuses the cached bytes
+	// (skipping re-encryption) and withholds the block from the wire. Sound
+	// because partial distances are a pure function of (query, pseudo ID)
+	// over the static dataset.
 	deltaSent deltaCache
 
 	mu         sync.Mutex
@@ -195,12 +196,12 @@ type partEnc struct {
 // geometry, or the dictated packBits-wide adaptive geometry when every local
 // value fits it (otherwise it falls back to static and lets the advertised
 // NeedBits lift the next round's negotiation); everything else goes through
-// the scheme's own vector path (he.EncryptVec). With delta set, blocks whose
-// bytes were already sent for this (query, geometry, pseudo-ID segment) are
-// withheld from the wire and reported in cached; noCache forces a full
+// the scheme's own vector path (he.EncryptVec). Under Paillier, blocks whose
+// bytes were already sent for this (query, slot layout, pseudo-ID segment)
+// are withheld from the wire and reported in cached; noCache forces a full
 // resend after a receiver-side eviction. ctx is polled per chunk so a dead
 // client stops the encryption sweep early.
-func (p *Participant) encryptItems(ctx context.Context, query int, pids []int, vals []float64, packBits int, delta, noCache bool) (partEnc, error) {
+func (p *Participant) encryptItems(ctx context.Context, query int, pids []int, vals []float64, packBits int, noCache bool) (partEnc, error) {
 	ctx, esp := p.tracer().Start(ctx, SpanEncrypt)
 	esp.SetLabelInt("n", int64(len(pids)))
 	defer esp.End()
@@ -226,18 +227,16 @@ func (p *Participant) encryptItems(ctx context.Context, query int, pids []int, v
 	var usedBits, needBits int
 	pp, isPaillier := p.scheme.(*he.Paillier)
 	if isPaillier && pp.PackFactor() > 1 {
-		packer = pp.Packer()
 		nb, err := pp.NeededPackBits(vals)
 		if err != nil {
 			return partEnc{}, err
 		}
 		needBits = int(nb)
 		if packBits > 0 && needBits <= packBits {
-			ap, err := pp.PackerFor(uint(packBits), pp.MaxPackAdds())
-			if err != nil {
-				return partEnc{}, err
-			}
-			packer, usedBits = ap, packBits
+			usedBits = packBits
+		}
+		if packer, err = encodingPacker(pp, usedBits); err != nil {
+			return partEnc{}, err
 		}
 	}
 	factor := 1
@@ -248,14 +247,18 @@ func (p *Participant) encryptItems(ctx context.Context, query int, pids []int, v
 
 	blocks := packedLen(len(vals), factor)
 	var keys []string
-	if delta {
-		keys = blockKeys("agg", query, usedBits, factor, pids)
+	if isPaillier {
+		layout, err := layoutOf(pp, usedBits, factor)
+		if err != nil {
+			return partEnc{}, err
+		}
+		keys = blockKeys("agg", query, layout, pids)
 	}
 	blobs := make([][]byte, blocks)
 	var cachedIdx, encBlocks []int
 	var encVals []float64
 	for b := 0; b < blocks; b++ {
-		if delta && !noCache {
+		if keys != nil && !noCache {
 			if blob, ok := p.deltaSent.get(keys[b]); ok {
 				// Reuse the cached ciphertext bytes: encryption is randomized,
 				// so re-encrypting would produce different bytes the receiver
@@ -287,7 +290,7 @@ func (p *Participant) encryptItems(ctx context.Context, query int, pids []int, v
 		}
 		for i, b := range encBlocks {
 			blobs[b] = cs[i]
-			if delta {
+			if keys != nil {
 				p.deltaSent.put(keys[b], cs[i])
 			}
 		}
@@ -383,7 +386,7 @@ func (p *Participant) Handler() transport.Handler {
 				return nil, err
 			}
 			return p.encrypt(ctx, EncryptCandidatesReq{Query: r.Query, PackBits: r.PackBits,
-				Delta: r.Delta, NoCache: r.NoCache}, true)
+				NoCache: r.NoCache}, true)
 		case MethodEncryptCandidates:
 			var r EncryptCandidatesReq
 			if err := wire.Unmarshal(req, &r); err != nil {
@@ -462,7 +465,7 @@ func (p *Participant) encrypt(ctx context.Context, r EncryptCandidatesReq, all b
 		}
 		vals[i] = qc.dist[p.inv[pid]]
 	}
-	enc, err := p.encryptItems(ctx, r.Query, pids, vals, r.PackBits, r.Delta, r.NoCache)
+	enc, err := p.encryptItems(ctx, r.Query, pids, vals, r.PackBits, r.NoCache)
 	if err != nil {
 		return nil, fmt.Errorf("vfl: party %d encrypting: %w", p.index, err)
 	}

@@ -68,6 +68,11 @@ func buildRecordedCluster(t *testing.T, scheme string) (*Cluster, *recordingCall
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The server keys the parties' delta-cached blocks by the roster's slot
+	// layout, so its scheme carries the geometry the parties pack with.
+	if err := ConfigurePacking(pub, pt.P()); err != nil {
+		t.Fatal(err)
+	}
 	partyNames := make([]string, pt.P())
 	for i := range partyNames {
 		partyNames[i] = PartyName(i)

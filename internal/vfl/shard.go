@@ -154,8 +154,7 @@ func (a *AggServer) recordShardRetry(worker string) {
 // reproducing the worker's root bit for bit (same parties, same dictate, same
 // tree shape).
 func (a *AggServer) pullShard(ctx context.Context, wi int, worker string, query int, ids []int, all bool, dictate int, opt payloadOpts) (*collected, error) {
-	req := &ShardCollectReq{Query: query, All: all, PackBits: dictate,
-		Delta: opt.delta, NoCache: opt.noCache}
+	req := &ShardCollectReq{Query: query, All: all, PackBits: dictate, NoCache: opt.noCache}
 	if !all {
 		req.PseudoIDs = ids
 	}
@@ -187,7 +186,7 @@ func (a *AggServer) shardCollect(ctx context.Context, r ShardCollectReq) ([]byte
 	ssp.SetLabelInt("parties", int64(len(a.parties)))
 	defer ssp.End()
 	root, err := a.collectParties(ctx, a.parties, r.Query, r.PseudoIDs, r.All, r.PackBits,
-		payloadOpts{delta: r.Delta, noCache: r.NoCache})
+		payloadOpts{noCache: r.NoCache})
 	if err != nil {
 		return nil, err
 	}

@@ -111,14 +111,14 @@ func TestShardedSelectionIdentity(t *testing.T) {
 }
 
 // TestShardedPaillierIdentity repeats the identity check on the real HE path
-// (packed, width-negotiated) with the delta cache and chunking on over two
-// rounds, so the sharded NeedBits negotiation and cache interplay are
-// exercised, not just plain arithmetic.
+// (packed, width-negotiated, delta-cached) over two rounds, so the sharded
+// NeedBits negotiation and cache interplay are exercised, not just plain
+// arithmetic.
 func TestShardedPaillierIdentity(t *testing.T) {
 	_, pt := testPartition(t, "Rice", 40, 5)
 	queries := []int{0, 9}
 	base := ClusterConfig{Partition: pt, Scheme: "paillier", KeyBits: 256,
-		ShuffleSeed: 7, Batch: 8, Options: Options{DeltaCache: true}}
+		ShuffleSeed: 7, Batch: 8}
 	refW, refAdds, refEnc := shardedSimilarities(t, base, queries, 3, 2)
 	for _, workers := range []int{2, 3} {
 		cfg := base

@@ -16,18 +16,22 @@ import (
 // internal/vfl, internal/server, cmd/) and fails when a setting is declared
 // as a struct field anywhere but vfl.Options, when a retired setting is
 // declared anywhere, when one of its vfpsnode flags is registered outside
-// Options.BindFlags, or when a mutator that re-plumbed a setting after
-// construction is declared again.
+// Options.BindFlags, when a retired flag is registered anywhere, or when a
+// mutator that re-plumbed a setting after construction is declared again.
 func TestKnobsDeclaredOnce(t *testing.T) {
 	// true: a setting vfl.Options must declare. false: a retired setting (the
-	// shared randomizer pool) or a name a setting had in the hand-copied
-	// structs, which no struct may declare again.
+	// shared randomizer pool, the caches that are now always on) or a name a
+	// setting had in the hand-copied structs, which no struct may declare
+	// again.
 	settings := map[string]bool{
-		"Parallelism": true, "ShardWorkers": true, "EncryptWindow": true, "DeltaCache": true,
-		"SimCache": true, "PackHint": true,
+		"Parallelism": true, "ShardWorkers": true, "EncryptWindow": true, "PackHint": true,
 		"Pool": false, "SharedPool": false, "PackWidthHint": false, "RandomizerPool": false,
+		"DeltaCache": false, "SimCache": false,
 	}
-	flags := map[string]bool{"parallelism": true, "shard-workers": true, "delta-cache": true, "encrypt-window": true}
+	// true: a live flag, registered by Options.BindFlags only. false: a
+	// retired flag, registered nowhere.
+	flags := map[string]bool{"parallelism": true, "shard-workers": true, "encrypt-window": true,
+		"delta-cache": false}
 	mutators := map[string]bool{"SetParallelism": true, "SetPayloadOptions": true, "SetPackHint": true}
 	// SelectOptions.Parallelism is the per-selection count of queries in
 	// flight, not the deployment setting.
@@ -86,14 +90,22 @@ func TestKnobsDeclaredOnce(t *testing.T) {
 				}
 			case *ast.CallExpr:
 				sel, ok := n.Fun.(*ast.SelectorExpr)
-				if !ok || inOptions || !isFlagRegistration(sel.Sel.Name) {
+				if !ok || !isFlagRegistration(sel.Sel.Name) {
 					return true
 				}
 				for _, arg := range n.Args {
-					if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
-						if name, err := strconv.Unquote(lit.Value); err == nil && flags[name] {
-							t.Errorf("%s: flag -%s registered outside vfl.Options.BindFlags", fset.Position(lit.Pos()), name)
-						}
+					lit, ok := arg.(*ast.BasicLit)
+					if !ok || lit.Kind != token.STRING {
+						continue
+					}
+					name, err := strconv.Unquote(lit.Value)
+					live, ok := flags[name]
+					switch {
+					case err != nil || !ok:
+					case !live:
+						t.Errorf("%s: registers the retired flag -%s", fset.Position(lit.Pos()), name)
+					case !inOptions:
+						t.Errorf("%s: flag -%s registered outside vfl.Options.BindFlags", fset.Position(lit.Pos()), name)
 					}
 				}
 			}

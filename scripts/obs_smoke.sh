@@ -41,18 +41,23 @@ for i in $(seq 1 50); do
 done
 curl -sf "${BASE}/healthz" >/dev/null
 
-echo "obs-smoke: driving two encrypted selections (delta-cached)"
-# Two identical selections on one consortium: the first warms the cross-round
-# delta cache, the second must hit it — so the cache-hit counter below carries
-# a real value, not just a declared family.
+echo "obs-smoke: driving two encrypted selections around a join (delta-cached)"
+# Paillier blocks are always delta-cached. An identical repeat would be
+# answered by the similarity cache without any protocol traffic, so a join
+# sits between the two selections: the second runs the protocol on a new
+# roster, and the survivors' BASE blocks (a candidate set the join cannot
+# move) must hit the cache the first one warmed — so the cache-hit counter
+# below carries a real value, not just a declared family.
 ID=$(curl -sf -X POST "${BASE}/v1/consortiums" \
-    -d '{"dataset":"Rice","rows":150,"parties":3,"scheme":"paillier","deltaCache":true}' \
+    -d '{"dataset":"Rice","rows":150,"parties":3,"scheme":"paillier"}' \
     | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
 [[ -n "${ID}" ]] || { echo "obs-smoke: consortium creation failed" >&2; exit 1; }
 curl -sf -X POST "${BASE}/v1/consortiums/${ID}/select" \
-    -d '{"count":2,"k":5,"numQueries":6,"seed":1}' >/dev/null
+    -d '{"count":2,"k":5,"numQueries":6,"seed":1,"topk":"base"}' >/dev/null
+curl -sf -X POST "${BASE}/v1/consortiums/${ID}/participants" \
+    -d '{"cloneOf":0,"noise":0.1,"seed":1}' >/dev/null
 curl -sf -X POST "${BASE}/v1/consortiums/${ID}/select" \
-    -d '{"count":2,"k":5,"numQueries":6,"seed":1}' >/dev/null
+    -d '{"count":2,"k":5,"numQueries":6,"seed":1,"topk":"base"}' >/dev/null
 
 echo "obs-smoke: scraping /metrics"
 METRICS=$(curl -sf "${BASE}/metrics")
@@ -88,9 +93,9 @@ if ! grep -q "^vfps_he_pack_slots{.*} [1-9]" <<<"${METRICS}"; then
     echo "obs-smoke: no pack-slot geometry recorded for a packed selection" >&2
     exit 1
 fi
-# The second identical selection must have hit the cross-round delta cache.
+# The selection after the join must have hit the cross-round delta cache.
 if ! grep -q "^vfps_delta_cache_hits_total{.*} [1-9]" <<<"${METRICS}"; then
-    echo "obs-smoke: no delta-cache hits recorded after a repeated selection" >&2
+    echo "obs-smoke: no delta-cache hits recorded after the post-join selection" >&2
     exit 1
 fi
 # Every encoded message feeds both shares of the wire-byte split.

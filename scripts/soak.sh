@@ -144,12 +144,12 @@ if [ "${SHARDS}" -ge 2 ]; then
 fi
 
 # The full payload pipeline rides the soak: the packed Paillier layout with
-# its per-round width negotiation (no flag: it is what every node does) and
-# the cross-round delta cache (repeat rounds rerun the same query set, so
-# round 2+ must hit it).
+# its per-round width negotiation and the cross-round delta cache (no flags:
+# both are what every Paillier node does; repeat rounds rerun the same query
+# set, so round 2+ must hit the cache — the vfpsnode leader holds no
+# similarity cache to answer them instead).
 COMMON=(-scheme paillier -keybits 256 -dataset Bank -rows "${ROWS}" \
-        -parties "${PARTIES}" -directory "${DIRECTORY}" \
-        -delta-cache)
+        -parties "${PARTIES}" -directory "${DIRECTORY}")
 
 start_node() { # logname, args...
     local log="${WORK}/$1.log"; shift
@@ -344,7 +344,10 @@ grep -q '^vfps_he_pack_slots{.*} [1-9]' "${WORK}/party_metrics.txt" \
 # rounds under the same machine load. A round is MT_BURST back-to-back
 # selections per consortium: one ~10 ms selection each made a round ~30 ms,
 # short enough for scheduler jitter to swing a pair's speedup from 1.05x to
-# 1.77x on 2 cores. The median pair speedup and the concurrent p99 are gated.
+# 1.77x on 2 cores. Every selection draws its own query set: a consortium
+# answers a repeated one from its similarity cache without running the
+# protocol, which would leave the arm timing HTTP round trips. The median
+# pair speedup and the concurrent p99 are gated.
 say "multi-tenant arm: ${NCONS} consortiums x ${MT_ROUNDS} round pairs x ${MT_BURST} selections on ${MT_ADDR} (speedup floor ${MIN_MT_SPEEDUP}, ${CORES} core(s))"
 "${WORK}/vfpsserve" -addr "${MT_ADDR}" -max-concurrent 4 -queue-depth 8 \
     >"${WORK}/mt_serve.log" 2>&1 &
@@ -364,19 +367,20 @@ if [ "${SHARD_WORKERS}" -ge 2 ]; then
     [ "${SHARDED_WORKERS}" -ge 2 ] || die "multi-tenant consortium reports ${SHARDED_WORKERS} shard workers, want >= 2"
 fi
 
-mt_select() { # cid latency-file
+mt_select() { # cid latency-file seed
     curl -sf -o /dev/null -w '%{time_total}\n' -H 'X-Tenant: load' \
         -X POST "http://${MT_ADDR}/v1/consortiums/$1/select" \
-        -d '{"count":2,"k":4,"numQueries":6,"seed":1}' > "$2" \
+        -d "{\"count\":2,\"k\":4,\"numQueries\":6,\"seed\":$3}" > "$2" \
         || die "multi-tenant selection on $1 failed"
 }
 
 now() { date +%s.%N; }
 
 mt_burst() { # kind round consortium-index — MT_BURST selections on one consortium
-    local x
+    local x side=0
+    [ "$1" = conc ] && side=1
     for x in $(seq 1 "${MT_BURST}"); do
-        mt_select "${MT_CIDS[$3]}" "${WORK}/$1_$2_$3_${x}.t"
+        mt_select "${MT_CIDS[$3]}" "${WORK}/$1_$2_$3_${x}.t" $(( (2 * $2 + side) * MT_BURST + x ))
     done
 }
 

@@ -104,7 +104,7 @@ type Config struct {
 	// (default 32).
 	FaginBatch int
 	// Options are the performance settings: Parallelism, ShardWorkers,
-	// EncryptWindow, DeltaCache, SimCache and PackHint (see Options).
+	// EncryptWindow and PackHint (see Options).
 	Options
 	// Obs installs metrics and tracing on every role of the consortium. Nil
 	// falls back to the process default observer (obs.SetDefault); when that
@@ -123,11 +123,16 @@ type Consortium struct {
 	labels  []int
 	classes int
 
+	// simCache memoises similarity reports by (roster, query set, variant,
+	// K) for the consortium's lifetime, so a recurring membership skips the
+	// encrypted similarity phase. Exact: a hit returns the report the same
+	// inputs produced. It locks itself.
+	simCache *core.SimCache
+
 	// mu guards the churn-era state below. It intentionally does NOT fence
 	// selections against membership changes — callers that interleave them
 	// hold their own lock (the server layer uses a per-consortium run lock).
-	mu       sync.Mutex
-	simCache *core.SimCache
+	mu sync.Mutex
 	// lastSelected remembers the most recent selection as the default prior
 	// for the "warm" optimizer.
 	lastSelected []int
@@ -161,14 +166,11 @@ func NewConsortium(ctx context.Context, cfg Config) (*Consortium, error) {
 	if err != nil {
 		return nil, err
 	}
-	cons := &Consortium{cluster: cl, pt: cfg.Partition, labels: cfg.Labels, classes: cfg.Classes}
-	if cfg.SimCache {
-		cons.simCache = core.NewSimCache(0)
-		if cfg.Obs != nil {
-			core.DeclareSimCacheMetrics(cfg.Obs.Registry())
-		}
+	if cfg.Obs != nil {
+		core.DeclareSimCacheMetrics(cfg.Obs.Registry())
 	}
-	return cons, nil
+	return &Consortium{cluster: cl, pt: cfg.Partition, labels: cfg.Labels, classes: cfg.Classes,
+		simCache: core.NewSimCache(0)}, nil
 }
 
 // Close releases the consortium's background resources (randomizer
@@ -195,11 +197,11 @@ func (c *Consortium) PartyNames() []string { return c.cluster.PartyNames() }
 // AddParticipant joins a new participant holding the given feature rows
 // (one row per data instance, matching N) to the running consortium. The
 // deployment is rewired in place — no teardown, surviving nodes keep their
-// caches — so a re-selection after the join pays encryption only for the
-// joiner's blocks when the delta cache is on. Returns the new party's node
-// name. Not supported under the "secagg" scheme. Callers must not run a
-// selection concurrently; the server layer fences with its per-consortium
-// run lock.
+// caches — so a Paillier re-selection after the join re-encrypts only the
+// joiner's blocks wherever the candidates and the slot layout held. Returns
+// the new party's node name. Not supported under the "secagg" scheme.
+// Callers must not run a selection concurrently; the server layer fences
+// with its per-consortium run lock.
 func (c *Consortium) AddParticipant(features [][]float64) (string, error) {
 	if len(features) != c.N() {
 		return "", fmt.Errorf("vfps: joiner has %d rows, consortium holds %d", len(features), c.N())
