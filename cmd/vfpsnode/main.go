@@ -4,6 +4,12 @@
 // node generates its vertical slice of the (deterministic) synthetic dataset
 // locally, so no data files need distributing.
 //
+// The leader runs the library's pipeline, core.Select, once per -rounds
+// round over core.SampleQueries(rows, -queries, 0): with the same dataset,
+// seeds, K and query count it selects exactly what vfps.Consortium.Select
+// selects in one process. main_test.go boots every role from run in one test
+// process on loopback TCP and checks that identity scenario by scenario.
+//
 // Sharded aggregation (DESIGN.md §15): start -shard-workers N aggworker
 // processes (one per shard, -index 0..shards-1) plus the aggserver with the
 // same -shard-workers value and aggworker/<i> directory entries; each worker
@@ -25,9 +31,11 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -35,322 +43,346 @@ import (
 	"syscall"
 	"time"
 
+	"vfps/internal/core"
 	"vfps/internal/costmodel"
 	"vfps/internal/dataset"
 	"vfps/internal/he"
 	"vfps/internal/obs"
-	"vfps/internal/submod"
 	"vfps/internal/transport"
 	"vfps/internal/vfl"
 )
 
 func main() {
-	var (
-		role        = flag.String("role", "", "keyserver|aggserver|aggworker|party|leader")
-		addr        = flag.String("addr", "127.0.0.1:0", "listen address (serving roles)")
-		directory   = flag.String("directory", "", "comma-separated name=host:port peer directory")
-		scheme      = flag.String("scheme", "paillier", "protection scheme: paillier|plain|secagg")
-		keyBits     = flag.Int("keybits", 1024, "Paillier modulus bits")
-		index       = flag.Int("index", 0, "participant index (role=party) or shard index (role=aggworker)")
-		ds          = flag.String("dataset", "Bank", "synthetic dataset name")
-		rows        = flag.Int("rows", 800, "max dataset rows")
-		parties     = flag.Int("parties", 4, "consortium size")
-		splitSeed   = flag.Int64("splitseed", 1, "vertical split seed (must match across nodes)")
-		shuffleSeed = flag.Int64("shuffleseed", 7, "pseudo-ID shuffle seed (must match across participants)")
-		selCount    = flag.Int("select", 2, "sub-consortium size (role=leader)")
-		k           = flag.Int("k", 10, "proxy-KNN neighbour count (role=leader)")
-		queries     = flag.Int("queries", 32, "query sample count (role=leader)")
-		batch       = flag.Int("batch", 32, "Fagin mini-batch size (role=leader)")
-		variant     = flag.String("variant", "fagin", "KNN variant: fagin|base|threshold (role=leader)")
-		obsAddr     = flag.String("obs-addr", "", "optional debug listen address serving /metrics, /v1/trace, /v1/slow and /debug/pprof")
-		logJSON     = flag.String("log-json", "", `structured query-log destination: "-"/"stdout", "stderr", or a file path (off when empty)`)
-		slowRing    = flag.Int("slow-ring", 0, "flight-recorder capacity for /v1/slow (0 = default)")
-		rounds      = flag.Int("rounds", 1, "similarity rounds to run (role=leader); each round is one trace")
-		qworkers    = flag.Int("qworkers", 1, "concurrent queries in flight per round (role=leader)")
-		linger      = flag.Duration("linger", 0, "how long the leader keeps its obs listener up after finishing, for trace scrapes (role=leader)")
-		opts        vfl.Options
-	)
-	opts.BindFlags(flag.CommandLine)
-	flag.Parse()
-
-	dir, err := parseDirectory(*directory)
-	if err != nil {
-		fatal("%v", err)
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout)
+	stop()
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintf(os.Stderr, "vfpsnode: %v\n", err)
+		os.Exit(1)
 	}
-	ctx := context.Background()
+}
+
+// node is one parsed vfpsnode invocation: its flags, its peer directory, its
+// observer (nil unless -obs-addr or -log-json is set) and where it reports.
+type node struct {
+	role, addr, scheme, dataset, variant string
+	keyBits, index, rows, parties        int
+	splitSeed, shuffleSeed               int64
+	selCount, k, queries, batch          int
+	rounds, qworkers                     int
+	linger                               time.Duration
+	opts                                 vfl.Options
+
+	dir    map[string]string
+	o      *obs.Observer
+	stdout io.Writer
+}
+
+// run parses args and runs the role they name until it finishes (the leader)
+// or ctx is cancelled (the serving roles). Everything the role started — its
+// listeners, its client connections, its randomizer pool, its query log — is
+// closed before run returns.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	n := &node{stdout: stdout}
+	fs := flag.NewFlagSet("vfpsnode", flag.ContinueOnError)
+	fs.StringVar(&n.role, "role", "", "keyserver|aggserver|aggworker|party|leader")
+	fs.StringVar(&n.addr, "addr", "127.0.0.1:0", "listen address (serving roles)")
+	directory := fs.String("directory", "", "comma-separated name=host:port peer directory")
+	fs.StringVar(&n.scheme, "scheme", "paillier", "protection scheme: paillier|plain|secagg")
+	fs.IntVar(&n.keyBits, "keybits", 1024, "Paillier modulus bits")
+	fs.IntVar(&n.index, "index", 0, "participant index (role=party) or shard index (role=aggworker)")
+	fs.StringVar(&n.dataset, "dataset", "Bank", "synthetic dataset name")
+	fs.IntVar(&n.rows, "rows", 800, "max dataset rows (0 = all of the dataset's instances)")
+	fs.IntVar(&n.parties, "parties", 4, "consortium size")
+	fs.Int64Var(&n.splitSeed, "splitseed", 1, "vertical split seed (must match across nodes)")
+	fs.Int64Var(&n.shuffleSeed, "shuffleseed", 7, "pseudo-ID shuffle seed (must match across participants)")
+	fs.IntVar(&n.selCount, "select", 2, "sub-consortium size (role=leader)")
+	fs.IntVar(&n.k, "k", 10, "proxy-KNN neighbour count (role=leader)")
+	fs.IntVar(&n.queries, "queries", 32, "query sample count (role=leader)")
+	fs.IntVar(&n.batch, "batch", 32, "Fagin mini-batch size (role=leader)")
+	fs.StringVar(&n.variant, "variant", "fagin", "KNN variant: fagin|base|threshold (role=leader)")
+	obsAddr := fs.String("obs-addr", "", "optional debug listen address serving /metrics, /v1/trace, /v1/slow and /debug/pprof")
+	logJSON := fs.String("log-json", "", `structured query-log destination: "-"/"stdout", "stderr", or a file path (off when empty)`)
+	slowRing := fs.Int("slow-ring", 0, "flight-recorder capacity for /v1/slow (0 = default)")
+	fs.IntVar(&n.rounds, "rounds", 1, "selections to run (role=leader); each round is one full selection and one trace")
+	fs.IntVar(&n.qworkers, "qworkers", 1, "concurrent queries in flight per round (role=leader)")
+	fs.DurationVar(&n.linger, "linger", 0, "how long the leader keeps its obs listener up after finishing, for trace scrapes (role=leader)")
+	n.opts.BindFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	var err error
+	if n.dir, err = parseDirectory(*directory); err != nil {
+		return err
+	}
 
 	// Observability is opt-in: without -obs-addr or -log-json every
 	// instrument stays a nil no-op. With either, this node's metrics, spans
 	// and query log are live; -obs-addr additionally serves them on a
 	// separate debug listener.
-	var o *obs.Observer
 	if *obsAddr != "" || *logJSON != "" {
-		o = obs.NewObserver(obs.DefaultTraceCapacity)
+		n.o = obs.NewObserver(obs.DefaultTraceCapacity)
 		// Tag spans with this process's role so the cross-node span forest
 		// shows which process each span ran in.
-		nodeName := *role
-		switch *role {
+		nodeName := n.role
+		switch n.role {
 		case "party":
-			nodeName = vfl.PartyName(*index)
+			nodeName = vfl.PartyName(n.index)
 		case "aggworker":
-			nodeName = vfl.AggWorkerName(*index)
+			nodeName = vfl.AggWorkerName(n.index)
 		}
-		o.Trace.SetNode(nodeName)
+		n.o.Trace.SetNode(nodeName)
 		if *logJSON != "" || *slowRing > 0 {
-			logw, closeLog, err := openLog(*logJSON)
+			logw, closeLog, err := openLog(*logJSON, stdout)
 			if err != nil {
-				fatal("%v", err)
+				return err
 			}
 			defer closeLog()
-			o.Events = obs.NewQueryLog(logw, *slowRing)
+			n.o.Events = obs.NewQueryLog(logw, *slowRing)
 		}
-		obs.SetDefault(o)
-		reg := o.Registry()
+		reg := n.o.Registry()
 		transport.DeclareMetrics(reg)
 		he.DeclareMetrics(reg)
 		costmodel.DeclareMetrics(reg)
 		obs.RegisterRuntimeMetrics(reg)
 		if *obsAddr != "" {
-			dbg := &http.Server{Addr: *obsAddr, Handler: o.Handler(), ReadHeaderTimeout: 5 * time.Second}
-			go func() {
-				fmt.Printf("observability endpoints on http://%s/metrics\n", *obsAddr)
-				if err := dbg.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-					fmt.Fprintf(os.Stderr, "vfpsnode: obs listener: %v\n", err)
-				}
-			}()
+			ln, err := net.Listen("tcp", *obsAddr)
+			if err != nil {
+				return fmt.Errorf("obs listener: %w", err)
+			}
+			dbg := &http.Server{Handler: n.o.Handler(), ReadHeaderTimeout: 5 * time.Second}
+			go dbg.Serve(ln)
+			defer dbg.Close()
+			fmt.Fprintf(stdout, "observability endpoints on http://%s/metrics\n", ln.Addr())
 		}
 	}
 
-	switch *role {
+	switch n.role {
 	case "keyserver":
-		var ks *vfl.KeyServer
-		if *scheme == "secagg" {
-			ks, err = vfl.NewKeyServerSecAgg(*parties, *shuffleSeed^0x5eca66)
-		} else {
-			ks, err = vfl.NewKeyServer(*scheme, *keyBits)
-		}
-		if err != nil {
-			fatal("%v", err)
-		}
-		serve(*addr, "key server", ks.Handler(), o)
+		return n.keyServer(ctx)
 	case "party":
-		pt, _, err := localPartition(*ds, *rows, *parties, *splitSeed)
-		if err != nil {
-			fatal("%v", err)
-		}
-		if *index < 0 || *index >= pt.P() {
-			fatal("party index %d out of range [0,%d)", *index, pt.P())
-		}
-		cli := transport.NewTCPClient(dir)
-		defer cli.Close()
-		cli.SetObserver(o)
-		pub, err := vfl.FetchPublicScheme(ctx, cli, vfl.KeyServerName)
-		if err != nil {
-			fatal("fetching public key: %v", err)
-		}
-		// Parties bulk-encrypt, and lay out slots for the -parties every node
-		// shares; the leader sizes its geometry from the directory in NewLeader.
-		vfl.ConfigureScheme(pub, opts, true)
-		if err := vfl.ConfigurePacking(pub, pt.P()); err != nil {
-			fatal("%v", err)
-		}
-		observeScheme(pub, o, "party")
-		part, err := vfl.NewParticipant(*index, pt.Parties[*index], pub, *shuffleSeed, opts)
-		if err != nil {
-			fatal("%v", err)
-		}
-		part.SetObserver(o, "node")
-		serve(*addr, fmt.Sprintf("participant %d (%d features)", *index, part.Features()), part.Handler(), o)
+		return n.party(ctx)
 	case "aggserver":
-		cli := transport.NewTCPClient(dir)
-		defer cli.Close()
-		cli.SetObserver(o)
-		pub, err := vfl.FetchPublicScheme(ctx, cli, vfl.KeyServerName)
-		if err != nil {
-			fatal("fetching public key: %v", err)
-		}
-		names := partyNames(dir)
-		if len(names) == 0 {
-			fatal("directory lists no party/<i> entries")
-		}
-		// The aggregation server only adds, but keys the parties' delta-cached
-		// blocks by the slot layout the roster's geometry implies.
-		vfl.ConfigureScheme(pub, opts, false)
-		if err := vfl.ConfigurePacking(pub, len(names)); err != nil {
-			fatal("%v", err)
-		}
-		observeScheme(pub, o, "aggserver")
-		agg, err := vfl.NewAggServer(cli, names, pub, opts)
-		if err != nil {
-			fatal("%v", err)
-		}
-		agg.SetObserver(o, "node")
-		if size, shards := vfl.PlanSubtrees(len(names), opts.ShardWorkers); opts.ShardWorkers >= 2 && shards >= 2 {
-			plan := &vfl.ShardPlan{SubtreeSize: size}
-			for wi := 0; wi < shards; wi++ {
-				w := vfl.AggWorkerName(wi)
-				if _, ok := dir[w]; !ok {
-					fatal("-shard-workers %d needs %q in the directory", opts.ShardWorkers, w)
-				}
-				plan.Workers = append(plan.Workers, w)
-			}
-			if err := agg.SetShardPlan(plan); err != nil {
-				fatal("%v", err)
-			}
-			fmt.Printf("sharding the reduce over %d workers (subtree size %d)\n", shards, size)
-		}
-		serve(*addr, fmt.Sprintf("aggregation server (%d participants)", len(names)), agg.Handler(), o)
+		return n.aggServer(ctx)
 	case "aggworker":
-		cli := transport.NewTCPClient(dir)
-		defer cli.Close()
-		cli.SetObserver(o)
-		pub, err := vfl.FetchPublicScheme(ctx, cli, vfl.KeyServerName)
-		if err != nil {
-			fatal("fetching public key: %v", err)
-		}
-		names := partyNames(dir)
-		if len(names) == 0 {
-			fatal("directory lists no party/<i> entries")
-		}
-		size, shards := vfl.PlanSubtrees(len(names), opts.ShardWorkers)
-		if opts.ShardWorkers < 2 || shards < 2 {
-			fatal("role aggworker needs -shard-workers >= 2 (got %d over %d parties)", opts.ShardWorkers, len(names))
-		}
-		if *index < 0 || *index >= shards {
-			fatal("shard index %d out of range [0,%d)", *index, shards)
-		}
-		plan := &vfl.ShardPlan{SubtreeSize: size}
-		lo, hi := plan.Range(*index, len(names))
-		// Workers only add, like the aggregation server, and key the blocks of
-		// their parties by the whole roster's geometry, not their shard's.
-		vfl.ConfigureScheme(pub, opts, false)
-		if err := vfl.ConfigurePacking(pub, len(names)); err != nil {
-			fatal("%v", err)
-		}
-		observeScheme(pub, o, "aggworker")
-		wkr, err := vfl.NewAggServer(cli, names[lo:hi], pub, opts)
-		if err != nil {
-			fatal("%v", err)
-		}
-		wkr.SetRole(vfl.AggWorkerName(*index))
-		wkr.SetObserver(o, "node")
-		serve(*addr, fmt.Sprintf("aggregation worker %d (parties %d..%d)", *index, lo, hi-1), wkr.Handler(), o)
+		return n.aggWorker(ctx)
 	case "leader":
-		cli := transport.NewTCPClient(dir)
-		defer cli.Close()
-		cli.SetObserver(o)
-		priv, err := vfl.FetchPrivateScheme(ctx, cli, vfl.KeyServerName)
-		if err != nil {
-			fatal("fetching private key: %v", err)
-		}
-		names := partyNames(dir)
-		vfl.ConfigureScheme(priv, opts, false)
-		observeScheme(priv, o, "leader")
-		leader, err := vfl.NewLeader(cli, vfl.AggServerName, names, priv, *batch, opts)
-		if err != nil {
-			fatal("%v", err)
-		}
-		leader.SetObserver(o, "node")
-		// Shard workers hold per-role op counters; fold them into the totals.
-		leader.SetExtraCountNodes(aggWorkerNames(dir))
-		runLeader(ctx, leader, o, *rows, *selCount, *k, *queries, vfl.Variant(*variant), *rounds, *qworkers)
-		if *linger > 0 {
-			fmt.Printf("lingering %s for trace scrapes...\n", *linger)
-			time.Sleep(*linger)
-		}
+		return n.leader(ctx)
 	default:
-		fatal("unknown role %q (want keyserver|aggserver|party|leader)", *role)
+		return fmt.Errorf("unknown role %q (want keyserver|aggserver|aggworker|party|leader)", n.role)
 	}
 }
 
-func runLeader(ctx context.Context, leader *vfl.Leader, o *obs.Observer, rows, selCount, k, queries int, variant vfl.Variant, rounds, qworkers int) {
-	qs := sampleQueries(rows, queries)
-	if rounds <= 0 {
-		rounds = 1
+func (n *node) keyServer(ctx context.Context) error {
+	var ks *vfl.KeyServer
+	var err error
+	if n.scheme == "secagg" {
+		ks, err = vfl.NewKeyServerSecAgg(n.parties, n.shuffleSeed^0x5eca66)
+	} else {
+		ks, err = vfl.NewKeyServer(n.scheme, n.keyBits)
 	}
-	if qworkers <= 0 {
-		qworkers = 1
+	if err != nil {
+		return err
 	}
-	fmt.Printf("running %s-variant selection over %d queries, k=%d, %d round(s), %d worker(s)...\n",
-		variant, len(qs), k, rounds, qworkers)
-	var rep *vfl.SimilarityReport
+	return n.serve(ctx, "key server", ks.Handler())
+}
+
+func (n *node) party(ctx context.Context) error {
+	spec, err := dataset.SpecByName(n.dataset)
+	if err != nil {
+		return err
+	}
+	d, err := spec.Generate(n.rows)
+	if err != nil {
+		return err
+	}
+	pt, err := dataset.VerticalSplit(d, n.parties, n.splitSeed)
+	if err != nil {
+		return err
+	}
+	if n.index < 0 || n.index >= pt.P() {
+		return fmt.Errorf("party index %d out of range [0,%d)", n.index, pt.P())
+	}
+	cli := n.client()
+	defer cli.Close()
+	pub, err := vfl.FetchPublicScheme(ctx, cli, vfl.KeyServerName)
+	if err != nil {
+		return fmt.Errorf("fetching public key: %w", err)
+	}
+	// Parties bulk-encrypt, and lay out slots for the -parties every node
+	// shares; the leader sizes its geometry from the directory in NewLeader.
+	vfl.ConfigureScheme(pub, n.opts, true)
+	if p, ok := pub.(*he.Paillier); ok {
+		defer p.Close()
+	}
+	if err := vfl.ConfigurePacking(pub, pt.P()); err != nil {
+		return err
+	}
+	n.observeScheme(pub)
+	part, err := vfl.NewParticipant(n.index, pt.Parties[n.index], pub, n.shuffleSeed, n.opts)
+	if err != nil {
+		return err
+	}
+	part.SetObserver(n.o, "node")
+	return n.serve(ctx, fmt.Sprintf("participant %d (%d features)", n.index, part.Features()), part.Handler())
+}
+
+// aggScheme fetches the public scheme for an aggregating role and lists the
+// directory's parties. The aggregation server and its shard workers only add,
+// but key the parties' delta-cached blocks by the slot layout the whole
+// roster's geometry implies.
+func (n *node) aggScheme(ctx context.Context, cli *transport.TCPClient) (he.Scheme, []string, error) {
+	pub, err := vfl.FetchPublicScheme(ctx, cli, vfl.KeyServerName)
+	if err != nil {
+		return nil, nil, fmt.Errorf("fetching public key: %w", err)
+	}
+	names := indexedNames(n.dir, vfl.PartyName)
+	if len(names) == 0 {
+		return nil, nil, fmt.Errorf("directory lists no party/<i> entries")
+	}
+	vfl.ConfigureScheme(pub, n.opts, false)
+	if err := vfl.ConfigurePacking(pub, len(names)); err != nil {
+		return nil, nil, err
+	}
+	n.observeScheme(pub)
+	return pub, names, nil
+}
+
+func (n *node) aggServer(ctx context.Context) error {
+	cli := n.client()
+	defer cli.Close()
+	pub, names, err := n.aggScheme(ctx, cli)
+	if err != nil {
+		return err
+	}
+	agg, err := vfl.NewAggServer(cli, names, pub, n.opts)
+	if err != nil {
+		return err
+	}
+	agg.SetObserver(n.o, "node")
+	if size, shards := vfl.PlanSubtrees(len(names), n.opts.ShardWorkers); n.opts.ShardWorkers >= 2 && shards >= 2 {
+		workers := indexedNames(n.dir, vfl.AggWorkerName)
+		if len(workers) < shards {
+			return fmt.Errorf("-shard-workers %d needs %q in the directory", n.opts.ShardWorkers, vfl.AggWorkerName(len(workers)))
+		}
+		if err := agg.SetShardPlan(&vfl.ShardPlan{SubtreeSize: size, Workers: workers[:shards]}); err != nil {
+			return err
+		}
+		fmt.Fprintf(n.stdout, "sharding the reduce over %d workers (subtree size %d)\n", shards, size)
+	}
+	return n.serve(ctx, fmt.Sprintf("aggregation server (%d participants)", len(names)), agg.Handler())
+}
+
+func (n *node) aggWorker(ctx context.Context) error {
+	cli := n.client()
+	defer cli.Close()
+	pub, names, err := n.aggScheme(ctx, cli)
+	if err != nil {
+		return err
+	}
+	size, shards := vfl.PlanSubtrees(len(names), n.opts.ShardWorkers)
+	if n.opts.ShardWorkers < 2 || shards < 2 {
+		return fmt.Errorf("role aggworker needs -shard-workers >= 2 (got %d over %d parties)", n.opts.ShardWorkers, len(names))
+	}
+	if n.index < 0 || n.index >= shards {
+		return fmt.Errorf("shard index %d out of range [0,%d)", n.index, shards)
+	}
+	lo, hi := (&vfl.ShardPlan{SubtreeSize: size}).Range(n.index, len(names))
+	wkr, err := vfl.NewAggServer(cli, names[lo:hi], pub, n.opts)
+	if err != nil {
+		return err
+	}
+	wkr.SetRole(vfl.AggWorkerName(n.index))
+	wkr.SetObserver(n.o, "node")
+	return n.serve(ctx, fmt.Sprintf("aggregation worker %d (parties %d..%d)", n.index, lo, hi-1), wkr.Handler())
+}
+
+// leader runs -rounds selections through core.Select and reports the last.
+// Its queries are the ones vfps.Consortium.Select samples by default: seed 0
+// over the rows the parties hold.
+func (n *node) leader(ctx context.Context) error {
+	spec, err := dataset.SpecByName(n.dataset)
+	if err != nil {
+		return err
+	}
+	cli := n.client()
+	defer cli.Close()
+	priv, err := vfl.FetchPrivateScheme(ctx, cli, vfl.KeyServerName)
+	if err != nil {
+		return fmt.Errorf("fetching private key: %w", err)
+	}
+	vfl.ConfigureScheme(priv, n.opts, false)
+	n.observeScheme(priv)
+	leader, err := vfl.NewLeader(cli, vfl.AggServerName, indexedNames(n.dir, vfl.PartyName), priv, n.batch, n.opts)
+	if err != nil {
+		return err
+	}
+	leader.SetObserver(n.o, "node")
+	// Shard workers hold per-role op counters; fold them into the totals.
+	leader.SetExtraCountNodes(indexedNames(n.dir, vfl.AggWorkerName))
+	cfg := core.Config{
+		K:           n.k,
+		Queries:     core.SampleQueries(spec.Rows(n.rows), n.queries, 0),
+		Variant:     vfl.Variant(n.variant),
+		Parallelism: n.qworkers,
+	}
+	rounds := max(n.rounds, 1)
+	fmt.Fprintf(n.stdout, "running %s-variant selection over %d queries, k=%d, %d round(s), %d worker(s)...\n",
+		cfg.Variant, len(cfg.Queries), cfg.K, rounds, max(cfg.Parallelism, 1))
+	var sel *core.Selection
 	for r := 0; r < rounds; r++ {
-		// Each round is one trace: the round's queries — and every remote
-		// span they fan out — share a trace ID, so the collector's span
-		// forest groups a round across processes.
-		rctx := ctx
-		var traceID obs.TraceID
-		if o != nil {
-			rctx, traceID = obs.ContextWithNewTrace(ctx)
+		if sel, err = core.Select(ctx, leader, n.selCount, cfg); err != nil {
+			return fmt.Errorf("round %d: %w", r, err)
 		}
-		start := time.Now()
-		var err error
-		rep, err = leader.SimilaritiesParallel(rctx, qs, k, variant, qworkers)
-		if err != nil {
-			fatal("similarity phase (round %d): %v", r, err)
-		}
-		line := fmt.Sprintf("round %d: %d queries in %.3fs", r, rep.Queries, time.Since(start).Seconds())
-		if !traceID.IsZero() {
-			line += " trace=" + traceID.String()
-		}
-		fmt.Println(line)
+		fmt.Fprintf(n.stdout, "round %d: %d queries in %.3fs\n", r, sel.QueriesUsed, sel.WallTime.Seconds())
 	}
-	fmt.Println("participant similarity matrix:")
-	for _, row := range rep.W {
+	fmt.Fprintln(n.stdout, "participant similarity matrix:")
+	for _, row := range sel.W {
 		for _, v := range row {
-			fmt.Printf("  %.4f", v)
+			fmt.Fprintf(n.stdout, "  %.4f", v)
 		}
-		fmt.Println()
+		fmt.Fprintln(n.stdout)
 	}
-	res, err := selectGreedy(rep.W, selCount)
-	if err != nil {
-		fatal("%v", err)
+	fmt.Fprintf(n.stdout, "selected participants: %v (objective %v)\n", sel.Selected, sel.Value)
+	fmt.Fprintf(n.stdout, "avg encrypted candidates per query: %.1f\n", sel.AvgCandidates)
+	fmt.Fprintf(n.stdout, "total ops (last round): %s\n", sel.Counts)
+	fmt.Fprintf(n.stdout, "projected selection time at paper-grade HE: %.2fs\n", sel.ProjectedSeconds)
+	if n.linger > 0 {
+		fmt.Fprintf(n.stdout, "lingering %s for trace scrapes...\n", n.linger)
+		select {
+		case <-time.After(n.linger):
+		case <-ctx.Done():
+		}
 	}
-	fmt.Printf("selected participants: %v (objective %.4f)\n", res.Selected, res.Value)
-	fmt.Printf("avg encrypted candidates per query: %.1f\n", rep.AvgCandidates)
-	total, err := leader.TotalCounts(ctx)
-	if err != nil {
-		fatal("gathering counts: %v", err)
-	}
-	fmt.Printf("total ops: %s\n", total)
-	fmt.Printf("projected selection time at paper-grade HE: %.2fs\n", costmodel.Default.Seconds(total))
+	return nil
 }
 
-func localPartition(name string, rows, parties int, splitSeed int64) (*dataset.Partition, *dataset.Dataset, error) {
-	spec, err := dataset.SpecByName(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	d, err := spec.Generate(rows)
-	if err != nil {
-		return nil, nil, err
-	}
-	pt, err := dataset.VerticalSplit(d, parties, splitSeed)
-	if err != nil {
-		return nil, nil, err
-	}
-	return pt, d, nil
+// client opens this node's connections to the directory's peers.
+func (n *node) client() *transport.TCPClient {
+	cli := transport.NewTCPClient(n.dir)
+	cli.SetObserver(n.o)
+	return cli
 }
 
 // observeScheme installs HE op instrumentation when the node has an observer
 // and the scheme supports it.
-func observeScheme(s he.Scheme, o *obs.Observer, instance string) {
+func (n *node) observeScheme(s he.Scheme) {
 	if ob, ok := s.(he.Observable); ok {
-		ob.SetObserver(o.Registry(), instance)
+		ob.SetObserver(n.o.Registry(), n.role)
 	}
 }
 
-func serve(addr, what string, h transport.Handler, o *obs.Observer) {
-	srv, err := transport.ListenTCP(addr, h)
+// serve answers h on -addr until ctx is cancelled.
+func (n *node) serve(ctx context.Context, what string, h transport.Handler) error {
+	srv, err := transport.ListenTCP(n.addr, h)
 	if err != nil {
-		fatal("%v", err)
+		return err
 	}
-	srv.SetObserver(o)
-	fmt.Printf("%s listening on %s\n", what, srv.Addr())
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, syscall.SIGINT, syscall.SIGTERM)
-	<-ch
-	srv.Close()
+	defer srv.Close()
+	srv.SetObserver(n.o)
+	fmt.Fprintf(n.stdout, "%s listening on %s\n", what, srv.Addr())
+	<-ctx.Done()
+	return nil
 }
 
 func parseDirectory(s string) (map[string]string, error) {
@@ -368,61 +400,26 @@ func parseDirectory(s string) (map[string]string, error) {
 	return dir, nil
 }
 
-// partyNames extracts the party/<i> entries from the directory in index
-// order.
-func partyNames(dir map[string]string) []string {
+// indexedNames lists the directory's name(0), name(1), ... entries in index
+// order, up to the first missing index.
+func indexedNames(dir map[string]string, name func(int) string) []string {
 	var names []string
 	for i := 0; ; i++ {
-		name := vfl.PartyName(i)
-		if _, ok := dir[name]; !ok {
+		if _, ok := dir[name(i)]; !ok {
 			return names
 		}
-		names = append(names, name)
+		names = append(names, name(i))
 	}
 }
 
-// aggWorkerNames extracts the aggworker/<i> entries from the directory in
-// index order (empty for unsharded deployments).
-func aggWorkerNames(dir map[string]string) []string {
-	var names []string
-	for i := 0; ; i++ {
-		name := vfl.AggWorkerName(i)
-		if _, ok := dir[name]; !ok {
-			return names
-		}
-		names = append(names, name)
-	}
-}
-
-func sampleQueries(n, count int) []int {
-	if count > n {
-		count = n
-	}
-	out := make([]int, count)
-	for i := range out {
-		out[i] = i * n / count
-	}
-	return out
-}
-
-// selectGreedy runs Algorithm 1 on the similarity matrix (the leader-side
-// selection step); the objective rejects non-finite and negative entries.
-func selectGreedy(w [][]float64, count int) (*submod.Result, error) {
-	obj, err := submod.NewFacilityLocation(w)
-	if err != nil {
-		return nil, err
-	}
-	return submod.Greedy(obj, count)
-}
-
-// openLog resolves the -log-json destination. The returned close func is a
-// no-op for the standard streams.
-func openLog(dest string) (io.Writer, func(), error) {
+// openLog resolves the -log-json destination; "-" and "stdout" mean run's
+// stdout. The returned close func is a no-op for the standard streams.
+func openLog(dest string, stdout io.Writer) (io.Writer, func(), error) {
 	switch dest {
 	case "":
 		return nil, func() {}, nil
 	case "-", "stdout":
-		return os.Stdout, func() {}, nil
+		return stdout, func() {}, nil
 	case "stderr":
 		return os.Stderr, func() {}, nil
 	default:
@@ -432,9 +429,4 @@ func openLog(dest string) (io.Writer, func(), error) {
 		}
 		return f, func() { f.Close() }, nil
 	}
-}
-
-func fatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "vfpsnode: "+format+"\n", args...)
-	os.Exit(1)
 }

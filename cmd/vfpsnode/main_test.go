@@ -2,136 +2,380 @@ package main
 
 import (
 	"bufio"
+	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"os"
-	"os/exec"
 	"path/filepath"
+	"regexp"
+	"runtime"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"vfps"
+	"vfps/internal/vfl"
 )
 
-func buildNode(t *testing.T) string {
-	t.Helper()
-	bin := filepath.Join(t.TempDir(), "vfpsnode")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		t.Fatalf("building vfpsnode: %v", err)
-	}
-	return bin
+// The harness boots every role of the deployment from run in this test
+// process — key server, parties, aggregation workers, aggregation server,
+// then the leader — each behind its own loopback TCP listener, exactly the
+// sockets and messages separate processes would exchange. Each scenario
+// states what it expects before it runs.
+
+// deployment is one topology's shape. Every role gets the same flags.
+type deployment struct {
+	scheme, dataset, variant string
+	rows, shards             int
+	leaderArgs               []string // extra leader flags
 }
 
-// TestFiveProcessDeployment builds the vfpsnode binary and runs the full
-// topology — key server, three participants, aggregation server, leader — as
-// six separate OS processes exchanging real TCP traffic, then checks the
-// leader completes a selection.
-func TestFiveProcessDeployment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess test skipped in -short mode")
-	}
-	bin := buildNode(t)
+const (
+	testParties = 3
+	testSelect  = 2
+	testK       = 5
+	testQueries = 8
+	testKeyBits = 256
+)
 
-	var procs []*exec.Cmd
-	t.Cleanup(func() {
-		for _, p := range procs {
-			if p.Process != nil {
-				p.Process.Kill()
+func (d deployment) common() []string {
+	return []string{"-scheme", d.scheme, "-keybits", fmt.Sprint(testKeyBits), "-dataset", d.dataset,
+		"-rows", fmt.Sprint(d.rows), "-parties", fmt.Sprint(testParties), "-shard-workers", fmt.Sprint(d.shards)}
+}
+
+// roleOutput collects one role's stdout and hands the address of its
+// "... listening on ADDR" banner to addr.
+type roleOutput struct {
+	mu   sync.Mutex
+	buf  strings.Builder
+	addr chan string
+}
+
+func (w *roleOutput) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.buf.Write(p)
+	for _, line := range strings.Split(string(p), "\n") {
+		if _, a, ok := strings.Cut(line, "listening on "); ok {
+			select {
+			case w.addr <- strings.TrimSpace(a):
+			default:
 			}
-			p.Wait()
 		}
-	})
+	}
+	return len(p), nil
+}
 
-	// start launches a serving role and returns its bound address, parsed
-	// from the "... listening on ADDR" banner.
+func (w *roleOutput) String() string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.buf.String()
+}
+
+// deploy boots the serving roles of d, runs the leader to completion and
+// returns the leader's output. The serving roles are cancelled and joined
+// before deploy returns; any of them returning an error fails the test.
+func deploy(t *testing.T, d deployment) (string, error) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var roleErrs []error
+	defer func() {
+		cancel()
+		wg.Wait()
+		for _, err := range roleErrs {
+			t.Errorf("serving role: %v", err)
+		}
+	}()
 	start := func(args ...string) string {
 		t.Helper()
-		cmd := exec.Command(bin, args...)
-		stdout, err := cmd.StdoutPipe()
-		if err != nil {
-			t.Fatal(err)
-		}
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			t.Fatal(err)
-		}
-		procs = append(procs, cmd)
-		scanner := bufio.NewScanner(stdout)
-		deadline := time.After(30 * time.Second)
-		lineCh := make(chan string, 1)
+		out := &roleOutput{addr: make(chan string, 1)}
+		done := make(chan error, 1)
+		wg.Add(1)
 		go func() {
-			if scanner.Scan() {
-				lineCh <- scanner.Text()
+			defer wg.Done()
+			err := run(ctx, append(args, d.common()...), out)
+			if err != nil {
+				mu.Lock()
+				roleErrs = append(roleErrs, fmt.Errorf("%v: %w", args, err))
+				mu.Unlock()
 			}
-			close(lineCh)
+			done <- err
 		}()
 		select {
-		case line, ok := <-lineCh:
-			if !ok {
-				t.Fatalf("role %v exited before announcing its address", args)
-			}
-			idx := strings.LastIndex(line, "listening on ")
-			if idx < 0 {
-				t.Fatalf("unexpected banner %q", line)
-			}
-			return strings.TrimSpace(line[idx+len("listening on "):])
-		case <-deadline:
+		case addr := <-out.addr:
+			return addr
+		case err := <-done:
+			t.Fatalf("role %v exited before listening: %v\n%s", args, err, out)
+		case <-time.After(30 * time.Second):
 			t.Fatalf("timeout waiting for role %v", args)
 		}
 		return ""
 	}
 
-	const (
-		dataset = "Rice"
-		rows    = "120"
-		parties = 3
-	)
-	scheme := os.Getenv("VFPSNODE_TEST_SCHEME")
-	if scheme == "" {
-		scheme = "plain"
+	dir := "keyserver=" + start("-role", "keyserver")
+	for i := 0; i < testParties; i++ {
+		dir += fmt.Sprintf(",party/%d=%s", i, start("-role", "party", "-index", fmt.Sprint(i), "-directory", dir))
 	}
-	keyAddr := start("-role", "keyserver", "-scheme", scheme, "-keybits", "256",
-		"-parties", fmt.Sprint(parties), "-addr", "127.0.0.1:0")
-	dir := fmt.Sprintf("keyserver=%s", keyAddr)
+	if _, shards := vfl.PlanSubtrees(testParties, d.shards); d.shards >= 2 {
+		workers := ""
+		for i := 0; i < shards; i++ {
+			workers += fmt.Sprintf(",aggworker/%d=%s", i, start("-role", "aggworker", "-index", fmt.Sprint(i), "-directory", dir))
+		}
+		dir += workers
+	}
+	dir += ",aggserver=" + start("-role", "aggserver", "-directory", dir)
 
-	partyAddrs := make([]string, parties)
-	for i := 0; i < parties; i++ {
-		partyAddrs[i] = start("-role", "party", "-index", fmt.Sprint(i),
-			"-dataset", dataset, "-rows", rows, "-parties", fmt.Sprint(parties),
-			"-addr", "127.0.0.1:0", "-directory", dir)
-		dir += fmt.Sprintf(",party/%d=%s", i, partyAddrs[i])
-	}
-	aggAddr := start("-role", "aggserver", "-addr", "127.0.0.1:0", "-directory", dir)
-	dir += ",aggserver=" + aggAddr
-
-	leader := exec.Command(bin, "-role", "leader",
-		"-dataset", dataset, "-rows", rows, "-parties", fmt.Sprint(parties),
-		"-select", "2", "-k", "5", "-queries", "8", "-directory", dir)
-	out, err := leader.CombinedOutput()
-	if err != nil {
-		t.Fatalf("leader failed: %v\n%s", err, out)
-	}
-	output := string(out)
-	if !strings.Contains(output, "selected participants:") {
-		t.Fatalf("leader output missing selection:\n%s", output)
-	}
-	if !strings.Contains(output, "similarity matrix") {
-		t.Fatalf("leader output missing similarity matrix:\n%s", output)
-	}
-	t.Logf("leader output:\n%s", output)
+	out := &roleOutput{}
+	args := append([]string{"-role", "leader", "-select", fmt.Sprint(testSelect), "-k", fmt.Sprint(testK),
+		"-queries", fmt.Sprint(testQueries), "-variant", d.variant, "-directory", dir}, d.leaderArgs...)
+	err := run(ctx, append(args, d.common()...), out)
+	return out.String(), err
 }
 
-// TestFiveProcessDeploymentSchemes re-runs the multi-process topology under
-// the real Paillier and secure-aggregation protections.
-func TestFiveProcessDeploymentSchemes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess test skipped in -short mode")
+// librarySelection is what vfps.Consortium.Select returns for d in one
+// process with the same data, seeds, K and query count.
+func librarySelection(t *testing.T, d deployment) *vfps.Selection {
+	t.Helper()
+	ctx := context.Background()
+	data, err := vfps.GenerateDataset(d.dataset, d.rows)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, scheme := range []string{"paillier", "secagg"} {
-		t.Run(scheme, func(t *testing.T) {
-			t.Setenv("VFPSNODE_TEST_SCHEME", scheme)
-			TestFiveProcessDeployment(t)
+	pt, err := vfps.VerticalSplit(data, testParties, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cons, err := vfps.NewConsortium(ctx, vfps.Config{
+		Partition: pt, Labels: data.Y, Classes: data.Classes, Scheme: d.scheme,
+		KeyBits: testKeyBits, ShuffleSeed: 7, Options: vfps.Options{ShardWorkers: d.shards},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cons.Close()
+	sel, err := cons.Select(ctx, testSelect, vfps.SelectOptions{
+		K: testK, NumQueries: testQueries, Base: d.variant == "base",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sel
+}
+
+var selectedLine = regexp.MustCompile(`selected participants: \[([0-9 ]*)\] \(objective (\S+)\)`)
+
+// leaderSelection parses the leader's selected set and objective.
+func leaderSelection(t *testing.T, out string) ([]int, float64) {
+	t.Helper()
+	m := selectedLine.FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("leader output has no selection:\n%s", out)
+	}
+	var sel []int
+	for _, f := range strings.Fields(m[1]) {
+		i, err := strconv.Atoi(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel = append(sel, i)
+	}
+	v, err := strconv.ParseFloat(m[2], 64)
+	if err != nil {
+		t.Fatalf("objective %q: %v", m[2], err)
+	}
+	return sel, v
+}
+
+// checkNoLeak fails t, printing every stack, unless the goroutine count
+// returns to baseline.
+func checkNoLeak(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		buf := make([]byte, 1<<20)
+		t.Errorf("%d goroutines left behind (baseline %d):\n%s", n-baseline, baseline, buf[:runtime.Stack(buf, true)])
+	}
+}
+
+// logEvent is the part of a query-log line the scenarios check.
+type logEvent struct {
+	Event struct {
+		Kind   string            `json:"kind"`
+		ID     string            `json:"id"`
+		Trace  string            `json:"trace"`
+		Phases []json.RawMessage `json:"phases"`
+	} `json:"event"`
+}
+
+// checkQueryLog asserts the invariants the soak checks of the leader's query
+// log: one traced selection event per round, and rounds × queries query
+// events, each with an id, a trace and a phase breakdown.
+func checkQueryLog(t *testing.T, path string, rounds int) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	selections, queries := 0, 0
+	sc := bufio.NewScanner(f)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		var ev logEvent
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("query log line %q: %v", sc.Text(), err)
+		}
+		switch ev.Event.Kind {
+		case "selection":
+			selections++
+			if ev.Event.Trace == "" {
+				t.Errorf("selection event without a trace: %s", sc.Text())
+			}
+		case "query":
+			queries++
+			if ev.Event.ID == "" || ev.Event.Trace == "" || len(ev.Event.Phases) == 0 {
+				t.Errorf("query event missing id/trace/phases: %s", sc.Text())
+			}
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if selections != rounds || queries != rounds*testQueries {
+		t.Errorf("query log has %d selection and %d query events, want %d and %d",
+			selections, queries, rounds, rounds*testQueries)
+	}
+}
+
+// TestDeploymentSelectsLikeTheLibrary runs the deployment scenario by
+// scenario. In every one the leader must return the library's selection: the
+// same set and the same objective bits as vfps.Consortium.Select.
+func TestDeploymentSelectsLikeTheLibrary(t *testing.T) {
+	rice := func(scheme, variant string, shards int) deployment {
+		return deployment{scheme: scheme, dataset: "Rice", variant: variant, rows: 120, shards: shards}
+	}
+	logPath := filepath.Join(t.TempDir(), "leader.jsonl")
+	type scenario struct {
+		expect string
+		name   string
+		d      deployment
+		check  func(t *testing.T, out string)
+	}
+	var scenarios []scenario
+	for _, scheme := range []string{"plain", "paillier"} {
+		for _, variant := range []string{"fagin", "base"} {
+			for _, shards := range []int{0, 2} {
+				scenarios = append(scenarios, scenario{
+					expect: "testOK: the library's set and objective bits",
+					name:   fmt.Sprintf("identity/%s/%s/shards=%d", scheme, variant, shards),
+					d:      rice(scheme, variant, shards),
+				})
+			}
+		}
+	}
+	scenarios = append(scenarios,
+		scenario{
+			expect: "testOK: the library's set and objective bits under secure aggregation",
+			name:   "identity/secagg/fagin/shards=0",
+			d:      rice("secagg", "fagin", 0),
+		},
+		scenario{
+			expect: "testOK: -rows past the dataset's 10 000 instances samples queries over the rows the parties hold",
+			name:   "rows-beyond-instances",
+			d:      deployment{scheme: "plain", dataset: "Bank", variant: "fagin", rows: 20000},
+		},
+		scenario{
+			expect: "testOK: -rows 0 means all of the dataset's rows, for the parties and the leader alike",
+			name:   "rows-0-is-all",
+			d:      deployment{scheme: "plain", dataset: "Bank", variant: "fagin", rows: 0},
+		},
+		scenario{
+			expect: "testOK: two traced selections and 2 × queries logged queries with id, trace and phases; the debug listener closes with the leader",
+			name:   "query-log",
+			d: deployment{scheme: "plain", dataset: "Rice", variant: "fagin", rows: 120,
+				leaderArgs: []string{"-log-json", logPath, "-rounds", "2", "-obs-addr", "127.0.0.1:0"}},
+			check: func(t *testing.T, out string) {
+				if n := strings.Count(out, "queries in "); n != 2 {
+					t.Errorf("%d round lines, want 2:\n%s", n, out)
+				}
+				checkQueryLog(t, logPath, 2)
+			},
+		},
+	)
+	for _, sc := range scenarios {
+		t.Run(sc.name, func(t *testing.T) {
+			t.Log(sc.expect)
+			baseline := runtime.NumGoroutine()
+			want := librarySelection(t, sc.d)
+			out, err := deploy(t, sc.d)
+			if err != nil {
+				t.Fatalf("leader: %v\n%s", err, out)
+			}
+			got, value := leaderSelection(t, out)
+			if fmt.Sprint(got) != fmt.Sprint(want.Selected) || math.Float64bits(value) != math.Float64bits(want.Value) {
+				t.Errorf("leader selected %v (objective %v), library %v (objective %v)\n%s",
+					got, value, want.Selected, want.Value, out)
+			}
+			if sc.check != nil {
+				sc.check(t, out)
+			}
+			checkNoLeak(t, baseline)
+		})
+	}
+}
+
+// TestDeploymentRejects runs the misconfigurations a role must refuse with an
+// error instead of starting: each scenario names the error it expects.
+func TestDeploymentRejects(t *testing.T) {
+	ctx := context.Background()
+	// A live key server, so roles that fetch a key get past that step.
+	kctx, cancel := context.WithCancel(ctx)
+	out := &roleOutput{addr: make(chan string, 1)}
+	done := make(chan error, 1)
+	go func() { done <- run(kctx, []string{"-role", "keyserver", "-scheme", "plain"}, out) }()
+	var ks string
+	select {
+	case addr := <-out.addr:
+		ks = "keyserver=" + addr
+	case err := <-done:
+		t.Fatalf("key server exited before listening: %v", err)
+	}
+	defer func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("key server: %v", err)
+		}
+	}()
+	for _, sc := range []struct {
+		expect string
+		args   []string
+	}{
+		{"unknown role", []string{"-role", "collector"}},
+		{"bad directory entry", []string{"-role", "leader", "-directory", "keyserver"}},
+		{"unknown spec", []string{"-role", "party", "-dataset", "Nope"}},
+		{"party index 5 out of range", []string{"-role", "party", "-index", "5", "-parties", "3", "-rows", "60", "-directory", ks}},
+		{"fetching public key", []string{"-role", "party", "-rows", "60", "-directory", "keyserver=127.0.0.1:1"}},
+		{"directory lists no party/<i> entries", []string{"-role", "aggserver", "-directory", ks}},
+		{`needs "aggworker/0" in the directory`, []string{"-role", "aggserver", "-shard-workers", "2", "-directory", ks + ",party/0=x,party/1=y,party/2=z"}},
+		{"role aggworker needs -shard-workers >= 2", []string{"-role", "aggworker", "-directory", ks + ",party/0=x"}},
+		{"shard index 3 out of range", []string{"-role", "aggworker", "-index", "3", "-shard-workers", "2", "-directory", ks + ",party/0=x,party/1=y"}},
+		{`dataset: unknown spec "Nope"`, []string{"-role", "leader", "-dataset", "Nope", "-directory", ks}},
+		{"fetching private key", []string{"-role", "leader", "-directory", "keyserver=127.0.0.1:1"}},
+		{"opening query log", []string{"-role", "keyserver", "-log-json", filepath.Join(t.TempDir(), "missing", "log.jsonl")}},
+	} {
+		t.Run(sc.expect, func(t *testing.T) {
+			err := run(ctx, sc.args, &roleOutput{})
+			if err == nil || !strings.Contains(err.Error(), sc.expect) {
+				t.Fatalf("run(%v) = %v, want an error containing %q", sc.args, err, sc.expect)
+			}
 		})
 	}
 }
@@ -141,17 +385,10 @@ func TestFiveProcessDeploymentSchemes(t *testing.T) {
 // speculative TA, the arithmetic backend) fails loudly instead of starting a
 // node that silently differs from what the script asked for.
 func TestRetiredFlagsRejected(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess test skipped in -short mode")
-	}
-	bin := buildNode(t)
 	for _, flag := range []string{"-pack", "-pack-adaptive", "-chunk-bytes", "-speculate-ta", "-mont"} {
-		out, err := exec.Command(bin, "-role", "keyserver", "-scheme", "plain", flag).CombinedOutput()
-		if err == nil {
-			t.Fatalf("%s accepted:\n%s", flag, out)
-		}
-		if want := "flag provided but not defined: " + flag; !strings.Contains(string(out), want) {
-			t.Fatalf("%s: output lacks %q:\n%s", flag, want, out)
+		err := run(context.Background(), []string{"-role", "keyserver", "-scheme", "plain", flag}, &roleOutput{})
+		if want := "flag provided but not defined: " + flag; err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: run returned %v, want %q", flag, err, want)
 		}
 	}
 }
@@ -170,58 +407,5 @@ func TestParseDirectory(t *testing.T) {
 	empty, err := parseDirectory("")
 	if err != nil || len(empty) != 0 {
 		t.Fatal("empty directory should parse")
-	}
-}
-
-func TestGreedySelectLocal(t *testing.T) {
-	w := [][]float64{
-		{1.00, 0.95, 0.30},
-		{0.95, 1.00, 0.30},
-		{0.30, 0.30, 1.00},
-	}
-	res, err := selectGreedy(w, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel := res.Selected
-	if len(sel) != 2 {
-		t.Fatalf("selection %v", sel)
-	}
-	has2 := sel[0] == 2 || sel[1] == 2
-	if !has2 {
-		t.Fatalf("diverse element not selected: %v", sel)
-	}
-	if res.Value <= 0 {
-		t.Fatal("value missing")
-	}
-	if _, err := selectGreedy(w, 0); err == nil {
-		t.Fatal("expected count error")
-	}
-	if _, err := selectGreedy(w, 4); err == nil {
-		t.Fatal("expected count>P error")
-	}
-	// A corrupted similarity matrix is refused, not silently maximised.
-	for _, bad := range []float64{math.NaN(), math.Inf(1), -0.5} {
-		w[1][2] = bad
-		if _, err := selectGreedy(w, 2); err == nil {
-			t.Fatalf("W entry %g accepted", bad)
-		}
-	}
-}
-
-func TestSampleQueriesHelper(t *testing.T) {
-	q := sampleQueries(100, 10)
-	if len(q) != 10 {
-		t.Fatalf("got %d", len(q))
-	}
-	seen := map[int]bool{}
-	for _, i := range q {
-		if i < 0 || i >= 100 || seen[i] {
-			t.Fatalf("bad queries %v", q)
-		}
-		seen[i] = true
-	}
-	if len(sampleQueries(5, 10)) != 5 {
-		t.Fatal("clamp failed")
 	}
 }

@@ -101,13 +101,19 @@ func SpecByName(name string) (Spec, error) {
 	return Spec{}, fmt.Errorf("dataset: unknown spec %q", name)
 }
 
+// Rows is the instance count Generate(maxRows) materialises: the spec's
+// Instances capped at maxRows, where maxRows <= 0 means paper scale.
+func (s Spec) Rows(maxRows int) int {
+	if maxRows > 0 && maxRows < s.Instances {
+		return maxRows
+	}
+	return s.Instances
+}
+
 // Generate materialises the dataset with at most maxRows instances (0 means
 // paper scale). Generation is deterministic in the spec's Seed.
 func (s Spec) Generate(maxRows int) (*Dataset, error) {
-	n := s.Instances
-	if maxRows > 0 && maxRows < n {
-		n = maxRows
-	}
+	n := s.Rows(maxRows)
 	if n <= 0 {
 		return nil, fmt.Errorf("dataset %s: no rows requested", s.Name)
 	}

@@ -154,6 +154,29 @@ func TestGenerateValidation(t *testing.T) {
 	}
 }
 
+func TestSpecRows(t *testing.T) {
+	s, _ := SpecByName("Bank")
+	for _, c := range []struct{ max, want int }{
+		{0, s.Instances},
+		{-1, s.Instances},
+		{120, 120},
+		{s.Instances, s.Instances},
+		{s.Instances + 1, s.Instances},
+	} {
+		if got := s.Rows(c.max); got != c.want {
+			t.Errorf("Rows(%d) = %d, want %d", c.max, got, c.want)
+		}
+	}
+	// Rows predicts what Generate materialises without generating it.
+	d, err := s.Generate(s.Instances + 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.N() != s.Rows(s.Instances+5) {
+		t.Fatalf("Generate made %d rows, Rows says %d", d.N(), s.Rows(s.Instances+5))
+	}
+}
+
 func TestTrainValTestProportions(t *testing.T) {
 	s, _ := SpecByName("Bank")
 	d, _ := s.Generate(1000)

@@ -43,6 +43,9 @@ func TestNewFacilityLocationValidation(t *testing.T) {
 	if _, err := NewFacilityLocation([][]float64{{1, math.NaN()}, {0.5, 1}}); err == nil {
 		t.Fatal("expected error for NaN similarity")
 	}
+	if _, err := NewFacilityLocation([][]float64{{1, math.Inf(1)}, {0.5, 1}}); err == nil {
+		t.Fatal("expected error for +Inf similarity")
+	}
 }
 
 func TestValueNormalized(t *testing.T) {
