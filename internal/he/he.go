@@ -134,6 +134,11 @@ func (p *Paillier) Add(a, b []byte) ([]byte, error) {
 	if om := p.om.Load(); om != nil {
 		defer om.op("add", time.Now())
 	}
+	return p.add(a, b)
+}
+
+// add is Add without the metrics.
+func (p *Paillier) add(a, b []byte) ([]byte, error) {
 	ca, err := p.pk.ParseCiphertext(a)
 	if err != nil {
 		return nil, err
@@ -175,12 +180,21 @@ func (p *Plain) Name() string { return "plain" }
 
 // Encrypt implements Scheme.
 func (p *Plain) Encrypt(v float64) ([]byte, error) {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return nil, fmt.Errorf("he: cannot encrypt non-finite value %g", v)
-	}
 	b := make([]byte, max(p.CiphertextSize(), 8))
-	binary.BigEndian.PutUint64(b, math.Float64bits(v))
+	if err := putPlain(b, v); err != nil {
+		return nil, err
+	}
 	return b, nil
+}
+
+// putPlain writes v's IEEE-754 bytes to the head of the zeroed blob b,
+// refusing what no ciphertext may carry.
+func putPlain(b []byte, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("he: cannot encrypt non-finite value %g", v)
+	}
+	binary.BigEndian.PutUint64(b, math.Float64bits(v))
+	return nil
 }
 
 // Decrypt implements Scheme.

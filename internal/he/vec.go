@@ -2,6 +2,7 @@ package he
 
 import (
 	"context"
+	"fmt"
 	"math/big"
 	"time"
 
@@ -10,9 +11,10 @@ import (
 )
 
 // VecScheme is implemented by schemes with an optimized vector fast path
-// (worker-pool parallelism, pooled randomizers). Callers should go through
-// the package-level EncryptVec/DecryptVec helpers, which fall back to a
-// serial loop for plain Scheme implementations.
+// (worker-pool parallelism, pooled randomizers, one allocation per vector).
+// Callers should go through the package-level EncryptVec/DecryptVec/AddVec
+// helpers, which fall back to a serial loop for plain Scheme
+// implementations.
 type VecScheme interface {
 	Scheme
 	// EncryptVec encrypts a vector of real values, polling ctx between
@@ -20,6 +22,9 @@ type VecScheme interface {
 	EncryptVec(ctx context.Context, vs []float64) ([][]byte, error)
 	// DecryptVec recovers a vector of (possibly aggregated) real values.
 	DecryptVec(ctx context.Context, cs [][]byte) ([]float64, error)
+	// AddVec homomorphically adds two equal-length ciphertext vectors
+	// element-wise into a new vector.
+	AddVec(ctx context.Context, a, b [][]byte) ([][]byte, error)
 }
 
 // vecChunk is the ctx poll interval of the serial fallback loops.
@@ -55,6 +60,11 @@ func DecryptVec(ctx context.Context, s Scheme, cs [][]byte) ([]float64, error) {
 	if v, ok := s.(VecScheme); ok {
 		return v.DecryptVec(ctx, cs)
 	}
+	return decryptEach(ctx, s, cs)
+}
+
+// decryptEach is the serial Decrypt loop, polling ctx every vecChunk items.
+func decryptEach(ctx context.Context, s Scheme, cs [][]byte) ([]float64, error) {
 	out := make([]float64, len(cs))
 	for i, c := range cs {
 		if i%vecChunk == 0 {
@@ -67,6 +77,104 @@ func DecryptVec(ctx context.Context, s Scheme, cs [][]byte) ([]float64, error) {
 			return nil, err
 		}
 		out[i] = v
+	}
+	return out, nil
+}
+
+// AddVec adds a and b element-wise under s, using the scheme's vector fast
+// path when it has one and a serial loop of s.Add otherwise. The result is a
+// new vector; a and b are left as they were.
+func AddVec(ctx context.Context, s Scheme, a, b [][]byte) ([][]byte, error) {
+	if v, ok := s.(VecScheme); ok {
+		return v.AddVec(ctx, a, b)
+	}
+	if err := sameLen(a, b); err != nil {
+		return nil, err
+	}
+	out := make([][]byte, len(a))
+	for i := range a {
+		if i%vecChunk == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		c, err := s.Add(a[i], b[i])
+		if err != nil {
+			return nil, err
+		}
+		out[i] = c
+	}
+	return out, nil
+}
+
+// sameLen rejects an element-wise add of vectors of different lengths.
+func sameLen(a, b [][]byte) error {
+	if len(a) != len(b) {
+		return fmt.Errorf("he: adding vectors of %d and %d ciphertexts", len(a), len(b))
+	}
+	return nil
+}
+
+// ---- Plain vector path ----
+
+// slab returns n blobs of the scheme's ciphertext size carved from one
+// allocation. Each blob's capacity ends where it does, so appending to one
+// reallocates instead of overwriting its neighbour.
+func (p *Plain) slab(n int) [][]byte {
+	size := max(p.CiphertextSize(), 8)
+	slab := make([]byte, n*size)
+	out := make([][]byte, n)
+	for i := range out {
+		out[i] = slab[i*size : (i+1)*size : (i+1)*size]
+	}
+	return out
+}
+
+// EncryptVec implements VecScheme: Encrypt of every value, written into one
+// slab.
+func (p *Plain) EncryptVec(ctx context.Context, vs []float64) ([][]byte, error) {
+	out := p.slab(len(vs))
+	for i, v := range vs {
+		if i%vecChunk == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		if err := putPlain(out[i], v); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// DecryptVec implements VecScheme: Decrypt of every blob.
+func (p *Plain) DecryptVec(ctx context.Context, cs [][]byte) ([]float64, error) {
+	return decryptEach(ctx, p, cs)
+}
+
+// AddVec implements VecScheme: Add of every pair, written into one slab.
+func (p *Plain) AddVec(ctx context.Context, a, b [][]byte) ([][]byte, error) {
+	if err := sameLen(a, b); err != nil {
+		return nil, err
+	}
+	out := p.slab(len(a))
+	for i := range a {
+		if i%vecChunk == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		va, err := p.Decrypt(a[i])
+		if err != nil {
+			return nil, err
+		}
+		vb, err := p.Decrypt(b[i])
+		if err != nil {
+			return nil, err
+		}
+		if err := putPlain(out[i], va+vb); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }
@@ -211,6 +319,26 @@ func (p *Paillier) EncryptVec(ctx context.Context, vs []float64) ([][]byte, erro
 	out := make([][]byte, len(cs))
 	for i, c := range cs {
 		out[i] = c.Bytes()
+	}
+	return out, nil
+}
+
+// AddVec implements VecScheme with a chunked worker pool.
+func (p *Paillier) AddVec(ctx context.Context, a, b [][]byte) ([][]byte, error) {
+	if err := sameLen(a, b); err != nil {
+		return nil, err
+	}
+	if om := p.om.Load(); om != nil {
+		defer om.vec("add", len(a), time.Now())
+	}
+	out := make([][]byte, len(a))
+	err := par.For(ctx, len(a), p.Parallelism(), func(i int) error {
+		c, err := p.add(a[i], b[i])
+		out[i] = c
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

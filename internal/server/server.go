@@ -55,6 +55,7 @@ import (
 	"vfps/internal/he"
 	"vfps/internal/obs"
 	"vfps/internal/transport"
+	"vfps/internal/vfl"
 )
 
 // Server is the HTTP handler with its consortium registry.
@@ -168,12 +169,18 @@ func (s *Server) runJanitor(ttl time.Duration) {
 }
 
 // teardown retires an already-unlinked entry: waits out any in-flight run,
-// banks the learned pack width, and closes the consortium.
+// banks the learned pack width, closes the consortium and deletes its metric
+// series — ids are never reused, and the series' pull gauges would keep the
+// consortium's roles, and through them its data, reachable for the server's
+// lifetime.
 func (s *Server) teardown(e *entry) {
 	e.runMu.Lock()
 	defer e.runMu.Unlock()
 	s.reg.recordHint(e.hintKey, e.cons.PackWidthHint())
 	e.cons.Close()
+	for _, instance := range vfl.SeriesInstances(e.id) {
+		s.obs.Registry().DeleteSeries(map[string]string{"instance": instance})
+	}
 }
 
 // BeginDrain stops admitting new selection work (already-queued requests

@@ -11,8 +11,9 @@
 package topk
 
 import (
+	"cmp"
 	"fmt"
-	"math/bits"
+	"math"
 	"slices"
 	"sort"
 )
@@ -24,16 +25,31 @@ type Item struct {
 }
 
 // less is the order of every ranking in the system: ascending score, ties by
-// id. Ids are distinct within a list, so the order is strict and total and a
-// sorted list is unique.
+// id, and NaN scores after every number (NaNs by id). Ids are distinct within
+// a list, so the order is strict and total and a sorted list is unique.
 func less(a, b Item) bool {
-	return a.Score < b.Score || (a.Score == b.Score && a.ID < b.ID)
+	switch {
+	case a.Score < b.Score:
+		return true
+	case a.Score == b.Score:
+		return a.ID < b.ID
+	case a.Score > b.Score:
+		return false
+	}
+	aNaN, bNaN := a.Score != a.Score, b.Score != b.Score
+	return !aNaN || bNaN && a.ID < b.ID
 }
 
 // Compare is less as a three-way comparison, for slices.SortFunc.
 func Compare(a, b Item) int {
 	switch {
-	case less(a, b):
+	case a.Score < b.Score:
+		return -1
+	case a.Score > b.Score:
+		return 1
+	case a.Score == b.Score:
+		return cmp.Compare(a.ID, b.ID)
+	case less(a, b): // a NaN is involved
 		return -1
 	case less(b, a):
 		return 1
@@ -41,71 +57,124 @@ func Compare(a, b Item) int {
 	return 0
 }
 
-// SortPrefix reorders items so that items[:m] is exactly the first m items
-// of the full Compare-sort, leaving the rest in unspecified order. It
-// quick-selects the m smallest in O(len) and sorts only those, so the cost
-// is O(len + m log m) instead of O(len log len).
-func SortPrefix(items []Item, m int) {
-	m = min(m, len(items))
-	if m <= 0 {
-		return
-	}
-	selectSmallest(items, m)
-	slices.SortFunc(items[:m], Compare)
+// rankSample is the least number of strided sample points a Ranking pass
+// reads its threshold off (up to twice as many on long lists).
+const rankSample = 1024
+
+// Ranking is the Compare order of the items {ID: IDs[i], Score: Scores[i]}
+// (ID i when IDs is nil) over every index i but Skip, built as a sorted
+// prefix that grows on demand. Sorted is exactly the first len(Sorted)
+// entries of that order; Extend only ever appends to it, so slices of it
+// stay valid.
+//
+// No N-entry item array exists. Each pass of Extend reads a threshold item
+// off a strided sample of Scores, keeps the entries that order after the
+// prefix tail and not after the threshold — exactly the next entries of the
+// order, because it is strict — and sorts only those.
+type Ranking struct {
+	Scores []float64
+	IDs    []int
+	Skip   int // index left out of the order; -1 keeps every index
+	Sorted []Item
+	Passes int // passes over Scores so far
 }
 
-// selectSmallest partitions items so that items[:m] holds the m smallest in
-// any order (0 < m ≤ len). Median-of-three quickselect; a run of bad pivots
-// falls back to sorting what is left, which bounds the worst case at
-// O(len log len).
-func selectSmallest(items []Item, m int) {
-	for budget := 2 * bits.Len(uint(len(items))); m < len(items); budget-- {
-		if budget == 0 || len(items) <= 12 {
-			slices.SortFunc(items, Compare)
-			return
-		}
-		p := partition(items)
-		if m <= p {
-			items = items[:p]
-		} else {
-			items, m = items[p+1:], m-(p+1)
-		}
+// Len is the number of entries in the full order.
+func (r *Ranking) Len() int {
+	if r.Skip >= 0 && r.Skip < len(r.Scores) {
+		return len(r.Scores) - 1
+	}
+	return len(r.Scores)
+}
+
+func (r *Ranking) item(i int) Item {
+	if r.IDs == nil {
+		return Item{ID: i, Score: r.Scores[i]}
+	}
+	return Item{ID: r.IDs[i], Score: r.Scores[i]}
+}
+
+// Extend grows Sorted to at least min(upto, Len()) entries. A pass that
+// falls short of the aim appends what it found and the next pass aims twice
+// as far past the new tail, so a misleading sample costs O(log N) passes at
+// worst; an aim that reaches the end of the order sorts all that is left in
+// one pass.
+func (r *Ranking) Extend(upto int) {
+	upto = min(upto, r.Len())
+	for try := 0; len(r.Sorted) < upto; try++ {
+		r.pass(min((upto-len(r.Sorted))<<min(try, 32), r.Len()))
 	}
 }
 
-// partition picks the median of the first, middle and last item as pivot and
-// returns its final index p: items[:p] sort before it, items[p+1:] after.
-func partition(items []Item) int {
-	last := len(items) - 1
-	mid := last / 2
-	if less(items[0], items[mid]) {
-		items[0], items[mid] = items[mid], items[0]
+// pass appends the entries that follow the prefix, up to a threshold chosen
+// so that usually at least aim of them qualify, in order.
+func (r *Ranking) pass(aim int) {
+	r.Passes++
+	start := len(r.Sorted)
+	var tail Item
+	lo, hi := math.Inf(-1), math.Inf(1)
+	if start > 0 {
+		tail, lo = r.Sorted[start-1], r.Sorted[start-1].Score
 	}
-	if less(items[last], items[mid]) {
-		items[last], items[mid] = items[mid], items[last]
+	var bound Item
+	bounded, rest := false, r.Len()-start
+	if aim < rest {
+		bound, bounded = r.threshold(aim, start > 0, tail)
 	}
-	if less(items[last], items[0]) {
-		items[last], items[0] = items[0], items[last]
+	if bounded {
+		hi = bound.Score
+		rest = min(rest, aim+aim/2) // what the threshold's margin lets through, about
 	}
-	// items[mid] ≤ items[0] ≤ items[last]: the median leads.
-	pivot := items[0]
-	i, j := 1, last
-	for {
-		for i <= j && less(items[i], pivot) {
-			i++
+	r.Sorted = slices.Grow(r.Sorted, rest)
+	for i, s := range r.Scores {
+		// Only NaNs and scores inside [lo, hi] get past the float test; the
+		// exact (score, id) test then settles ties at both ends.
+		if s < lo || s > hi || i == r.Skip {
+			continue
 		}
-		for i <= j && less(pivot, items[j]) {
-			j--
+		it := r.item(i)
+		if start > 0 && !less(tail, it) || bounded && less(bound, it) {
+			continue
 		}
-		if i >= j {
-			break
-		}
-		items[i], items[j] = items[j], items[i]
-		i++
-		j--
+		r.Sorted = append(r.Sorted, it)
 	}
-	items[0], items[j] = items[j], items[0]
-	return j
+	slices.SortFunc(r.Sorted[start:], Compare)
+}
+
+// threshold returns the sample item that about aim entries past the tail
+// order at or before, with a quarter more plus three sample points of margin
+// against sampling error. It reports false when the sample cannot bound the
+// aim — it runs out past the tail, or the aim is a large share of the list —
+// and the pass then takes everything after the tail.
+func (r *Ranking) threshold(aim int, hasTail bool, tail Item) (Item, bool) {
+	n := len(r.Scores)
+	stride := max(1, n/rankSample)
+	points := (n + stride - 1) / stride
+	k := aim*points/n + aim*points/(4*n) + 3
+	if k > points/2 {
+		return Item{}, false
+	}
+	// best holds the k smallest sample items past the tail, ascending.
+	best := make([]Item, 0, k)
+	for i := 0; i < n; i += stride {
+		if i == r.Skip {
+			continue
+		}
+		it := r.item(i)
+		if hasTail && !less(tail, it) || len(best) == k && !less(it, best[k-1]) {
+			continue
+		}
+		j, _ := slices.BinarySearchFunc(best, it, Compare)
+		if len(best) < k {
+			best = append(best, Item{})
+		}
+		copy(best[j+1:], best[j:len(best)-1])
+		best[j] = it
+	}
+	if len(best) < k {
+		return Item{}, false
+	}
+	return best[k-1], true
 }
 
 // RankedList is one party's scores for instance ids 0..N-1, pre-sorted in
@@ -199,22 +268,15 @@ func validate(lists []*RankedList, k int) (n int, err error) {
 // ids with smallest sums (ascending, ties by id), along with the number of
 // random accesses charged.
 func kSmallestByAggregate(lists []*RankedList, cand []int, k int) ([]int, int) {
-	sums := make([]Item, len(cand))
+	sums := make([]float64, len(cand))
 	ra := 0
 	for i, id := range cand {
-		var s float64
 		for _, l := range lists {
-			s += l.Score(id)
+			sums[i] += l.Score(id)
 			ra++
 		}
-		sums[i] = Item{ID: id, Score: s}
 	}
-	SortPrefix(sums, k)
-	out := make([]int, k)
-	for i := 0; i < k; i++ {
-		out[i] = sums[i].ID
-	}
-	return out, ra
+	return kSmallest(sums, cand, k), ra
 }
 
 // Fagin runs Fagin's algorithm with mini-batched sequential access: each
@@ -363,20 +425,21 @@ func Naive(lists []*RankedList, k int) (*Result, error) {
 // order (ties by index). It is the single-list special case used by the
 // leader after decrypting complete distances.
 func KSmallest(values []float64, k int) []int {
-	if k > len(values) {
-		k = len(values)
-	}
 	if k <= 0 {
 		return nil
 	}
-	items := make([]Item, len(values))
-	for i, v := range values {
-		items[i] = Item{ID: i, Score: v}
-	}
-	SortPrefix(items, k)
-	out := make([]int, k)
+	return kSmallest(values, nil, k)
+}
+
+// kSmallest returns the ids of the first k entries (fewer when the list is
+// shorter) of the ranking of scores, id ids[i] for index i (i when ids is
+// nil).
+func kSmallest(scores []float64, ids []int, k int) []int {
+	r := Ranking{Scores: scores, IDs: ids, Skip: -1}
+	r.Extend(k)
+	out := make([]int, min(k, len(r.Sorted)))
 	for i := range out {
-		out[i] = items[i].ID
+		out[i] = r.Sorted[i].ID
 	}
 	return out
 }

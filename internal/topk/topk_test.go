@@ -1,6 +1,8 @@
 package topk
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -250,49 +252,162 @@ func TestKSmallest(t *testing.T) {
 	}
 }
 
-// TestSortPrefixMatchesFullSort pins SortPrefix against a reflective full
-// sort: random sizes and cut points, scores drawn from a handful
-// of values (ties resolved by id), already-sorted and reversed inputs (the
-// median-of-three worst shapes).
-func TestSortPrefixMatchesFullSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 300; trial++ {
-		n := 1 + rng.Intn(3000)
-		items := make([]Item, n)
-		levels := 1 + rng.Intn(8)
-		for i := range items {
-			items[i] = Item{ID: i, Score: float64(rng.Intn(levels))}
-			if trial%3 == 0 {
-				items[i].Score = rng.NormFloat64()
-			}
-		}
-		want := append([]Item(nil), items...)
-		sort.Slice(want, func(i, j int) bool {
-			if want[i].Score != want[j].Score {
-				return want[i].Score < want[j].Score
-			}
-			return want[i].ID < want[j].ID
-		})
-		switch trial % 5 {
-		case 1:
-			copy(items, want)
-		case 2:
-			for i := range items {
-				items[i] = want[n-1-i]
-			}
-		}
-		m := rng.Intn(n + 2)
-		SortPrefix(items, m)
-		m = min(m, n)
-		if !reflect.DeepEqual(items[:m], want[:m]) {
-			t.Fatalf("trial %d: n=%d m=%d: prefix differs from full sort", trial, n, m)
-		}
-		rest := append([]Item(nil), items...)
-		slices.SortFunc(rest, Compare)
-		if !reflect.DeepEqual(rest, want) {
-			t.Fatalf("trial %d: SortPrefix lost or duplicated items", trial)
+// fullSort is the oracle every lazy ranking must reproduce: all items but
+// skip's, sorted with the reflective sort under (score, id), NaNs last.
+func fullSort(scores []float64, ids []int, skip int) []Item {
+	var items []Item
+	for i, s := range scores {
+		if i != skip {
+			items = append(items, Item{ID: ids[i], Score: s})
 		}
 	}
+	sort.Slice(items, func(i, j int) bool {
+		a, b := items[i], items[j]
+		if math.IsNaN(a.Score) || math.IsNaN(b.Score) {
+			return !math.IsNaN(a.Score) || math.IsNaN(b.Score) && a.ID < b.ID
+		}
+		if a.Score != b.Score {
+			return a.Score < b.Score
+		}
+		return a.ID < b.ID
+	})
+	return items
+}
+
+// rankingScores draws n scores from one of the shapes that can mislead the
+// strided sample: few distinct levels, all equal, a dense cluster the sample
+// points miss, the sample points alone holding the smallest scores, sorted
+// and reversed inputs, and a sprinkle of NaNs and infinities.
+func rankingScores(rng *rand.Rand, n, shape int) []float64 {
+	scores := make([]float64, n)
+	stride := max(1, n/rankSample)
+	levels := 1 + rng.Intn(8)
+	for i := range scores {
+		switch shape {
+		case 0:
+			scores[i] = rng.NormFloat64()
+		case 1:
+			scores[i] = float64(rng.Intn(levels))
+		case 2:
+			scores[i] = 3
+		case 3: // a dense cluster between the sample points
+			scores[i] = 10 + rng.Float64()
+			if i%stride != 0 && rng.Intn(4) == 0 {
+				scores[i] = rng.Float64() * 1e-9
+			}
+		case 4: // only the sample points are small
+			scores[i] = 10 + rng.Float64()
+			if i%stride == 0 {
+				scores[i] = rng.Float64()
+			}
+		case 5:
+			scores[i] = float64(i)
+		case 6:
+			scores[i] = float64(n - i)
+		case 7:
+			scores[i] = []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 1}[rng.Intn(6)]
+		}
+	}
+	return scores
+}
+
+// TestRankingMatchesFullSort drives Ranking.Extend with random access
+// scripts over every score shape, with and without an id mapping and a
+// skipped index, and requires every prefix to be the full sort's.
+func TestRankingMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 400; trial++ {
+		n := rng.Intn(6000)
+		scores := rankingScores(rng, n, trial%8)
+		ids := rng.Perm(n)
+		skip := -1
+		if n > 0 && trial%3 != 0 {
+			skip = []int{0, n - 1, rng.Intn(n)}[trial%3]
+		}
+		r := Ranking{Scores: scores, IDs: ids, Skip: skip}
+		if trial%4 == 0 { // the identity id mapping
+			r.IDs = nil
+			ids = make([]int, n)
+			for i := range ids {
+				ids[i] = i
+			}
+		}
+		want := fullSort(scores, ids, skip)
+		if r.Len() != len(want) {
+			t.Fatalf("trial %d: Len() = %d, want %d", trial, r.Len(), len(want))
+		}
+		for upto := 0; len(r.Sorted) < len(want); {
+			upto += 1 + rng.Intn(1+n/4)
+			r.Extend(upto)
+			if len(r.Sorted) < min(upto, len(want)) || !sameItems(r.Sorted, want[:len(r.Sorted)]) {
+				t.Fatalf("trial %d (n=%d shape %d skip %d): Extend(%d) left %d entries that differ from the full sort's",
+					trial, n, trial%8, skip, upto, len(r.Sorted))
+			}
+		}
+		r.Extend(n + 5) // past the end: a no-op
+		if !sameItems(r.Sorted, want) {
+			t.Fatalf("trial %d: the fully extended ranking is not the full sort", trial)
+		}
+	}
+}
+
+// sameItems compares item lists bit for bit, so NaN scores compare equal
+// and -0 differs from +0.
+func sameItems(a, b []Item) bool {
+	return slices.EqualFunc(a, b, func(x, y Item) bool {
+		return x.ID == y.ID && math.Float64bits(x.Score) == math.Float64bits(y.Score)
+	})
+}
+
+// TestRankingPassBound pins the cost of a shallow read of a long list: one
+// pass that sorts little more than it was asked for on well-spread or tied
+// scores, and no more than a logarithmic number of passes on a sample that
+// points the threshold the wrong way (which then sorts what is left).
+func TestRankingPassBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, c := range []struct {
+		shape, maxPasses int
+	}{{0, 1}, {1, 1}, {2, 1}, {4, 12}} {
+		r := Ranking{Scores: rankingScores(rng, 100_000, c.shape), Skip: -1}
+		r.Extend(2048)
+		if r.Passes > c.maxPasses {
+			t.Errorf("shape %d: Extend(2048) of 100 000 took %d passes, want ≤ %d", c.shape, r.Passes, c.maxPasses)
+		}
+		if len(r.Sorted) > 2*2048 && c.shape != 4 {
+			t.Errorf("shape %d: Extend(2048) sorted %d entries", c.shape, len(r.Sorted))
+		}
+	}
+}
+
+// FuzzRankedPrefix checks Ranking against the full sort on arbitrary score
+// vectors and read scripts.
+func FuzzRankedPrefix(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 200, 7, 7, 7}, uint16(3), uint8(0))
+	f.Add(bytes.Repeat([]byte{9}, 3000), uint16(2999), uint8(5))
+	f.Fuzz(func(t *testing.T, raw []byte, skip uint16, script uint8) {
+		scores := make([]float64, len(raw))
+		for i, b := range raw {
+			scores[i] = []float64{math.NaN(), math.Inf(1), math.Copysign(0, -1)}[b%3]
+			if b >= 3 {
+				scores[i] = float64(b>>2) - 20
+			}
+		}
+		ids := make([]int, len(scores))
+		for i := range ids {
+			ids[i] = (i * 7919) % max(1, len(ids)) // a bijection whenever len is not a multiple of 7919
+			if len(ids)%7919 == 0 {
+				ids[i] = i
+			}
+		}
+		r := Ranking{Scores: scores, IDs: ids, Skip: int(skip) - 1}
+		want := fullSort(scores, ids, r.Skip)
+		for step := 1; len(r.Sorted) < len(want); step++ {
+			r.Extend(len(r.Sorted) + 1 + int(script)*step)
+			if !sameItems(r.Sorted, want[:len(r.Sorted)]) {
+				t.Fatalf("prefix of %d differs from the full sort's", len(r.Sorted))
+			}
+		}
+	})
 }
 
 // Statistics sanity: TA should never do more sorted accesses than Fagin with
@@ -348,5 +463,23 @@ func BenchmarkNaive(b *testing.B) {
 		if _, err := Naive(lists, 10); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRankingExtend is one party's first read of a 100 000-row
+// ranking: a pass over the distances to the 2 048-row growth floor.
+func BenchmarkRankingExtend(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	const n = 100_000
+	scores := make([]float64, n)
+	for i := range scores {
+		scores[i] = rng.ExpFloat64()
+	}
+	ids := rng.Perm(n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := Ranking{Scores: scores, IDs: ids, Skip: 17}
+		r.Extend(2048)
 	}
 }

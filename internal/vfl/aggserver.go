@@ -8,7 +8,6 @@ import (
 	"vfps/internal/costmodel"
 	"vfps/internal/he"
 	"vfps/internal/obs"
-	"vfps/internal/par"
 	"vfps/internal/transport"
 	"vfps/internal/wire"
 )
@@ -481,11 +480,12 @@ func samePseudoIDs(names []string, cols []*collected) error {
 }
 
 // reduceVectors tree-reduces the per-party ciphertext vectors element-wise
-// into vecs[0]: pairwise combination over the party dimension with the
-// element loop spread over the worker pool. The reduction shape is fixed by
-// party index, so results do not depend on the parallelism setting. It
-// charges the performed CipherAdds — (P−1)·len, exactly what the serial
-// left fold performed.
+// into one: pairwise combination over the party dimension, each pair added
+// by the scheme's vector path (he.AddVec; Paillier spreads it over its
+// worker pool, Plain writes each sum vector into one slab). The reduction
+// shape is fixed by party index, so results do not depend on the parallelism
+// setting. It charges the performed CipherAdds — (P−1)·len, exactly what the
+// serial left fold performed.
 func (a *AggServer) reduceVectors(ctx context.Context, vecs [][][]byte) ([][]byte, error) {
 	p := len(vecs)
 	if p == 1 {
@@ -497,19 +497,12 @@ func (a *AggServer) reduceVectors(ctx context.Context, vecs [][][]byte) ([][]byt
 	adds := 0
 	for span := 1; span < p; span *= 2 {
 		for lo := 0; lo+span < p; lo += 2 * span {
-			left, right := vecs[lo], vecs[lo+span]
-			err := par.For(ctx, len(left), a.parallelism, func(i int) error {
-				sum, err := a.scheme.Add(left[i], right[i])
-				if err != nil {
-					return fmt.Errorf("vfl: aggregating: %w", err)
-				}
-				left[i] = sum
-				return nil
-			})
+			sum, err := he.AddVec(ctx, a.scheme, vecs[lo], vecs[lo+span])
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("vfl: aggregating: %w", err)
 			}
-			adds += len(left)
+			vecs[lo] = sum
+			adds += len(sum)
 		}
 	}
 	a.counts.Add(costmodel.Raw{CipherAdds: int64(adds)})

@@ -98,6 +98,22 @@ func (c *Cluster) Close() {
 	}
 }
 
+// The instance labels of a cluster's public and leader HE scheme copies are
+// its own plus these suffixes.
+const (
+	publicSchemeSuffix = "/public"
+	leaderSchemeSuffix = "/leader"
+)
+
+// SeriesInstances returns every instance label a cluster built with
+// ClusterConfig.Instance = instance writes to its registry: its roles' and
+// its two HE scheme copies'. A serving layer that retires the cluster for
+// good deletes their series, whose pull gauges would otherwise keep the
+// cluster's roles reachable for the registry's lifetime.
+func SeriesInstances(instance string) []string {
+	return []string{instance, instance + publicSchemeSuffix, instance + leaderSchemeSuffix}
+}
+
 // NewLocalCluster builds the full topology over the in-memory transport,
 // distributing key material through the key-server RPCs exactly as the
 // distributed deployment does.
@@ -156,7 +172,7 @@ func NewLocalCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 		return nil, err
 	}
 	if ob, ok := pubScheme.(he.Observable); ok {
-		ob.SetObserver(o.Registry(), instance+"/public")
+		ob.SetObserver(o.Registry(), instance+publicSchemeSuffix)
 	}
 	p := cfg.Partition.P()
 	partyNames := make([]string, p)
@@ -197,7 +213,7 @@ func NewLocalCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 	// The leader decrypts but never bulk-encrypts, so it gets no pool.
 	ConfigureScheme(privScheme, cfg.Options, false)
 	if ob, ok := privScheme.(he.Observable); ok {
-		ob.SetObserver(o.Registry(), instance+"/leader")
+		ob.SetObserver(o.Registry(), instance+leaderSchemeSuffix)
 	}
 	leader, err := NewLeader(tr, AggServerName, partyNames, privScheme, cfg.Batch, cfg.Options)
 	if err != nil {

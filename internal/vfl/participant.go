@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"vfps/internal/costmodel"
 	"vfps/internal/fixed"
@@ -50,21 +51,18 @@ type Participant struct {
 }
 
 // The per-participant query cache is bounded by bytes, not entries: an entry
-// holds N distances and N−1 ranked items, so a fixed entry count that is
-// harmless at N = 200 retains hundreds of megabytes at N = 10⁵. Small
+// holds N distances plus its sorted ranking prefix, so a fixed entry count
+// that is harmless at N = 200 retains tens of megabytes at N = 10⁵. Small
 // consortiums keep the 32 entries concurrent query processing was sized for;
-// large ones keep at least the few queries one selection has in flight.
+// large ones keep at least the few queries one selection has in flight
+// (about 9 at N = 10⁵). A selection that repeats a query set is answered by
+// core's SimCache before it reaches a party, so entries past those in flight
+// buy little.
 const (
-	cacheBudgetBytes = 16 << 20
+	cacheBudgetBytes = 8 << 20
 	cacheMinEntries  = 4
 	cacheMaxEntries  = 32
 )
-
-// cacheEntries is the query-cache capacity of a participant holding n rows.
-func cacheEntries(n int) int {
-	const perRow = 8 + 16 // one float64 distance and one topk.Item
-	return min(max(cacheBudgetBytes/(n*perRow), cacheMinEntries), cacheMaxEntries)
-}
 
 // queryCache holds the per-query artefacts that several protocol steps
 // reuse: partial distances by original id and the ascending sub-ranking of
@@ -73,37 +71,44 @@ type queryCache struct {
 	dist []float64 // by original id; the query's own slot stays 0 and is never ranked
 
 	mu sync.Mutex
-	// items pairs every row but the query with its pseudo id. items[:sorted]
-	// is final — exactly the first `sorted` entries of the full (distance,
-	// pseudo id) sort — and never written again, so slices of it stay valid
-	// after mu is released; items[sorted:] is the unsorted remainder, every
-	// entry of which orders after the prefix.
-	items  []topk.Item
-	sorted int
+	// rank orders every row but the query by (distance, pseudo id) straight
+	// from dist. rank.Sorted is final — exactly the first entries of the full
+	// sort — and only ever appended to, so slices of it stay valid after mu
+	// is released.
+	rank topk.Ranking
+	// bytes is what the entry holds, 8 B per distance plus 16 B per slot of
+	// the sorted prefix; the participant's eviction reads it without mu.
+	bytes atomic.Int64
 }
 
 // rankedMinGrowth is the least the sorted prefix grows by. Fagin reads the
-// ranking 32 rows at a time, and each growth pays one O(N) selection pass
-// over the unsorted tail; doubling from this floor keeps a scan to depth d
-// at O(log d) passes.
+// ranking 32 rows at a time, and each growth pays one O(N) pass over the
+// distances; doubling from this floor keeps a scan to depth d at O(log d)
+// growths.
 const rankedMinGrowth = 2048
 
 // ranked returns the first upto entries (fewer when the list is shorter) of
 // the ascending sub-ranking. When the request reaches past the sorted prefix
-// the prefix is extended by selecting the next-smallest items out of the tail
-// and sorting only those: a query scanned to depth d costs O(N + d log d)
-// instead of the O(N log N) of sorting rows Fagin never reads, and every
-// entry returned is identical to the full sort's because the order is strict.
+// the prefix is extended by a pass over the distances that keeps only the
+// rows ordering next and sorts those: a query scanned to depth d costs
+// O(N + d log d) instead of the O(N log N) of sorting rows Fagin never reads,
+// and every entry returned is identical to the full sort's because the order
+// is strict.
 func (qc *queryCache) ranked(upto int) []topk.Item {
-	upto = min(upto, len(qc.items))
 	qc.mu.Lock()
 	defer qc.mu.Unlock()
-	if upto > qc.sorted {
-		target := min(max(upto, 2*qc.sorted, rankedMinGrowth), len(qc.items))
-		topk.SortPrefix(qc.items[qc.sorted:], target-qc.sorted)
-		qc.sorted = target
+	upto = min(upto, qc.rank.Len())
+	if sorted := len(qc.rank.Sorted); upto > sorted {
+		qc.rank.Extend(max(upto, 2*sorted, rankedMinGrowth))
+		qc.bytes.Store(entryBytes(len(qc.dist), cap(qc.rank.Sorted)))
 	}
-	return qc.items[:upto]
+	return qc.rank.Sorted[:upto]
+}
+
+// entryBytes is what a query-cache entry over n rows holds with a sorted
+// prefix of capacity sorted.
+func entryBytes(n, sorted int) int64 {
+	return int64(8*n + 16*sorted)
 }
 
 // NewParticipant constructs participant p over its local features.
@@ -340,31 +345,49 @@ func (p *Participant) distances(ctx context.Context, query int) (*queryCache, er
 	n := p.N()
 	qRow := p.x.Row(query)
 	dist := make([]float64, n)
-	items := make([]topk.Item, 0, n-1)
 	for i := 0; i < n; i++ {
-		if i == query {
-			continue
+		if i != query {
+			dist[i] = mat.SqDist(qRow, p.x.Row(i))
 		}
-		dist[i] = mat.SqDist(qRow, p.x.Row(i))
-		// Ranking by (distance, pseudo id) gives all parties and the servers
-		// a consistent order without leaking original ids.
-		items = append(items, topk.Item{ID: p.perm[i], Score: dist[i]})
 	}
 	p.counts.Add(costmodel.Raw{DistanceFlops: int64((n - 1) * p.x.Cols)})
-	qc := &queryCache{dist: dist, items: items}
+	// Ranking by (distance, pseudo id) gives all parties and the servers a
+	// consistent order without leaking original ids.
+	qc := &queryCache{dist: dist, rank: topk.Ranking{Scores: dist, IDs: p.perm, Skip: query}}
+	qc.bytes.Store(entryBytes(n, 0))
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if existing, ok := p.cache[query]; ok {
 		return existing, nil // another goroutine won the race
 	}
-	if len(p.cacheOrder) >= cacheEntries(n) {
-		oldest := p.cacheOrder[0]
-		p.cacheOrder = p.cacheOrder[1:]
-		delete(p.cache, oldest)
-	}
 	p.cache[query] = qc
 	p.cacheOrder = append(p.cacheOrder, query)
+	p.trimCacheLocked()
 	return qc, nil
+}
+
+// trimCache evicts the oldest query-cache entries until the cache fits its
+// bounds again; callers run it after a ranking extension grew an entry.
+func (p *Participant) trimCache() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.trimCacheLocked()
+}
+
+// trimCacheLocked evicts oldest-first until at most cacheMaxEntries remain
+// and the entries hold at most cacheBudgetBytes, keeping cacheMinEntries
+// whatever they hold. p.mu must be held.
+func (p *Participant) trimCacheLocked() {
+	var total int64
+	for _, q := range p.cacheOrder {
+		total += p.cache[q].bytes.Load()
+	}
+	for len(p.cacheOrder) > cacheMaxEntries || len(p.cacheOrder) > cacheMinEntries && total > cacheBudgetBytes {
+		oldest := p.cacheOrder[0]
+		total -= p.cache[oldest].bytes.Load()
+		delete(p.cache, oldest)
+		p.cacheOrder = p.cacheOrder[1:]
+	}
 }
 
 // Handler returns the participant's RPC handler.
@@ -424,12 +447,13 @@ func (p *Participant) rankingBatch(ctx context.Context, r RankingBatchReq) ([]by
 	if err != nil {
 		return nil, err
 	}
-	if r.Offset < 0 || r.Offset > len(qc.items) {
+	if r.Offset < 0 || r.Offset > qc.rank.Len() {
 		return nil, fmt.Errorf("vfl: ranking offset %d out of range", r.Offset)
 	}
 	// Clamp before adding: Offset+Count overflows for a hostile Count.
-	count := min(r.Count, len(qc.items)-r.Offset)
+	count := min(r.Count, qc.rank.Len()-r.Offset)
 	ranked := qc.ranked(r.Offset + count)[r.Offset:]
+	p.trimCache()
 	batch := make([]int, len(ranked))
 	for i, it := range ranked {
 		batch[i] = it.ID
@@ -496,15 +520,16 @@ func (p *Participant) encryptRankScore(ctx context.Context, r EncryptRankScoreRe
 	if r.Rank < 0 {
 		return nil, fmt.Errorf("vfl: rank %d must be non-negative", r.Rank)
 	}
-	if len(qc.items) == 0 {
+	if qc.rank.Len() == 0 {
 		return nil, fmt.Errorf("vfl: rank %d of an empty ranking", r.Rank)
 	}
 	// Clamp before adding one, for the same reason as in rankingBatch.
-	rank := min(r.Rank, len(qc.items)-1)
+	rank := min(r.Rank, qc.rank.Len()-1)
 	// The mask key is the *requested* rank: every party is asked the same
 	// rank in a TA round, so their masks cancel at aggregation even when the
 	// effective rank was clamped.
 	c, err := p.encryptValue(he.DomainRank, r.Query, r.Rank, qc.ranked(rank + 1)[rank].Score)
+	p.trimCache()
 	if err != nil {
 		return nil, fmt.Errorf("vfl: party %d encrypting frontier: %w", p.index, err)
 	}

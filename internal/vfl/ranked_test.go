@@ -3,6 +3,7 @@ package vfl
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -64,15 +65,50 @@ func tiedFeatures(rng *rand.Rand, n int) *mat.Matrix {
 	return x
 }
 
+// sampleMissingFeatures draws n rows whose distances to row query put a
+// dense cluster of near-zero distances on rows the ranking's strided sample
+// (every max(1, n/1024)-th row) never reads, and spread-out distances on the
+// rows it does, so the sample overestimates where the prefix ends.
+func sampleMissingFeatures(rng *rand.Rand, n, query int) *mat.Matrix {
+	x := mat.New(n, 2)
+	stride := max(1, n/1024)
+	for i := 0; i < n; i++ {
+		x.Set(i, 0, 10+rng.Float64())
+		x.Set(i, 1, rng.NormFloat64())
+		if i%stride != 0 && rng.Intn(3) == 0 {
+			x.Set(i, 0, 1e-6*rng.Float64())
+			x.Set(i, 1, 0)
+		}
+	}
+	x.Set(query, 0, 0)
+	x.Set(query, 1, 0)
+	return x
+}
+
+// equalFeatures is n copies of one row: every distance is 0, so the ranking
+// is the pseudo-id order alone.
+func equalFeatures(n int) *mat.Matrix {
+	x := mat.New(n, 3)
+	for i := 0; i < n; i++ {
+		x.Set(i, 0, 1.5)
+	}
+	return x
+}
+
 // rankedTestParty builds a participant over tied data, computes one query's
 // cache entry and returns it with the oracle ranking.
 func rankedTestParty(t *testing.T, rng *rand.Rand, n int) (p *Participant, query int, qc *queryCache, want []topk.Item) {
 	t.Helper()
-	p, err := NewParticipant(0, tiedFeatures(rng, n), he.NewPlain(), rng.Int63(), Options{})
+	return rankedTestPartyOver(t, rng, tiedFeatures(rng, n), rng.Intn(n))
+}
+
+// rankedTestPartyOver is rankedTestParty over the given rows and query.
+func rankedTestPartyOver(t *testing.T, rng *rand.Rand, x *mat.Matrix, query int) (p *Participant, _ int, qc *queryCache, want []topk.Item) {
+	t.Helper()
+	p, err := NewParticipant(0, x, he.NewPlain(), rng.Int63(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	query = rng.Intn(n)
 	qc, err = p.distances(context.Background(), query)
 	if err != nil {
 		t.Fatal(err)
@@ -82,25 +118,45 @@ func rankedTestParty(t *testing.T, rng *rand.Rand, n int) (p *Participant, query
 
 // TestLazyRankMatchesFullSort drives the lazy ranked list with random access
 // scripts — Fagin's sequential batches, TA rank jumps, reads at and past the
-// end, repeated reads — and requires every answer to be the full sort's.
+// end, repeated reads — and requires every answer to be the full sort's. The
+// data cycles through shapes that defeat the ranking's sample: heavy ties,
+// all distances equal, a dense cluster between the sample points, N smaller
+// than the sample, and the query at row 0 or row N−1.
 func TestLazyRankMatchesFullSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 60; trial++ {
 		n := 1 + rng.Intn(5000)
-		_, _, qc, want := rankedTestParty(t, rng, n)
+		var qc *queryCache
+		var want []topk.Item
+		switch trial % 5 {
+		case 0:
+			_, _, qc, want = rankedTestParty(t, rng, n)
+		case 1:
+			_, _, qc, want = rankedTestPartyOver(t, rng, equalFeatures(n), rng.Intn(n))
+		case 2:
+			n += 3000
+			query := rng.Intn(n)
+			_, _, qc, want = rankedTestPartyOver(t, rng, sampleMissingFeatures(rng, n, query), query)
+		case 3:
+			n = 1 + rng.Intn(1000)
+			_, _, qc, want = rankedTestParty(t, rng, n)
+		case 4:
+			query := []int{0, n - 1}[rng.Intn(2)]
+			_, _, qc, want = rankedTestPartyOver(t, rng, tiedFeatures(rng, n), query)
+		}
 		check := func(upto int) {
 			t.Helper()
 			got := qc.ranked(upto)
 			if !slices.Equal(got, want[:min(upto, len(want))]) {
 				t.Fatalf("trial %d (n=%d): ranked(%d) differs from the full sort's prefix", trial, n, upto)
 			}
-			if qc.sorted < len(got) || qc.sorted > len(want) {
-				t.Fatalf("trial %d: sorted prefix %d outside [%d, %d]", trial, qc.sorted, len(got), len(want))
+			if sorted := len(qc.rank.Sorted); sorted < len(got) || sorted > len(want) {
+				t.Fatalf("trial %d: sorted prefix %d outside [%d, %d]", trial, sorted, len(got), len(want))
 			}
 		}
 		depth := 0
 		for step := 0; step < 40; step++ {
-			switch rng.Intn(5) {
+			switch rng.Intn(6) {
 			case 0, 1: // the next mini-batch
 				depth += 1 + rng.Intn(64)
 				check(depth)
@@ -110,26 +166,40 @@ func TestLazyRankMatchesFullSort(t *testing.T) {
 				check(len(want) + rng.Intn(3))
 			case 4: // a read the prefix already covers
 				check(rng.Intn(depth + 1))
+			case 5: // a TA rank jump past the end of the list
+				check(depth + n + 1 + rng.Intn(n+1))
 			}
 		}
-		if n > 1 && qc.sorted == len(want) && !slices.Equal(qc.items, want) {
+		if n > 1 && len(qc.rank.Sorted) == len(want) && !slices.Equal(qc.rank.Sorted, want) {
 			t.Fatalf("trial %d: fully read list is not the full sort", trial)
 		}
 	}
 }
 
-// TestLazyRankStopsSorting pins the point of the change: a shallow scan of a
-// long list leaves most of it unsorted.
+// TestLazyRankStopsSorting pins the point of the lazy ranking: a shallow
+// scan of a long list makes at most two passes over the distances and
+// allocates far less than the 16 B per row an item array of the whole list
+// would.
 func TestLazyRankStopsSorting(t *testing.T) {
+	const n = 50_000
 	rng := rand.New(rand.NewSource(5))
-	_, _, qc, want := rankedTestParty(t, rng, 50_000)
-	for depth := 32; depth <= 2112; depth += 32 {
-		if !slices.Equal(qc.ranked(depth), want[:depth]) {
-			t.Fatalf("ranked(%d) differs from the full sort's prefix", depth)
+	_, _, qc, want := rankedTestParty(t, rng, n)
+	scan := func() {
+		for depth := 32; depth <= 2112; depth += 32 {
+			if !slices.Equal(qc.ranked(depth), want[:depth]) {
+				t.Fatalf("ranked(%d) differs from the full sort's prefix", depth)
+			}
 		}
 	}
-	if qc.sorted != 2*rankedMinGrowth {
-		t.Fatalf("scan to depth 2112 sorted %d of %d items, want %d", qc.sorted, len(want), 2*rankedMinGrowth)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	scan()
+	runtime.ReadMemStats(&after)
+	if qc.rank.Passes > 2 {
+		t.Fatalf("scan to depth 2112 made %d passes over the distances, want ≤ 2", qc.rank.Passes)
+	}
+	if allocated := after.TotalAlloc - before.TotalAlloc; allocated > 16*n/4 {
+		t.Fatalf("scan to depth 2112 allocated %d B, want far less than 16·N = %d B", allocated, 16*n)
 	}
 }
 

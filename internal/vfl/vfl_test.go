@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"slices"
 	"sort"
 	"testing"
 
 	"vfps/internal/dataset"
+	"vfps/internal/he"
 	"vfps/internal/mat"
 	"vfps/internal/transport"
 	"vfps/internal/wire"
@@ -615,7 +617,7 @@ func TestParticipantCacheEviction(t *testing.T) {
 	_, pt := testPartition(t, "Rice", 60, 2)
 	cl := newCluster(t, pt, "plain")
 	party := cl.Parties[0]
-	limit := cacheEntries(party.N())
+	limit := cacheMaxEntries // 60-row entries are far inside the byte budget
 	// Touch more queries than the cache holds.
 	for q := 0; q < limit+10; q++ {
 		if _, err := party.distances(context.Background(), q); err != nil {
@@ -636,13 +638,72 @@ func TestParticipantCacheEviction(t *testing.T) {
 
 // TestCacheEntriesByteBudget pins the cache bound: a fixed byte budget per
 // participant, so small consortiums keep the 32 entries they always had and
-// a 100k-row participant stops retaining 32 N-length vectors.
+// a large participant keeps as many N-length distance vectors as fit, but
+// never fewer than the 4 one selection has in flight.
 func TestCacheEntriesByteBudget(t *testing.T) {
 	for _, c := range []struct{ rows, want int }{
-		{1, 32}, {60, 32}, {20_000, 32}, {30_000, 23}, {100_000, 6}, {200_000, 4}, {10_000_000, 4},
+		{1, 32}, {60, 32}, {30_000, 32}, {50_000, 20}, {100_000, 10}, {200_000, 5}, {10_000_000, 4},
 	} {
-		if got := cacheEntries(c.rows); got != c.want {
-			t.Errorf("cacheEntries(%d) = %d, want %d", c.rows, got, c.want)
+		p := &Participant{cache: map[int]*queryCache{}}
+		for q := 0; q < 40; q++ {
+			qc := &queryCache{}
+			qc.bytes.Store(entryBytes(c.rows, 0))
+			p.cache[q] = qc
+			p.cacheOrder = append(p.cacheOrder, q)
+			p.trimCacheLocked()
+		}
+		if got := len(p.cache); got != c.want || len(p.cacheOrder) != got {
+			t.Errorf("%d-row cache keeps %d entries (%d in order), want %d", c.rows, got, len(p.cacheOrder), c.want)
+		}
+		for q := 40 - c.want; q < 40; q++ {
+			if p.cache[q] == nil {
+				t.Errorf("%d-row cache evicted query %d, one of the newest %d", c.rows, q, c.want)
+			}
+		}
+	}
+}
+
+// TestQueryCacheWithinBudget scans 40 distinct queries of a 100 000-row
+// participant through the ranking RPC — most to a Fagin depth, some to the
+// end of the list — and requires what the cache holds, counted from its
+// slices, to stay within cacheBudgetBytes throughout.
+func TestQueryCacheWithinBudget(t *testing.T) {
+	const n = 100_000
+	rng := rand.New(rand.NewSource(11))
+	x := mat.New(n, 2)
+	for i := 0; i < n; i++ {
+		x.Set(i, 0, rng.NormFloat64())
+		x.Set(i, 1, rng.NormFloat64())
+	}
+	p, err := NewParticipant(0, x, he.NewPlain(), 3, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for q := 0; q < 40; q++ {
+		query := q * (n / 40)
+		depth := 2112
+		if q%8 == 7 {
+			depth = n // a TA scan to the end sorts the whole list
+		}
+		for offset := 0; offset < depth; offset += 1024 {
+			if _, err := p.rankingBatch(ctx, RankingBatchReq{Query: query, Offset: offset, Count: 1024}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p.mu.Lock()
+		held, entries := 0, len(p.cache)
+		for _, qc := range p.cache {
+			qc.mu.Lock()
+			held += 8*cap(qc.dist) + 16*cap(qc.rank.Sorted)
+			qc.mu.Unlock()
+		}
+		p.mu.Unlock()
+		if held > cacheBudgetBytes {
+			t.Fatalf("after query %d the cache holds %d B in %d entries, over its %d B budget", q, held, entries, cacheBudgetBytes)
+		}
+		if entries < min(q+1, cacheMinEntries) {
+			t.Fatalf("after query %d the cache keeps %d entries, fewer than %d", q, entries, min(q+1, cacheMinEntries))
 		}
 	}
 }
