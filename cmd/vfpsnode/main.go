@@ -133,7 +133,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 		n.o.Trace.SetNode(nodeName)
 		if *logJSON != "" || *slowRing > 0 {
-			logw, closeLog, err := openLog(*logJSON, stdout)
+			logw, closeLog, err := obs.OpenLog(*logJSON, stdout)
 			if err != nil {
 				return err
 			}
@@ -409,24 +409,5 @@ func indexedNames(dir map[string]string, name func(int) string) []string {
 			return names
 		}
 		names = append(names, name(i))
-	}
-}
-
-// openLog resolves the -log-json destination; "-" and "stdout" mean run's
-// stdout. The returned close func is a no-op for the standard streams.
-func openLog(dest string, stdout io.Writer) (io.Writer, func(), error) {
-	switch dest {
-	case "":
-		return nil, func() {}, nil
-	case "-", "stdout":
-		return stdout, func() {}, nil
-	case "stderr":
-		return os.Stderr, func() {}, nil
-	default:
-		f, err := os.OpenFile(dest, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, nil, fmt.Errorf("opening query log %s: %w", dest, err)
-		}
-		return f, func() { f.Close() }, nil
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -26,6 +25,7 @@ import (
 	"syscall"
 	"time"
 
+	"vfps/internal/obs"
 	"vfps/internal/server"
 )
 
@@ -59,7 +59,7 @@ func main() {
 			}
 		}
 	}
-	logw, closeLog, err := openLog(*logJSON)
+	logw, closeLog, err := obs.OpenLog(*logJSON, os.Stdout)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "vfpsserve: %v\n", err)
 		os.Exit(1)
@@ -105,24 +105,5 @@ func main() {
 			os.Exit(1)
 		}
 		handler.Close()
-	}
-}
-
-// openLog resolves the -log-json destination. The returned close func is a
-// no-op for the standard streams.
-func openLog(dest string) (io.Writer, func(), error) {
-	switch dest {
-	case "":
-		return nil, func() {}, nil
-	case "-", "stdout":
-		return os.Stdout, func() {}, nil
-	case "stderr":
-		return os.Stderr, func() {}, nil
-	default:
-		f, err := os.OpenFile(dest, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, nil, fmt.Errorf("opening query log %s: %w", dest, err)
-		}
-		return f, func() { f.Close() }, nil
 	}
 }

@@ -2,8 +2,10 @@ package obs
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"log/slog"
+	"os"
 	"sort"
 	"sync"
 	"time"
@@ -77,6 +79,27 @@ func NewQueryLog(w io.Writer, slowK int) *QueryLog {
 		q.logger = slog.New(h)
 	}
 	return q
+}
+
+// OpenLog resolves a -log-json destination for NewQueryLog: "" is no log
+// (a nil writer), "-" and "stdout" mean the given stdout, "stderr" the
+// process's stderr, anything else a file opened for append. The returned
+// close func is a no-op for the standard streams.
+func OpenLog(dest string, stdout io.Writer) (io.Writer, func(), error) {
+	switch dest {
+	case "":
+		return nil, func() {}, nil
+	case "-", "stdout":
+		return stdout, func() {}, nil
+	case "stderr":
+		return os.Stderr, func() {}, nil
+	default:
+		f, err := os.OpenFile(dest, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			return nil, nil, fmt.Errorf("opening query log %s: %w", dest, err)
+		}
+		return f, func() { f.Close() }, nil
+	}
 }
 
 // Record emits one event: a JSON log line (when a writer is configured) and a

@@ -3,6 +3,9 @@ package obs
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -125,4 +128,50 @@ func (b *safeBuffer) Bytes() []byte {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return append([]byte(nil), b.buf.Bytes()...)
+}
+
+// TestOpenLog covers every -log-json destination: no log, the given stdout
+// (two spellings), stderr, a file opened for append, and a path that cannot
+// be opened.
+func TestOpenLog(t *testing.T) {
+	var stdout bytes.Buffer
+	dir := t.TempDir()
+	file := filepath.Join(dir, "q.log")
+	for _, tc := range []struct {
+		dest string
+		want io.Writer // nil: no log; ignored for the file cases
+		file bool
+		fail bool
+	}{
+		{dest: ""},
+		{dest: "-", want: &stdout},
+		{dest: "stdout", want: &stdout},
+		{dest: "stderr", want: os.Stderr},
+		{dest: file, file: true},
+		{dest: file, file: true}, // reopened: appends
+		{dest: filepath.Join(dir, "missing", "q.log"), fail: true},
+	} {
+		w, closeLog, err := OpenLog(tc.dest, &stdout)
+		if tc.fail {
+			if err == nil {
+				t.Errorf("OpenLog(%q) opened an unopenable path", tc.dest)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("OpenLog(%q): %v", tc.dest, err)
+		}
+		if tc.file {
+			if _, err := io.WriteString(w, "line\n"); err != nil {
+				t.Fatal(err)
+			}
+		} else if w != tc.want {
+			t.Errorf("OpenLog(%q) = %v, want %v", tc.dest, w, tc.want)
+		}
+		closeLog()
+	}
+	got, err := os.ReadFile(file)
+	if err != nil || string(got) != "line\nline\n" {
+		t.Fatalf("query log file holds %q (%v), want two appended lines", got, err)
+	}
 }

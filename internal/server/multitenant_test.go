@@ -282,50 +282,6 @@ func TestIdleTTLEviction(t *testing.T) {
 	}
 }
 
-// TestPackHintCarry checks that a learned pack width survives the
-// consortium it was learned on: after delete, a same-shape successor is
-// seeded with it at creation time.
-func TestPackHintCarry(t *testing.T) {
-	_, ts := startServerOpts(t, Options{})
-	mk := func() string {
-		var created CreateResponse
-		code := doJSON(t, "POST", ts.URL+"/v1/consortiums", CreateRequest{
-			Dataset: "Rice", Rows: 40, Parties: 3, Scheme: "paillier", KeyBits: 256,
-		}, &created)
-		if code != http.StatusCreated {
-			t.Fatalf("create returned %d", code)
-		}
-		return created.ID
-	}
-	info := func(id string) map[string]any {
-		out := map[string]any{}
-		if code := doJSON(t, "GET", ts.URL+"/v1/consortiums/"+id, nil, &out); code != http.StatusOK {
-			t.Fatalf("get returned %d", code)
-		}
-		return out
-	}
-	first := mk()
-	if hint := info(first)["packWidthHint"].(float64); hint != 0 {
-		t.Fatalf("fresh consortium already has pack hint %v", hint)
-	}
-	var out SelectResponse
-	if code := doJSON(t, "POST", ts.URL+"/v1/consortiums/"+first+"/select",
-		SelectRequest{NumQueries: 2, Seed: 1}, &out); code != http.StatusOK {
-		t.Fatalf("select returned %d", code)
-	}
-	learned := info(first)["packWidthHint"].(float64)
-	if learned <= 0 {
-		t.Fatal("paillier run did not learn a pack width")
-	}
-	if code, _ := doJSONTenant(t, "DELETE", ts.URL+"/v1/consortiums/"+first, "", nil, nil); code != http.StatusNoContent {
-		t.Fatalf("delete returned %d", code)
-	}
-	second := mk()
-	if hint := info(second)["packWidthHint"].(float64); hint != learned {
-		t.Fatalf("successor seeded with %v, want %v", hint, learned)
-	}
-}
-
 // TestOptimizerKnob runs the lazy and stochastic submodular maximizers via
 // the HTTP knob; lazy must match greedy exactly.
 func TestOptimizerKnob(t *testing.T) {

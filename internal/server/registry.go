@@ -18,9 +18,6 @@ import (
 type entry struct {
 	id   string
 	cons *vfps.Consortium
-	// hintKey identifies the dataset shape for the pack-width hint store, so
-	// a recreated consortium of the same shape can skip the adaptive warm-up.
-	hintKey string
 	// runMu serializes selection/reward protocol runs on this consortium.
 	runMu sync.Mutex
 	// inflight counts handlers currently holding the entry. The janitor only
@@ -43,14 +40,10 @@ type registry struct {
 	mu      sync.Mutex
 	nextID  int
 	entries map[string]*entry
-	// hints carries learned adaptive pack widths across consortium
-	// restarts, keyed by dataset shape (monotone max, like the in-cluster
-	// negotiation).
-	hints map[string]int
 }
 
 func newRegistry() *registry {
-	return &registry{entries: map[string]*entry{}, hints: map[string]int{}}
+	return &registry{entries: map[string]*entry{}}
 }
 
 // allocID reserves the next caller-visible consortium id.
@@ -62,8 +55,8 @@ func (g *registry) allocID() string {
 }
 
 // add registers a freshly built consortium under id.
-func (g *registry) add(id, hintKey string, cons *vfps.Consortium) *entry {
-	e := &entry{id: id, cons: cons, hintKey: hintKey}
+func (g *registry) add(id string, cons *vfps.Consortium) *entry {
+	e := &entry{id: id, cons: cons}
 	e.lastUsed.Store(time.Now().UnixNano())
 	g.mu.Lock()
 	g.entries[id] = e
@@ -123,29 +116,4 @@ func (g *registry) drainAll() []*entry {
 		out = append(out, e)
 	}
 	return out
-}
-
-// hintFor returns the learned pack width for a dataset shape (0 if none).
-func (g *registry) hintFor(key string) int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.hints[key]
-}
-
-// recordHint folds a consortium's final negotiated width into the store
-// (monotone max, mirroring the packNeed semantics inside the cluster).
-func (g *registry) recordHint(key string, bits int) {
-	if bits <= 0 {
-		return
-	}
-	g.mu.Lock()
-	if bits > g.hints[key] {
-		g.hints[key] = bits
-	}
-	g.mu.Unlock()
-}
-
-// hintKeyFor derives the pack-hint grouping key from the request shape.
-func hintKeyFor(dataset string, rows, parties int, scheme string) string {
-	return fmt.Sprintf("%s|%d|%d|%s", dataset, rows, parties, scheme)
 }

@@ -87,8 +87,7 @@ type Options struct {
 	// Admission bounds concurrent selections; the zero value admits
 	// everything.
 	Admission AdmissionConfig
-	// IdleTTL, when positive, evicts consortiums untouched for that long
-	// (their learned pack width is kept for successors of the same shape).
+	// IdleTTL, when positive, evicts consortiums untouched for that long.
 	IdleTTL time.Duration
 }
 
@@ -145,8 +144,7 @@ func NewWithOptions(opts Options) *Server {
 	return s
 }
 
-// runJanitor periodically evicts idle consortiums, preserving their learned
-// pack width for future same-shape consortiums.
+// runJanitor periodically evicts idle consortiums.
 func (s *Server) runJanitor(ttl time.Duration) {
 	defer close(s.janDone)
 	tick := ttl / 4
@@ -169,14 +167,12 @@ func (s *Server) runJanitor(ttl time.Duration) {
 }
 
 // teardown retires an already-unlinked entry: waits out any in-flight run,
-// banks the learned pack width, closes the consortium and deletes its metric
-// series — ids are never reused, and the series' pull gauges would keep the
+// closes the consortium and deletes its metric series — ids are never reused, and the series' pull gauges would keep the
 // consortium's roles, and through them its data, reachable for the server's
 // lifetime.
 func (s *Server) teardown(e *entry) {
 	e.runMu.Lock()
 	defer e.runMu.Unlock()
-	s.reg.recordHint(e.hintKey, e.cons.PackWidthHint())
 	e.cons.Close()
 	for _, instance := range vfl.SeriesInstances(e.id) {
 		s.obs.Registry().DeleteSeries(map[string]string{"instance": instance})
@@ -294,8 +290,8 @@ type CreateRequest struct {
 	ShuffleSeed int64   `json:"shuffleSeed"`
 	KeyBits     int     `json:"keyBits"` // Paillier modulus size (0 → library default)
 	// Options carries the performance settings. JSON reaches only
-	// "parallelism" and "shardWorkers"; the server owns the pack-width carry,
-	// and the encrypt window stays at its default.
+	// "parallelism" and "shardWorkers"; the encrypt window stays at its
+	// default.
 	vfps.Options
 }
 
@@ -331,8 +327,7 @@ func (s *Server) createConsortium(w http.ResponseWriter, r *http.Request) {
 	// Allocate the id first so the consortium's metric series carry it as
 	// their instance label.
 	id := s.reg.allocID()
-	hintKey := hintKeyFor(req.Dataset, req.Rows, req.Parties, req.Scheme)
-	cfg := vfps.Config{
+	cons, err := vfps.NewConsortium(context.Background(), vfps.Config{
 		Partition:   pt,
 		Labels:      d.Y,
 		Classes:     d.Classes,
@@ -343,16 +338,12 @@ func (s *Server) createConsortium(w http.ResponseWriter, r *http.Request) {
 		Options:     req.Options,
 		Obs:         s.obs,
 		Instance:    id,
-	}
-	// Seed the slot-width negotiation with the width a same-shape
-	// predecessor learned, skipping its static warm-up round.
-	cfg.PackHint = s.reg.hintFor(hintKey)
-	cons, err := vfps.NewConsortium(context.Background(), cfg)
+	})
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.reg.add(id, hintKey, cons)
+	s.reg.add(id, cons)
 	writeJSON(w, http.StatusCreated, CreateResponse{
 		ID: id, Parties: cons.P(), Rows: cons.N(), Columns: d.F(),
 	})
@@ -365,12 +356,11 @@ func (s *Server) getConsortium(w http.ResponseWriter, r *http.Request) {
 	}
 	defer e.release()
 	writeJSON(w, http.StatusOK, map[string]any{
-		"parties":       e.cons.P(),
-		"partyNames":    e.cons.PartyNames(),
-		"rows":          e.cons.N(),
-		"classes":       e.cons.Classes(),
-		"shardWorkers":  e.cons.ShardWorkers(),
-		"packWidthHint": e.cons.PackWidthHint(),
+		"parties":      e.cons.P(),
+		"partyNames":   e.cons.PartyNames(),
+		"rows":         e.cons.N(),
+		"classes":      e.cons.Classes(),
+		"shardWorkers": e.cons.ShardWorkers(),
 	})
 }
 
@@ -396,8 +386,8 @@ type SelectRequest struct {
 	Seed       int64  `json:"seed"`
 	TopK       string `json:"topk"` // fagin|base|threshold (vfps-sm only)
 	Stratified bool   `json:"stratified"`
-	// Optimizer picks the submodular maximizer: "greedy" (default), "lazy"
-	// or "stochastic" (vfps-sm only).
+	// Optimizer picks the submodular maximizer: "greedy" (default), "lazy",
+	// "stochastic" or "warm" (vfps-sm only).
 	Optimizer string `json:"optimizer"`
 }
 
@@ -451,7 +441,6 @@ func (s *Server) selectParticipants(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		spent = heOps(sel.Counts)
-		s.reg.recordHint(e.hintKey, e.cons.PackWidthHint())
 		resp.Selected = sel.Selected
 		resp.AvgCandidates = sel.AvgCandidates
 		resp.ProjectedSeconds = sel.ProjectedSeconds
@@ -639,7 +628,7 @@ func (s *Server) leaveParticipant(w http.ResponseWriter, r *http.Request) {
 	defer e.runMu.Unlock()
 	if err := e.cons.RemoveParticipant(index); err != nil {
 		status := http.StatusBadRequest
-		if strings.Contains(err.Error(), "no participant") {
+		if errors.Is(err, vfl.ErrUnknownParticipant) {
 			status = http.StatusNotFound
 		}
 		writeError(w, status, "%v", err)

@@ -274,9 +274,9 @@ func TestErrorPaths(t *testing.T) {
 
 // TestCreateRequestJSONUnchanged pins the create body's performance surface
 // to the two keys the embedded vfps.Options expose: they decode into the
-// options; the settings the server owns ("encryptWindow", "packHint", the
-// pool) and the retired cache switches ("deltaCache", "simCache": both caches
-// are always on) stay unknown fields, which the create endpoint answers with
+// options; the setting the server owns ("encryptWindow"), the retired pack
+// hint ("packHint", "packWidthHint"), the pool and the retired cache switches
+// ("deltaCache", "simCache": both caches are always on) stay unknown fields, which the create endpoint answers with
 // a 400; and an encoded request carries exactly the expected key set.
 func TestCreateRequestJSONUnchanged(t *testing.T) {
 	decode := func(body string) (CreateRequest, error) {
@@ -293,7 +293,7 @@ func TestCreateRequestJSONUnchanged(t *testing.T) {
 	if req.Options != want {
 		t.Fatalf("decoded options %+v, want %+v", req.Options, want)
 	}
-	for _, key := range []string{"encryptWindow", "EncryptWindow", "packHint", "PackHint", "pool", "Pool",
+	for _, key := range []string{"encryptWindow", "EncryptWindow", "packHint", "PackHint", "packWidthHint", "pool", "Pool",
 		"deltaCache", "DeltaCache", "simCache", "SimCache"} {
 		if _, err := decode(`{"dataset":"Rice","` + key + `":1}`); err == nil || !strings.Contains(err.Error(), "unknown field") {
 			t.Fatalf("%q: want an unknown-field error, got %v", key, err)

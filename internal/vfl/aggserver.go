@@ -39,11 +39,16 @@ type AggServer struct {
 	// See shard.go.
 	plan *ShardPlan
 
-	// packNeed is the adaptive pack negotiation state: the monotone maximum
-	// of the slot-width bounds the parties advertised (NeedBits), plus a
-	// drift margin. It is dictated back to the parties on the next adaptive
-	// round; 0 until the first advertisement, which makes round one static.
+	// packNeed is the slot-width negotiation state: the monotone maximum of
+	// the slot-width bounds the parties advertised (NeedBits), plus a drift
+	// margin. It is dictated back to the parties on the next round; 0 until
+	// the first advertisement, which makes round one static. Only Paillier
+	// parties advertise, so every other scheme stays at 0.
 	packNeed atomic.Int64
+	// static pins every round to the static geometry: the reference the
+	// negotiated layout must match bit for bit. Only this package's tests set
+	// it, on the coordinator.
+	static bool
 
 	// recvCache / sentCache hold the party→agg and agg→leader halves of the
 	// cross-round delta encoding (see deltacache.go), used exactly when the
@@ -55,21 +60,14 @@ type AggServer struct {
 	sentCache deltaCache
 }
 
-// payloadOpts carries the requester's payload flags through the aggregation
-// call tree.
-type payloadOpts struct {
-	adaptive bool
-	noCache  bool
-}
-
 // packBitsMargin is added to the dictated slot width so small round-to-round
 // drift in the data's magnitude does not force a static fallback round.
 const packBitsMargin = 2
 
-// packDictate returns the slot width to dictate to the parties on an
-// adaptive round: 0 (static) before the first advertisement.
-func (a *AggServer) packDictate(adaptive bool) int {
-	if !adaptive {
+// packDictate returns the slot width to dictate to the parties: 0 (static)
+// before the first advertisement.
+func (a *AggServer) packDictate() int {
+	if a.static {
 		return 0
 	}
 	return int(a.packNeed.Load())
@@ -95,9 +93,7 @@ func (a *AggServer) observeNeedBits(maxNeed int) {
 // with packed parties it must carry the whole roster's packing geometry
 // (ConfigurePacking with the full party count, also on a shard worker), from
 // which the delta cache keys the parties' blocks. It reads
-// opts.Parallelism (party fan-out and reduce concurrency) and opts.PackHint,
-// which seeds the slot-width negotiation (see Options.PackHint); a hint the
-// data outgrew just triggers the standard static-fallback round.
+// opts.Parallelism (party fan-out and reduce concurrency).
 func NewAggServer(caller transport.Caller, parties []string, scheme he.Scheme, opts Options) (*AggServer, error) {
 	if caller == nil {
 		return nil, fmt.Errorf("vfl: aggregation server needs a transport")
@@ -108,11 +104,7 @@ func NewAggServer(caller transport.Caller, parties []string, scheme he.Scheme, o
 	if scheme == nil {
 		return nil, fmt.Errorf("vfl: aggregation server needs an HE scheme")
 	}
-	a := &AggServer{cc: transport.NewCodecCaller(caller), parties: parties, scheme: scheme, parallelism: opts.Parallelism}
-	if opts.PackHint > 0 {
-		a.packNeed.Store(int64(opts.PackHint))
-	}
-	return a, nil
+	return &AggServer{cc: transport.NewCodecCaller(caller), parties: parties, scheme: scheme, parallelism: opts.Parallelism}, nil
 }
 
 // call performs one outbound RPC and charges the encoded request bytes to the
@@ -163,11 +155,6 @@ func (a *AggServer) roleName() string {
 	}
 	return a.role
 }
-
-// PackHint exports the adaptive pack negotiation state (the dictated slot
-// width, margin included; 0 before the first advertisement) so a serving
-// layer can carry the learned width across consortium restarts.
-func (a *AggServer) PackHint() int { return int(a.packNeed.Load()) }
 
 // SetObserver installs metrics and tracing on the server: aggregation-phase
 // spans and cost-model gauges labelled {instance, role} (role "aggserver"
@@ -221,7 +208,7 @@ func (a *AggServer) serveLeader(ctx context.Context, method string, req []byte) 
 	var query int
 	var ids []int
 	var stats FaginStats
-	var opt payloadOpts
+	var noCache bool
 	all := method == MethodCollectAll
 	switch method {
 	case MethodCollectAll:
@@ -229,7 +216,7 @@ func (a *AggServer) serveLeader(ctx context.Context, method string, req []byte) 
 		if err := wire.Unmarshal(req, &r); err != nil {
 			return nil, err
 		}
-		query, opt = r.Query, payloadOpts{adaptive: r.Adaptive, noCache: r.NoCache}
+		query, noCache = r.Query, r.NoCache
 		var csp *obs.Span
 		ctx, csp = a.tracer().Start(ctx, SpanCollectAll)
 		defer csp.End()
@@ -238,7 +225,7 @@ func (a *AggServer) serveLeader(ctx context.Context, method string, req []byte) 
 		if err := wire.Unmarshal(req, &r); err != nil {
 			return nil, err
 		}
-		query, opt = r.Query, payloadOpts{adaptive: r.Adaptive, noCache: r.NoCache}
+		query, noCache = r.Query, r.NoCache
 		var fsp *obs.Span
 		ctx, fsp = a.tracer().Start(ctx, SpanFagin)
 		defer fsp.End()
@@ -253,7 +240,7 @@ func (a *AggServer) serveLeader(ctx context.Context, method string, req []byte) 
 		if err := wire.Unmarshal(req, &r); err != nil {
 			return nil, err
 		}
-		query, ids, opt = r.Query, r.PseudoIDs, payloadOpts{adaptive: r.Adaptive, noCache: r.NoCache}
+		query, ids, noCache = r.Query, r.PseudoIDs, r.NoCache
 	}
 
 	actx := ctx
@@ -262,7 +249,7 @@ func (a *AggServer) serveLeader(ctx context.Context, method string, req []byte) 
 		actx, asp = a.tracer().Start(ctx, SpanAggregate)
 		asp.SetLabelInt("candidates", int64(len(ids)))
 	}
-	root, err := a.collect(actx, query, ids, all, opt)
+	root, err := a.collect(actx, query, ids, all, noCache)
 	asp.End()
 	if err != nil {
 		return nil, err
@@ -272,7 +259,7 @@ func (a *AggServer) serveLeader(ctx context.Context, method string, req []byte) 
 	if root.factor > 1 {
 		adds = len(a.parties)
 	}
-	out, cached, err := a.trimForLeader(query, root, opt)
+	out, cached, err := a.trimForLeader(query, root, noCache)
 	if err != nil {
 		return nil, err
 	}
@@ -347,23 +334,23 @@ func (a *AggServer) faginScan(ctx context.Context, r FaginCollectReq) ([]int, Fa
 // full vector when all is set) and returns the reduced aggregate: straight
 // over the parties, or, with a shard plan, over the shard workers' subtree
 // roots (see shard.go).
-func (a *AggServer) collect(ctx context.Context, query int, ids []int, all bool, opt payloadOpts) (*collected, error) {
-	dictate := a.packDictate(opt.adaptive)
+func (a *AggServer) collect(ctx context.Context, query int, ids []int, all, noCache bool) (*collected, error) {
+	dictate := a.packDictate()
 	if a.plan == nil {
-		return a.collectParties(ctx, a.parties, query, ids, all, dictate, opt)
+		return a.collectParties(ctx, a.parties, query, ids, all, dictate, noCache)
 	}
 	ctx, msp := a.tracer().Start(ctx, SpanShardMerge)
 	msp.SetLabelInt("shards", int64(len(a.plan.Workers)))
 	defer msp.End()
 	return a.collectReduce(ctx, a.plan.Workers, all, dictate, func(wi int, worker string, d int) (*collected, error) {
-		return a.pullShard(ctx, wi, worker, query, ids, all, d, opt)
+		return a.pullShard(ctx, wi, worker, query, ids, all, d, noCache)
 	})
 }
 
 // collectParties is collectReduce over parties: each pulled with pullParty.
-func (a *AggServer) collectParties(ctx context.Context, parties []string, query int, ids []int, all bool, dictate int, opt payloadOpts) (*collected, error) {
+func (a *AggServer) collectParties(ctx context.Context, parties []string, query int, ids []int, all bool, dictate int, noCache bool) (*collected, error) {
 	return a.collectReduce(ctx, parties, all, dictate, func(_ int, party string, d int) (*collected, error) {
-		return a.pullParty(ctx, party, query, ids, all, d, opt)
+		return a.pullParty(ctx, party, query, ids, all, d, noCache)
 	})
 }
 
@@ -371,7 +358,7 @@ func (a *AggServer) collectParties(ctx context.Context, parties []string, query 
 // shard workers on a coordinator — and tree-reduces it to one root vector.
 // pull fetches source i's vector under a dictated slot width. The advertised
 // NeedBits feed the width negotiation; geometry must be uniform across
-// sources, and an adaptive dictation that produced a mixed round is
+// sources, and a negotiated dictation that produced a mixed round is
 // re-collected once under the static geometry (shared by construction, so
 // one static round always restores uniformity). Under the BASE pattern (all)
 // every source must also cover the same pseudo IDs in the same order. The
@@ -422,9 +409,9 @@ func (a *AggServer) collectReduce(ctx context.Context, sources []string, all boo
 // width — every pseudo ID but the query's (EncryptAll, the BASE pattern) when
 // all is set, the given candidates (EncryptCandidates) otherwise — through the
 // receive path of the party link.
-func (a *AggServer) pullParty(ctx context.Context, party string, query int, ids []int, all bool, dictate int, opt payloadOpts) (*collected, error) {
+func (a *AggServer) pullParty(ctx context.Context, party string, query int, ids []int, all bool, dictate int, noCache bool) (*collected, error) {
 	link := newRecvLink(party, a.scheme, a.recvCache.forPeer(party), a.roleName(), &a.counts, &a.roleObs)
-	return link.fetch(query, opt.noCache, func(noCache bool) (*collected, []int, error) {
+	return link.fetch(query, noCache, func(noCache bool) (*collected, []int, error) {
 		if all {
 			var resp EncryptAllResp
 			err := a.call(ctx, party, MethodEncryptAll,
@@ -514,7 +501,7 @@ func (a *AggServer) reduceVectors(ctx context.Context, vecs [][][]byte) ([][]byt
 // (aggregation is recomputed every round, but homomorphic addition is
 // deterministic, so an all-inputs-identical round reproduces the aggregate
 // byte for byte). Returns the wire vector and the withheld indices.
-func (a *AggServer) trimForLeader(query int, root *collected, opt payloadOpts) (out [][]byte, cached []int, err error) {
+func (a *AggServer) trimForLeader(query int, root *collected, noCache bool) (out [][]byte, cached []int, err error) {
 	pp, ok := a.scheme.(*he.Paillier)
 	if !ok {
 		return root.blobs, nil, nil
@@ -524,7 +511,7 @@ func (a *AggServer) trimForLeader(query int, root *collected, opt payloadOpts) (
 		return nil, nil, err
 	}
 	keys := blockKeys("leader", query, layout, root.pids)
-	if opt.noCache {
+	if noCache {
 		for b, key := range keys {
 			a.sentCache.put(key, root.blobs[b])
 		}

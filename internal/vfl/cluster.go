@@ -2,6 +2,7 @@ package vfl
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -12,6 +13,10 @@ import (
 	"vfps/internal/obs"
 	"vfps/internal/transport"
 )
+
+// ErrUnknownParticipant is returned (wrapped) by RemoveParticipant when no
+// live participant has the given index.
+var ErrUnknownParticipant = errors.New("vfl: no such participant")
 
 // ClusterConfig describes an in-process VFL deployment.
 type ClusterConfig struct {
@@ -334,7 +339,7 @@ func (c *Cluster) RemoveParticipant(index int) error {
 		}
 	}
 	if pos < 0 {
-		return fmt.Errorf("vfl: no participant %q in the consortium", name)
+		return fmt.Errorf("%w: %q is not in the consortium", ErrUnknownParticipant, name)
 	}
 	if len(c.partyNames) == 1 {
 		return fmt.Errorf("vfl: cannot remove the last participant")

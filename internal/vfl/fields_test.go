@@ -22,10 +22,10 @@ import (
 var reservedTags = map[string]map[int]string{
 	"EncryptAllReq":          {3: "retired delta flag"},
 	"EncryptCandidatesReq":   {4: "retired delta flag"},
-	"AggregateCandidatesReq": {4: "retired delta flag"},
-	"CollectAllReq":          {2: "retired chunk size", 4: "retired delta flag"},
+	"AggregateCandidatesReq": {3: "retired adaptive flag", 4: "retired delta flag"},
+	"CollectAllReq":          {2: "retired chunk size", 3: "retired adaptive flag", 4: "retired delta flag"},
 	"CollectAllResp":         {7: "retired chunk-framed blocks"},
-	"FaginCollectReq":        {4: "retired chunk size", 6: "retired delta flag"},
+	"FaginCollectReq":        {4: "retired chunk size", 5: "retired adaptive flag", 6: "retired delta flag"},
 	"FaginCollectResp":       {8: "retired chunk-framed blocks"},
 	"ShardCollectReq":        {5: "retired delta flag"},
 }

@@ -40,15 +40,15 @@ func allMessages() []wire.Message {
 			Messages: 7, BytesSent: 8, FramingBytes: 9, CacheHits: 10, CacheMisses: 11}},
 		&EncryptRankScoreReq{Query: 1, Rank: 9},
 		&EncryptRankScoreResp{Cipher: []byte{5, 6}},
-		&AggregateCandidatesReq{Query: 4, PseudoIDs: []int{2, 1}, Adaptive: true, NoCache: true},
+		&AggregateCandidatesReq{Query: 4, PseudoIDs: []int{2, 1}, NoCache: true},
 		&AggregateCandidatesResp{Aggregated: [][]byte{{9}}, PackFactor: 3,
 			PackBits: 36, PackAdds: 3, CachedBlocks: []int{0}},
 		&AggregateFrontierReq{Query: 6, Rank: 2},
 		&AggregateFrontierResp{Cipher: []byte{7}},
-		&CollectAllReq{Query: 8, Adaptive: true, NoCache: true},
+		&CollectAllReq{Query: 8, NoCache: true},
 		&CollectAllResp{PseudoIDs: []int{0, 5}, Aggregated: [][]byte{{1, 1}, {2, 2}}, PackFactor: 1,
 			PackBits: 36, PackAdds: 3, CachedBlocks: []int{1}},
-		&FaginCollectReq{Query: 7, K: 10, Batch: 32, Adaptive: true, NoCache: true},
+		&FaginCollectReq{Query: 7, K: 10, Batch: 32, NoCache: true},
 		&FaginCollectResp{PseudoIDs: []int{3, 1}, Aggregated: [][]byte{{4}}, PackFactor: 2,
 			Stats: FaginStats{Rounds: 2, ScanDepth: 64, Candidates: 9}},
 		&FaginCollectResp{PseudoIDs: []int{3, 1}, PackFactor: 2, PackBits: 40, PackAdds: 4,
@@ -88,13 +88,15 @@ func TestGoldenVectors(t *testing.T) {
 		// IDs + pack factor + nested FaginStats, blob field absent.
 		{&FaginCollectResp{PseudoIDs: []int{1}, PackFactor: 1, Stats: FaginStats{Rounds: 2}},
 			"00010a020102180222020804", 0},
-		// Adaptive/no-cache request flags: booleans encode as varint 1 when
-		// set and are omitted when clear (legacy peers skip the unknown tags).
-		// The retired delta flag's tag stays unbound between them.
+		// No-cache request flag: a boolean encodes as varint 1 when set and
+		// is omitted when clear (legacy peers skip the unknown tags). The
+		// retired delta flag's tag stays unbound before it, and a TA request
+		// ends at its candidate list (tag 3, the retired adaptive flag, is
+		// never sent).
 		{&EncryptAllReq{Query: 12, PackBits: 40, NoCache: true},
 			"0001081810502002", 0},
-		{&AggregateCandidatesReq{Query: 4, PseudoIDs: []int{2, 1}, Adaptive: true},
-			"0001080812030204011802", 0},
+		{&AggregateCandidatesReq{Query: 4, PseudoIDs: []int{2, 1}},
+			"000108081203020401", 0},
 		// Delta response: a withheld block rides as a 0-length blob
 		// placeholder and its index appears in the CachedBlocks ID list.
 		{&EncryptAllResp{PseudoIDs: []int{4, 9}, Ciphers: [][]byte{{0xaa}, {}}, PackFactor: 2,

@@ -51,12 +51,6 @@ type Leader struct {
 	instance    string   // observer instance label; the query log's tenant
 	extraNodes  []string // additional accounting nodes (shard workers)
 
-	// adaptive asks the aggregation server to negotiate the slot width with
-	// the parties. NewLeader sets it exactly when the scheme is Paillier — the
-	// only scheme that packs — so the other schemes' requests never carry the
-	// flag; it is a field only so this package's tests can clear it to build
-	// the static-geometry reference.
-	adaptive bool
 	// recvCache is the receive half of the leader link's delta cache (see
 	// deltacache.go), used exactly when the scheme is Paillier.
 	recvCache deltaCache
@@ -89,9 +83,8 @@ func NewLeader(caller transport.Caller, aggNode string, parties []string, scheme
 	if err := ConfigurePacking(scheme, len(parties)); err != nil {
 		return nil, err
 	}
-	_, isPaillier := scheme.(*he.Paillier)
 	return &Leader{cc: transport.NewCodecCaller(caller), agg: aggNode, parties: parties, scheme: scheme, batch: batch,
-		parallelism: opts.Parallelism, adaptive: isPaillier}, nil
+		parallelism: opts.Parallelism}, nil
 }
 
 // call performs one outbound RPC and charges the encoded request bytes to the
@@ -397,7 +390,7 @@ func (l *Leader) collect(ctx context.Context, query, k int, variant Variant, ids
 		case VariantBase:
 			var resp CollectAllResp
 			err := l.call(ctx, l.agg, MethodCollectAll,
-				&CollectAllReq{Query: query, Adaptive: l.adaptive, NoCache: noCache}, &resp)
+				&CollectAllReq{Query: query, NoCache: noCache}, &resp)
 			n := len(resp.PseudoIDs)
 			stats = FaginStats{Candidates: n, Rounds: 1, ScanDepth: n}
 			return &collected{pids: resp.PseudoIDs, blobs: resp.Aggregated, factor: resp.PackFactor,
@@ -405,14 +398,14 @@ func (l *Leader) collect(ctx context.Context, query, k int, variant Variant, ids
 		case VariantFagin:
 			var resp FaginCollectResp
 			err := l.call(ctx, l.agg, MethodFaginCollect,
-				&FaginCollectReq{Query: query, K: k, Batch: l.batch, Adaptive: l.adaptive, NoCache: noCache}, &resp)
+				&FaginCollectReq{Query: query, K: k, Batch: l.batch, NoCache: noCache}, &resp)
 			stats = resp.Stats
 			return &collected{pids: resp.PseudoIDs, blobs: resp.Aggregated, factor: resp.PackFactor,
 				bits: resp.PackBits, adds: resp.PackAdds}, resp.CachedBlocks, err
 		default:
 			var resp AggregateCandidatesResp
 			err := l.call(ctx, l.agg, MethodAggregateCandidates,
-				&AggregateCandidatesReq{Query: query, PseudoIDs: ids, Adaptive: l.adaptive, NoCache: noCache}, &resp)
+				&AggregateCandidatesReq{Query: query, PseudoIDs: ids, NoCache: noCache}, &resp)
 			return &collected{pids: ids, blobs: resp.Aggregated, factor: resp.PackFactor,
 				bits: resp.PackBits, adds: resp.PackAdds}, resp.CachedBlocks, err
 		}

@@ -180,13 +180,11 @@ type EncryptRankScoreResp struct {
 
 // AggregateCandidatesReq asks the aggregation server to collect and
 // homomorphically sum the parties' encrypted partial distances for specific
-// pseudo IDs (TA random-access phase). Adaptive lets the aggregator negotiate
-// the slot width with the parties; NoCache forces a full resend of the
+// pseudo IDs (TA random-access phase). NoCache forces a full resend of the
 // blocks the leader link's delta cache would withhold.
 type AggregateCandidatesReq struct {
 	Query     int
 	PseudoIDs []int
-	Adaptive  bool
 	NoCache   bool
 }
 
@@ -215,12 +213,11 @@ type AggregateFrontierResp struct {
 	Cipher []byte
 }
 
-// CollectAllReq drives the BASE variant for one query. Adaptive and NoCache
-// behave as in AggregateCandidatesReq.
+// CollectAllReq drives the BASE variant for one query. NoCache behaves as in
+// AggregateCandidatesReq.
 type CollectAllReq struct {
-	Query    int
-	Adaptive bool
-	NoCache  bool
+	Query   int
+	NoCache bool
 }
 
 // CollectAllResp returns the homomorphically aggregated complete distances
@@ -235,14 +232,13 @@ type CollectAllResp struct {
 	CachedBlocks []int
 }
 
-// FaginCollectReq drives the optimized variant for one query. Adaptive and
-// NoCache behave as in CollectAllReq.
+// FaginCollectReq drives the optimized variant for one query. NoCache behaves
+// as in CollectAllReq.
 type FaginCollectReq struct {
-	Query    int
-	K        int
-	Batch    int
-	Adaptive bool
-	NoCache  bool
+	Query   int
+	K       int
+	Batch   int
+	NoCache bool
 }
 
 // ShardCollectReq asks one aggregation worker to collect its shard's party
@@ -250,7 +246,7 @@ type FaginCollectReq struct {
 // argument). All selects the BASE access pattern (full vectors, pseudo IDs in
 // the response) over the candidate pattern (PseudoIDs echoes the request
 // order). PackBits dictates the slot width exactly as in EncryptAllReq — the
-// coordinator owns the adaptive negotiation, workers only relay the dictated
+// coordinator owns the width negotiation, workers only relay the dictated
 // geometry. NoCache tunes the worker↔party links as in EncryptAllReq.
 type ShardCollectReq struct {
 	Query     int
@@ -408,11 +404,11 @@ func (m *EncryptRankScoreReq) Fields(f *wire.Fields) {
 
 func (m *EncryptRankScoreResp) Fields(f *wire.Fields) { f.Bytes(1, &m.Cipher) }
 
-// Fields skips tag 4, reserved for the retired delta flag.
+// Fields skips tags 3 and 4, reserved for the retired adaptive and delta
+// flags.
 func (m *AggregateCandidatesReq) Fields(f *wire.Fields) {
 	f.Int(1, &m.Query)
 	f.IDs(2, &m.PseudoIDs)
-	f.Bool(3, &m.Adaptive)
 	f.Bool(5, &m.NoCache)
 }
 
@@ -431,11 +427,10 @@ func (m *AggregateFrontierReq) Fields(f *wire.Fields) {
 
 func (m *AggregateFrontierResp) Fields(f *wire.Fields) { f.Bytes(1, &m.Cipher) }
 
-// Fields skips tags 2 and 4, reserved for the retired chunk size and delta
-// flag.
+// Fields skips tags 2 to 4, reserved for the retired chunk size, adaptive
+// flag and delta flag.
 func (m *CollectAllReq) Fields(f *wire.Fields) {
 	f.Int(1, &m.Query)
-	f.Bool(3, &m.Adaptive)
 	f.Bool(5, &m.NoCache)
 }
 
@@ -449,13 +444,12 @@ func (m *CollectAllResp) Fields(f *wire.Fields) {
 	f.IDs(6, &m.CachedBlocks)
 }
 
-// Fields skips tags 4 and 6, reserved for the retired chunk size and delta
-// flag.
+// Fields skips tags 4 to 6, reserved for the retired chunk size, adaptive
+// flag and delta flag.
 func (m *FaginCollectReq) Fields(f *wire.Fields) {
 	f.Int(1, &m.Query)
 	f.Int(2, &m.K)
 	f.Int(3, &m.Batch)
-	f.Bool(5, &m.Adaptive)
 	f.Bool(7, &m.NoCache)
 }
 

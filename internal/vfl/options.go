@@ -29,11 +29,6 @@ type Options struct {
 	// full modexp per randomizer; see SECURITY.md). Ignored by non-Paillier
 	// schemes.
 	EncryptWindow int `json:"-"`
-	// PackHint seeds the Paillier slot-width negotiation with a width an
-	// earlier consortium learned over the same data shape (margin included),
-	// so round one already packs at the negotiated width instead of the static
-	// geometry. 0 keeps the in-band negotiation; ignored by the other schemes.
-	PackHint int `json:"-"`
 }
 
 // BindFlags registers the settings a vfpsnode process takes as flags on fs:

@@ -33,11 +33,12 @@ func payloadTestCluster(t *testing.T, pt *dataset.Partition) *Cluster {
 	return cl
 }
 
-// staticOracle stops a cluster's leader asking for the negotiated slot width,
-// so every round stays on the static geometry: the reference the negotiated
-// layout must match bit for bit. Only this package's tests can build it.
+// staticOracle stops a cluster's aggregation server dictating the negotiated
+// slot width, so every round stays on the static geometry: the reference the
+// negotiated layout must match bit for bit. Only this package's tests can
+// build it.
 func staticOracle(cl *Cluster) *Cluster {
-	cl.Leader.adaptive = false
+	cl.Agg.static = true
 	return cl
 }
 

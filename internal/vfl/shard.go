@@ -22,7 +22,7 @@ import (
 // produces bit-identical aggregates to the single-server path — Paillier
 // addition is deterministic given its inputs.
 //
-// Adaptive pack negotiation is unchanged: each worker advertises the maximum
+// Slot-width negotiation is unchanged: each worker advertises the maximum
 // NeedBits over its parties, the coordinator folds the maximum over workers —
 // the same monotone maximum the unsharded server folds over all parties — so
 // the dictated geometry trajectory is identical round for round.
@@ -153,8 +153,8 @@ func (a *AggServer) recordShardRetry(worker string) {
 // worker RPC fails the coordinator collects the shard's parties itself,
 // reproducing the worker's root bit for bit (same parties, same dictate, same
 // tree shape).
-func (a *AggServer) pullShard(ctx context.Context, wi int, worker string, query int, ids []int, all bool, dictate int, opt payloadOpts) (*collected, error) {
-	req := &ShardCollectReq{Query: query, All: all, PackBits: dictate, NoCache: opt.noCache}
+func (a *AggServer) pullShard(ctx context.Context, wi int, worker string, query int, ids []int, all bool, dictate int, noCache bool) (*collected, error) {
+	req := &ShardCollectReq{Query: query, All: all, PackBits: dictate, NoCache: noCache}
 	if !all {
 		req.PseudoIDs = ids
 	}
@@ -165,7 +165,7 @@ func (a *AggServer) pullShard(ctx context.Context, wi int, worker string, query 
 		}
 		a.recordShardRetry(worker)
 		lo, hi := a.plan.Range(wi, len(a.parties))
-		return a.collectParties(ctx, a.parties[lo:hi], query, ids, all, dictate, opt)
+		return a.collectParties(ctx, a.parties[lo:hi], query, ids, all, dictate, noCache)
 	}
 	col := &collected{pids: ids, blobs: resp.Ciphers, factor: resp.PackFactor,
 		bits: resp.PackBits, need: resp.NeedBits}
@@ -185,8 +185,7 @@ func (a *AggServer) shardCollect(ctx context.Context, r ShardCollectReq) ([]byte
 	ctx, ssp := a.tracer().Start(ctx, SpanShardCollect)
 	ssp.SetLabelInt("parties", int64(len(a.parties)))
 	defer ssp.End()
-	root, err := a.collectParties(ctx, a.parties, r.Query, r.PseudoIDs, r.All, r.PackBits,
-		payloadOpts{noCache: r.NoCache})
+	root, err := a.collectParties(ctx, a.parties, r.Query, r.PseudoIDs, r.All, r.PackBits, r.NoCache)
 	if err != nil {
 		return nil, err
 	}

@@ -906,6 +906,9 @@ func TestChurnUnregistersDepartedNodes(t *testing.T) {
 		if err := cl.RemoveParticipant(joiner); err != nil {
 			t.Fatal(err)
 		}
+		if err := cl.RemoveParticipant(joiner); !errors.Is(err, ErrUnknownParticipant) {
+			t.Fatalf("cycle %d: removing departed %s again: err = %v, want ErrUnknownParticipant", cycle, PartyName(joiner), err)
+		}
 		if _, err := cl.Transport.Call(ctx, PartyName(joiner), MethodCounts, enc(nil)); !errors.Is(err, transport.ErrUnknownPeer) {
 			t.Fatalf("cycle %d: call to departed %s: err = %v, want ErrUnknownPeer", cycle, PartyName(joiner), err)
 		}

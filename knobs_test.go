@@ -1,14 +1,19 @@
 package vfps
 
 import (
+	"flag"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+
+	"vfps/internal/vfl"
 )
 
 // TestKnobsDeclaredOnce keeps the performance settings in one place. It
@@ -24,7 +29,7 @@ func TestKnobsDeclaredOnce(t *testing.T) {
 	// setting had in the hand-copied structs, which no struct may declare
 	// again.
 	settings := map[string]bool{
-		"Parallelism": true, "ShardWorkers": true, "EncryptWindow": true, "PackHint": true,
+		"Parallelism": true, "ShardWorkers": true, "EncryptWindow": true, "PackHint": false,
 		"Pool": false, "SharedPool": false, "PackWidthHint": false, "RandomizerPool": false,
 		"DeltaCache": false, "SimCache": false,
 	}
@@ -127,4 +132,67 @@ func isFlagRegistration(name string) bool {
 		return true
 	}
 	return false
+}
+
+// TestKnobTableDocumented checks README's Options table against the code:
+// one row per vfl.Options field, in declaration order; each flag cell names
+// the flag Options.BindFlags registers for that field (or — for none); each
+// HTTP-key cell is the field's json tag (or — for json:"-").
+func TestKnobTableDocumented(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows [][]string
+	inTable := false
+	for _, line := range strings.Split(string(readme), "\n") {
+		switch {
+		case strings.HasPrefix(line, "| `Options` field |"):
+			inTable = true
+		case !inTable:
+		case !strings.HasPrefix(line, "|"):
+			inTable = false
+		case !strings.HasPrefix(line, "|---"):
+			cells := strings.Split(strings.Trim(line, "|"), "|")
+			for i := range cells {
+				cells[i] = strings.Trim(strings.TrimSpace(cells[i]), "`")
+			}
+			rows = append(rows, cells)
+		}
+	}
+
+	var o vfl.Options
+	fs := flag.NewFlagSet("knobs", flag.ContinueOnError)
+	o.BindFlags(fs)
+	flagOf := map[uintptr]string{}
+	fs.VisitAll(func(f *flag.Flag) { flagOf[reflect.ValueOf(f.Value).Pointer()] = "-" + f.Name })
+
+	v := reflect.ValueOf(&o).Elem()
+	if len(rows) != v.NumField() {
+		t.Fatalf("README's Options table has %d rows, vfl.Options has %d fields", len(rows), v.NumField())
+	}
+	for i, row := range rows {
+		field := v.Type().Field(i)
+		if len(row) < 3 || row[0] != field.Name {
+			t.Errorf("README's Options table row %d is %q, want field %s", i+1, row, field.Name)
+			continue
+		}
+		wantFlag := flagOf[v.Field(i).Addr().Pointer()]
+		if wantFlag == "" {
+			wantFlag = "—"
+		}
+		if row[1] != wantFlag {
+			t.Errorf("README: %s's flag cell is %q, Options.BindFlags registers %q", field.Name, row[1], wantFlag)
+		}
+		wantKey, _, _ := strings.Cut(field.Tag.Get("json"), ",")
+		switch wantKey {
+		case "-":
+			wantKey = "—"
+		case "":
+			wantKey = field.Name
+		}
+		if row[2] != wantKey {
+			t.Errorf("README: %s's HTTP key cell is %q, its json tag is %q", field.Name, row[2], wantKey)
+		}
+	}
 }

@@ -103,8 +103,8 @@ type Config struct {
 	// FaginBatch is the mini-batch size b for ranked-list streaming
 	// (default 32).
 	FaginBatch int
-	// Options are the performance settings: Parallelism, ShardWorkers,
-	// EncryptWindow and PackHint (see Options).
+	// Options are the performance settings: Parallelism, ShardWorkers and
+	// EncryptWindow (see Options).
 	Options
 	// Obs installs metrics and tracing on every role of the consortium. Nil
 	// falls back to the process default observer (obs.SetDefault); when that
@@ -176,12 +176,6 @@ func NewConsortium(ctx context.Context, cfg Config) (*Consortium, error) {
 // Close releases the consortium's background resources (randomizer
 // precompute pools). The consortium stays usable afterwards.
 func (c *Consortium) Close() { c.cluster.Close() }
-
-// PackWidthHint exports the slot width the consortium's aggregation
-// coordinator has learned (margin included; 0 before the first Paillier round
-// and under the other schemes). A serving layer can feed it into a successor
-// consortium's Config.PackHint to skip the static warm-up round.
-func (c *Consortium) PackWidthHint() int { return c.cluster.Agg.PackHint() }
 
 // ShardWorkers reports how many aggregation shard workers the consortium
 // runs (0 when the tree reduce is unsharded).
