@@ -183,6 +183,18 @@ func maximize(obj *submod.FacilityLocation, count int, cfg Config) (*submod.Resu
 // Select runs the full VFPS-SM pipeline against an already wired cluster
 // leader, choosing selectCount of the leader's participants.
 func Select(ctx context.Context, leader *vfl.Leader, selectCount int, cfg Config) (*Selection, error) {
+	return run(ctx, leader, selectCount, cfg, func(ctx context.Context, cfg Config) (*vfl.SimilarityReport, error) {
+		return leader.SimilaritiesParallel(ctx, cfg.Queries, cfg.K, cfg.Variant, cfg.Parallelism)
+	})
+}
+
+// run is the pipeline Select and SelectAdaptive share: validation and
+// defaults, then the four phases — count reset, similarity estimation
+// (estimate, unless cfg.Cache holds the report), submodular maximization,
+// cost accounting — with their spans, the selection-level query-log event
+// and the Selection. QueriesUsed is the estimate's query count.
+func run(ctx context.Context, leader *vfl.Leader, selectCount int, cfg Config,
+	estimate func(ctx context.Context, cfg Config) (*vfl.SimilarityReport, error)) (*Selection, error) {
 	if leader == nil {
 		return nil, fmt.Errorf("core: nil leader")
 	}
@@ -251,7 +263,7 @@ func Select(ctx context.Context, leader *vfl.Leader, selectCount int, cfg Config
 		sctx, ssp := tracer.Start(ctx, "select.similarity")
 		ssp.SetLabelInt("queries", int64(len(cfg.Queries)))
 		ssp.SetLabelInt("k", int64(cfg.K))
-		rep, err = leader.SimilaritiesParallel(sctx, cfg.Queries, cfg.K, cfg.Variant, cfg.Parallelism)
+		rep, err = estimate(sctx, cfg)
 		ssp.End()
 		phase("similarity")
 		if err != nil {
@@ -303,7 +315,7 @@ func Select(ctx context.Context, leader *vfl.Leader, selectCount int, cfg Config
 		if !traceID.IsZero() {
 			ev.Trace = traceID.String()
 		}
-		ev.Attrs["queries"] = len(cfg.Queries)
+		ev.Attrs["queries"] = rep.Queries
 		ev.Attrs["k"] = cfg.K
 		ev.Attrs["variant"] = string(cfg.Variant)
 		ev.Attrs["selected"] = len(res.Selected)
@@ -320,6 +332,6 @@ func Select(ctx context.Context, leader *vfl.Leader, selectCount int, cfg Config
 		WallTime:         time.Since(start),
 		ProjectedSeconds: costmodel.For(leader.Scheme().Name()).Seconds(total),
 		Evaluations:      res.Evaluations,
-		QueriesUsed:      len(cfg.Queries),
+		QueriesUsed:      rep.Queries,
 	}, nil
 }

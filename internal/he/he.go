@@ -103,7 +103,7 @@ func (p *Paillier) Encrypt(v float64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.Bytes(), nil
+	return p.pk.CiphertextBytes(c), nil
 }
 
 // Decrypt implements Scheme.
@@ -151,7 +151,7 @@ func (p *Paillier) add(a, b []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.Bytes(), nil
+	return p.pk.CiphertextBytes(c), nil
 }
 
 // CiphertextSize implements Scheme.

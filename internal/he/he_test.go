@@ -1,6 +1,7 @@
 package he
 
 import (
+	"context"
 	"crypto/rand"
 	"errors"
 	"math"
@@ -125,6 +126,52 @@ func TestCiphertextSizes(t *testing.T) {
 	zero := &Plain{}
 	if zero.CiphertextSize() != 8 {
 		t.Fatal("zero-value plain should report raw size")
+	}
+}
+
+// TestPaillierCiphertextsAreFixedWidth pins the wire width of every
+// ciphertext the scheme emits. A minimal-length encoding leaves about one
+// ciphertext in 128–256 a byte short, so the byte count of a selection would
+// drift between runs that send the same ciphertexts; a blob of any other
+// width is refused.
+func TestPaillierCiphertextsAreFixedWidth(t *testing.T) {
+	ctx := context.Background()
+	p := packedScheme(t, 256, 4)
+	size := p.CiphertextSize()
+	vs := make([]float64, 2048)
+	for i := range vs {
+		vs[i] = float64(i%97) / 7
+	}
+	vec, err := p.EncryptVec(ctx, vs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums, err := p.AddVec(ctx, vec, vec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed, err := p.EncryptPacked(ctx, vs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := p.Encrypt(1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	two, err := p.Add(one, one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, blobs := range map[string][][]byte{"EncryptVec": vec, "AddVec": sums,
+		"EncryptPacked": packed, "Encrypt/Add": {one, two}} {
+		for i, b := range blobs {
+			if len(b) != size {
+				t.Fatalf("%s: ciphertext %d of %d is %d bytes, want %d", name, i, len(blobs), len(b), size)
+			}
+		}
+	}
+	if _, err := p.Decrypt(vec[0][1:]); !errors.Is(err, paillier.ErrCiphertextBytes) {
+		t.Fatalf("a blob one byte short decrypted with err = %v, want ErrCiphertextBytes", err)
 	}
 }
 

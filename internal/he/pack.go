@@ -209,7 +209,7 @@ func (p *Paillier) encryptPacked(ctx context.Context, packer *fixed.Packer, vs [
 	}
 	out := make([][]byte, len(cs))
 	for i, c := range cs {
-		out[i] = c.Bytes()
+		out[i] = p.pk.CiphertextBytes(c)
 	}
 	return out, nil
 }

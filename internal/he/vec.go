@@ -318,7 +318,7 @@ func (p *Paillier) EncryptVec(ctx context.Context, vs []float64) ([][]byte, erro
 	}
 	out := make([][]byte, len(cs))
 	for i, c := range cs {
-		out[i] = c.Bytes()
+		out[i] = p.pk.CiphertextBytes(c)
 	}
 	return out, nil
 }

@@ -71,9 +71,9 @@ type family struct {
 // series is one labelled time series.
 type series struct {
 	labelVals []string
-	n         atomic.Int64  // counter value
-	f         atomic.Uint64 // gauge value (float64 bits)
-	fn        func() float64
+	n         atomic.Int64                   // counter value
+	f         atomic.Uint64                  // gauge value (float64 bits)
+	fn        atomic.Pointer[func() float64] // pull gauge; set and read unlocked
 	h         *histo
 }
 
@@ -263,10 +263,7 @@ func (v *GaugeVec) Func(fn func() float64, labelVals ...string) {
 	if v == nil {
 		return
 	}
-	s := v.fam.with(labelVals)
-	v.fam.mu.Lock()
-	s.fn = fn
-	v.fam.mu.Unlock()
+	v.fam.with(labelVals).fn.Store(&fn)
 }
 
 // Gauge is one gauge series.
@@ -304,8 +301,8 @@ func (g *Gauge) Value() float64 {
 // value resolves a series' scalar at scrape time. Callers must hold no
 // family lock when the series has a pull function that might block.
 func (s *series) value() float64 {
-	if s.fn != nil {
-		return s.fn()
+	if fn := s.fn.Load(); fn != nil {
+		return (*fn)()
 	}
 	return math.Float64frombits(s.f.Load())
 }

@@ -465,24 +465,21 @@ func (pk *PublicKey) Sum(cs ...*Ciphertext) (*Ciphertext, error) {
 	return acc, nil
 }
 
-// Bytes serialises a ciphertext to a big-endian byte slice.
-func (c *Ciphertext) Bytes() []byte { return c.C.Bytes() }
-
-// CiphertextFromBytes reconstructs a ciphertext from Bytes output without
-// validation; operations on the result re-validate against a key. Prefer
-// PublicKey.ParseCiphertext when a key is at hand, which rejects malformed
-// bytes immediately with a typed error.
-func CiphertextFromBytes(b []byte) *Ciphertext {
-	return &Ciphertext{C: new(big.Int).SetBytes(b)}
+// CiphertextBytes serialises a ciphertext under pk to exactly
+// CiphertextSize() big-endian bytes, left-padded with zeros. A fixed width
+// keeps every ciphertext on the wire the same size, so byte counts depend
+// only on how many ciphertexts travel, not on their random values.
+func (pk *PublicKey) CiphertextBytes(c *Ciphertext) []byte {
+	return c.C.FillBytes(make([]byte, pk.CiphertextSize()))
 }
 
-// ParseCiphertext reconstructs a ciphertext from Bytes output and validates
-// it against pk. Zero-length input and encodings outside (0, n²) are rejected
-// with ErrCiphertextBytes instead of surfacing later as a range error or
-// garbage plaintext deep inside the modular arithmetic.
+// ParseCiphertext reconstructs a ciphertext from CiphertextBytes output and
+// validates it against pk. Input of any other length and encodings outside
+// (0, n²) are rejected with ErrCiphertextBytes instead of surfacing later as
+// a range error or garbage plaintext deep inside the modular arithmetic.
 func (pk *PublicKey) ParseCiphertext(b []byte) (*Ciphertext, error) {
-	if len(b) == 0 {
-		return nil, fmt.Errorf("%w: empty input", ErrCiphertextBytes)
+	if size := pk.CiphertextSize(); len(b) != size {
+		return nil, fmt.Errorf("%w: %d bytes, want %d", ErrCiphertextBytes, len(b), size)
 	}
 	c := &Ciphertext{C: new(big.Int).SetBytes(b)}
 	if c.C.Sign() <= 0 || c.C.Cmp(pk.N2) >= 0 {

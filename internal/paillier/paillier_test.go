@@ -167,7 +167,10 @@ func TestCiphertextValidation(t *testing.T) {
 func TestSerialization(t *testing.T) {
 	sk := key(t)
 	c := encT(t, &sk.PublicKey, 123456)
-	rt := CiphertextFromBytes(c.Bytes())
+	rt, err := sk.PublicKey.ParseCiphertext(sk.PublicKey.CiphertextBytes(c))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := decT(t, sk, rt); got != 123456 {
 		t.Fatalf("serialized round trip got %d", got)
 	}

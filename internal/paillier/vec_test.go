@@ -95,7 +95,7 @@ func TestRandomizerPrefillAndUniqueness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := string(c.Bytes())
+		s := string(pk.CiphertextBytes(c))
 		if seen[s] {
 			t.Fatal("randomizer reuse: identical ciphertexts for the same message")
 		}
@@ -131,10 +131,14 @@ func TestParseCiphertext(t *testing.T) {
 		in   []byte
 		ok   bool
 	}{
-		{"valid", valid.Bytes(), true},
+		{"valid", pk.CiphertextBytes(valid), true},
+		{"one byte short", pk.CiphertextBytes(valid)[1:], false},
+		{"one byte long", append([]byte{0}, pk.CiphertextBytes(valid)...), false},
+		{"minimal-length small value", big.NewInt(7).Bytes(), false},
 		{"empty", nil, false},
 		{"zero-length", []byte{}, false},
 		{"zero value", []byte{0}, false},
+		{"zero value at full width", make([]byte, pk.CiphertextSize()), false},
 		{"equal n2", pk.N2.Bytes(), false},
 		{"above n2", tooBig.Bytes(), false},
 	}

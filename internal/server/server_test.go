@@ -128,6 +128,33 @@ func TestSelectBaselineMethods(t *testing.T) {
 	}
 }
 
+// TestSelectRejectsConflictingTopK pins that vfps-sm-base with another top-k
+// protocol is a 400 naming both, not a run of that protocol reported as
+// vfps-sm-base; "topk":"base" stays valid under either method.
+func TestSelectRejectsConflictingTopK(t *testing.T) {
+	ts := startServer(t)
+	id := createTestConsortium(t, ts)
+	for _, c := range []struct {
+		method, topk string
+		want         int
+	}{
+		{"vfps-sm-base", "fagin", http.StatusBadRequest},
+		{"vfps-sm-base", "threshold", http.StatusBadRequest},
+		{"vfps-sm-base", "base", http.StatusOK},
+		{"", "base", http.StatusOK},
+	} {
+		var out map[string]any
+		code := doJSON(t, "POST", fmt.Sprintf("%s/v1/consortiums/%s/select", ts.URL, id),
+			SelectRequest{Method: c.method, Count: 2, K: 5, NumQueries: 6, Seed: 1, TopK: c.topk}, &out)
+		if code != c.want {
+			t.Fatalf("method %q topk %q: status %d (%v), want %d", c.method, c.topk, code, out, c.want)
+		}
+		if msg, _ := out["error"].(string); code != http.StatusOK && !strings.Contains(msg, c.topk) {
+			t.Fatalf("method %q topk %q: error %q does not name the conflict", c.method, c.topk, msg)
+		}
+	}
+}
+
 func TestMembershipChurnEndpoints(t *testing.T) {
 	ts := startServer(t)
 	var created CreateResponse

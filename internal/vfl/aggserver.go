@@ -2,6 +2,7 @@ package vfl
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -50,14 +51,12 @@ type AggServer struct {
 	// it, on the coordinator.
 	static bool
 
-	// recvCache / sentCache hold the party→agg and agg→leader halves of the
-	// cross-round delta encoding (see deltacache.go), used exactly when the
-	// scheme is Paillier. The receive side is a per-party pool: the byte bound
-	// applies per link, so one party's blocks never evict another's — a
-	// shared FIFO at a 6+ roster overflows during a single round and then
-	// never hits again.
+	// recvCache is the receive half of the party links' cross-round delta
+	// encoding (see deltacache.go), used exactly when the scheme is Paillier.
+	// It is a per-party pool: the byte bound applies per link, so one party's
+	// blocks never evict another's — a shared FIFO at a 6+ roster overflows
+	// during a single round and then never hits again.
 	recvCache deltaCachePool
-	sentCache deltaCache
 }
 
 // packBitsMargin is added to the dictated slot width so small round-to-round
@@ -199,7 +198,7 @@ func (a *AggServer) Handler() transport.Handler {
 }
 
 // serveLeader is the server's one collection pipeline towards the leader:
-// candidate IDs → pull → uniform geometry → reduce → leader-link trim → reply.
+// candidate IDs → pull → uniform geometry → reduce → reply.
 // The request picks the candidate-ID source: every party's full vector
 // (CollectAll, the BASE variant), a Fagin scan over the parties' rankings
 // (FaginCollect), or the leader's own list (AggregateCandidates, one
@@ -259,24 +258,21 @@ func (a *AggServer) serveLeader(ctx context.Context, method string, req []byte) 
 	if root.factor > 1 {
 		adds = len(a.parties)
 	}
-	out, cached, err := a.trimForLeader(query, root, noCache)
-	if err != nil {
-		return nil, err
-	}
+	out := root.blobs
 	var resp wire.Message
 	switch method {
 	case MethodCollectAll:
 		resp = &CollectAllResp{PseudoIDs: root.pids, Aggregated: out, PackFactor: root.factor,
-			PackBits: root.bits, PackAdds: adds, CachedBlocks: cached}
+			PackBits: root.bits, PackAdds: adds}
 	case MethodFaginCollect:
 		resp = &FaginCollectResp{PseudoIDs: root.pids, Aggregated: out, PackFactor: root.factor,
-			Stats: stats, PackBits: root.bits, PackAdds: adds, CachedBlocks: cached}
+			Stats: stats, PackBits: root.bits, PackAdds: adds}
 	default:
 		resp = &AggregateCandidatesResp{Aggregated: out, PackFactor: root.factor,
-			PackBits: root.bits, PackAdds: adds, CachedBlocks: cached}
+			PackBits: root.bits, PackAdds: adds}
 	}
 	return reply(resp, &a.counts, &a.roleObs,
-		costmodel.Raw{ItemsSent: int64(len(out) - len(cached)), Messages: 1})
+		costmodel.Raw{ItemsSent: int64(len(out)), Messages: 1})
 }
 
 // faginScan runs Fagin's algorithm over the parties' sub-rankings, pulled in
@@ -407,24 +403,78 @@ func (a *AggServer) collectReduce(ctx context.Context, sources []string, all boo
 
 // pullParty fetches one party's encrypted vector under the dictated slot
 // width — every pseudo ID but the query's (EncryptAll, the BASE pattern) when
-// all is set, the given candidates (EncryptCandidates) otherwise — through the
-// receive path of the party link.
+// all is set, the given candidates (EncryptCandidates) otherwise. It is the
+// one receive path of the party link: the vector's length is checked and its
+// delta-withheld blocks restored (restoreWithheld). A first-attempt
+// ErrDeltaCacheMiss — this server evicted a block the party assumed cached —
+// is charged as a cache miss, and the pull is repeated once with NoCache set,
+// which forces a full resend. A reply to a NoCache request that still
+// withholds blocks breaks the layout contract and is refused, not retried.
 func (a *AggServer) pullParty(ctx context.Context, party string, query int, ids []int, all bool, dictate int, noCache bool) (*collected, error) {
-	link := newRecvLink(party, a.scheme, a.recvCache.forPeer(party), a.roleName(), &a.counts, &a.roleObs)
-	return link.fetch(query, noCache, func(noCache bool) (*collected, []int, error) {
+	for attempt := 0; ; attempt++ {
+		var col *collected
+		var cached []int
+		var err error
 		if all {
 			var resp EncryptAllResp
-			err := a.call(ctx, party, MethodEncryptAll,
+			err = a.call(ctx, party, MethodEncryptAll,
 				&EncryptAllReq{Query: query, PackBits: dictate, NoCache: noCache}, &resp)
-			return &collected{pids: resp.PseudoIDs, blobs: resp.Ciphers, factor: resp.PackFactor,
-				bits: resp.PackBits, need: resp.NeedBits}, resp.CachedBlocks, err
+			col, cached = &collected{pids: resp.PseudoIDs, blobs: resp.Ciphers, factor: resp.PackFactor,
+				bits: resp.PackBits, need: resp.NeedBits}, resp.CachedBlocks
+		} else {
+			var resp EncryptCandidatesResp
+			err = a.call(ctx, party, MethodEncryptCandidates,
+				&EncryptCandidatesReq{Query: query, PseudoIDs: ids, PackBits: dictate, NoCache: noCache}, &resp)
+			col, cached = &collected{pids: ids, blobs: resp.Ciphers, factor: resp.PackFactor,
+				bits: resp.PackBits, need: resp.NeedBits}, resp.CachedBlocks
 		}
-		var resp EncryptCandidatesResp
-		err := a.call(ctx, party, MethodEncryptCandidates,
-			&EncryptCandidatesReq{Query: query, PseudoIDs: ids, PackBits: dictate, NoCache: noCache}, &resp)
-		return &collected{pids: ids, blobs: resp.Ciphers, factor: resp.PackFactor,
-			bits: resp.PackBits, need: resp.NeedBits}, resp.CachedBlocks, err
-	})
+		if err != nil {
+			return nil, fmt.Errorf("vfl: collecting from %s: %w", party, err)
+		}
+		if noCache && len(cached) > 0 {
+			return nil, fmt.Errorf("vfl: %s withheld %d blocks from a NoCache resend", party, len(cached))
+		}
+		err = a.restoreWithheld(party, query, col, cached)
+		if err == nil {
+			return col, nil
+		}
+		if attempt > 0 || !errors.Is(err, ErrDeltaCacheMiss) {
+			return nil, err
+		}
+		a.counts.Add(costmodel.Raw{CacheMisses: 1})
+		a.recordDelta(a.roleName(), 0, 1)
+		noCache = true
+	}
+}
+
+// restoreWithheld checks a party's vector length and fills its withheld
+// blocks (cached) from the party link's cache, refreshing the cache and
+// charging the hits. Only a Paillier link caches; any other refuses
+// withholding.
+func (a *AggServer) restoreWithheld(party string, query int, col *collected, cached []int) error {
+	if err := col.checkLen(party); err != nil {
+		return err
+	}
+	pp, ok := a.scheme.(*he.Paillier)
+	if !ok {
+		if len(cached) > 0 {
+			return fmt.Errorf("vfl: %s withheld %d blocks without delta caching", party, len(cached))
+		}
+		return nil
+	}
+	layout, err := layoutOf(pp, col.bits, col.factor)
+	if err != nil {
+		return fmt.Errorf("vfl: %s: %w", party, err)
+	}
+	hits, err := a.recvCache.forPeer(party).restore(blockKeys(party, query, layout, col.pids), col.blobs, cached)
+	if hits > 0 {
+		a.counts.Add(costmodel.Raw{CacheHits: int64(hits)})
+		a.recordDelta(a.roleName(), hits, 0)
+	}
+	if err != nil {
+		return fmt.Errorf("vfl: restoring delta blocks from %s: %w", party, err)
+	}
+	return nil
 }
 
 // maxNeed returns the largest NeedBits advertised by one collection round.
@@ -494,31 +544,6 @@ func (a *AggServer) reduceVectors(ctx context.Context, vecs [][][]byte) ([][]byt
 	}
 	a.counts.Add(costmodel.Raw{CipherAdds: int64(adds)})
 	return vecs[0], nil
-}
-
-// trimForLeader applies the leader-link delta encoding to an outgoing
-// Paillier aggregate: blocks the sent cache already holds are withheld
-// (aggregation is recomputed every round, but homomorphic addition is
-// deterministic, so an all-inputs-identical round reproduces the aggregate
-// byte for byte). Returns the wire vector and the withheld indices.
-func (a *AggServer) trimForLeader(query int, root *collected, noCache bool) (out [][]byte, cached []int, err error) {
-	pp, ok := a.scheme.(*he.Paillier)
-	if !ok {
-		return root.blobs, nil, nil
-	}
-	layout, err := layoutOf(pp, root.bits, root.factor)
-	if err != nil {
-		return nil, nil, err
-	}
-	keys := blockKeys("leader", query, layout, root.pids)
-	if noCache {
-		for b, key := range keys {
-			a.sentCache.put(key, root.blobs[b])
-		}
-		return root.blobs, nil, nil
-	}
-	out, cached = a.sentCache.trim(keys, root.blobs)
-	return out, cached, nil
 }
 
 // aggregateFrontier sums the parties' encrypted scores at one scan rank —

@@ -22,63 +22,45 @@ func clearCache(c *deltaCache) {
 	c.m, c.order, c.head = nil, nil, 0
 }
 
-// linkTap counts the traffic on the links into one node: responses that
+// linkTap counts the traffic on the party links of one node: responses that
 // withheld blocks from a request without NoCache (each one a forced miss once
-// the requester's cache is gone) and requests that carried NoCache (retries).
+// the receiver's cache is gone) and requests that carried NoCache (retries).
 type linkTap struct {
 	withheld, retried atomic.Int64
 }
 
-// tap re-registers node on tr behind h, counting its collection traffic.
+// tap re-registers node on tr behind h, counting its candidate pulls.
 func (lt *linkTap) tap(tr *transport.Memory, node string, h transport.Handler) {
 	tr.Register(node, func(ctx context.Context, method string, req []byte) ([]byte, error) {
 		out, err := h(ctx, method, req)
-		if err != nil {
+		if err != nil || method != MethodEncryptCandidates {
 			return out, err
 		}
-		var noCache bool
-		var withheld int
-		switch method {
-		case MethodFaginCollect:
-			var r FaginCollectReq
-			var resp FaginCollectResp
-			if err := wire.Unmarshal(req, &r); err != nil {
-				return nil, err
-			}
-			if err := wire.Unmarshal(out, &resp); err != nil {
-				return nil, err
-			}
-			noCache, withheld = r.NoCache, len(resp.CachedBlocks)
-		case MethodEncryptCandidates:
-			var r EncryptCandidatesReq
-			var resp EncryptCandidatesResp
-			if err := wire.Unmarshal(req, &r); err != nil {
-				return nil, err
-			}
-			if err := wire.Unmarshal(out, &resp); err != nil {
-				return nil, err
-			}
-			noCache, withheld = r.NoCache, len(resp.CachedBlocks)
-		default:
-			return out, nil
+		var r EncryptCandidatesReq
+		var resp EncryptCandidatesResp
+		if err := wire.Unmarshal(req, &r); err != nil {
+			return nil, err
 		}
-		if noCache {
+		if err := wire.Unmarshal(out, &resp); err != nil {
+			return nil, err
+		}
+		if r.NoCache {
 			lt.retried.Add(1)
-		} else if withheld > 0 {
+		} else if len(resp.CachedBlocks) > 0 {
 			lt.withheld.Add(1)
 		}
 		return out, nil
 	})
 }
 
-// TestDeltaMissRetry is the fault test of the delta-cache miss retry on each
-// link it guards. Two warm rounds bring the delta cache to its steady state;
-// then the receiving end of one link loses its cache — emptied in place, or,
-// for the coordinator, never filled because the shard worker that held the
-// link died — and a third round must still select exactly what a fresh
-// consortium's cold round selects. Every response that withheld blocks the receiver no
-// longer holds is one charged miss, and each miss costs exactly one NoCache
-// retry on that link.
+// TestDeltaMissRetry is the fault test of the delta-cache miss retry on the
+// party links. Two warm rounds bring the delta cache to its steady state;
+// then the receiving end of the party links loses its cache — emptied in
+// place, or, for the coordinator, never filled because the shard worker that
+// held the links died — and a third round must still select exactly what a
+// fresh consortium's cold round selects. Every response that withheld blocks
+// the receiver no longer holds is one charged miss, and each miss costs
+// exactly one NoCache retry on that link.
 func TestDeltaMissRetry(t *testing.T) {
 	ctx := context.Background()
 	_, pt := testPartition(t, "Rice", 40, 4)
@@ -100,10 +82,6 @@ func TestDeltaMissRetry(t *testing.T) {
 		// fault drops the receiving cache of one link and taps its sender(s).
 		fault func(cl *Cluster, lt *linkTap)
 	}{
-		{"leader<-agg", 0, func(cl *Cluster, lt *linkTap) {
-			clearCache(&cl.Leader.recvCache)
-			lt.tap(cl.Transport, AggServerName, cl.Agg.Handler())
-		}},
 		{"agg<-party", 0, func(cl *Cluster, lt *linkTap) {
 			for i, name := range cl.PartyNames() {
 				clearCache(cl.Agg.recvCache.forPeer(name))
@@ -168,9 +146,10 @@ func TestDeltaMissRetry(t *testing.T) {
 // TestCollectRejectsHostileLayout pins each layout check of the collect
 // pipeline against a peer that answers with a well-framed but inconsistent
 // vector. Every case must fail fast with an error naming that peer. A
-// non-Paillier link caches nothing, so withholding there is refused outright;
-// a Paillier peer that still withholds after the NoCache retry broke the
-// layout contract rather than missing a cache.
+// non-Paillier party link caches nothing, so withholding there is refused
+// outright; a Paillier party that still withholds after the NoCache retry
+// broke the layout contract rather than missing a cache. The leader checks
+// the aggregate's length against its pseudo IDs.
 func TestCollectRejectsHostileLayout(t *testing.T) {
 	_, pt := testPartition(t, "Rice", 40, 4)
 	hostileParty := PartyName(1)
@@ -179,12 +158,6 @@ func TestCollectRejectsHostileLayout(t *testing.T) {
 		var resp EncryptCandidatesResp
 		mustUnmarshal(t, raw, &resp)
 		resp.Ciphers[0], resp.CachedBlocks = nil, []int{0}
-		return enc(&resp)
-	}
-	withholdAggregate := func(raw []byte) []byte {
-		var resp FaginCollectResp
-		mustUnmarshal(t, raw, &resp)
-		resp.Aggregated[0], resp.CachedBlocks = nil, []int{0}
 		return enc(&resp)
 	}
 	for _, c := range []struct {
@@ -218,10 +191,18 @@ func TestCollectRejectsHostileLayout(t *testing.T) {
 			resp.Ciphers = append(resp.Ciphers, resp.Ciphers[0])
 			return enc(&resp)
 		}, "aggregates for"},
-		{"aggregation server withholds without delta", "plain", 0, AggServerName, MethodFaginCollect, withholdAggregate,
-			"withheld 1 blocks without delta caching"},
-		{"aggregation server withholds from a NoCache resend", "paillier", 0, AggServerName, MethodFaginCollect, withholdAggregate,
-			"withheld 1 blocks from a NoCache resend"},
+		{"aggregation server returns too few aggregates", "paillier", 0, AggServerName, MethodFaginCollect, func(raw []byte) []byte {
+			var resp FaginCollectResp
+			mustUnmarshal(t, raw, &resp)
+			resp.Aggregated = resp.Aggregated[:len(resp.Aggregated)-1]
+			return enc(&resp)
+		}, "aggregates for"},
+		{"aggregation server returns too many aggregates for BASE", "paillier", 0, AggServerName, MethodCollectAll, func(raw []byte) []byte {
+			var resp CollectAllResp
+			mustUnmarshal(t, raw, &resp)
+			resp.Aggregated = append(resp.Aggregated, resp.Aggregated[0])
+			return enc(&resp)
+		}, "aggregates for"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -249,7 +230,7 @@ func TestCollectRejectsHostileLayout(t *testing.T) {
 				return c.edit(out), nil
 			})
 			variant := VariantFagin
-			if c.method == MethodEncryptAll {
+			if c.method == MethodEncryptAll || c.method == MethodCollectAll {
 				variant = VariantBase
 			}
 			_, err = cl.Leader.RunQuery(ctx, 0, 3, variant)

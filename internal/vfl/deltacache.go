@@ -14,24 +14,22 @@ import (
 
 // Cross-round delta encoding: partial distances are a pure function of
 // (query, pseudo-ID, party) over a static dataset, so when a monitoring
-// workload re-runs the same queries, most ciphertext blocks on the wire are
-// byte-identical to the previous round. Wherever a block is a Paillier
-// ciphertext, both ends of a transfer keep a bounded per-link cache of blocks
-// keyed by that identity and by the slot layout that encoded it; the sender
-// withholds blocks the receiver is known to hold (empty placeholder + index
-// list) and the receiver restores them locally. The scheme decides, not an
-// option: the only saving is skipped encryptions, so the other schemes never
-// cache. Paillier encryption is randomized, so a sender-side hit must reuse
-// the cached ciphertext bytes — which also skips the re-encryption — rather
-// than re-encrypt; aggregated blocks only hit when every input block was
-// identical, because the homomorphic sum is recomputed every round and
-// compared byte for byte before any withholding. The leader scopes reuse to
-// the previous round: only a query that round also ran may be withheld, and
-// every other query is collected with NoCache (Leader.beginRound).
+// workload re-runs the same queries, most of a party's ciphertext blocks are
+// byte-identical to the previous round. On the party → aggregating-role link
+// of a Paillier consortium, both ends keep a bounded cache of blocks keyed by
+// that identity and by the slot layout that encoded it; the party withholds
+// blocks the receiver is known to hold (empty placeholder + index list) and
+// the receiver restores them locally. The scheme decides, not an option: the
+// only saving is skipped encryptions, so the other schemes never cache.
+// Paillier encryption is randomized, so a sender-side hit must reuse the
+// cached ciphertext bytes — which also skips the re-encryption — rather than
+// re-encrypt. The leader scopes reuse to the previous round: only a query
+// that round also ran may be withheld, and every other query is collected
+// with NoCache (Leader.beginRound).
 //
 // A receiver that evicted a block the sender assumed cached fails restore
-// with ErrDeltaCacheMiss; the requester retries once with NoCache set, which
-// forces a full resend and refreshes both caches.
+// with ErrDeltaCacheMiss; the aggregating role retries once with NoCache set,
+// which forces a full resend and refreshes both caches.
 
 // ErrDeltaCacheMiss reports a withheld ciphertext block the receiver no
 // longer holds. It is the typed trigger for the full-resend retry.
@@ -234,29 +232,6 @@ func blockKeys(peer string, query int, l slotLayout, pids []int) []string {
 		keys[b] = fmt.Sprintf("%s|%d|%d|%d|%d|%d|%x", peer, query, l.factor, l.w, l.v, b, idSig(pids[lo:hi]))
 	}
 	return keys
-}
-
-// trim withholds every block whose bytes match the sender-side cache: the
-// receiver proved it holds those bytes by having received them. Changed or
-// new blocks are (re)cached and sent in full. Returns the wire vector (hits
-// replaced by empty placeholders, aliasing blobs otherwise) and the withheld
-// indices in ascending order.
-func (c *deltaCache) trim(keys []string, blobs [][]byte) ([][]byte, []int) {
-	var cached []int
-	out := blobs
-	for b, key := range keys {
-		if prev, ok := c.get(key); ok && bytes.Equal(prev, blobs[b]) {
-			if len(cached) == 0 {
-				out = make([][]byte, len(blobs))
-				copy(out, blobs)
-			}
-			out[b] = nil
-			cached = append(cached, b)
-			continue
-		}
-		c.put(key, blobs[b])
-	}
-	return out, cached
 }
 
 // restore fills the withheld blocks of blobs (in place) from the cache and

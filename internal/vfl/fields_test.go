@@ -20,14 +20,15 @@ import (
 // reservedTags lists each message's retired tags. A retired tag is never
 // bound again, so a peer that still sends it is skipped like any unknown tag.
 var reservedTags = map[string]map[int]string{
-	"EncryptAllReq":          {3: "retired delta flag"},
-	"EncryptCandidatesReq":   {4: "retired delta flag"},
-	"AggregateCandidatesReq": {3: "retired adaptive flag", 4: "retired delta flag"},
-	"CollectAllReq":          {2: "retired chunk size", 3: "retired adaptive flag", 4: "retired delta flag"},
-	"CollectAllResp":         {7: "retired chunk-framed blocks"},
-	"FaginCollectReq":        {4: "retired chunk size", 5: "retired adaptive flag", 6: "retired delta flag"},
-	"FaginCollectResp":       {8: "retired chunk-framed blocks"},
-	"ShardCollectReq":        {5: "retired delta flag"},
+	"EncryptAllReq":           {3: "retired delta flag"},
+	"EncryptCandidatesReq":    {4: "retired delta flag"},
+	"AggregateCandidatesReq":  {3: "retired adaptive flag", 4: "retired delta flag"},
+	"AggregateCandidatesResp": {5: "retired leader-link delta"},
+	"CollectAllReq":           {2: "retired chunk size", 3: "retired adaptive flag", 4: "retired delta flag"},
+	"CollectAllResp":          {6: "retired leader-link delta", 7: "retired chunk-framed blocks"},
+	"FaginCollectReq":         {4: "retired chunk size", 5: "retired adaptive flag", 6: "retired delta flag"},
+	"FaginCollectResp":        {7: "retired leader-link delta", 8: "retired chunk-framed blocks"},
+	"ShardCollectReq":         {5: "retired delta flag"},
 }
 
 // tableMessages returns one instance of every message type allMessages()
@@ -268,8 +269,7 @@ func TestWireAllocs(t *testing.T) {
 		{&RankingBatchReq{Query: 3, Offset: 64, Count: 32}, 2, 2},
 		{&RankingBatchResp{PseudoIDs: ids}, 3, 3},
 		{&FaginCollectResp{PseudoIDs: []int{3, 1}, Aggregated: [][]byte{{4}}, PackFactor: 2,
-			Stats: FaginStats{Rounds: 2, ScanDepth: 64, Candidates: 9}, PackBits: 40, PackAdds: 4,
-			CachedBlocks: []int{0, 1}}, 5, 6},
+			Stats: FaginStats{Rounds: 2, ScanDepth: 64, Candidates: 9}, PackBits: 40, PackAdds: 4}, 5, 6},
 	} {
 		raw, _ := wire.Marshal(c.msg)
 		typ := reflect.TypeOf(c.msg).Elem()

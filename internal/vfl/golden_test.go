@@ -42,17 +42,17 @@ func allMessages() []wire.Message {
 		&EncryptRankScoreResp{Cipher: []byte{5, 6}},
 		&AggregateCandidatesReq{Query: 4, PseudoIDs: []int{2, 1}, NoCache: true},
 		&AggregateCandidatesResp{Aggregated: [][]byte{{9}}, PackFactor: 3,
-			PackBits: 36, PackAdds: 3, CachedBlocks: []int{0}},
+			PackBits: 36, PackAdds: 3},
 		&AggregateFrontierReq{Query: 6, Rank: 2},
 		&AggregateFrontierResp{Cipher: []byte{7}},
 		&CollectAllReq{Query: 8, NoCache: true},
 		&CollectAllResp{PseudoIDs: []int{0, 5}, Aggregated: [][]byte{{1, 1}, {2, 2}}, PackFactor: 1,
-			PackBits: 36, PackAdds: 3, CachedBlocks: []int{1}},
+			PackBits: 36, PackAdds: 3},
 		&FaginCollectReq{Query: 7, K: 10, Batch: 32, NoCache: true},
 		&FaginCollectResp{PseudoIDs: []int{3, 1}, Aggregated: [][]byte{{4}}, PackFactor: 2,
 			Stats: FaginStats{Rounds: 2, ScanDepth: 64, Candidates: 9}},
 		&FaginCollectResp{PseudoIDs: []int{3, 1}, PackFactor: 2, PackBits: 40, PackAdds: 4,
-			CachedBlocks: []int{0, 1}, Stats: FaginStats{Rounds: 1, ScanDepth: 8, Candidates: 2}},
+			Stats: FaginStats{Rounds: 1, ScanDepth: 8, Candidates: 2}},
 		&ShardCollectReq{Query: 11, PseudoIDs: []int{6, 2}, PackBits: 24, NoCache: true},
 		&ShardCollectReq{Query: 11, All: true, PackBits: 24},
 		&ShardCollectResp{PseudoIDs: []int{0, 3}, Ciphers: [][]byte{{0xfe}, {0xff, 1}},

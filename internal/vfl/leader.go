@@ -51,9 +51,6 @@ type Leader struct {
 	instance    string   // observer instance label; the query log's tenant
 	extraNodes  []string // additional accounting nodes (shard workers)
 
-	// recvCache is the receive half of the leader link's delta cache (see
-	// deltacache.go), used exactly when the scheme is Paillier.
-	recvCache deltaCache
 	// roundMu guards prevRound and round: the query sets of the previous and
 	// the current protocol round (see beginRound).
 	roundMu          sync.Mutex
@@ -107,7 +104,6 @@ func (l *Leader) SetObserver(o *obs.Observer, instance string) {
 	l.store(o)
 	l.instance = instance
 	l.counts.Register(o.Registry(), instance, "leader")
-	DeclareDeltaMetrics(o.Registry())
 }
 
 // Instance returns the observer instance label ("" when observability is
@@ -278,8 +274,8 @@ func (l *Leader) runQuery(ctx context.Context, query, k int, variant Variant) (r
 
 // collected is one received ciphertext vector with its layout metadata — a
 // party's vector or a shard root on the aggregation side, the aggregate on
-// the leader: as received until recvLink.fetch has checked its length and
-// restored its delta-withheld blocks, complete after.
+// the leader. A party's vector is as received until pullParty has checked its
+// length and restored its delta-withheld blocks, complete after.
 type collected struct {
 	pids   []int
 	blobs  [][]byte
@@ -300,117 +296,43 @@ func (c *collected) checkLen(peer string) error {
 	return nil
 }
 
-// recvLink is the receiving end of one delta-encodable collection link:
-// leader ← aggregation server, or aggregation server ← party.
-type recvLink struct {
-	peer   string            // the sender: named in errors, scopes the block keys
-	cache  *deltaCache       // withheld blocks restore from it; nil unless Paillier
-	pp     *he.Paillier      // derives the block keys' slot layout; set with cache
-	role   string            // metric series charged with the link's hits and misses
-	counts *costmodel.Counts // counters charged likewise
-	ro     *roleObs
-}
-
-// newRecvLink opens the receiving end of the link from peer. The link caches
-// exactly when the scheme is Paillier, into cache.
-func newRecvLink(peer string, scheme he.Scheme, cache *deltaCache, role string, counts *costmodel.Counts, ro *roleObs) recvLink {
-	in := recvLink{peer: peer, role: role, counts: counts, ro: ro}
-	if pp, ok := scheme.(*he.Paillier); ok {
-		in.cache, in.pp = cache, pp
-	}
-	return in
-}
-
-// fetch is the one receive path of every delta-encodable collection: call
-// performs the RPC with the given NoCache flag and returns the decoded vector
-// with its withheld block indices. The vector's length is checked and its
-// withheld blocks restored from the link's cache (without one, withholding is
-// refused). A first-attempt ErrDeltaCacheMiss — the receiver evicted a block
-// the sender assumed cached — is charged as a cache miss, and the call is
-// repeated once with NoCache set, which forces a full resend. A reply to a
-// NoCache request that still withholds blocks breaks the layout contract and
-// is refused, not retried.
-func (in recvLink) fetch(query int, noCache bool, call func(noCache bool) (*collected, []int, error)) (*collected, error) {
-	for attempt := 0; ; attempt++ {
-		col, cached, err := call(noCache)
-		if err != nil {
-			return nil, fmt.Errorf("vfl: collecting from %s: %w", in.peer, err)
-		}
-		if noCache && in.cache != nil && len(cached) > 0 {
-			return nil, fmt.Errorf("vfl: %s withheld %d blocks from a NoCache resend", in.peer, len(cached))
-		}
-		err = in.restore(query, col, cached)
-		if err == nil {
-			return col, nil
-		}
-		if attempt > 0 || !errors.Is(err, ErrDeltaCacheMiss) {
-			return nil, err
-		}
-		in.counts.Add(costmodel.Raw{CacheMisses: 1})
-		in.ro.recordDelta(in.role, 0, 1)
-		noCache = true
-	}
-}
-
-// restore checks a received vector's length and fills its withheld blocks
-// (cached) from the link's cache, refreshing the cache and charging the hits.
-func (in recvLink) restore(query int, col *collected, cached []int) error {
-	if err := col.checkLen(in.peer); err != nil {
-		return err
-	}
-	if in.cache == nil {
-		if len(cached) > 0 {
-			return fmt.Errorf("vfl: %s withheld %d blocks without delta caching", in.peer, len(cached))
-		}
-		return nil
-	}
-	layout, err := layoutOf(in.pp, col.bits, col.factor)
-	if err != nil {
-		return fmt.Errorf("vfl: %s: %w", in.peer, err)
-	}
-	hits, err := in.cache.restore(blockKeys(in.peer, query, layout, col.pids), col.blobs, cached)
-	if hits > 0 {
-		in.counts.Add(costmodel.Raw{CacheHits: int64(hits)})
-		in.ro.recordDelta(in.role, hits, 0)
-	}
-	if err != nil {
-		return fmt.Errorf("vfl: restoring delta blocks from %s: %w", in.peer, err)
-	}
-	return nil
-}
-
 // collect runs one collection round trip against the aggregation server and
-// returns the restored aggregate: the whole collection of the BASE or Fagin
-// variant, or, for the Threshold variant, one random-access round over ids.
+// returns the length-checked aggregate: the whole collection of the BASE or
+// Fagin variant, or, for the Threshold variant, one random-access round over
+// ids. Under Paillier, NoCache carries beginRound's rule to the party links:
+// a query the previous round did not run is resent in full.
 func (l *Leader) collect(ctx context.Context, query, k int, variant Variant, ids []int) (*collected, FaginStats, error) {
-	link := newRecvLink(l.agg, l.scheme, &l.recvCache, "leader", &l.counts, &l.roleObs)
+	_, paillier := l.scheme.(*he.Paillier)
+	noCache := paillier && !l.reusable(query)
+	var col *collected
 	var stats FaginStats
-	col, err := link.fetch(query, link.cache != nil && !l.reusable(query), func(noCache bool) (*collected, []int, error) {
-		switch variant {
-		case VariantBase:
-			var resp CollectAllResp
-			err := l.call(ctx, l.agg, MethodCollectAll,
-				&CollectAllReq{Query: query, NoCache: noCache}, &resp)
-			n := len(resp.PseudoIDs)
-			stats = FaginStats{Candidates: n, Rounds: 1, ScanDepth: n}
-			return &collected{pids: resp.PseudoIDs, blobs: resp.Aggregated, factor: resp.PackFactor,
-				bits: resp.PackBits, adds: resp.PackAdds}, resp.CachedBlocks, err
-		case VariantFagin:
-			var resp FaginCollectResp
-			err := l.call(ctx, l.agg, MethodFaginCollect,
-				&FaginCollectReq{Query: query, K: k, Batch: l.batch, NoCache: noCache}, &resp)
-			stats = resp.Stats
-			return &collected{pids: resp.PseudoIDs, blobs: resp.Aggregated, factor: resp.PackFactor,
-				bits: resp.PackBits, adds: resp.PackAdds}, resp.CachedBlocks, err
-		default:
-			var resp AggregateCandidatesResp
-			err := l.call(ctx, l.agg, MethodAggregateCandidates,
-				&AggregateCandidatesReq{Query: query, PseudoIDs: ids, NoCache: noCache}, &resp)
-			return &collected{pids: ids, blobs: resp.Aggregated, factor: resp.PackFactor,
-				bits: resp.PackBits, adds: resp.PackAdds}, resp.CachedBlocks, err
-		}
-	})
-	return col, stats, err
+	var err error
+	switch variant {
+	case VariantBase:
+		var resp CollectAllResp
+		err = l.call(ctx, l.agg, MethodCollectAll, &CollectAllReq{Query: query, NoCache: noCache}, &resp)
+		n := len(resp.PseudoIDs)
+		stats = FaginStats{Candidates: n, Rounds: 1, ScanDepth: n}
+		col = &collected{pids: resp.PseudoIDs, blobs: resp.Aggregated, factor: resp.PackFactor,
+			bits: resp.PackBits, adds: resp.PackAdds}
+	case VariantFagin:
+		var resp FaginCollectResp
+		err = l.call(ctx, l.agg, MethodFaginCollect,
+			&FaginCollectReq{Query: query, K: k, Batch: l.batch, NoCache: noCache}, &resp)
+		stats = resp.Stats
+		col = &collected{pids: resp.PseudoIDs, blobs: resp.Aggregated, factor: resp.PackFactor,
+			bits: resp.PackBits, adds: resp.PackAdds}
+	default:
+		var resp AggregateCandidatesResp
+		err = l.call(ctx, l.agg, MethodAggregateCandidates,
+			&AggregateCandidatesReq{Query: query, PseudoIDs: ids, NoCache: noCache}, &resp)
+		col = &collected{pids: ids, blobs: resp.Aggregated, factor: resp.PackFactor,
+			bits: resp.PackBits, adds: resp.PackAdds}
+	}
+	if err != nil {
+		return nil, stats, fmt.Errorf("vfl: collecting from %s: %w", l.agg, err)
+	}
+	return col, stats, col.checkLen(l.agg)
 }
 
 // decryptCollected recovers the aggregate distances of one collection round.

@@ -180,8 +180,9 @@ type EncryptRankScoreResp struct {
 
 // AggregateCandidatesReq asks the aggregation server to collect and
 // homomorphically sum the parties' encrypted partial distances for specific
-// pseudo IDs (TA random-access phase). NoCache forces a full resend of the
-// blocks the leader link's delta cache would withhold.
+// pseudo IDs (TA random-access phase). NoCache is relayed to the party links
+// (see EncryptAllReq): the leader sets it for a query the previous round did
+// not run.
 type AggregateCandidatesReq struct {
 	Query     int
 	PseudoIDs []int
@@ -191,14 +192,12 @@ type AggregateCandidatesReq struct {
 // AggregateCandidatesResp returns aggregated ciphertexts aligned with the
 // request order (slot-packed when PackFactor > 1, see EncryptAllResp).
 // PackBits reports the adaptive slot width in effect (0 = static); PackAdds
-// the aggregation depth the leader must unpack under; CachedBlocks the
-// withheld indices as in EncryptAllResp.
+// the aggregation depth the leader must unpack under.
 type AggregateCandidatesResp struct {
-	Aggregated   [][]byte
-	PackFactor   int
-	PackBits     int
-	PackAdds     int
-	CachedBlocks []int
+	Aggregated [][]byte
+	PackFactor int
+	PackBits   int
+	PackAdds   int
 }
 
 // AggregateFrontierReq asks the aggregation server for the encrypted TA
@@ -222,14 +221,13 @@ type CollectAllReq struct {
 
 // CollectAllResp returns the homomorphically aggregated complete distances
 // for every pseudo ID (slot-packed when PackFactor > 1, see EncryptAllResp;
-// PackBits/PackAdds/CachedBlocks as in AggregateCandidatesResp).
+// PackBits/PackAdds as in AggregateCandidatesResp).
 type CollectAllResp struct {
-	PseudoIDs    []int
-	Aggregated   [][]byte
-	PackFactor   int
-	PackBits     int
-	PackAdds     int
-	CachedBlocks []int
+	PseudoIDs  []int
+	Aggregated [][]byte
+	PackFactor int
+	PackBits   int
+	PackAdds   int
 }
 
 // FaginCollectReq drives the optimized variant for one query. NoCache behaves
@@ -297,13 +295,12 @@ type FaginStats struct {
 // set only (slot-packed when PackFactor > 1, see EncryptAllResp; the payload
 // extension fields as in CollectAllResp).
 type FaginCollectResp struct {
-	PseudoIDs    []int
-	Aggregated   [][]byte
-	PackFactor   int
-	Stats        FaginStats
-	PackBits     int
-	PackAdds     int
-	CachedBlocks []int
+	PseudoIDs  []int
+	Aggregated [][]byte
+	PackFactor int
+	Stats      FaginStats
+	PackBits   int
+	PackAdds   int
 }
 
 // ---- wire layouts --------------------------------------------------------
@@ -412,12 +409,12 @@ func (m *AggregateCandidatesReq) Fields(f *wire.Fields) {
 	f.Bool(5, &m.NoCache)
 }
 
+// Fields leaves tag 5 reserved for the retired leader-link delta blocks.
 func (m *AggregateCandidatesResp) Fields(f *wire.Fields) {
 	f.Blobs(1, &m.Aggregated)
 	f.Int(2, &m.PackFactor)
 	f.Int(3, &m.PackBits)
 	f.Int(4, &m.PackAdds)
-	f.IDs(5, &m.CachedBlocks)
 }
 
 func (m *AggregateFrontierReq) Fields(f *wire.Fields) {
@@ -434,14 +431,14 @@ func (m *CollectAllReq) Fields(f *wire.Fields) {
 	f.Bool(5, &m.NoCache)
 }
 
-// Fields leaves tag 7 reserved for the retired chunk-framed blocks.
+// Fields leaves tags 6 and 7 reserved for the retired leader-link delta
+// blocks and chunk-framed blocks.
 func (m *CollectAllResp) Fields(f *wire.Fields) {
 	f.IDs(1, &m.PseudoIDs)
 	f.Blobs(2, &m.Aggregated)
 	f.Int(3, &m.PackFactor)
 	f.Int(4, &m.PackBits)
 	f.Int(5, &m.PackAdds)
-	f.IDs(6, &m.CachedBlocks)
 }
 
 // Fields skips tags 4 to 6, reserved for the retired chunk size, adaptive
@@ -459,7 +456,8 @@ func (m *FaginStats) Fields(f *wire.Fields) {
 	f.Int(3, &m.Candidates)
 }
 
-// Fields leaves tag 8 reserved for the retired chunk-framed blocks.
+// Fields leaves tags 7 and 8 reserved for the retired leader-link delta
+// blocks and chunk-framed blocks.
 func (m *FaginCollectResp) Fields(f *wire.Fields) {
 	f.IDs(1, &m.PseudoIDs)
 	f.Blobs(2, &m.Aggregated)
@@ -467,7 +465,6 @@ func (m *FaginCollectResp) Fields(f *wire.Fields) {
 	f.Msg(4, &m.Stats)
 	f.Int(5, &m.PackBits)
 	f.Int(6, &m.PackAdds)
-	f.IDs(7, &m.CachedBlocks)
 }
 
 // Fields skips tag 5, reserved for the retired delta flag.

@@ -33,7 +33,7 @@ import (
 // coordinator runs that shard's collectReduce over its parties itself
 // (counted in vfps_shard_retries_total). The parties' sent caches do not know
 // the worker is gone, so the failover pull withholds blocks the coordinator
-// never received; the party link's one-shot NoCache retry (recvLink.fetch)
+// never received; the party link's one-shot NoCache retry (pullParty)
 // absorbs that miss with a full resend.
 
 // AggWorkerName returns the node name of shard worker i, mirroring PartyName.

@@ -239,9 +239,9 @@ type SelectOptions struct {
 	Stratified bool
 	// Base disables the Fagin optimization (VFPS-SM-BASE).
 	Base bool
-	// TopK overrides the top-k protocol: "fagin" (default), "base", or
-	// "threshold" (leader-assisted Threshold Algorithm). Takes precedence
-	// over Base when set.
+	// TopK picks the top-k protocol: "fagin" (default), "base", or
+	// "threshold" (leader-assisted Threshold Algorithm). With Base set it
+	// must be "" or "base"; any other value is an error.
 	TopK string
 	// Optimizer is "greedy" (default), "lazy", "stochastic", or "warm" — the
 	// last revalidates a prior selection and repairs only displaced picks,
@@ -280,14 +280,18 @@ func (o SelectOptions) k() int {
 }
 
 // coreConfig resolves SelectOptions into the protocol configuration: the
-// top-k variant (TopK over Base over Fagin) and the warm-start prior
-// (WarmStart, otherwise the consortium's most recent selection).
-func (c *Consortium) coreConfig(opts SelectOptions) core.Config {
+// top-k variant (TopK, or Base, or Fagin; Base and a different TopK conflict)
+// and the warm-start prior (WarmStart, otherwise the consortium's most recent
+// selection).
+func (c *Consortium) coreConfig(opts SelectOptions) (core.Config, error) {
 	variant := vfl.VariantFagin
 	if opts.Base {
 		variant = vfl.VariantBase
 	}
 	if opts.TopK != "" {
+		if opts.Base && vfl.Variant(opts.TopK) != vfl.VariantBase {
+			return core.Config{}, fmt.Errorf("vfps: Base selects the %q protocol, but TopK asks for %q", vfl.VariantBase, opts.TopK)
+		}
 		variant = vfl.Variant(opts.TopK)
 	}
 	prior := opts.WarmStart
@@ -304,13 +308,16 @@ func (c *Consortium) coreConfig(opts SelectOptions) core.Config {
 		Seed:        opts.Seed,
 		Parallelism: opts.Parallelism,
 		WarmStart:   prior,
-	}
+	}, nil
 }
 
 // Select runs VFPS-SM and returns the chosen sub-consortium with full cost
 // accounting.
 func (c *Consortium) Select(ctx context.Context, count int, opts SelectOptions) (*Selection, error) {
-	cfg := c.coreConfig(opts)
+	cfg, err := c.coreConfig(opts)
+	if err != nil {
+		return nil, err
+	}
 	cfg.Cache = c.simCache
 	sel, err := core.Select(ctx, c.cluster.Leader, count, cfg)
 	if err != nil {
@@ -340,8 +347,12 @@ type AdaptiveOptions struct {
 // similarity estimates agree within Tolerance. Selection.QueriesUsed reports
 // the realised budget.
 func (c *Consortium) SelectAdaptive(ctx context.Context, count int, opts AdaptiveOptions) (*Selection, error) {
+	cfg, err := c.coreConfig(opts.SelectOptions)
+	if err != nil {
+		return nil, err
+	}
 	return core.SelectAdaptive(ctx, c.cluster.Leader, count, core.AdaptiveConfig{
-		Config:     c.coreConfig(opts.SelectOptions),
+		Config:     cfg,
 		ChunkSize:  opts.ChunkSize,
 		Tolerance:  opts.Tolerance,
 		MinQueries: opts.MinQueries,

@@ -201,6 +201,44 @@ func TestSelectParallelismMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestPaillierSelectionBytesAreDeterministic runs the same selection on two
+// fresh Paillier consortia, each under its own key, and requires the same
+// wire bytes: every ciphertext is exactly CiphertextSize() bytes, so the
+// count depends on how many ciphertexts travel and not on their random
+// values.
+func TestPaillierSelectionBytesAreDeterministic(t *testing.T) {
+	d, err := GenerateDataset("Bank", 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := VerticalSplit(d, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	run := func() CostCounts {
+		cons, err := NewConsortium(ctx, Config{Partition: pt, Labels: d.Y, Classes: d.Classes,
+			Scheme: "paillier", KeyBits: 256, ShuffleSeed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cons.Close()
+		sel, err := cons.Select(ctx, 2, SelectOptions{K: 5, NumQueries: 24, Seed: 3, Base: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sel.Counts
+	}
+	a, b := run(), run()
+	if a.Encryptions == 0 || a.Encryptions != b.Encryptions {
+		t.Fatalf("encryptions %d and %d: the two selections did not send the same ciphertexts", a.Encryptions, b.Encryptions)
+	}
+	if a.BytesSent != b.BytesSent || a.FramingBytes != b.FramingBytes {
+		t.Fatalf("same-seed selections sent %d/%d payload/framing bytes, then %d/%d",
+			a.BytesSent, a.FramingBytes, b.BytesSent, b.FramingBytes)
+	}
+}
+
 func TestSelectThresholdProtocol(t *testing.T) {
 	cons := testConsortium(t, "Bank", 150, 4)
 	ctx := context.Background()
@@ -217,6 +255,32 @@ func TestSelectThresholdProtocol(t *testing.T) {
 	}
 	if ta.AvgCandidates > fagin.AvgCandidates {
 		t.Fatalf("TA candidates %g exceed fagin %g", ta.AvgCandidates, fagin.AvgCandidates)
+	}
+}
+
+// TestBaseConflictsWithAnotherTopK pins that Base and a TopK naming another
+// protocol are an error on every selection entry point, rather than TopK
+// silently winning while the result is reported as VFPS-SM-BASE.
+func TestBaseConflictsWithAnotherTopK(t *testing.T) {
+	cons := testConsortium(t, "Bank", 150, 4)
+	ctx := context.Background()
+	opts := SelectOptions{K: 5, NumQueries: 6, Seed: 2, TopK: "fagin"}
+	if _, err := cons.SelectWith(ctx, MethodVFPSBase, 2, opts); err == nil || !strings.Contains(err.Error(), "fagin") {
+		t.Fatalf("SelectWith(vfps-sm-base, TopK fagin): err = %v, want the conflict named", err)
+	}
+	opts.Base = true
+	if _, err := cons.Select(ctx, 2, opts); err == nil {
+		t.Fatal("Select with Base and TopK fagin succeeded")
+	}
+	if _, err := cons.SelectAdaptive(ctx, 2, AdaptiveOptions{SelectOptions: opts}); err == nil {
+		t.Fatal("SelectAdaptive with Base and TopK fagin succeeded")
+	}
+	opts.TopK = "base"
+	if _, err := cons.Select(ctx, 2, opts); err != nil {
+		t.Fatalf("Base with TopK base: %v", err)
+	}
+	if _, err := cons.SelectWith(ctx, MethodVFPS, 2, SelectOptions{K: 5, NumQueries: 6, Seed: 2, TopK: "threshold"}); err != nil {
+		t.Fatalf("vfps-sm with TopK threshold: %v", err)
 	}
 }
 
