@@ -39,7 +39,7 @@ func BenchmarkTable1(b *testing.B) {
 // datasets × 5 selection methods.
 func BenchmarkTable4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table4(context.Background(), benchOpts()); err != nil {
+		if _, err := experiments.Grid(context.Background(), benchOpts()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -49,7 +49,7 @@ func BenchmarkTable4(b *testing.B) {
 // sweep (projected seconds under the calibrated cost model).
 func BenchmarkTable5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table5(context.Background(), benchOpts()); err != nil {
+		if _, err := experiments.Grid(context.Background(), benchOpts()); err != nil {
 			b.Fatal(err)
 		}
 	}

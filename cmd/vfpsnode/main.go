@@ -1,20 +1,14 @@
 // Command vfpsnode runs one role of a distributed VFPS-SM deployment over
-// TCP: the key server, the aggregation server, an aggregation shard worker,
-// a participant, or the leader that drives selection. Every data-holding
-// node generates its vertical slice of the (deterministic) synthetic dataset
-// locally, so no data files need distributing.
+// TCP: the key server, the aggregation server, a participant, or the leader
+// that drives selection. Every data-holding node generates its vertical slice
+// of the (deterministic) synthetic dataset locally, so no data files need
+// distributing.
 //
 // The leader runs the library's pipeline, core.Select, once per -rounds
 // round over core.SampleQueries(rows, -queries, 0): with the same dataset,
 // seeds, K and query count it selects exactly what vfps.Consortium.Select
 // selects in one process. main_test.go boots every role from run in one test
 // process on loopback TCP and checks that identity scenario by scenario.
-//
-// Sharded aggregation (DESIGN.md §15): start -shard-workers N aggworker
-// processes (one per shard, -index 0..shards-1) plus the aggserver with the
-// same -shard-workers value and aggworker/<i> directory entries; each worker
-// reduces its party subtree and the aggserver merges the shard roots,
-// bit-identically to the unsharded reduce.
 //
 // A five-node Bank deployment on one machine:
 //
@@ -74,6 +68,7 @@ type node struct {
 	opts                                 vfl.Options
 
 	dir    map[string]string
+	names  []string // the directory's party/<i> entries in index order
 	o      *obs.Observer
 	stdout io.Writer
 }
@@ -85,12 +80,12 @@ type node struct {
 func run(ctx context.Context, args []string, stdout io.Writer) error {
 	n := &node{stdout: stdout}
 	fs := flag.NewFlagSet("vfpsnode", flag.ContinueOnError)
-	fs.StringVar(&n.role, "role", "", "keyserver|aggserver|aggworker|party|leader")
+	fs.StringVar(&n.role, "role", "", "keyserver|aggserver|party|leader")
 	fs.StringVar(&n.addr, "addr", "127.0.0.1:0", "listen address (serving roles)")
 	directory := fs.String("directory", "", "comma-separated name=host:port peer directory")
 	fs.StringVar(&n.scheme, "scheme", "paillier", "protection scheme: paillier|plain|secagg")
 	fs.IntVar(&n.keyBits, "keybits", 1024, "Paillier modulus bits")
-	fs.IntVar(&n.index, "index", 0, "participant index (role=party) or shard index (role=aggworker)")
+	fs.IntVar(&n.index, "index", 0, "participant index (role=party)")
 	fs.StringVar(&n.dataset, "dataset", "Bank", "synthetic dataset name")
 	fs.IntVar(&n.rows, "rows", 800, "max dataset rows (0 = all of the dataset's instances)")
 	fs.IntVar(&n.parties, "parties", 4, "consortium size")
@@ -115,6 +110,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if n.dir, err = parseDirectory(*directory); err != nil {
 		return err
 	}
+	if n.names, err = partyNames(n.dir); err != nil {
+		return err
+	}
 
 	// Observability is opt-in: without -obs-addr or -log-json every
 	// instrument stays a nil no-op. With either, this node's metrics, spans
@@ -125,11 +123,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		// Tag spans with this process's role so the cross-node span forest
 		// shows which process each span ran in.
 		nodeName := n.role
-		switch n.role {
-		case "party":
+		if n.role == "party" {
 			nodeName = vfl.PartyName(n.index)
-		case "aggworker":
-			nodeName = vfl.AggWorkerName(n.index)
 		}
 		n.o.Trace.SetNode(nodeName)
 		if *logJSON != "" || *slowRing > 0 {
@@ -164,12 +159,10 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return n.party(ctx)
 	case "aggserver":
 		return n.aggServer(ctx)
-	case "aggworker":
-		return n.aggWorker(ctx)
 	case "leader":
 		return n.leader(ctx)
 	default:
-		return fmt.Errorf("unknown role %q (want keyserver|aggserver|aggworker|party|leader)", n.role)
+		return fmt.Errorf("unknown role %q (want keyserver|aggserver|party|leader)", n.role)
 	}
 }
 
@@ -227,74 +220,30 @@ func (n *node) party(ctx context.Context) error {
 	return n.serve(ctx, fmt.Sprintf("participant %d (%d features)", n.index, part.Features()), part.Handler())
 }
 
-// aggScheme fetches the public scheme for an aggregating role and lists the
-// directory's parties. The aggregation server and its shard workers only add,
-// but key the parties' delta-cached blocks by the slot layout the whole
-// roster's geometry implies.
-func (n *node) aggScheme(ctx context.Context, cli *transport.TCPClient) (he.Scheme, []string, error) {
-	pub, err := vfl.FetchPublicScheme(ctx, cli, vfl.KeyServerName)
-	if err != nil {
-		return nil, nil, fmt.Errorf("fetching public key: %w", err)
-	}
-	names := indexedNames(n.dir, vfl.PartyName)
-	if len(names) == 0 {
-		return nil, nil, fmt.Errorf("directory lists no party/<i> entries")
-	}
-	vfl.ConfigureScheme(pub, n.opts, false)
-	if err := vfl.ConfigurePacking(pub, len(names)); err != nil {
-		return nil, nil, err
-	}
-	n.observeScheme(pub)
-	return pub, names, nil
-}
-
+// aggServer serves the aggregation role over the directory's parties. It only
+// adds, but keys the parties' delta-cached blocks by the slot layout the
+// whole roster's geometry implies.
 func (n *node) aggServer(ctx context.Context) error {
+	if len(n.names) == 0 {
+		return fmt.Errorf("directory lists no party/<i> entries")
+	}
 	cli := n.client()
 	defer cli.Close()
-	pub, names, err := n.aggScheme(ctx, cli)
+	pub, err := vfl.FetchPublicScheme(ctx, cli, vfl.KeyServerName)
 	if err != nil {
+		return fmt.Errorf("fetching public key: %w", err)
+	}
+	vfl.ConfigureScheme(pub, n.opts, false)
+	if err := vfl.ConfigurePacking(pub, len(n.names)); err != nil {
 		return err
 	}
-	agg, err := vfl.NewAggServer(cli, names, pub, n.opts)
+	n.observeScheme(pub)
+	agg, err := vfl.NewAggServer(cli, n.names, pub, n.opts)
 	if err != nil {
 		return err
 	}
 	agg.SetObserver(n.o, "node")
-	if size, shards := vfl.PlanSubtrees(len(names), n.opts.ShardWorkers); n.opts.ShardWorkers >= 2 && shards >= 2 {
-		workers := indexedNames(n.dir, vfl.AggWorkerName)
-		if len(workers) < shards {
-			return fmt.Errorf("-shard-workers %d needs %q in the directory", n.opts.ShardWorkers, vfl.AggWorkerName(len(workers)))
-		}
-		if err := agg.SetShardPlan(&vfl.ShardPlan{SubtreeSize: size, Workers: workers[:shards]}); err != nil {
-			return err
-		}
-		fmt.Fprintf(n.stdout, "sharding the reduce over %d workers (subtree size %d)\n", shards, size)
-	}
-	return n.serve(ctx, fmt.Sprintf("aggregation server (%d participants)", len(names)), agg.Handler())
-}
-
-func (n *node) aggWorker(ctx context.Context) error {
-	cli := n.client()
-	defer cli.Close()
-	pub, names, err := n.aggScheme(ctx, cli)
-	if err != nil {
-		return err
-	}
-	size, shards := vfl.PlanSubtrees(len(names), n.opts.ShardWorkers)
-	if n.opts.ShardWorkers < 2 || shards < 2 {
-		return fmt.Errorf("role aggworker needs -shard-workers >= 2 (got %d over %d parties)", n.opts.ShardWorkers, len(names))
-	}
-	if n.index < 0 || n.index >= shards {
-		return fmt.Errorf("shard index %d out of range [0,%d)", n.index, shards)
-	}
-	lo, hi := (&vfl.ShardPlan{SubtreeSize: size}).Range(n.index, len(names))
-	wkr, err := vfl.NewAggServer(cli, names[lo:hi], pub, n.opts)
-	if err != nil {
-		return err
-	}
-	wkr.SetRole(vfl.AggWorkerName(n.index))
-	wkr.SetObserver(n.o, "node")
-	return n.serve(ctx, fmt.Sprintf("aggregation worker %d (parties %d..%d)", n.index, lo, hi-1), wkr.Handler())
+	return n.serve(ctx, fmt.Sprintf("aggregation server (%d participants)", len(n.names)), agg.Handler())
 }
 
 // leader runs -rounds selections through core.Select and reports the last.
@@ -313,13 +262,11 @@ func (n *node) leader(ctx context.Context) error {
 	}
 	vfl.ConfigureScheme(priv, n.opts, false)
 	n.observeScheme(priv)
-	leader, err := vfl.NewLeader(cli, vfl.AggServerName, indexedNames(n.dir, vfl.PartyName), priv, n.batch, n.opts)
+	leader, err := vfl.NewLeader(cli, vfl.AggServerName, n.names, priv, n.batch, n.opts)
 	if err != nil {
 		return err
 	}
 	leader.SetObserver(n.o, "node")
-	// Shard workers hold per-role op counters; fold them into the totals.
-	leader.SetExtraCountNodes(indexedNames(n.dir, vfl.AggWorkerName))
 	cfg := core.Config{
 		K:           n.k,
 		Queries:     core.SampleQueries(spec.Rows(n.rows), n.queries, 0),
@@ -400,14 +347,22 @@ func parseDirectory(s string) (map[string]string, error) {
 	return dir, nil
 }
 
-// indexedNames lists the directory's name(0), name(1), ... entries in index
-// order, up to the first missing index.
-func indexedNames(dir map[string]string, name func(int) string) []string {
-	var names []string
-	for i := 0; ; i++ {
-		if _, ok := dir[name(i)]; !ok {
-			return names
+// partyNames lists the directory's party/<i> entries in index order. The
+// indices must run 0..P-1 without a gap: a roster that silently stopped at a
+// missing index would disagree with the parties' -parties.
+func partyNames(dir map[string]string) ([]string, error) {
+	count := 0
+	for name := range dir {
+		if strings.HasPrefix(name, "party/") {
+			count++
 		}
-		names = append(names, name(i))
 	}
+	names := make([]string, count)
+	for i := range names {
+		names[i] = vfl.PartyName(i)
+		if _, ok := dir[names[i]]; !ok {
+			return nil, fmt.Errorf("directory lists %d party entries but no %s", count, names[i])
+		}
+	}
+	return names, nil
 }

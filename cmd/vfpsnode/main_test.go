@@ -17,19 +17,18 @@ import (
 	"time"
 
 	"vfps"
-	"vfps/internal/vfl"
 )
 
 // The harness boots every role of the deployment from run in this test
-// process — key server, parties, aggregation workers, aggregation server,
-// then the leader — each behind its own loopback TCP listener, exactly the
-// sockets and messages separate processes would exchange. Each scenario
-// states what it expects before it runs.
+// process — key server, parties, aggregation server, then the leader — each
+// behind its own loopback TCP listener, exactly the sockets and messages
+// separate processes would exchange. Each scenario states what it expects
+// before it runs.
 
 // deployment is one topology's shape. Every role gets the same flags.
 type deployment struct {
 	scheme, dataset, variant string
-	rows, shards             int
+	rows                     int
 	leaderArgs               []string // extra leader flags
 }
 
@@ -43,7 +42,7 @@ const (
 
 func (d deployment) common() []string {
 	return []string{"-scheme", d.scheme, "-keybits", fmt.Sprint(testKeyBits), "-dataset", d.dataset,
-		"-rows", fmt.Sprint(d.rows), "-parties", fmt.Sprint(testParties), "-shard-workers", fmt.Sprint(d.shards)}
+		"-rows", fmt.Sprint(d.rows), "-parties", fmt.Sprint(testParties)}
 }
 
 // roleOutput collects one role's stdout and hands the address of its
@@ -121,13 +120,6 @@ func deploy(t *testing.T, d deployment) (string, error) {
 	for i := 0; i < testParties; i++ {
 		dir += fmt.Sprintf(",party/%d=%s", i, start("-role", "party", "-index", fmt.Sprint(i), "-directory", dir))
 	}
-	if _, shards := vfl.PlanSubtrees(testParties, d.shards); d.shards >= 2 {
-		workers := ""
-		for i := 0; i < shards; i++ {
-			workers += fmt.Sprintf(",aggworker/%d=%s", i, start("-role", "aggworker", "-index", fmt.Sprint(i), "-directory", dir))
-		}
-		dir += workers
-	}
 	dir += ",aggserver=" + start("-role", "aggserver", "-directory", dir)
 
 	out := &roleOutput{}
@@ -152,7 +144,7 @@ func librarySelection(t *testing.T, d deployment) *vfps.Selection {
 	}
 	cons, err := vfps.NewConsortium(ctx, vfps.Config{
 		Partition: pt, Labels: data.Y, Classes: data.Classes, Scheme: d.scheme,
-		KeyBits: testKeyBits, ShuffleSeed: 7, Options: vfps.Options{ShardWorkers: d.shards},
+		KeyBits: testKeyBits, ShuffleSeed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -259,8 +251,8 @@ func checkQueryLog(t *testing.T, path string, rounds int) {
 // scenario. In every one the leader must return the library's selection: the
 // same set and the same objective bits as vfps.Consortium.Select.
 func TestDeploymentSelectsLikeTheLibrary(t *testing.T) {
-	rice := func(scheme, variant string, shards int) deployment {
-		return deployment{scheme: scheme, dataset: "Rice", variant: variant, rows: 120, shards: shards}
+	rice := func(scheme, variant string) deployment {
+		return deployment{scheme: scheme, dataset: "Rice", variant: variant, rows: 120}
 	}
 	logPath := filepath.Join(t.TempDir(), "leader.jsonl")
 	type scenario struct {
@@ -272,20 +264,18 @@ func TestDeploymentSelectsLikeTheLibrary(t *testing.T) {
 	var scenarios []scenario
 	for _, scheme := range []string{"plain", "paillier"} {
 		for _, variant := range []string{"fagin", "base"} {
-			for _, shards := range []int{0, 2} {
-				scenarios = append(scenarios, scenario{
-					expect: "testOK: the library's set and objective bits",
-					name:   fmt.Sprintf("identity/%s/%s/shards=%d", scheme, variant, shards),
-					d:      rice(scheme, variant, shards),
-				})
-			}
+			scenarios = append(scenarios, scenario{
+				expect: "testOK: the library's set and objective bits",
+				name:   fmt.Sprintf("identity/%s/%s/shards=0", scheme, variant),
+				d:      rice(scheme, variant),
+			})
 		}
 	}
 	scenarios = append(scenarios,
 		scenario{
 			expect: "testOK: the library's set and objective bits under secure aggregation",
 			name:   "identity/secagg/fagin/shards=0",
-			d:      rice("secagg", "fagin", 0),
+			d:      rice("secagg", "fagin"),
 		},
 		scenario{
 			expect: "testOK: -rows past the dataset's 10 000 instances samples queries over the rows the parties hold",
@@ -364,14 +354,16 @@ func TestDeploymentRejects(t *testing.T) {
 		{"party index 5 out of range", []string{"-role", "party", "-index", "5", "-parties", "3", "-rows", "60", "-directory", ks}},
 		{"fetching public key", []string{"-role", "party", "-rows", "60", "-directory", "keyserver=127.0.0.1:1"}},
 		{"directory lists no party/<i> entries", []string{"-role", "aggserver", "-directory", ks}},
-		{`needs "aggworker/0" in the directory`, []string{"-role", "aggserver", "-shard-workers", "2", "-directory", ks + ",party/0=x,party/1=y,party/2=z"}},
-		{"role aggworker needs -shard-workers >= 2", []string{"-role", "aggworker", "-directory", ks + ",party/0=x"}},
-		{"shard index 3 out of range", []string{"-role", "aggworker", "-index", "3", "-shard-workers", "2", "-directory", ks + ",party/0=x,party/1=y"}},
+		{"directory lists 3 party entries but no party/2", []string{"-role", "aggserver", "-directory", ks + ",party/0=x,party/1=y,party/3=z"}},
 		{`dataset: unknown spec "Nope"`, []string{"-role", "leader", "-dataset", "Nope", "-directory", ks}},
 		{"fetching private key", []string{"-role", "leader", "-directory", "keyserver=127.0.0.1:1"}},
 		{"opening query log", []string{"-role", "keyserver", "-log-json", filepath.Join(t.TempDir(), "missing", "log.jsonl")}},
 	} {
 		t.Run(sc.expect, func(t *testing.T) {
+			// A role that wrongly starts serves until its context ends; the
+			// deadline turns that into a nil error instead of a hang.
+			ctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+			defer cancel()
 			err := run(ctx, sc.args, &roleOutput{})
 			if err == nil || !strings.Contains(err.Error(), sc.expect) {
 				t.Fatalf("run(%v) = %v, want an error containing %q", sc.args, err, sc.expect)
@@ -382,10 +374,11 @@ func TestDeploymentRejects(t *testing.T) {
 
 // TestRetiredFlagsRejected pins that a retired knob is gone, not ignored: a
 // launch script still passing one (the packed-layout switches, chunk framing,
-// speculative TA, the arithmetic backend) fails loudly instead of starting a
-// node that silently differs from what the script asked for.
+// speculative TA, the arithmetic backend, sharded aggregation) fails loudly
+// instead of starting a node that silently differs from what the script
+// asked for.
 func TestRetiredFlagsRejected(t *testing.T) {
-	for _, flag := range []string{"-pack", "-pack-adaptive", "-chunk-bytes", "-speculate-ta", "-mont"} {
+	for _, flag := range []string{"-pack", "-pack-adaptive", "-chunk-bytes", "-speculate-ta", "-mont", "-shard-workers"} {
 		err := run(context.Background(), []string{"-role", "keyserver", "-scheme", "plain", flag}, &roleOutput{})
 		if want := "flag provided but not defined: " + flag; err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("%s: run returned %v, want %q", flag, err, want)

@@ -198,12 +198,6 @@ func gridTable(title string, opt Options, data map[string]map[string]map[string]
 	return t
 }
 
-// Table4 regenerates the accuracy grid only.
-func Table4(ctx context.Context, opt Options) (*GridResult, error) { return Grid(ctx, opt) }
-
-// Table5 regenerates the time grid only (shares the Grid sweep).
-func Table5(ctx context.Context, opt Options) (*GridResult, error) { return Grid(ctx, opt) }
-
 // Table1Row is one line of the motivating Table I.
 type Table1Row struct {
 	Method        string

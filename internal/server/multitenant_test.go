@@ -10,8 +10,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"vfps"
 )
 
 func startServerOpts(t *testing.T, opts Options) (*Server, *httptest.Server) {
@@ -313,32 +311,5 @@ func TestOptimizerKnob(t *testing.T) {
 	if code := doJSON(t, "POST", ts.URL+"/v1/consortiums/"+id+"/select",
 		SelectRequest{Optimizer: "nope"}, &e); code != http.StatusBadRequest {
 		t.Fatalf("bad optimizer returned %d", code)
-	}
-}
-
-// TestShardedConsortiumHTTP creates a sharded consortium through the API and
-// checks the worker count is reported and selections succeed.
-func TestShardedConsortiumHTTP(t *testing.T) {
-	_, ts := startServerOpts(t, Options{})
-	var created CreateResponse
-	code := doJSON(t, "POST", ts.URL+"/v1/consortiums",
-		CreateRequest{Dataset: "Rice", Rows: 120, Parties: 4, Options: vfps.Options{ShardWorkers: 2}}, &created)
-	if code != http.StatusCreated {
-		t.Fatalf("create returned %d", code)
-	}
-	out := map[string]any{}
-	if code := doJSON(t, "GET", ts.URL+"/v1/consortiums/"+created.ID, nil, &out); code != http.StatusOK {
-		t.Fatalf("get returned %d", code)
-	}
-	if got := out["shardWorkers"].(float64); got != 2 {
-		t.Fatalf("shardWorkers = %v, want 2", got)
-	}
-	var sel SelectResponse
-	if code := doJSON(t, "POST", ts.URL+"/v1/consortiums/"+created.ID+"/select",
-		SelectRequest{NumQueries: 3, Seed: 1}, &sel); code != http.StatusOK {
-		t.Fatalf("sharded select returned %d", code)
-	}
-	if len(sel.Selected) == 0 {
-		t.Fatal("sharded select chose nobody")
 	}
 }

@@ -290,10 +290,14 @@ type CreateRequest struct {
 	ShuffleSeed int64   `json:"shuffleSeed"`
 	KeyBits     int     `json:"keyBits"` // Paillier modulus size (0 → library default)
 	// Options carries the performance settings. JSON reaches only
-	// "parallelism" and "shardWorkers"; the encrypt window stays at its
-	// default.
+	// "parallelism"; the encrypt window stays at its default.
 	vfps.Options
 }
+
+// maxKeyBits caps CreateRequest.KeyBits: the largest modulus the Montgomery
+// kernels are measured at (make bench-mont). Key generation runs a prime
+// search no deadline stops, so a larger request is refused before it starts.
+const maxKeyBits = 4096
 
 // CreateResponse identifies the new consortium.
 type CreateResponse struct {
@@ -306,6 +310,10 @@ type CreateResponse struct {
 func (s *Server) createConsortium(w http.ResponseWriter, r *http.Request) {
 	var req CreateRequest
 	if !readJSON(w, r, &req) {
+		return
+	}
+	if req.KeyBits > maxKeyBits {
+		writeError(w, http.StatusBadRequest, "keyBits %d exceeds %d", req.KeyBits, maxKeyBits)
 		return
 	}
 	if req.Rows <= 0 {
@@ -356,11 +364,10 @@ func (s *Server) getConsortium(w http.ResponseWriter, r *http.Request) {
 	}
 	defer e.release()
 	writeJSON(w, http.StatusOK, map[string]any{
-		"parties":      e.cons.P(),
-		"partyNames":   e.cons.PartyNames(),
-		"rows":         e.cons.N(),
-		"classes":      e.cons.Classes(),
-		"shardWorkers": e.cons.ShardWorkers(),
+		"parties":    e.cons.P(),
+		"partyNames": e.cons.PartyNames(),
+		"rows":       e.cons.N(),
+		"classes":    e.cons.Classes(),
 	})
 }
 

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"vfps"
 )
@@ -266,8 +267,8 @@ func TestErrorPaths(t *testing.T) {
 		t.Fatalf("garbage body: %d", resp.StatusCode)
 	}
 	// Unknown field rejected (typo safety) — including the retired "wire",
-	// "pack", "packAdaptive", "chunkBytes" and "speculateTA" knobs on an
-	// otherwise valid create, which must not be silently ignored.
+	// "pack", "packAdaptive", "chunkBytes", "speculateTA" and "shardWorkers"
+	// knobs on an otherwise valid create, which must not be silently ignored.
 	for _, body := range []string{
 		`{"datasett":"Rice"}`,
 		`{"dataset":"Rice","rows":200,"parties":3,"wire":"binary"}`,
@@ -275,6 +276,7 @@ func TestErrorPaths(t *testing.T) {
 		`{"dataset":"Rice","rows":200,"parties":3,"scheme":"paillier","packAdaptive":true}`,
 		`{"dataset":"Rice","rows":200,"parties":3,"scheme":"paillier","chunkBytes":4096}`,
 		`{"dataset":"Rice","rows":200,"parties":3,"scheme":"paillier","speculateTA":true}`,
+		`{"dataset":"Rice","rows":200,"parties":3,"shardWorkers":2}`,
 	} {
 		req, _ := http.NewRequest("POST", ts.URL+"/v1/consortiums", bytes.NewBufferString(body))
 		resp, err := http.DefaultClient.Do(req)
@@ -299,12 +301,39 @@ func TestErrorPaths(t *testing.T) {
 	}
 }
 
+// TestCreateRejectsOversizedKey pins that a keyBits above maxKeyBits is a
+// prompt 400, answered before key generation starts: the prime search for a
+// 2^20-bit modulus would otherwise run with nothing to stop it.
+func TestCreateRejectsOversizedKey(t *testing.T) {
+	s := New()
+	defer s.Close()
+	for _, bits := range []int{maxKeyBits + 1, 1 << 20} {
+		body := fmt.Sprintf(`{"dataset":"Rice","rows":40,"parties":2,"scheme":"paillier","keyBits":%d}`, bits)
+		done := make(chan *httptest.ResponseRecorder, 1)
+		go func() {
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/consortiums", strings.NewReader(body)))
+			done <- rec
+		}()
+		select {
+		case rec := <-done:
+			if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "keyBits") {
+				t.Fatalf("keyBits %d: %d %s, want 400 naming keyBits", bits, rec.Code, rec.Body)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("keyBits %d: no answer within 5s; key generation started", bits)
+		}
+	}
+}
+
 // TestCreateRequestJSONUnchanged pins the create body's performance surface
-// to the two keys the embedded vfps.Options expose: they decode into the
-// options; the setting the server owns ("encryptWindow"), the retired pack
-// hint ("packHint", "packWidthHint"), the pool and the retired cache switches
-// ("deltaCache", "simCache": both caches are always on) stay unknown fields, which the create endpoint answers with
-// a 400; and an encoded request carries exactly the expected key set.
+// to the one key the embedded vfps.Options expose: "parallelism" decodes into
+// the options; the setting the server owns ("encryptWindow"), the retired
+// pack hint ("packHint", "packWidthHint"), the pool, the retired cache
+// switches ("deltaCache", "simCache": both caches are always on) and the
+// retired sharded reduce ("shardWorkers") stay unknown fields, which the
+// create endpoint answers with a 400; and an encoded request carries exactly
+// the expected key set.
 func TestCreateRequestJSONUnchanged(t *testing.T) {
 	decode := func(body string) (CreateRequest, error) {
 		var req CreateRequest
@@ -312,24 +341,24 @@ func TestCreateRequestJSONUnchanged(t *testing.T) {
 		dec.DisallowUnknownFields()
 		return req, dec.Decode(&req)
 	}
-	req, err := decode(`{"dataset":"Rice","shardWorkers":2,"parallelism":3}`)
+	req, err := decode(`{"dataset":"Rice","parallelism":3}`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := vfps.Options{Parallelism: 3, ShardWorkers: 2}
+	want := vfps.Options{Parallelism: 3}
 	if req.Options != want {
 		t.Fatalf("decoded options %+v, want %+v", req.Options, want)
 	}
 	for _, key := range []string{"encryptWindow", "EncryptWindow", "packHint", "PackHint", "packWidthHint", "pool", "Pool",
-		"deltaCache", "DeltaCache", "simCache", "SimCache"} {
+		"deltaCache", "DeltaCache", "simCache", "SimCache", "shardWorkers", "ShardWorkers"} {
 		if _, err := decode(`{"dataset":"Rice","` + key + `":1}`); err == nil || !strings.Contains(err.Error(), "unknown field") {
 			t.Fatalf("%q: want an unknown-field error, got %v", key, err)
 		}
 	}
 	s := New()
 	defer s.Close()
-	for _, key := range []string{"deltaCache", "simCache"} {
-		body := map[string]any{"dataset": "Rice", "rows": 40, "parties": 2, key: true}
+	for key, v := range map[string]any{"deltaCache": true, "simCache": true, "shardWorkers": 2} {
+		body := map[string]any{"dataset": "Rice", "rows": 40, "parties": 2, key: v}
 		if code := serveJSON(t, s, "POST", "/v1/consortiums", body, nil); code != http.StatusBadRequest {
 			t.Fatalf("create carrying %q returned %d, want 400", key, code)
 		}
@@ -348,7 +377,7 @@ func TestCreateRequestJSONUnchanged(t *testing.T) {
 	}
 	slices.Sort(keys)
 	wantKeys := []string{"dataset", "dpEpsilon", "keyBits", "parallelism", "parties",
-		"rows", "scheme", "shardWorkers", "shuffleSeed", "splitSeed"}
+		"rows", "scheme", "shuffleSeed", "splitSeed"}
 	if !slices.Equal(keys, wantKeys) {
 		t.Fatalf("encoded keys %v, want %v", keys, wantKeys)
 	}

@@ -30,16 +30,6 @@ type AggServer struct {
 	counts      costmodel.Counts
 	parallelism int // ≤ 0 → par.Degree(); 1 → fully serial
 
-	// role labels this server's metric series: AggServerName for the
-	// coordinator (default), AggWorkerName(i) for a shard worker.
-	role string
-
-	// plan, when set, turns this server into a shard coordinator: collection
-	// fan-outs go to the shard workers of the plan instead of the parties
-	// directly, and the final reduce runs over the returned subtree roots.
-	// See shard.go.
-	plan *ShardPlan
-
 	// packNeed is the slot-width negotiation state: the monotone maximum of
 	// the slot-width bounds the parties advertised (NeedBits), plus a drift
 	// margin. It is dictated back to the parties on the next round; 0 until
@@ -48,7 +38,7 @@ type AggServer struct {
 	packNeed atomic.Int64
 	// static pins every round to the static geometry: the reference the
 	// negotiated layout must match bit for bit. Only this package's tests set
-	// it, on the coordinator.
+	// it.
 	static bool
 
 	// recvCache is the receive half of the party links' cross-round delta
@@ -90,9 +80,9 @@ func (a *AggServer) observeNeedBits(maxNeed int) {
 // NewAggServer wires the server to its participants through the given
 // transport. scheme must be the public (encrypt/add) scheme; under Paillier
 // with packed parties it must carry the whole roster's packing geometry
-// (ConfigurePacking with the full party count, also on a shard worker), from
-// which the delta cache keys the parties' blocks. It reads
-// opts.Parallelism (party fan-out and reduce concurrency).
+// (ConfigurePacking with the full party count), from which the delta cache
+// keys the parties' blocks. It reads opts.Parallelism (party fan-out and
+// reduce concurrency).
 func NewAggServer(caller transport.Caller, parties []string, scheme he.Scheme, opts Options) (*AggServer, error) {
 	if caller == nil {
 		return nil, fmt.Errorf("vfl: aggregation server needs a transport")
@@ -117,52 +107,26 @@ func (a *AggServer) call(ctx context.Context, node, method string, req, resp wir
 }
 
 // SetParties replaces the server's participant roster after a membership
-// change, without tearing the server down. Any shard plan is cleared — it was
-// built for the old roster — so the caller must re-plan (SetShardPlan) when
-// the reduce stays sharded. Not safe concurrently with an in-flight
-// collection; callers fence membership changes with the consortium's run
-// lock.
+// change, without tearing the server down. Not safe concurrently with an
+// in-flight collection; callers fence membership changes with the
+// consortium's run lock.
 func (a *AggServer) SetParties(parties []string) error {
 	if len(parties) == 0 {
 		return fmt.Errorf("vfl: aggregation server needs participants")
 	}
 	a.parties = append([]string(nil), parties...)
-	a.plan = nil
 	// Release the receive caches of departed links; survivors keep theirs, so
 	// their next-round blocks still restore without a resend.
 	a.recvCache.retain(parties)
 	return nil
 }
 
-// Counts exposes the server's operation counters.
-func (a *AggServer) Counts() costmodel.Raw { return a.counts.Snapshot() }
-
-// SetRole overrides the role label of this server's metric series (default
-// "aggserver"). Shard workers set AggWorkerName(i) so coordinator and worker
-// counters land in distinct series on a shared registry. Call before
-// SetObserver.
-func (a *AggServer) SetRole(name string) {
-	if name != "" {
-		a.role = name
-	}
-}
-
-// roleName returns the metric-series role label.
-func (a *AggServer) roleName() string {
-	if a.role == "" {
-		return AggServerName
-	}
-	return a.role
-}
-
 // SetObserver installs metrics and tracing on the server: aggregation-phase
-// spans and cost-model gauges labelled {instance, role} (role "aggserver"
-// unless overridden via SetRole).
+// spans and cost-model gauges labelled {instance, role="aggserver"}.
 func (a *AggServer) SetObserver(o *obs.Observer, instance string) {
 	a.store(o)
-	a.counts.Register(o.Registry(), instance, a.roleName())
+	a.counts.Register(o.Registry(), instance, AggServerName)
 	DeclareDeltaMetrics(o.Registry())
-	DeclareShardMetrics(o.Registry())
 }
 
 // Handler returns the server's RPC handler.
@@ -174,12 +138,6 @@ func (a *AggServer) Handler() transport.Handler {
 		switch method {
 		case MethodCollectAll, MethodFaginCollect, MethodAggregateCandidates:
 			return a.serveLeader(ctx, method, req)
-		case MethodShardCollect:
-			var r ShardCollectReq
-			if err := wire.Unmarshal(req, &r); err != nil {
-				return nil, err
-			}
-			return a.shardCollect(ctx, r)
 		case MethodAggregateFrontier:
 			var r AggregateFrontierReq
 			if err := wire.Unmarshal(req, &r); err != nil {
@@ -327,65 +285,40 @@ func (a *AggServer) faginScan(ctx context.Context, r FaginCollectReq) ([]int, Fa
 }
 
 // collect runs one collection round for the given pseudo IDs (every party's
-// full vector when all is set) and returns the reduced aggregate: straight
-// over the parties, or, with a shard plan, over the shard workers' subtree
-// roots (see shard.go).
-func (a *AggServer) collect(ctx context.Context, query int, ids []int, all, noCache bool) (*collected, error) {
-	dictate := a.packDictate()
-	if a.plan == nil {
-		return a.collectParties(ctx, a.parties, query, ids, all, dictate, noCache)
-	}
-	ctx, msp := a.tracer().Start(ctx, SpanShardMerge)
-	msp.SetLabelInt("shards", int64(len(a.plan.Workers)))
-	defer msp.End()
-	return a.collectReduce(ctx, a.plan.Workers, all, dictate, func(wi int, worker string, d int) (*collected, error) {
-		return a.pullShard(ctx, wi, worker, query, ids, all, d, noCache)
-	})
-}
-
-// collectParties is collectReduce over parties: each pulled with pullParty.
-func (a *AggServer) collectParties(ctx context.Context, parties []string, query int, ids []int, all bool, dictate int, noCache bool) (*collected, error) {
-	return a.collectReduce(ctx, parties, all, dictate, func(_ int, party string, d int) (*collected, error) {
-		return a.pullParty(ctx, party, query, ids, all, d, noCache)
-	})
-}
-
-// collectReduce runs one collection round over sources — parties, or the
-// shard workers on a coordinator — and tree-reduces it to one root vector.
-// pull fetches source i's vector under a dictated slot width. The advertised
-// NeedBits feed the width negotiation; geometry must be uniform across
-// sources, and a negotiated dictation that produced a mixed round is
+// full vector when all is set) and tree-reduces it to one root vector. The
+// advertised NeedBits feed the width negotiation; geometry must be uniform
+// across parties, and a negotiated dictation that produced a mixed round is
 // re-collected once under the static geometry (shared by construction, so
 // one static round always restores uniformity). Under the BASE pattern (all)
-// every source must also cover the same pseudo IDs in the same order. The
-// root carries the largest NeedBits upward; sources label errors.
-func (a *AggServer) collectReduce(ctx context.Context, sources []string, all bool, dictate int, pull func(i int, source string, dictate int) (*collected, error)) (*collected, error) {
+// every party must also cover the same pseudo IDs in the same order.
+func (a *AggServer) collect(ctx context.Context, query int, ids []int, all, noCache bool) (*collected, error) {
 	round := func(d int) ([]*collected, error) {
-		cols := make([]*collected, len(sources))
-		err := fanOut(ctx, a.parallelism, sources, func(i int, source string) error {
-			col, err := pull(i, source, d)
+		cols := make([]*collected, len(a.parties))
+		err := fanOut(ctx, a.parallelism, a.parties, func(i int, party string) error {
+			col, err := a.pullParty(ctx, party, query, ids, all, d, noCache)
 			cols[i] = col
 			return err
 		})
 		return cols, err
 	}
+	dictate := a.packDictate()
 	cols, err := round(dictate)
 	if err != nil {
 		return nil, err
 	}
 	a.observeNeedBits(maxNeed(cols))
-	uerr := uniformPacking(sources, cols)
+	uerr := uniformPacking(a.parties, cols)
 	if uerr != nil && dictate > 0 {
 		if cols, err = round(0); err != nil {
 			return nil, err
 		}
-		uerr = uniformPacking(sources, cols)
+		uerr = uniformPacking(a.parties, cols)
 	}
 	if uerr != nil {
 		return nil, uerr
 	}
 	if all {
-		if err := samePseudoIDs(sources, cols); err != nil {
+		if err := samePseudoIDs(a.parties, cols); err != nil {
 			return nil, err
 		}
 	}
@@ -398,7 +331,7 @@ func (a *AggServer) collectReduce(ctx context.Context, sources []string, all boo
 		return nil, err
 	}
 	return &collected{pids: cols[0].pids, blobs: agg, factor: cols[0].factor,
-		bits: cols[0].bits, need: maxNeed(cols)}, nil
+		bits: cols[0].bits}, nil
 }
 
 // pullParty fetches one party's encrypted vector under the dictated slot
@@ -442,7 +375,7 @@ func (a *AggServer) pullParty(ctx context.Context, party string, query int, ids 
 			return nil, err
 		}
 		a.counts.Add(costmodel.Raw{CacheMisses: 1})
-		a.recordDelta(a.roleName(), 0, 1)
+		a.recordDelta(AggServerName, 0, 1)
 		noCache = true
 	}
 }
@@ -469,7 +402,7 @@ func (a *AggServer) restoreWithheld(party string, query int, col *collected, cac
 	hits, err := a.recvCache.forPeer(party).restore(blockKeys(party, query, layout, col.pids), col.blobs, cached)
 	if hits > 0 {
 		a.counts.Add(costmodel.Raw{CacheHits: int64(hits)})
-		a.recordDelta(a.roleName(), hits, 0)
+		a.recordDelta(AggServerName, hits, 0)
 	}
 	if err != nil {
 		return fmt.Errorf("vfl: restoring delta blocks from %s: %w", party, err)

@@ -54,7 +54,6 @@ type Cluster struct {
 	Leader    *Leader
 	Parties   []*Participant
 	Agg       *AggServer
-	Workers   []*AggServer // shard workers (nil when unsharded)
 	Keys      *KeyServer
 
 	shuffleSeed int64
@@ -199,18 +198,6 @@ func NewLocalCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 	agg.SetObserver(o, instance)
 	tr.Register(AggServerName, agg.Handler())
 
-	workers, plan, err := buildShardWorkers(tr, partyNames, pubScheme, cfg.Options, o, instance)
-	if err != nil {
-		return nil, err
-	}
-	var workerNames []string
-	if plan != nil {
-		workerNames = plan.Workers
-		if err := agg.SetShardPlan(plan); err != nil {
-			return nil, err
-		}
-	}
-
 	privScheme, err := FetchPrivateScheme(ctx, tr, KeyServerName)
 	if err != nil {
 		return nil, err
@@ -225,13 +212,11 @@ func NewLocalCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 		return nil, err
 	}
 	leader.SetObserver(o, instance)
-	leader.SetExtraCountNodes(workerNames)
 	return &Cluster{
 		Transport:   tr,
 		Leader:      leader,
 		Parties:     parties,
 		Agg:         agg,
-		Workers:     workers,
 		Keys:        ks,
 		shuffleSeed: cfg.ShuffleSeed,
 		pubScheme:   pubScheme,
@@ -242,35 +227,6 @@ func NewLocalCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 		partyNames:  partyNames,
 		nextIndex:   p,
 	}, nil
-}
-
-// buildShardWorkers constructs shard workers over the roster when the
-// configuration calls for a sharded reduce, registering their handlers on
-// the transport (Register replaces any previous handler under the same
-// name, which is what lets a membership change rebuild the shard layer in
-// place). Returns (nil, nil, nil) when the plan collapses to the unsharded
-// path.
-func buildShardWorkers(tr *transport.Memory, partyNames []string, pubScheme he.Scheme, opts Options, o *obs.Observer, instance string) ([]*AggServer, *ShardPlan, error) {
-	size, shards := PlanSubtrees(len(partyNames), opts.ShardWorkers)
-	if opts.ShardWorkers < 2 || shards < 2 {
-		return nil, nil, nil
-	}
-	plan := &ShardPlan{SubtreeSize: size}
-	var workers []*AggServer
-	for wi := 0; wi < shards; wi++ {
-		lo, hi := plan.Range(wi, len(partyNames))
-		w, err := NewAggServer(tr, partyNames[lo:hi], pubScheme, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		w.SetRole(AggWorkerName(wi))
-		w.SetObserver(o, instance)
-		name := AggWorkerName(wi)
-		tr.Register(name, w.Handler())
-		workers = append(workers, w)
-		plan.Workers = append(plan.Workers, name)
-	}
-	return workers, plan, nil
 }
 
 // PartyNames returns the current roster's node names in index order.
@@ -288,11 +244,11 @@ func (c *Cluster) checkMembershipScheme() error {
 
 // AddParticipant joins a new participant to a running consortium: it builds
 // the participant node over the shared public scheme and shuffle seed,
-// registers it on the transport, and rewires the aggregation roster, shard
-// plan, pack headroom and leader roster in place — no teardown, and every
-// surviving node keeps its state (delta caches included, so a Paillier
-// re-selection after the join re-encrypts only the new party's blocks
-// wherever the candidates and the slot layout held). The joiner must
+// registers it on the transport, and rewires the aggregation roster, pack
+// headroom and leader roster in place — no teardown, and every surviving node
+// keeps its state (delta caches included, so a Paillier re-selection after
+// the join re-encrypts only the new party's blocks wherever the candidates
+// and the slot layout held). The joiner must
 // hold features for the same instance rows. Node names are never reused: a
 // join after a removal gets a fresh index, so cached ciphertext blocks can
 // never alias across distinct parties. Callers fence concurrent selections
@@ -322,10 +278,9 @@ func (c *Cluster) AddParticipant(x *mat.Matrix) (string, error) {
 
 // RemoveParticipant removes the participant with the given index (the i of
 // its party/<i> node name) from the consortium and rewires the aggregation
-// roster, shard plan, pack headroom and leader roster in place. Surviving
-// parties keep their indices, names and caches. The last participant cannot
-// be removed. Callers fence concurrent selections with the consortium's run
-// lock.
+// roster, pack headroom and leader roster in place. Surviving parties keep
+// their indices, names and caches. The last participant cannot be removed.
+// Callers fence concurrent selections with the consortium's run lock.
 func (c *Cluster) RemoveParticipant(index int) error {
 	if err := c.checkMembershipScheme(); err != nil {
 		return err
@@ -368,8 +323,8 @@ func (c *Cluster) dropSeries(node string) {
 
 // rewire propagates the current roster through every layer that depends on
 // membership: Paillier pack headroom (the packed aggregation sums one
-// ciphertext per party), the aggregation server's roster, the shard worker
-// set and plan, and the leader's roster and accounting nodes.
+// ciphertext per party), the aggregation server's roster and the leader's
+// roster.
 func (c *Cluster) rewire() error {
 	if err := ConfigurePacking(c.pubScheme, len(c.partyNames)); err != nil {
 		return err
@@ -377,27 +332,5 @@ func (c *Cluster) rewire() error {
 	if err := c.Agg.SetParties(c.partyNames); err != nil {
 		return err
 	}
-	workers, plan, err := buildShardWorkers(c.Transport, c.partyNames, c.pubScheme, c.opts, c.observer, c.instance)
-	if err != nil {
-		return err
-	}
-	// Workers the new plan kept were re-registered under their names; the
-	// ones it dropped must not stay reachable.
-	for wi := len(workers); wi < len(c.Workers); wi++ {
-		c.Transport.Unregister(AggWorkerName(wi))
-		c.dropSeries(AggWorkerName(wi))
-	}
-	c.Workers = workers
-	var workerNames []string
-	if plan != nil {
-		workerNames = plan.Workers
-		if err := c.Agg.SetShardPlan(plan); err != nil {
-			return err
-		}
-	}
-	if err := c.Leader.SetParties(c.partyNames); err != nil {
-		return err
-	}
-	c.Leader.SetExtraCountNodes(workerNames)
-	return nil
+	return c.Leader.SetParties(c.partyNames)
 }

@@ -55,10 +55,9 @@ func (lt *linkTap) tap(tr *transport.Memory, node string, h transport.Handler) {
 
 // TestDeltaMissRetry is the fault test of the delta-cache miss retry on the
 // party links. Two warm rounds bring the delta cache to its steady state;
-// then the receiving end of the party links loses its cache — emptied in
-// place, or, for the coordinator, never filled because the shard worker that
-// held the links died — and a third round must still select exactly what a
-// fresh consortium's cold round selects. Every response that withheld blocks
+// then the receiving end of the party links loses its cache, emptied in
+// place, and a third round must still select exactly what a fresh
+// consortium's cold round selects. Every response that withheld blocks
 // the receiver no longer holds is one charged miss, and each miss costs
 // exactly one NoCache retry on that link.
 func TestDeltaMissRetry(t *testing.T) {
@@ -76,71 +75,53 @@ func TestDeltaMissRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, c := range []struct {
-		name    string
-		workers int
-		// fault drops the receiving cache of one link and taps its sender(s).
-		fault func(cl *Cluster, lt *linkTap)
-	}{
-		{"agg<-party", 0, func(cl *Cluster, lt *linkTap) {
-			for i, name := range cl.PartyNames() {
-				clearCache(cl.Agg.recvCache.forPeer(name))
-				lt.tap(cl.Transport, name, cl.Parties[i].Handler())
-			}
-		}},
-		{"coordinator<-party after failover", 2, func(cl *Cluster, lt *linkTap) {
-			cl.Transport.InjectFailure(AggWorkerName(1))
-			lo, hi := cl.Agg.plan.Range(1, len(cl.Parties))
-			for i := lo; i < hi; i++ {
-				lt.tap(cl.Transport, PartyName(i), cl.Parties[i].Handler())
-			}
-		}},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			cl, err := NewLocalCluster(ctx, ClusterConfig{Partition: pt, Scheme: "paillier", KeyBits: 256,
-				ShuffleSeed: 7, Batch: 8, Options: Options{ShardWorkers: c.workers}})
-			if err != nil {
+	t.Run("agg<-party", func(t *testing.T) {
+		cl, err := NewLocalCluster(ctx, ClusterConfig{Partition: pt, Scheme: "paillier", KeyBits: 256,
+			ShuffleSeed: 7, Batch: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(cl.Close)
+		for round := 0; round < 2; round++ {
+			if _, err := cl.Leader.Similarities(ctx, queries, 3, VariantFagin); err != nil {
 				t.Fatal(err)
 			}
-			t.Cleanup(cl.Close)
-			for round := 0; round < 2; round++ {
-				if _, err := cl.Leader.Similarities(ctx, queries, 3, VariantFagin); err != nil {
-					t.Fatal(err)
+		}
+		if err := cl.Leader.ResetAllCounts(ctx); err != nil {
+			t.Fatal(err)
+		}
+		// The receiving end of every party link loses its cache.
+		var lt linkTap
+		for i, name := range cl.PartyNames() {
+			clearCache(cl.Agg.recvCache.forPeer(name))
+			lt.tap(cl.Transport, name, cl.Parties[i].Handler())
+		}
+		got, err := cl.Leader.Similarities(ctx, queries, 3, VariantFagin)
+		if err != nil {
+			t.Fatalf("round after the fault: %v", err)
+		}
+		for i := range want.W {
+			for j := range want.W[i] {
+				if got.W[i][j] != want.W[i][j] {
+					t.Fatalf("W[%d][%d] = %v after the retry, %v on a cold cluster", i, j, got.W[i][j], want.W[i][j])
 				}
 			}
-			if err := cl.Leader.ResetAllCounts(ctx); err != nil {
-				t.Fatal(err)
-			}
-			var lt linkTap
-			c.fault(cl, &lt)
-			got, err := cl.Leader.Similarities(ctx, queries, 3, VariantFagin)
-			if err != nil {
-				t.Fatalf("round after the fault: %v", err)
-			}
-			for i := range want.W {
-				for j := range want.W[i] {
-					if got.W[i][j] != want.W[i][j] {
-						t.Fatalf("W[%d][%d] = %v after the retry, %v on a cold cluster", i, j, got.W[i][j], want.W[i][j])
-					}
-				}
-			}
-			cl.Transport.InjectFailure("")
-			total, err := cl.Leader.TotalCounts(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			misses, retried := lt.withheld.Load(), lt.retried.Load()
-			if misses == 0 {
-				t.Fatal("the fault forced no delta-cache miss; the retry went unexercised")
-			}
-			if total.CacheMisses != misses {
-				t.Fatalf("charged %d cache misses, forced %d", total.CacheMisses, misses)
-			}
-			if retried != misses {
-				t.Fatalf("%d NoCache retries for %d misses, want exactly one each", retried, misses)
-			}
-		})
-	}
+		}
+		total, err := cl.Leader.TotalCounts(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		misses, retried := lt.withheld.Load(), lt.retried.Load()
+		if misses == 0 {
+			t.Fatal("the fault forced no delta-cache miss; the retry went unexercised")
+		}
+		if total.CacheMisses != misses {
+			t.Fatalf("charged %d cache misses, forced %d", total.CacheMisses, misses)
+		}
+		if retried != misses {
+			t.Fatalf("%d NoCache retries for %d misses, want exactly one each", retried, misses)
+		}
+	})
 }
 
 // TestCollectRejectsHostileLayout pins each layout check of the collect
@@ -161,43 +142,36 @@ func TestCollectRejectsHostileLayout(t *testing.T) {
 		return enc(&resp)
 	}
 	for _, c := range []struct {
-		name    string
-		scheme  string
-		workers int
-		node    string
-		method  string
-		edit    func(resp []byte) []byte
-		want    string
+		name   string
+		scheme string
+		node   string
+		method string
+		edit   func(resp []byte) []byte
+		want   string
 	}{
-		{"party withholds without delta", "plain", 0, hostileParty, MethodEncryptCandidates, withholdParty,
+		{"party withholds without delta", "plain", hostileParty, MethodEncryptCandidates, withholdParty,
 			"withheld 1 blocks without delta caching"},
-		{"party withholds from a NoCache resend", "paillier", 0, hostileParty, MethodEncryptCandidates, withholdParty,
+		{"party withholds from a NoCache resend", "paillier", hostileParty, MethodEncryptCandidates, withholdParty,
 			"withheld 1 blocks from a NoCache resend"},
-		{"party returns too few ciphertexts", "paillier", 0, hostileParty, MethodEncryptCandidates, func(raw []byte) []byte {
+		{"party returns too few ciphertexts", "paillier", hostileParty, MethodEncryptCandidates, func(raw []byte) []byte {
 			var resp EncryptCandidatesResp
 			mustUnmarshal(t, raw, &resp)
 			resp.Ciphers = resp.Ciphers[:len(resp.Ciphers)-1]
 			return enc(&resp)
 		}, "aggregates for"},
-		{"party returns too many ciphertexts for BASE", "paillier", 0, hostileParty, MethodEncryptAll, func(raw []byte) []byte {
+		{"party returns too many ciphertexts for BASE", "paillier", hostileParty, MethodEncryptAll, func(raw []byte) []byte {
 			var resp EncryptAllResp
 			mustUnmarshal(t, raw, &resp)
 			resp.Ciphers = append(resp.Ciphers, resp.Ciphers[0])
 			return enc(&resp)
 		}, "aggregates for"},
-		{"shard worker returns too many aggregates", "paillier", 2, AggWorkerName(1), MethodShardCollect, func(raw []byte) []byte {
-			var resp ShardCollectResp
-			mustUnmarshal(t, raw, &resp)
-			resp.Ciphers = append(resp.Ciphers, resp.Ciphers[0])
-			return enc(&resp)
-		}, "aggregates for"},
-		{"aggregation server returns too few aggregates", "paillier", 0, AggServerName, MethodFaginCollect, func(raw []byte) []byte {
+		{"aggregation server returns too few aggregates", "paillier", AggServerName, MethodFaginCollect, func(raw []byte) []byte {
 			var resp FaginCollectResp
 			mustUnmarshal(t, raw, &resp)
 			resp.Aggregated = resp.Aggregated[:len(resp.Aggregated)-1]
 			return enc(&resp)
 		}, "aggregates for"},
-		{"aggregation server returns too many aggregates for BASE", "paillier", 0, AggServerName, MethodCollectAll, func(raw []byte) []byte {
+		{"aggregation server returns too many aggregates for BASE", "paillier", AggServerName, MethodCollectAll, func(raw []byte) []byte {
 			var resp CollectAllResp
 			mustUnmarshal(t, raw, &resp)
 			resp.Aggregated = append(resp.Aggregated, resp.Aggregated[0])
@@ -208,19 +182,14 @@ func TestCollectRejectsHostileLayout(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
 			cl, err := NewLocalCluster(ctx, ClusterConfig{Partition: pt, Scheme: c.scheme, KeyBits: 256,
-				ShuffleSeed: 7, Batch: 8, Options: Options{ShardWorkers: c.workers}})
+				ShuffleSeed: 7, Batch: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(cl.Close)
-			var honest transport.Handler
-			switch {
-			case c.node == AggServerName:
+			honest := cl.Parties[1].Handler()
+			if c.node == AggServerName {
 				honest = cl.Agg.Handler()
-			case c.workers > 0:
-				honest = cl.Workers[1].Handler()
-			default:
-				honest = cl.Parties[1].Handler()
 			}
 			cl.Transport.Register(c.node, func(ctx context.Context, method string, req []byte) ([]byte, error) {
 				out, err := honest(ctx, method, req)

@@ -28,7 +28,6 @@ var reservedTags = map[string]map[int]string{
 	"CollectAllResp":          {6: "retired leader-link delta", 7: "retired chunk-framed blocks"},
 	"FaginCollectReq":         {4: "retired chunk size", 5: "retired adaptive flag", 6: "retired delta flag"},
 	"FaginCollectResp":        {7: "retired leader-link delta", 8: "retired chunk-framed blocks"},
-	"ShardCollectReq":         {5: "retired delta flag"},
 }
 
 // tableMessages returns one instance of every message type allMessages()

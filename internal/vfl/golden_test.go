@@ -53,10 +53,6 @@ func allMessages() []wire.Message {
 			Stats: FaginStats{Rounds: 2, ScanDepth: 64, Candidates: 9}},
 		&FaginCollectResp{PseudoIDs: []int{3, 1}, PackFactor: 2, PackBits: 40, PackAdds: 4,
 			Stats: FaginStats{Rounds: 1, ScanDepth: 8, Candidates: 2}},
-		&ShardCollectReq{Query: 11, PseudoIDs: []int{6, 2}, PackBits: 24, NoCache: true},
-		&ShardCollectReq{Query: 11, All: true, PackBits: 24},
-		&ShardCollectResp{PseudoIDs: []int{0, 3}, Ciphers: [][]byte{{0xfe}, {0xff, 1}},
-			PackFactor: 2, PackBits: 30, NeedBits: 26},
 	}
 }
 
@@ -108,17 +104,6 @@ func TestGoldenVectors(t *testing.T) {
 		// Cross-round cache counters ride the nested counters sub-body.
 		{&CountsResp{Counts: costmodel.Raw{CacheHits: 2, CacheMisses: 1}},
 			"00010a0450045802", 0},
-		// Shard collect request, candidate pattern: query, delta-coded IDs,
-		// dictated pack bits, then the no-cache flag (tag 5 stays reserved).
-		{&ShardCollectReq{Query: 11, PseudoIDs: []int{6, 2}, PackBits: 24, NoCache: true},
-			"000108161203020c0720303002", 0},
-		// BASE pattern: the All flag rides tag 3, the ID list is absent.
-		{&ShardCollectReq{Query: 3, All: true, PackBits: 40},
-			"0001080618022050", 0},
-		// Shard root: IDs + blob list + uniform geometry + NeedBits maximum.
-		{&ShardCollectResp{PseudoIDs: []int{0, 3}, Ciphers: [][]byte{{0xfe}, {0xff, 1}},
-			PackFactor: 2, PackBits: 30, NeedBits: 26},
-			"00010a0302000612060201fe02ff011804203c2834", 3},
 	}
 	for _, v := range vectors {
 		want, err := hex.DecodeString(v.hex)
@@ -287,14 +272,11 @@ var gobBlob = []byte{
 func TestHostileInputPerRole(t *testing.T) {
 	ctx := context.Background()
 	_, pt := testPartition(t, "Bank", 20, 4)
-	cl, err := NewLocalCluster(ctx, ClusterConfig{Partition: pt, ShuffleSeed: 7, Options: Options{ShardWorkers: 2}})
+	cl, err := NewLocalCluster(ctx, ClusterConfig{Partition: pt, ShuffleSeed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.Close)
-	if len(cl.Workers) != 2 {
-		t.Fatalf("cluster built %d shard workers, want 2", len(cl.Workers))
-	}
 	bodies := []struct {
 		name    string
 		body    []byte
@@ -311,7 +293,6 @@ func TestHostileInputPerRole(t *testing.T) {
 		{KeyServerName, MethodPublicKey},
 		{PartyName(0), MethodEncryptAll},
 		{AggServerName, MethodCollectAll},
-		{AggWorkerName(0), MethodShardCollect},
 	} {
 		for _, b := range bodies {
 			_, err := cl.Transport.Call(ctx, role.node, role.method, b.body)

@@ -47,9 +47,8 @@ type Leader struct {
 	scheme      he.Scheme // full scheme (with private key)
 	batch       int       // Fagin mini-batch size b
 	counts      costmodel.Counts
-	parallelism int      // 1 → fully serial party fan-out
-	instance    string   // observer instance label; the query log's tenant
-	extraNodes  []string // additional accounting nodes (shard workers)
+	parallelism int    // 1 → fully serial party fan-out
+	instance    string // observer instance label; the query log's tenant
 
 	// roundMu guards prevRound and round: the query sets of the previous and
 	// the current protocol round (see beginRound).
@@ -273,9 +272,9 @@ func (l *Leader) runQuery(ctx context.Context, query, k int, variant Variant) (r
 }
 
 // collected is one received ciphertext vector with its layout metadata — a
-// party's vector or a shard root on the aggregation side, the aggregate on
-// the leader. A party's vector is as received until pullParty has checked its
-// length and restored its delta-withheld blocks, complete after.
+// party's vector on the aggregation side, the aggregate on the leader. A
+// party's vector is as received until pullParty has checked its length and
+// restored its delta-withheld blocks, complete after.
 type collected struct {
 	pids   []int
 	blobs  [][]byte
@@ -405,9 +404,8 @@ func (l *Leader) finishQuery(ctx context.Context, query, k int, pids []int, dist
 	return &QueryResult{Neighbors: neighbors, PartySums: sums, Fagin: stats}, nil
 }
 
-// fanOut runs fn once per node — a party roster, a party subset on a shard
-// worker, or the worker roster on a coordinator — serially when parallelism is
-// 1 and otherwise on one goroutine per node. No worker bound: the calls wait on
+// fanOut runs fn once per node of a party roster, serially when parallelism
+// is 1 and otherwise on one goroutine per node. No worker bound: the calls wait on
 // peers, not on local cores. Results land in caller-indexed slots, so ordering
 // is independent of completion order, and the lowest-indexed node's error
 // wins, matching the serial loop.
@@ -745,17 +743,10 @@ func (l *Leader) runQueries(ctx context.Context, queries []int, k int, variant V
 	return results, nil
 }
 
-// SetExtraCountNodes registers additional accounting nodes — the shard
-// workers of a sharded deployment — so GatherCounts/ResetAllCounts cover the
-// HE additions that moved off the aggregation server. Nil clears the list.
-func (l *Leader) SetExtraCountNodes(nodes []string) {
-	l.extraNodes = append([]string(nil), nodes...)
-}
-
-// countNodes lists every remote node that carries operation counters.
+// countNodes lists every remote node that carries operation counters: the
+// aggregation server and the parties.
 func (l *Leader) countNodes() []string {
-	nodes := append([]string{l.agg}, l.extraNodes...)
-	return append(nodes, l.parties...)
+	return append([]string{l.agg}, l.parties...)
 }
 
 // GatherCounts pulls operation counters from every node plus the leader's

@@ -48,9 +48,6 @@ const (
 	MethodAggregateCandidates = "agg.aggregateCandidates"
 	MethodAggregateFrontier   = "agg.aggregateFrontier"
 
-	// Aggregation worker (coordinator → shard worker, see shard.go).
-	MethodShardCollect = "agg.shardCollect"
-
 	// Participant methods used only by the Threshold-Algorithm variant.
 	MethodEncryptRankScore = "party.encryptRankScore"
 )
@@ -237,33 +234,6 @@ type FaginCollectReq struct {
 	K       int
 	Batch   int
 	NoCache bool
-}
-
-// ShardCollectReq asks one aggregation worker to collect its shard's party
-// vectors and tree-reduce them locally (see shard.go for the subtree-cut
-// argument). All selects the BASE access pattern (full vectors, pseudo IDs in
-// the response) over the candidate pattern (PseudoIDs echoes the request
-// order). PackBits dictates the slot width exactly as in EncryptAllReq — the
-// coordinator owns the width negotiation, workers only relay the dictated
-// geometry. NoCache tunes the worker↔party links as in EncryptAllReq.
-type ShardCollectReq struct {
-	Query     int
-	PseudoIDs []int
-	All       bool
-	PackBits  int
-	NoCache   bool
-}
-
-// ShardCollectResp returns one shard's locally reduced ciphertext vector.
-// PseudoIDs is set in All mode only; PackFactor/PackBits echo the uniform
-// geometry of the shard's parties and NeedBits advertises the shard maximum,
-// feeding the coordinator's negotiation exactly as a single party would.
-type ShardCollectResp struct {
-	PseudoIDs  []int
-	Ciphers    [][]byte
-	PackFactor int
-	PackBits   int
-	NeedBits   int
 }
 
 // packedLen returns how many ciphertexts carry n values at the given pack
@@ -465,21 +435,4 @@ func (m *FaginCollectResp) Fields(f *wire.Fields) {
 	f.Msg(4, &m.Stats)
 	f.Int(5, &m.PackBits)
 	f.Int(6, &m.PackAdds)
-}
-
-// Fields skips tag 5, reserved for the retired delta flag.
-func (m *ShardCollectReq) Fields(f *wire.Fields) {
-	f.Int(1, &m.Query)
-	f.IDs(2, &m.PseudoIDs)
-	f.Bool(3, &m.All)
-	f.Int(4, &m.PackBits)
-	f.Bool(6, &m.NoCache)
-}
-
-func (m *ShardCollectResp) Fields(f *wire.Fields) {
-	f.IDs(1, &m.PseudoIDs)
-	f.Blobs(2, &m.Ciphers)
-	f.Int(3, &m.PackFactor)
-	f.Int(4, &m.PackBits)
-	f.Int(5, &m.NeedBits)
 }

@@ -33,8 +33,6 @@ const (
 	SpanAggregate    = "agg.aggregate"    // aggserver: candidate aggregation
 	SpanFrontier     = "agg.frontier"     // aggserver: TA frontier bound
 	SpanReduce       = "agg.reduce"       // aggserver: ciphertext tree reduction
-	SpanShardMerge   = "agg.shardMerge"   // coordinator: worker fan-out + root merge
-	SpanShardCollect = "agg.shardCollect" // shard worker: subtree collect + reduce
 	SpanDistances    = "party.distances"  // participant: distance+ranking compute
 	SpanEncrypt      = "party.encrypt"    // participant: item encryption sweep
 )

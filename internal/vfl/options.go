@@ -18,11 +18,6 @@ type Options struct {
 	// everything serially (and precomputes no encryption randomizers in the
 	// background); 0 or negative uses GOMAXPROCS.
 	Parallelism int `json:"parallelism"`
-	// ShardWorkers ≥ 2 shards the ciphertext tree reduce across that many
-	// aggregation workers over aligned power-of-two party subtrees (see
-	// PlanSubtrees); the aggregation server becomes their coordinator. Counts
-	// of ≤ 1, or plans that collapse to one shard, keep the unsharded reduce.
-	ShardWorkers int `json:"shardWorkers"`
 	// EncryptWindow sets the memory budget of the fixed-base randomizer table
 	// in pools a deployment starts: that of a width-w radix table; 0 keeps the
 	// paillier default (6), negative restores classic uniform-r sampling (one
@@ -32,10 +27,9 @@ type Options struct {
 }
 
 // BindFlags registers the settings a vfpsnode process takes as flags on fs:
-// -parallelism, -shard-workers and -encrypt-window.
+// -parallelism and -encrypt-window.
 func (o *Options) BindFlags(fs *flag.FlagSet) {
 	fs.IntVar(&o.Parallelism, "parallelism", 0, "HE pipeline concurrency (0 = GOMAXPROCS, 1 = serial)")
-	fs.IntVar(&o.ShardWorkers, "shard-workers", 0, "shard the ciphertext reduce across this many aggregation workers (roles aggserver/aggworker; 0 = unsharded)")
 	fs.IntVar(&o.EncryptWindow, "encrypt-window", 0, "fixed-base window for randomizer precompute (0 = default 6, negative = classic uniform sampling)")
 }
 

@@ -161,9 +161,6 @@ func (p *Participant) N() int { return p.x.Rows }
 // Features returns the local feature dimension F_p.
 func (p *Participant) Features() int { return p.x.Cols }
 
-// Counts exposes the participant's operation counters.
-func (p *Participant) Counts() costmodel.Raw { return p.counts.Snapshot() }
-
 // SetObserver installs metrics and tracing on the participant: distance and
 // encryption spans plus cost-model gauges labelled {instance, role="party/i"}.
 func (p *Participant) SetObserver(o *obs.Observer, instance string) {

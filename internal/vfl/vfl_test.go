@@ -853,14 +853,14 @@ func TestAddParticipantSecAggRejected(t *testing.T) {
 }
 
 // TestChurnUnregistersDepartedNodes pins that membership churn does not
-// accumulate handlers on the in-memory transport: a departed party, and a
-// shard worker the re-planned tree no longer uses, stop being reachable (and
-// so stop pinning their feature matrices and caches), and after any number of
-// join→leave cycles the transport serves exactly the cold cluster's names.
+// accumulate handlers on the in-memory transport: a departed party stops
+// being reachable (and so stops pinning its feature matrix and caches), and
+// after any number of join→leave cycles the transport serves exactly the cold
+// cluster's names.
 func TestChurnUnregistersDepartedNodes(t *testing.T) {
 	ctx := context.Background()
 	_, pt := testPartition(t, "Rice", 30, 4)
-	cl, err := NewLocalCluster(ctx, ClusterConfig{Partition: pt, ShuffleSeed: 7, Options: Options{ShardWorkers: 4}})
+	cl, err := NewLocalCluster(ctx, ClusterConfig{Partition: pt, ShuffleSeed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -869,8 +869,7 @@ func TestChurnUnregistersDepartedNodes(t *testing.T) {
 		_, err := cl.Transport.Call(ctx, name, MethodCounts, enc(nil))
 		return !errors.Is(err, transport.ErrUnknownPeer)
 	}
-	// Every name a cycle can touch: 4 cold parties + 8 joiners, and the 4
-	// workers of the cold plan (4 parties over 4 workers) plus one beyond.
+	// Every name a cycle can touch: 4 cold parties + 8 joiners.
 	serving := func() (names []string) {
 		for _, fixed := range []string{KeyServerName, AggServerName} {
 			if registered(fixed) {
@@ -882,25 +881,15 @@ func TestChurnUnregistersDepartedNodes(t *testing.T) {
 				names = append(names, PartyName(i))
 			}
 		}
-		for i := 0; i < 5; i++ {
-			if registered(AggWorkerName(i)) {
-				names = append(names, AggWorkerName(i))
-			}
-		}
 		return names
 	}
 	cold := serving()
-	if len(cold) != 2+4+4 {
-		t.Fatalf("cold cluster serves %v, want key server, aggregation server, 4 parties, 4 workers", cold)
+	if len(cold) != 2+4 {
+		t.Fatalf("cold cluster serves %v, want key server, aggregation server, 4 parties", cold)
 	}
 	for cycle := 0; cycle < 8; cycle++ {
 		if _, err := cl.AddParticipant(pt.Parties[0]); err != nil {
 			t.Fatal(err)
-		}
-		// Five parties re-plan to three subtrees of two: worker 3 is surplus.
-		if len(cl.Workers) != 3 || registered(AggWorkerName(3)) {
-			t.Fatalf("cycle %d: %d workers after the join, aggworker/3 registered: %t",
-				cycle, len(cl.Workers), registered(AggWorkerName(3)))
 		}
 		joiner := 4 + cycle
 		if err := cl.RemoveParticipant(joiner); err != nil {

@@ -25,18 +25,18 @@ import (
 // mutator that re-plumbed a setting after construction is declared again.
 func TestKnobsDeclaredOnce(t *testing.T) {
 	// true: a setting vfl.Options must declare. false: a retired setting (the
-	// shared randomizer pool, the caches that are now always on) or a name a
-	// setting had in the hand-copied structs, which no struct may declare
-	// again.
+	// shared randomizer pool, the caches that are now always on, the sharded
+	// reduce) or a name a setting had in the hand-copied structs, which no
+	// struct may declare again.
 	settings := map[string]bool{
-		"Parallelism": true, "ShardWorkers": true, "EncryptWindow": true, "PackHint": false,
+		"Parallelism": true, "EncryptWindow": true, "ShardWorkers": false, "PackHint": false,
 		"Pool": false, "SharedPool": false, "PackWidthHint": false, "RandomizerPool": false,
 		"DeltaCache": false, "SimCache": false,
 	}
 	// true: a live flag, registered by Options.BindFlags only. false: a
 	// retired flag, registered nowhere.
-	flags := map[string]bool{"parallelism": true, "shard-workers": true, "encrypt-window": true,
-		"delta-cache": false}
+	flags := map[string]bool{"parallelism": true, "encrypt-window": true,
+		"delta-cache": false, "shard-workers": false}
 	mutators := map[string]bool{"SetParallelism": true, "SetPayloadOptions": true, "SetPackHint": true}
 	// SelectOptions.Parallelism is the per-selection count of queries in
 	// flight, not the deployment setting.

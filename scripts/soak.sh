@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # soak.sh — multi-process soak with tail-latency gates.
 #
-# Spins up a real TCP deployment (key server, SOAK_PARTIES participants,
-# SOAK_SHARD_WORKERS aggregation shard workers, the aggregation server) plus
-# a vfpsserve collector, runs SOAK_ROUNDS rounds of concurrent KNN queries
+# Spins up a real TCP deployment (key server, SOAK_PARTIES participants, the
+# aggregation server) plus a vfpsserve collector, runs SOAK_ROUNDS rounds of concurrent KNN queries
 # through the leader, and then asserts:
 #
 #   * throughput:   queries/second >= SOAK_MIN_QPS,
@@ -16,16 +15,13 @@
 #                   non-empty after an HTTP-driven selection,
 #   * metrics:      the Go runtime families and the kind-labelled transport
 #                   error counter are exposed,
-#   * sharding:     with SOAK_SHARD_WORKERS >= 2 the reduce runs through the
-#                   aggworker processes (their spans join the trace forest and
-#                   the delta-cache hits move to them),
 #   * churn:        an HTTP join/select/leave cycle on a live consortium
 #                   returns the roster to its original membership and the
 #                   post-churn selection is bit-identical to the pre-churn
 #                   one; removing an unknown participant 404s.
 #
 # It then runs the multi-tenant load arm: an admission-controlled vfpsserve
-# multiplexes SOAK_MT_CONSORTIUMS sharded consortiums through SOAK_MT_ROUNDS
+# multiplexes SOAK_MT_CONSORTIUMS consortiums through SOAK_MT_ROUNDS
 # pairs of one sequential and one concurrent round of MT_BURST selections per
 # consortium (alternating which goes first, so drift and warm-up hit both
 # sides), printing every pair and gating
@@ -44,7 +40,7 @@
 #
 # Environment knobs (defaults in parentheses):
 #   SOAK_ROUNDS (2)  SOAK_QUERIES (8)  SOAK_QWORKERS (2)  SOAK_PARTIES (3)
-#   SOAK_SHARD_WORKERS (2)  SOAK_P99_MS (10000)  SOAK_MIN_QPS (0.2)
+#   SOAK_P99_MS (10000)  SOAK_MIN_QPS (0.2)
 #   SOAK_MT_CONSORTIUMS (3)  SOAK_MT_ROUNDS (2)  SOAK_MT_P99_MS (20000)
 #   SOAK_MIN_MT_SPEEDUP (by core count, see above)
 #   SOAK_PORT_BASE (19300)  SOAK_OUT (SOAK_summary.json)
@@ -54,7 +50,6 @@ ROUNDS="${SOAK_ROUNDS:-2}"
 QUERIES="${SOAK_QUERIES:-8}"
 QWORKERS="${SOAK_QWORKERS:-2}"
 PARTIES="${SOAK_PARTIES:-3}"
-SHARD_WORKERS="${SOAK_SHARD_WORKERS:-2}"
 P99_MS="${SOAK_P99_MS:-10000}"
 MIN_QPS="${SOAK_MIN_QPS:-0.2}"
 NCONS="${SOAK_MT_CONSORTIUMS:-3}"
@@ -72,7 +67,7 @@ die() { echo "soak: FAIL: $*" >&2; exit 1; }
 command -v jq >/dev/null || { echo "soak: jq not found" >&2; exit 1; }
 
 # The concurrent-vs-sequential speedup a machine can deliver depends on its
-# cores: the 2x contract needs >= 3 (workers + coordinator), 2 cores can
+# cores: the 2x contract needs >= 3, 2 cores can
 # overlap partially, and on 1 core concurrency cannot beat sequential at all
 # — there the floor only catches pathological lock contention (> 10% loss).
 CORES=$(nproc 2>/dev/null || echo 1)
@@ -112,18 +107,6 @@ SERVE_ADDR="127.0.0.1:$((BASE + 20))"
 MT_ADDR="127.0.0.1:$((BASE + 21))"
 PROBE_ADDR="127.0.0.1:$((BASE + 22))"
 
-# Mirror vfl.PlanSubtrees: the smallest power-of-two subtree spreading
-# PARTIES over at most SHARD_WORKERS shards, and the resulting shard count.
-SHARDS=0
-SUBTREE=0
-if [ "${SHARD_WORKERS}" -ge 2 ]; then
-    need=$(( (PARTIES + SHARD_WORKERS - 1) / SHARD_WORKERS ))
-    SUBTREE=1
-    while [ "${SUBTREE}" -lt "${need}" ]; do SUBTREE=$((SUBTREE * 2)); done
-    SHARDS=$(( (PARTIES + SUBTREE - 1) / SUBTREE ))
-    [ "${SHARDS}" -ge 2 ] || { SHARDS=0; SUBTREE=0; }
-fi
-
 DIRECTORY="keyserver=${KEY_TCP},aggserver=${AGG_TCP}"
 PEERS="http://${KEY_OBS},http://${AGG_OBS},http://${LEADER_OBS}"
 PARTY_OBS=()
@@ -133,15 +116,6 @@ for i in $(seq 0 $((PARTIES - 1))); do
     PEERS="${PEERS},http://${obs}"
     PARTY_OBS+=("${obs}")
 done
-WORKER_OBS=()
-if [ "${SHARDS}" -ge 2 ]; then
-    for i in $(seq 0 $((SHARDS - 1))); do
-        tcp="127.0.0.1:$((BASE + 5 + i))"; obs="127.0.0.1:$((BASE + 50 + i))"
-        DIRECTORY="${DIRECTORY},aggworker/${i}=${tcp}"
-        PEERS="${PEERS},http://${obs}"
-        WORKER_OBS+=("${obs}")
-    done
-fi
 
 # The full payload pipeline rides the soak: the packed Paillier layout with
 # its per-round width negotiation and the cross-round delta cache (no flags:
@@ -157,7 +131,7 @@ start_node() { # logname, args...
     PIDS+=($!)
 }
 
-say "starting key server, ${PARTIES} participants, ${SHARDS} shard workers, aggregation server"
+say "starting key server, ${PARTIES} participants, aggregation server"
 start_node keyserver -role keyserver -addr "${KEY_TCP}" -obs-addr "${KEY_OBS}" "${COMMON[@]}"
 wait_tcp "${KEY_TCP}" || die "key server did not come up"
 for i in $(seq 0 $((PARTIES - 1))); do
@@ -167,19 +141,7 @@ done
 for i in $(seq 0 $((PARTIES - 1))); do
     wait_tcp "127.0.0.1:$((BASE + 10 + i))" || die "party ${i} did not come up"
 done
-if [ "${SHARDS}" -ge 2 ]; then
-    for i in $(seq 0 $((SHARDS - 1))); do
-        start_node "aggworker${i}" -role aggworker -index "${i}" -shard-workers "${SHARD_WORKERS}" \
-            -addr "127.0.0.1:$((BASE + 5 + i))" -obs-addr "127.0.0.1:$((BASE + 50 + i))" "${COMMON[@]}"
-    done
-    for i in $(seq 0 $((SHARDS - 1))); do
-        wait_tcp "127.0.0.1:$((BASE + 5 + i))" || die "aggworker ${i} did not come up"
-    done
-    start_node aggserver -role aggserver -shard-workers "${SHARD_WORKERS}" \
-        -addr "${AGG_TCP}" -obs-addr "${AGG_OBS}" "${COMMON[@]}"
-else
-    start_node aggserver -role aggserver -addr "${AGG_TCP}" -obs-addr "${AGG_OBS}" "${COMMON[@]}"
-fi
+start_node aggserver -role aggserver -addr "${AGG_TCP}" -obs-addr "${AGG_OBS}" "${COMMON[@]}"
 wait_tcp "${AGG_TCP}" || die "aggregation server did not come up"
 
 say "starting vfpsserve collector on ${SERVE_ADDR}"
@@ -240,11 +202,6 @@ PROCESSES=$(jq '.nodes | length' "${BEST}")
 ORPHANS=$(jq '.orphans' "${BEST}")
 say "trace ${TRACE_ID}: $(jq '.spans | length' "${BEST}") spans across ${PROCESSES} processes $(jq -c '.nodes' "${BEST}")"
 [ "${ORPHANS}" -eq 0 ] || die "trace ${TRACE_ID} has ${ORPHANS} unresolved parent links"
-if [ "${SHARDS}" -ge 2 ]; then
-    # The sharded reduce must actually have run through the worker processes.
-    jq -e '.nodes | map(select(startswith("aggworker/"))) | length >= 1' "${BEST}" >/dev/null \
-        || die "sharded run but no aggworker process in the trace nodes $(jq -c '.nodes' "${BEST}")"
-fi
 
 kill "${LEADER_PID}" 2>/dev/null || true
 
@@ -308,28 +265,11 @@ for family in vfps_delta_cache_hits_total vfps_delta_cache_misses_total; do
     grep -q "^# TYPE ${family} " "${WORK}/agg_metrics.txt" \
         || die "aggserver /metrics missing delta-cache family ${family}"
 done
-if [ "${SHARDS}" -ge 2 ]; then
-    grep -q '^# TYPE vfps_shard_retries_total ' "${WORK}/agg_metrics.txt" \
-        || die "sharded aggserver /metrics missing vfps_shard_retries_total"
-fi
 if [ "${ROUNDS}" -gt 1 ]; then
     # Repeat rounds rerun the identical query set, so the receive side of the
-    # party payloads must have recorded real delta-cache hits. Sharded runs
-    # move that receive side from the aggserver to the shard workers.
-    if [ "${SHARDS}" -ge 2 ]; then
-        HITS=0
-        for obs in "${WORKER_OBS[@]}"; do
-            curl -sf "http://${obs}/metrics" > "${WORK}/worker_metrics.txt" \
-                || die "aggworker /metrics scrape failed (${obs})"
-            if grep -q '^vfps_delta_cache_hits_total{.*} [1-9]' "${WORK}/worker_metrics.txt"; then
-                HITS=1
-            fi
-        done
-        [ "${HITS}" -eq 1 ] || die "no delta-cache hits on any shard worker across ${ROUNDS} repeat rounds"
-    else
-        grep -q '^vfps_delta_cache_hits_total{.*} [1-9]' "${WORK}/agg_metrics.txt" \
-            || die "no delta-cache hits recorded across ${ROUNDS} repeat rounds"
-    fi
+    # party payloads must have recorded real delta-cache hits.
+    grep -q '^vfps_delta_cache_hits_total{.*} [1-9]' "${WORK}/agg_metrics.txt" \
+        || die "no delta-cache hits recorded across ${ROUNDS} repeat rounds"
 fi
 curl -sf "http://${PARTY_OBS[0]}/metrics" > "${WORK}/party_metrics.txt" \
     || die "party obs /metrics scrape failed"
@@ -337,7 +277,7 @@ grep -q '^vfps_he_pack_slots{.*} [1-9]' "${WORK}/party_metrics.txt" \
     || die "party recorded no pack-slot geometry under the paillier scheme"
 
 # --- multi-tenant load arm ----------------------------------------------------
-# An admission-controlled vfpsserve multiplexes NCONS sharded consortiums.
+# An admission-controlled vfpsserve multiplexes NCONS consortiums.
 # Each of MT_ROUNDS pairs runs one round sequentially and one concurrently
 # (one in flight per consortium — the per-consortium run lock serializes
 # deeper stacking anyway), back to back, so the pair's speedup compares two
@@ -357,15 +297,11 @@ wait_tcp "${MT_ADDR}" || die "multi-tenant vfpsserve did not come up"
 MT_CIDS=()
 for i in $(seq 1 "${NCONS}"); do
     cid=$(curl -sf -X POST "http://${MT_ADDR}/v1/consortiums" \
-        -d "{\"dataset\":\"Rice\",\"rows\":${ROWS},\"parties\":4,\"scheme\":\"plain\",\"shardWorkers\":${SHARD_WORKERS}}" \
+        -d "{\"dataset\":\"Rice\",\"rows\":${ROWS},\"parties\":4,\"scheme\":\"plain\"}" \
         | jq -r '.id')
     [ -n "${cid}" ] && [ "${cid}" != "null" ] || die "multi-tenant consortium ${i} creation failed"
     MT_CIDS+=("${cid}")
 done
-SHARDED_WORKERS=$(curl -sf "http://${MT_ADDR}/v1/consortiums/${MT_CIDS[0]}" | jq '.shardWorkers')
-if [ "${SHARD_WORKERS}" -ge 2 ]; then
-    [ "${SHARDED_WORKERS}" -ge 2 ] || die "multi-tenant consortium reports ${SHARDED_WORKERS} shard workers, want >= 2"
-fi
 
 mt_select() { # cid latency-file seed
     curl -sf -o /dev/null -w '%{time_total}\n' -H 'X-Tenant: load' \
@@ -470,7 +406,7 @@ jq -n \
     --argjson queries "${TOTAL}" --argjson qps "${QPS}" \
     --argjson p50 "${P50MS}" --argjson p99 "${P99MS}" \
     --argjson procs "${PROCESSES}" --arg trace "${TRACE_ID}" \
-    --argjson slow "${SLOW_COUNT}" --argjson shards "${SHARDS}" \
+    --argjson slow "${SLOW_COUNT}" \
     --argjson mtsels "${MT_TOTAL}" --argjson mtseq "${SEQ_QPS}" \
     --argjson mtconc "${CONC_QPS}" --argjson mtspeed "${MT_SPEEDUP}" \
     --argjson mtpairs "${MT_SPEEDUPS}" \
@@ -478,7 +414,7 @@ jq -n \
     --argjson admitted "${ADMITTED}" --argjson rejected "${REJECTED}" \
     '{soak: {queries: $queries, qps: $qps, p50Ms: $p50, p99Ms: $p99,
              processes: $procs, traceId: $trace, slowEvents: $slow,
-             shardWorkers: $shards, mtSelections: $mtsels,
+             mtSelections: $mtsels,
              mtSeqQps: $mtseq, mtConcQps: $mtconc,
              mtSpeedup: $mtspeed, mtPairSpeedups: $mtpairs,
              mtSpeedupFloor: $mtfloor, mtP99Ms: $mtp99,

@@ -103,8 +103,8 @@ type Config struct {
 	// FaginBatch is the mini-batch size b for ranked-list streaming
 	// (default 32).
 	FaginBatch int
-	// Options are the performance settings: Parallelism, ShardWorkers and
-	// EncryptWindow (see Options).
+	// Options are the performance settings: Parallelism and EncryptWindow
+	// (see Options).
 	Options
 	// Obs installs metrics and tracing on every role of the consortium. Nil
 	// falls back to the process default observer (obs.SetDefault); when that
@@ -176,10 +176,6 @@ func NewConsortium(ctx context.Context, cfg Config) (*Consortium, error) {
 // Close releases the consortium's background resources (randomizer
 // precompute pools). The consortium stays usable afterwards.
 func (c *Consortium) Close() { c.cluster.Close() }
-
-// ShardWorkers reports how many aggregation shard workers the consortium
-// runs (0 when the tree reduce is unsharded).
-func (c *Consortium) ShardWorkers() int { return len(c.cluster.Workers) }
 
 // P returns the current number of participants, reflecting any membership
 // changes since construction.
