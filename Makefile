@@ -13,7 +13,7 @@ test:
 check:
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then echo "gofmt needed on:"; echo "$$fmt"; exit 1; fi
 	@gob=$$(grep -rl --include='*.go' '"encoding/gob"' .); if [ -n "$$gob" ]; then echo "encoding/gob is banned; the protocol has one wire format. Imported by:"; echo "$$gob"; exit 1; fi
-	@knob=$$(grep -rlE --include='*.go' 'PackAdaptive|[^a-zA-Z]Pack +bool|"pack(-adaptive)?"|ChunkBytes|SpeculateTA|SetMont|VFPS_MONT|VFPS_PARALLELISM|"chunk-bytes"|"speculate-ta"|"mont"|PoolSet|AttachPool|PoolWorkers|"pool-workers"|NewRandomizerContext|DeltaCache +bool|SimCache +bool|"delta-cache"|"deltaCache"|"simCache"|[^a-zA-Z]Delta +bool|PackHint|PackWidthHint|packWidthHint|Adaptive +bool|ShardWorkers|"shard-workers"|"shardWorkers"|MethodShardCollect' . | grep -v '_test\.go$$'); if [ -n "$$knob" ]; then echo "retired knobs stay retired (Pack/PackAdaptive, ChunkBytes, SpeculateTA, Mont, VFPS_MONT, VFPS_PARALLELISM, the shared PoolSet/AttachPool/PoolWorkers, NewRandomizerContext, the DeltaCache/SimCache switches, the Delta and Adaptive request flags, PackHint/PackWidthHint, ShardWorkers and the shard-collect RPC, and their flags and JSON keys). Declared by:"; echo "$$knob"; exit 1; fi
+	@knob=$$(grep -rlE --include='*.go' 'PackAdaptive|[^a-zA-Z]Pack +bool|"pack(-adaptive)?"|ChunkBytes|SpeculateTA|SetMont|VFPS_MONT|VFPS_PARALLELISM|"chunk-bytes"|"speculate-ta"|"mont"|PoolSet|AttachPool|PoolWorkers|"pool-workers"|NewRandomizerContext|DeltaCache +bool|SimCache +bool|"delta-cache"|"deltaCache"|"simCache"|[^a-zA-Z]Delta +bool|PackHint|PackWidthHint|packWidthHint|Adaptive +bool|ShardWorkers|"shard-workers"|"shardWorkers"|MethodShardCollect|SimulatedSize' . | grep -v '_test\.go$$'); if [ -n "$$knob" ]; then echo "retired knobs stay retired (Pack/PackAdaptive, ChunkBytes, SpeculateTA, Mont, VFPS_MONT, VFPS_PARALLELISM, the shared PoolSet/AttachPool/PoolWorkers, NewRandomizerContext, the DeltaCache/SimCache switches, the Delta and Adaptive request flags, PackHint/PackWidthHint, ShardWorkers and the shard-collect RPC, the plain scheme's SimulatedSize padding, and their flags and JSON keys). Declared by:"; echo "$$knob"; exit 1; fi
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/mont ./internal/paillier
 	$(GO) test ./...

@@ -68,7 +68,6 @@ type node struct {
 	opts                                 vfl.Options
 
 	dir    map[string]string
-	names  []string // the directory's party/<i> entries in index order
 	o      *obs.Observer
 	stdout io.Writer
 }
@@ -108,9 +107,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	var err error
 	if n.dir, err = parseDirectory(*directory); err != nil {
-		return err
-	}
-	if n.names, err = partyNames(n.dir); err != nil {
 		return err
 	}
 
@@ -224,8 +220,9 @@ func (n *node) party(ctx context.Context) error {
 // adds, but keys the parties' delta-cached blocks by the slot layout the
 // whole roster's geometry implies.
 func (n *node) aggServer(ctx context.Context) error {
-	if len(n.names) == 0 {
-		return fmt.Errorf("directory lists no party/<i> entries")
+	names, err := partyNames(n.dir, n.parties)
+	if err != nil {
+		return err
 	}
 	cli := n.client()
 	defer cli.Close()
@@ -234,16 +231,16 @@ func (n *node) aggServer(ctx context.Context) error {
 		return fmt.Errorf("fetching public key: %w", err)
 	}
 	vfl.ConfigureScheme(pub, n.opts, false)
-	if err := vfl.ConfigurePacking(pub, len(n.names)); err != nil {
+	if err := vfl.ConfigurePacking(pub, len(names)); err != nil {
 		return err
 	}
 	n.observeScheme(pub)
-	agg, err := vfl.NewAggServer(cli, n.names, pub, n.opts)
+	agg, err := vfl.NewAggServer(cli, names, pub, n.opts)
 	if err != nil {
 		return err
 	}
 	agg.SetObserver(n.o, "node")
-	return n.serve(ctx, fmt.Sprintf("aggregation server (%d participants)", len(n.names)), agg.Handler())
+	return n.serve(ctx, fmt.Sprintf("aggregation server (%d participants)", len(names)), agg.Handler())
 }
 
 // leader runs -rounds selections through core.Select and reports the last.
@@ -262,7 +259,11 @@ func (n *node) leader(ctx context.Context) error {
 	}
 	vfl.ConfigureScheme(priv, n.opts, false)
 	n.observeScheme(priv)
-	leader, err := vfl.NewLeader(cli, vfl.AggServerName, n.names, priv, n.batch, n.opts)
+	names, err := partyNames(n.dir, n.parties)
+	if err != nil {
+		return err
+	}
+	leader, err := vfl.NewLeader(cli, vfl.AggServerName, names, priv, n.batch, n.opts)
 	if err != nil {
 		return err
 	}
@@ -347,15 +348,19 @@ func parseDirectory(s string) (map[string]string, error) {
 	return dir, nil
 }
 
-// partyNames lists the directory's party/<i> entries in index order. The
-// indices must run 0..P-1 without a gap: a roster that silently stopped at a
-// missing index would disagree with the parties' -parties.
-func partyNames(dir map[string]string) ([]string, error) {
+// partyNames lists the directory's party/<i> entries in index order. They
+// must run 0..parties-1 without a gap: the parties split the data and size
+// their slots by -parties, so a roster of any other shape would run a
+// selection over a different consortium.
+func partyNames(dir map[string]string, parties int) ([]string, error) {
 	count := 0
 	for name := range dir {
 		if strings.HasPrefix(name, "party/") {
 			count++
 		}
+	}
+	if count == 0 {
+		return nil, fmt.Errorf("directory lists no party/<i> entries")
 	}
 	names := make([]string, count)
 	for i := range names {
@@ -363,6 +368,9 @@ func partyNames(dir map[string]string) ([]string, error) {
 		if _, ok := dir[names[i]]; !ok {
 			return nil, fmt.Errorf("directory lists %d party entries but no %s", count, names[i])
 		}
+	}
+	if count != parties {
+		return nil, fmt.Errorf("directory lists %d party/<i> entries but -parties is %d", count, parties)
 	}
 	return names, nil
 }

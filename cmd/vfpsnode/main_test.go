@@ -355,6 +355,8 @@ func TestDeploymentRejects(t *testing.T) {
 		{"fetching public key", []string{"-role", "party", "-rows", "60", "-directory", "keyserver=127.0.0.1:1"}},
 		{"directory lists no party/<i> entries", []string{"-role", "aggserver", "-directory", ks}},
 		{"directory lists 3 party entries but no party/2", []string{"-role", "aggserver", "-directory", ks + ",party/0=x,party/1=y,party/3=z"}},
+		{"directory lists 3 party/<i> entries but -parties is 4", []string{"-role", "aggserver", "-parties", "4", "-directory", ks + ",party/0=x,party/1=y,party/2=z"}},
+		{"directory lists 4 party/<i> entries but -parties is 3", []string{"-role", "leader", "-parties", "3", "-rows", "60", "-directory", ks + ",party/0=w,party/1=x,party/2=y,party/3=z"}},
 		{`dataset: unknown spec "Nope"`, []string{"-role", "leader", "-dataset", "Nope", "-directory", ks}},
 		{"fetching private key", []string{"-role", "leader", "-directory", "keyserver=127.0.0.1:1"}},
 		{"opening query log", []string{"-role", "keyserver", "-log-json", filepath.Join(t.TempDir(), "missing", "log.jsonl")}},

@@ -317,7 +317,7 @@ func TestExtSchemeComparison(t *testing.T) {
 	if len(res.Projected) != 2 {
 		t.Fatal("expected 2 schemes")
 	}
-	// Masking must project far cheaper than HE, and ship fewer bytes.
+	// Masking must project far cheaper than Paillier, and ship fewer bytes.
 	if res.Projected[1] >= res.Projected[0] {
 		t.Fatalf("secagg %g not cheaper than HE %g", res.Projected[1], res.Projected[0])
 	}

@@ -112,7 +112,7 @@ func ExtTopk(ctx context.Context, opt Options) (*ExtTopkResult, error) {
 
 // ExtSchemeResult compares the two privacy-protection techniques the paper
 // discusses in §II that preserve exact aggregates: additively homomorphic
-// encryption (Paillier rates) and SMC-style pairwise masking (secagg). Same
+// encryption (packed Paillier) and SMC-style pairwise masking (secagg). Same
 // protocol, same candidate pruning — only the protection layer differs.
 type ExtSchemeResult struct {
 	Schemes   []string
@@ -134,7 +134,7 @@ func ExtScheme(ctx context.Context, opt Options) (*ExtSchemeResult, error) {
 		return nil, err
 	}
 	res := &ExtSchemeResult{Schemes: []string{"paillier (HE)", "secagg (masking)"}}
-	for _, scheme := range []string{"plain", "secagg"} {
+	for _, scheme := range []string{"paillier", "secagg"} {
 		cons, err := vfps.NewConsortium(ctx, vfps.Config{
 			Partition: pt, Labels: d.Y, Classes: d.Classes,
 			Scheme: scheme, ShuffleSeed: opt.Seed + 303,

@@ -4,11 +4,11 @@
 //
 //   - Paillier: real additively homomorphic encryption over fixed-point
 //     encodings (internal/paillier + internal/fixed).
-//   - Plain: a pass-through scheme that moves IEEE-754 bytes while charging
-//     the same operation counts. It exists so paper-scale benchmark sweeps
-//     can run in seconds; the cost model prices its op counts as if they were
-//     Paillier ops. Protocol correctness is always validated against the real
-//     scheme in tests.
+//   - Plain: a pass-through scheme that ships bare 8-byte IEEE-754 values
+//     while charging the same operation counts. It exists so paper-scale
+//     benchmark sweeps run in seconds; the cost model prices its op counts as
+//     Paillier ops, but its bytes are its own, not an encrypted deployment's.
+//     Protocol correctness is always validated against the real scheme.
 package he
 
 import (
@@ -159,36 +159,32 @@ func (p *Paillier) CiphertextSize() int { return p.pk.CiphertextSize() }
 
 // ---- Plain (simulated) scheme ----
 
-// Plain implements Scheme by shipping IEEE-754 bytes padded to the simulated
-// ciphertext size. It preserves the protocol's data flow, operation counts
-// and wire volume while removing cryptographic cost; the cost model prices
-// the counted ops at calibrated Paillier rates.
-type Plain struct {
-	// SimulatedSize is the ciphertext blob size actually shipped (the value
-	// occupies the first 8 bytes, the rest is zero padding), so communication
-	// accounting matches an encrypted deployment byte for byte. Defaults to
-	// 256 bytes (a 1024-bit-modulus Paillier ciphertext); the zero value
-	// ships bare 8-byte floats.
-	SimulatedSize int
-}
+// plainSize is the width of every plain ciphertext: one IEEE-754 float64.
+const plainSize = 8
 
-// NewPlain returns a Plain scheme with the default simulated ciphertext size.
-func NewPlain() *Plain { return &Plain{SimulatedSize: 256} }
+// Plain implements Scheme by shipping bare 8-byte IEEE-754 values. It
+// preserves the protocol's data flow and operation counts while removing
+// cryptographic cost; the cost model prices the counted ops at calibrated
+// Paillier rates.
+type Plain struct{}
+
+// NewPlain returns a Plain scheme.
+func NewPlain() *Plain { return &Plain{} }
 
 // Name implements Scheme.
 func (p *Plain) Name() string { return "plain" }
 
 // Encrypt implements Scheme.
 func (p *Plain) Encrypt(v float64) ([]byte, error) {
-	b := make([]byte, max(p.CiphertextSize(), 8))
+	b := make([]byte, plainSize)
 	if err := putPlain(b, v); err != nil {
 		return nil, err
 	}
 	return b, nil
 }
 
-// putPlain writes v's IEEE-754 bytes to the head of the zeroed blob b,
-// refusing what no ciphertext may carry.
+// putPlain writes v's IEEE-754 bytes to the 8-byte blob b, refusing what no
+// ciphertext may carry.
 func putPlain(b []byte, v float64) error {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return fmt.Errorf("he: cannot encrypt non-finite value %g", v)
@@ -197,10 +193,10 @@ func putPlain(b []byte, v float64) error {
 	return nil
 }
 
-// Decrypt implements Scheme.
+// Decrypt implements Scheme, refusing any blob that is not exactly 8 bytes.
 func (p *Plain) Decrypt(c []byte) (float64, error) {
-	if len(c) < 8 {
-		return 0, fmt.Errorf("he: plain ciphertext must be at least 8 bytes, got %d", len(c))
+	if len(c) != plainSize {
+		return 0, fmt.Errorf("he: plain ciphertext must be %d bytes, got %d", plainSize, len(c))
 	}
 	return math.Float64frombits(binary.BigEndian.Uint64(c)), nil
 }
@@ -219,12 +215,7 @@ func (p *Plain) Add(a, b []byte) ([]byte, error) {
 }
 
 // CiphertextSize implements Scheme.
-func (p *Plain) CiphertextSize() int {
-	if p.SimulatedSize > 0 {
-		return p.SimulatedSize
-	}
-	return 8
-}
+func (p *Plain) CiphertextSize() int { return plainSize }
 
 // ---- key material serialisation (for the key server) ----
 

@@ -104,13 +104,41 @@ func TestEncryptNonFinite(t *testing.T) {
 	}
 }
 
+// TestPlainDecryptBadLength pins plain ciphertexts to exactly 8 bytes: a
+// truncated blob, one with a trailing byte and the 256-byte zero-padded blob
+// of a peer that still pads are refused by Decrypt, Add, DecryptVec and
+// AddVec alike, and by the dp scheme, which decodes through Plain.
 func TestPlainDecryptBadLength(t *testing.T) {
 	p := NewPlain()
-	if _, err := p.Decrypt([]byte{1, 2, 3}); err == nil {
-		t.Fatal("expected length error")
+	good, err := p.Encrypt(1.5)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := p.Add([]byte{1}, []byte{2}); err == nil {
-		t.Fatal("expected add error on bad ciphertexts")
+	dp, err := NewDP(1, 1e-5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, 3, 7, 9, 256} {
+		bad := make([]byte, n)
+		copy(bad, good)
+		if _, err := p.Decrypt(bad); err == nil {
+			t.Fatalf("Decrypt accepted a %d-byte blob", n)
+		}
+		if _, err := p.Add(good, bad); err == nil {
+			t.Fatalf("Add accepted a %d-byte blob", n)
+		}
+		if _, err := p.DecryptVec(context.Background(), [][]byte{good, bad}); err == nil {
+			t.Fatalf("DecryptVec accepted a %d-byte blob", n)
+		}
+		if _, err := p.AddVec(context.Background(), [][]byte{good}, [][]byte{bad}); err == nil {
+			t.Fatalf("AddVec accepted a %d-byte blob", n)
+		}
+		if _, err := dp.Decrypt(bad); err == nil {
+			t.Fatalf("dp Decrypt accepted a %d-byte blob", n)
+		}
+	}
+	if v, err := p.Decrypt(good); err != nil || v != 1.5 {
+		t.Fatalf("Decrypt of an 8-byte blob = %g, %v", v, err)
 	}
 }
 
@@ -120,12 +148,8 @@ func TestCiphertextSizes(t *testing.T) {
 	if ps.CiphertextSize() < 100 {
 		t.Fatalf("paillier size %d too small", ps.CiphertextSize())
 	}
-	if NewPlain().CiphertextSize() != 256 {
-		t.Fatal("plain simulated size should default to 256")
-	}
-	zero := &Plain{}
-	if zero.CiphertextSize() != 8 {
-		t.Fatal("zero-value plain should report raw size")
+	if NewPlain().CiphertextSize() != 8 {
+		t.Fatal("plain ciphertexts should be bare 8-byte values")
 	}
 }
 

@@ -117,15 +117,14 @@ func sameLen(a, b [][]byte) error {
 
 // ---- Plain vector path ----
 
-// slab returns n blobs of the scheme's ciphertext size carved from one
-// allocation. Each blob's capacity ends where it does, so appending to one
-// reallocates instead of overwriting its neighbour.
+// slab returns n 8-byte blobs carved from one allocation. Each blob's
+// capacity ends where it does, so appending to one reallocates instead of
+// overwriting its neighbour.
 func (p *Plain) slab(n int) [][]byte {
-	size := max(p.CiphertextSize(), 8)
-	slab := make([]byte, n*size)
+	slab := make([]byte, n*plainSize)
 	out := make([][]byte, n)
 	for i := range out {
-		out[i] = slab[i*size : (i+1)*size : (i+1)*size]
+		out[i] = slab[i*plainSize : (i+1)*plainSize : (i+1)*plainSize]
 	}
 	return out
 }
