@@ -85,9 +85,9 @@ func TestProxyCostCharging(t *testing.T) {
 		t.Fatalf("encryptions %d, want %d", c.Encryptions, wantEnc)
 	}
 	// Empty coalition is free.
-	counts.Reset()
+	px.Counts = new(costmodel.Counts)
 	px.Utility(nil)
-	if counts.Snapshot().Encryptions != 0 {
+	if px.Counts.Snapshot().Encryptions != 0 {
 		t.Fatal("empty coalition should not charge")
 	}
 }

@@ -74,10 +74,9 @@ type Selection struct {
 	// AvgCandidates is the mean per-query number of encrypted/communicated
 	// instances (the Fig. 9 metric).
 	AvgCandidates float64
-	// Counts aggregates primitive-operation counts across every role.
+	// Counts aggregates the primitive-operation counts of this selection
+	// across every role.
 	Counts costmodel.Raw
-	// PerRole breaks counts down by node name.
-	PerRole map[string]costmodel.Raw
 	// WallTime is the measured selection duration.
 	WallTime time.Duration
 	// ProjectedSeconds prices Counts under the calibrated cost model,
@@ -189,10 +188,12 @@ func Select(ctx context.Context, leader *vfl.Leader, selectCount int, cfg Config
 }
 
 // run is the pipeline Select and SelectAdaptive share: validation and
-// defaults, then the four phases — count reset, similarity estimation
-// (estimate, unless cfg.Cache holds the report), submodular maximization,
-// cost accounting — with their spans, the selection-level query-log event
-// and the Selection. QueriesUsed is the estimate's query count.
+// defaults, then the two phases — similarity estimation (estimate, unless
+// cfg.Cache holds the report) and submodular maximization — with their spans,
+// the selection-level query-log event and the Selection. Counts is what the
+// selection's ctx accumulator summed: the leader's own work plus the cost
+// trailer of every response it received, so concurrent selections each
+// report their own. QueriesUsed is the estimate's query count.
 func run(ctx context.Context, leader *vfl.Leader, selectCount int, cfg Config,
 	estimate func(ctx context.Context, cfg Config) (*vfl.SimilarityReport, error)) (*Selection, error) {
 	if leader == nil {
@@ -214,13 +215,12 @@ func run(ctx context.Context, leader *vfl.Leader, selectCount int, cfg Config,
 		cfg.Optimizer = OptGreedy
 	}
 
-	// Each protocol phase — count reset, similarity estimation, submodular
-	// maximization, cost accounting — opens a sequential root span so a trace
-	// report's per-phase durations decompose the selection wall clock. The
-	// phases share one trace ID (without a parent link, preserving the
-	// four-root-phase report shape), so a cross-node span forest groups an
-	// entire selection — including every remote RPC it fanned out — under a
-	// single trace.
+	// Each phase — similarity estimation, submodular maximization — opens a
+	// sequential root span so a trace report's per-phase durations decompose
+	// the selection wall clock. The phases share one trace ID (without a
+	// parent link, preserving the root-phase report shape), so a cross-node
+	// span forest groups an entire selection — including every remote RPC it
+	// fanned out — under a single trace.
 	observer := leader.Observer()
 	tracer := observer.Tracer()
 	var traceID obs.TraceID
@@ -232,6 +232,7 @@ func run(ctx context.Context, leader *vfl.Leader, selectCount int, cfg Config,
 		selID = obs.NewQueryID("s")
 		ctx = obs.ContextWithQueryID(ctx, selID)
 	}
+	ctx, counts := costmodel.WithCounts(ctx)
 	start := time.Now()
 	phaseStart := start
 	var phases []obs.PhaseSecs
@@ -242,15 +243,9 @@ func run(ctx context.Context, leader *vfl.Leader, selectCount int, cfg Config,
 			phaseStart = now
 		}
 	}
-	pctx, psp := tracer.Start(ctx, "select.prepare")
-	err := leader.ResetAllCounts(pctx)
-	psp.End()
-	phase("prepare")
-	if err != nil {
-		return nil, fmt.Errorf("core: prepare phase: %w", err)
-	}
 	var simKey string
 	var rep *vfl.SimilarityReport
+	var err error
 	if cfg.Cache != nil {
 		simKey = SimKey(leader.Parties(), cfg.Queries, cfg.Variant, cfg.K)
 		var hit bool
@@ -290,17 +285,7 @@ func run(ctx context.Context, leader *vfl.Leader, selectCount int, cfg Config,
 	msp.SetLabelInt("evaluations", int64(res.Evaluations))
 	msp.End()
 	phase("maximize")
-	gctx, gsp := tracer.Start(ctx, "select.accounting")
-	perRole, err := leader.GatherCounts(gctx)
-	gsp.End()
-	phase("accounting")
-	if err != nil {
-		return nil, fmt.Errorf("core: accounting phase: %w", err)
-	}
-	var total costmodel.Raw
-	for _, c := range perRole {
-		total = total.Plus(c)
-	}
+	total := counts.Snapshot()
 	// One selection-level query-log event: end-to-end latency decomposed by
 	// phase, plus the full cost-model snapshot as attributes.
 	if observer != nil {
@@ -328,7 +313,6 @@ func run(ctx context.Context, leader *vfl.Leader, selectCount int, cfg Config,
 		W:                rep.W,
 		AvgCandidates:    rep.AvgCandidates,
 		Counts:           total,
-		PerRole:          perRole,
 		WallTime:         time.Since(start),
 		ProjectedSeconds: costmodel.For(leader.Scheme().Name()).Seconds(total),
 		Evaluations:      res.Evaluations,

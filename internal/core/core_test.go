@@ -196,16 +196,16 @@ func TestSelectValidation(t *testing.T) {
 		t.Fatal("expected optimizer error")
 	}
 	// Failures inside the protocol phases must name the phase: a cancelled
-	// context breaks the very first RPC (the count reset), and the error is
-	// wrapped as a prepare-phase failure.
+	// context breaks the very first query, and the error is wrapped as a
+	// similarity-phase failure.
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
 	_, err := Select(cancelled, cl.Leader, 2, Config{Queries: []int{1}})
 	if err == nil {
 		t.Fatal("expected cancelled-context error")
 	}
-	if !strings.HasPrefix(err.Error(), "core: prepare phase:") {
-		t.Fatalf("prepare failure not wrapped with phase prefix: %v", err)
+	if !strings.HasPrefix(err.Error(), "core: similarity phase:") {
+		t.Fatalf("similarity failure not wrapped with phase prefix: %v", err)
 	}
 }
 

@@ -10,10 +10,10 @@ import (
 	"vfps/internal/vfl"
 )
 
-// TestSelectPhaseSpans asserts a traced selection decomposes into the four
-// sequential root phases — count reset, similarity estimation, submodular
-// maximization, cost accounting — whose durations sum to within the measured
-// wall clock, with every query span nested inside the similarity phase.
+// TestSelectPhaseSpans asserts a traced selection decomposes into the two
+// sequential root phases — similarity estimation, submodular maximization —
+// whose durations sum to within the measured wall clock, with every query
+// span nested inside the similarity phase.
 func TestSelectPhaseSpans(t *testing.T) {
 	spec, err := dataset.SpecByName("Bank")
 	if err != nil {
@@ -53,7 +53,7 @@ func TestSelectPhaseSpans(t *testing.T) {
 	wall := time.Since(start)
 
 	rep := o.Tracer().Report()
-	wantPhases := []string{"select.prepare", "select.similarity", "select.maximize", "select.accounting"}
+	wantPhases := []string{"select.similarity", "select.maximize"}
 	if len(rep.Phases) != len(wantPhases) {
 		t.Fatalf("phases = %+v, want %v", rep.Phases, wantPhases)
 	}
@@ -95,8 +95,8 @@ func TestSelectPhaseSpans(t *testing.T) {
 }
 
 // TestSelectAdaptiveIsObserved pins that an adaptive selection runs Select's
-// observed pipeline: the four phase spans, one selection query-log event
-// decomposed into the same four phases, and a query count that is the budget
+// observed pipeline: the two phase spans, one selection query-log event
+// decomposed into the same two phases, and a query count that is the budget
 // the run actually spent rather than the one it was offered.
 func TestSelectAdaptiveIsObserved(t *testing.T) {
 	_, pt := cluster(t, "Rice", 300, 3, 3)
@@ -123,7 +123,7 @@ func TestSelectAdaptiveIsObserved(t *testing.T) {
 		t.Fatalf("adaptive run used all %d queries; the test needs an early stop", len(queries))
 	}
 
-	wantPhases := []string{"prepare", "similarity", "maximize", "accounting"}
+	wantPhases := []string{"similarity", "maximize"}
 	rep := o.Tracer().Report()
 	if len(rep.Phases) != len(wantPhases) {
 		t.Fatalf("span phases = %+v, want select.%v", rep.Phases, wantPhases)
@@ -163,5 +163,86 @@ func TestSelectAdaptiveIsObserved(t *testing.T) {
 	}
 	if got := ev.Attrs["queries"]; got != sel.QueriesUsed {
 		t.Fatalf("event reports %v queries, selection used %d", got, sel.QueriesUsed)
+	}
+}
+
+// costOps sums instance's vfps_cost_ops series by op over every role.
+func costOps(reg *obs.Registry, instance string) map[string]int64 {
+	ops := map[string]int64{}
+	for _, f := range reg.Snapshot() {
+		if f.Name != "vfps_cost_ops" {
+			continue
+		}
+		for _, s := range f.Series {
+			if s.Labels["instance"] == instance {
+				ops[s.Labels["op"]] += int64(s.Value)
+			}
+		}
+	}
+	return ops
+}
+
+// TestSelectCountsAgreeWithNodeCounters checks the two ledgers against each
+// other: a sequential selection's Counts, summed at the leader from its own
+// work and the cost trailers of the responses it received, equals what the
+// leader's, the aggregation server's and every party's cumulative counter
+// moved during the selection. A charge that reaches a node counter but misses
+// the ctx path — a goroutine spawned without the handler's ctx, say — breaks
+// it. Each consortium runs the selection twice, so under Paillier the second
+// run books delta-cache hits too.
+func TestSelectCountsAgreeWithNodeCounters(t *testing.T) {
+	spec, err := dataset.SpecByName("Bank")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := spec.Generate(80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := dataset.VerticalSplit(d, 4, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, scheme := range []string{"plain", "paillier"} {
+		for _, variant := range []vfl.Variant{vfl.VariantFagin, vfl.VariantBase} {
+			t.Run(scheme+"/"+string(variant), func(t *testing.T) {
+				o := obs.NewObserver(64)
+				cl, err := vfl.NewLocalCluster(context.Background(), vfl.ClusterConfig{
+					Partition: pt, Scheme: scheme, KeyBits: 256, ShuffleSeed: 7, Batch: 8,
+					Obs: o, Instance: "agree",
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer cl.Close()
+				cfg := Config{K: 5, Queries: SampleQueries(80, 6, 1), Variant: variant}
+				for round := 0; round < 2; round++ {
+					before := costOps(o.Registry(), "agree")
+					sel, err := Select(context.Background(), cl.Leader, 2, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					after := costOps(o.Registry(), "agree")
+					c := sel.Counts
+					for op, v := range map[string]int64{
+						"distance_flops": c.DistanceFlops, "encryptions": c.Encryptions,
+						"decryptions": c.Decryptions, "cipher_adds": c.CipherAdds,
+						"plain_adds": c.PlainAdds, "items_sent": c.ItemsSent, "messages": c.Messages,
+						"bytes_sent": c.BytesSent, "framing_bytes": c.FramingBytes,
+						"cache_hits": c.CacheHits, "cache_misses": c.CacheMisses,
+					} {
+						if moved := after[op] - before[op]; moved != v {
+							t.Errorf("round %d: Counts has %s = %d, the node counters moved %d", round, op, v, moved)
+						}
+					}
+					if c.Encryptions == 0 || c.WireBytes() == 0 {
+						t.Fatalf("round %d counted nothing: %v", round, c)
+					}
+					if scheme == "paillier" && round == 1 && c.CacheHits == 0 {
+						t.Errorf("the repeat round booked no delta-cache hits: %v", c)
+					}
+				}
+			})
+		}
 	}
 }

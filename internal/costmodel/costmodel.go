@@ -11,6 +11,7 @@
 package costmodel
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -83,27 +84,22 @@ func (c *Counts) Snapshot() Raw {
 	return c.c
 }
 
-// Reset zeroes the counters.
-func (c *Counts) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.c = Raw{}
+// countsKey keys the accumulator a context carries.
+type countsKey struct{}
+
+// WithCounts returns a child of ctx carrying a fresh accumulator, and the
+// accumulator. Charge adds to the innermost one, so a selection sums what its
+// own calls cost and a handler sums what serving one call cost, however many
+// of either run at once.
+func WithCounts(ctx context.Context) (context.Context, *Counts) {
+	c := new(Counts)
+	return context.WithValue(ctx, countsKey{}, c), c
 }
 
-// Plus returns the element-wise sum of two snapshots.
-func (r Raw) Plus(o Raw) Raw {
-	return Raw{
-		DistanceFlops: r.DistanceFlops + o.DistanceFlops,
-		Encryptions:   r.Encryptions + o.Encryptions,
-		Decryptions:   r.Decryptions + o.Decryptions,
-		CipherAdds:    r.CipherAdds + o.CipherAdds,
-		PlainAdds:     r.PlainAdds + o.PlainAdds,
-		ItemsSent:     r.ItemsSent + o.ItemsSent,
-		Messages:      r.Messages + o.Messages,
-		BytesSent:     r.BytesSent + o.BytesSent,
-		FramingBytes:  r.FramingBytes + o.FramingBytes,
-		CacheHits:     r.CacheHits + o.CacheHits,
-		CacheMisses:   r.CacheMisses + o.CacheMisses,
+// Charge adds r to the accumulator ctx carries; without one it is a no-op.
+func Charge(ctx context.Context, r Raw) {
+	if c, ok := ctx.Value(countsKey{}).(*Counts); ok {
+		c.Add(r)
 	}
 }
 

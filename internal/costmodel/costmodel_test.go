@@ -1,6 +1,7 @@
 package costmodel
 
 import (
+	"context"
 	"math"
 	"strings"
 	"sync"
@@ -17,12 +18,20 @@ func TestAddAndSnapshot(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	var c Counts
-	c.Add(Raw{CipherAdds: 9})
-	c.Reset()
-	if s := c.Snapshot(); s.CipherAdds != 0 {
-		t.Fatal("reset failed")
+// TestChargeReachesTheInnermostAccumulator pins the per-call ledger: Charge
+// adds to the accumulator the nearest WithCounts opened, never to an outer
+// one, and is a no-op on a ctx without one.
+func TestChargeReachesTheInnermostAccumulator(t *testing.T) {
+	Charge(context.Background(), Raw{Encryptions: 1})
+	outerCtx, outer := WithCounts(context.Background())
+	Charge(outerCtx, Raw{Encryptions: 2})
+	innerCtx, inner := WithCounts(outerCtx)
+	Charge(innerCtx, Raw{Encryptions: 3, BytesSent: 4})
+	if got := outer.Snapshot(); got != (Raw{Encryptions: 2}) {
+		t.Fatalf("outer accumulator = %+v, want only its own charge", got)
+	}
+	if got := inner.Snapshot(); got != (Raw{Encryptions: 3, BytesSent: 4}) {
+		t.Fatalf("inner accumulator = %+v", got)
 	}
 }
 
@@ -40,15 +49,6 @@ func TestConcurrentAdd(t *testing.T) {
 	s := c.Snapshot()
 	if s.PlainAdds != 100 || s.Messages != 200 {
 		t.Fatalf("concurrent adds lost: %+v", s)
-	}
-}
-
-func TestPlus(t *testing.T) {
-	a := Raw{DistanceFlops: 1, Encryptions: 2, Decryptions: 3, CipherAdds: 4,
-		PlainAdds: 5, ItemsSent: 6, Messages: 7, BytesSent: 8, FramingBytes: 9}
-	b := a.Plus(a)
-	if b.DistanceFlops != 2 || b.BytesSent != 16 || b.Messages != 14 || b.FramingBytes != 18 {
-		t.Fatalf("Plus wrong: %+v", b)
 	}
 }
 

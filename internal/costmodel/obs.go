@@ -34,13 +34,13 @@ func DeclareMetrics(reg *obs.Registry) {
 
 func declareCost(reg *obs.Registry) *obs.GaugeVec {
 	return reg.Gauge(metricCostOps,
-		"Live protocol operation counts per role (paper cost symbols: distance_flops=β, encryptions=φe, decryptions=φd, cipher_adds=γ, plain_adds=δ, items_sent=η).",
+		"Protocol operation counts per role, cumulative since the role started (paper cost symbols: distance_flops=β, encryptions=φe, decryptions=φd, cipher_adds=γ, plain_adds=δ, items_sent=η).",
 		"instance", "role", "op")
 }
 
-// Register exposes the live counter as gauge series
+// Register exposes the counter as gauge series
 // vfps_cost_ops{instance,role,op}. The gauges read the counter on scrape, so
-// they track Add and Reset with no extra work on the protocol hot path.
+// they follow every Add with no extra work on the protocol hot path.
 // Registering the same (instance, role) again rebinds the series to c.
 func (c *Counts) Register(reg *obs.Registry, instance, role string) {
 	if c == nil || reg == nil {

@@ -93,6 +93,3 @@ func (d *DP) Decrypt(c []byte) (float64, error) { return (&Plain{}).Decrypt(c) }
 
 // Add implements Scheme: plain addition of noisy values.
 func (d *DP) Add(a, b []byte) ([]byte, error) { return (&Plain{}).Add(a, b) }
-
-// CiphertextSize implements Scheme: released values are raw 8-byte floats.
-func (d *DP) CiphertextSize() int { return 8 }

@@ -39,9 +39,6 @@ type Scheme interface {
 	Decrypt(c []byte) (float64, error)
 	// Add homomorphically adds two ciphertexts.
 	Add(a, b []byte) ([]byte, error)
-	// CiphertextSize is the nominal wire size of one ciphertext, used for
-	// communication accounting.
-	CiphertextSize() int
 }
 
 // ErrNoPrivateKey is returned by Decrypt on public-only schemes.
@@ -154,9 +151,6 @@ func (p *Paillier) add(a, b []byte) ([]byte, error) {
 	return p.pk.CiphertextBytes(c), nil
 }
 
-// CiphertextSize implements Scheme.
-func (p *Paillier) CiphertextSize() int { return p.pk.CiphertextSize() }
-
 // ---- Plain (simulated) scheme ----
 
 // plainSize is the width of every plain ciphertext: one IEEE-754 float64.
@@ -213,9 +207,6 @@ func (p *Plain) Add(a, b []byte) ([]byte, error) {
 	}
 	return p.Encrypt(va + vb)
 }
-
-// CiphertextSize implements Scheme.
-func (p *Plain) CiphertextSize() int { return plainSize }
 
 // ---- key material serialisation (for the key server) ----
 

@@ -142,14 +142,19 @@ func TestPlainDecryptBadLength(t *testing.T) {
 	}
 }
 
+// TestCiphertextSizes pins the width of what Encrypt emits: a Paillier
+// ciphertext is the key's n² width, a plain one the bare 8-byte value.
 func TestCiphertextSizes(t *testing.T) {
 	k := testKey(t)
-	ps := NewPaillier(&k.PublicKey, nil)
-	if ps.CiphertextSize() < 100 {
-		t.Fatalf("paillier size %d too small", ps.CiphertextSize())
+	c, err := NewPaillier(&k.PublicKey, nil).Encrypt(1.5)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if NewPlain().CiphertextSize() != 8 {
-		t.Fatal("plain ciphertexts should be bare 8-byte values")
+	if len(c) != k.PublicKey.CiphertextSize() || len(c) < 100 {
+		t.Fatalf("paillier ciphertext is %d bytes, key width %d", len(c), k.PublicKey.CiphertextSize())
+	}
+	if c, err := NewPlain().Encrypt(1.5); err != nil || len(c) != 8 {
+		t.Fatalf("plain ciphertext is %d bytes (%v), want a bare 8-byte value", len(c), err)
 	}
 }
 
@@ -161,7 +166,7 @@ func TestCiphertextSizes(t *testing.T) {
 func TestPaillierCiphertextsAreFixedWidth(t *testing.T) {
 	ctx := context.Background()
 	p := packedScheme(t, 256, 4)
-	size := p.CiphertextSize()
+	size := p.pk.CiphertextSize()
 	vs := make([]float64, 2048)
 	for i := range vs {
 		vs[i] = float64(i%97) / 7

@@ -155,6 +155,3 @@ func (s *SecAgg) Add(a, b []byte) ([]byte, error) {
 	binary.BigEndian.PutUint64(out, binary.BigEndian.Uint64(a)+binary.BigEndian.Uint64(b))
 	return out, nil
 }
-
-// CiphertextSize implements Scheme: masked values are single 64-bit words.
-func (s *SecAgg) CiphertextSize() int { return 8 }

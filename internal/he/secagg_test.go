@@ -149,7 +149,11 @@ func TestSecAggValidation(t *testing.T) {
 	if _, err := s.Add([]byte{1}, []byte{2}); err == nil {
 		t.Fatal("expected add length error")
 	}
-	if s.CiphertextSize() != 8 || s.Name() != "secagg" {
+	masked, err := s.EncryptAt(DomainItem, 0, 0, 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(masked) != 8 || s.Name() != "secagg" {
 		t.Fatal("metadata wrong")
 	}
 }

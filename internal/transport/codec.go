@@ -26,8 +26,8 @@ func NewCodecCaller(c Caller) *CodecCaller { return &CodecCaller{caller: c} }
 
 // Invoke encodes req, calls the method on peer, and decodes the response into
 // resp. Either message may be nil: a nil req sends the bare envelope, a nil
-// resp discards the response body. The returned WireStats cover the request
-// encoding even when the call itself fails.
+// resp checks the response's envelope and discards its body. The returned
+// WireStats cover the request encoding even when the call itself fails.
 func (cc *CodecCaller) Invoke(ctx context.Context, peer, method string, req, resp wire.Message) (WireStats, error) {
 	raw, payload := wire.Marshal(req)
 	// Inject the caller's trace context as a reserved trailing field of the
@@ -45,9 +45,6 @@ func (cc *CodecCaller) Invoke(ctx context.Context, peer, method string, req, res
 	out, err := cc.caller.Call(ctx, peer, method, raw)
 	if err != nil {
 		return st, err
-	}
-	if resp == nil {
-		return st, nil
 	}
 	if err := wire.Unmarshal(out, resp); err != nil {
 		return st, fmt.Errorf("transport: response from %s: %w", peer, err)

@@ -27,7 +27,6 @@ type AggServer struct {
 	cc          *transport.CodecCaller
 	parties     []string // node names of the participants
 	scheme      he.Scheme
-	counts      costmodel.Counts
 	parallelism int // ≤ 0 → par.Degree(); 1 → fully serial
 
 	// packNeed is the slot-width negotiation state: the monotone maximum of
@@ -96,14 +95,9 @@ func NewAggServer(caller transport.Caller, parties []string, scheme he.Scheme, o
 	return &AggServer{cc: transport.NewCodecCaller(caller), parties: parties, scheme: scheme, parallelism: opts.Parallelism}, nil
 }
 
-// call performs one outbound RPC and charges the encoded request bytes to the
-// server's counters. The Messages counter stays responder-side, so round trips
-// are not double-counted.
+// call performs one outbound RPC from the server (see roleObs.call).
 func (a *AggServer) call(ctx context.Context, node, method string, req, resp wire.Message) error {
-	stats, err := a.cc.Invoke(ctx, node, method, req, resp)
-	a.counts.Add(costmodel.Raw{BytesSent: stats.Payload, FramingBytes: stats.Framing})
-	a.recordWire(stats.Payload, stats.Framing)
-	return err
+	return a.roleObs.call(ctx, a.cc, node, method, req, resp)
 }
 
 // SetParties replaces the server's participant roster after a membership
@@ -131,7 +125,7 @@ func (a *AggServer) SetObserver(o *obs.Observer, instance string) {
 
 // Handler returns the server's RPC handler.
 func (a *AggServer) Handler() transport.Handler {
-	return func(ctx context.Context, method string, req []byte) ([]byte, error) {
+	return costedHandler(func(ctx context.Context, method string, req []byte) ([]byte, error) {
 		if err := wire.Unmarshal(req, nil); err != nil {
 			return nil, err
 		}
@@ -144,15 +138,10 @@ func (a *AggServer) Handler() transport.Handler {
 				return nil, err
 			}
 			return a.aggregateFrontier(ctx, r)
-		case MethodCounts:
-			return marshal(&CountsResp{Counts: a.counts.Snapshot()})
-		case MethodResetCounts:
-			a.counts.Reset()
-			return nil, nil
 		default:
 			return nil, fmt.Errorf("%w: %s", transport.ErrUnknownMethod, method)
 		}
-	}
+	})
 }
 
 // serveLeader is the server's one collection pipeline towards the leader:
@@ -229,8 +218,7 @@ func (a *AggServer) serveLeader(ctx context.Context, method string, req []byte) 
 		resp = &AggregateCandidatesResp{Aggregated: out, PackFactor: root.factor,
 			PackBits: root.bits, PackAdds: adds}
 	}
-	return reply(resp, &a.counts, &a.roleObs,
-		costmodel.Raw{ItemsSent: int64(len(out)), Messages: 1})
+	return a.reply(ctx, resp, costmodel.Raw{ItemsSent: int64(len(out)), Messages: 1})
 }
 
 // faginScan runs Fagin's algorithm over the parties' sub-rankings, pulled in
@@ -268,7 +256,7 @@ func (a *AggServer) faginScan(ctx context.Context, r FaginCollectReq) ([]int, Fa
 					fullySeen++
 				}
 			}
-			a.counts.Add(costmodel.Raw{PlainAdds: int64(len(batch))})
+			a.charge(ctx, costmodel.Raw{PlainAdds: int64(len(batch))})
 		}
 		stats.Rounds++
 		depth += r.Batch
@@ -367,14 +355,14 @@ func (a *AggServer) pullParty(ctx context.Context, party string, query int, ids 
 		if noCache && len(cached) > 0 {
 			return nil, fmt.Errorf("vfl: %s withheld %d blocks from a NoCache resend", party, len(cached))
 		}
-		err = a.restoreWithheld(party, query, col, cached)
+		err = a.restoreWithheld(ctx, party, query, col, cached)
 		if err == nil {
 			return col, nil
 		}
 		if attempt > 0 || !errors.Is(err, ErrDeltaCacheMiss) {
 			return nil, err
 		}
-		a.counts.Add(costmodel.Raw{CacheMisses: 1})
+		a.charge(ctx, costmodel.Raw{CacheMisses: 1})
 		a.recordDelta(AggServerName, 0, 1)
 		noCache = true
 	}
@@ -384,7 +372,7 @@ func (a *AggServer) pullParty(ctx context.Context, party string, query int, ids 
 // blocks (cached) from the party link's cache, refreshing the cache and
 // charging the hits. Only a Paillier link caches; any other refuses
 // withholding.
-func (a *AggServer) restoreWithheld(party string, query int, col *collected, cached []int) error {
+func (a *AggServer) restoreWithheld(ctx context.Context, party string, query int, col *collected, cached []int) error {
 	if err := col.checkLen(party); err != nil {
 		return err
 	}
@@ -401,7 +389,7 @@ func (a *AggServer) restoreWithheld(party string, query int, col *collected, cac
 	}
 	hits, err := a.recvCache.forPeer(party).restore(blockKeys(party, query, layout, col.pids), col.blobs, cached)
 	if hits > 0 {
-		a.counts.Add(costmodel.Raw{CacheHits: int64(hits)})
+		a.charge(ctx, costmodel.Raw{CacheHits: int64(hits)})
 		a.recordDelta(AggServerName, hits, 0)
 	}
 	if err != nil {
@@ -475,7 +463,7 @@ func (a *AggServer) reduceVectors(ctx context.Context, vecs [][][]byte) ([][]byt
 			adds += len(sum)
 		}
 	}
-	a.counts.Add(costmodel.Raw{CipherAdds: int64(adds)})
+	a.charge(ctx, costmodel.Raw{CipherAdds: int64(adds)})
 	return vecs[0], nil
 }
 
@@ -501,6 +489,5 @@ func (a *AggServer) aggregateFrontier(ctx context.Context, r AggregateFrontierRe
 	if err != nil {
 		return nil, fmt.Errorf("vfl: aggregating frontier: %w", err)
 	}
-	return reply(&AggregateFrontierResp{Cipher: agg[0]}, &a.counts, &a.roleObs,
-		costmodel.Raw{ItemsSent: 1, Messages: 1})
+	return a.reply(ctx, &AggregateFrontierResp{Cipher: agg[0]}, costmodel.Raw{ItemsSent: 1, Messages: 1})
 }

@@ -1,7 +1,9 @@
 package vfl
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -11,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"vfps/internal/costmodel"
 	"vfps/internal/transport"
 	"vfps/internal/wire"
 )
@@ -87,16 +90,14 @@ func TestDeltaMissRetry(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := cl.Leader.ResetAllCounts(ctx); err != nil {
-			t.Fatal(err)
-		}
 		// The receiving end of every party link loses its cache.
 		var lt linkTap
 		for i, name := range cl.PartyNames() {
 			clearCache(cl.Agg.recvCache.forPeer(name))
 			lt.tap(cl.Transport, name, cl.Parties[i].Handler())
 		}
-		got, err := cl.Leader.Similarities(ctx, queries, 3, VariantFagin)
+		rctx, cost := costmodel.WithCounts(ctx)
+		got, err := cl.Leader.Similarities(rctx, queries, 3, VariantFagin)
 		if err != nil {
 			t.Fatalf("round after the fault: %v", err)
 		}
@@ -107,10 +108,7 @@ func TestDeltaMissRetry(t *testing.T) {
 				}
 			}
 		}
-		total, err := cl.Leader.TotalCounts(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
+		total := cost.Snapshot()
 		misses, retried := lt.withheld.Load(), lt.retried.Load()
 		if misses == 0 {
 			t.Fatal("the fault forced no delta-cache miss; the retry went unexercised")
@@ -208,6 +206,90 @@ func TestCollectRejectsHostileLayout(t *testing.T) {
 			}
 			if err == nil || !strings.Contains(err.Error(), c.node) || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("err = %v, want %q naming %s", err, c.want, c.node)
+			}
+		})
+	}
+}
+
+// TestResponsesCarryTheirCost pins the cost trailer: a role's response is
+// its message followed by the wire.CostTag field, whose wireRaw is exactly
+// what serving the call moved the role's counter by, the message's bytes
+// included and the trailer's own not. A decoder that does not bind the tag
+// reads the message unchanged.
+func TestResponsesCarryTheirCost(t *testing.T) {
+	_, pt := testPartition(t, "Rice", 40, 2)
+	cl := newCluster(t, pt, "plain")
+	t.Cleanup(cl.Close)
+	party := cl.Parties[0]
+	out, err := party.Handler()(context.Background(), MethodNeighborSum,
+		enc(&NeighborSumReq{Query: 3, PseudoIDs: []int{1, 2}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp NeighborSumResp
+	if err := wire.Unmarshal(out, &resp); err != nil {
+		t.Fatal(err)
+	}
+	msg := enc(&resp)
+	cost := wireRaw(party.counts.Snapshot())
+	if want := wire.AppendTrailer(append([]byte(nil), msg...), wire.CostTag, &cost); !bytes.Equal(out, want) {
+		t.Fatalf("response %x, want the message %x and the trailer of %+v", out, msg, cost)
+	}
+	if cost.DistanceFlops == 0 || cost.PlainAdds != 2 || cost.Messages != 1 {
+		t.Fatalf("trailer %+v, want the distance pass, 2 plain adds and 1 message", cost)
+	}
+	if charged := cost.BytesSent + cost.FramingBytes; charged != int64(len(msg)) {
+		t.Fatalf("charged %d bytes for a %d-byte message", charged, len(msg))
+	}
+}
+
+// TestCollectRejectsHostileCostTrailer is TestCollectRejectsHostileLayout for
+// the cost trailer: a party lies about what serving a call cost, and the
+// aggregation server refuses the call with wire.ErrCorrupt naming the party
+// rather than booking a negative or garbled count to the selection.
+func TestCollectRejectsHostileCostTrailer(t *testing.T) {
+	_, pt := testPartition(t, "Rice", 40, 4)
+	hostileParty := PartyName(1)
+	costKey := func(wt uint64) []byte { return wire.AppendUvarint(nil, wire.CostTag<<3|wt) }
+	for _, c := range []struct {
+		name    string
+		trailer func(msg []byte) []byte
+	}{
+		{"negative count", func(msg []byte) []byte {
+			return wire.AppendTrailer(msg, wire.CostTag, &wireRaw{Encryptions: 5, CipherAdds: -40})
+		}},
+		{"truncated count", func(msg []byte) []byte {
+			// A two-byte body whose Encryptions varint never ends.
+			return append(append(msg, costKey(2)...), 2, 0x10, 0x80)
+		}},
+		{"varint in place of the nested counts", func(msg []byte) []byte {
+			return append(append(msg, costKey(0)...), 7)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			cl, err := NewLocalCluster(ctx, ClusterConfig{Partition: pt, ShuffleSeed: 7, Batch: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(cl.Close)
+			honest := cl.Parties[1].Handler()
+			cl.Transport.Register(hostileParty, func(ctx context.Context, method string, req []byte) ([]byte, error) {
+				out, err := honest(ctx, method, req)
+				if err != nil || method != MethodEncryptCandidates {
+					return out, err
+				}
+				var resp EncryptCandidatesResp
+				mustUnmarshal(t, out, &resp)
+				return c.trailer(enc(&resp)), nil
+			})
+			_, err = cl.Leader.RunQuery(ctx, 0, 3, VariantFagin)
+			if ctx.Err() != nil {
+				t.Fatalf("query hung until the deadline: %v", err)
+			}
+			if !errors.Is(err, wire.ErrCorrupt) || !strings.Contains(err.Error(), hostileParty) {
+				t.Fatalf("err = %v, want wire.ErrCorrupt naming %s", err, hostileParty)
 			}
 		})
 	}

@@ -220,11 +220,7 @@ func TestPlainSchemeNeverCaches(t *testing.T) {
 			}
 		}
 	}
-	total, err := cl.Leader.TotalCounts(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total.CacheHits != 0 || total.CacheMisses != 0 {
+	if total := nodeCounts(cl); total.CacheHits != 0 || total.CacheMisses != 0 {
 		t.Fatalf("plain repeat rounds charged %d cache hits, %d misses", total.CacheHits, total.CacheMisses)
 	}
 	if n := cl.Parties[0].deltaSent.len(); n != 0 {
@@ -247,16 +243,7 @@ func TestReuseIsADeltaAgainstThePreviousRound(t *testing.T) {
 	t.Cleanup(cl.Close)
 	round := func(queries ...int) (hits, encryptions int64) {
 		t.Helper()
-		if err := cl.Leader.ResetAllCounts(ctx); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := cl.Leader.Similarities(ctx, queries, 3, VariantFagin); err != nil {
-			t.Fatal(err)
-		}
-		total, err := cl.Leader.TotalCounts(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
+		total := similaritiesCost(t, cl.Leader, queries, 3, VariantFagin)
 		return total.CacheHits, total.Encryptions
 	}
 	round(0, 11)

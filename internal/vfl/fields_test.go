@@ -140,7 +140,8 @@ var tagTableHeader = strings.Join([]string{
 	"length-delimited (wire type 2). Zero values are omitted. A reserved tag",
 	"belonged to a retired field and is never bound again. `wireRaw` is",
 	"`costmodel.Raw`'s layout. Tag 2000 (`wire.TraceTag`) carries trace",
-	"context on any message.",
+	"context on any request, and tag 2001 (`wire.CostTag`) a `wireRaw`",
+	"trailer on every role's response: what serving that call cost.",
 	"",
 	"| message | tag | field | kind |",
 	"|---|---|---|---|",

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"vfps/internal/costmodel"
 	"vfps/internal/he"
 	"vfps/internal/transport"
 	"vfps/internal/wire"
@@ -35,9 +34,9 @@ func allMessages() []wire.Message {
 			NeedBits: 18, CachedBlocks: []int{1}},
 		&NeighborSumReq{Query: 2, PseudoIDs: []int{8, 3, 11}},
 		&NeighborSumResp{Sum: -2.25},
-		&CountsResp{Counts: costmodel.Raw{DistanceFlops: 1, Encryptions: 2,
-			Decryptions: 3, CipherAdds: 4, PlainAdds: 5, ItemsSent: 6,
-			Messages: 7, BytesSent: 8, FramingBytes: 9, CacheHits: 10, CacheMisses: 11}},
+		&wireRaw{DistanceFlops: 1, Encryptions: 2, Decryptions: 3, CipherAdds: 4,
+			PlainAdds: 5, ItemsSent: 6, Messages: 7, BytesSent: 8, FramingBytes: 9,
+			CacheHits: 10, CacheMisses: 11},
 		&EncryptRankScoreReq{Query: 1, Rank: 9},
 		&EncryptRankScoreResp{Cipher: []byte{5, 6}},
 		&AggregateCandidatesReq{Query: 4, PseudoIDs: []int{2, 1}, NoCache: true},
@@ -78,9 +77,8 @@ func TestGoldenVectors(t *testing.T) {
 			"00010a060202aabb01cc1004", 3},
 		// String field: length-prefixed UTF-8, counted as framing.
 		{&PublicKeyResp{Scheme: "plain"}, "00010a05706c61696e", 0},
-		// Nested message: counters as a length-delimited wireRaw sub-body.
-		{&CountsResp{Counts: costmodel.Raw{Encryptions: 3, BytesSent: 500}},
-			"00010a05100640e807", 0},
+		// Operation counts, the body of every response's cost trailer.
+		{&wireRaw{Encryptions: 3, BytesSent: 500}, "0001100640e807", 0},
 		// IDs + pack factor + nested FaginStats, blob field absent.
 		{&FaginCollectResp{PseudoIDs: []int{1}, PackFactor: 1, Stats: FaginStats{Rounds: 2}},
 			"00010a020102180222020804", 0},
@@ -101,9 +99,8 @@ func TestGoldenVectors(t *testing.T) {
 		// Geometry-only response: IDs, pack factor, pack bits, pack adds.
 		{&CollectAllResp{PseudoIDs: []int{2}, PackFactor: 2, PackBits: 36, PackAdds: 3},
 			"00010a020104180420482806", 0},
-		// Cross-round cache counters ride the nested counters sub-body.
-		{&CountsResp{Counts: costmodel.Raw{CacheHits: 2, CacheMisses: 1}},
-			"00010a0450045802", 0},
+		// Cross-round cache counters ride the same body.
+		{&wireRaw{CacheHits: 2, CacheMisses: 1}, "000150045802", 0},
 	}
 	for _, v := range vectors {
 		want, err := hex.DecodeString(v.hex)

@@ -72,14 +72,16 @@ func (k *KeyServer) Handler() transport.Handler {
 			if k.sk != nil {
 				resp.Key = he.MarshalPublicKey(&k.sk.PublicKey)
 			}
-			return marshal(&resp)
+			raw, _ := wire.Marshal(&resp)
+			return raw, nil
 		case MethodPrivateKey:
 			resp := PrivateKeyResp{Scheme: k.scheme, Parties: k.parties, MaskSeed: k.maskSeed,
 				Epsilon: k.epsilon, Delta: k.delta}
 			if k.sk != nil {
 				resp.Key = he.MarshalPrivateKey(k.sk)
 			}
-			return marshal(&resp)
+			raw, _ := wire.Marshal(&resp)
+			return raw, nil
 		default:
 			return nil, fmt.Errorf("%w: %s", transport.ErrUnknownMethod, method)
 		}

@@ -46,9 +46,8 @@ type Leader struct {
 	parties     []string
 	scheme      he.Scheme // full scheme (with private key)
 	batch       int       // Fagin mini-batch size b
-	counts      costmodel.Counts
-	parallelism int    // 1 → fully serial party fan-out
-	instance    string // observer instance label; the query log's tenant
+	parallelism int       // 1 → fully serial party fan-out
+	instance    string    // observer instance label; the query log's tenant
 
 	// roundMu guards prevRound and round: the query sets of the previous and
 	// the current protocol round (see beginRound).
@@ -83,18 +82,10 @@ func NewLeader(caller transport.Caller, aggNode string, parties []string, scheme
 		parallelism: opts.Parallelism}, nil
 }
 
-// call performs one outbound RPC and charges the encoded request bytes to the
-// leader's counters. The Messages counter stays responder-side, so round trips
-// are not double-counted.
+// call performs one outbound RPC from the leader (see roleObs.call).
 func (l *Leader) call(ctx context.Context, node, method string, req, resp wire.Message) error {
-	stats, err := l.cc.Invoke(ctx, node, method, req, resp)
-	l.counts.Add(costmodel.Raw{BytesSent: stats.Payload, FramingBytes: stats.Framing})
-	l.recordWire(stats.Payload, stats.Framing)
-	return err
+	return l.roleObs.call(ctx, l.cc, node, method, req, resp)
 }
-
-// Counts exposes the leader's operation counters.
-func (l *Leader) Counts() costmodel.Raw { return l.counts.Snapshot() }
 
 // SetObserver installs metrics and tracing on the leader: per-query protocol
 // spans, structured query-log events and cost-model gauges labelled
@@ -266,7 +257,7 @@ func (l *Leader) runQuery(ctx context.Context, query, k int, variant Variant) (r
 		if derr != nil {
 			return nil, fmt.Errorf("vfl: leader decrypting: %w", derr)
 		}
-		l.counts.Add(costmodel.Raw{Decryptions: int64(len(col.blobs))})
+		l.charge(ctx, costmodel.Raw{Decryptions: int64(len(col.blobs))})
 	}
 	return l.finishQuery(ctx, query, k, pids, dist, stats, phase)
 }
@@ -518,7 +509,7 @@ func (l *Leader) thresholdScan(ctx context.Context, query, k int) ([]int, []floa
 			}
 			pids = append(pids, newIDs...)
 			dist = append(dist, vs...)
-			l.counts.Add(costmodel.Raw{Decryptions: int64(len(col.blobs))})
+			l.charge(ctx, costmodel.Raw{Decryptions: int64(len(col.blobs))})
 		}
 		if exhausted {
 			break
@@ -536,7 +527,7 @@ func (l *Leader) thresholdScan(ctx context.Context, query, k int) ([]int, []floa
 		if err != nil {
 			return nil, nil, stats, fmt.Errorf("vfl: TA decrypting threshold: %w", err)
 		}
-		l.counts.Add(costmodel.Raw{Decryptions: 1})
+		l.charge(ctx, costmodel.Raw{Decryptions: 1})
 		if len(dist) >= k {
 			order := topk.KSmallest(dist, k)
 			if dist[order[k-1]] <= tau {
@@ -651,7 +642,7 @@ func (l *Leader) Accumulate(ctx context.Context, queries []int, k int, variant V
 	for _, res := range results {
 		acc.add(res)
 	}
-	l.counts.Add(costmodel.Raw{PlainAdds: int64(len(queries) * acc.p * acc.p)})
+	l.charge(ctx, costmodel.Raw{PlainAdds: int64(len(queries) * acc.p * acc.p)})
 	return nil
 }
 
@@ -741,52 +732,6 @@ func (l *Leader) runQueries(ctx context.Context, queries []int, k int, variant V
 	}
 
 	return results, nil
-}
-
-// countNodes lists every remote node that carries operation counters: the
-// aggregation server and the parties.
-func (l *Leader) countNodes() []string {
-	return append([]string{l.agg}, l.parties...)
-}
-
-// GatherCounts pulls operation counters from every node plus the leader's
-// own, keyed by node name ("leader" for the local counters).
-func (l *Leader) GatherCounts(ctx context.Context) (map[string]costmodel.Raw, error) {
-	// Meta-calls go through Invoke directly so gathering counters does not
-	// itself perturb the byte counters being gathered.
-	out := map[string]costmodel.Raw{"leader": l.counts.Snapshot()}
-	for _, node := range l.countNodes() {
-		var resp CountsResp
-		if _, err := l.cc.Invoke(ctx, node, MethodCounts, nil, &resp); err != nil {
-			return nil, fmt.Errorf("vfl: counts from %s: %w", node, err)
-		}
-		out[node] = resp.Counts
-	}
-	return out, nil
-}
-
-// TotalCounts sums GatherCounts over all roles.
-func (l *Leader) TotalCounts(ctx context.Context) (costmodel.Raw, error) {
-	per, err := l.GatherCounts(ctx)
-	if err != nil {
-		return costmodel.Raw{}, err
-	}
-	var total costmodel.Raw
-	for _, r := range per {
-		total = total.Plus(r)
-	}
-	return total, nil
-}
-
-// ResetAllCounts zeroes the counters on every node including the leader.
-func (l *Leader) ResetAllCounts(ctx context.Context) error {
-	l.counts.Reset()
-	for _, node := range l.countNodes() {
-		if _, err := l.cc.Invoke(ctx, node, MethodResetCounts, nil, nil); err != nil {
-			return fmt.Errorf("vfl: resetting %s: %w", node, err)
-		}
-	}
-	return nil
 }
 
 // Scheme exposes the leader's HE scheme (used by integration tests).

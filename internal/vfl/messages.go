@@ -39,8 +39,6 @@ const (
 	MethodEncryptAll        = "party.encryptAll"
 	MethodEncryptCandidates = "party.encryptCandidates"
 	MethodNeighborSum       = "party.neighborSum"
-	MethodCounts            = "node.counts"
-	MethodResetCounts       = "node.resetCounts"
 
 	// Aggregation server.
 	MethodCollectAll          = "agg.collectAll"
@@ -155,11 +153,6 @@ type NeighborSumReq struct {
 // NeighborSumResp returns the plaintext partial-distance sum.
 type NeighborSumResp struct {
 	Sum float64
-}
-
-// CountsResp returns a node's operation counters.
-type CountsResp struct {
-	Counts costmodel.Raw
 }
 
 // EncryptRankScoreReq asks a participant to encrypt the partial distance of
@@ -344,8 +337,8 @@ func (m *NeighborSumReq) Fields(f *wire.Fields) {
 
 func (m *NeighborSumResp) Fields(f *wire.Fields) { f.Float(1, &m.Sum) }
 
-// wireRaw gives costmodel.Raw its nested wire layout without coupling
-// costmodel to internal/wire.
+// wireRaw gives costmodel.Raw its wire layout without coupling costmodel to
+// internal/wire: the wire.CostTag trailer of every role's response.
 type wireRaw costmodel.Raw
 
 func (r *wireRaw) Fields(f *wire.Fields) {
@@ -361,8 +354,6 @@ func (r *wireRaw) Fields(f *wire.Fields) {
 	f.Int64(10, &r.CacheHits)
 	f.Int64(11, &r.CacheMisses)
 }
-
-func (m *CountsResp) Fields(f *wire.Fields) { f.Msg(1, (*wireRaw)(&m.Counts)) }
 
 func (m *EncryptRankScoreReq) Fields(f *wire.Fields) {
 	f.Int(1, &m.Query)

@@ -1,16 +1,28 @@
 package vfl
 
 import (
+	"context"
 	"sync/atomic"
 
+	"vfps/internal/costmodel"
 	"vfps/internal/obs"
 )
 
-// roleObs is the observer slot embedded in every protocol role. The pointer
-// is loaded once per instrumented operation, so an unset observer costs one
-// atomic load and the nil-safe no-op path of internal/obs.
+// roleObs is the observer slot and cost counter embedded in every protocol
+// role. The pointer is loaded once per instrumented operation, so an unset
+// observer costs one atomic load and the nil-safe no-op path of internal/obs.
 type roleObs struct {
 	o atomic.Pointer[obs.Observer]
+	// counts is the role's cumulative operation counter, never reset; it
+	// feeds only the vfps_cost_ops gauges. What one call or selection cost
+	// is summed in the accumulator its ctx carries (see charge).
+	counts costmodel.Counts
+}
+
+// charge books r to the role's counter and to the accumulator ctx carries.
+func (r *roleObs) charge(ctx context.Context, raw costmodel.Raw) {
+	r.counts.Add(raw)
+	costmodel.Charge(ctx, raw)
 }
 
 func (r *roleObs) store(o *obs.Observer) { r.o.Store(o) }

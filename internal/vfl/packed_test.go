@@ -94,14 +94,7 @@ func TestPackedSelectionIdentity(t *testing.T) {
 		}
 	}
 
-	sc, err := scalar.Leader.TotalCounts(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc, err := packed.Leader.TotalCounts(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc, pc := nodeCounts(scalar), nodeCounts(packed)
 	if pc.BytesSent >= sc.BytesSent {
 		t.Fatalf("packed run sent %d bytes, scalar %d — packing should shrink traffic",
 			pc.BytesSent, sc.BytesSent)

@@ -87,14 +87,7 @@ func TestParallelismDeterminism(t *testing.T) {
 					t.Fatalf("AvgCandidates differ: %v vs %v", srep.AvgCandidates, prep.AvgCandidates)
 				}
 
-				sc, err := serial.Leader.TotalCounts(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pc, err := parallel.Leader.TotalCounts(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
+				sc, pc := nodeCounts(serial), nodeCounts(parallel)
 				if scheme == "paillier" {
 					sc, pc = dropBytes(sc), dropBytes(pc)
 				}
@@ -126,15 +119,7 @@ func TestParallelismThresholdVariant(t *testing.T) {
 			t.Fatalf("query %d: neighbours differ: %v vs %v", q, sq.Neighbors, pq.Neighbors)
 		}
 	}
-	sc, err := serial.Leader.TotalCounts(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc, err := parallel.Leader.TotalCounts(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc, pc = dropBytes(sc), dropBytes(pc); sc != pc {
+	if sc, pc := dropBytes(nodeCounts(serial)), dropBytes(nodeCounts(parallel)); sc != pc {
 		t.Fatalf("threshold counts differ:\nserial:   %+v\nparallel: %+v", sc, pc)
 	}
 }

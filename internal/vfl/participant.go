@@ -35,7 +35,6 @@ type Participant struct {
 	perm []int // original id -> pseudo id
 	inv  []int // pseudo id -> original id
 
-	counts      costmodel.Counts
 	parallelism int // ≤ 0 → par.Degree(); 1 → fully serial encryption
 
 	// deltaSent caches the Paillier ciphertext blocks sent to the aggregator,
@@ -347,7 +346,7 @@ func (p *Participant) distances(ctx context.Context, query int) (*queryCache, er
 			dist[i] = mat.SqDist(qRow, p.x.Row(i))
 		}
 	}
-	p.counts.Add(costmodel.Raw{DistanceFlops: int64((n - 1) * p.x.Cols)})
+	p.charge(ctx, costmodel.Raw{DistanceFlops: int64((n - 1) * p.x.Cols)})
 	// Ranking by (distance, pseudo id) gives all parties and the servers a
 	// consistent order without leaking original ids.
 	qc := &queryCache{dist: dist, rank: topk.Ranking{Scores: dist, IDs: p.perm, Skip: query}}
@@ -389,7 +388,7 @@ func (p *Participant) trimCacheLocked() {
 
 // Handler returns the participant's RPC handler.
 func (p *Participant) Handler() transport.Handler {
-	return func(ctx context.Context, method string, req []byte) ([]byte, error) {
+	return costedHandler(func(ctx context.Context, method string, req []byte) ([]byte, error) {
 		if err := wire.Unmarshal(req, nil); err != nil {
 			return nil, err
 		}
@@ -425,15 +424,10 @@ func (p *Participant) Handler() transport.Handler {
 				return nil, err
 			}
 			return p.neighborSum(ctx, r)
-		case MethodCounts:
-			return marshal(&CountsResp{Counts: p.counts.Snapshot()})
-		case MethodResetCounts:
-			p.counts.Reset()
-			return nil, nil
 		default:
 			return nil, fmt.Errorf("%w: %s", transport.ErrUnknownMethod, method)
 		}
-	}
+	})
 }
 
 func (p *Participant) rankingBatch(ctx context.Context, r RankingBatchReq) ([]byte, error) {
@@ -455,8 +449,7 @@ func (p *Participant) rankingBatch(ctx context.Context, r RankingBatchReq) ([]by
 	for i, it := range ranked {
 		batch[i] = it.ID
 	}
-	return reply(&RankingBatchResp{PseudoIDs: batch}, &p.counts, &p.roleObs,
-		costmodel.Raw{ItemsSent: int64(len(batch)), Messages: 1})
+	return p.reply(ctx, &RankingBatchResp{PseudoIDs: batch}, costmodel.Raw{ItemsSent: int64(len(batch)), Messages: 1})
 }
 
 // encrypt serves both collection pulls: the encrypted partial distances of
@@ -502,7 +495,7 @@ func (p *Participant) encrypt(ctx context.Context, r EncryptCandidatesReq, all b
 	// exponentiation and ciphertext counts by the pack factor, delta hits skip
 	// both the exponentiation and the wire, and reply charges the bytes as
 	// actually encoded.
-	return reply(resp, &p.counts, &p.roleObs, costmodel.Raw{
+	return p.reply(ctx, resp, costmodel.Raw{
 		Encryptions: int64(enc.encrypted),
 		ItemsSent:   int64(len(enc.ciphers) - len(enc.cached)),
 		Messages:    1,
@@ -531,8 +524,7 @@ func (p *Participant) encryptRankScore(ctx context.Context, r EncryptRankScoreRe
 		return nil, fmt.Errorf("vfl: party %d encrypting frontier: %w", p.index, err)
 	}
 	he.Hint(p.scheme, 1) // TA rounds repeat; keep the pool topped up between them
-	return reply(&EncryptRankScoreResp{Cipher: c}, &p.counts, &p.roleObs,
-		costmodel.Raw{Encryptions: 1, ItemsSent: 1, Messages: 1})
+	return p.reply(ctx, &EncryptRankScoreResp{Cipher: c}, costmodel.Raw{Encryptions: 1, ItemsSent: 1, Messages: 1})
 }
 
 func (p *Participant) neighborSum(ctx context.Context, r NeighborSumReq) ([]byte, error) {
@@ -548,6 +540,5 @@ func (p *Participant) neighborSum(ctx context.Context, r NeighborSumReq) ([]byte
 		}
 		sum += qc.dist[p.inv[pid]]
 	}
-	return reply(&NeighborSumResp{Sum: sum}, &p.counts, &p.roleObs,
-		costmodel.Raw{PlainAdds: int64(len(r.PseudoIDs)), ItemsSent: 1, Messages: 1})
+	return p.reply(ctx, &NeighborSumResp{Sum: sum}, costmodel.Raw{PlainAdds: int64(len(r.PseudoIDs)), ItemsSent: 1, Messages: 1})
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"vfps/internal/costmodel"
 	"vfps/internal/dataset"
 	"vfps/internal/fixed"
 	"vfps/internal/he"
@@ -62,10 +63,8 @@ func TestAdaptivePackSelectionIdentity(t *testing.T) {
 		}
 		var roundBytes [2]int64
 		for round := 0; round < 2; round++ {
-			if err := full.Leader.ResetAllCounts(ctx); err != nil {
-				t.Fatal(err)
-			}
-			frep, err := full.Leader.Similarities(ctx, queries, 3, variant)
+			rctx, cost := costmodel.WithCounts(ctx)
+			frep, err := full.Leader.Similarities(rctx, queries, 3, variant)
 			if err != nil {
 				t.Fatalf("%s round %d: %v", variant, round+1, err)
 			}
@@ -77,10 +76,7 @@ func TestAdaptivePackSelectionIdentity(t *testing.T) {
 					}
 				}
 			}
-			total, err := full.Leader.TotalCounts(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
+			total := cost.Snapshot()
 			roundBytes[round] = total.BytesSent
 			if round == 0 && total.CacheHits != 0 && variant == VariantBase {
 				// First base round on a fresh cache: everything is a fresh send.

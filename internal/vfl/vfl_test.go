@@ -9,6 +9,7 @@ import (
 	"sort"
 	"testing"
 
+	"vfps/internal/costmodel"
 	"vfps/internal/dataset"
 	"vfps/internal/he"
 	"vfps/internal/mat"
@@ -52,6 +53,29 @@ func newCluster(t *testing.T, pt *dataset.Partition, scheme string) *Cluster {
 func enc(m wire.Message) []byte {
 	raw, _ := wire.Marshal(m)
 	return raw
+}
+
+// nodeCounts sums the cumulative counters of cl's leader, aggregation server
+// and parties.
+func nodeCounts(cl *Cluster) costmodel.Raw {
+	var total costmodel.Counts
+	total.Add(cl.Leader.counts.Snapshot())
+	total.Add(cl.Agg.counts.Snapshot())
+	for _, p := range cl.Parties {
+		total.Add(p.counts.Snapshot())
+	}
+	return total.Snapshot()
+}
+
+// similaritiesCost runs Leader.Similarities under a fresh ctx accumulator, as
+// core.Select does, and returns what the run cost.
+func similaritiesCost(t *testing.T, l *Leader, queries []int, k int, variant Variant) costmodel.Raw {
+	t.Helper()
+	ctx, cost := costmodel.WithCounts(context.Background())
+	if _, err := l.Similarities(ctx, queries, k, variant); err != nil {
+		t.Fatal(err)
+	}
+	return cost.Snapshot()
 }
 
 // bruteNeighbors computes the query's k nearest neighbours in the joint
@@ -218,20 +242,16 @@ func TestFaginPrunesCandidates(t *testing.T) {
 	t.Logf("avg candidates: %g of 399", rep.AvgCandidates)
 }
 
+// TestCountsAccounting pins each role's counter for one BASE query, and that
+// the cost trailers sum, at the leader, to exactly what the node counters
+// moved.
 func TestCountsAccounting(t *testing.T) {
 	_, pt := testPartition(t, "Rice", 60, 3)
 	cl := newCluster(t, pt, "plain")
-	ctx := context.Background()
-	if _, err := cl.Leader.Similarities(ctx, []int{5}, 4, VariantBase); err != nil {
-		t.Fatal(err)
-	}
-	counts, err := cl.Leader.GatherCounts(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	total := similaritiesCost(t, cl.Leader, []int{5}, 4, VariantBase)
 	// Every party encrypts N-1 = 59 partial distances in BASE.
 	for i := 0; i < 3; i++ {
-		c := counts[PartyName(i)]
+		c := cl.Parties[i].counts.Snapshot()
 		if c.Encryptions != 59 {
 			t.Fatalf("party %d encryptions = %d, want 59", i, c.Encryptions)
 		}
@@ -240,50 +260,23 @@ func TestCountsAccounting(t *testing.T) {
 		}
 	}
 	// The server aggregates (P-1)*59 ciphertext additions.
-	if c := counts[AggServerName]; c.CipherAdds != 2*59 {
+	if c := cl.Agg.counts.Snapshot(); c.CipherAdds != 2*59 {
 		t.Fatalf("agg cipher adds = %d, want 118", c.CipherAdds)
 	}
 	// The leader decrypts all 59 aggregated distances.
-	if c := counts["leader"]; c.Decryptions != 59 {
+	if c := cl.Leader.counts.Snapshot(); c.Decryptions != 59 {
 		t.Fatalf("leader decryptions = %d, want 59", c.Decryptions)
 	}
-	// Totals must equal the per-node sum.
-	total, err := cl.Leader.TotalCounts(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var manual int64
-	for _, c := range counts {
-		manual += c.Encryptions
-	}
-	if total.Encryptions != manual {
-		t.Fatal("TotalCounts mismatch")
-	}
-	// Reset must zero everything.
-	if err := cl.Leader.ResetAllCounts(ctx); err != nil {
-		t.Fatal(err)
-	}
-	total, _ = cl.Leader.TotalCounts(ctx)
-	if total.Encryptions != 0 || total.Decryptions != 0 {
-		t.Fatal("reset did not clear counters")
+	if nodes := nodeCounts(cl); total != nodes {
+		t.Fatalf("the trailers summed %+v, the node counters %+v", total, nodes)
 	}
 }
 
 func TestFaginEncryptsFewerThanBase(t *testing.T) {
 	_, pt := testPartition(t, "Phishing", 300, 4)
 	cl := newCluster(t, pt, "plain")
-	ctx := context.Background()
-	if _, err := cl.Leader.Similarities(ctx, []int{7, 70}, 5, VariantBase); err != nil {
-		t.Fatal(err)
-	}
-	baseTotal, _ := cl.Leader.TotalCounts(ctx)
-	if err := cl.Leader.ResetAllCounts(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Leader.Similarities(ctx, []int{7, 70}, 5, VariantFagin); err != nil {
-		t.Fatal(err)
-	}
-	faginTotal, _ := cl.Leader.TotalCounts(ctx)
+	baseTotal := similaritiesCost(t, cl.Leader, []int{7, 70}, 5, VariantBase)
+	faginTotal := similaritiesCost(t, cl.Leader, []int{7, 70}, 5, VariantFagin)
 	if faginTotal.Encryptions >= baseTotal.Encryptions {
 		t.Fatalf("fagin encryptions %d not fewer than base %d",
 			faginTotal.Encryptions, baseTotal.Encryptions)
@@ -558,24 +551,14 @@ func TestThresholdUsesMoreLeaderRoundsThanFagin(t *testing.T) {
 	// leader decryption per scan round.
 	_, pt := testPartition(t, "Credit", 200, 4)
 	cl := newCluster(t, pt, "plain")
-	ctx := context.Background()
-	if _, err := cl.Leader.Similarities(ctx, []int{7}, 5, VariantFagin); err != nil {
-		t.Fatal(err)
-	}
-	faginLeader := cl.Leader.Counts()
-	if err := cl.Leader.ResetAllCounts(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Leader.Similarities(ctx, []int{7}, 5, VariantThreshold); err != nil {
-		t.Fatal(err)
-	}
-	taLeader := cl.Leader.Counts()
+	fagin := similaritiesCost(t, cl.Leader, []int{7}, 5, VariantFagin)
+	ta := similaritiesCost(t, cl.Leader, []int{7}, 5, VariantThreshold)
 	// Fagin decrypts once per candidate; TA additionally decrypts a τ per
 	// round, so with similar candidate counts TA's leader does no less work.
-	if taLeader.Decryptions == 0 || faginLeader.Decryptions == 0 {
+	if ta.Decryptions == 0 || fagin.Decryptions == 0 {
 		t.Fatal("missing decryption accounting")
 	}
-	t.Logf("leader decryptions: fagin %d, threshold %d", faginLeader.Decryptions, taLeader.Decryptions)
+	t.Logf("leader decryptions: fagin %d, threshold %d", fagin.Decryptions, ta.Decryptions)
 }
 
 func TestParallelSimilaritiesMatchSequential(t *testing.T) {
@@ -770,15 +753,10 @@ func TestSecAggNoHEOperations(t *testing.T) {
 	// words, so communication drops by ~32x vs a 1024-bit-modulus scheme.
 	_, pt := testPartition(t, "Rice", 60, 3)
 	cl := newCluster(t, pt, "secagg")
-	ctx := context.Background()
-	if _, err := cl.Leader.Similarities(ctx, []int{5}, 4, VariantFagin); err != nil {
+	if _, err := cl.Leader.Similarities(context.Background(), []int{5}, 4, VariantFagin); err != nil {
 		t.Fatal(err)
 	}
-	counts, err := cl.Leader.GatherCounts(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p0 := counts[PartyName(0)]
+	p0 := cl.Parties[0].counts.Snapshot()
 	if p0.Encryptions == 0 {
 		t.Fatal("masking ops should still be counted as protections")
 	}
@@ -866,7 +844,7 @@ func TestChurnUnregistersDepartedNodes(t *testing.T) {
 	}
 	t.Cleanup(cl.Close)
 	registered := func(name string) bool {
-		_, err := cl.Transport.Call(ctx, name, MethodCounts, enc(nil))
+		_, err := cl.Transport.Call(ctx, name, "probe", enc(nil))
 		return !errors.Is(err, transport.ErrUnknownPeer)
 	}
 	// Every name a cycle can touch: 4 cold parties + 8 joiners.
@@ -898,7 +876,7 @@ func TestChurnUnregistersDepartedNodes(t *testing.T) {
 		if err := cl.RemoveParticipant(joiner); !errors.Is(err, ErrUnknownParticipant) {
 			t.Fatalf("cycle %d: removing departed %s again: err = %v, want ErrUnknownParticipant", cycle, PartyName(joiner), err)
 		}
-		if _, err := cl.Transport.Call(ctx, PartyName(joiner), MethodCounts, enc(nil)); !errors.Is(err, transport.ErrUnknownPeer) {
+		if _, err := cl.Transport.Call(ctx, PartyName(joiner), "probe", enc(nil)); !errors.Is(err, transport.ErrUnknownPeer) {
 			t.Fatalf("cycle %d: call to departed %s: err = %v, want ErrUnknownPeer", cycle, PartyName(joiner), err)
 		}
 	}

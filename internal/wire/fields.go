@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"fmt"
 	"slices"
 )
 
@@ -155,6 +156,7 @@ func (f *Fields) Blobs(tag int, p *[][]byte) {
 // Msg binds a nested message as a length-delimited sub-body of the same
 // grammar; one that encodes to nothing is omitted. The sub-body is encoded in
 // place and its length prefix inserted after, so nesting allocates nothing.
+// A nested field that does not decode is ErrCorrupt, wrapping the cause.
 func (f *Fields) Msg(tag int, m Message) {
 	if f.mode == encoding {
 		start := len(f.e.buf)
@@ -168,14 +170,15 @@ func (f *Fields) Msg(tag int, m Message) {
 		var n [binary.MaxVarintLen64]byte
 		f.e.buf = slices.Insert(f.e.buf, body, n[:binary.PutUvarint(n[:], uint64(len(f.e.buf)-body))]...)
 	} else if f.at(tag, "msg", m) {
-		sub := f.d.blob()
-		if f.d.err != nil {
-			return
-		}
 		outer := f.d
-		f.d = decoder{data: sub}
-		err := f.decode(m)
+		f.d = decoder{data: outer.blob()}
+		err := outer.err
+		if err == nil {
+			err = f.decode(m)
+		}
 		f.d = outer
-		f.d.fail(err)
+		if err != nil {
+			f.d.err = fmt.Errorf("%w: message at tag %d: %w", ErrCorrupt, tag, err)
+		}
 	}
 }

@@ -18,6 +18,9 @@ func FuzzWire(f *testing.F) {
 	seed, _ := hex.DecodeString("08031011190000000000000440220162" + "2a01733203020a073a03010178")
 	f.Add(seed)
 	f.Add(gobBlob)
+	// A message followed by a cost trailer: the body decoder must skip it.
+	base, _ := Marshal(&allFields{N: 7, S: "s"})
+	f.Add(AppendTrailer(base, CostTag, &subFields{I: 3, F: 0.5}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_ = Unmarshal(data, &allFields{})
 		var m allFields

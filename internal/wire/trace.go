@@ -19,6 +19,24 @@ import "encoding/binary"
 // encoding as a two-byte field key.
 const TraceTag = 2000
 
+// CostTag is the reserved field tag a response carries what serving it cost
+// in: the responder's operation counts as a nested message (see
+// AppendTrailer). Like TraceTag it follows the message's own fields, and a
+// decoder whose table does not bind it skips it.
+const CostTag = 2001
+
+// AppendTrailer appends m to an encoded payload as the nested-message field
+// tag, after the message's own fields. Bytes that do not open with the
+// envelope are returned unchanged, as is an m that encodes to nothing.
+func AppendTrailer(raw []byte, tag int, m Message) []byte {
+	if len(raw) == 0 || raw[0] != envelopeMagic {
+		return raw
+	}
+	f := Fields{e: encoder{buf: raw}}
+	f.Msg(tag, m)
+	return f.e.buf
+}
+
 // traceFixed is the fixed prefix of the field value: trace ID + span ID.
 const traceFixed = 16 + 8
 

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"testing"
 )
 
@@ -80,3 +81,35 @@ func TestTraceContextMalformedFieldIgnored(t *testing.T) {
 		_, _ = ExtractTraceContext(raw[:i])
 	}
 }
+
+// TestCostTrailerLayout pins the trailer idiom CostTag rides: the nested
+// message follows the envelope's own fields under the two-byte key 8a 7d
+// (2001<<3 | 2), a decoder whose table does not bind the tag skips it, and
+// one that does reads it back. Non-envelope bytes and an empty message are
+// left alone.
+func TestCostTrailerLayout(t *testing.T) {
+	base, _ := Marshal(&allFields{N: 7})
+	raw := AppendTrailer(append([]byte(nil), base...), CostTag, &subFields{I: 3})
+	if got, want := hex.EncodeToString(raw), "0001080e"+"8a7d"+"02"+"0806"; got != want {
+		t.Fatalf("trailer-bearing envelope %s, want %s", got, want)
+	}
+	var m allFields
+	if err := Unmarshal(raw, &m); err != nil || m.N != 7 {
+		t.Fatalf("decoding past the trailer: %+v, %v", m, err)
+	}
+	var tail trailerOf
+	if err := Unmarshal(raw, &tail); err != nil || tail.sub.I != 3 {
+		t.Fatalf("reading the trailer: %+v, %v", tail, err)
+	}
+	if out := AppendTrailer(append([]byte(nil), gobBlob...), CostTag, &subFields{I: 3}); !bytes.Equal(out, gobBlob) {
+		t.Fatal("non-envelope payload was modified")
+	}
+	if out := AppendTrailer(append([]byte(nil), base...), CostTag, &subFields{}); !bytes.Equal(out, base) {
+		t.Fatal("an empty trailer was appended")
+	}
+}
+
+// trailerOf binds a subFields at CostTag and nothing else.
+type trailerOf struct{ sub subFields }
+
+func (t *trailerOf) Fields(f *Fields) { f.Msg(CostTag, &t.sub) }

@@ -251,6 +251,10 @@ func TestDecoderWireTypeMismatch(t *testing.T) {
 			t.Errorf("%s wire type mismatch: got %v, want ErrWireType", name, err)
 		}
 	}
+	// A nested message that does not decode is also corrupt as a whole.
+	if err := Unmarshal(nested.buf, &allFields{}); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("nested wire type mismatch: got %v, want ErrCorrupt", err)
+	}
 }
 
 // gobBlob is a real encoding/gob stream (struct{ Max uint64 }{1} with its

@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -59,6 +60,56 @@ func TestSelectPublicAPI(t *testing.T) {
 	}
 	if sel.Counts.Encryptions == 0 {
 		t.Fatal("no cost accounting")
+	}
+}
+
+// TestConcurrentSelectionsReportTheirOwnCounts runs four selections at once
+// on one consortium, each over its own query set, and requires each to pick
+// what its solo twin picks on a fresh consortium and to report exactly the
+// twin's Counts: costs travel with the calls, so concurrent selections never
+// book each other's work.
+func TestConcurrentSelectionsReportTheirOwnCounts(t *testing.T) {
+	const selections, perSet = 4, 8
+	ctx := context.Background()
+	opts := func(i int) SelectOptions {
+		queries := make([]int, perSet)
+		for j := range queries {
+			queries[j] = i*perSet + j
+		}
+		return SelectOptions{K: 5, Queries: queries}
+	}
+	shared := testConsortium(t, "Bank", 200, 4)
+	defer shared.Close()
+	got := make([]*Selection, selections)
+	errs := make([]error, selections)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			got[i], errs[i] = shared.Select(ctx, 2, opts(i))
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("concurrent selection %d: %v", i, errs[i])
+		}
+		twin := testConsortium(t, "Bank", 200, 4)
+		want, err := twin.Select(ctx, 2, opts(i))
+		twin.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i].Selected, want.Selected) {
+			t.Errorf("selection %d picked %v concurrently, %v alone", i, got[i].Selected, want.Selected)
+		}
+		if got[i].Counts != want.Counts {
+			t.Errorf("selection %d counted\n  %v concurrently,\n  %v alone", i, got[i].Counts, want.Counts)
+		}
 	}
 }
 
@@ -203,7 +254,7 @@ func TestSelectParallelismMatchesSequential(t *testing.T) {
 
 // TestPaillierSelectionBytesAreDeterministic runs the same selection on two
 // fresh Paillier consortia, each under its own key, and requires the same
-// wire bytes: every ciphertext is exactly CiphertextSize() bytes, so the
+// wire bytes: every ciphertext is exactly the key's ciphertext width, so the
 // count depends on how many ciphertexts travel and not on their random
 // values.
 func TestPaillierSelectionBytesAreDeterministic(t *testing.T) {
