@@ -33,7 +33,7 @@ func matRows(m *mat.Matrix) [][]float64 {
 // produce exactly the selection — same picks, same objective value, same
 // similarity matrix — as a consortium cold-built at that final membership,
 // across schemes (Paillier packs and resizes its slot headroom with the
-// roster; plain does not pack), parallelism and optimizer choices.
+// roster; plain does not pack) and parallelism.
 func TestChurnSelectionMatchesColdRebuild(t *testing.T) {
 	d, err := GenerateDataset("Bank", 96)
 	if err != nil {
@@ -46,24 +46,18 @@ func TestChurnSelectionMatchesColdRebuild(t *testing.T) {
 	cases := []struct {
 		scheme      string
 		parallelism int
-		optimizer   string
 	}{
-		{"plain", 1, "greedy"},
-		{"plain", 1, "lazy"},
-		{"plain", 1, "warm"},
-		{"plain", 4, "greedy"},
-		{"plain", 4, "lazy"},
-		{"plain", 4, "warm"},
-		{"paillier", 1, "greedy"},
-		{"paillier", 1, "warm"},
-		{"paillier", 4, "lazy"},
-		{"paillier", 4, "warm"},
+		{"plain", 1},
+		{"plain", 4},
+		{"paillier", 1},
+		{"paillier", 4},
 	}
 	for _, tc := range cases {
 		tc := tc
-		// The pack= segment states the layout the scheme implies; subtest
-		// names are tracked across PRs, so it stays part of them.
-		name := fmt.Sprintf("%s-pack=%v-par=%d-%s", tc.scheme, tc.scheme == "paillier", tc.parallelism, tc.optimizer)
+		// The pack= segment states the layout the scheme implies and the
+		// -greedy segment the one maximizer; subtest names are tracked
+		// across PRs, so both stay part of them.
+		name := fmt.Sprintf("%s-pack=%v-par=%d-greedy", tc.scheme, tc.scheme == "paillier", tc.parallelism)
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			ctx := context.Background()
@@ -79,13 +73,10 @@ func TestChurnSelectionMatchesColdRebuild(t *testing.T) {
 				t.Cleanup(cons.Close)
 				return cons
 			}
-			opts := SelectOptions{
-				K: 5, NumQueries: 6, Seed: 3,
-				Optimizer: tc.optimizer, Parallelism: tc.parallelism,
-			}
+			opts := SelectOptions{K: 5, NumQueries: 6, Seed: 3, Parallelism: tc.parallelism}
 
 			// Live consortium: start with parties {0,1,2}, select once (seeds
-			// the delta caches and the warm prior), join 3 and 4, drop index 1.
+			// the delta caches), join 3 and 4, drop index 1.
 			live := mk(subPartition(full, []int{0, 1, 2}))
 			if _, err := live.Select(ctx, 2, opts); err != nil {
 				t.Fatal(err)

@@ -298,8 +298,7 @@ func TestDeploymentSelectsLikeTheLibrary(t *testing.T) {
 			d: deployment{scheme: "plain", dataset: "Rice", variant: "fagin", rows: 120,
 				leaderArgs: []string{"-log-json", logPath, "-rounds", "2", "-obs-addr", "127.0.0.1:0"}},
 			// The counts printed are round 2's, which the parties' distance
-			// cache serves without distance flops, and tracing charges the
-			// trace context each request carries as framing.
+			// cache serves without distance flops.
 			ownCounts: true,
 			check: func(t *testing.T, out string) {
 				if n := strings.Count(out, "queries in "); n != 2 {

@@ -17,22 +17,6 @@ import (
 	"vfps/internal/vfl"
 )
 
-// Optimizer names the submodular maximization strategy.
-type Optimizer string
-
-const (
-	// OptGreedy is the paper's Algorithm 1.
-	OptGreedy Optimizer = "greedy"
-	// OptLazy is Minoux's accelerated greedy (identical output, fewer
-	// evaluations).
-	OptLazy Optimizer = "lazy"
-	// OptStochastic is stochastic greedy with eps = 0.1.
-	OptStochastic Optimizer = "stochastic"
-	// OptWarmStart revalidates a prior selection (Config.WarmStart) and
-	// repairs only displaced picks; output is identical to greedy.
-	OptWarmStart Optimizer = "warm"
-)
-
 // Config tunes a selection run.
 type Config struct {
 	// K is the neighbour count of the proxy KNN classifier (paper default
@@ -44,16 +28,9 @@ type Config struct {
 	Queries []int
 	// Variant picks VFPS-SM (fagin) or VFPS-SM-BASE (base).
 	Variant vfl.Variant
-	// Optimizer picks the maximization strategy (default greedy).
-	Optimizer Optimizer
-	// Seed feeds the stochastic optimizer.
-	Seed int64
 	// Parallelism bounds concurrent in-flight queries during the similarity
 	// phase (default 1, i.e. sequential).
 	Parallelism int
-	// WarmStart is the prior selection OptWarmStart revalidates. Ignored by
-	// the other optimizers; an empty prior degrades to lazy greedy.
-	WarmStart []int
 	// Cache, when non-nil, memoises similarity reports by (roster, queries,
 	// variant, K) so a selection whose membership recurs skips the encrypted
 	// similarity phase entirely. Opt-in: leaving it nil preserves the
@@ -84,8 +61,8 @@ type Selection struct {
 	ProjectedSeconds float64
 	// Evaluations counts objective evaluations in the maximization step.
 	Evaluations int
-	// QueriesUsed is the number of KNN queries actually processed (differs
-	// from len(Config.Queries) only for SelectAdaptive).
+	// QueriesUsed is the number of KNN queries processed,
+	// len(Config.Queries).
 	QueriesUsed int
 }
 
@@ -156,46 +133,15 @@ func SampleQueriesStratified(y []int, classes, count int, seed int64) []int {
 	return out
 }
 
-// maximize picks count elements of the objective with the configured
-// optimizer (cfg.Optimizer, cfg.Seed, cfg.WarmStart).
-func maximize(obj *submod.FacilityLocation, count int, cfg Config) (*submod.Result, error) {
-	var res *submod.Result
-	var err error
-	switch cfg.Optimizer {
-	case OptGreedy:
-		res, err = submod.Greedy(obj, count)
-	case OptLazy:
-		res, err = submod.LazyGreedy(obj, count)
-	case OptStochastic:
-		res, err = submod.StochasticGreedy(obj, count, 0.1, rand.New(rand.NewSource(cfg.Seed)))
-	case OptWarmStart:
-		res, err = submod.GreedyWarmStart(obj, count, cfg.WarmStart)
-	default:
-		return nil, fmt.Errorf("core: unknown optimizer %q", cfg.Optimizer)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("core: maximization: %w", err)
-	}
-	return res, nil
-}
-
 // Select runs the full VFPS-SM pipeline against an already wired cluster
-// leader, choosing selectCount of the leader's participants.
+// leader, choosing selectCount of the leader's participants: validation and
+// defaults, then the two phases — similarity estimation (unless cfg.Cache
+// holds the report) and greedy submodular maximization (Algorithm 1) — with
+// their spans, the selection-level query-log event and the Selection. Counts
+// is what the selection's ctx accumulator summed: the leader's own work plus
+// the cost trailer of every response it received, so concurrent selections
+// each report their own.
 func Select(ctx context.Context, leader *vfl.Leader, selectCount int, cfg Config) (*Selection, error) {
-	return run(ctx, leader, selectCount, cfg, func(ctx context.Context, cfg Config) (*vfl.SimilarityReport, error) {
-		return leader.SimilaritiesParallel(ctx, cfg.Queries, cfg.K, cfg.Variant, cfg.Parallelism)
-	})
-}
-
-// run is the pipeline Select and SelectAdaptive share: validation and
-// defaults, then the two phases — similarity estimation (estimate, unless
-// cfg.Cache holds the report) and submodular maximization — with their spans,
-// the selection-level query-log event and the Selection. Counts is what the
-// selection's ctx accumulator summed: the leader's own work plus the cost
-// trailer of every response it received, so concurrent selections each
-// report their own. QueriesUsed is the estimate's query count.
-func run(ctx context.Context, leader *vfl.Leader, selectCount int, cfg Config,
-	estimate func(ctx context.Context, cfg Config) (*vfl.SimilarityReport, error)) (*Selection, error) {
 	if leader == nil {
 		return nil, fmt.Errorf("core: nil leader")
 	}
@@ -210,9 +156,6 @@ func run(ctx context.Context, leader *vfl.Leader, selectCount int, cfg Config,
 	}
 	if cfg.Variant == "" {
 		cfg.Variant = vfl.VariantFagin
-	}
-	if cfg.Optimizer == "" {
-		cfg.Optimizer = OptGreedy
 	}
 
 	// Each phase — similarity estimation, submodular maximization — opens a
@@ -258,7 +201,7 @@ func run(ctx context.Context, leader *vfl.Leader, selectCount int, cfg Config,
 		sctx, ssp := tracer.Start(ctx, "select.similarity")
 		ssp.SetLabelInt("queries", int64(len(cfg.Queries)))
 		ssp.SetLabelInt("k", int64(cfg.K))
-		rep, err = estimate(sctx, cfg)
+		rep, err = leader.Similarities(sctx, cfg.Queries, cfg.K, cfg.Variant, cfg.Parallelism)
 		ssp.End()
 		phase("similarity")
 		if err != nil {
@@ -271,16 +214,15 @@ func run(ctx context.Context, leader *vfl.Leader, selectCount int, cfg Config,
 		phase("similarity")
 	}
 	_, msp := tracer.Start(ctx, "select.maximize")
-	msp.SetLabel("optimizer", string(cfg.Optimizer))
 	obj, err := submod.NewFacilityLocation(rep.W)
 	if err != nil {
 		msp.End()
 		return nil, fmt.Errorf("core: building objective: %w", err)
 	}
-	res, err := maximize(obj, selectCount, cfg)
+	res, err := submod.Greedy(obj, selectCount)
 	if err != nil {
 		msp.End()
-		return nil, err
+		return nil, fmt.Errorf("core: maximization: %w", err)
 	}
 	msp.SetLabelInt("evaluations", int64(res.Evaluations))
 	msp.End()

@@ -138,29 +138,6 @@ func TestSelectVariantsAgree(t *testing.T) {
 	}
 }
 
-func TestSelectOptimizersAgreeOnValue(t *testing.T) {
-	cl, _ := cluster(t, "Bank", 100, 4, 0)
-	queries := SampleQueries(100, 10, 2)
-	greedy, err := Select(context.Background(), cl.Leader, 2, Config{K: 5, Queries: queries, Optimizer: OptGreedy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lazy, err := Select(context.Background(), cl.Leader, 2, Config{K: 5, Queries: queries, Optimizer: OptLazy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := greedy.Value - lazy.Value; d > 1e-9 || d < -1e-9 {
-		t.Fatalf("lazy value %g != greedy %g", lazy.Value, greedy.Value)
-	}
-	stoch, err := Select(context.Background(), cl.Leader, 2, Config{K: 5, Queries: queries, Optimizer: OptStochastic, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stoch.Value < 0.5*greedy.Value {
-		t.Fatalf("stochastic value %g too low vs %g", stoch.Value, greedy.Value)
-	}
-}
-
 func TestSelectDeterministic(t *testing.T) {
 	cl, _ := cluster(t, "Bank", 100, 4, 0)
 	queries := SampleQueries(100, 10, 4)
@@ -192,9 +169,6 @@ func TestSelectValidation(t *testing.T) {
 	if _, err := Select(ctx, cl.Leader, 2, Config{}); err == nil {
 		t.Fatal("expected no-queries error")
 	}
-	if _, err := Select(ctx, cl.Leader, 2, Config{Queries: []int{1}, Optimizer: Optimizer("annealing")}); err == nil {
-		t.Fatal("expected optimizer error")
-	}
 	// Failures inside the protocol phases must name the phase: a cancelled
 	// context breaks the very first query, and the error is wrapped as a
 	// similarity-phase failure.
@@ -206,31 +180,6 @@ func TestSelectValidation(t *testing.T) {
 	}
 	if !strings.HasPrefix(err.Error(), "core: similarity phase:") {
 		t.Fatalf("similarity failure not wrapped with phase prefix: %v", err)
-	}
-}
-
-func TestSelectWarmStartMatchesGreedy(t *testing.T) {
-	cl, _ := cluster(t, "Bank", 100, 4, 0)
-	queries := SampleQueries(100, 10, 6)
-	greedy, err := Select(context.Background(), cl.Leader, 2, Config{K: 5, Queries: queries, Optimizer: OptGreedy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A warm start seeded with the prior answer, a stale prior, and no prior
-	// at all must all reproduce the greedy selection exactly.
-	for _, prior := range [][]int{greedy.Selected, {3, 0}, nil} {
-		warm, err := Select(context.Background(), cl.Leader, 2, Config{
-			K: 5, Queries: queries, Optimizer: OptWarmStart, WarmStart: prior,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(warm.Selected, greedy.Selected) {
-			t.Fatalf("warm start (prior %v) selected %v, greedy %v", prior, warm.Selected, greedy.Selected)
-		}
-		if d := warm.Value - greedy.Value; d > 1e-12 || d < -1e-12 {
-			t.Fatalf("warm start value %g != greedy %g", warm.Value, greedy.Value)
-		}
 	}
 }
 
@@ -296,90 +245,6 @@ func TestSimCacheEviction(t *testing.T) {
 	}
 }
 
-func TestSelectAdaptiveConverges(t *testing.T) {
-	cl, _ := cluster(t, "Rice", 300, 4, 0)
-	ctx := context.Background()
-	queries := SampleQueries(300, 64, 7)
-	sel, err := SelectAdaptive(ctx, cl.Leader, 2, AdaptiveConfig{
-		Config:    Config{K: 5, Queries: queries},
-		ChunkSize: 8,
-		Tolerance: 0.02,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sel.Selected) != 2 {
-		t.Fatalf("selected %v", sel.Selected)
-	}
-	if sel.QueriesUsed > len(queries) || sel.QueriesUsed < 16 {
-		t.Fatalf("queries used %d out of expected range", sel.QueriesUsed)
-	}
-	t.Logf("adaptive run used %d of %d queries", sel.QueriesUsed, len(queries))
-}
-
-func TestSelectAdaptiveUsesFewerQueriesOnEasyConsortia(t *testing.T) {
-	// With exact duplicates the similarity matrix stabilises quickly.
-	cl, _ := cluster(t, "Rice", 300, 3, 3)
-	ctx := context.Background()
-	queries := SampleQueries(300, 96, 9)
-	sel, err := SelectAdaptive(ctx, cl.Leader, 3, AdaptiveConfig{
-		Config:    Config{K: 5, Queries: queries},
-		ChunkSize: 8,
-		Tolerance: 0.02,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sel.QueriesUsed >= len(queries) {
-		t.Fatalf("adaptive never converged: used all %d queries", sel.QueriesUsed)
-	}
-}
-
-func TestSelectAdaptiveValidation(t *testing.T) {
-	cl, _ := cluster(t, "Rice", 60, 3, 0)
-	ctx := context.Background()
-	if _, err := SelectAdaptive(ctx, nil, 1, AdaptiveConfig{}); err == nil {
-		t.Fatal("expected nil-leader error")
-	}
-	if _, err := SelectAdaptive(ctx, cl.Leader, 0, AdaptiveConfig{Config: Config{Queries: []int{1}}}); err == nil {
-		t.Fatal("expected count error")
-	}
-	if _, err := SelectAdaptive(ctx, cl.Leader, 2, AdaptiveConfig{}); err == nil {
-		t.Fatal("expected no-queries error")
-	}
-	if _, err := SelectAdaptive(ctx, cl.Leader, 2, AdaptiveConfig{
-		Config: Config{Queries: []int{1, 2}, Optimizer: Optimizer("nope")},
-	}); err == nil {
-		t.Fatal("expected optimizer error")
-	}
-}
-
-func TestSelectAdaptiveMatchesFullOnExhaustion(t *testing.T) {
-	// With a tolerance of 0 the adaptive run exhausts all queries and must
-	// match the fixed-budget selection exactly.
-	cl, _ := cluster(t, "Bank", 150, 4, 0)
-	ctx := context.Background()
-	queries := SampleQueries(150, 16, 3)
-	full, err := Select(ctx, cl.Leader, 2, Config{K: 5, Queries: queries})
-	if err != nil {
-		t.Fatal(err)
-	}
-	adaptive, err := SelectAdaptive(ctx, cl.Leader, 2, AdaptiveConfig{
-		Config:    Config{K: 5, Queries: queries},
-		ChunkSize: 4,
-		Tolerance: 1e-18,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(full.Selected, adaptive.Selected) {
-		t.Fatalf("adaptive %v vs full %v", adaptive.Selected, full.Selected)
-	}
-	if adaptive.QueriesUsed != len(queries) {
-		t.Fatalf("expected exhaustion, used %d", adaptive.QueriesUsed)
-	}
-}
-
 func TestSampleQueriesStratified(t *testing.T) {
 	// 90/10 imbalanced labels: stratified sampling must include minority
 	// rows.
@@ -420,44 +285,22 @@ func TestSampleQueriesStratified(t *testing.T) {
 	}
 }
 
-func TestSelectAdaptiveWithThresholdVariant(t *testing.T) {
+// TestSelectWithThresholdVariant runs a selection on the Threshold
+// Algorithm's leader-assisted scan: it is exact top-k like Fagin, so it must
+// pick the same participants with the same similarity matrix.
+func TestSelectWithThresholdVariant(t *testing.T) {
 	cl, _ := cluster(t, "Bank", 150, 4, 0)
-	sel, err := SelectAdaptive(context.Background(), cl.Leader, 2, AdaptiveConfig{
-		Config:    Config{K: 5, Queries: SampleQueries(150, 24, 3), Variant: vfl.VariantThreshold},
-		ChunkSize: 6,
-		Tolerance: 0.05,
-	})
+	queries := SampleQueries(150, 24, 3)
+	fagin, err := Select(context.Background(), cl.Leader, 2, Config{K: 5, Queries: queries})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sel.Selected) != 2 {
-		t.Fatalf("selected %v", sel.Selected)
-	}
-}
-
-func TestSelectAdaptiveLazyOptimizer(t *testing.T) {
-	cl, _ := cluster(t, "Rice", 120, 3, 0)
-	sel, err := SelectAdaptive(context.Background(), cl.Leader, 2, AdaptiveConfig{
-		Config: Config{K: 5, Queries: SampleQueries(120, 16, 1), Optimizer: OptLazy},
-	})
+	ta, err := Select(context.Background(), cl.Leader, 2, Config{K: 5, Queries: queries, Variant: vfl.VariantThreshold})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sel.Selected) != 2 {
-		t.Fatalf("selected %v", sel.Selected)
-	}
-}
-
-func TestSelectWithStochasticOptimizerAdaptive(t *testing.T) {
-	cl, _ := cluster(t, "Rice", 120, 3, 0)
-	sel, err := SelectAdaptive(context.Background(), cl.Leader, 2, AdaptiveConfig{
-		Config: Config{K: 5, Queries: SampleQueries(120, 16, 1), Optimizer: OptStochastic, Seed: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sel.Selected) != 2 {
-		t.Fatalf("selected %v", sel.Selected)
+	if !reflect.DeepEqual(ta.Selected, fagin.Selected) || !reflect.DeepEqual(ta.W, fagin.W) {
+		t.Fatalf("threshold selected %v (W %v), fagin %v (W %v)", ta.Selected, ta.W, fagin.Selected, fagin.W)
 	}
 }
 

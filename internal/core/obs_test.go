@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"vfps/internal/costmodel"
 	"vfps/internal/dataset"
 	"vfps/internal/obs"
 	"vfps/internal/vfl"
@@ -92,57 +93,8 @@ func TestSelectPhaseSpans(t *testing.T) {
 	if queries != sel.QueriesUsed {
 		t.Fatalf("traced %d query spans, selection used %d", queries, sel.QueriesUsed)
 	}
-}
 
-// TestSelectAdaptiveIsObserved pins that an adaptive selection runs Select's
-// observed pipeline: the two phase spans, one selection query-log event
-// decomposed into the same two phases, and a query count that is the budget
-// the run actually spent rather than the one it was offered.
-func TestSelectAdaptiveIsObserved(t *testing.T) {
-	_, pt := cluster(t, "Rice", 300, 3, 3)
-	o := obs.NewObserver(4096)
-	cl, err := vfl.NewLocalCluster(context.Background(), vfl.ClusterConfig{
-		Partition: pt, Scheme: "plain", ShuffleSeed: 7, Batch: 8, Obs: o, Instance: "adaptive-test",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	o.Tracer().Reset()
-
-	queries := SampleQueries(300, 96, 9)
-	sel, err := SelectAdaptive(context.Background(), cl.Leader, 3, AdaptiveConfig{
-		Config:    Config{K: 5, Queries: queries},
-		ChunkSize: 8,
-		Tolerance: 0.02,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sel.QueriesUsed >= len(queries) {
-		t.Fatalf("adaptive run used all %d queries; the test needs an early stop", len(queries))
-	}
-
-	wantPhases := []string{"similarity", "maximize"}
-	rep := o.Tracer().Report()
-	if len(rep.Phases) != len(wantPhases) {
-		t.Fatalf("span phases = %+v, want select.%v", rep.Phases, wantPhases)
-	}
-	for i, w := range wantPhases {
-		if rep.Phases[i].Name != "select."+w {
-			t.Fatalf("span phase %d = %s, want select.%s", i, rep.Phases[i].Name, w)
-		}
-	}
-	queriesTraced := 0
-	for _, s := range rep.Spans {
-		if s.Name == vfl.SpanQuery {
-			queriesTraced++
-		}
-	}
-	if queriesTraced != sel.QueriesUsed {
-		t.Fatalf("traced %d query spans, selection used %d", queriesTraced, sel.QueriesUsed)
-	}
-
+	// One selection query-log event, decomposed into the same two phases.
 	var events []obs.QueryEvent
 	for _, ev := range o.Log().Slowest() {
 		if ev.Kind == "selection" {
@@ -157,12 +109,39 @@ func TestSelectAdaptiveIsObserved(t *testing.T) {
 		t.Fatalf("event phases = %+v, want %v", ev.Phases, wantPhases)
 	}
 	for i, w := range wantPhases {
-		if ev.Phases[i].Name != w {
+		if "select."+ev.Phases[i].Name != w {
 			t.Fatalf("event phase %d = %s, want %s", i, ev.Phases[i].Name, w)
 		}
 	}
 	if got := ev.Attrs["queries"]; got != sel.QueriesUsed {
 		t.Fatalf("event reports %v queries, selection used %d", got, sel.QueriesUsed)
+	}
+}
+
+// TestObserverLeavesCountsUnchanged pins that observability is not charged
+// to the protocol: the same selection on twin clusters, one observed (every
+// request then carries a trace context) and one not, reports identical
+// Counts, framing bytes included.
+func TestObserverLeavesCountsUnchanged(t *testing.T) {
+	_, pt := cluster(t, "Bank", 80, 4, 0)
+	cfg := Config{K: 5, Queries: SampleQueries(80, 6, 1)}
+	var counts [2]costmodel.Raw
+	for i, o := range []*obs.Observer{nil, obs.NewObserver(4096)} {
+		cl, err := vfl.NewLocalCluster(context.Background(), vfl.ClusterConfig{
+			Partition: pt, Scheme: "plain", ShuffleSeed: 7, Batch: 8, Obs: o, Instance: "twin",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		sel, err := Select(context.Background(), cl.Leader, 2, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts[i] = sel.Counts
+	}
+	if counts[0] != counts[1] {
+		t.Fatalf("observed selection counted %v, unobserved %v", counts[1], counts[0])
 	}
 }
 

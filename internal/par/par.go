@@ -39,10 +39,13 @@ func Normalize(n int) int {
 // chunks, so a cancelled context stops the loop within one chunk rather than
 // after all n iterations.
 //
-// All scheduled iterations run to completion even if some fail; the error
-// for the lowest index is returned, matching the error a serial loop would
-// surface. If ctx is cancelled before every iteration ran, the context error
-// is returned unless an fn error at a lower index precedes it.
+// Once an iteration fails, no index above the lowest failed one starts: a
+// chunk claimed after the failure lies above it and is dropped, and a running
+// chunk stops at it. Chunks are claimed in index order, so every lower index
+// has already been claimed and still runs: the error returned is the
+// lowest-indexed one, exactly the error a serial loop would surface. If
+// ctx is cancelled before every iteration ran, the context error is returned
+// unless an fn error at a lower index precedes it.
 func For(ctx context.Context, n, workers int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -66,15 +69,17 @@ func For(ctx context.Context, n, workers int, fn func(i int) error) error {
 
 	var (
 		next     atomic.Int64
+		failed   atomic.Int64 // lowest failed index; n while none has failed
 		wg       sync.WaitGroup
 		mu       sync.Mutex
-		firstIdx = n
 		firstErr error
 	)
+	failed.Store(int64(n))
 	record := func(i int, err error) {
 		mu.Lock()
-		if i < firstIdx {
-			firstIdx, firstErr = i, err
+		if int64(i) < failed.Load() {
+			failed.Store(int64(i))
+			firstErr = err
 		}
 		mu.Unlock()
 	}
@@ -87,14 +92,14 @@ func For(ctx context.Context, n, workers int, fn func(i int) error) error {
 					return
 				}
 				start := int(next.Add(int64(size))) - size
-				if start >= n {
-					return
+				if start >= n || int64(start) > failed.Load() {
+					return // past the end, or above an index that failed
 				}
 				end := min(start+size, n)
-				for i := start; i < end; i++ {
+				for i := start; i < end && int64(i) < failed.Load(); i++ {
 					if err := fn(i); err != nil {
 						record(i, err)
-						break // abandon this chunk, keep other indices running
+						break
 					}
 				}
 			}

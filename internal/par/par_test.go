@@ -63,6 +63,35 @@ func TestForReturnsLowestIndexedError(t *testing.T) {
 	}
 }
 
+// TestForStopsAfterAFailure pins that a failed iteration stops the loop: once
+// index 0 has failed, no further chunk starts, so a long loop runs a handful
+// of iterations rather than all of them.
+func TestForStopsAfterAFailure(t *testing.T) {
+	const n = 2000
+	var ran atomic.Int32
+	failing := make(chan struct{})
+	err := For(context.Background(), n, 2, func(i int) error {
+		ran.Add(1)
+		if i == 0 {
+			close(failing)
+			return errors.New("fail@0")
+		}
+		select {
+		case <-failing:
+		case <-time.After(5 * time.Second):
+			return fmt.Errorf("index %d ran for 5 s before index 0", i)
+		}
+		time.Sleep(100 * time.Microsecond)
+		return nil
+	})
+	if err == nil || err.Error() != "fail@0" {
+		t.Fatalf("got %v, want fail@0", err)
+	}
+	if got := ran.Load(); got >= n/2 {
+		t.Fatalf("%d of %d iterations ran after index 0 failed", got, n)
+	}
+}
+
 func TestForHonorsContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int32

@@ -280,36 +280,26 @@ func TestIdleTTLEviction(t *testing.T) {
 	}
 }
 
-// TestOptimizerKnob runs the lazy and stochastic submodular maximizers via
-// the HTTP knob; lazy must match greedy exactly.
-func TestOptimizerKnob(t *testing.T) {
+// TestSelectRejectsRetiredOptimizer pins that the retired "optimizer" key is
+// an unknown field of a select body: every selection runs greedy, so the key
+// answers 400 rather than being silently ignored, while the same body without
+// it selects.
+func TestSelectRejectsRetiredOptimizer(t *testing.T) {
 	_, ts := startServerOpts(t, Options{})
 	id := createTestConsortium(t, ts)
-	sel := func(optimizer string) []int {
-		var out SelectResponse
-		code := doJSON(t, "POST", ts.URL+"/v1/consortiums/"+id+"/select",
-			SelectRequest{NumQueries: 3, Seed: 1, Optimizer: optimizer}, &out)
-		if code != http.StatusOK {
-			t.Fatalf("select optimizer=%q returned %d", optimizer, code)
+	url := ts.URL + "/v1/consortiums/" + id + "/select"
+	for body, want := range map[string]int{
+		`{"numQueries":3,"seed":1}`:                      http.StatusOK,
+		`{"numQueries":3,"seed":1,"optimizer":"lazy"}`:   http.StatusBadRequest,
+		`{"numQueries":3,"seed":1,"optimizer":"greedy"}`: http.StatusBadRequest,
+	} {
+		resp, err := http.Post(url, "application/json", bytes.NewBufferString(body))
+		if err != nil {
+			t.Fatal(err)
 		}
-		return out.Selected
-	}
-	greedy := sel("")
-	lazy := sel("lazy")
-	if len(greedy) != len(lazy) {
-		t.Fatalf("lazy size %d, greedy %d", len(lazy), len(greedy))
-	}
-	for i := range greedy {
-		if greedy[i] != lazy[i] {
-			t.Fatalf("lazy selection %v differs from greedy %v", lazy, greedy)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("select %s answered %d, want %d", body, resp.StatusCode, want)
 		}
-	}
-	if got := sel("stochastic"); len(got) != len(greedy) {
-		t.Fatalf("stochastic selected %d, want %d", len(got), len(greedy))
-	}
-	var e errorBody
-	if code := doJSON(t, "POST", ts.URL+"/v1/consortiums/"+id+"/select",
-		SelectRequest{Optimizer: "nope"}, &e); code != http.StatusBadRequest {
-		t.Fatalf("bad optimizer returned %d", code)
 	}
 }

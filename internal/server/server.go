@@ -393,9 +393,6 @@ type SelectRequest struct {
 	Seed       int64  `json:"seed"`
 	TopK       string `json:"topk"` // fagin|base|threshold (vfps-sm only)
 	Stratified bool   `json:"stratified"`
-	// Optimizer picks the submodular maximizer: "greedy" (default), "lazy",
-	// "stochastic" or "warm" (vfps-sm only).
-	Optimizer string `json:"optimizer"`
 }
 
 // SelectResponse reports the outcome.
@@ -433,7 +430,7 @@ func (s *Server) selectParticipants(w http.ResponseWriter, r *http.Request) {
 	}
 	opts := vfps.SelectOptions{
 		K: req.K, NumQueries: req.NumQueries, Seed: req.Seed,
-		TopK: req.TopK, Stratified: req.Stratified, Optimizer: req.Optimizer,
+		TopK: req.TopK, Stratified: req.Stratified,
 	}
 	resp := SelectResponse{Method: string(method)}
 	// Protocol runs mutate per-consortium state (delta caches, pack

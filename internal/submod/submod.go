@@ -1,14 +1,12 @@
 // Package submod implements monotone submodular maximization under a
 // cardinality constraint: the optimization core of VFPS-SM (§III-C of the
 // paper). It provides the plain greedy algorithm with its 1−1/e guarantee,
-// the lazy (Minoux) variant, stochastic greedy ("lazier than lazy greedy",
-// the paper's reference [42]) and brute force for small ground sets, plus the
+// brute force for small ground sets as its test oracle, plus the
 // facility-location objective f(S) = Σ_p max_{s∈S} w(p,s) that the paper
 // proves normalized, monotone and submodular (Theorem 1).
 package submod
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
@@ -122,207 +120,6 @@ func Greedy(f Objective, k int) (*Result, error) {
 		inSet[bestV] = true
 		cur += bestGain
 		res.Gains = append(res.Gains, bestGain)
-	}
-	res.Selected = selected
-	res.Value = cur
-	return res, nil
-}
-
-// gainItem is a lazy-greedy priority-queue entry: a cached upper bound on an
-// element's marginal gain.
-type gainItem struct {
-	v     int
-	bound float64
-	round int // the selection round the bound was computed in
-}
-
-type gainHeap []gainItem
-
-func (h gainHeap) Len() int { return len(h) }
-func (h gainHeap) Less(i, j int) bool {
-	if h[i].bound != h[j].bound {
-		return h[i].bound > h[j].bound
-	}
-	return h[i].v < h[j].v
-}
-func (h gainHeap) Swap(i, j int)          { h[i], h[j] = h[j], h[i] }
-func (h *gainHeap) Push(x any)            { *h = append(*h, x.(gainItem)) }
-func (h *gainHeap) Pop() any              { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-func (h gainHeap) peek() gainItem         { return h[0] }
-func (h *gainHeap) replaceTop(g gainItem) { (*h)[0] = g; heap.Fix(h, 0) }
-
-// LazyGreedy runs Minoux's accelerated greedy. By submodularity, marginal
-// gains only shrink as the set grows, so stale cached gains are valid upper
-// bounds: an element whose refreshed gain still tops the heap is the true
-// argmax without touching the rest. Returns results identical to Greedy
-// (same tie-breaking) with far fewer evaluations.
-func LazyGreedy(f Objective, k int) (*Result, error) {
-	if err := checkK(f, k); err != nil {
-		return nil, err
-	}
-	n := f.N()
-	res := &Result{}
-	selected := make([]int, 0, k)
-	cur := 0.0
-	h := make(gainHeap, 0, n)
-	for v := 0; v < n; v++ {
-		val := f.Value([]int{v})
-		res.Evaluations++
-		h = append(h, gainItem{v: v, bound: val, round: 0})
-	}
-	heap.Init(&h)
-	for round := 1; len(selected) < k; round++ {
-		for {
-			top := h.peek()
-			if top.round == round {
-				heap.Pop(&h)
-				selected = append(selected, top.v)
-				cur += top.bound
-				res.Gains = append(res.Gains, top.bound)
-				break
-			}
-			val := f.Value(append(selected, top.v))
-			res.Evaluations++
-			h.replaceTop(gainItem{v: top.v, bound: val - cur, round: round})
-		}
-	}
-	res.Selected = selected
-	res.Value = cur
-	return res, nil
-}
-
-// GreedyWarmStart runs lazy greedy seeded with a prior selection, for online
-// selection under churn: at each round the pick the prior selection made at
-// that position is re-evaluated first. An undisplaced pick is confirmed by
-// that single hint evaluation (which substitutes for the refresh lazy greedy
-// would spend on it anyway) plus only the bound-tightening refreshes lazy
-// greedy itself requires; a displaced pick costs at most one extra
-// evaluation. Total cost is therefore ≤ LazyGreedy + (#displaced picks),
-// and = LazyGreedy when the prior survives intact. The output — selected
-// set, order, gains and value — is identical to Greedy and LazyGreedy on the
-// same objective (same smallest-id tie-breaking); the prior only steers which
-// cached bounds are refreshed first, never the argmax. A stale prior (ids out
-// of range, duplicates, wrong length) degrades gracefully to plain lazy
-// greedy. An empty prior is exactly LazyGreedy.
-func GreedyWarmStart(f Objective, k int, prior []int) (*Result, error) {
-	if err := checkK(f, k); err != nil {
-		return nil, err
-	}
-	n := f.N()
-	res := &Result{}
-	selected := make([]int, 0, k)
-	inSet := make([]bool, n)
-	cur := 0.0
-	// bounds/stamp mirror the freshest heap entry per element so stale
-	// duplicates (a warm hint re-pushes its element) are discarded on pop.
-	bounds := make([]float64, n)
-	stamp := make([]int, n)
-	h := make(gainHeap, 0, n+k)
-	for v := 0; v < n; v++ {
-		val := f.Value([]int{v})
-		res.Evaluations++
-		bounds[v] = val
-		h = append(h, gainItem{v: v, bound: val, round: 0})
-	}
-	heap.Init(&h)
-	for round := 1; len(selected) < k; round++ {
-		// Warm hint: refresh the prior pick for this position before
-		// scanning. By submodularity every other cached bound is still a
-		// valid upper bound, so if the refreshed hint tops the heap it is
-		// the true argmax.
-		if i := round - 1; i < len(prior) {
-			if p := prior[i]; p >= 0 && p < n && !inSet[p] && stamp[p] != round {
-				val := f.Value(append(selected, p))
-				res.Evaluations++
-				bounds[p] = val - cur
-				stamp[p] = round
-				heap.Push(&h, gainItem{v: p, bound: bounds[p], round: round})
-			}
-		}
-		for {
-			top := h.peek()
-			if inSet[top.v] || top.bound != bounds[top.v] || (top.round == round) != (stamp[top.v] == round) {
-				heap.Pop(&h) // stale duplicate of a hinted element
-				continue
-			}
-			if top.round == round {
-				heap.Pop(&h)
-				selected = append(selected, top.v)
-				inSet[top.v] = true
-				cur += top.bound
-				res.Gains = append(res.Gains, top.bound)
-				break
-			}
-			val := f.Value(append(selected, top.v))
-			res.Evaluations++
-			bounds[top.v] = val - cur
-			stamp[top.v] = round
-			h.replaceTop(gainItem{v: top.v, bound: bounds[top.v], round: round})
-		}
-	}
-	res.Selected = selected
-	res.Value = cur
-	return res, nil
-}
-
-// StochasticGreedy implements the "lazier than lazy greedy" algorithm: each
-// round evaluates only a uniform random sample of size ⌈(n/k)·ln(1/eps)⌉,
-// achieving a (1 − 1/e − eps) guarantee in expectation with O(n·ln(1/eps))
-// total evaluations.
-func StochasticGreedy(f Objective, k int, eps float64, rng *rand.Rand) (*Result, error) {
-	if err := checkK(f, k); err != nil {
-		return nil, err
-	}
-	if eps <= 0 || eps >= 1 {
-		return nil, fmt.Errorf("submod: eps=%g must be in (0,1)", eps)
-	}
-	if rng == nil {
-		return nil, fmt.Errorf("submod: nil rng")
-	}
-	n := f.N()
-	sample := int(math.Ceil(float64(n) / float64(k) * math.Log(1/eps)))
-	if sample < 1 {
-		sample = 1
-	}
-	res := &Result{}
-	selected := make([]int, 0, k)
-	inSet := make([]bool, n)
-	remaining := make([]int, n)
-	for i := range remaining {
-		remaining[i] = i
-	}
-	cur := 0.0
-	for len(selected) < k {
-		// Sample without replacement from the remaining elements.
-		m := len(remaining)
-		s := sample
-		if s > m {
-			s = m
-		}
-		for i := 0; i < s; i++ {
-			j := i + rng.Intn(m-i)
-			remaining[i], remaining[j] = remaining[j], remaining[i]
-		}
-		bestV, bestGain := -1, math.Inf(-1)
-		for _, v := range remaining[:s] {
-			val := f.Value(append(selected, v))
-			res.Evaluations++
-			if gain := val - cur; gain > bestGain || (gain == bestGain && v < bestV) {
-				bestGain, bestV = gain, v
-			}
-		}
-		selected = append(selected, bestV)
-		inSet[bestV] = true
-		cur += bestGain
-		res.Gains = append(res.Gains, bestGain)
-		// Remove bestV from remaining.
-		for i, v := range remaining {
-			if v == bestV {
-				remaining[i] = remaining[len(remaining)-1]
-				remaining = remaining[:len(remaining)-1]
-				break
-			}
-		}
 	}
 	res.Selected = selected
 	res.Value = cur

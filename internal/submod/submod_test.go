@@ -125,36 +125,6 @@ func TestGreedyGainsDiminish(t *testing.T) {
 	}
 }
 
-func TestLazyGreedyMatchesGreedy(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		n := 3 + rng.Intn(15)
-		k := 1 + rng.Intn(n)
-		f := fl(t, randomSimilarity(rng, n))
-		g, err := Greedy(f, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l, err := LazyGreedy(f, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Under exact arithmetic lazy greedy selects the same set; floating-
-		// point ties can swap elements with equal gains, so the contract is
-		// value equivalence.
-		if math.Abs(g.Value-l.Value) > 1e-9 {
-			t.Fatalf("seed %d: value mismatch %g vs %g (greedy %v, lazy %v)",
-				seed, g.Value, l.Value, g.Selected, l.Selected)
-		}
-		// Lazy greedy never does more than one refresh per element per round,
-		// so it is bounded by greedy's cost plus the initial pass; in practice
-		// it does far fewer evaluations for larger k.
-		if l.Evaluations > g.Evaluations+f.N() {
-			t.Fatalf("seed %d: lazy used too many evaluations (%d vs greedy %d)", seed, l.Evaluations, g.Evaluations)
-		}
-	}
-}
-
 func TestGreedyApproximationGuarantee(t *testing.T) {
 	// Greedy must achieve ≥ (1 − 1/e)·OPT on monotone submodular functions.
 	bound := 1 - 1/math.E
@@ -177,149 +147,6 @@ func TestGreedyApproximationGuarantee(t *testing.T) {
 		if g.Value > opt.Value+1e-9 {
 			t.Fatalf("seed %d: greedy exceeds OPT?!", seed)
 		}
-	}
-}
-
-// GreedyWarmStart must equal LazyGreedy exactly — same selected order, same
-// gains, same value — regardless of the prior it was seeded with: a perfect
-// prior, a stale/garbage prior, an empty one. The prior only steers
-// evaluation order.
-func TestGreedyWarmStartMatchesLazyGreedy(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		n := 3 + rng.Intn(15)
-		k := 1 + rng.Intn(n)
-		f := fl(t, randomSimilarity(rng, n))
-		l, err := LazyGreedy(f, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		priors := [][]int{
-			nil,                                 // no prior: must degrade to plain lazy greedy
-			l.Selected,                          // perfect prior
-			l.Selected[:k/2],                    // truncated prior
-			{n, -1, 0, 0},                       // garbage: out of range + duplicates
-			rng.Perm(n)[:k],                     // random stale prior
-			append([]int{n - 1}, l.Selected...), // shifted prior
-		}
-		for pi, prior := range priors {
-			w, err := GreedyWarmStart(f, k, prior)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !equalIntSlices(w.Selected, l.Selected) {
-				t.Fatalf("seed %d prior %d: selected %v, want %v", seed, pi, w.Selected, l.Selected)
-			}
-			if math.Abs(w.Value-l.Value) > 0 {
-				t.Fatalf("seed %d prior %d: value %g, want %g", seed, pi, w.Value, l.Value)
-			}
-			for i := range w.Gains {
-				if w.Gains[i] != l.Gains[i] {
-					t.Fatalf("seed %d prior %d: gain[%d] %g, want %g", seed, pi, i, w.Gains[i], l.Gains[i])
-				}
-			}
-		}
-	}
-}
-
-// Warm-start cost contract: with an intact prior the hint evaluation
-// substitutes for the refresh lazy greedy would spend on the same element, so
-// the evaluation count matches LazyGreedy exactly; an arbitrary prior costs
-// at most one extra evaluation per displaced pick. Both stay far below plain
-// greedy's n·k.
-func TestGreedyWarmStartRepairsCheaply(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	n, k := 40, 10
-	f := fl(t, randomSimilarity(rng, n))
-	l, err := LazyGreedy(f, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := Greedy(f, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := GreedyWarmStart(f, k, l.Selected)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Evaluations > l.Evaluations {
-		t.Fatalf("perfect prior used %d evaluations, lazy greedy %d", w.Evaluations, l.Evaluations)
-	}
-	stale, err := GreedyWarmStart(f, k, rng.Perm(n)[:k])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stale.Evaluations > l.Evaluations+k {
-		t.Fatalf("stale prior used %d evaluations, want ≤ lazy %d + k %d", stale.Evaluations, l.Evaluations, k)
-	}
-	if w.Evaluations >= g.Evaluations || stale.Evaluations >= g.Evaluations {
-		t.Fatalf("warm start (%d/%d evals) not below plain greedy (%d)", w.Evaluations, stale.Evaluations, g.Evaluations)
-	}
-	if !equalIntSlices(w.Selected, l.Selected) {
-		t.Fatalf("warm start diverged: %v vs %v", w.Selected, l.Selected)
-	}
-}
-
-func TestGreedyWarmStartValidation(t *testing.T) {
-	f := fl(t, randomSimilarity(rand.New(rand.NewSource(12)), 4))
-	if _, err := GreedyWarmStart(f, 0, nil); err == nil {
-		t.Fatal("expected error k=0")
-	}
-	if _, err := GreedyWarmStart(f, 5, nil); err == nil {
-		t.Fatal("expected error k>n")
-	}
-}
-
-func equalIntSlices(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func TestStochasticGreedy(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	f := fl(t, randomSimilarity(rng, 20))
-	res, err := StochasticGreedy(f, 5, 0.1, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Selected) != 5 {
-		t.Fatalf("selected %d elements", len(res.Selected))
-	}
-	// Must be distinct.
-	seen := map[int]bool{}
-	for _, v := range res.Selected {
-		if seen[v] {
-			t.Fatalf("duplicate selection: %v", res.Selected)
-		}
-		seen[v] = true
-	}
-	// Should be within a reasonable factor of full greedy on average; check
-	// a loose floor against the exact greedy value.
-	g, _ := Greedy(f, 5)
-	if res.Value < 0.5*g.Value {
-		t.Fatalf("stochastic value %g too far below greedy %g", res.Value, g.Value)
-	}
-}
-
-func TestStochasticGreedyValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	f := fl(t, randomSimilarity(rng, 5))
-	if _, err := StochasticGreedy(f, 2, 0, rng); err == nil {
-		t.Fatal("expected eps validation error")
-	}
-	if _, err := StochasticGreedy(f, 2, 1.5, rng); err == nil {
-		t.Fatal("expected eps validation error")
-	}
-	if _, err := StochasticGreedy(f, 2, 0.1, nil); err == nil {
-		t.Fatal("expected nil rng error")
 	}
 }
 
@@ -390,18 +217,6 @@ func BenchmarkGreedy(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Greedy(f, 16); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkLazyGreedy(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	f, _ := NewFacilityLocation(randomSimilarity(rng, 64))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := LazyGreedy(f, 16); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -30,10 +30,14 @@ func NewCodecCaller(c Caller) *CodecCaller { return &CodecCaller{caller: c} }
 // WireStats cover the request encoding even when the call itself fails.
 func (cc *CodecCaller) Invoke(ctx context.Context, peer, method string, req, resp wire.Message) (WireStats, error) {
 	raw, payload := wire.Marshal(req)
+	// The stats cover the message alone: like the cost trailer on the
+	// response, the trace context below is observability overhead, not
+	// protocol traffic, so an observed selection counts the same bytes as an
+	// unobserved one.
+	st := WireStats{Payload: payload, Framing: int64(len(raw)) - payload}
 	// Inject the caller's trace context as a reserved trailing field of the
 	// envelope, so the server parents its spans under the caller's across the
 	// process boundary; peers that predate the field skip the unknown tag.
-	// The extra bytes are framing, never payload.
 	if sc, ok := obs.SpanContextOf(ctx); ok {
 		raw = wire.AppendTraceContext(raw, wire.TraceContext{
 			Trace: [16]byte(sc.Trace),
@@ -41,7 +45,6 @@ func (cc *CodecCaller) Invoke(ctx context.Context, peer, method string, req, res
 			Query: obs.QueryIDFromContext(ctx),
 		})
 	}
-	st := WireStats{Payload: payload, Framing: int64(len(raw)) - payload}
 	out, err := cc.caller.Call(ctx, peer, method, raw)
 	if err != nil {
 		return st, err

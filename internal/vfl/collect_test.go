@@ -73,7 +73,7 @@ func TestDeltaMissRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(ref.Close)
-	want, err := ref.Leader.Similarities(ctx, queries, 3, VariantFagin)
+	want, err := ref.Leader.Similarities(ctx, queries, 3, VariantFagin, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestDeltaMissRetry(t *testing.T) {
 		}
 		t.Cleanup(cl.Close)
 		for round := 0; round < 2; round++ {
-			if _, err := cl.Leader.Similarities(ctx, queries, 3, VariantFagin); err != nil {
+			if _, err := cl.Leader.Similarities(ctx, queries, 3, VariantFagin, 1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -97,7 +97,7 @@ func TestDeltaMissRetry(t *testing.T) {
 			lt.tap(cl.Transport, name, cl.Parties[i].Handler())
 		}
 		rctx, cost := costmodel.WithCounts(ctx)
-		got, err := cl.Leader.Similarities(rctx, queries, 3, VariantFagin)
+		got, err := cl.Leader.Similarities(rctx, queries, 3, VariantFagin, 1)
 		if err != nil {
 			t.Fatalf("round after the fault: %v", err)
 		}

@@ -215,7 +215,7 @@ func TestPlainSchemeNeverCaches(t *testing.T) {
 	t.Cleanup(cl.Close)
 	for round := 0; round < 2; round++ {
 		for _, variant := range []Variant{VariantBase, VariantFagin} {
-			if _, err := cl.Leader.Similarities(ctx, []int{0, 11}, 3, variant); err != nil {
+			if _, err := cl.Leader.Similarities(ctx, []int{0, 11}, 3, variant, 1); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -11,6 +11,7 @@ import (
 	"vfps/internal/costmodel"
 	"vfps/internal/he"
 	"vfps/internal/obs"
+	"vfps/internal/par"
 	"vfps/internal/topk"
 	"vfps/internal/transport"
 	"vfps/internal/wire"
@@ -395,43 +396,17 @@ func (l *Leader) finishQuery(ctx context.Context, query, k int, pids []int, dist
 	return &QueryResult{Neighbors: neighbors, PartySums: sums, Fagin: stats}, nil
 }
 
-// fanOut runs fn once per node of a party roster, serially when parallelism
-// is 1 and otherwise on one goroutine per node. No worker bound: the calls wait on
-// peers, not on local cores. Results land in caller-indexed slots, so ordering
-// is independent of completion order, and the lowest-indexed node's error
-// wins, matching the serial loop.
+// fanOut runs fn once per node of a party roster through par.For: serially
+// when parallelism is 1 and otherwise on one goroutine per node. No worker
+// bound: the calls wait on peers, not on local cores. Results land in
+// caller-indexed slots, so ordering is independent of completion order, and
+// the lowest-indexed node's error wins, matching the serial loop.
 func fanOut(ctx context.Context, parallelism int, nodes []string, fn func(i int, node string) error) error {
+	workers := len(nodes)
 	if parallelism == 1 {
-		for i, node := range nodes {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(i, node); err != nil {
-				return err
-			}
-		}
-		return nil
+		workers = 1
 	}
-	errs := make([]error, len(nodes))
-	var wg sync.WaitGroup
-	for i, node := range nodes {
-		wg.Add(1)
-		go func(i int, node string) {
-			defer wg.Done()
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				return
-			}
-			errs[i] = fn(i, node)
-		}(i, node)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return par.For(ctx, len(nodes), workers, func(i int) error { return fn(i, nodes[i]) })
 }
 
 // errRankingOverrun marks a ranking batch longer than the Count its request
@@ -557,181 +532,66 @@ type SimilarityReport struct {
 	TotalRounds int
 }
 
-// Similarities runs the KNN oracle over the query set and accumulates the
-// pairwise participant similarity matrix of §III-A:
+// Similarities runs the KNN oracle over the query set as one protocol round,
+// with up to workers queries in flight (workers <= 1 runs them serially), and
+// averages the pairwise participant similarity matrix of §III-A:
 //
 //	w_q(p1,p2) = (d_T − |d^p1_T − d^p2_T|) / d_T,   w = mean over queries.
-func (l *Leader) Similarities(ctx context.Context, queries []int, k int, variant Variant) (*SimilarityReport, error) {
-	return l.SimilaritiesParallel(ctx, queries, k, variant, 1)
-}
-
-// SimAccumulator incrementally aggregates per-query similarity
-// contributions, enabling adaptive protocols that add query batches until
-// the estimate stabilises.
-type SimAccumulator struct {
-	p      int
-	sums   [][]float64
-	n      int
-	cands  int
-	rounds int
-}
-
-// NewAccumulator returns an empty similarity accumulator for this
-// consortium.
-func (l *Leader) NewAccumulator() *SimAccumulator {
-	p := len(l.parties)
-	sums := make([][]float64, p)
-	for i := range sums {
-		sums[i] = make([]float64, p)
-	}
-	return &SimAccumulator{p: p, sums: sums}
-}
-
-// Queries returns the number of query samples accumulated so far.
-func (a *SimAccumulator) Queries() int { return a.n }
-
-// add folds one query result into the accumulator.
-func (a *SimAccumulator) add(res *QueryResult) {
-	a.cands += res.Fagin.Candidates
-	a.rounds += res.Fagin.Rounds
-	var dT float64
-	for _, s := range res.PartySums {
-		dT += s
-	}
-	for i := 0; i < a.p; i++ {
-		for j := 0; j < a.p; j++ {
-			var w float64
-			if dT <= 0 {
-				// All neighbours coincide with the query on every party:
-				// no divergence information, treat parties as identical.
-				w = 1
-			} else {
-				w = (dT - math.Abs(res.PartySums[i]-res.PartySums[j])) / dT
-			}
-			a.sums[i][j] += w
-		}
-	}
-	a.n++
-}
-
-// Report materialises the current similarity estimate.
-func (a *SimAccumulator) Report() *SimilarityReport {
-	w := make([][]float64, a.p)
-	for i := range w {
-		w[i] = make([]float64, a.p)
-		for j := range w[i] {
-			w[i][j] = a.sums[i][j] / float64(a.n)
-		}
-		w[i][i] = 1
-	}
-	return &SimilarityReport{
-		W:             w,
-		Queries:       a.n,
-		AvgCandidates: float64(a.cands) / float64(a.n),
-		TotalRounds:   a.rounds,
-	}
-}
-
-// Accumulate runs the KNN oracle over additional queries and folds them into
-// acc, with up to `workers` queries in flight.
-func (l *Leader) Accumulate(ctx context.Context, queries []int, k int, variant Variant, workers int, acc *SimAccumulator) error {
-	results, err := l.runQueries(ctx, queries, k, variant, workers)
-	if err != nil {
-		return err
-	}
-	for _, res := range results {
-		acc.add(res)
-	}
-	l.charge(ctx, costmodel.Raw{PlainAdds: int64(len(queries) * acc.p * acc.p)})
-	return nil
-}
-
-// SimilaritiesParallel is Similarities with up to `workers` queries in
-// flight concurrently. Results are accumulated in query order, so the
-// report is bit-identical to the sequential run.
-func (l *Leader) SimilaritiesParallel(ctx context.Context, queries []int, k int, variant Variant, workers int) (*SimilarityReport, error) {
-	if len(queries) == 0 {
-		return nil, fmt.Errorf("vfl: empty query set")
-	}
-	acc := l.NewAccumulator()
-	if err := l.Accumulate(ctx, queries, k, variant, workers, acc); err != nil {
-		return nil, err
-	}
-	return acc.Report(), nil
-}
-
-// runQueries executes the KNN oracle for every query as one round,
-// optionally in parallel, preserving query order in the results.
-func (l *Leader) runQueries(ctx context.Context, queries []int, k int, variant Variant, workers int) ([]*QueryResult, error) {
+//
+// Query results are folded in query order, so the report is bit-identical
+// at every worker count; the first failing query's error is returned.
+func (l *Leader) Similarities(ctx context.Context, queries []int, k int, variant Variant, workers int) (*SimilarityReport, error) {
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("vfl: empty query set")
 	}
 	l.beginRound(queries)
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > len(queries) {
-		workers = len(queries)
-	}
 	results := make([]*QueryResult, len(queries))
-	if workers == 1 {
-		for qi, q := range queries {
-			res, err := l.runQuery(ctx, q, k, variant)
-			if err != nil {
-				return nil, fmt.Errorf("vfl: query %d: %w", q, err)
-			}
-			results[qi] = res
+	err := par.For(ctx, len(queries), max(workers, 1), func(qi int) error {
+		res, err := l.runQuery(ctx, queries[qi], k, variant)
+		if err != nil {
+			return fmt.Errorf("vfl: query %d: %w", queries[qi], err)
 		}
-	} else {
-		ctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		var wg sync.WaitGroup
-		var errOnce sync.Once
-		var firstErr error
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for qi := range next {
-					res, err := l.runQuery(ctx, queries[qi], k, variant)
-					if err != nil {
-						errOnce.Do(func() {
-							firstErr = fmt.Errorf("vfl: query %d: %w", queries[qi], err)
-							cancel()
-						})
-						return
-					}
-					results[qi] = res
+		results[qi] = res
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	p := len(l.parties)
+	w := make([][]float64, p)
+	for i := range w {
+		w[i] = make([]float64, p)
+	}
+	rep := &SimilarityReport{W: w, Queries: len(results)}
+	cands := 0
+	for _, res := range results {
+		cands += res.Fagin.Candidates
+		rep.TotalRounds += res.Fagin.Rounds
+		var dT float64
+		for _, s := range res.PartySums {
+			dT += s
+		}
+		for i := 0; i < p; i++ {
+			for j := 0; j < p; j++ {
+				if dT <= 0 {
+					// All neighbours coincide with the query on every party:
+					// no divergence information, treat parties as identical.
+					w[i][j]++
+				} else {
+					w[i][j] += (dT - math.Abs(res.PartySums[i]-res.PartySums[j])) / dT
 				}
-			}()
-		}
-	feed:
-		for qi := range queries {
-			select {
-			case next <- qi:
-			case <-ctx.Done():
-				break feed
-			}
-		}
-		close(next)
-		wg.Wait()
-		if firstErr != nil {
-			return nil, firstErr
-		}
-		// Cancellation can stop the feed before any worker reports an error,
-		// leaving gaps; surface that instead of returning partial results.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		for _, r := range results {
-			if r == nil {
-				return nil, fmt.Errorf("vfl: query processing incomplete")
 			}
 		}
 	}
-
-	return results, nil
+	l.charge(ctx, costmodel.Raw{PlainAdds: int64(len(queries) * p * p)})
+	for i := range w {
+		for j := range w[i] {
+			w[i][j] /= float64(rep.Queries)
+		}
+		w[i][i] = 1
+	}
+	rep.AvgCandidates = float64(cands) / float64(rep.Queries)
+	return rep, nil
 }
 
 // Scheme exposes the leader's HE scheme (used by integration tests).

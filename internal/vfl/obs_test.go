@@ -184,11 +184,11 @@ func TestTracedSelectionIdentity(t *testing.T) {
 	}
 	defer traced.Close()
 
-	prep, err := plain.Leader.Similarities(ctx, queries, 3, VariantFagin)
+	prep, err := plain.Leader.Similarities(ctx, queries, 3, VariantFagin, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trep, err := traced.Leader.SimilaritiesParallel(ctx, queries, 3, VariantFagin, 2)
+	trep, err := traced.Leader.Similarities(ctx, queries, 3, VariantFagin, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestDepartedParticipantIsCollected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := cl.Leader.Similarities(ctx, queries, 3, VariantFagin); err != nil {
+		if _, err := cl.Leader.Similarities(ctx, queries, 3, VariantFagin, 1); err != nil {
 			t.Fatal(err)
 		}
 		joiner := cl.Parties[len(cl.Parties)-1]
@@ -253,12 +253,12 @@ func TestDepartedParticipantIsCollected(t *testing.T) {
 		if err := cl.RemoveParticipant(joiner.index); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := cl.Leader.Similarities(ctx, queries, 3, VariantFagin); err != nil {
+		if _, err := cl.Leader.Similarities(ctx, queries, 3, VariantFagin, 1); err != nil {
 			t.Fatalf("selection after %s left: %v", name, err)
 		}
 		return wp
 	}
-	if _, err := cl.Leader.Similarities(ctx, queries, 3, VariantFagin); err != nil {
+	if _, err := cl.Leader.Similarities(ctx, queries, 3, VariantFagin, 1); err != nil {
 		t.Fatal(err)
 	}
 	first := cycle()

@@ -76,11 +76,11 @@ func TestPackedSelectionIdentity(t *testing.T) {
 	}
 
 	for _, variant := range []Variant{VariantBase, VariantFagin} {
-		srep, err := scalar.Leader.Similarities(ctx, queries, 3, variant)
+		srep, err := scalar.Leader.Similarities(ctx, queries, 3, variant, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		prep, err := packed.Leader.Similarities(ctx, queries, 3, variant)
+		prep, err := packed.Leader.Similarities(ctx, queries, 3, variant, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,11 +130,11 @@ func TestEncryptWindowSelectionIdentity(t *testing.T) {
 	}
 	windowed, classic := build(0), build(-1)
 	for _, variant := range []Variant{VariantBase, VariantFagin, VariantThreshold} {
-		wrep, err := windowed.Leader.Similarities(ctx, queries, 3, variant)
+		wrep, err := windowed.Leader.Similarities(ctx, queries, 3, variant, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		crep, err := classic.Leader.Similarities(ctx, queries, 3, variant)
+		crep, err := classic.Leader.Similarities(ctx, queries, 3, variant, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

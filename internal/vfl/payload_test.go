@@ -57,14 +57,14 @@ func TestAdaptivePackSelectionIdentity(t *testing.T) {
 	full := payloadTestCluster(t, pt)
 
 	for _, variant := range []Variant{VariantBase, VariantFagin} {
-		sref, err := static.Leader.Similarities(ctx, queries, 3, variant)
+		sref, err := static.Leader.Similarities(ctx, queries, 3, variant, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var roundBytes [2]int64
 		for round := 0; round < 2; round++ {
 			rctx, cost := costmodel.WithCounts(ctx)
-			frep, err := full.Leader.Similarities(rctx, queries, 3, variant)
+			frep, err := full.Leader.Similarities(rctx, queries, 3, variant, 1)
 			if err != nil {
 				t.Fatalf("%s round %d: %v", variant, round+1, err)
 			}

@@ -103,7 +103,7 @@ func TestTranscriptDoesNotLeakPlaintextDistances(t *testing.T) {
 			cl, rec := buildRecordedCluster(t, scheme)
 			ctx := context.Background()
 			query := 5
-			if _, err := cl.Leader.Similarities(ctx, []int{query}, 4, VariantFagin); err != nil {
+			if _, err := cl.Leader.Similarities(ctx, []int{query}, 4, VariantFagin, 1); err != nil {
 				t.Fatal(err)
 			}
 			// The secrets: party 0's true partial distances for this query.
@@ -138,7 +138,7 @@ func TestTranscriptDetectorFindsPlainLeaks(t *testing.T) {
 	cl, rec := buildRecordedCluster(t, "plain")
 	ctx := context.Background()
 	query := 5
-	if _, err := cl.Leader.Similarities(ctx, []int{query}, 4, VariantBase); err != nil {
+	if _, err := cl.Leader.Similarities(ctx, []int{query}, 4, VariantBase, 1); err != nil {
 		t.Fatal(err)
 	}
 	qc, err := cl.Parties[0].distances(context.Background(), query)

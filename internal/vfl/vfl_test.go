@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"vfps/internal/costmodel"
@@ -72,7 +73,7 @@ func nodeCounts(cl *Cluster) costmodel.Raw {
 func similaritiesCost(t *testing.T, l *Leader, queries []int, k int, variant Variant) costmodel.Raw {
 	t.Helper()
 	ctx, cost := costmodel.WithCounts(context.Background())
-	if _, err := l.Similarities(ctx, queries, k, variant); err != nil {
+	if _, err := l.Similarities(ctx, queries, k, variant, 1); err != nil {
 		t.Fatal(err)
 	}
 	return cost.Snapshot()
@@ -147,11 +148,11 @@ func TestBaseAndFaginAgree(t *testing.T) {
 	cl := newCluster(t, pt, "plain")
 	ctx := context.Background()
 	queries := []int{1, 5, 33, 77}
-	base, err := cl.Leader.Similarities(ctx, queries, 5, VariantBase)
+	base, err := cl.Leader.Similarities(ctx, queries, 5, VariantBase, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fagin, err := cl.Leader.Similarities(ctx, queries, 5, VariantFagin)
+	fagin, err := cl.Leader.Similarities(ctx, queries, 5, VariantFagin, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,11 +174,11 @@ func TestPaillierAndPlainAgree(t *testing.T) {
 	pail := newCluster(t, pt, "paillier")
 	ctx := context.Background()
 	queries := []int{2, 30}
-	a, err := plain.Leader.Similarities(ctx, queries, 4, VariantFagin)
+	a, err := plain.Leader.Similarities(ctx, queries, 4, VariantFagin, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := pail.Leader.Similarities(ctx, queries, 4, VariantFagin)
+	b, err := pail.Leader.Similarities(ctx, queries, 4, VariantFagin, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestPaillierAndPlainAgree(t *testing.T) {
 func TestSimilarityMatrixProperties(t *testing.T) {
 	_, pt := testPartition(t, "Credit", 150, 4)
 	cl := newCluster(t, pt, "plain")
-	rep, err := cl.Leader.Similarities(context.Background(), []int{3, 9, 50, 100, 149}, 5, VariantFagin)
+	rep, err := cl.Leader.Similarities(context.Background(), []int{3, 9, 50, 100, 149}, 5, VariantFagin, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestDuplicatePartiesHaveUnitSimilarity(t *testing.T) {
 	_, pt := testPartition(t, "Rice", 80, 3)
 	dup := pt.WithDuplicates(1, 11) // party 3 duplicates some original
 	cl := newCluster(t, dup, "plain")
-	rep, err := cl.Leader.Similarities(context.Background(), []int{4, 40, 70}, 5, VariantFagin)
+	rep, err := cl.Leader.Similarities(context.Background(), []int{4, 40, 70}, 5, VariantFagin, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,7 @@ func TestFaginPrunesCandidates(t *testing.T) {
 	// instances per query.
 	_, pt := testPartition(t, "Phishing", 400, 4)
 	cl := newCluster(t, pt, "plain")
-	rep, err := cl.Leader.Similarities(context.Background(), []int{10, 200}, 5, VariantFagin)
+	rep, err := cl.Leader.Similarities(context.Background(), []int{10, 200}, 5, VariantFagin, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +301,7 @@ func TestLeaderValidation(t *testing.T) {
 	if _, err := cl.Leader.RunQuery(ctx, 0, 40, VariantBase); err == nil {
 		t.Fatal("expected k>candidates error")
 	}
-	if _, err := cl.Leader.Similarities(ctx, nil, 5, VariantBase); err == nil {
+	if _, err := cl.Leader.Similarities(ctx, nil, 5, VariantBase, 1); err == nil {
 		t.Fatal("expected empty query set error")
 	}
 }
@@ -320,13 +321,13 @@ func TestParticipantFailureSurfacesError(t *testing.T) {
 	_, pt := testPartition(t, "Rice", 40, 3)
 	cl := newCluster(t, pt, "plain")
 	cl.Transport.InjectFailure(PartyName(1))
-	_, err := cl.Leader.Similarities(context.Background(), []int{3}, 4, VariantFagin)
+	_, err := cl.Leader.Similarities(context.Background(), []int{3}, 4, VariantFagin, 1)
 	if !errors.Is(err, transport.ErrInjectedFailure) {
 		t.Fatalf("expected injected failure, got %v", err)
 	}
 	// Recovery: clearing the fault restores service.
 	cl.Transport.InjectFailure("")
-	if _, err := cl.Leader.Similarities(context.Background(), []int{3}, 4, VariantFagin); err != nil {
+	if _, err := cl.Leader.Similarities(context.Background(), []int{3}, 4, VariantFagin, 1); err != nil {
 		t.Fatalf("cluster did not recover: %v", err)
 	}
 }
@@ -457,14 +458,14 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := leader.Similarities(ctx, []int{2, 30, 59}, 4, VariantFagin)
+	rep, err := leader.Similarities(ctx, []int{2, 30, 59}, 4, VariantFagin, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// The TCP run must agree with the in-memory run bit-for-bit.
 	mem := newCluster(t, pt, "plain")
-	memRep, err := mem.Leader.Similarities(ctx, []int{2, 30, 59}, 4, VariantFagin)
+	memRep, err := mem.Leader.Similarities(ctx, []int{2, 30, 59}, 4, VariantFagin, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,11 +483,11 @@ func TestThresholdVariantMatchesBase(t *testing.T) {
 	cl := newCluster(t, pt, "plain")
 	ctx := context.Background()
 	queries := []int{0, 25, 60, 119}
-	base, err := cl.Leader.Similarities(ctx, queries, 5, VariantBase)
+	base, err := cl.Leader.Similarities(ctx, queries, 5, VariantBase, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ta, err := cl.Leader.Similarities(ctx, queries, 5, VariantThreshold)
+	ta, err := cl.Leader.Similarities(ctx, queries, 5, VariantThreshold, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,11 +508,11 @@ func TestThresholdPrunesAtLeastAsHardAsFagin(t *testing.T) {
 	cl := newCluster(t, pt, "plain")
 	ctx := context.Background()
 	queries := []int{10, 200}
-	fagin, err := cl.Leader.Similarities(ctx, queries, 5, VariantFagin)
+	fagin, err := cl.Leader.Similarities(ctx, queries, 5, VariantFagin, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ta, err := cl.Leader.Similarities(ctx, queries, 5, VariantThreshold)
+	ta, err := cl.Leader.Similarities(ctx, queries, 5, VariantThreshold, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,11 +567,11 @@ func TestParallelSimilaritiesMatchSequential(t *testing.T) {
 	cl := newCluster(t, pt, "plain")
 	ctx := context.Background()
 	queries := []int{1, 20, 40, 60, 80, 100, 120, 140, 160, 199}
-	seq, err := cl.Leader.Similarities(ctx, queries, 5, VariantFagin)
+	seq, err := cl.Leader.Similarities(ctx, queries, 5, VariantFagin, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := cl.Leader.SimilaritiesParallel(ctx, queries, 5, VariantFagin, 4)
+	par, err := cl.Leader.Similarities(ctx, queries, 5, VariantFagin, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -589,10 +590,20 @@ func TestParallelSimilaritiesMatchSequential(t *testing.T) {
 func TestParallelSimilaritiesErrorPropagates(t *testing.T) {
 	_, pt := testPartition(t, "Rice", 50, 3)
 	cl := newCluster(t, pt, "plain")
-	// One invalid query among many must fail the whole batch.
+	// One invalid query among many must fail the whole batch with the error
+	// the serial loop surfaces: the one naming that query.
 	queries := []int{1, 2, 3, -5, 4, 5}
-	if _, err := cl.Leader.SimilaritiesParallel(context.Background(), queries, 4, VariantFagin, 3); err == nil {
-		t.Fatal("expected error for invalid query")
+	var serial string
+	for _, workers := range []int{1, 3} {
+		_, err := cl.Leader.Similarities(context.Background(), queries, 4, VariantFagin, workers)
+		if err == nil || !strings.Contains(err.Error(), "query -5:") {
+			t.Fatalf("workers=%d: got %v, want an error naming query -5", workers, err)
+		}
+		if workers == 1 {
+			serial = err.Error()
+		} else if err.Error() != serial {
+			t.Fatalf("workers=%d: got %q, serial run got %q", workers, err, serial)
+		}
 	}
 }
 
@@ -698,11 +709,11 @@ func TestSecAggClusterMatchesPlain(t *testing.T) {
 	ctx := context.Background()
 	queries := []int{1, 30, 75}
 	for _, variant := range []Variant{VariantBase, VariantFagin, VariantThreshold} {
-		a, err := plain.Leader.Similarities(ctx, queries, 5, variant)
+		a, err := plain.Leader.Similarities(ctx, queries, 5, variant, 1)
 		if err != nil {
 			t.Fatalf("plain/%s: %v", variant, err)
 		}
-		b, err := masked.Leader.Similarities(ctx, queries, 5, variant)
+		b, err := masked.Leader.Similarities(ctx, queries, 5, variant, 1)
 		if err != nil {
 			t.Fatalf("secagg/%s: %v", variant, err)
 		}
@@ -753,7 +764,7 @@ func TestSecAggNoHEOperations(t *testing.T) {
 	// words, so communication drops by ~32x vs a 1024-bit-modulus scheme.
 	_, pt := testPartition(t, "Rice", 60, 3)
 	cl := newCluster(t, pt, "secagg")
-	if _, err := cl.Leader.Similarities(context.Background(), []int{5}, 4, VariantFagin); err != nil {
+	if _, err := cl.Leader.Similarities(context.Background(), []int{5}, 4, VariantFagin, 1); err != nil {
 		t.Fatal(err)
 	}
 	p0 := cl.Parties[0].counts.Snapshot()
@@ -776,14 +787,14 @@ func TestDPClusterRunsAndPerturbs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := cl.Leader.Similarities(ctx, []int{3, 40, 70}, 5, VariantFagin)
+		rep, err := cl.Leader.Similarities(ctx, []int{3, 40, 70}, 5, VariantFagin, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rep
 	}
 	plain := newCluster(t, pt, "plain")
-	truth, err := plain.Leader.Similarities(ctx, []int{3, 40, 70}, 5, VariantFagin)
+	truth, err := plain.Leader.Similarities(ctx, []int{3, 40, 70}, 5, VariantFagin, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -883,7 +894,7 @@ func TestChurnUnregistersDepartedNodes(t *testing.T) {
 	if got := serving(); !slices.Equal(got, cold) {
 		t.Fatalf("after 8 join→leave cycles the transport serves %v, cold cluster served %v", got, cold)
 	}
-	if _, err := cl.Leader.Similarities(ctx, []int{1, 7}, 3, VariantFagin); err != nil {
+	if _, err := cl.Leader.Similarities(ctx, []int{1, 7}, 3, VariantFagin, 1); err != nil {
 		t.Fatalf("selection after churn: %v", err)
 	}
 }
@@ -966,7 +977,7 @@ func TestSimilaritiesContextCancellation(t *testing.T) {
 	cl := newCluster(t, pt, "plain")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := cl.Leader.SimilaritiesParallel(ctx, []int{1, 2, 3, 4}, 5, VariantFagin, 2); err == nil {
+	if _, err := cl.Leader.Similarities(ctx, []int{1, 2, 3, 4}, 5, VariantFagin, 2); err == nil {
 		t.Fatal("expected cancellation error")
 	}
 }

@@ -30,7 +30,6 @@ package vfps
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"vfps/internal/baselines"
@@ -128,14 +127,6 @@ type Consortium struct {
 	// encrypted similarity phase. Exact: a hit returns the report the same
 	// inputs produced. It locks itself.
 	simCache *core.SimCache
-
-	// mu guards the churn-era state below. It intentionally does NOT fence
-	// selections against membership changes — callers that interleave them
-	// hold their own lock (the server layer uses a per-consortium run lock).
-	mu sync.Mutex
-	// lastSelected remembers the most recent selection as the default prior
-	// for the "warm" optimizer.
-	lastSelected []int
 }
 
 // NewConsortium builds the full in-process deployment: key server,
@@ -227,7 +218,7 @@ type SelectOptions struct {
 	NumQueries int
 	// Queries overrides the sampled query set with explicit row indices.
 	Queries []int
-	// Seed drives query sampling and the stochastic optimizer.
+	// Seed drives query sampling.
 	Seed int64
 	// Stratified draws the query sample with per-class proportional
 	// allocation using the leader's labels, which stabilises the likelihood
@@ -239,14 +230,6 @@ type SelectOptions struct {
 	// "threshold" (leader-assisted Threshold Algorithm). With Base set it
 	// must be "" or "base"; any other value is an error.
 	TopK string
-	// Optimizer is "greedy" (default), "lazy", "stochastic", or "warm" — the
-	// last revalidates a prior selection and repairs only displaced picks,
-	// producing exactly the greedy answer. The prior is WarmStart when set,
-	// otherwise the consortium's own most recent selection.
-	Optimizer string
-	// WarmStart overrides the "warm" optimizer's prior selection. Ignored by
-	// the other optimizers.
-	WarmStart []int
 	// Parallelism bounds concurrent in-flight queries during the similarity
 	// phase (default 1). Results are identical to the sequential run.
 	Parallelism int
@@ -275,10 +258,9 @@ func (o SelectOptions) k() int {
 	return o.K
 }
 
-// coreConfig resolves SelectOptions into the protocol configuration: the
-// top-k variant (TopK, or Base, or Fagin; Base and a different TopK conflict)
-// and the warm-start prior (WarmStart, otherwise the consortium's most recent
-// selection).
+// coreConfig resolves SelectOptions into the protocol configuration,
+// including the top-k variant (TopK, or Base, or Fagin; Base and a different
+// TopK conflict).
 func (c *Consortium) coreConfig(opts SelectOptions) (core.Config, error) {
 	variant := vfl.VariantFagin
 	if opts.Base {
@@ -290,20 +272,11 @@ func (c *Consortium) coreConfig(opts SelectOptions) (core.Config, error) {
 		}
 		variant = vfl.Variant(opts.TopK)
 	}
-	prior := opts.WarmStart
-	if prior == nil {
-		c.mu.Lock()
-		prior = c.lastSelected
-		c.mu.Unlock()
-	}
 	return core.Config{
 		K:           opts.k(),
 		Queries:     c.queriesFor(opts),
 		Variant:     variant,
-		Optimizer:   core.Optimizer(opts.Optimizer),
-		Seed:        opts.Seed,
 		Parallelism: opts.Parallelism,
-		WarmStart:   prior,
 	}, nil
 }
 
@@ -315,44 +288,7 @@ func (c *Consortium) Select(ctx context.Context, count int, opts SelectOptions) 
 		return nil, err
 	}
 	cfg.Cache = c.simCache
-	sel, err := core.Select(ctx, c.cluster.Leader, count, cfg)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	c.lastSelected = append([]int(nil), sel.Selected...)
-	c.mu.Unlock()
-	return sel, nil
-}
-
-// AdaptiveOptions tunes SelectAdaptive: selection that adds query batches
-// until the similarity estimate stabilises instead of spending a fixed query
-// budget.
-type AdaptiveOptions struct {
-	SelectOptions
-	// ChunkSize is the number of queries per round (default 8).
-	ChunkSize int
-	// Tolerance is the convergence threshold on W entries (default 0.01).
-	Tolerance float64
-	// MinQueries is the floor before convergence may trigger.
-	MinQueries int
-}
-
-// SelectAdaptive runs VFPS-SM with an adaptive query budget: NumQueries (or
-// Queries) caps the budget, and the run stops early once two consecutive
-// similarity estimates agree within Tolerance. Selection.QueriesUsed reports
-// the realised budget.
-func (c *Consortium) SelectAdaptive(ctx context.Context, count int, opts AdaptiveOptions) (*Selection, error) {
-	cfg, err := c.coreConfig(opts.SelectOptions)
-	if err != nil {
-		return nil, err
-	}
-	return core.SelectAdaptive(ctx, c.cluster.Leader, count, core.AdaptiveConfig{
-		Config:     cfg,
-		ChunkSize:  opts.ChunkSize,
-		Tolerance:  opts.Tolerance,
-		MinQueries: opts.MinQueries,
-	})
+	return core.Select(ctx, c.cluster.Leader, count, cfg)
 }
 
 // BaselineSelection reports a baseline method's outcome with the same cost

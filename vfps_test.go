@@ -323,32 +323,12 @@ func TestBaseConflictsWithAnotherTopK(t *testing.T) {
 	if _, err := cons.Select(ctx, 2, opts); err == nil {
 		t.Fatal("Select with Base and TopK fagin succeeded")
 	}
-	if _, err := cons.SelectAdaptive(ctx, 2, AdaptiveOptions{SelectOptions: opts}); err == nil {
-		t.Fatal("SelectAdaptive with Base and TopK fagin succeeded")
-	}
 	opts.TopK = "base"
 	if _, err := cons.Select(ctx, 2, opts); err != nil {
 		t.Fatalf("Base with TopK base: %v", err)
 	}
 	if _, err := cons.SelectWith(ctx, MethodVFPS, 2, SelectOptions{K: 5, NumQueries: 6, Seed: 2, TopK: "threshold"}); err != nil {
 		t.Fatalf("vfps-sm with TopK threshold: %v", err)
-	}
-}
-
-func TestSelectAdaptivePublic(t *testing.T) {
-	cons := testConsortium(t, "Rice", 300, 3)
-	sel, err := cons.SelectAdaptive(context.Background(), 2, AdaptiveOptions{
-		SelectOptions: SelectOptions{K: 5, NumQueries: 64, Seed: 4},
-		Tolerance:     0.02,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sel.Selected) != 2 {
-		t.Fatalf("selected %v", sel.Selected)
-	}
-	if sel.QueriesUsed <= 0 || sel.QueriesUsed > 64 {
-		t.Fatalf("queries used %d", sel.QueriesUsed)
 	}
 }
 
