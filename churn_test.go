@@ -261,32 +261,6 @@ func TestPaillierDefaultIsPackedAndExact(t *testing.T) {
 	}
 }
 
-// TestChurnRejectsFixedSizeScheme pins the guard: secagg's pairwise masks
-// fix the consortium size at key setup, so membership changes are refused.
-func TestChurnRejectsFixedSizeScheme(t *testing.T) {
-	d, err := GenerateDataset("Rice", 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt, err := VerticalSplit(d, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cons, err := NewConsortium(context.Background(), Config{
-		Partition: pt, Labels: d.Y, Classes: d.Classes, Scheme: "secagg",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cons.Close()
-	if _, err := cons.AddParticipant(matRows(pt.Parties[0])); err == nil {
-		t.Fatal("secagg join should be rejected")
-	}
-	if err := cons.RemoveParticipant(0); err == nil {
-		t.Fatal("secagg leave should be rejected")
-	}
-}
-
 // TestChurnJoinValidation pins the joiner shape checks.
 func TestChurnJoinValidation(t *testing.T) {
 	d, err := GenerateDataset("Rice", 80)

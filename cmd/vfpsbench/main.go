@@ -27,7 +27,7 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment: table1|table4|table5|fig4|fig5|fig6|fig7|fig8|fig9|exttopk|extscheme|extdp|extpruning|extbatch|all")
+		exp       = flag.String("exp", "all", "experiment: table1|table4|table5|fig4|fig5|fig6|fig7|fig8|fig9|exttopk|extpruning|extbatch|all")
 		rows      = flag.Int("rows", 800, "max instances per dataset")
 		queries   = flag.Int("queries", 32, "KNN query samples for selection")
 		k         = flag.Int("k", 10, "proxy-KNN neighbour count")
@@ -88,13 +88,11 @@ func main() {
 		"fig8":       func(ctx context.Context) (any, error) { return experiments.Fig8(ctx, opt) },
 		"fig9":       func(ctx context.Context) (any, error) { return experiments.Fig9(ctx, opt) },
 		"exttopk":    func(ctx context.Context) (any, error) { return experiments.ExtTopk(ctx, opt) },
-		"extscheme":  func(ctx context.Context) (any, error) { return experiments.ExtScheme(ctx, opt) },
-		"extdp":      func(ctx context.Context) (any, error) { return experiments.ExtDP(ctx, opt) },
 		"extpruning": func(ctx context.Context) (any, error) { return experiments.ExtPruning(ctx, opt) },
 		"extbatch":   func(ctx context.Context) (any, error) { return experiments.ExtBatch(ctx, opt) },
 	}
 	order := []string{"table1", "table4", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
-		"exttopk", "extscheme", "extdp", "extpruning", "extbatch"}
+		"exttopk", "extpruning", "extbatch"}
 
 	results := map[string]any{}
 	start := time.Now()

@@ -82,7 +82,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs.StringVar(&n.role, "role", "", "keyserver|aggserver|party|leader")
 	fs.StringVar(&n.addr, "addr", "127.0.0.1:0", "listen address (serving roles)")
 	directory := fs.String("directory", "", "comma-separated name=host:port peer directory")
-	fs.StringVar(&n.scheme, "scheme", "paillier", "protection scheme: paillier|plain|secagg")
+	fs.StringVar(&n.scheme, "scheme", "paillier", "protection scheme: paillier|plain")
 	fs.IntVar(&n.keyBits, "keybits", 1024, "Paillier modulus bits")
 	fs.IntVar(&n.index, "index", 0, "participant index (role=party)")
 	fs.StringVar(&n.dataset, "dataset", "Bank", "synthetic dataset name")
@@ -163,13 +163,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 }
 
 func (n *node) keyServer(ctx context.Context) error {
-	var ks *vfl.KeyServer
-	var err error
-	if n.scheme == "secagg" {
-		ks, err = vfl.NewKeyServerSecAgg(n.parties, n.shuffleSeed^0x5eca66)
-	} else {
-		ks, err = vfl.NewKeyServer(n.scheme, n.keyBits)
-	}
+	ks, err := vfl.NewKeyServer(n.scheme, n.keyBits)
 	if err != nil {
 		return err
 	}
@@ -207,8 +201,8 @@ func (n *node) party(ctx context.Context) error {
 	if err := vfl.ConfigurePacking(pub, pt.P()); err != nil {
 		return err
 	}
-	n.observeScheme(pub)
-	part, err := vfl.NewParticipant(n.index, pt.Parties[n.index], pub, n.shuffleSeed, n.opts)
+	pub.SetObserver(n.o.Registry(), n.role)
+	part, err := vfl.NewParticipant(n.index, pt.Parties[n.index], pub, n.shuffleSeed)
 	if err != nil {
 		return err
 	}
@@ -234,7 +228,7 @@ func (n *node) aggServer(ctx context.Context) error {
 	if err := vfl.ConfigurePacking(pub, len(names)); err != nil {
 		return err
 	}
-	n.observeScheme(pub)
+	pub.SetObserver(n.o.Registry(), n.role)
 	agg, err := vfl.NewAggServer(cli, names, pub, n.opts)
 	if err != nil {
 		return err
@@ -258,7 +252,7 @@ func (n *node) leader(ctx context.Context) error {
 		return fmt.Errorf("fetching private key: %w", err)
 	}
 	vfl.ConfigureScheme(priv, n.opts, false)
-	n.observeScheme(priv)
+	priv.SetObserver(n.o.Registry(), n.role)
 	names, err := partyNames(n.dir, n.parties)
 	if err != nil {
 		return err
@@ -310,14 +304,6 @@ func (n *node) client() *transport.TCPClient {
 	cli := transport.NewTCPClient(n.dir)
 	cli.SetObserver(n.o)
 	return cli
-}
-
-// observeScheme installs HE op instrumentation when the node has an observer
-// and the scheme supports it.
-func (n *node) observeScheme(s he.Scheme) {
-	if ob, ok := s.(he.Observable); ok {
-		ob.SetObserver(n.o.Registry(), n.role)
-	}
 }
 
 // serve answers h on -addr until ctx is cancelled.

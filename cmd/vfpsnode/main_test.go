@@ -278,11 +278,6 @@ func TestDeploymentSelectsLikeTheLibrary(t *testing.T) {
 	}
 	scenarios = append(scenarios,
 		scenario{
-			expect: "testOK: the library's set and objective bits under secure aggregation",
-			name:   "identity/secagg/fagin/shards=0",
-			d:      rice("secagg", "fagin"),
-		},
-		scenario{
 			expect: "testOK: -rows past the dataset's 10 000 instances samples queries over the rows the parties hold",
 			name:   "rows-beyond-instances",
 			d:      deployment{scheme: "plain", dataset: "Bank", variant: "fagin", rows: 20000},
@@ -371,6 +366,8 @@ func TestDeploymentRejects(t *testing.T) {
 		{`dataset: unknown spec "Nope"`, []string{"-role", "leader", "-dataset", "Nope", "-directory", ks}},
 		{"fetching private key", []string{"-role", "leader", "-directory", "keyserver=127.0.0.1:1"}},
 		{"opening query log", []string{"-role", "keyserver", "-log-json", filepath.Join(t.TempDir(), "missing", "log.jsonl")}},
+		{`unknown HE scheme "secagg"`, []string{"-role", "keyserver", "-scheme", "secagg"}},
+		{`unknown HE scheme "dp"`, []string{"-role", "keyserver", "-scheme", "dp"}},
 	} {
 		t.Run(sc.expect, func(t *testing.T) {
 			// A role that wrongly starts serves until its context ends; the

@@ -172,6 +172,6 @@ func (c *Consortium) Evaluate(model ModelName, parties []int, opts EvalOptions) 
 	}
 	ev.WallTime = time.Since(start)
 	ev.Counts = counts.Snapshot()
-	ev.ProjectedSeconds = costmodel.For(c.cluster.Leader.Scheme().Name()).Seconds(ev.Counts)
+	ev.ProjectedSeconds = costmodel.Default.Seconds(ev.Counts)
 	return ev, nil
 }

@@ -256,7 +256,7 @@ func Select(ctx context.Context, leader *vfl.Leader, selectCount int, cfg Config
 		AvgCandidates:    rep.AvgCandidates,
 		Counts:           total,
 		WallTime:         time.Since(start),
-		ProjectedSeconds: costmodel.For(leader.Scheme().Name()).Seconds(total),
+		ProjectedSeconds: costmodel.Default.Seconds(total),
 		Evaluations:      res.Evaluations,
 		QueriesUsed:      rep.Queries,
 	}, nil

@@ -161,31 +161,6 @@ var Default = Model{
 	Latency: 3e-4,
 }
 
-// SecAggModel prices the pairwise-masking (SMC-style) protection: an
-// "encryption" is P−1 SHA-256 evaluations (~2 µs at P=4), aggregation is a
-// 64-bit add, and decryption is a decode. Communication keeps the same
-// per-item and per-message costs; masked items are 8 bytes instead of a
-// ciphertext, which the byte counters reflect.
-var SecAggModel = Model{
-	Beta:    1e-9,
-	PhiE:    2e-6,
-	PhiD:    5e-9,
-	Gamma:   2e-9,
-	Delta:   2e-9,
-	Eta:     1e-6,
-	Latency: 3e-4,
-}
-
-// For returns the pricing model for a protection scheme name: Paillier rates
-// for "paillier" and the op-count-preserving "plain" simulation, masking
-// rates for "secagg".
-func For(scheme string) Model {
-	if scheme == "secagg" {
-		return SecAggModel
-	}
-	return Default
-}
-
 // Seconds projects a count snapshot to wall-clock seconds under the model.
 func (m Model) Seconds(r Raw) float64 {
 	return m.Beta*float64(r.DistanceFlops) +

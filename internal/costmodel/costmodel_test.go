@@ -100,18 +100,3 @@ func TestDefaultDominatedByEncryption(t *testing.T) {
 		t.Fatalf("encryption-count ratio not preserved: %g", ratio)
 	}
 }
-
-func TestForSchemeSelection(t *testing.T) {
-	if For("secagg") != SecAggModel {
-		t.Fatal("secagg must use the masking model")
-	}
-	if For("paillier") != Default || For("plain") != Default || For("dp") != Default {
-		t.Fatal("other schemes must use the default model")
-	}
-	// The masking model must make the same workload orders of magnitude
-	// cheaper (its whole point).
-	r := Raw{Encryptions: 100000, CipherAdds: 300000, Decryptions: 100000}
-	if SecAggModel.Seconds(r) > Default.Seconds(r)/100 {
-		t.Fatal("masking model not meaningfully cheaper")
-	}
-}

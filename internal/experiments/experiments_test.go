@@ -307,46 +307,6 @@ func TestExtTopkProtocols(t *testing.T) {
 	}
 }
 
-func TestExtSchemeComparison(t *testing.T) {
-	opt := fastOpts()
-	opt.Datasets = []string{"Rice"}
-	res, err := ExtScheme(context.Background(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Projected) != 2 {
-		t.Fatal("expected 2 schemes")
-	}
-	// Masking must project far cheaper than Paillier, and ship fewer bytes.
-	if res.Projected[1] >= res.Projected[0] {
-		t.Fatalf("secagg %g not cheaper than HE %g", res.Projected[1], res.Projected[0])
-	}
-	if res.Bytes[1] >= res.Bytes[0] {
-		t.Fatalf("secagg bytes %d not fewer than HE %d", res.Bytes[1], res.Bytes[0])
-	}
-}
-
-func TestExtDPTradeoff(t *testing.T) {
-	opt := fastOpts()
-	opt.Datasets = []string{"Rice"}
-	res, err := ExtDP(context.Background(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Epsilons) != 5 || len(res.Accuracy) != 5 {
-		t.Fatal("unexpected sweep shape")
-	}
-	// At very large epsilon the noisy protocol must agree with the exact one.
-	if !res.Agreement[len(res.Agreement)-1] {
-		t.Fatal("ε=100 should reproduce the exact selection")
-	}
-	for _, a := range res.Accuracy {
-		if a < 0 || a > 1 {
-			t.Fatalf("accuracy %g out of range", a)
-		}
-	}
-}
-
 func TestGridWithGBDT(t *testing.T) {
 	opt := fastOpts()
 	opt.Datasets = []string{"Rice"}

@@ -110,157 +110,6 @@ func ExtTopk(ctx context.Context, opt Options) (*ExtTopkResult, error) {
 	return res, nil
 }
 
-// ExtSchemeResult compares the two privacy-protection techniques the paper
-// discusses in §II that preserve exact aggregates: additively homomorphic
-// encryption (packed Paillier) and SMC-style pairwise masking (secagg). Same
-// protocol, same candidate pruning — only the protection layer differs.
-type ExtSchemeResult struct {
-	Schemes   []string
-	Projected []float64 // projected selection seconds
-	Bytes     []int64   // bytes shipped by participants and servers
-	Table     *Table
-}
-
-// ExtScheme runs the same selection under each protection scheme.
-func ExtScheme(ctx context.Context, opt Options) (*ExtSchemeResult, error) {
-	opt = opt.withDefaults()
-	ds := opt.Datasets[0]
-	d, err := vfps.GenerateDataset(ds, opt.rowsFor(ds))
-	if err != nil {
-		return nil, err
-	}
-	pt, err := vfps.VerticalSplit(d, opt.Parties, opt.Seed+101)
-	if err != nil {
-		return nil, err
-	}
-	res := &ExtSchemeResult{Schemes: []string{"paillier (HE)", "secagg (masking)"}}
-	for _, scheme := range []string{"paillier", "secagg"} {
-		cons, err := vfps.NewConsortium(ctx, vfps.Config{
-			Partition: pt, Labels: d.Y, Classes: d.Classes,
-			Scheme: scheme, ShuffleSeed: opt.Seed + 303,
-		})
-		if err != nil {
-			return nil, err
-		}
-		sel, err := cons.Select(ctx, opt.SelectCount, opt.selectOpts())
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", ds, scheme, err)
-		}
-		res.Projected = append(res.Projected, sel.ProjectedSeconds)
-		res.Bytes = append(res.Bytes, sel.Counts.WireBytes())
-	}
-	res.Table = &Table{
-		Title:  fmt.Sprintf("Extension: protection-scheme comparison (%s)", ds),
-		Header: []string{"Scheme", "Projected selection (s)", "Payload bytes"},
-	}
-	for i, s := range res.Schemes {
-		res.Table.Rows = append(res.Table.Rows, []string{
-			s, fmtSeconds(res.Projected[i]), fmt.Sprintf("%d", res.Bytes[i]),
-		})
-	}
-	res.Table.Fprint(opt.Out)
-	return res, nil
-}
-
-// ExtDPResult reports the privacy/utility trade-off of the DP protection
-// alternative (§II): selection fidelity and downstream accuracy as the
-// per-release ε shrinks, substantiating the paper's remark that "adding
-// noises inevitably affects the model accuracy".
-type ExtDPResult struct {
-	Epsilons []float64
-	// Agreement[i] reports whether the DP run selected the same
-	// sub-consortium as the exact protocol.
-	Agreement []bool
-	// Accuracy[i] is the downstream KNN accuracy on the DP selection.
-	Accuracy []float64
-	// ExactAccuracy is the downstream accuracy of the exact protocol's
-	// selection.
-	ExactAccuracy float64
-	Table         *Table
-}
-
-// ExtDP sweeps ε on one dataset.
-func ExtDP(ctx context.Context, opt Options) (*ExtDPResult, error) {
-	opt = opt.withDefaults()
-	ds := opt.Datasets[0]
-	d, err := vfps.GenerateDataset(ds, opt.rowsFor(ds))
-	if err != nil {
-		return nil, err
-	}
-	pt, err := vfps.VerticalSplit(d, opt.Parties, opt.Seed+101)
-	if err != nil {
-		return nil, err
-	}
-	exactCons, err := vfps.NewConsortium(ctx, vfps.Config{
-		Partition: pt, Labels: d.Y, Classes: d.Classes, Scheme: "plain", ShuffleSeed: opt.Seed + 303,
-	})
-	if err != nil {
-		return nil, err
-	}
-	exact, err := exactCons.Select(ctx, opt.SelectCount, opt.selectOpts())
-	if err != nil {
-		return nil, err
-	}
-	exactEval, err := exactCons.Evaluate(vfps.ModelKNN, exact.Selected, opt.evalOpts())
-	if err != nil {
-		return nil, err
-	}
-	res := &ExtDPResult{
-		Epsilons:      []float64{0.01, 0.1, 1, 10, 100},
-		ExactAccuracy: exactEval.Accuracy,
-	}
-	for _, eps := range res.Epsilons {
-		cons, err := vfps.NewConsortium(ctx, vfps.Config{
-			Partition: pt, Labels: d.Y, Classes: d.Classes,
-			Scheme: "dp", DPEpsilon: eps, ShuffleSeed: opt.Seed + 303,
-		})
-		if err != nil {
-			return nil, err
-		}
-		sel, err := cons.Select(ctx, opt.SelectCount, opt.selectOpts())
-		if err != nil {
-			return nil, fmt.Errorf("%s/eps=%g: %w", ds, eps, err)
-		}
-		ev, err := cons.Evaluate(vfps.ModelKNN, sel.Selected, opt.evalOpts())
-		if err != nil {
-			return nil, err
-		}
-		res.Agreement = append(res.Agreement, sameSet(sel.Selected, exact.Selected))
-		res.Accuracy = append(res.Accuracy, ev.Accuracy)
-	}
-	res.Table = &Table{
-		Title:  fmt.Sprintf("Extension: DP protection privacy/utility trade-off (%s; exact acc %.4f)", ds, res.ExactAccuracy),
-		Header: []string{"Epsilon", "Matches exact selection", "Downstream accuracy"},
-	}
-	for i, eps := range res.Epsilons {
-		match := "no"
-		if res.Agreement[i] {
-			match = "yes"
-		}
-		res.Table.Rows = append(res.Table.Rows, []string{
-			fmt.Sprintf("%g", eps), match, fmtAcc(res.Accuracy[i]),
-		})
-	}
-	res.Table.Fprint(opt.Out)
-	return res, nil
-}
-
-func sameSet(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	in := map[int]bool{}
-	for _, v := range a {
-		in[v] = true
-	}
-	for _, v := range b {
-		if !in[v] {
-			return false
-		}
-	}
-	return true
-}
-
 // ExtBatchResult reports the Fagin mini-batch size trade-off: larger batches
 // mean fewer protocol rounds but more over-scanning (larger candidate sets),
 // the b knob of the paper's Step ①–② streaming.

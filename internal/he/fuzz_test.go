@@ -54,13 +54,16 @@ func FuzzPaillierDecrypt(f *testing.F) {
 	})
 }
 
-// FuzzSecAggDecrypt exercises the masking decoder.
-func FuzzSecAggDecrypt(f *testing.F) {
-	s, _ := NewSecAgg(0, 2, 1)
+// FuzzPlainDecrypt exercises the plain decoder: no blob may panic it, and
+// any blob it accepts is exactly 8 bytes.
+func FuzzPlainDecrypt(f *testing.F) {
+	s := NewPlain()
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = s.Decrypt(data)
+		if _, err := s.Decrypt(data); err == nil && len(data) != plainSize {
+			t.Fatalf("Decrypt accepted a %d-byte blob", len(data))
+		}
 		_, _ = s.Add(data, data)
 	})
 }

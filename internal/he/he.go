@@ -12,6 +12,7 @@
 package he
 
 import (
+	"context"
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
@@ -24,6 +25,7 @@ import (
 	"time"
 
 	"vfps/internal/fixed"
+	"vfps/internal/obs"
 	"vfps/internal/paillier"
 )
 
@@ -39,6 +41,21 @@ type Scheme interface {
 	Decrypt(c []byte) (float64, error)
 	// Add homomorphically adds two ciphertexts.
 	Add(a, b []byte) ([]byte, error)
+	// EncryptVec encrypts a vector of real values, polling ctx between
+	// chunks.
+	EncryptVec(ctx context.Context, vs []float64) ([][]byte, error)
+	// DecryptVec recovers a vector of (possibly aggregated) real values.
+	DecryptVec(ctx context.Context, cs [][]byte) ([]float64, error)
+	// AddVec homomorphically adds two equal-length ciphertext vectors
+	// element-wise into a new vector; a and b are left as they were.
+	AddVec(ctx context.Context, a, b [][]byte) ([][]byte, error)
+	// SetObserver installs op metrics labelled with instance; a nil
+	// registry restores the no-op default.
+	SetObserver(reg *obs.Registry, instance string)
+	// RefillHint asynchronously tops a precomputed randomizer pool up by
+	// up to n values. A protocol role calls it when a round just drained
+	// the pool and an idle gap follows; it never blocks the caller.
+	RefillHint(n int)
 }
 
 // ErrNoPrivateKey is returned by Decrypt on public-only schemes.
@@ -207,6 +224,13 @@ func (p *Plain) Add(a, b []byte) ([]byte, error) {
 	}
 	return p.Encrypt(va + vb)
 }
+
+// SetObserver implements Scheme: plain ops cost nanoseconds and the cost
+// model already prices their counts, so there is nothing to instrument.
+func (p *Plain) SetObserver(*obs.Registry, string) {}
+
+// RefillHint implements Scheme: plain encryption draws on no pool.
+func (p *Plain) RefillHint(int) {}
 
 // ---- key material serialisation (for the key server) ----
 

@@ -20,13 +20,6 @@ const (
 	metricFallbackRt = "vfps_he_randomizer_fallback_rate"
 )
 
-// Observable is implemented by schemes that can be instrumented; today only
-// Paillier has anything worth measuring (Plain ops cost nanoseconds and are
-// already accounted by the cost model).
-type Observable interface {
-	SetObserver(reg *obs.Registry, instance string)
-}
-
 // DeclareMetrics pre-declares the HE metric families on reg so they are
 // visible on /metrics before the first operation. Safe on a nil registry.
 func DeclareMetrics(reg *obs.Registry) {
@@ -113,10 +106,10 @@ func (m *heMetrics) dec(crt bool, start time.Time) {
 	m.decSecs.With(m.instance, label).ObserveSince(start)
 }
 
-// SetObserver installs op counters and latency histograms on the scheme and
-// registers the randomizer-pool depth and pack-ratio gauges, all labelled
-// with instance (e.g. "public", "leader", or a node role). A nil registry
-// restores the no-op default.
+// SetObserver implements Scheme: it installs op counters and latency
+// histograms on the scheme and registers the randomizer-pool depth and
+// pack-ratio gauges, all labelled with instance (e.g. "public", "leader", or
+// a node role). A nil registry restores the no-op default.
 func (p *Paillier) SetObserver(reg *obs.Registry, instance string) {
 	if reg == nil {
 		p.om.Store(nil)

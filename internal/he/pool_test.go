@@ -60,6 +60,5 @@ func TestRefillHint(t *testing.T) {
 	// Hints on schemes without pools (or closed pools) are dropped silently.
 	none := NewPaillier(&sk.PublicKey, nil)
 	none.RefillHint(5)
-	Hint(none, 5)
-	Hint(NewPlain(), 5)
+	NewPlain().RefillHint(5)
 }

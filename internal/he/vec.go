@@ -10,102 +10,8 @@ import (
 	"vfps/internal/par"
 )
 
-// VecScheme is implemented by schemes with an optimized vector fast path
-// (worker-pool parallelism, pooled randomizers, one allocation per vector).
-// Callers should go through the package-level EncryptVec/DecryptVec/AddVec
-// helpers, which fall back to a serial loop for plain Scheme
-// implementations.
-type VecScheme interface {
-	Scheme
-	// EncryptVec encrypts a vector of real values, polling ctx between
-	// chunks.
-	EncryptVec(ctx context.Context, vs []float64) ([][]byte, error)
-	// DecryptVec recovers a vector of (possibly aggregated) real values.
-	DecryptVec(ctx context.Context, cs [][]byte) ([]float64, error)
-	// AddVec homomorphically adds two equal-length ciphertext vectors
-	// element-wise into a new vector.
-	AddVec(ctx context.Context, a, b [][]byte) ([][]byte, error)
-}
-
-// vecChunk is the ctx poll interval of the serial fallback loops.
+// vecChunk is the ctx poll interval of the plain vector loops.
 const vecChunk = 16
-
-// EncryptVec encrypts vs under s, using the scheme's vector fast path when
-// it has one and a serial loop otherwise. The fallback stays serial on
-// purpose: schemes whose output depends on call order (the DP noise stream)
-// must see the exact sequence a serial protocol run would produce.
-func EncryptVec(ctx context.Context, s Scheme, vs []float64) ([][]byte, error) {
-	if v, ok := s.(VecScheme); ok {
-		return v.EncryptVec(ctx, vs)
-	}
-	out := make([][]byte, len(vs))
-	for i, x := range vs {
-		if i%vecChunk == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		c, err := s.Encrypt(x)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = c
-	}
-	return out, nil
-}
-
-// DecryptVec decrypts cs under s, using the scheme's vector fast path when
-// it has one and a serial loop otherwise.
-func DecryptVec(ctx context.Context, s Scheme, cs [][]byte) ([]float64, error) {
-	if v, ok := s.(VecScheme); ok {
-		return v.DecryptVec(ctx, cs)
-	}
-	return decryptEach(ctx, s, cs)
-}
-
-// decryptEach is the serial Decrypt loop, polling ctx every vecChunk items.
-func decryptEach(ctx context.Context, s Scheme, cs [][]byte) ([]float64, error) {
-	out := make([]float64, len(cs))
-	for i, c := range cs {
-		if i%vecChunk == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		v, err := s.Decrypt(c)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// AddVec adds a and b element-wise under s, using the scheme's vector fast
-// path when it has one and a serial loop of s.Add otherwise. The result is a
-// new vector; a and b are left as they were.
-func AddVec(ctx context.Context, s Scheme, a, b [][]byte) ([][]byte, error) {
-	if v, ok := s.(VecScheme); ok {
-		return v.AddVec(ctx, a, b)
-	}
-	if err := sameLen(a, b); err != nil {
-		return nil, err
-	}
-	out := make([][]byte, len(a))
-	for i := range a {
-		if i%vecChunk == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		c, err := s.Add(a[i], b[i])
-		if err != nil {
-			return nil, err
-		}
-		out[i] = c
-	}
-	return out, nil
-}
 
 // sameLen rejects an element-wise add of vectors of different lengths.
 func sameLen(a, b [][]byte) error {
@@ -129,7 +35,7 @@ func (p *Plain) slab(n int) [][]byte {
 	return out
 }
 
-// EncryptVec implements VecScheme: Encrypt of every value, written into one
+// EncryptVec implements Scheme: Encrypt of every value, written into one
 // slab.
 func (p *Plain) EncryptVec(ctx context.Context, vs []float64) ([][]byte, error) {
 	out := p.slab(len(vs))
@@ -146,12 +52,25 @@ func (p *Plain) EncryptVec(ctx context.Context, vs []float64) ([][]byte, error) 
 	return out, nil
 }
 
-// DecryptVec implements VecScheme: Decrypt of every blob.
+// DecryptVec implements Scheme: Decrypt of every blob.
 func (p *Plain) DecryptVec(ctx context.Context, cs [][]byte) ([]float64, error) {
-	return decryptEach(ctx, p, cs)
+	out := make([]float64, len(cs))
+	for i, c := range cs {
+		if i%vecChunk == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		v, err := p.Decrypt(c)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v
+	}
+	return out, nil
 }
 
-// AddVec implements VecScheme: Add of every pair, written into one slab.
+// AddVec implements Scheme: Add of every pair, written into one slab.
 func (p *Plain) AddVec(ctx context.Context, a, b [][]byte) ([][]byte, error) {
 	if err := sameLen(a, b); err != nil {
 		return nil, err
@@ -231,24 +150,7 @@ func (p *Paillier) StartRandomizerPool(buffer, workers int) {
 	p.syncPoolObs()
 }
 
-// Refiller is implemented by schemes whose encryption draws on a precomputed
-// pool that benefits from between-round refill hints.
-type Refiller interface {
-	// RefillHint asynchronously tops the pool up by up to n values, bounded
-	// by spare buffer capacity. It never blocks the caller.
-	RefillHint(n int)
-}
-
-// Hint forwards a refill hint to schemes that support one; a protocol role
-// calls it when it knows a round just drained the pool and an idle gap
-// follows (the leader is off aggregating or decrypting).
-func Hint(s Scheme, n int) {
-	if r, ok := s.(Refiller); ok {
-		r.RefillHint(n)
-	}
-}
-
-// RefillHint implements Refiller: it asynchronously prefills up to n pooled
+// RefillHint implements Scheme: it asynchronously prefills up to n pooled
 // randomizers, bounded by spare buffer capacity. Protocol roles call it at
 // the end of an encryption burst so the idle gap until the next round fills
 // the pool instead of the next burst's first encryptions missing it. At most
@@ -296,7 +198,7 @@ func (p *Paillier) pool() *paillier.Randomizer {
 	return p.rz
 }
 
-// EncryptVec implements VecScheme: fixed-point encoding (serial, cheap)
+// EncryptVec implements Scheme: fixed-point encoding (serial, cheap)
 // followed by chunked worker-pool encryption drawing from the randomizer
 // pool when one is running.
 func (p *Paillier) EncryptVec(ctx context.Context, vs []float64) ([][]byte, error) {
@@ -322,7 +224,7 @@ func (p *Paillier) EncryptVec(ctx context.Context, vs []float64) ([][]byte, erro
 	return out, nil
 }
 
-// AddVec implements VecScheme with a chunked worker pool.
+// AddVec implements Scheme with a chunked worker pool.
 func (p *Paillier) AddVec(ctx context.Context, a, b [][]byte) ([][]byte, error) {
 	if err := sameLen(a, b); err != nil {
 		return nil, err
@@ -355,7 +257,7 @@ func (p *Paillier) parseAll(cs [][]byte) ([]*paillier.Ciphertext, error) {
 	return cts, nil
 }
 
-// DecryptVec implements VecScheme with a chunked worker pool.
+// DecryptVec implements Scheme with a chunked worker pool.
 func (p *Paillier) DecryptVec(ctx context.Context, cs [][]byte) ([]float64, error) {
 	if p.sk == nil {
 		return nil, ErrNoPrivateKey

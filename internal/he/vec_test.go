@@ -21,19 +21,13 @@ func vecVals() []float64 {
 
 func TestVecRoundTripAllSchemes(t *testing.T) {
 	ctx := context.Background()
-	dp, err := NewDP(1, 1e-5, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := schemes(t)
-	all["dp"] = dp // exercises the serial fallback path
 	vs := vecVals()
-	for name, s := range all {
-		cs, err := EncryptVec(ctx, s, vs)
+	for name, s := range schemes(t) {
+		cs, err := s.EncryptVec(ctx, vs)
 		if err != nil {
 			t.Fatalf("%s EncryptVec: %v", name, err)
 		}
-		got, err := DecryptVec(ctx, s, cs)
+		got, err := s.DecryptVec(ctx, cs)
 		if err != nil {
 			t.Fatalf("%s DecryptVec: %v", name, err)
 		}
@@ -41,12 +35,6 @@ func TestVecRoundTripAllSchemes(t *testing.T) {
 			t.Fatalf("%s: %d values decrypted from %d", name, len(got), len(vs))
 		}
 		for i := range vs {
-			if name == "dp" { // Gaussian noise: check sanity, not the value
-				if math.IsNaN(got[i]) || math.IsInf(got[i], 0) {
-					t.Fatalf("dp item %d: %g", i, got[i])
-				}
-				continue
-			}
 			if math.Abs(got[i]-vs[i]) > 1e-9 {
 				t.Fatalf("%s item %d: %g -> %g", name, i, vs[i], got[i])
 			}
@@ -164,27 +152,22 @@ func TestPaillierScalarDecodeErrorsAreTyped(t *testing.T) {
 	}
 }
 
-func TestSerialFallbackHonorsCancelledContext(t *testing.T) {
+func TestPlainVecHonorsCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	dp, err := NewDP(1, 1e-5, 7)
+	p := NewPlain()
+	if _, err := p.EncryptVec(ctx, vecVals()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("EncryptVec on cancelled ctx = %v", err)
+	}
+	cs, err := p.EncryptVec(context.Background(), vecVals())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, s := range map[string]Scheme{"plain": NewPlain(), "dp (fallback)": dp} {
-		if _, err := EncryptVec(ctx, s, vecVals()); !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s EncryptVec on cancelled ctx = %v", name, err)
-		}
-		cs, err := EncryptVec(context.Background(), s, vecVals())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := DecryptVec(ctx, s, cs); !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s DecryptVec on cancelled ctx = %v", name, err)
-		}
-		if _, err := AddVec(ctx, s, cs, cs); !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s AddVec on cancelled ctx = %v", name, err)
-		}
+	if _, err := p.DecryptVec(ctx, cs); !errors.Is(err, context.Canceled) {
+		t.Fatalf("DecryptVec on cancelled ctx = %v", err)
+	}
+	if _, err := p.AddVec(ctx, cs, cs); !errors.Is(err, context.Canceled) {
+		t.Fatalf("AddVec on cancelled ctx = %v", err)
 	}
 }
 
@@ -236,7 +219,7 @@ func TestPlainVecMatchesScalar(t *testing.T) {
 			}
 		}
 	}
-	sums, err := AddVec(ctx, p, as, bs)
+	sums, err := p.AddVec(ctx, as, bs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,48 +274,36 @@ func TestPlainVecRejects(t *testing.T) {
 	if _, err := p.DecryptVec(ctx, [][]byte{good, short}); err == nil {
 		t.Fatal("DecryptVec accepted a 7-byte blob")
 	}
-	if _, err := AddVec(ctx, p, [][]byte{good, good}, [][]byte{good}); err == nil {
+	if _, err := p.AddVec(ctx, [][]byte{good, good}, [][]byte{good}); err == nil {
 		t.Fatal("AddVec accepted vectors of different lengths")
 	}
 }
 
-// TestAddVecMatchesScalar checks the vector add of every scheme against its
-// scalar Add: Paillier's worker pool at every parallelism (homomorphic
-// addition is deterministic, so the bytes agree), and the serial fallback of
-// a scheme without a vector path. Paillier's op counter still counts one add
-// per element.
+// TestAddVecMatchesScalar checks the vector add of both schemes against
+// their scalar Add: Paillier's worker pool at every parallelism (homomorphic
+// addition is deterministic, so the bytes agree) and Plain's slab loop.
+// Paillier's op counter still counts one add per element.
 func TestAddVecMatchesScalar(t *testing.T) {
 	ctx := context.Background()
 	k := testKey(t)
-	sa, err := NewSecAgg(0, 2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
 	vs := vecVals()
-	encrypt := func(s Scheme, v float64, i int) []byte {
-		var c []byte
-		var err error
-		if cs, ok := s.(Contextual); ok {
-			c, err = cs.EncryptAt(DomainItem, 1, i, v)
-		} else {
-			c, err = s.Encrypt(v)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
 	for _, parallelism := range []int{1, 3, 0} {
 		p := NewPaillier(&k.PublicKey, k)
 		p.SetParallelism(parallelism)
 		reg := obs.New()
 		p.SetObserver(reg, "test")
-		for name, s := range map[string]Scheme{"paillier": p, "secagg (fallback)": sa} {
+		for name, s := range map[string]Scheme{"paillier": p, "plain": NewPlain()} {
 			a, b := make([][]byte, len(vs)), make([][]byte, len(vs))
 			for i, v := range vs {
-				a[i], b[i] = encrypt(s, v, i), encrypt(s, 2*v, i)
+				var err error
+				if a[i], err = s.Encrypt(v); err != nil {
+					t.Fatal(err)
+				}
+				if b[i], err = s.Encrypt(2 * v); err != nil {
+					t.Fatal(err)
+				}
 			}
-			sums, err := AddVec(ctx, s, a, b)
+			sums, err := s.AddVec(ctx, a, b)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -281,14 +281,13 @@ func heOps(c costmodel.Raw) int64 {
 // upload flows should pre-process into a dataset client-side and are out of
 // scope for the demo server).
 type CreateRequest struct {
-	Dataset     string  `json:"dataset"`
-	Rows        int     `json:"rows"`
-	Parties     int     `json:"parties"`
-	Scheme      string  `json:"scheme"`
-	DPEpsilon   float64 `json:"dpEpsilon"`
-	SplitSeed   int64   `json:"splitSeed"`
-	ShuffleSeed int64   `json:"shuffleSeed"`
-	KeyBits     int     `json:"keyBits"` // Paillier modulus size (0 → library default)
+	Dataset     string `json:"dataset"`
+	Rows        int    `json:"rows"`
+	Parties     int    `json:"parties"`
+	Scheme      string `json:"scheme"`
+	SplitSeed   int64  `json:"splitSeed"`
+	ShuffleSeed int64  `json:"shuffleSeed"`
+	KeyBits     int    `json:"keyBits"` // Paillier modulus size (0 → library default)
 	// Options carries the performance settings. JSON reaches only
 	// "parallelism"; the encrypt window stays at its default.
 	vfps.Options
@@ -340,7 +339,6 @@ func (s *Server) createConsortium(w http.ResponseWriter, r *http.Request) {
 		Labels:      d.Y,
 		Classes:     d.Classes,
 		Scheme:      req.Scheme,
-		DPEpsilon:   req.DPEpsilon,
 		ShuffleSeed: req.ShuffleSeed,
 		KeyBits:     req.KeyBits,
 		Options:     req.Options,

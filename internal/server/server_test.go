@@ -211,22 +211,12 @@ func TestMembershipChurnEndpoints(t *testing.T) {
 		t.Fatalf("post-leave selection %v, original %v", again.Selected, before.Selected)
 	}
 
-	// Error paths: unknown index, out-of-range clone source, fixed-size
-	// scheme.
+	// Error paths: unknown index, out-of-range clone source.
 	if code := doJSON(t, "DELETE", partsURL+"/9", nil, nil); code != http.StatusNotFound {
 		t.Fatalf("leave unknown index: %d", code)
 	}
 	if code := doJSON(t, "POST", partsURL, JoinRequest{CloneOf: 7}, nil); code != http.StatusBadRequest {
 		t.Fatalf("join bad clone source: %d", code)
-	}
-	var fixed CreateResponse
-	if code := doJSON(t, "POST", ts.URL+"/v1/consortiums",
-		CreateRequest{Dataset: "Rice", Rows: 120, Parties: 3, Scheme: "secagg"}, &fixed); code != http.StatusCreated {
-		t.Fatalf("secagg create %d", code)
-	}
-	if code := doJSON(t, "POST", fmt.Sprintf("%s/v1/consortiums/%s/participants", ts.URL, fixed.ID),
-		JoinRequest{}, nil); code != http.StatusBadRequest {
-		t.Fatalf("secagg join should be rejected: %d", code)
 	}
 }
 
@@ -251,6 +241,13 @@ func TestErrorPaths(t *testing.T) {
 	if code := doJSON(t, "POST", ts.URL+"/v1/consortiums",
 		CreateRequest{Dataset: "Nope"}, &e); code != http.StatusBadRequest {
 		t.Fatalf("unknown dataset: %d", code)
+	}
+	// Retired protection schemes.
+	for _, scheme := range []string{"secagg", "dp"} {
+		if code := doJSON(t, "POST", ts.URL+"/v1/consortiums",
+			CreateRequest{Dataset: "Rice", Rows: 40, Parties: 2, Scheme: scheme}, &e); code != http.StatusBadRequest {
+			t.Fatalf("scheme %q: %d", scheme, code)
+		}
 	}
 	// Unknown consortium id.
 	if code := doJSON(t, "GET", ts.URL+"/v1/consortiums/c999", nil, &e); code != http.StatusNotFound {
@@ -330,10 +327,10 @@ func TestCreateRejectsOversizedKey(t *testing.T) {
 // to the one key the embedded vfps.Options expose: "parallelism" decodes into
 // the options; the setting the server owns ("encryptWindow"), the retired
 // pack hint ("packHint", "packWidthHint"), the pool, the retired cache
-// switches ("deltaCache", "simCache": both caches are always on) and the
-// retired sharded reduce ("shardWorkers") stay unknown fields, which the
-// create endpoint answers with a 400; and an encoded request carries exactly
-// the expected key set.
+// switches ("deltaCache", "simCache": both caches are always on), the
+// retired sharded reduce ("shardWorkers") and the retired dp parameter
+// ("dpEpsilon") stay unknown fields, which the create endpoint answers with a
+// 400; and an encoded request carries exactly the expected key set.
 func TestCreateRequestJSONUnchanged(t *testing.T) {
 	decode := func(body string) (CreateRequest, error) {
 		var req CreateRequest
@@ -350,14 +347,14 @@ func TestCreateRequestJSONUnchanged(t *testing.T) {
 		t.Fatalf("decoded options %+v, want %+v", req.Options, want)
 	}
 	for _, key := range []string{"encryptWindow", "EncryptWindow", "packHint", "PackHint", "packWidthHint", "pool", "Pool",
-		"deltaCache", "DeltaCache", "simCache", "SimCache", "shardWorkers", "ShardWorkers"} {
+		"deltaCache", "DeltaCache", "simCache", "SimCache", "shardWorkers", "ShardWorkers", "dpEpsilon"} {
 		if _, err := decode(`{"dataset":"Rice","` + key + `":1}`); err == nil || !strings.Contains(err.Error(), "unknown field") {
 			t.Fatalf("%q: want an unknown-field error, got %v", key, err)
 		}
 	}
 	s := New()
 	defer s.Close()
-	for key, v := range map[string]any{"deltaCache": true, "simCache": true, "shardWorkers": 2} {
+	for key, v := range map[string]any{"deltaCache": true, "simCache": true, "shardWorkers": 2, "dpEpsilon": 1.0} {
 		body := map[string]any{"dataset": "Rice", "rows": 40, "parties": 2, key: v}
 		if code := serveJSON(t, s, "POST", "/v1/consortiums", body, nil); code != http.StatusBadRequest {
 			t.Fatalf("create carrying %q returned %d, want 400", key, code)
@@ -376,7 +373,7 @@ func TestCreateRequestJSONUnchanged(t *testing.T) {
 		keys = append(keys, k)
 	}
 	slices.Sort(keys)
-	wantKeys := []string{"dataset", "dpEpsilon", "keyBits", "parallelism", "parties",
+	wantKeys := []string{"dataset", "keyBits", "parallelism", "parties",
 		"rows", "scheme", "shuffleSeed", "splitSeed"}
 	if !slices.Equal(keys, wantKeys) {
 		t.Fatalf("encoded keys %v, want %v", keys, wantKeys)

@@ -439,7 +439,7 @@ func samePseudoIDs(names []string, cols []*collected) error {
 
 // reduceVectors tree-reduces the per-party ciphertext vectors element-wise
 // into one: pairwise combination over the party dimension, each pair added
-// by the scheme's vector path (he.AddVec; Paillier spreads it over its
+// by the scheme's AddVec (Paillier spreads it over its
 // worker pool, Plain writes each sum vector into one slab). The reduction
 // shape is fixed by party index, so results do not depend on the parallelism
 // setting. It charges the performed CipherAdds — (P−1)·len, exactly what the
@@ -455,7 +455,7 @@ func (a *AggServer) reduceVectors(ctx context.Context, vecs [][][]byte) ([][]byt
 	adds := 0
 	for span := 1; span < p; span *= 2 {
 		for lo := 0; lo+span < p; lo += 2 * span {
-			sum, err := he.AddVec(ctx, a.scheme, vecs[lo], vecs[lo+span])
+			sum, err := a.scheme.AddVec(ctx, vecs[lo], vecs[lo+span])
 			if err != nil {
 				return nil, fmt.Errorf("vfl: aggregating: %w", err)
 			}

@@ -22,10 +22,8 @@ var ErrUnknownParticipant = errors.New("vfl: no such participant")
 type ClusterConfig struct {
 	// Partition supplies each participant's local features (training rows).
 	Partition *dataset.Partition
-	// Scheme is "paillier", "plain", "secagg" or "dp".
+	// Scheme is "paillier" or "plain".
 	Scheme string
-	// DPEpsilon/DPDelta tune the "dp" scheme (defaults 1.0 and 1e-5).
-	DPEpsilon, DPDelta float64
 	// KeyBits sizes the Paillier modulus (ignored for plain). Tests use
 	// small keys; production deployments should use ≥ 2048. Construction
 	// fails when the key cannot hold one packed slot for the roster (see
@@ -59,7 +57,6 @@ type Cluster struct {
 	shuffleSeed int64
 	pubScheme   he.Scheme
 	privScheme  he.Scheme
-	opts        Options
 	observer    *obs.Observer
 	instance    string
 
@@ -81,8 +78,7 @@ func (c *Cluster) Observer() *obs.Observer { return c.observer }
 // Parties lay several fixed-point partial distances side by side in each
 // plaintext under this geometry on round one and whenever a negotiated width
 // does not fit; it fails when the key is too small to hold even one slot.
-// The other schemes are left alone: SecAgg/DP ciphertexts are item-bound masks
-// and Plain already ships 8-byte values.
+// Plain is left alone: it already ships 8-byte values.
 func ConfigurePacking(s he.Scheme, parties int) error {
 	p, ok := s.(*he.Paillier)
 	if !ok {
@@ -145,23 +141,7 @@ func NewLocalCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 	}
 	tr := &transport.Memory{}
 	tr.SetObserver(o)
-	var ks *KeyServer
-	var err error
-	switch cfg.Scheme {
-	case "secagg":
-		ks, err = NewKeyServerSecAgg(cfg.Partition.P(), cfg.ShuffleSeed^0x5eca66)
-	case "dp":
-		eps, delta := cfg.DPEpsilon, cfg.DPDelta
-		if eps == 0 {
-			eps = 1.0
-		}
-		if delta == 0 {
-			delta = 1e-5
-		}
-		ks, err = NewKeyServerDP(eps, delta, cfg.ShuffleSeed^0xd9)
-	default:
-		ks, err = NewKeyServer(cfg.Scheme, cfg.KeyBits)
-	}
+	ks, err := NewKeyServer(cfg.Scheme, cfg.KeyBits)
 	if err != nil {
 		return nil, err
 	}
@@ -175,14 +155,12 @@ func NewLocalCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 	if err := ConfigurePacking(pubScheme, cfg.Partition.P()); err != nil {
 		return nil, err
 	}
-	if ob, ok := pubScheme.(he.Observable); ok {
-		ob.SetObserver(o.Registry(), instance+publicSchemeSuffix)
-	}
+	pubScheme.SetObserver(o.Registry(), instance+publicSchemeSuffix)
 	p := cfg.Partition.P()
 	partyNames := make([]string, p)
 	parties := make([]*Participant, p)
 	for i := 0; i < p; i++ {
-		part, err := NewParticipant(i, cfg.Partition.Parties[i], pubScheme, cfg.ShuffleSeed, cfg.Options)
+		part, err := NewParticipant(i, cfg.Partition.Parties[i], pubScheme, cfg.ShuffleSeed)
 		if err != nil {
 			return nil, err
 		}
@@ -204,9 +182,7 @@ func NewLocalCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 	}
 	// The leader decrypts but never bulk-encrypts, so it gets no pool.
 	ConfigureScheme(privScheme, cfg.Options, false)
-	if ob, ok := privScheme.(he.Observable); ok {
-		ob.SetObserver(o.Registry(), instance+leaderSchemeSuffix)
-	}
+	privScheme.SetObserver(o.Registry(), instance+leaderSchemeSuffix)
 	leader, err := NewLeader(tr, AggServerName, partyNames, privScheme, cfg.Batch, cfg.Options)
 	if err != nil {
 		return nil, err
@@ -221,7 +197,6 @@ func NewLocalCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 		shuffleSeed: cfg.ShuffleSeed,
 		pubScheme:   pubScheme,
 		privScheme:  privScheme,
-		opts:        cfg.Options,
 		observer:    o,
 		instance:    instance,
 		partyNames:  partyNames,
@@ -231,16 +206,6 @@ func NewLocalCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 
 // PartyNames returns the current roster's node names in index order.
 func (c *Cluster) PartyNames() []string { return append([]string(nil), c.partyNames...) }
-
-// checkMembershipScheme rejects membership changes the protection scheme
-// cannot honour: secagg's pairwise masks fix the consortium size at key
-// setup.
-func (c *Cluster) checkMembershipScheme() error {
-	if _, ok := c.pubScheme.(*he.SecAgg); ok {
-		return fmt.Errorf("vfl: secagg consortium size is fixed at key setup; rebuild the cluster")
-	}
-	return nil
-}
 
 // AddParticipant joins a new participant to a running consortium: it builds
 // the participant node over the shared public scheme and shuffle seed,
@@ -252,15 +217,10 @@ func (c *Cluster) checkMembershipScheme() error {
 // hold features for the same instance rows. Node names are never reused: a
 // join after a removal gets a fresh index, so cached ciphertext blocks can
 // never alias across distinct parties. Callers fence concurrent selections
-// (the server layer uses the per-consortium run lock). Not supported under
-// the secagg scheme, whose pairwise masks fix the consortium size at key
-// setup.
+// (the server layer uses the per-consortium run lock).
 func (c *Cluster) AddParticipant(x *mat.Matrix) (string, error) {
-	if err := c.checkMembershipScheme(); err != nil {
-		return "", err
-	}
 	index := c.nextIndex
-	part, err := NewParticipant(index, x, c.pubScheme, c.shuffleSeed, c.opts)
+	part, err := NewParticipant(index, x, c.pubScheme, c.shuffleSeed)
 	if err != nil {
 		return "", err
 	}
@@ -282,9 +242,6 @@ func (c *Cluster) AddParticipant(x *mat.Matrix) (string, error) {
 // their indices, names and caches. The last participant cannot be removed.
 // Callers fence concurrent selections with the consortium's run lock.
 func (c *Cluster) RemoveParticipant(index int) error {
-	if err := c.checkMembershipScheme(); err != nil {
-		return err
-	}
 	name := PartyName(index)
 	pos := -1
 	for i, n := range c.partyNames {

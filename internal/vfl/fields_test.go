@@ -20,6 +20,8 @@ import (
 // reservedTags lists each message's retired tags. A retired tag is never
 // bound again, so a peer that still sends it is skipped like any unknown tag.
 var reservedTags = map[string]map[int]string{
+	"PublicKeyResp":           retiredKeyParams,
+	"PrivateKeyResp":          retiredKeyParams,
 	"EncryptAllReq":           {3: "retired delta flag"},
 	"EncryptCandidatesReq":    {4: "retired delta flag"},
 	"AggregateCandidatesReq":  {3: "retired adaptive flag", 4: "retired delta flag"},
@@ -29,6 +31,11 @@ var reservedTags = map[string]map[int]string{
 	"FaginCollectReq":         {4: "retired chunk size", 5: "retired adaptive flag", 6: "retired delta flag"},
 	"FaginCollectResp":        {7: "retired leader-link delta", 8: "retired chunk-framed blocks"},
 }
+
+// retiredKeyParams are the key responses' tags that carried the retired
+// secagg and dp parameters: consortium size, mask or noise seed, ε and δ.
+var retiredKeyParams = map[int]string{3: "retired secagg consortium size", 4: "retired mask/noise seed",
+	5: "retired dp epsilon", 6: "retired dp delta"}
 
 // tableMessages returns one instance of every message type allMessages()
 // reaches, nested messages included, in first-seen order.

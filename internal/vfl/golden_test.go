@@ -21,9 +21,8 @@ import (
 // that forgets its wire methods fails to compile here first.
 func allMessages() []wire.Message {
 	return []wire.Message{
-		&PublicKeyResp{Scheme: "paillier", Key: []byte{1, 2, 3}, Parties: 3,
-			MaskSeed: -77, Epsilon: 0.5, Delta: 1e-5},
-		&PrivateKeyResp{Scheme: "secagg", Parties: 4, MaskSeed: 99},
+		&PublicKeyResp{Scheme: "paillier", Key: []byte{1, 2, 3}},
+		&PrivateKeyResp{Scheme: "paillier", Key: []byte{4, 5, 6, 7}},
 		&RankingBatchReq{Query: 3, Offset: 64, Count: 32},
 		&RankingBatchResp{PseudoIDs: []int{9, 4, 17, 16}}, // unsorted: negative deltas
 		&EncryptAllReq{Query: 12, PackBits: 40, NoCache: true},

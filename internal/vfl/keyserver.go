@@ -11,21 +11,17 @@ import (
 	"vfps/internal/wire"
 )
 
-// KeyServer generates the protection key material and serves it to the
-// cluster: the HE public key to every node and the private key to the leader
-// (§IV-A). Besides Paillier it supports the simulated "plain" scheme for
-// paper-scale sweeps and the "secagg" pairwise-masking scheme (the SMC
-// alternative of §II), whose consortium parameters it distributes.
+// KeyServer generates the HE key pair and serves it to the cluster: the
+// public key to every node and the private key to the leader (§IV-A).
+// Besides Paillier it supports the simulated "plain" scheme for paper-scale
+// sweeps, which has no key material.
 type KeyServer struct {
-	scheme         string
-	sk             *paillier.PrivateKey
-	parties        int
-	maskSeed       int64
-	epsilon, delta float64
+	scheme string
+	sk     *paillier.PrivateKey
 }
 
 // NewKeyServer creates the role. scheme is "paillier" (keyBits sized
-// modulus) or "plain". For "secagg" use NewKeyServerSecAgg.
+// modulus) or "plain".
 func NewKeyServer(scheme string, keyBits int) (*KeyServer, error) {
 	switch scheme {
 	case "plain":
@@ -41,24 +37,6 @@ func NewKeyServer(scheme string, keyBits int) (*KeyServer, error) {
 	}
 }
 
-// NewKeyServerSecAgg creates a key server distributing secure-aggregation
-// masking parameters for a consortium of the given size.
-func NewKeyServerSecAgg(parties int, maskSeed int64) (*KeyServer, error) {
-	if parties < 2 {
-		return nil, fmt.Errorf("vfl: secagg needs at least 2 parties, got %d", parties)
-	}
-	return &KeyServer{scheme: "secagg", parties: parties, maskSeed: maskSeed}, nil
-}
-
-// NewKeyServerDP creates a key server distributing differential-privacy
-// parameters (the noise-based protection of §II).
-func NewKeyServerDP(epsilon, delta float64, noiseSeed int64) (*KeyServer, error) {
-	if _, err := he.NewDP(epsilon, delta, noiseSeed); err != nil {
-		return nil, fmt.Errorf("vfl: %w", err)
-	}
-	return &KeyServer{scheme: "dp", epsilon: epsilon, delta: delta, maskSeed: noiseSeed}, nil
-}
-
 // Handler returns the RPC handler for the key-server role.
 func (k *KeyServer) Handler() transport.Handler {
 	return func(ctx context.Context, method string, req []byte) ([]byte, error) {
@@ -67,16 +45,14 @@ func (k *KeyServer) Handler() transport.Handler {
 		}
 		switch method {
 		case MethodPublicKey:
-			resp := PublicKeyResp{Scheme: k.scheme, Parties: k.parties, MaskSeed: k.maskSeed,
-				Epsilon: k.epsilon, Delta: k.delta}
+			resp := PublicKeyResp{Scheme: k.scheme}
 			if k.sk != nil {
 				resp.Key = he.MarshalPublicKey(&k.sk.PublicKey)
 			}
 			raw, _ := wire.Marshal(&resp)
 			return raw, nil
 		case MethodPrivateKey:
-			resp := PrivateKeyResp{Scheme: k.scheme, Parties: k.parties, MaskSeed: k.maskSeed,
-				Epsilon: k.epsilon, Delta: k.delta}
+			resp := PrivateKeyResp{Scheme: k.scheme}
 			if k.sk != nil {
 				resp.Key = he.MarshalPrivateKey(k.sk)
 			}
@@ -97,11 +73,6 @@ func FetchPublicScheme(ctx context.Context, c transport.Caller, keyNode string) 
 	switch resp.Scheme {
 	case "plain":
 		return he.NewPlain(), nil
-	case "secagg":
-		// Distributed as an unbound template; participants bind their index.
-		return he.NewSecAgg(-1, resp.Parties, resp.MaskSeed)
-	case "dp":
-		return he.NewDP(resp.Epsilon, resp.Delta, resp.MaskSeed)
 	case "paillier":
 		pk, err := he.UnmarshalPublicKey(resp.Key)
 		if err != nil {
@@ -123,13 +94,6 @@ func FetchPrivateScheme(ctx context.Context, c transport.Caller, keyNode string)
 	switch resp.Scheme {
 	case "plain":
 		return he.NewPlain(), nil
-	case "secagg":
-		// Masking has no private key: full aggregates self-decrypt once all
-		// parties' masks have cancelled.
-		return he.NewSecAgg(-1, resp.Parties, resp.MaskSeed)
-	case "dp":
-		// Noisy releases are readable by design; there is no key.
-		return he.NewDP(resp.Epsilon, resp.Delta, resp.MaskSeed)
 	case "paillier":
 		sk, err := he.UnmarshalPrivateKey(resp.Key)
 		if err != nil {

@@ -340,7 +340,7 @@ func (l *Leader) collect(ctx context.Context, query, k int, variant Variant, ids
 // layout.
 func (l *Leader) decryptCollected(ctx context.Context, col *collected) ([]float64, error) {
 	if col.factor == 1 {
-		return he.DecryptVec(ctx, l.scheme, col.blobs)
+		return l.scheme.DecryptVec(ctx, col.blobs)
 	}
 	pp, ok := l.scheme.(*he.Paillier)
 	if !ok {

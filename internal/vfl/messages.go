@@ -51,25 +51,16 @@ const (
 )
 
 // PublicKeyResp carries the protection-scheme choice plus its key material:
-// the serialised public key for Paillier, or the consortium masking
-// parameters for secagg.
+// the serialised public key for Paillier.
 type PublicKeyResp struct {
-	Scheme   string  // "paillier", "plain", "secagg" or "dp"
-	Key      []byte  // Paillier public key; nil otherwise
-	Parties  int     // secagg consortium size
-	MaskSeed int64   // secagg masking seed / dp noise seed
-	Epsilon  float64 // dp privacy parameters
-	Delta    float64
+	Scheme string // "paillier" or "plain"
+	Key    []byte // Paillier public key; nil otherwise
 }
 
 // PrivateKeyResp carries the serialised private key to the leader.
 type PrivateKeyResp struct {
-	Scheme   string
-	Key      []byte
-	Parties  int
-	MaskSeed int64
-	Epsilon  float64
-	Delta    float64
+	Scheme string
+	Key    []byte
 }
 
 // RankingBatchReq asks a participant for the next mini-batch of its
@@ -278,13 +269,10 @@ type FaginCollectResp struct {
 // same way (TestFieldTables holds the reserved list). Absent fields decode
 // as zero, which the normFactor/packedLen helpers already normalise.
 
+// Fields skips tags 3–6, reserved for the retired secagg and dp parameters.
 func (m *PublicKeyResp) Fields(f *wire.Fields) {
 	f.String(1, &m.Scheme)
 	f.Bytes(2, &m.Key)
-	f.Int(3, &m.Parties)
-	f.Int64(4, &m.MaskSeed)
-	f.Float(5, &m.Epsilon)
-	f.Float(6, &m.Delta)
 }
 
 // Fields keeps PublicKeyResp's layout.

@@ -44,7 +44,7 @@ func TestParallelismDeterminism(t *testing.T) {
 	_, pt := testPartition(t, "Bank", 60, 3)
 	ctx := context.Background()
 	queries := []int{0, 11, 29, 58}
-	for _, scheme := range []string{"plain", "paillier", "secagg"} {
+	for _, scheme := range []string{"plain", "paillier"} {
 		for _, variant := range []Variant{VariantBase, VariantFagin} {
 			t.Run(fmt.Sprintf("%s/%s", scheme, variant), func(t *testing.T) {
 				serial := parallelCluster(t, pt, scheme, 1)

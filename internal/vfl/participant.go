@@ -12,7 +12,6 @@ import (
 	"vfps/internal/he"
 	"vfps/internal/mat"
 	"vfps/internal/obs"
-	"vfps/internal/par"
 	"vfps/internal/topk"
 	"vfps/internal/transport"
 	"vfps/internal/wire"
@@ -34,8 +33,6 @@ type Participant struct {
 
 	perm []int // original id -> pseudo id
 	inv  []int // pseudo id -> original id
-
-	parallelism int // ≤ 0 → par.Degree(); 1 → fully serial encryption
 
 	// deltaSent caches the Paillier ciphertext blocks sent to the aggregator,
 	// keyed by block identity and slot layout; a hit reuses the cached bytes
@@ -111,31 +108,14 @@ func entryBytes(n, sorted int) int64 {
 }
 
 // NewParticipant constructs participant p over its local features.
-// shuffleSeed must be identical across all participants of a consortium;
-// opts.Parallelism bounds the encryption worker pool.
-func NewParticipant(index int, x *mat.Matrix, scheme he.Scheme, shuffleSeed int64, opts Options) (*Participant, error) {
+// shuffleSeed must be identical across all participants of a consortium.
+// The scheme's own settings (ConfigureScheme) bound its encryption workers.
+func NewParticipant(index int, x *mat.Matrix, scheme he.Scheme, shuffleSeed int64) (*Participant, error) {
 	if x == nil || x.Rows == 0 || x.Cols == 0 {
 		return nil, fmt.Errorf("vfl: participant %d has no data", index)
 	}
 	if scheme == nil {
 		return nil, fmt.Errorf("vfl: participant %d has no HE scheme", index)
-	}
-	// Index-bound schemes are distributed as unbound templates; bind them so
-	// pairwise masks take the right sign (secagg) or noise streams are
-	// independent across participants (dp).
-	switch s := scheme.(type) {
-	case *he.SecAgg:
-		bound, err := s.WithIndex(index)
-		if err != nil {
-			return nil, fmt.Errorf("vfl: participant %d: %w", index, err)
-		}
-		scheme = bound
-	case *he.DP:
-		bound, err := s.WithIndex(index)
-		if err != nil {
-			return nil, fmt.Errorf("vfl: participant %d: %w", index, err)
-		}
-		scheme = bound
 	}
 	n := x.Rows
 	perm := rand.New(rand.NewSource(shuffleSeed)).Perm(n)
@@ -144,13 +124,12 @@ func NewParticipant(index int, x *mat.Matrix, scheme he.Scheme, shuffleSeed int6
 		inv[pid] = orig
 	}
 	return &Participant{
-		index:       index,
-		x:           x,
-		scheme:      scheme,
-		perm:        perm,
-		inv:         inv,
-		parallelism: opts.Parallelism,
-		cache:       make(map[int]*queryCache),
+		index:  index,
+		x:      x,
+		scheme: scheme,
+		perm:   perm,
+		inv:    inv,
+		cache:  make(map[int]*queryCache),
 	}, nil
 }
 
@@ -167,15 +146,6 @@ func (p *Participant) SetObserver(o *obs.Observer, instance string) {
 	p.counts.Register(o.Registry(), instance, PartyName(p.index))
 }
 
-// encryptValue protects one protocol value, using item-bound masking when
-// the scheme requires it (SecAgg) and plain HE encryption otherwise.
-func (p *Participant) encryptValue(domain byte, query, key int, v float64) ([]byte, error) {
-	if cs, ok := p.scheme.(he.Contextual); ok {
-		return cs.EncryptAt(domain, query, key, v)
-	}
-	return p.scheme.Encrypt(v)
-}
-
 // partEnc is the outcome of one encryption sweep: the wire vector (delta-
 // withheld blocks as empty placeholders), the pack factor, the adaptive slot
 // width actually used (0 = static geometry), the advertised magnitude bound
@@ -190,14 +160,12 @@ type partEnc struct {
 	encrypted int
 }
 
-// encryptItems protects a vector of item-keyed protocol values. Contextual
-// (mask-based) schemes are pure functions of (domain, query, key, value), so
-// their items parallelise over the worker pool; a pack-enabled Paillier
-// scheme slot-packs values per ciphertext — under the static EnablePacking
+// encryptItems protects a vector of item-keyed protocol values. A
+// pack-enabled Paillier scheme slot-packs values per ciphertext — under the static EnablePacking
 // geometry, or the dictated packBits-wide adaptive geometry when every local
 // value fits it (otherwise it falls back to static and lets the advertised
 // NeedBits lift the next round's negotiation); everything else goes through
-// the scheme's own vector path (he.EncryptVec). Under Paillier, blocks whose
+// the scheme's own vector path (EncryptVec). Under Paillier, blocks whose
 // bytes were already sent for this (query, slot layout, pseudo-ID segment)
 // are withheld from the wire and reported in cached; noCache forces a full
 // resend after a receiver-side eviction. ctx is polled per chunk so a dead
@@ -206,24 +174,6 @@ func (p *Participant) encryptItems(ctx context.Context, query int, pids []int, v
 	ctx, esp := p.tracer().Start(ctx, SpanEncrypt)
 	esp.SetLabelInt("n", int64(len(pids)))
 	defer esp.End()
-	if cs, ok := p.scheme.(he.Contextual); ok {
-		// Item-bound masks change per round by construction; neither adaptive
-		// packing nor delta caching applies.
-		out := make([][]byte, len(pids))
-		err := par.For(ctx, len(pids), p.parallelism, func(i int) error {
-			c, err := cs.EncryptAt(he.DomainItem, query, pids[i], vals[i])
-			if err != nil {
-				return err
-			}
-			out[i] = c
-			return nil
-		})
-		if err != nil {
-			return partEnc{}, err
-		}
-		return partEnc{ciphers: out, factor: 1, encrypted: len(out)}, nil
-	}
-
 	var packer *fixed.Packer
 	var usedBits, needBits int
 	pp, isPaillier := p.scheme.(*he.Paillier)
@@ -281,7 +231,7 @@ func (p *Participant) encryptItems(ctx context.Context, query int, pids []int, v
 			// globally last block can be partial, and it is encrypted last.
 			cs, err = pp.EncryptPackedWith(ctx, packer, encVals)
 		} else {
-			cs, err = he.EncryptVec(ctx, p.scheme, encVals)
+			cs, err = p.scheme.EncryptVec(ctx, encVals)
 		}
 		if err != nil {
 			return partEnc{}, err
@@ -298,7 +248,7 @@ func (p *Participant) encryptItems(ctx context.Context, query int, pids []int, v
 		// The burst just drained up to len(cs) pooled randomizers; hint the
 		// pool to refill through the idle gap while the leader aggregates, so
 		// the next round's encryptions hit the precomputed fast path again.
-		he.Hint(p.scheme, len(cs))
+		p.scheme.RefillHint(len(cs))
 	}
 	out := blobs
 	if len(cachedIdx) > 0 {
@@ -515,15 +465,12 @@ func (p *Participant) encryptRankScore(ctx context.Context, r EncryptRankScoreRe
 	}
 	// Clamp before adding one, for the same reason as in rankingBatch.
 	rank := min(r.Rank, qc.rank.Len()-1)
-	// The mask key is the *requested* rank: every party is asked the same
-	// rank in a TA round, so their masks cancel at aggregation even when the
-	// effective rank was clamped.
-	c, err := p.encryptValue(he.DomainRank, r.Query, r.Rank, qc.ranked(rank + 1)[rank].Score)
+	c, err := p.scheme.Encrypt(qc.ranked(rank + 1)[rank].Score)
 	p.trimCache()
 	if err != nil {
 		return nil, fmt.Errorf("vfl: party %d encrypting frontier: %w", p.index, err)
 	}
-	he.Hint(p.scheme, 1) // TA rounds repeat; keep the pool topped up between them
+	p.scheme.RefillHint(1) // TA rounds repeat; keep the pool topped up between them
 	return p.reply(ctx, &EncryptRankScoreResp{Cipher: c}, costmodel.Raw{Encryptions: 1, ItemsSent: 1, Messages: 1})
 }
 

@@ -198,7 +198,7 @@ func TestRankingBatchHostileCount(t *testing.T) {
 	}
 	// A one-row participant ranks nothing; its frontier must be an error, not
 	// an index panic.
-	lone, err := NewParticipant(0, mat.New(1, 2), he.NewPlain(), 1, Options{})
+	lone, err := NewParticipant(0, mat.New(1, 2), he.NewPlain(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

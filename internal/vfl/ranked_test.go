@@ -105,7 +105,7 @@ func rankedTestParty(t *testing.T, rng *rand.Rand, n int) (p *Participant, query
 // rankedTestPartyOver is rankedTestParty over the given rows and query.
 func rankedTestPartyOver(t *testing.T, rng *rand.Rand, x *mat.Matrix, query int) (p *Participant, _ int, qc *queryCache, want []topk.Item) {
 	t.Helper()
-	p, err := NewParticipant(0, x, he.NewPlain(), rng.Int63(), Options{})
+	p, err := NewParticipant(0, x, he.NewPlain(), rng.Int63())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,11 +3,16 @@ package vfl
 import (
 	"context"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
+	"vfps/internal/he"
 	"vfps/internal/transport"
+	"vfps/internal/wire"
 )
 
 // recordingCaller wraps a transport and records every request and response
@@ -98,7 +103,7 @@ func buildRecordedCluster(t *testing.T, scheme string) (*Cluster, *recordingCall
 // each protecting scheme and scans every byte that crossed the transport for
 // IEEE-754 encodings of the true partial distances.
 func TestTranscriptDoesNotLeakPlaintextDistances(t *testing.T) {
-	for _, scheme := range []string{"paillier", "secagg"} {
+	for _, scheme := range []string{"paillier"} {
 		t.Run(scheme, func(t *testing.T) {
 			cl, rec := buildRecordedCluster(t, scheme)
 			ctx := context.Background()
@@ -157,5 +162,60 @@ func TestTranscriptDetectorFindsPlainLeaks(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("detector failed to find plaintext distances in the plain-scheme transcript")
+	}
+}
+
+// TestKeyResponsesCarryOnlySchemeAndKey pins what the key server hands out:
+// the key responses bind the scheme name (tag 1) and the key (tag 2) and
+// nothing else, with the retired secagg/dp parameter tags 3–6 reserved, so
+// no seed a participant could derive ever reaches another role. Under
+// Paillier the aggregation server's scheme and every party's scheme are
+// public-only: Decrypt of a party's ciphertext returns he.ErrNoPrivateKey.
+func TestKeyResponsesCarryOnlySchemeAndKey(t *testing.T) {
+	for _, m := range []wire.Message{&PublicKeyResp{}, &PrivateKeyResp{}} {
+		name := messageName(m)
+		var bound []string
+		for _, b := range wire.Layout(m) {
+			f, _ := boundField(m, b)
+			bound = append(bound, fmt.Sprintf("%d:%s", b.Tag, f.Name))
+		}
+		if got := strings.Join(bound, " "); got != "1:Scheme 2:Key" {
+			t.Errorf("%s binds %s, want 1:Scheme 2:Key", name, got)
+		}
+		for tag := 3; tag <= 6; tag++ {
+			if _, ok := reservedTags[name][tag]; !ok {
+				t.Errorf("%s: tag %d is not reserved", name, tag)
+			}
+		}
+	}
+
+	_, pt := testPartition(t, "Bank", 80, 4)
+	cl := newCluster(t, pt, "paillier")
+	t.Cleanup(cl.Close)
+	ctx := context.Background()
+	views := map[string]he.Scheme{AggServerName: cl.Agg.scheme}
+	for _, p := range cl.Parties {
+		views[PartyName(p.index)] = p.scheme
+	}
+	for _, p := range cl.Parties {
+		c, err := p.scheme.Encrypt(3.25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for role, s := range views {
+			if _, err := s.Decrypt(c); !errors.Is(err, he.ErrNoPrivateKey) {
+				t.Errorf("%s decrypting %s's ciphertext: err = %v, want he.ErrNoPrivateKey", role, PartyName(p.index), err)
+			}
+			if _, err := s.DecryptVec(ctx, [][]byte{c}); !errors.Is(err, he.ErrNoPrivateKey) {
+				t.Errorf("%s vector-decrypting %s's ciphertext: err = %v, want he.ErrNoPrivateKey", role, PartyName(p.index), err)
+			}
+		}
+	}
+	c, err := cl.Parties[0].scheme.Encrypt(3.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := cl.Leader.Scheme().Decrypt(c); err != nil || v != 3.25 {
+		t.Fatalf("the leader decrypts a party's ciphertext to %g, %v; want 3.25", v, err)
 	}
 }

@@ -385,11 +385,11 @@ func TestIdentitySecurityPseudoIDs(t *testing.T) {
 }
 
 func TestParticipantValidation(t *testing.T) {
-	if _, err := NewParticipant(0, nil, nil, 1, Options{}); err == nil {
+	if _, err := NewParticipant(0, nil, nil, 1); err == nil {
 		t.Fatal("expected nil-data error")
 	}
 	m := mat.New(3, 2)
-	if _, err := NewParticipant(0, m, nil, 1, Options{}); err == nil {
+	if _, err := NewParticipant(0, m, nil, 1); err == nil {
 		t.Fatal("expected nil-scheme error")
 	}
 }
@@ -420,7 +420,7 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 	partyNames := make([]string, pt.P())
 	var partySrvs []*transport.TCPServer
 	for i := 0; i < pt.P(); i++ {
-		part, err := NewParticipant(i, pt.Parties[i], pub, 7, Options{})
+		part, err := NewParticipant(i, pt.Parties[i], pub, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -669,7 +669,7 @@ func TestQueryCacheWithinBudget(t *testing.T) {
 		x.Set(i, 0, rng.NormFloat64())
 		x.Set(i, 1, rng.NormFloat64())
 	}
-	p, err := NewParticipant(0, x, he.NewPlain(), 3, Options{})
+	p, err := NewParticipant(0, x, he.NewPlain(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -699,145 +699,6 @@ func TestQueryCacheWithinBudget(t *testing.T) {
 		if entries < min(q+1, cacheMinEntries) {
 			t.Fatalf("after query %d the cache keeps %d entries, fewer than %d", q, entries, min(q+1, cacheMinEntries))
 		}
-	}
-}
-
-func TestSecAggClusterMatchesPlain(t *testing.T) {
-	_, pt := testPartition(t, "Bank", 100, 4)
-	plain := newCluster(t, pt, "plain")
-	masked := newCluster(t, pt, "secagg")
-	ctx := context.Background()
-	queries := []int{1, 30, 75}
-	for _, variant := range []Variant{VariantBase, VariantFagin, VariantThreshold} {
-		a, err := plain.Leader.Similarities(ctx, queries, 5, variant, 1)
-		if err != nil {
-			t.Fatalf("plain/%s: %v", variant, err)
-		}
-		b, err := masked.Leader.Similarities(ctx, queries, 5, variant, 1)
-		if err != nil {
-			t.Fatalf("secagg/%s: %v", variant, err)
-		}
-		for i := range a.W {
-			for j := range a.W[i] {
-				if math.Abs(a.W[i][j]-b.W[i][j]) > 1e-4 {
-					t.Fatalf("%s: W[%d][%d]: plain %g secagg %g", variant, i, j, a.W[i][j], b.W[i][j])
-				}
-			}
-		}
-	}
-}
-
-func TestSecAggHidesValuesFromServer(t *testing.T) {
-	// The aggregation server sees only masked words: a single party's
-	// response must not decode to its true partial distance.
-	_, pt := testPartition(t, "Rice", 50, 3)
-	cl := newCluster(t, pt, "secagg")
-	party := cl.Parties[0]
-	raw, err := party.Handler()(context.Background(), MethodEncryptCandidates,
-		enc(&EncryptCandidatesReq{Query: 0, PseudoIDs: []int{1, 2, 3}}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var resp EncryptCandidatesResp
-	if err := wire.Unmarshal(raw, &resp); err != nil {
-		t.Fatal(err)
-	}
-	qc, err := party.distances(context.Background(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scheme := cl.Leader.Scheme()
-	for i, pid := range []int{1, 2, 3} {
-		truth := qc.dist[party.inv[pid]]
-		decoded, err := scheme.Decrypt(resp.Ciphers[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(decoded-truth) < 1e-3 {
-			t.Fatalf("server could read party 0's partial distance %g", truth)
-		}
-	}
-}
-
-func TestSecAggNoHEOperations(t *testing.T) {
-	// Masking replaces public-key work with hashing: ciphertexts are 8-byte
-	// words, so communication drops by ~32x vs a 1024-bit-modulus scheme.
-	_, pt := testPartition(t, "Rice", 60, 3)
-	cl := newCluster(t, pt, "secagg")
-	if _, err := cl.Leader.Similarities(context.Background(), []int{5}, 4, VariantFagin, 1); err != nil {
-		t.Fatal(err)
-	}
-	p0 := cl.Parties[0].counts.Snapshot()
-	if p0.Encryptions == 0 {
-		t.Fatal("masking ops should still be counted as protections")
-	}
-	if p0.BytesSent >= p0.ItemsSent*32 {
-		t.Fatalf("secagg bytes/item too high: %d bytes for %d items", p0.BytesSent, p0.ItemsSent)
-	}
-}
-
-func TestDPClusterRunsAndPerturbs(t *testing.T) {
-	_, pt := testPartition(t, "Rice", 80, 3)
-	ctx := context.Background()
-	mk := func(eps float64) *SimilarityReport {
-		cl, err := NewLocalCluster(ctx, ClusterConfig{
-			Partition: pt, Scheme: "dp", DPEpsilon: eps, DPDelta: 1e-5,
-			ShuffleSeed: 7, Batch: 8,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := cl.Leader.Similarities(ctx, []int{3, 40, 70}, 5, VariantFagin, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	plain := newCluster(t, pt, "plain")
-	truth, err := plain.Leader.Similarities(ctx, []int{3, 40, 70}, 5, VariantFagin, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Large epsilon: W close to the exact protocol.
-	weak := mk(1000)
-	for i := range truth.W {
-		for j := range truth.W[i] {
-			if math.Abs(weak.W[i][j]-truth.W[i][j]) > 0.05 {
-				t.Fatalf("ε=1000 should barely perturb: W[%d][%d] %g vs %g",
-					i, j, weak.W[i][j], truth.W[i][j])
-			}
-		}
-	}
-	// Tiny epsilon: the estimate must visibly differ somewhere (the paper's
-	// point that noise costs accuracy).
-	strong := mk(0.01)
-	var maxDiff float64
-	for i := range truth.W {
-		for j := range truth.W[i] {
-			if d := math.Abs(strong.W[i][j] - truth.W[i][j]); d > maxDiff {
-				maxDiff = d
-			}
-		}
-	}
-	if maxDiff < 1e-4 {
-		t.Fatalf("ε=0.01 left the similarity estimate untouched (max diff %g)", maxDiff)
-	}
-}
-
-func TestDPClusterValidation(t *testing.T) {
-	_, pt := testPartition(t, "Rice", 40, 2)
-	if _, err := NewLocalCluster(context.Background(), ClusterConfig{
-		Partition: pt, Scheme: "dp", DPEpsilon: -2,
-	}); err == nil {
-		t.Fatal("expected epsilon validation error")
-	}
-}
-
-func TestAddParticipantSecAggRejected(t *testing.T) {
-	_, pt := testPartition(t, "Rice", 40, 2)
-	cl := newCluster(t, pt, "secagg")
-	if _, err := cl.AddParticipant(pt.Parties[0]); err == nil {
-		t.Fatal("expected secagg fixed-size error")
 	}
 }
 
@@ -928,12 +789,6 @@ func TestFetchSchemeErrors(t *testing.T) {
 func TestKeyServerValidation(t *testing.T) {
 	if _, err := NewKeyServer("rot13", 0); err == nil {
 		t.Fatal("expected unknown-scheme error")
-	}
-	if _, err := NewKeyServerSecAgg(1, 1); err == nil {
-		t.Fatal("expected parties error")
-	}
-	if _, err := NewKeyServerDP(-1, 1e-5, 1); err == nil {
-		t.Fatal("expected epsilon error")
 	}
 	ks, err := NewKeyServer("plain", 0)
 	if err != nil {

@@ -80,15 +80,9 @@ type Config struct {
 	// Classes is the number of label classes.
 	Classes int
 	// Scheme selects the protection backend: "paillier" for real additive
-	// HE, "secagg" for SMC-style pairwise masking (exact aggregates, no
-	// public-key operations, but requires that no two parties collude with
-	// the server), "dp" for noise-based differential privacy (cheapest, but
-	// perturbs the selection — see DPEpsilon), or "plain" (default) for the
-	// op-count-preserving HE simulation used by benchmark sweeps.
+	// HE, or "plain" (default) for the op-count-preserving HE simulation
+	// used by benchmark sweeps.
 	Scheme string
-	// DPEpsilon and DPDelta tune the "dp" scheme's per-release privacy
-	// (defaults 1.0 and 1e-5).
-	DPEpsilon, DPDelta float64
 	// KeyBits sizes the Paillier modulus (default 512, a demo size; use
 	// ≥ 2048 wherever the ciphertexts leave the process). It also sets how many
 	// partial distances ride in one ciphertext — about KeyBits/67 under the
@@ -148,8 +142,6 @@ func NewConsortium(ctx context.Context, cfg Config) (*Consortium, error) {
 		KeyBits:     cfg.KeyBits,
 		ShuffleSeed: cfg.ShuffleSeed,
 		Batch:       cfg.FaginBatch,
-		DPEpsilon:   cfg.DPEpsilon,
-		DPDelta:     cfg.DPDelta,
 		Options:     cfg.Options,
 		Obs:         cfg.Obs,
 		Instance:    cfg.Instance,
@@ -180,7 +172,7 @@ func (c *Consortium) PartyNames() []string { return c.cluster.PartyNames() }
 // deployment is rewired in place — no teardown, surviving nodes keep their
 // caches — so a Paillier re-selection after the join re-encrypts only the
 // joiner's blocks wherever the candidates and the slot layout held. Returns
-// the new party's node name. Not supported under the "secagg" scheme.
+// the new party's node name.
 // Callers must not run a selection concurrently; the server layer fences
 // with its per-consortium run lock.
 func (c *Consortium) AddParticipant(features [][]float64) (string, error) {
@@ -200,7 +192,7 @@ func (c *Consortium) AddParticipant(features [][]float64) (string, error) {
 
 // RemoveParticipant removes the participant with the given index (the i in
 // its party/<i> node name) and rewires the deployment in place. The last
-// participant cannot be removed. Not supported under the "secagg" scheme.
+// participant cannot be removed.
 func (c *Consortium) RemoveParticipant(index int) error {
 	return c.cluster.RemoveParticipant(index)
 }
@@ -350,7 +342,7 @@ func (c *Consortium) SelectWith(ctx context.Context, method Method, count int, o
 			Scores:           scores,
 			Counts:           raw,
 			WallTime:         time.Since(start),
-			ProjectedSeconds: costmodel.For(c.cluster.Leader.Scheme().Name()).Seconds(raw),
+			ProjectedSeconds: costmodel.Default.Seconds(raw),
 		}, nil
 	default:
 		return nil, fmt.Errorf("vfps: unknown selection method %q", method)

@@ -2,6 +2,7 @@ package vfps
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -332,40 +333,26 @@ func TestBaseConflictsWithAnotherTopK(t *testing.T) {
 	}
 }
 
-func TestSecAggConsortiumPublic(t *testing.T) {
-	d, err := GenerateDataset("Bank", 150)
+// TestNewConsortiumRefusesRetiredSchemes pins that the secagg and dp
+// schemes are gone: asking for either fails with the key server's unknown
+// scheme error, which names it.
+func TestNewConsortiumRefusesRetiredSchemes(t *testing.T) {
+	d, err := GenerateDataset("Rice", 60)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, _ := VerticalSplit(d, 4, 1)
-	ctx := context.Background()
-	masked, err := NewConsortium(ctx, Config{
-		Partition: pt, Labels: d.Y, Classes: d.Classes, Scheme: "secagg",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := NewConsortium(ctx, Config{
-		Partition: pt, Labels: d.Y, Classes: d.Classes,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := SelectOptions{K: 5, NumQueries: 10, Seed: 2}
-	a, err := masked.Select(ctx, 2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := plain.Select(ctx, 2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.Selected, b.Selected) {
-		t.Fatalf("secagg selection %v differs from plain %v", a.Selected, b.Selected)
-	}
-	// Masking must project far cheaper than HE.
-	if a.ProjectedSeconds >= b.ProjectedSeconds {
-		t.Fatalf("secagg %g not cheaper than HE pricing %g", a.ProjectedSeconds, b.ProjectedSeconds)
+	pt, _ := VerticalSplit(d, 3, 1)
+	for _, scheme := range []string{"secagg", "dp"} {
+		cons, err := NewConsortium(context.Background(), Config{
+			Partition: pt, Labels: d.Y, Classes: d.Classes, Scheme: scheme,
+		})
+		if err == nil {
+			cons.Close()
+			t.Fatalf("NewConsortium accepted scheme %q", scheme)
+		}
+		if want := fmt.Sprintf("unknown HE scheme %q", scheme); !strings.Contains(err.Error(), want) {
+			t.Fatalf("scheme %q: err = %v, want it to contain %s", scheme, err, want)
+		}
 	}
 }
 
@@ -408,25 +395,6 @@ func TestRewardSharesPublic(t *testing.T) {
 	}
 	if _, err := RewardShares(nil); err == nil {
 		t.Fatal("expected nil-selection error")
-	}
-}
-
-func TestDPConsortiumPublic(t *testing.T) {
-	d, _ := GenerateDataset("Rice", 150)
-	pt, _ := VerticalSplit(d, 3, 1)
-	cons, err := NewConsortium(context.Background(), Config{
-		Partition: pt, Labels: d.Y, Classes: d.Classes,
-		Scheme: "dp", DPEpsilon: 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel, err := cons.Select(context.Background(), 2, SelectOptions{K: 5, NumQueries: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sel.Selected) != 2 {
-		t.Fatalf("selected %v", sel.Selected)
 	}
 }
 
