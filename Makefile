@@ -13,7 +13,7 @@ test:
 check:
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then echo "gofmt needed on:"; echo "$$fmt"; exit 1; fi
 	@gob=$$(grep -rl --include='*.go' '"encoding/gob"' .); if [ -n "$$gob" ]; then echo "encoding/gob is banned; the protocol has one wire format. Imported by:"; echo "$$gob"; exit 1; fi
-	@knob=$$(grep -rlE --include='*.go' 'PackAdaptive|[^a-zA-Z]Pack +bool|"pack(-adaptive)?"|ChunkBytes|SpeculateTA|SetMont|VFPS_MONT|VFPS_PARALLELISM|"chunk-bytes"|"speculate-ta"|"mont"|PoolSet|AttachPool|PoolWorkers|"pool-workers"|NewRandomizerContext|DeltaCache +bool|SimCache +bool|"delta-cache"|"deltaCache"|"simCache"|[^a-zA-Z]Delta +bool|PackHint|PackWidthHint|packWidthHint|Adaptive +bool|ShardWorkers|"shard-workers"|"shardWorkers"|MethodShardCollect|SimulatedSize|MethodCounts|MethodResetCounts|CountsResp|GatherCounts|TotalCounts|ResetAllCounts|"node\.(resetC|c)ounts"|OptLazy|OptStochastic|OptWarmStart|LazyGreedy|StochasticGreedy|GreedyWarmStart|SelectAdaptive|AdaptiveOptions|AdaptiveConfig|WarmStart|"optimizer"|SecAgg|NewDP|he\.DP\b|Contextual|EncryptAt|VecScheme|Refiller|he\.Hint|he\.Observable|DPEpsilon|DPDelta|"dpEpsilon"|NewKeyServerSecAgg|NewKeyServerDP|SecAggModel|MaskSeed|"secagg"' . | grep -v '_test\.go$$'); if [ -n "$$knob" ]; then echo "retired knobs stay retired (Pack/PackAdaptive, ChunkBytes, SpeculateTA, Mont, VFPS_MONT, VFPS_PARALLELISM, the shared PoolSet/AttachPool/PoolWorkers, NewRandomizerContext, the DeltaCache/SimCache switches, the Delta and Adaptive request flags, PackHint/PackWidthHint, ShardWorkers and the shard-collect RPC, the plain scheme's SimulatedSize padding, the counts/reset RPCs and their gather/reset helpers, the Optimizer knob with its lazy, stochastic and warm-start maximizers, SelectAdaptive and its options, the secagg and dp schemes with their key-server constructors, key-response parameters, cost model and he side interfaces (Contextual/EncryptAt, VecScheme, Refiller/Hint, Observable), and their flags and JSON keys). Declared by:"; echo "$$knob"; exit 1; fi
+	@knob=$$(grep -rlE --include='*.go' 'PackAdaptive|[^a-zA-Z]Pack +bool|"pack(-adaptive)?"|ChunkBytes|SpeculateTA|SetMont|VFPS_MONT|VFPS_PARALLELISM|"chunk-bytes"|"speculate-ta"|"mont"|PoolSet|AttachPool|PoolWorkers|"pool-workers"|NewRandomizerContext|DeltaCache +bool|SimCache +bool|"delta-cache"|"deltaCache"|"simCache"|[^a-zA-Z]Delta +bool|PackHint|PackWidthHint|packWidthHint|Adaptive +bool|ShardWorkers|"shard-workers"|"shardWorkers"|MethodShardCollect|SimulatedSize|MethodCounts|MethodResetCounts|CountsResp|GatherCounts|TotalCounts|ResetAllCounts|"node\.(resetC|c)ounts"|OptLazy|OptStochastic|OptWarmStart|LazyGreedy|StochasticGreedy|GreedyWarmStart|SelectAdaptive|AdaptiveOptions|AdaptiveConfig|WarmStart|"optimizer"|SecAgg|NewDP|he\.DP\b|Contextual|EncryptAt|VecScheme|Refiller|he\.Hint|he\.Observable|DPEpsilon|DPDelta|"dpEpsilon"|NewKeyServerSecAgg|NewKeyServerDP|SecAggModel|MaskSeed|"secagg"|qworkers' . | grep -v '_test\.go$$'); if [ -n "$$knob" ]; then echo "retired knobs stay retired (Pack/PackAdaptive, ChunkBytes, SpeculateTA, Mont, VFPS_MONT, VFPS_PARALLELISM, the shared PoolSet/AttachPool/PoolWorkers, NewRandomizerContext, the DeltaCache/SimCache switches, the Delta and Adaptive request flags, PackHint/PackWidthHint, ShardWorkers and the shard-collect RPC, the plain scheme's SimulatedSize padding, the counts/reset RPCs and their gather/reset helpers, the Optimizer knob with its lazy, stochastic and warm-start maximizers, SelectAdaptive and its options, the secagg and dp schemes with their key-server constructors, key-response parameters, cost model and he side interfaces (Contextual/EncryptAt, VecScheme, Refiller/Hint, Observable), the per-selection query-concurrency knob (-qworkers; Parallelism bounds the queries in flight), and their flags and JSON keys). Declared by:"; echo "$$knob"; exit 1; fi
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/mont ./internal/paillier
 	$(GO) test ./...

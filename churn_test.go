@@ -73,7 +73,7 @@ func TestChurnSelectionMatchesColdRebuild(t *testing.T) {
 				t.Cleanup(cons.Close)
 				return cons
 			}
-			opts := SelectOptions{K: 5, NumQueries: 6, Seed: 3, Parallelism: tc.parallelism}
+			opts := SelectOptions{K: 5, NumQueries: 6, Seed: 3}
 
 			// Live consortium: start with parties {0,1,2}, select once (seeds
 			// the delta caches), join 3 and 4, drop index 1.
@@ -149,8 +149,16 @@ func TestJoinReusesSurvivorCiphertexts(t *testing.T) {
 	opts := SelectOptions{K: 5, NumQueries: 6, Seed: 3, Base: true}
 
 	live := mk([]int{0, 1, 2, 3, 4, 5})
-	if _, err := live.Select(ctx, 2, opts); err != nil {
-		t.Fatal(err)
+	// A fresh consortium's first round is static. A second round over the
+	// same queries — another K, so the similarity cache does not answer it,
+	// and BASE encrypts the same blocks at any K — lays them out at the
+	// negotiated width the join round packs under.
+	for _, k := range []int{opts.K, opts.K - 1} {
+		warm := opts
+		warm.K = k
+		if _, err := live.Select(ctx, 2, warm); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := live.AddParticipant(matRows(full.Parties[6])); err != nil {
 		t.Fatal(err)

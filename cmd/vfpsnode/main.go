@@ -63,7 +63,7 @@ type node struct {
 	keyBits, index, rows, parties        int
 	splitSeed, shuffleSeed               int64
 	selCount, k, queries, batch          int
-	rounds, qworkers                     int
+	rounds                               int
 	linger                               time.Duration
 	opts                                 vfl.Options
 
@@ -99,7 +99,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	logJSON := fs.String("log-json", "", `structured query-log destination: "-"/"stdout", "stderr", or a file path (off when empty)`)
 	slowRing := fs.Int("slow-ring", 0, "flight-recorder capacity for /v1/slow (0 = default)")
 	fs.IntVar(&n.rounds, "rounds", 1, "selections to run (role=leader); each round is one full selection and one trace")
-	fs.IntVar(&n.qworkers, "qworkers", 1, "concurrent queries in flight per round (role=leader)")
 	fs.DurationVar(&n.linger, "linger", 0, "how long the leader keeps its obs listener up after finishing, for trace scrapes (role=leader)")
 	n.opts.BindFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -263,14 +262,13 @@ func (n *node) leader(ctx context.Context) error {
 	}
 	leader.SetObserver(n.o, "node")
 	cfg := core.Config{
-		K:           n.k,
-		Queries:     core.SampleQueries(spec.Rows(n.rows), n.queries, 0),
-		Variant:     vfl.Variant(n.variant),
-		Parallelism: n.qworkers,
+		K:       n.k,
+		Queries: core.SampleQueries(spec.Rows(n.rows), n.queries, 0),
+		Variant: vfl.Variant(n.variant),
 	}
 	rounds := max(n.rounds, 1)
-	fmt.Fprintf(n.stdout, "running %s-variant selection over %d queries, k=%d, %d round(s), %d worker(s)...\n",
-		cfg.Variant, len(cfg.Queries), cfg.K, rounds, max(cfg.Parallelism, 1))
+	fmt.Fprintf(n.stdout, "running %s-variant selection over %d queries, k=%d, %d round(s)...\n",
+		cfg.Variant, len(cfg.Queries), cfg.K, rounds)
 	var sel *core.Selection
 	for r := 0; r < rounds; r++ {
 		if sel, err = core.Select(ctx, leader, n.selCount, cfg); err != nil {

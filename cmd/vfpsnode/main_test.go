@@ -384,11 +384,11 @@ func TestDeploymentRejects(t *testing.T) {
 
 // TestRetiredFlagsRejected pins that a retired knob is gone, not ignored: a
 // launch script still passing one (the packed-layout switches, chunk framing,
-// speculative TA, the arithmetic backend, sharded aggregation) fails loudly
-// instead of starting a node that silently differs from what the script
-// asked for.
+// speculative TA, the arithmetic backend, sharded aggregation, the leader's
+// query concurrency) fails loudly instead of starting a node that silently
+// differs from what the script asked for.
 func TestRetiredFlagsRejected(t *testing.T) {
-	for _, flag := range []string{"-pack", "-pack-adaptive", "-chunk-bytes", "-speculate-ta", "-mont", "-shard-workers"} {
+	for _, flag := range []string{"-pack", "-pack-adaptive", "-chunk-bytes", "-speculate-ta", "-mont", "-shard-workers", "-qworkers"} {
 		err := run(context.Background(), []string{"-role", "keyserver", "-scheme", "plain", flag}, &roleOutput{})
 		if want := "flag provided but not defined: " + flag; err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("%s: run returned %v, want %q", flag, err, want)

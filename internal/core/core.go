@@ -28,9 +28,6 @@ type Config struct {
 	Queries []int
 	// Variant picks VFPS-SM (fagin) or VFPS-SM-BASE (base).
 	Variant vfl.Variant
-	// Parallelism bounds concurrent in-flight queries during the similarity
-	// phase (default 1, i.e. sequential).
-	Parallelism int
 	// Cache, when non-nil, memoises similarity reports by (roster, queries,
 	// variant, K) so a selection whose membership recurs skips the encrypted
 	// similarity phase entirely. Opt-in: leaving it nil preserves the
@@ -201,7 +198,7 @@ func Select(ctx context.Context, leader *vfl.Leader, selectCount int, cfg Config
 		sctx, ssp := tracer.Start(ctx, "select.similarity")
 		ssp.SetLabelInt("queries", int64(len(cfg.Queries)))
 		ssp.SetLabelInt("k", int64(cfg.K))
-		rep, err = leader.Similarities(sctx, cfg.Queries, cfg.K, cfg.Variant, cfg.Parallelism)
+		rep, err = leader.Similarities(sctx, cfg.Queries, cfg.K, cfg.Variant)
 		ssp.End()
 		phase("similarity")
 		if err != nil {

@@ -195,7 +195,10 @@ func TestSelectCountsAgreeWithNodeCounters(t *testing.T) {
 				}
 				defer cl.Close()
 				cfg := Config{K: 5, Queries: SampleQueries(80, 6, 1), Variant: variant}
-				for round := 0; round < 2; round++ {
+				// A fresh consortium's first round is static and the second
+				// packs at the negotiated width, so the third is the first
+				// repeat that can reuse blocks.
+				for round := 0; round < 3; round++ {
 					before := costOps(o.Registry(), "agree")
 					sel, err := Select(context.Background(), cl.Leader, 2, cfg)
 					if err != nil {
@@ -214,10 +217,11 @@ func TestSelectCountsAgreeWithNodeCounters(t *testing.T) {
 							t.Errorf("round %d: Counts has %s = %d, the node counters moved %d", round, op, v, moved)
 						}
 					}
-					if c.Encryptions == 0 || c.WireBytes() == 0 {
+					// A repeat may reuse every block and encrypt none.
+					if c.Encryptions+c.CacheHits == 0 || c.WireBytes() == 0 {
 						t.Fatalf("round %d counted nothing: %v", round, c)
 					}
-					if scheme == "paillier" && round == 1 && c.CacheHits == 0 {
+					if scheme == "paillier" && round == 2 && c.CacheHits == 0 {
 						t.Errorf("the repeat round booked no delta-cache hits: %v", c)
 					}
 				}

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
+	"sync"
 
 	"vfps/internal/costmodel"
 	"vfps/internal/he"
@@ -29,16 +29,13 @@ type AggServer struct {
 	scheme      he.Scheme
 	parallelism int // ≤ 0 → par.Degree(); 1 → fully serial
 
-	// packNeed is the slot-width negotiation state: the monotone maximum of
-	// the slot-width bounds the parties advertised (NeedBits), plus a drift
-	// margin. It is dictated back to the parties on the next round; 0 until
-	// the first advertisement, which makes round one static. Only Paillier
+	// widthMu guards packNeed, the monotone maximum of the slot widths the
+	// parties advertised (NeedBits) plus a drift margin, and roundWidth, the
+	// width dictated throughout each recent leader round. Only Paillier
 	// parties advertise, so every other scheme stays at 0.
-	packNeed atomic.Int64
-	// static pins every round to the static geometry: the reference the
-	// negotiated layout must match bit for bit. Only this package's tests set
-	// it.
-	static bool
+	widthMu    sync.Mutex
+	packNeed   int
+	roundWidth map[int]int
 
 	// recvCache is the receive half of the party links' cross-round delta
 	// encoding (see deltacache.go), used exactly when the scheme is Paillier.
@@ -52,27 +49,42 @@ type AggServer struct {
 // drift in the data's magnitude does not force a static fallback round.
 const packBitsMargin = 2
 
-// packDictate returns the slot width to dictate to the parties: 0 (static)
-// before the first advertisement.
-func (a *AggServer) packDictate() int {
-	if a.static {
-		return 0
+// roundWidthsKept bounds roundWidth to the rounds concurrent selections may
+// have open: a new round forgets those this many rounds older, and a
+// forgotten round's late request gets the width learned by then.
+const roundWidthsKept = 16
+
+// packDictate returns the slot width to dictate throughout a leader round:
+// packNeed as the round's first request found it, so the round's concurrent
+// queries all pack alike, and a consortium's first round is all static (0).
+func (a *AggServer) packDictate(round int) int {
+	a.widthMu.Lock()
+	defer a.widthMu.Unlock()
+	width, ok := a.roundWidth[round]
+	if !ok {
+		for r := range a.roundWidth {
+			if r <= round-roundWidthsKept {
+				delete(a.roundWidth, r)
+			}
+		}
+		width = a.packNeed
+		a.roundWidth[round] = width
 	}
-	return int(a.packNeed.Load())
+	return width
 }
 
-// observeNeedBits folds the largest magnitude bound one round advertised into
-// the negotiation state for the next round (monotone maximum).
-func (a *AggServer) observeNeedBits(maxNeed int) {
-	if maxNeed == 0 {
-		return
+// observeNeedBits folds the largest magnitude bound a collection's parties
+// advertised into the negotiation state for the next round (monotone
+// maximum).
+func (a *AggServer) observeNeedBits(cols []*collected) {
+	need := 0
+	for _, col := range cols {
+		need = max(need, col.need)
 	}
-	target := int64(maxNeed + packBitsMargin)
-	for {
-		cur := a.packNeed.Load()
-		if target <= cur || a.packNeed.CompareAndSwap(cur, target) {
-			return
-		}
+	if need > 0 {
+		a.widthMu.Lock()
+		a.packNeed = max(a.packNeed, need+packBitsMargin)
+		a.widthMu.Unlock()
 	}
 }
 
@@ -92,7 +104,8 @@ func NewAggServer(caller transport.Caller, parties []string, scheme he.Scheme, o
 	if scheme == nil {
 		return nil, fmt.Errorf("vfl: aggregation server needs an HE scheme")
 	}
-	return &AggServer{cc: transport.NewCodecCaller(caller), parties: parties, scheme: scheme, parallelism: opts.Parallelism}, nil
+	return &AggServer{cc: transport.NewCodecCaller(caller), parties: parties, scheme: scheme, parallelism: opts.Parallelism,
+		roundWidth: make(map[int]int)}, nil
 }
 
 // call performs one outbound RPC from the server (see roleObs.call).
@@ -151,7 +164,7 @@ func (a *AggServer) Handler() transport.Handler {
 // (FaginCollect), or the leader's own list (AggregateCandidates, one
 // Threshold-Algorithm round).
 func (a *AggServer) serveLeader(ctx context.Context, method string, req []byte) ([]byte, error) {
-	var query int
+	var query, round int
 	var ids []int
 	var stats FaginStats
 	var noCache bool
@@ -162,7 +175,7 @@ func (a *AggServer) serveLeader(ctx context.Context, method string, req []byte) 
 		if err := wire.Unmarshal(req, &r); err != nil {
 			return nil, err
 		}
-		query, noCache = r.Query, r.NoCache
+		query, noCache, round = r.Query, r.NoCache, r.Round
 		var csp *obs.Span
 		ctx, csp = a.tracer().Start(ctx, SpanCollectAll)
 		defer csp.End()
@@ -171,7 +184,7 @@ func (a *AggServer) serveLeader(ctx context.Context, method string, req []byte) 
 		if err := wire.Unmarshal(req, &r); err != nil {
 			return nil, err
 		}
-		query, noCache = r.Query, r.NoCache
+		query, noCache, round = r.Query, r.NoCache, r.Round
 		var fsp *obs.Span
 		ctx, fsp = a.tracer().Start(ctx, SpanFagin)
 		defer fsp.End()
@@ -186,7 +199,7 @@ func (a *AggServer) serveLeader(ctx context.Context, method string, req []byte) 
 		if err := wire.Unmarshal(req, &r); err != nil {
 			return nil, err
 		}
-		query, ids, noCache = r.Query, r.PseudoIDs, r.NoCache
+		query, ids, noCache, round = r.Query, r.PseudoIDs, r.NoCache, r.Round
 	}
 
 	actx := ctx
@@ -195,7 +208,7 @@ func (a *AggServer) serveLeader(ctx context.Context, method string, req []byte) 
 		actx, asp = a.tracer().Start(ctx, SpanAggregate)
 		asp.SetLabelInt("candidates", int64(len(ids)))
 	}
-	root, err := a.collect(actx, query, ids, all, noCache)
+	root, err := a.collect(actx, round, query, ids, all, noCache)
 	asp.End()
 	if err != nil {
 		return nil, err
@@ -272,15 +285,16 @@ func (a *AggServer) faginScan(ctx context.Context, r FaginCollectReq) ([]int, Fa
 	return candidates, stats, nil
 }
 
-// collect runs one collection round for the given pseudo IDs (every party's
-// full vector when all is set) and tree-reduces it to one root vector. The
-// advertised NeedBits feed the width negotiation; geometry must be uniform
+// collect runs one collection of the given leader round for the given pseudo
+// IDs (every party's full vector when all is set) and tree-reduces it to one
+// root vector. It dictates the round's width (packDictate); the advertised
+// NeedBits feed the next round's negotiation; geometry must be uniform
 // across parties, and a negotiated dictation that produced a mixed round is
 // re-collected once under the static geometry (shared by construction, so
 // one static round always restores uniformity). Under the BASE pattern (all)
 // every party must also cover the same pseudo IDs in the same order.
-func (a *AggServer) collect(ctx context.Context, query int, ids []int, all, noCache bool) (*collected, error) {
-	round := func(d int) ([]*collected, error) {
+func (a *AggServer) collect(ctx context.Context, round, query int, ids []int, all, noCache bool) (*collected, error) {
+	pull := func(d int) ([]*collected, error) {
 		cols := make([]*collected, len(a.parties))
 		err := fanOut(ctx, a.parallelism, a.parties, func(i int, party string) error {
 			col, err := a.pullParty(ctx, party, query, ids, all, d, noCache)
@@ -289,15 +303,15 @@ func (a *AggServer) collect(ctx context.Context, query int, ids []int, all, noCa
 		})
 		return cols, err
 	}
-	dictate := a.packDictate()
-	cols, err := round(dictate)
+	dictate := a.packDictate(round)
+	cols, err := pull(dictate)
 	if err != nil {
 		return nil, err
 	}
-	a.observeNeedBits(maxNeed(cols))
+	a.observeNeedBits(cols)
 	uerr := uniformPacking(a.parties, cols)
 	if uerr != nil && dictate > 0 {
-		if cols, err = round(0); err != nil {
+		if cols, err = pull(0); err != nil {
 			return nil, err
 		}
 		uerr = uniformPacking(a.parties, cols)
@@ -396,15 +410,6 @@ func (a *AggServer) restoreWithheld(ctx context.Context, party string, query int
 		return fmt.Errorf("vfl: restoring delta blocks from %s: %w", party, err)
 	}
 	return nil
-}
-
-// maxNeed returns the largest NeedBits advertised by one collection round.
-func maxNeed(cols []*collected) int {
-	need := 0
-	for _, col := range cols {
-		need = max(need, col.need)
-	}
-	return need
 }
 
 // uniformPacking checks that all collected vectors agree on the (pack

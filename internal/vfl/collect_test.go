@@ -73,7 +73,7 @@ func TestDeltaMissRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(ref.Close)
-	want, err := ref.Leader.Similarities(ctx, queries, 3, VariantFagin, 1)
+	want, err := ref.Leader.Similarities(ctx, queries, 3, VariantFagin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestDeltaMissRetry(t *testing.T) {
 		}
 		t.Cleanup(cl.Close)
 		for round := 0; round < 2; round++ {
-			if _, err := cl.Leader.Similarities(ctx, queries, 3, VariantFagin, 1); err != nil {
+			if _, err := cl.Leader.Similarities(ctx, queries, 3, VariantFagin); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -97,7 +97,7 @@ func TestDeltaMissRetry(t *testing.T) {
 			lt.tap(cl.Transport, name, cl.Parties[i].Handler())
 		}
 		rctx, cost := costmodel.WithCounts(ctx)
-		got, err := cl.Leader.Similarities(rctx, queries, 3, VariantFagin, 1)
+		got, err := cl.Leader.Similarities(rctx, queries, 3, VariantFagin)
 		if err != nil {
 			t.Fatalf("round after the fault: %v", err)
 		}
@@ -200,7 +200,7 @@ func TestCollectRejectsHostileLayout(t *testing.T) {
 			if c.method == MethodEncryptAll || c.method == MethodCollectAll {
 				variant = VariantBase
 			}
-			_, err = cl.Leader.RunQuery(ctx, 0, 3, variant)
+			_, err = runOne(ctx, cl.Leader, 0, 3, variant)
 			if ctx.Err() != nil {
 				t.Fatalf("query hung until the deadline: %v", err)
 			}
@@ -284,7 +284,7 @@ func TestCollectRejectsHostileCostTrailer(t *testing.T) {
 				mustUnmarshal(t, out, &resp)
 				return c.trailer(enc(&resp)), nil
 			})
-			_, err = cl.Leader.RunQuery(ctx, 0, 3, VariantFagin)
+			_, err = runOne(ctx, cl.Leader, 0, 3, VariantFagin)
 			if ctx.Err() != nil {
 				t.Fatalf("query hung until the deadline: %v", err)
 			}

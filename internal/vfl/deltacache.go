@@ -145,29 +145,6 @@ func (p *deltaCachePool) retain(keep []string) {
 	}
 }
 
-// peers reports the number of live per-peer caches (tests).
-func (p *deltaCachePool) peers() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.m)
-}
-
-// len reports the live entry count (tests).
-func (c *deltaCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
-// footprint reports the live blob bytes and the bookkeeping slice's length
-// and capacity (tests: all three must stay bounded under sustained eviction
-// pressure).
-func (c *deltaCache) footprint() (size, length, capacity int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.size, len(c.order), cap(c.order)
-}
-
 // idSig folds a pseudo-ID segment into an order-sensitive FNV-style
 // signature, binding a cache key to the exact IDs a block covers. The two
 // ends compute it over the same ID list, so keys agree by construction.

@@ -11,6 +11,29 @@ import (
 	"vfps/internal/wire"
 )
 
+// peers reports the number of live per-peer caches.
+func (p *deltaCachePool) peers() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.m)
+}
+
+// len reports the live entry count.
+func (c *deltaCache) len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.m)
+}
+
+// footprint reports the live blob bytes and the bookkeeping slice's length
+// and capacity: all three must stay bounded under sustained eviction
+// pressure.
+func (c *deltaCache) footprint() (size, length, capacity int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.size, len(c.order), cap(c.order)
+}
+
 // TestDeltaCacheEvictionPressure drives three caches' worth of distinct
 // ciphertext-sized puts and asserts the cache's memory stays bounded: the
 // live blobs never exceed deltaCacheBytes, and the FIFO bookkeeping slice
@@ -215,7 +238,7 @@ func TestPlainSchemeNeverCaches(t *testing.T) {
 	t.Cleanup(cl.Close)
 	for round := 0; round < 2; round++ {
 		for _, variant := range []Variant{VariantBase, VariantFagin} {
-			if _, err := cl.Leader.Similarities(ctx, []int{0, 11}, 3, variant, 1); err != nil {
+			if _, err := cl.Leader.Similarities(ctx, []int{0, 11}, 3, variant); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -246,6 +269,10 @@ func TestReuseIsADeltaAgainstThePreviousRound(t *testing.T) {
 		total := similaritiesCost(t, cl.Leader, queries, 3, VariantFagin)
 		return total.CacheHits, total.Encryptions
 	}
+	// A fresh consortium's first round is static and the second packs at the
+	// width the first taught the server, so the blocks the second sends are
+	// the first the later rounds can reuse.
+	round(0, 11)
 	round(0, 11)
 	hits, repeatEnc := round(0, 11)
 	if hits == 0 {

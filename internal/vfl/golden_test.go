@@ -38,15 +38,15 @@ func allMessages() []wire.Message {
 			CacheHits: 10, CacheMisses: 11},
 		&EncryptRankScoreReq{Query: 1, Rank: 9},
 		&EncryptRankScoreResp{Cipher: []byte{5, 6}},
-		&AggregateCandidatesReq{Query: 4, PseudoIDs: []int{2, 1}, NoCache: true},
+		&AggregateCandidatesReq{Query: 4, PseudoIDs: []int{2, 1}, NoCache: true, Round: 3},
 		&AggregateCandidatesResp{Aggregated: [][]byte{{9}}, PackFactor: 3,
 			PackBits: 36, PackAdds: 3},
 		&AggregateFrontierReq{Query: 6, Rank: 2},
 		&AggregateFrontierResp{Cipher: []byte{7}},
-		&CollectAllReq{Query: 8, NoCache: true},
+		&CollectAllReq{Query: 8, NoCache: true, Round: 2},
 		&CollectAllResp{PseudoIDs: []int{0, 5}, Aggregated: [][]byte{{1, 1}, {2, 2}}, PackFactor: 1,
 			PackBits: 36, PackAdds: 3},
-		&FaginCollectReq{Query: 7, K: 10, Batch: 32, NoCache: true},
+		&FaginCollectReq{Query: 7, K: 10, Batch: 32, NoCache: true, Round: 5},
 		&FaginCollectResp{PseudoIDs: []int{3, 1}, Aggregated: [][]byte{{4}}, PackFactor: 2,
 			Stats: FaginStats{Rounds: 2, ScanDepth: 64, Candidates: 9}},
 		&FaginCollectResp{PseudoIDs: []int{3, 1}, PackFactor: 2, PackBits: 40, PackAdds: 4,
@@ -65,6 +65,8 @@ func TestGoldenVectors(t *testing.T) {
 	}{
 		// Envelope 00 01, then zigzag varints: 7→0e, 10→14, 32→40.
 		{&FaginCollectReq{Query: 7, K: 10, Batch: 32}, "0001080e10141840", 0},
+		// The leader-round number rides at tag 8 (key 40): round 3 → 06.
+		{&FaginCollectReq{Query: 7, K: 10, Batch: 32, Round: 3}, "0001080e101418404006", 0},
 		// Zero-valued fields are omitted entirely: bare envelope.
 		{&CollectAllReq{}, "0001", 0},
 		// Delta-coded ID list: count 3, deltas +5, -2, +9 (zigzag 0a 03 12).
@@ -247,7 +249,7 @@ func TestRetiredChunkTagSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, variant := range []Variant{VariantBase, VariantFagin} {
-		_, err := leader.RunQuery(context.Background(), 0, 1, variant)
+		_, err := runOne(context.Background(), leader, 0, 1, variant)
 		if err == nil || !strings.Contains(err.Error(), "got 0 aggregates for 1 candidates") {
 			t.Fatalf("%s: err = %v, want the aggregate-count mismatch", variant, err)
 		}

@@ -47,19 +47,21 @@ type Leader struct {
 	parties     []string
 	scheme      he.Scheme // full scheme (with private key)
 	batch       int       // Fagin mini-batch size b
-	parallelism int       // 1 → fully serial party fan-out
+	parallelism int       // 1 → serial queries and party fan-out
 	instance    string    // observer instance label; the query log's tenant
 
-	// roundMu guards prevRound and round: the query sets of the previous and
-	// the current protocol round (see beginRound).
+	// roundMu guards rounds, prevRound and round: the number of rounds begun
+	// and the query sets of the previous and the current protocol round (see
+	// beginRound).
 	roundMu          sync.Mutex
+	rounds           int
 	prevRound, round map[int]bool
 }
 
 // NewLeader wires the leader to the cluster. batch is the Fagin mini-batch
 // size (paper's b); a non-positive value defaults to 32. It reads
-// opts.Parallelism (1 serialises the party fan-out; vector decryption
-// follows the scheme's own setting, see ConfigureScheme).
+// opts.Parallelism (1 serialises the queries and the party fan-out; vector
+// decryption follows the scheme's own setting, see ConfigureScheme).
 // Under Paillier the leader's scheme gets the static slot geometry for this
 // roster (see ConfigurePacking), which fails when the key cannot hold one
 // slot.
@@ -136,21 +138,26 @@ type QueryResult struct {
 	Fagin FaginStats
 }
 
-// beginRound opens a protocol round over queries. Cross-round reuse is a
+// beginRound opens a protocol round over queries and returns its number,
+// which every collection request of the round carries: the aggregation
+// server dictates one slot width throughout a round, so which of the round's
+// concurrent queries finishes first changes no count. Cross-round reuse is a
 // delta against the previous round: a query's blocks may be withheld only
 // when the previous round ran that query too, and every other query is
 // collected with NoCache (a full resend that still warms the caches). A block
 // that some older round left in a cache is never withheld, so what a round
 // costs depends on the round before it, not on how long the consortium has
 // run or which random query recurred.
-func (l *Leader) beginRound(queries []int) {
+func (l *Leader) beginRound(queries []int) int {
 	next := make(map[int]bool, len(queries))
 	for _, q := range queries {
 		next[q] = true
 	}
 	l.roundMu.Lock()
+	defer l.roundMu.Unlock()
 	l.prevRound, l.round = l.round, next
-	l.roundMu.Unlock()
+	l.rounds++
+	return l.rounds
 }
 
 // reusable reports whether the previous round ran query (see beginRound).
@@ -160,16 +167,9 @@ func (l *Leader) reusable(query int) bool {
 	return l.prevRound[query]
 }
 
-// RunQuery executes the vertical KNN oracle for one query sample as a round
-// of its own.
-func (l *Leader) RunQuery(ctx context.Context, query, k int, variant Variant) (*QueryResult, error) {
-	l.beginRound([]int{query})
-	return l.runQuery(ctx, query, k, variant)
-}
-
-// runQuery executes the vertical KNN oracle for one query of the current
+// runQuery executes the vertical KNN oracle for one query of the given
 // round.
-func (l *Leader) runQuery(ctx context.Context, query, k int, variant Variant) (res *QueryResult, err error) {
+func (l *Leader) runQuery(ctx context.Context, round, query, k int, variant Variant) (res *QueryResult, err error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("vfl: k=%d must be positive", k)
 	}
@@ -229,9 +229,9 @@ func (l *Leader) runQuery(ctx context.Context, query, k int, variant Variant) (r
 	var cerr error
 	switch variant {
 	case VariantThreshold:
-		pids, dist, stats, cerr = l.thresholdScan(ctx, query, k)
+		pids, dist, stats, cerr = l.thresholdScan(ctx, round, query, k)
 	case VariantBase, VariantFagin:
-		if col, stats, cerr = l.collect(ctx, query, k, variant, nil); cerr == nil {
+		if col, stats, cerr = l.collect(ctx, round, query, k, variant, nil); cerr == nil {
 			pids = col.pids
 		}
 	default:
@@ -287,12 +287,13 @@ func (c *collected) checkLen(peer string) error {
 	return nil
 }
 
-// collect runs one collection round trip against the aggregation server and
-// returns the length-checked aggregate: the whole collection of the BASE or
-// Fagin variant, or, for the Threshold variant, one random-access round over
-// ids. Under Paillier, NoCache carries beginRound's rule to the party links:
-// a query the previous round did not run is resent in full.
-func (l *Leader) collect(ctx context.Context, query, k int, variant Variant, ids []int) (*collected, FaginStats, error) {
+// collect runs one collection round trip of the given protocol round against
+// the aggregation server and returns the length-checked aggregate: the whole
+// collection of the BASE or Fagin variant, or, for the Threshold variant, one
+// random-access round over ids. Under Paillier, NoCache carries beginRound's
+// rule to the party links: a query the previous round did not run is resent
+// in full.
+func (l *Leader) collect(ctx context.Context, round, query, k int, variant Variant, ids []int) (*collected, FaginStats, error) {
 	_, paillier := l.scheme.(*he.Paillier)
 	noCache := paillier && !l.reusable(query)
 	var col *collected
@@ -301,7 +302,7 @@ func (l *Leader) collect(ctx context.Context, query, k int, variant Variant, ids
 	switch variant {
 	case VariantBase:
 		var resp CollectAllResp
-		err = l.call(ctx, l.agg, MethodCollectAll, &CollectAllReq{Query: query, NoCache: noCache}, &resp)
+		err = l.call(ctx, l.agg, MethodCollectAll, &CollectAllReq{Query: query, NoCache: noCache, Round: round}, &resp)
 		n := len(resp.PseudoIDs)
 		stats = FaginStats{Candidates: n, Rounds: 1, ScanDepth: n}
 		col = &collected{pids: resp.PseudoIDs, blobs: resp.Aggregated, factor: resp.PackFactor,
@@ -309,14 +310,14 @@ func (l *Leader) collect(ctx context.Context, query, k int, variant Variant, ids
 	case VariantFagin:
 		var resp FaginCollectResp
 		err = l.call(ctx, l.agg, MethodFaginCollect,
-			&FaginCollectReq{Query: query, K: k, Batch: l.batch, NoCache: noCache}, &resp)
+			&FaginCollectReq{Query: query, K: k, Batch: l.batch, NoCache: noCache, Round: round}, &resp)
 		stats = resp.Stats
 		col = &collected{pids: resp.PseudoIDs, blobs: resp.Aggregated, factor: resp.PackFactor,
 			bits: resp.PackBits, adds: resp.PackAdds}
 	default:
 		var resp AggregateCandidatesResp
 		err = l.call(ctx, l.agg, MethodAggregateCandidates,
-			&AggregateCandidatesReq{Query: query, PseudoIDs: ids, NoCache: noCache}, &resp)
+			&AggregateCandidatesReq{Query: query, PseudoIDs: ids, NoCache: noCache, Round: round}, &resp)
 		col = &collected{pids: ids, blobs: resp.Aggregated, factor: resp.PackFactor,
 			bits: resp.PackBits, adds: resp.PackAdds}
 	}
@@ -442,7 +443,7 @@ func rankingRound(ctx context.Context, call func(ctx context.Context, node, meth
 // query: synchronized sorted access in batches, aggregate-and-decrypt for
 // every newly seen candidate, and an encrypted frontier bound τ per batch.
 // Returns the candidate pseudo IDs with their decrypted complete distances.
-func (l *Leader) thresholdScan(ctx context.Context, query, k int) ([]int, []float64, FaginStats, error) {
+func (l *Leader) thresholdScan(ctx context.Context, round, query, k int) ([]int, []float64, FaginStats, error) {
 	ctx, tsp := l.tracer().Start(ctx, SpanTAScan)
 	defer tsp.End()
 	var stats FaginStats
@@ -474,7 +475,7 @@ func (l *Leader) thresholdScan(ctx context.Context, query, k int) ([]int, []floa
 
 		// Random access: aggregated ciphertexts for the new candidates.
 		if len(newIDs) > 0 {
-			col, _, err := l.collect(ctx, query, k, VariantThreshold, newIDs)
+			col, _, err := l.collect(ctx, round, query, k, VariantThreshold, newIDs)
 			if err != nil {
 				return nil, nil, stats, fmt.Errorf("vfl: TA aggregate round: %w", err)
 			}
@@ -532,22 +533,25 @@ type SimilarityReport struct {
 	TotalRounds int
 }
 
-// Similarities runs the KNN oracle over the query set as one protocol round,
-// with up to workers queries in flight (workers <= 1 runs them serially), and
-// averages the pairwise participant similarity matrix of §III-A:
+// Similarities runs the KNN oracle over the query set as one protocol round
+// and averages the pairwise participant similarity matrix of §III-A:
 //
 //	w_q(p1,p2) = (d_T − |d^p1_T − d^p2_T|) / d_T,   w = mean over queries.
 //
-// Query results are folded in query order, so the report is bit-identical
-// at every worker count; the first failing query's error is returned.
-func (l *Leader) Similarities(ctx context.Context, queries []int, k int, variant Variant, workers int) (*SimilarityReport, error) {
+// The queries are independent, so the resolved Parallelism of them run in
+// flight (1 runs them serially), capped at the parties' guaranteed
+// query-cache entries: every in-flight query keeps its N-row distance entry
+// at any N. Query results are folded in query order, so the report is
+// bit-identical at every parallelism; the first failing query's error is
+// returned.
+func (l *Leader) Similarities(ctx context.Context, queries []int, k int, variant Variant) (*SimilarityReport, error) {
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("vfl: empty query set")
 	}
-	l.beginRound(queries)
+	round := l.beginRound(queries)
 	results := make([]*QueryResult, len(queries))
-	err := par.For(ctx, len(queries), max(workers, 1), func(qi int) error {
-		res, err := l.runQuery(ctx, queries[qi], k, variant)
+	err := par.For(ctx, len(queries), min(par.Normalize(l.parallelism), cacheMinEntries), func(qi int) error {
+		res, err := l.runQuery(ctx, round, queries[qi], k, variant)
 		if err != nil {
 			return fmt.Errorf("vfl: query %d: %w", queries[qi], err)
 		}
@@ -593,6 +597,3 @@ func (l *Leader) Similarities(ctx context.Context, queries []int, k int, variant
 	rep.AvgCandidates = float64(cands) / float64(rep.Queries)
 	return rep, nil
 }
-
-// Scheme exposes the leader's HE scheme (used by integration tests).
-func (l *Leader) Scheme() he.Scheme { return l.scheme }

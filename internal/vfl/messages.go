@@ -163,11 +163,13 @@ type EncryptRankScoreResp struct {
 // homomorphically sum the parties' encrypted partial distances for specific
 // pseudo IDs (TA random-access phase). NoCache is relayed to the party links
 // (see EncryptAllReq): the leader sets it for a query the previous round did
-// not run.
+// not run. Round numbers the leader round the request belongs to: the server
+// dictates one slot width to every collection of a round.
 type AggregateCandidatesReq struct {
 	Query     int
 	PseudoIDs []int
 	NoCache   bool
+	Round     int
 }
 
 // AggregateCandidatesResp returns aggregated ciphertexts aligned with the
@@ -193,11 +195,12 @@ type AggregateFrontierResp struct {
 	Cipher []byte
 }
 
-// CollectAllReq drives the BASE variant for one query. NoCache behaves as in
-// AggregateCandidatesReq.
+// CollectAllReq drives the BASE variant for one query. NoCache and Round
+// behave as in AggregateCandidatesReq.
 type CollectAllReq struct {
 	Query   int
 	NoCache bool
+	Round   int
 }
 
 // CollectAllResp returns the homomorphically aggregated complete distances
@@ -211,13 +214,14 @@ type CollectAllResp struct {
 	PackAdds   int
 }
 
-// FaginCollectReq drives the optimized variant for one query. NoCache behaves
-// as in CollectAllReq.
+// FaginCollectReq drives the optimized variant for one query. NoCache and
+// Round behave as in AggregateCandidatesReq.
 type FaginCollectReq struct {
 	Query   int
 	K       int
 	Batch   int
 	NoCache bool
+	Round   int
 }
 
 // packedLen returns how many ciphertexts carry n values at the given pack
@@ -356,6 +360,7 @@ func (m *AggregateCandidatesReq) Fields(f *wire.Fields) {
 	f.Int(1, &m.Query)
 	f.IDs(2, &m.PseudoIDs)
 	f.Bool(5, &m.NoCache)
+	f.Int(6, &m.Round)
 }
 
 // Fields leaves tag 5 reserved for the retired leader-link delta blocks.
@@ -378,6 +383,7 @@ func (m *AggregateFrontierResp) Fields(f *wire.Fields) { f.Bytes(1, &m.Cipher) }
 func (m *CollectAllReq) Fields(f *wire.Fields) {
 	f.Int(1, &m.Query)
 	f.Bool(5, &m.NoCache)
+	f.Int(6, &m.Round)
 }
 
 // Fields leaves tags 6 and 7 reserved for the retired leader-link delta
@@ -397,6 +403,7 @@ func (m *FaginCollectReq) Fields(f *wire.Fields) {
 	f.Int(2, &m.K)
 	f.Int(3, &m.Batch)
 	f.Bool(7, &m.NoCache)
+	f.Int(8, &m.Round)
 }
 
 func (m *FaginStats) Fields(f *wire.Fields) {

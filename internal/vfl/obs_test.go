@@ -40,7 +40,7 @@ func TestQuerySpanTree(t *testing.T) {
 	// Cluster construction distributes keys over the transport and records
 	// spans of its own; discard them so the report holds one query's tree.
 	o.Tracer().Reset()
-	if _, err := cl.Leader.RunQuery(context.Background(), 5, 4, VariantFagin); err != nil {
+	if _, err := runOne(context.Background(), cl.Leader, 5, 4, VariantFagin); err != nil {
 		t.Fatal(err)
 	}
 
@@ -104,7 +104,7 @@ func TestQuerySpanTree(t *testing.T) {
 // family: transport counters, HE op counters, and the cost-model gauges.
 func TestObservedMetricsPopulate(t *testing.T) {
 	cl, o := observedCluster(t, 3)
-	if _, err := cl.Leader.RunQuery(context.Background(), 2, 4, VariantBase); err != nil {
+	if _, err := runOne(context.Background(), cl.Leader, 2, 4, VariantBase); err != nil {
 		t.Fatal(err)
 	}
 
@@ -150,7 +150,7 @@ func TestDisabledObservabilityIsInert(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, err := cl.Leader.RunQuery(context.Background(), 1, 3, VariantFagin); err != nil {
+	if _, err := runOne(context.Background(), cl.Leader, 1, 3, VariantFagin); err != nil {
 		t.Fatal(err)
 	}
 	if o := cl.Observer(); o != nil {
@@ -169,6 +169,7 @@ func TestTracedSelectionIdentity(t *testing.T) {
 
 	plain, err := NewLocalCluster(ctx, ClusterConfig{
 		Partition: pt, Scheme: "paillier", KeyBits: 256, ShuffleSeed: 7, Batch: 8,
+		Options: Options{Parallelism: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -177,18 +178,18 @@ func TestTracedSelectionIdentity(t *testing.T) {
 	o := obs.NewObserver(1024)
 	traced, err := NewLocalCluster(ctx, ClusterConfig{
 		Partition: pt, Scheme: "paillier", KeyBits: 256, ShuffleSeed: 7, Batch: 8,
-		Obs: o, Instance: "test",
+		Options: Options{Parallelism: 2}, Obs: o, Instance: "test",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer traced.Close()
 
-	prep, err := plain.Leader.Similarities(ctx, queries, 3, VariantFagin, 1)
+	prep, err := plain.Leader.Similarities(ctx, queries, 3, VariantFagin)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trep, err := traced.Leader.Similarities(ctx, queries, 3, VariantFagin, 2)
+	trep, err := traced.Leader.Similarities(ctx, queries, 3, VariantFagin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +246,7 @@ func TestDepartedParticipantIsCollected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := cl.Leader.Similarities(ctx, queries, 3, VariantFagin, 1); err != nil {
+		if _, err := cl.Leader.Similarities(ctx, queries, 3, VariantFagin); err != nil {
 			t.Fatal(err)
 		}
 		joiner := cl.Parties[len(cl.Parties)-1]
@@ -253,12 +254,12 @@ func TestDepartedParticipantIsCollected(t *testing.T) {
 		if err := cl.RemoveParticipant(joiner.index); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := cl.Leader.Similarities(ctx, queries, 3, VariantFagin, 1); err != nil {
+		if _, err := cl.Leader.Similarities(ctx, queries, 3, VariantFagin); err != nil {
 			t.Fatalf("selection after %s left: %v", name, err)
 		}
 		return wp
 	}
-	if _, err := cl.Leader.Similarities(ctx, queries, 3, VariantFagin, 1); err != nil {
+	if _, err := cl.Leader.Similarities(ctx, queries, 3, VariantFagin); err != nil {
 		t.Fatal(err)
 	}
 	first := cycle()

@@ -13,8 +13,9 @@ import (
 // flags (BindFlags), and the constructors read them (NewParticipant,
 // NewAggServer, NewLeader, ConfigureScheme).
 type Options struct {
-	// Parallelism caps the concurrency of every role: the party fan-out and
-	// the worker pools that encrypt, add and decrypt ciphertext vectors. 1 runs
+	// Parallelism caps the concurrency of every role: the leader's queries in
+	// flight (at most 4, see Leader.Similarities), the party fan-out and the
+	// worker pools that encrypt, add and decrypt ciphertext vectors. 1 runs
 	// everything serially (and precomputes no encryption randomizers in the
 	// background); 0 or negative uses GOMAXPROCS.
 	Parallelism int `json:"parallelism"`
@@ -29,7 +30,7 @@ type Options struct {
 // BindFlags registers the settings a vfpsnode process takes as flags on fs:
 // -parallelism and -encrypt-window.
 func (o *Options) BindFlags(fs *flag.FlagSet) {
-	fs.IntVar(&o.Parallelism, "parallelism", 0, "HE pipeline concurrency (0 = GOMAXPROCS, 1 = serial)")
+	fs.IntVar(&o.Parallelism, "parallelism", 0, "query and HE pipeline concurrency (0 = GOMAXPROCS, 1 = serial)")
 	fs.IntVar(&o.EncryptWindow, "encrypt-window", 0, "fixed-base window for randomizer precompute (0 = default 6, negative = classic uniform sampling)")
 }
 

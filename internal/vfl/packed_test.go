@@ -61,11 +61,11 @@ func TestPackedSelectionIdentity(t *testing.T) {
 
 	for _, variant := range []Variant{VariantBase, VariantFagin, VariantThreshold} {
 		t.Run(fmt.Sprint(variant), func(t *testing.T) {
-			sq, err := scalar.Leader.RunQuery(ctx, queries[0], 3, variant)
+			sq, err := runOne(ctx, scalar.Leader, queries[0], 3, variant)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pq, err := packed.Leader.RunQuery(ctx, queries[0], 3, variant)
+			pq, err := runOne(ctx, packed.Leader, queries[0], 3, variant)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,11 +76,11 @@ func TestPackedSelectionIdentity(t *testing.T) {
 	}
 
 	for _, variant := range []Variant{VariantBase, VariantFagin} {
-		srep, err := scalar.Leader.Similarities(ctx, queries, 3, variant, 1)
+		srep, err := scalar.Leader.Similarities(ctx, queries, 3, variant)
 		if err != nil {
 			t.Fatal(err)
 		}
-		prep, err := packed.Leader.Similarities(ctx, queries, 3, variant, 1)
+		prep, err := packed.Leader.Similarities(ctx, queries, 3, variant)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,11 +130,11 @@ func TestEncryptWindowSelectionIdentity(t *testing.T) {
 	}
 	windowed, classic := build(0), build(-1)
 	for _, variant := range []Variant{VariantBase, VariantFagin, VariantThreshold} {
-		wrep, err := windowed.Leader.Similarities(ctx, queries, 3, variant, 1)
+		wrep, err := windowed.Leader.Similarities(ctx, queries, 3, variant)
 		if err != nil {
 			t.Fatal(err)
 		}
-		crep, err := classic.Leader.Similarities(ctx, queries, 3, variant, 1)
+		crep, err := classic.Leader.Similarities(ctx, queries, 3, variant)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,10 +3,14 @@ package vfl
 import (
 	"context"
 	"fmt"
+	"reflect"
+	"sync"
 	"testing"
+	"time"
 
 	"vfps/internal/costmodel"
 	"vfps/internal/dataset"
+	"vfps/internal/wire"
 )
 
 // dropBytes clears the wire-byte fields of a snapshot. Byte counters charge
@@ -50,11 +54,11 @@ func TestParallelismDeterminism(t *testing.T) {
 				serial := parallelCluster(t, pt, scheme, 1)
 				parallel := parallelCluster(t, pt, scheme, 4)
 
-				sq, err := serial.Leader.RunQuery(ctx, queries[0], 3, variant)
+				sq, err := runOne(ctx, serial.Leader, queries[0], 3, variant)
 				if err != nil {
 					t.Fatal(err)
 				}
-				pq, err := parallel.Leader.RunQuery(ctx, queries[0], 3, variant)
+				pq, err := runOne(ctx, parallel.Leader, queries[0], 3, variant)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -67,11 +71,11 @@ func TestParallelismDeterminism(t *testing.T) {
 					}
 				}
 
-				srep, err := serial.Leader.Similarities(ctx, queries, 3, variant, 1)
+				srep, err := serial.Leader.Similarities(ctx, queries, 3, variant)
 				if err != nil {
 					t.Fatal(err)
 				}
-				prep, err := parallel.Leader.Similarities(ctx, queries, 3, variant, 1)
+				prep, err := parallel.Leader.Similarities(ctx, queries, 3, variant)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -107,11 +111,11 @@ func TestParallelismThresholdVariant(t *testing.T) {
 	serial := parallelCluster(t, pt, "paillier", 1)
 	parallel := parallelCluster(t, pt, "paillier", 4)
 	for _, q := range []int{0, 17} {
-		sq, err := serial.Leader.RunQuery(ctx, q, 3, VariantThreshold)
+		sq, err := runOne(ctx, serial.Leader, q, 3, VariantThreshold)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pq, err := parallel.Leader.RunQuery(ctx, q, 3, VariantThreshold)
+		pq, err := runOne(ctx, parallel.Leader, q, 3, VariantThreshold)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,11 +137,136 @@ func TestParallelContextCancellation(t *testing.T) {
 		cl := parallelCluster(t, pt, "paillier", parallelism)
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := cl.Leader.RunQuery(ctx, 0, 3, VariantBase); err == nil {
-			t.Fatalf("parallelism=%d: RunQuery on cancelled ctx succeeded", parallelism)
+		if _, err := runOne(ctx, cl.Leader, 0, 3, VariantBase); err == nil {
+			t.Fatalf("parallelism=%d: a query on a cancelled ctx succeeded", parallelism)
 		}
-		if _, err := cl.Leader.RunQuery(ctx, 0, 3, VariantThreshold); err == nil {
-			t.Fatalf("parallelism=%d: threshold RunQuery on cancelled ctx succeeded", parallelism)
+		if _, err := runOne(ctx, cl.Leader, 0, 3, VariantThreshold); err == nil {
+			t.Fatalf("parallelism=%d: a threshold query on a cancelled ctx succeeded", parallelism)
+		}
+	}
+}
+
+// TestQueriesInFlightStayWithinTheCacheFloor runs 16 queries at Parallelism
+// 64 and watches every party: no party may ever hold more than
+// cacheMinEntries distinct queries between a query's first RankingBatch and
+// its NeighborSum, so each in-flight query keeps its distance entry. Every
+// distance vector is computed exactly once, and W is the serial run's W bit
+// for bit.
+func TestQueriesInFlightStayWithinTheCacheFloor(t *testing.T) {
+	_, pt := testPartition(t, "Bank", 120, 3)
+	ctx := context.Background()
+	queries := make([]int, 16)
+	for i := range queries {
+		queries[i] = 7 * i
+	}
+	cl := parallelCluster(t, pt, "plain", 64)
+	var mu sync.Mutex
+	peak := 0
+	for i, p := range cl.Parties {
+		inner := p.Handler()
+		open := map[int]bool{}
+		cl.Transport.Register(PartyName(i), func(ctx context.Context, method string, req []byte) ([]byte, error) {
+			var query int
+			switch method {
+			case MethodRankingBatch:
+				var r RankingBatchReq
+				if err := wire.Unmarshal(req, &r); err != nil {
+					return nil, err
+				}
+				mu.Lock()
+				opened := !open[r.Query]
+				open[r.Query] = true
+				peak = max(peak, len(open))
+				mu.Unlock()
+				if opened {
+					// Hold the query open, so an uncapped fan-out overlaps them all.
+					time.Sleep(time.Millisecond)
+				}
+			case MethodNeighborSum:
+				var r NeighborSumReq
+				if err := wire.Unmarshal(req, &r); err != nil {
+					return nil, err
+				}
+				query = r.Query
+				defer func() {
+					mu.Lock()
+					delete(open, query)
+					mu.Unlock()
+				}()
+			}
+			return inner(ctx, method, req)
+		})
+	}
+	cctx, cost := costmodel.WithCounts(ctx)
+	rep, err := cl.Leader.Similarities(cctx, queries, 3, VariantFagin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if peak > cacheMinEntries || peak < 2 {
+		t.Fatalf("a party held up to %d queries in flight at once, want 2 to %d", peak, cacheMinEntries)
+	}
+	var want int64
+	for _, p := range cl.Parties {
+		want += int64(len(queries) * (p.N() - 1) * p.Features())
+	}
+	if got := cost.Snapshot().DistanceFlops; got != want {
+		t.Fatalf("DistanceFlops = %d, want %d: a distance vector was computed more than once", got, want)
+	}
+	serial, err := parallelCluster(t, pt, "plain", 1).Leader.Similarities(ctx, queries, 3, VariantFagin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep.W, serial.W) {
+		t.Fatalf("W differs from the serial run:\n%v\n%v", rep.W, serial.W)
+	}
+}
+
+// TestPackWidthIsFixedPerRound runs two rounds of concurrent queries on a
+// fresh Paillier cluster: every collection of round one packs under the
+// static geometry, and every collection of round two under the one width
+// round one taught the aggregation server, whichever query finished first.
+func TestPackWidthIsFixedPerRound(t *testing.T) {
+	_, pt := testPartition(t, "Bank", 60, 3)
+	ctx := context.Background()
+	queries := []int{0, 7, 11, 23, 29, 36, 41, 58}
+	cl := parallelCluster(t, pt, "paillier", 4)
+	var mu sync.Mutex
+	widths := map[int][]int{} // leader round → PackBits of its FaginCollect responses
+	inner := cl.Agg.Handler()
+	cl.Transport.Register(AggServerName, func(ctx context.Context, method string, req []byte) ([]byte, error) {
+		raw, err := inner(ctx, method, req)
+		if err != nil || method != MethodFaginCollect {
+			return raw, err
+		}
+		var r FaginCollectReq
+		var resp FaginCollectResp
+		if err := wire.Unmarshal(req, &r); err != nil {
+			return nil, err
+		}
+		if err := wire.Unmarshal(raw, &resp); err != nil {
+			return nil, err
+		}
+		mu.Lock()
+		widths[r.Round] = append(widths[r.Round], resp.PackBits)
+		mu.Unlock()
+		return raw, nil
+	})
+	for range 2 {
+		if _, err := cl.Leader.Similarities(ctx, queries, 3, VariantFagin); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(widths) != 2 || len(widths[1]) != len(queries) || len(widths[2]) != len(queries) {
+		t.Fatalf("collections per round: %v, want %d in each of rounds 1 and 2", widths, len(queries))
+	}
+	for _, bits := range widths[1] {
+		if bits != 0 {
+			t.Fatalf("round 1 packed at widths %v, want the static geometry (0) throughout", widths[1])
+		}
+	}
+	for _, bits := range widths[2] {
+		if bits == 0 || bits != widths[2][0] {
+			t.Fatalf("round 2 packed at widths %v, want one non-zero width throughout", widths[2])
 		}
 	}
 }

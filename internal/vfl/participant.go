@@ -50,8 +50,11 @@ type Participant struct {
 // holds N distances plus its sorted ranking prefix, so a fixed entry count
 // that is harmless at N = 200 retains tens of megabytes at N = 10⁵. Small
 // consortiums keep the 32 entries concurrent query processing was sized for;
-// large ones keep at least the few queries one selection has in flight
-// (about 9 at N = 10⁵). A selection that repeats a query set is answered by
+// large ones keep at least cacheMinEntries, which is also the most queries
+// the leader keeps in flight (Leader.Similarities), so every in-flight query
+// keeps its entry at any N. Eviction is first in, first out, so a slow query
+// that 4 newer queries lap loses its entry and is recomputed: correct, but it
+// costs DistanceFlops. A selection that repeats a query set is answered by
 // core's SimCache before it reaches a party, so entries past those in flight
 // buy little.
 const (

@@ -34,37 +34,33 @@ func payloadTestCluster(t *testing.T, pt *dataset.Partition) *Cluster {
 	return cl
 }
 
-// staticOracle stops a cluster's aggregation server dictating the negotiated
-// slot width, so every round stays on the static geometry: the reference the
-// negotiated layout must match bit for bit. Only this package's tests can
-// build it.
-func staticOracle(cl *Cluster) *Cluster {
-	cl.Agg.static = true
-	return cl
-}
-
 // TestAdaptivePackSelectionIdentity is the payload determinism contract: a
 // Paillier consortium — adaptive slot width, cross-round delta cache —
 // computes bit-identical similarities to static packing, across repeated
 // rounds, while the second round actually hits the delta cache and moves
-// fewer bytes.
+// fewer bytes. The static reference is a fresh cluster's first round, which
+// packs under the static geometry throughout (TestPackWidthIsFixedPerRound).
 func TestAdaptivePackSelectionIdentity(t *testing.T) {
 	ctx := context.Background()
 	_, pt := testPartition(t, "Bank", 48, 3)
 	queries := []int{0, 11, 47}
 
-	static := staticOracle(payloadTestCluster(t, pt))
 	full := payloadTestCluster(t, pt)
+	// A fresh consortium's first round is static; settle the negotiated width
+	// on the widest access pattern first, so every measured round runs at it.
+	if _, err := full.Leader.Similarities(ctx, queries, 3, VariantBase); err != nil {
+		t.Fatal(err)
+	}
 
 	for _, variant := range []Variant{VariantBase, VariantFagin} {
-		sref, err := static.Leader.Similarities(ctx, queries, 3, variant, 1)
+		sref, err := payloadTestCluster(t, pt).Leader.Similarities(ctx, queries, 3, variant)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var roundBytes [2]int64
 		for round := 0; round < 2; round++ {
 			rctx, cost := costmodel.WithCounts(ctx)
-			frep, err := full.Leader.Similarities(rctx, queries, 3, variant, 1)
+			frep, err := full.Leader.Similarities(rctx, queries, 3, variant)
 			if err != nil {
 				t.Fatalf("%s round %d: %v", variant, round+1, err)
 			}
@@ -238,7 +234,7 @@ func TestRankingBatchOverlongRejected(t *testing.T) {
 		return honest(ctx, method, req)
 	})
 	for _, variant := range []Variant{VariantFagin, VariantThreshold} {
-		_, err := cl.Leader.RunQuery(ctx, 0, 3, variant)
+		_, err := runOne(ctx, cl.Leader, 0, 3, variant)
 		if !errors.Is(err, errRankingOverrun) || !strings.Contains(err.Error(), hostile) {
 			t.Fatalf("%s: err = %v, want errRankingOverrun naming %s", variant, err, hostile)
 		}

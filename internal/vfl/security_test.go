@@ -108,7 +108,7 @@ func TestTranscriptDoesNotLeakPlaintextDistances(t *testing.T) {
 			cl, rec := buildRecordedCluster(t, scheme)
 			ctx := context.Background()
 			query := 5
-			if _, err := cl.Leader.Similarities(ctx, []int{query}, 4, VariantFagin, 1); err != nil {
+			if _, err := cl.Leader.Similarities(ctx, []int{query}, 4, VariantFagin); err != nil {
 				t.Fatal(err)
 			}
 			// The secrets: party 0's true partial distances for this query.
@@ -143,7 +143,7 @@ func TestTranscriptDetectorFindsPlainLeaks(t *testing.T) {
 	cl, rec := buildRecordedCluster(t, "plain")
 	ctx := context.Background()
 	query := 5
-	if _, err := cl.Leader.Similarities(ctx, []int{query}, 4, VariantBase, 1); err != nil {
+	if _, err := cl.Leader.Similarities(ctx, []int{query}, 4, VariantBase); err != nil {
 		t.Fatal(err)
 	}
 	qc, err := cl.Parties[0].distances(context.Background(), query)
@@ -215,7 +215,7 @@ func TestKeyResponsesCarryOnlySchemeAndKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, err := cl.Leader.Scheme().Decrypt(c); err != nil || v != 3.25 {
+	if v, err := cl.Leader.scheme.Decrypt(c); err != nil || v != 3.25 {
 		t.Fatalf("the leader decrypts a party's ciphertext to %g, %v; want 3.25", v, err)
 	}
 }

@@ -68,12 +68,17 @@ func nodeCounts(cl *Cluster) costmodel.Raw {
 	return total.Snapshot()
 }
 
+// runOne runs the vertical KNN oracle for one query as a round of its own.
+func runOne(ctx context.Context, l *Leader, query, k int, variant Variant) (*QueryResult, error) {
+	return l.runQuery(ctx, l.beginRound([]int{query}), query, k, variant)
+}
+
 // similaritiesCost runs Leader.Similarities under a fresh ctx accumulator, as
 // core.Select does, and returns what the run cost.
 func similaritiesCost(t *testing.T, l *Leader, queries []int, k int, variant Variant) costmodel.Raw {
 	t.Helper()
 	ctx, cost := costmodel.WithCounts(context.Background())
-	if _, err := l.Similarities(ctx, queries, k, variant, 1); err != nil {
+	if _, err := l.Similarities(ctx, queries, k, variant); err != nil {
 		t.Fatal(err)
 	}
 	return cost.Snapshot()
@@ -123,7 +128,7 @@ func TestRunQueryMatchesBruteForce(t *testing.T) {
 	ctx := context.Background()
 	for _, variant := range []Variant{VariantBase, VariantFagin} {
 		for _, q := range []int{0, 17, 119} {
-			res, err := cl.Leader.RunQuery(ctx, q, 5, variant)
+			res, err := runOne(ctx, cl.Leader, q, 5, variant)
 			if err != nil {
 				t.Fatalf("%s query %d: %v", variant, q, err)
 			}
@@ -148,11 +153,11 @@ func TestBaseAndFaginAgree(t *testing.T) {
 	cl := newCluster(t, pt, "plain")
 	ctx := context.Background()
 	queries := []int{1, 5, 33, 77}
-	base, err := cl.Leader.Similarities(ctx, queries, 5, VariantBase, 1)
+	base, err := cl.Leader.Similarities(ctx, queries, 5, VariantBase)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fagin, err := cl.Leader.Similarities(ctx, queries, 5, VariantFagin, 1)
+	fagin, err := cl.Leader.Similarities(ctx, queries, 5, VariantFagin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +179,11 @@ func TestPaillierAndPlainAgree(t *testing.T) {
 	pail := newCluster(t, pt, "paillier")
 	ctx := context.Background()
 	queries := []int{2, 30}
-	a, err := plain.Leader.Similarities(ctx, queries, 4, VariantFagin, 1)
+	a, err := plain.Leader.Similarities(ctx, queries, 4, VariantFagin)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := pail.Leader.Similarities(ctx, queries, 4, VariantFagin, 1)
+	b, err := pail.Leader.Similarities(ctx, queries, 4, VariantFagin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +199,7 @@ func TestPaillierAndPlainAgree(t *testing.T) {
 func TestSimilarityMatrixProperties(t *testing.T) {
 	_, pt := testPartition(t, "Credit", 150, 4)
 	cl := newCluster(t, pt, "plain")
-	rep, err := cl.Leader.Similarities(context.Background(), []int{3, 9, 50, 100, 149}, 5, VariantFagin, 1)
+	rep, err := cl.Leader.Similarities(context.Background(), []int{3, 9, 50, 100, 149}, 5, VariantFagin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +223,7 @@ func TestDuplicatePartiesHaveUnitSimilarity(t *testing.T) {
 	_, pt := testPartition(t, "Rice", 80, 3)
 	dup := pt.WithDuplicates(1, 11) // party 3 duplicates some original
 	cl := newCluster(t, dup, "plain")
-	rep, err := cl.Leader.Similarities(context.Background(), []int{4, 40, 70}, 5, VariantFagin, 1)
+	rep, err := cl.Leader.Similarities(context.Background(), []int{4, 40, 70}, 5, VariantFagin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +238,7 @@ func TestFaginPrunesCandidates(t *testing.T) {
 	// instances per query.
 	_, pt := testPartition(t, "Phishing", 400, 4)
 	cl := newCluster(t, pt, "plain")
-	rep, err := cl.Leader.Similarities(context.Background(), []int{10, 200}, 5, VariantFagin, 1)
+	rep, err := cl.Leader.Similarities(context.Background(), []int{10, 200}, 5, VariantFagin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,19 +294,19 @@ func TestLeaderValidation(t *testing.T) {
 	_, pt := testPartition(t, "Rice", 40, 2)
 	cl := newCluster(t, pt, "plain")
 	ctx := context.Background()
-	if _, err := cl.Leader.RunQuery(ctx, 0, 0, VariantBase); err == nil {
+	if _, err := runOne(ctx, cl.Leader, 0, 0, VariantBase); err == nil {
 		t.Fatal("expected k=0 error")
 	}
-	if _, err := cl.Leader.RunQuery(ctx, 0, 5, Variant("bogus")); err == nil {
+	if _, err := runOne(ctx, cl.Leader, 0, 5, Variant("bogus")); err == nil {
 		t.Fatal("expected variant error")
 	}
-	if _, err := cl.Leader.RunQuery(ctx, -1, 5, VariantBase); err == nil {
+	if _, err := runOne(ctx, cl.Leader, -1, 5, VariantBase); err == nil {
 		t.Fatal("expected query range error")
 	}
-	if _, err := cl.Leader.RunQuery(ctx, 0, 40, VariantBase); err == nil {
+	if _, err := runOne(ctx, cl.Leader, 0, 40, VariantBase); err == nil {
 		t.Fatal("expected k>candidates error")
 	}
-	if _, err := cl.Leader.Similarities(ctx, nil, 5, VariantBase, 1); err == nil {
+	if _, err := cl.Leader.Similarities(ctx, nil, 5, VariantBase); err == nil {
 		t.Fatal("expected empty query set error")
 	}
 }
@@ -321,13 +326,13 @@ func TestParticipantFailureSurfacesError(t *testing.T) {
 	_, pt := testPartition(t, "Rice", 40, 3)
 	cl := newCluster(t, pt, "plain")
 	cl.Transport.InjectFailure(PartyName(1))
-	_, err := cl.Leader.Similarities(context.Background(), []int{3}, 4, VariantFagin, 1)
+	_, err := cl.Leader.Similarities(context.Background(), []int{3}, 4, VariantFagin)
 	if !errors.Is(err, transport.ErrInjectedFailure) {
 		t.Fatalf("expected injected failure, got %v", err)
 	}
 	// Recovery: clearing the fault restores service.
 	cl.Transport.InjectFailure("")
-	if _, err := cl.Leader.Similarities(context.Background(), []int{3}, 4, VariantFagin, 1); err != nil {
+	if _, err := cl.Leader.Similarities(context.Background(), []int{3}, 4, VariantFagin); err != nil {
 		t.Fatalf("cluster did not recover: %v", err)
 	}
 }
@@ -336,7 +341,7 @@ func TestAggServerFailure(t *testing.T) {
 	_, pt := testPartition(t, "Rice", 40, 3)
 	cl := newCluster(t, pt, "plain")
 	cl.Transport.InjectFailure(AggServerName)
-	if _, err := cl.Leader.RunQuery(context.Background(), 0, 3, VariantBase); err == nil {
+	if _, err := runOne(context.Background(), cl.Leader, 0, 3, VariantBase); err == nil {
 		t.Fatal("expected error when aggregation server is down")
 	}
 }
@@ -458,14 +463,14 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := leader.Similarities(ctx, []int{2, 30, 59}, 4, VariantFagin, 1)
+	rep, err := leader.Similarities(ctx, []int{2, 30, 59}, 4, VariantFagin)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// The TCP run must agree with the in-memory run bit-for-bit.
 	mem := newCluster(t, pt, "plain")
-	memRep, err := mem.Leader.Similarities(ctx, []int{2, 30, 59}, 4, VariantFagin, 1)
+	memRep, err := mem.Leader.Similarities(ctx, []int{2, 30, 59}, 4, VariantFagin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,11 +488,11 @@ func TestThresholdVariantMatchesBase(t *testing.T) {
 	cl := newCluster(t, pt, "plain")
 	ctx := context.Background()
 	queries := []int{0, 25, 60, 119}
-	base, err := cl.Leader.Similarities(ctx, queries, 5, VariantBase, 1)
+	base, err := cl.Leader.Similarities(ctx, queries, 5, VariantBase)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ta, err := cl.Leader.Similarities(ctx, queries, 5, VariantThreshold, 1)
+	ta, err := cl.Leader.Similarities(ctx, queries, 5, VariantThreshold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,11 +513,11 @@ func TestThresholdPrunesAtLeastAsHardAsFagin(t *testing.T) {
 	cl := newCluster(t, pt, "plain")
 	ctx := context.Background()
 	queries := []int{10, 200}
-	fagin, err := cl.Leader.Similarities(ctx, queries, 5, VariantFagin, 1)
+	fagin, err := cl.Leader.Similarities(ctx, queries, 5, VariantFagin)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ta, err := cl.Leader.Similarities(ctx, queries, 5, VariantThreshold, 1)
+	ta, err := cl.Leader.Similarities(ctx, queries, 5, VariantThreshold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,12 +532,12 @@ func TestThresholdPrunesAtLeastAsHardAsFagin(t *testing.T) {
 func TestThresholdVariantWithPaillier(t *testing.T) {
 	_, pt := testPartition(t, "Rice", 60, 3)
 	cl := newCluster(t, pt, "paillier")
-	res, err := cl.Leader.RunQuery(context.Background(), 5, 4, VariantThreshold)
+	res, err := runOne(context.Background(), cl.Leader, 5, 4, VariantThreshold)
 	if err != nil {
 		t.Fatal(err)
 	}
 	plain := newCluster(t, pt, "plain")
-	want, err := plain.Leader.RunQuery(context.Background(), 5, 4, VariantBase)
+	want, err := runOne(context.Background(), plain.Leader, 5, 4, VariantBase)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,14 +569,13 @@ func TestThresholdUsesMoreLeaderRoundsThanFagin(t *testing.T) {
 
 func TestParallelSimilaritiesMatchSequential(t *testing.T) {
 	_, pt := testPartition(t, "Credit", 200, 4)
-	cl := newCluster(t, pt, "plain")
 	ctx := context.Background()
 	queries := []int{1, 20, 40, 60, 80, 100, 120, 140, 160, 199}
-	seq, err := cl.Leader.Similarities(ctx, queries, 5, VariantFagin, 1)
+	seq, err := parallelCluster(t, pt, "plain", 1).Leader.Similarities(ctx, queries, 5, VariantFagin)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := cl.Leader.Similarities(ctx, queries, 5, VariantFagin, 4)
+	par, err := parallelCluster(t, pt, "plain", 4).Leader.Similarities(ctx, queries, 5, VariantFagin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -589,20 +593,20 @@ func TestParallelSimilaritiesMatchSequential(t *testing.T) {
 
 func TestParallelSimilaritiesErrorPropagates(t *testing.T) {
 	_, pt := testPartition(t, "Rice", 50, 3)
-	cl := newCluster(t, pt, "plain")
 	// One invalid query among many must fail the whole batch with the error
 	// the serial loop surfaces: the one naming that query.
 	queries := []int{1, 2, 3, -5, 4, 5}
 	var serial string
-	for _, workers := range []int{1, 3} {
-		_, err := cl.Leader.Similarities(context.Background(), queries, 4, VariantFagin, workers)
+	for _, parallelism := range []int{1, 3} {
+		cl := parallelCluster(t, pt, "plain", parallelism)
+		_, err := cl.Leader.Similarities(context.Background(), queries, 4, VariantFagin)
 		if err == nil || !strings.Contains(err.Error(), "query -5:") {
-			t.Fatalf("workers=%d: got %v, want an error naming query -5", workers, err)
+			t.Fatalf("parallelism=%d: got %v, want an error naming query -5", parallelism, err)
 		}
-		if workers == 1 {
+		if parallelism == 1 {
 			serial = err.Error()
 		} else if err.Error() != serial {
-			t.Fatalf("workers=%d: got %q, serial run got %q", workers, err, serial)
+			t.Fatalf("parallelism=%d: got %q, serial run got %q", parallelism, err, serial)
 		}
 	}
 }
@@ -755,7 +759,7 @@ func TestChurnUnregistersDepartedNodes(t *testing.T) {
 	if got := serving(); !slices.Equal(got, cold) {
 		t.Fatalf("after 8 join→leave cycles the transport serves %v, cold cluster served %v", got, cold)
 	}
-	if _, err := cl.Leader.Similarities(ctx, []int{1, 7}, 3, VariantFagin, 1); err != nil {
+	if _, err := cl.Leader.Similarities(ctx, []int{1, 7}, 3, VariantFagin); err != nil {
 		t.Fatalf("selection after churn: %v", err)
 	}
 }
@@ -829,10 +833,10 @@ func TestParticipantHandlerErrors(t *testing.T) {
 
 func TestSimilaritiesContextCancellation(t *testing.T) {
 	_, pt := testPartition(t, "Credit", 200, 4)
-	cl := newCluster(t, pt, "plain")
+	cl := parallelCluster(t, pt, "plain", 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := cl.Leader.Similarities(ctx, []int{1, 2, 3, 4}, 5, VariantFagin, 2); err == nil {
+	if _, err := cl.Leader.Similarities(ctx, []int{1, 2, 3, 4}, 5, VariantFagin); err == nil {
 		t.Fatal("expected cancellation error")
 	}
 }

@@ -36,11 +36,8 @@ func TestKnobsDeclaredOnce(t *testing.T) {
 	// true: a live flag, registered by Options.BindFlags only. false: a
 	// retired flag, registered nowhere.
 	flags := map[string]bool{"parallelism": true, "encrypt-window": true,
-		"delta-cache": false, "shard-workers": false}
+		"delta-cache": false, "shard-workers": false, "qworkers": false}
 	mutators := map[string]bool{"SetParallelism": true, "SetPayloadOptions": true, "SetPackHint": true}
-	// SelectOptions.Parallelism is the per-selection count of queries in
-	// flight, not the deployment setting.
-	allowed := map[string]bool{"vfps.go SelectOptions.Parallelism": true}
 
 	var files []string
 	files = append(files, "vfps.go")
@@ -81,7 +78,6 @@ func TestKnobsDeclaredOnce(t *testing.T) {
 							t.Errorf("%s: %s.%s declares a retired setting", fset.Position(name.Pos()), n.Name.Name, name.Name)
 						case inOptions && n.Name.Name == "Options":
 							declared[name.Name] = true
-						case allowed[path+" "+n.Name.Name+"."+name.Name]:
 						default:
 							t.Errorf("%s: %s.%s re-declares a setting of vfl.Options; embed Options instead",
 								fset.Position(name.Pos()), n.Name.Name, name.Name)

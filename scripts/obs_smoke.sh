@@ -41,19 +41,25 @@ for i in $(seq 1 50); do
 done
 curl -sf "${BASE}/healthz" >/dev/null
 
-echo "obs-smoke: driving two encrypted selections around a join (delta-cached)"
+echo "obs-smoke: driving three encrypted selections around a join (delta-cached)"
 # Paillier blocks are always delta-cached. An identical repeat would be
 # answered by the similarity cache without any protocol traffic, so a join
 # sits between the two selections: the second runs the protocol on a new
 # roster, and the survivors' BASE blocks (a candidate set the join cannot
-# move) must hit the cache the first one warmed — so the cache-hit counter
-# below carries a real value, not just a declared family.
+# move) must hit the cache the selections before it warmed — so the
+# cache-hit counter below carries a real value, not just a declared family.
+# A fresh consortium's first round packs static and its second at the width
+# the first taught the aggregation server, so two selections (k 4, then 5:
+# BASE encrypts the same blocks at any k) warm the cache at the width the
+# post-join selection packs under.
 ID=$(curl -sf -X POST "${BASE}/v1/consortiums" \
     -d '{"dataset":"Rice","rows":150,"parties":3,"scheme":"paillier"}' \
     | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
 [[ -n "${ID}" ]] || { echo "obs-smoke: consortium creation failed" >&2; exit 1; }
-curl -sf -X POST "${BASE}/v1/consortiums/${ID}/select" \
-    -d '{"count":2,"k":5,"numQueries":6,"seed":1,"topk":"base"}' >/dev/null
+for k in 4 5; do
+    curl -sf -X POST "${BASE}/v1/consortiums/${ID}/select" \
+        -d '{"count":2,"k":'"${k}"',"numQueries":6,"seed":1,"topk":"base"}' >/dev/null
+done
 curl -sf -X POST "${BASE}/v1/consortiums/${ID}/participants" \
     -d '{"cloneOf":0,"noise":0.1,"seed":1}' >/dev/null
 curl -sf -X POST "${BASE}/v1/consortiums/${ID}/select" \

@@ -39,16 +39,15 @@
 # top-level "soak" key.
 #
 # Environment knobs (defaults in parentheses):
-#   SOAK_ROUNDS (2)  SOAK_QUERIES (8)  SOAK_QWORKERS (2)  SOAK_PARTIES (3)
+#   SOAK_ROUNDS (3)  SOAK_QUERIES (8)  SOAK_PARTIES (3)
 #   SOAK_P99_MS (10000)  SOAK_MIN_QPS (0.2)
 #   SOAK_MT_CONSORTIUMS (3)  SOAK_MT_ROUNDS (2)  SOAK_MT_P99_MS (20000)
 #   SOAK_MIN_MT_SPEEDUP (by core count, see above)
 #   SOAK_PORT_BASE (19300)  SOAK_OUT (SOAK_summary.json)
 set -euo pipefail
 
-ROUNDS="${SOAK_ROUNDS:-2}"
+ROUNDS="${SOAK_ROUNDS:-3}"
 QUERIES="${SOAK_QUERIES:-8}"
-QWORKERS="${SOAK_QWORKERS:-2}"
 PARTIES="${SOAK_PARTIES:-3}"
 P99_MS="${SOAK_P99_MS:-10000}"
 MIN_QPS="${SOAK_MIN_QPS:-0.2}"
@@ -120,8 +119,9 @@ done
 # The full payload pipeline rides the soak: the packed Paillier layout with
 # its per-round width negotiation and the cross-round delta cache (no flags:
 # both are what every Paillier node does; repeat rounds rerun the same query
-# set, so round 2+ must hit the cache — the vfpsnode leader holds no
-# similarity cache to answer them instead).
+# set, so round 3+ must hit the cache — round 1 packs static and round 2 at
+# the width round 1 taught the aggregation server; the vfpsnode leader holds
+# no similarity cache to answer them instead).
 COMMON=(-scheme paillier -keybits 256 -dataset Bank -rows "${ROWS}" \
         -parties "${PARTIES}" -directory "${DIRECTORY}")
 
@@ -150,10 +150,11 @@ say "starting vfpsserve collector on ${SERVE_ADDR}"
 PIDS+=($!)
 wait_tcp "${SERVE_ADDR}" || die "vfpsserve did not come up"
 
-say "running leader: ${ROUNDS} round(s) x ${QUERIES} queries, ${QWORKERS} worker(s)"
+# -parallelism 2 also keeps 2 of a round's queries in flight.
+say "running leader: ${ROUNDS} round(s) x ${QUERIES} queries, 2 in flight"
 QLOG="${WORK}/leader_queries.jsonl"
 start_node leader -role leader -k "${K}" -queries "${QUERIES}" -rounds "${ROUNDS}" \
-    -qworkers "${QWORKERS}" -parallelism 2 -obs-addr "${LEADER_OBS}" \
+    -parallelism 2 -obs-addr "${LEADER_OBS}" \
     -log-json "${QLOG}" -linger 60s "${COMMON[@]}"
 LEADER_PID="${PIDS[-1]}"
 LEADER_LOG="${WORK}/leader.log"
@@ -265,9 +266,10 @@ for family in vfps_delta_cache_hits_total vfps_delta_cache_misses_total; do
     grep -q "^# TYPE ${family} " "${WORK}/agg_metrics.txt" \
         || die "aggserver /metrics missing delta-cache family ${family}"
 done
-if [ "${ROUNDS}" -gt 1 ]; then
-    # Repeat rounds rerun the identical query set, so the receive side of the
-    # party payloads must have recorded real delta-cache hits.
+if [ "${ROUNDS}" -gt 2 ]; then
+    # Repeat rounds rerun the identical query set, so from round 3 on, which
+    # packs at round 2's width, the receive side of the party payloads must
+    # have recorded real delta-cache hits.
     grep -q '^vfps_delta_cache_hits_total{.*} [1-9]' "${WORK}/agg_metrics.txt" \
         || die "no delta-cache hits recorded across ${ROUNDS} repeat rounds"
 fi

@@ -222,9 +222,6 @@ type SelectOptions struct {
 	// "threshold" (leader-assisted Threshold Algorithm). With Base set it
 	// must be "" or "base"; any other value is an error.
 	TopK string
-	// Parallelism bounds concurrent in-flight queries during the similarity
-	// phase (default 1). Results are identical to the sequential run.
-	Parallelism int
 }
 
 // queriesFor resolves the query set against a consortium, honouring the
@@ -265,10 +262,9 @@ func (c *Consortium) coreConfig(opts SelectOptions) (core.Config, error) {
 		variant = vfl.Variant(opts.TopK)
 	}
 	return core.Config{
-		K:           opts.k(),
-		Queries:     c.queriesFor(opts),
-		Variant:     variant,
-		Parallelism: opts.Parallelism,
+		K:       opts.k(),
+		Queries: c.queriesFor(opts),
+		Variant: variant,
 	}, nil
 }
 

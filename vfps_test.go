@@ -228,19 +228,33 @@ func TestSelectDeterministicPublic(t *testing.T) {
 	}
 }
 
+// TestSelectParallelismMatchesSequential runs one selection on a consortium
+// pinned serial and on one with 4 queries in flight: the picks and W must
+// match bit for bit.
 func TestSelectParallelismMatchesSequential(t *testing.T) {
-	cons := testConsortium(t, "Credit", 200, 4)
+	d, err := GenerateDataset("Credit", 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := VerticalSplit(d, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx := context.Background()
-	opts := SelectOptions{K: 5, NumQueries: 12, Seed: 6}
-	seq, err := cons.Select(ctx, 2, opts)
-	if err != nil {
-		t.Fatal(err)
+	selectAt := func(parallelism int) *Selection {
+		cons, err := NewConsortium(ctx, Config{Partition: pt, Labels: d.Y, Classes: d.Classes,
+			Options: Options{Parallelism: parallelism}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cons.Close()
+		sel, err := cons.Select(ctx, 2, SelectOptions{K: 5, NumQueries: 12, Seed: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sel
 	}
-	opts.Parallelism = 4
-	par, err := cons.Select(ctx, 2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq, par := selectAt(1), selectAt(4)
 	if !reflect.DeepEqual(seq.Selected, par.Selected) {
 		t.Fatalf("parallel selection diverges: %v vs %v", seq.Selected, par.Selected)
 	}
@@ -257,7 +271,8 @@ func TestSelectParallelismMatchesSequential(t *testing.T) {
 // fresh Paillier consortia, each under its own key, and requires the same
 // wire bytes: every ciphertext is exactly the key's ciphertext width, so the
 // count depends on how many ciphertexts travel and not on their random
-// values.
+// values. Four queries are in flight even on one core, so the counts must
+// not depend on which query finishes first either.
 func TestPaillierSelectionBytesAreDeterministic(t *testing.T) {
 	d, err := GenerateDataset("Bank", 400)
 	if err != nil {
@@ -270,7 +285,7 @@ func TestPaillierSelectionBytesAreDeterministic(t *testing.T) {
 	ctx := context.Background()
 	run := func() CostCounts {
 		cons, err := NewConsortium(ctx, Config{Partition: pt, Labels: d.Y, Classes: d.Classes,
-			Scheme: "paillier", KeyBits: 256, ShuffleSeed: 7})
+			Scheme: "paillier", KeyBits: 256, ShuffleSeed: 7, Options: Options{Parallelism: 4}})
 		if err != nil {
 			t.Fatal(err)
 		}
