@@ -8,8 +8,9 @@ build:
 test:
 	$(GO) test ./...
 
-# Formatting and vet first, then the full suite, the wire-format and ranking
-# fuzz smokes, and the live observability surface — the pre-commit gate.
+# Formatting and vet first, then the full suite, the wire-format, ranking,
+# request-framing and CSV fuzz smokes, and the live observability surface —
+# the pre-commit gate.
 check:
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then echo "gofmt needed on:"; echo "$$fmt"; exit 1; fi
 	@gob=$$(grep -rl --include='*.go' '"encoding/gob"' .); if [ -n "$$gob" ]; then echo "encoding/gob is banned; the protocol has one wire format. Imported by:"; echo "$$gob"; exit 1; fi
@@ -20,6 +21,8 @@ check:
 	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzWire$$' -fuzztime=5s
 	$(GO) test ./internal/vfl -run='^$$' -fuzz='^FuzzMessages$$' -fuzztime=5s
 	$(GO) test ./internal/topk -run='^$$' -fuzz='^FuzzRankedPrefix$$' -fuzztime=5s
+	$(GO) test ./internal/transport -run='^$$' -fuzz='^FuzzReadRequest$$' -fuzztime=5s
+	$(GO) test ./internal/dataset -run='^$$' -fuzz='^FuzzLoadCSV$$' -fuzztime=5s
 	$(GO) test -race ./...
 	$(GO) test ./internal/paillier -run='^$$' -fuzz='^FuzzFixedBaseExp$$' -fuzztime=5s
 	$(GO) test ./internal/mont -run='^$$' -fuzz='^FuzzMontMulExp$$' -fuzztime=5s

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"strings"
 
 	"vfps"
 )
@@ -81,4 +82,31 @@ func ExampleRewardShares() {
 	fmt.Printf("shares for %d participants sum to f(P): %v\n", len(shares), sum-sel.Value < 1e-9)
 	// Output:
 	// shares for 3 participants sum to f(P): true
+}
+
+// ExampleLoadCSV reads a labelled CSV — numeric feature columns, the label in
+// the last column — into a dataset ready for a vertical split. Labels may be
+// any strings; they map to class ids in sorted order.
+func ExampleLoadCSV() {
+	csv := `age,income,debt,label
+34,52.5,3.1,no
+51,80.0,9.4,yes
+27,31.2,0.8,no
+45,60.7,12.0,yes
+`
+	data, err := vfps.LoadCSV(strings.NewReader(csv), "loans", -1, true)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("%d rows, %d features, %d classes\n", data.N(), data.F(), data.Classes)
+	fmt.Println("labels:", data.Y)
+	partition, err := vfps.VerticalSplit(data, 3, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("parties:", partition.P())
+	// Output:
+	// 4 rows, 3 features, 2 classes
+	// labels: [0 1 0 1]
+	// parties: 3
 }

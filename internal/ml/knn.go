@@ -90,8 +90,8 @@ func (m *KNN) Predict(queryPt *dataset.Partition) ([]int, error) {
 			})
 		}
 		votes := make([]float64, m.classes)
-		for _, idx := range topk.KSmallest(dist, m.K) {
-			votes[m.yTrain[idx]]++
+		for _, it := range topk.KSmallest(dist, nil, m.K) {
+			votes[m.yTrain[it.ID]]++
 		}
 		out[q] = mat.ArgMax(votes)
 	}

@@ -109,8 +109,8 @@ func (m *KNN) PredictScores(queryPt *dataset.Partition) ([]float64, error) {
 			}
 		}
 		pos := 0
-		for _, idx := range topk.KSmallest(dist, m.K) {
-			if m.yTrain[idx] == 1 {
+		for _, it := range topk.KSmallest(dist, nil, m.K) {
+			if m.yTrain[it.ID] == 1 {
 				pos++
 			}
 		}

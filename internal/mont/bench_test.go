@@ -77,7 +77,7 @@ func BenchmarkBigMulMod(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			z.Mul(x, y)
-			z.Mod(z, c.Mod())
+			z.Mod(z, c.m)
 		}
 	})
 }
@@ -115,7 +115,7 @@ func BenchmarkBigExp(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			z.Exp(x, e, c.Mod())
+			z.Exp(x, e, c.m)
 		}
 	})
 }

@@ -172,9 +172,6 @@ func ctxFor(key cacheKey) *Ctx {
 // have exactly K limbs.
 func (c *Ctx) K() int { return c.k }
 
-// Mod returns the modulus (read-only).
-func (c *Ctx) Mod() *big.Int { return c.m }
-
 // One returns R mod m, the Montgomery form of 1. The returned Nat is shared
 // and must not be written.
 func (c *Ctx) One() Nat { return c.one }

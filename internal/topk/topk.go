@@ -276,7 +276,12 @@ func kSmallestByAggregate(lists []*RankedList, cand []int, k int) ([]int, int) {
 			ra++
 		}
 	}
-	return kSmallest(sums, cand, k), ra
+	top := KSmallest(sums, cand, k)
+	ids := make([]int, len(top))
+	for i, it := range top {
+		ids[i] = it.ID
+	}
+	return ids, ra
 }
 
 // Fagin runs Fagin's algorithm with mini-batched sequential access: each
@@ -334,7 +339,9 @@ func Fagin(lists []*RankedList, k, batch int) (*Result, error) {
 // Threshold runs the Threshold Algorithm (TA): depth-synchronised sorted
 // access with immediate random access for each newly seen id, maintaining
 // the threshold τ (the aggregate of the current scan frontier) and stopping
-// as soon as k seen instances have aggregate ≤ τ.
+// as soon as k seen instances have aggregate < τ. An unseen instance's
+// aggregate is at least τ, and one equal to τ may order before a seen one on
+// id, so a k-th aggregate equal to τ does not settle the top k.
 func Threshold(lists []*RankedList, k int) (*Result, error) {
 	n, err := validate(lists, k)
 	if err != nil {
@@ -379,7 +386,7 @@ func Threshold(lists []*RankedList, k int) (*Result, error) {
 		}
 		depth++
 		stats.Rounds++
-		if len(best) >= k && best[k-1].sum <= tau {
+		if len(best) >= k && best[k-1].sum < tau {
 			break
 		}
 	}
@@ -421,25 +428,16 @@ func Naive(lists []*RankedList, k int) (*Result, error) {
 	}, nil
 }
 
-// KSmallest returns the indices of the k smallest values in ascending value
-// order (ties by index). It is the single-list special case used by the
-// leader after decrypting complete distances.
-func KSmallest(values []float64, k int) []int {
+// KSmallest returns the first k entries (fewer when the list is shorter) of
+// the ranking of scores, id ids[i] for index i (i when ids is nil): ascending
+// score, ties by id. The leader ranks decrypted candidate sums with it under
+// their pseudo IDs, so a tie resolves the same whichever order the candidates
+// arrived in.
+func KSmallest(scores []float64, ids []int, k int) []Item {
 	if k <= 0 {
 		return nil
 	}
-	return kSmallest(values, nil, k)
-}
-
-// kSmallest returns the ids of the first k entries (fewer when the list is
-// shorter) of the ranking of scores, id ids[i] for index i (i when ids is
-// nil).
-func kSmallest(scores []float64, ids []int, k int) []int {
 	r := Ranking{Scores: scores, IDs: ids, Skip: -1}
 	r.Extend(k)
-	out := make([]int, min(k, len(r.Sorted)))
-	for i := range out {
-		out[i] = r.Sorted[i].ID
-	}
-	return out
+	return r.Sorted[:min(k, len(r.Sorted))]
 }

@@ -158,6 +158,42 @@ func TestThresholdEquivalenceProperty(t *testing.T) {
 	}
 }
 
+// Property: Fagin and TA match Naive when aggregates tie heavily: small
+// integer scores, so many instances share the k-th aggregate and the id
+// tie-break decides which of them are in the top k.
+func TestTiedScoresEquivalenceProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		p := 2 + rng.Intn(4)
+		n := 5 + rng.Intn(100)
+		k := 1 + rng.Intn(n)
+		lists := make([]*RankedList, p)
+		for i := range lists {
+			scores := make([]float64, n)
+			for j := range scores {
+				scores[j] = float64(rng.Intn(3))
+			}
+			lists[i] = NewRankedList(scores)
+		}
+		want, err := Naive(lists, k)
+		if err != nil {
+			return false
+		}
+		fa, err := Fagin(lists, k, 1+rng.Intn(10))
+		if err != nil {
+			return false
+		}
+		ta, err := Threshold(lists, k)
+		if err != nil {
+			return false
+		}
+		return reflect.DeepEqual(fa.TopK, want.TopK) && reflect.DeepEqual(ta.TopK, want.TopK)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: with duplicated (perfectly correlated) lists Fagin terminates at
 // depth k — the candidate set is as small as possible.
 func TestFaginCorrelatedListsPruneHard(t *testing.T) {
@@ -239,15 +275,20 @@ func TestFaginBatchInvariance(t *testing.T) {
 
 func TestKSmallest(t *testing.T) {
 	v := []float64{5, 1, 3, 1, 4}
-	got := KSmallest(v, 3)
-	want := []int{1, 3, 2}
+	got := KSmallest(v, nil, 3)
+	want := []Item{{1, 1}, {3, 1}, {2, 3}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("KSmallest = %v, want %v", got, want)
 	}
-	if KSmallest(v, 0) != nil {
+	// Ties break by the given ids, not by position.
+	got = KSmallest(v, []int{50, 40, 30, 20, 10}, 2)
+	if want := []Item{{20, 1}, {40, 1}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("KSmallest with ids = %v, want %v", got, want)
+	}
+	if KSmallest(v, nil, 0) != nil {
 		t.Fatal("k=0 should return nil")
 	}
-	if len(KSmallest(v, 99)) != 5 {
+	if len(KSmallest(v, nil, 99)) != 5 {
 		t.Fatal("k>n should clamp")
 	}
 }

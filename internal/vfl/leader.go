@@ -365,15 +365,18 @@ func (l *Leader) decryptCollected(ctx context.Context, col *collected) ([]float6
 	return pp.DecryptPackedWith(ctx, col.blobs, count, packer, col.adds)
 }
 
-// finishQuery ranks the decrypted candidate distances and gathers the
-// parties' plaintext partial sums over the neighbour set (Step ⑦),
-// fanning the NeighborSum requests out concurrently. phase records the
-// neighbour-sum latency into the caller's query-log event.
+// finishQuery ranks the decrypted candidate distances by (distance, pseudo
+// ID) — the order of every party's sub-ranking, so BASE, Fagin and TA pick
+// the same neighbours on tied distances whatever order their candidates
+// arrived in — and gathers the parties' plaintext partial sums over the
+// neighbour set (Step ⑦), fanning the NeighborSum requests out concurrently.
+// NeighborSum is a query's last call to a party, which then retires the
+// query's distances. phase records the neighbour-sum latency into the
+// caller's query-log event.
 func (l *Leader) finishQuery(ctx context.Context, query, k int, pids []int, dist []float64, stats FaginStats, phase func(string, time.Time)) (*QueryResult, error) {
-	order := topk.KSmallest(dist, k)
 	neighbors := make([]int, k)
-	for i, idx := range order {
-		neighbors[i] = pids[idx]
+	for i, it := range topk.KSmallest(dist, pids, k) {
+		neighbors[i] = it.ID
 	}
 
 	sumStart := time.Now()
@@ -504,11 +507,11 @@ func (l *Leader) thresholdScan(ctx context.Context, round, query, k int) ([]int,
 			return nil, nil, stats, fmt.Errorf("vfl: TA decrypting threshold: %w", err)
 		}
 		l.charge(ctx, costmodel.Raw{Decryptions: 1})
-		if len(dist) >= k {
-			order := topk.KSmallest(dist, k)
-			if dist[order[k-1]] <= tau {
-				break
-			}
+		// An unseen instance's distance can equal τ, and it may then order
+		// before a seen one on pseudo ID, so only a k-th distance strictly
+		// below τ settles the top k.
+		if top := topk.KSmallest(dist, pids, k); len(top) == k && top[k-1].Score < tau {
+			break
 		}
 	}
 	stats.ScanDepth = depth

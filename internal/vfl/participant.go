@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -43,20 +44,25 @@ type Participant struct {
 
 	mu         sync.Mutex
 	cache      map[int]*queryCache
-	cacheOrder []int // FIFO eviction order
+	cacheOrder []int       // FIFO eviction order
+	slabs      [][]float64 // N-float distance vectors free for the next query
 }
 
-// The per-participant query cache is bounded by bytes, not entries: an entry
-// holds N distances plus its sorted ranking prefix, so a fixed entry count
-// that is harmless at N = 200 retains tens of megabytes at N = 10⁵. Small
-// consortiums keep the 32 entries concurrent query processing was sized for;
-// large ones keep at least cacheMinEntries, which is also the most queries
-// the leader keeps in flight (Leader.Similarities), so every in-flight query
-// keeps its entry at any N. Eviction is first in, first out, so a slow query
-// that 4 newer queries lap loses its entry and is recomputed: correct, but it
-// costs DistanceFlops. A selection that repeats a query set is answered by
-// core's SimCache before it reaches a party, so entries past those in flight
-// buy little.
+// A query-cache entry lives as long as its query: NeighborSum, the last call
+// a query makes to a party in every variant, retires it, and once no handler
+// holds it its N-float distance slab goes to a free list of at most
+// cacheMinEntries slabs that the next query's distance pass writes into.
+//
+// The byte budget is the backstop for queries that never reach NeighborSum
+// (a cancelled or failed selection). It bounds entries by bytes, not count:
+// an entry holds N distances plus its sorted ranking prefix, so a fixed entry
+// count that is harmless at N = 200 retains tens of megabytes at N = 10⁵.
+// Small consortiums keep up to 32 entries; large ones keep at least
+// cacheMinEntries, which is also the most queries the leader keeps in flight
+// (Leader.Similarities), so every in-flight query keeps its entry at any N.
+// Eviction is first in, first out, so an unfinished query that 4 newer
+// queries lap loses its entry and is recomputed: correct, but it costs
+// DistanceFlops.
 const (
 	cacheBudgetBytes = 8 << 20
 	cacheMinEntries  = 4
@@ -67,7 +73,11 @@ const (
 // reuse: partial distances by original id and the ascending sub-ranking of
 // pseudo IDs, sorted only as far as the protocol has read it.
 type queryCache struct {
-	dist []float64 // by original id; the query's own slot stays 0 and is never ranked
+	query int
+	dist  []float64 // by original id; the query's own slot is 0 and never ranked
+	// refs counts the handlers reading the entry; guarded by the
+	// participant's mu. The slab is recycled only at zero.
+	refs int
 
 	mu sync.Mutex
 	// rank orders every row but the query by (distance, pseudo id) straight
@@ -274,16 +284,25 @@ func (p *Participant) encryptItems(ctx context.Context, query int, pids []int, v
 }
 
 // distances returns the cached per-query artefacts, computing them on first
-// use. The query itself is excluded from the ranking (a KNN query drawn from
-// the dataset is its own 0-distance neighbour).
+// use, with a reference taken: the caller must release it once it has read
+// what it needs. The query itself is excluded from the ranking (a KNN query
+// drawn from the dataset is its own 0-distance neighbour).
 func (p *Participant) distances(ctx context.Context, query int) (*queryCache, error) {
 	if query < 0 || query >= p.N() {
 		return nil, fmt.Errorf("vfl: query %d out of range [0,%d)", query, p.N())
 	}
+	n := p.N()
 	p.mu.Lock()
 	if qc, ok := p.cache[query]; ok {
+		qc.refs++
 		p.mu.Unlock()
 		return qc, nil
+	}
+	var dist []float64
+	if k := len(p.slabs); k > 0 {
+		dist, p.slabs = p.slabs[k-1], p.slabs[:k-1]
+	} else {
+		dist = make([]float64, n)
 	}
 	p.mu.Unlock()
 	// Compute outside the lock so concurrent queries for different samples
@@ -291,36 +310,58 @@ func (p *Participant) distances(ctx context.Context, query int) (*queryCache, er
 	_, dsp := p.tracer().Start(ctx, SpanDistances)
 	dsp.SetLabelInt("party", int64(p.index))
 	defer dsp.End()
-	n := p.N()
 	qRow := p.x.Row(query)
-	dist := make([]float64, n)
 	for i := 0; i < n; i++ {
-		if i != query {
-			dist[i] = mat.SqDist(qRow, p.x.Row(i))
-		}
+		dist[i] = mat.SqDist(qRow, p.x.Row(i))
 	}
+	dist[query] = 0 // a recycled slab holds another query's distances
 	p.charge(ctx, costmodel.Raw{DistanceFlops: int64((n - 1) * p.x.Cols)})
 	// Ranking by (distance, pseudo id) gives all parties and the servers a
 	// consistent order without leaking original ids.
-	qc := &queryCache{dist: dist, rank: topk.Ranking{Scores: dist, IDs: p.perm, Skip: query}}
+	qc := &queryCache{query: query, dist: dist, rank: topk.Ranking{Scores: dist, IDs: p.perm, Skip: query}}
 	qc.bytes.Store(entryBytes(n, 0))
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if existing, ok := p.cache[query]; ok {
-		return existing, nil // another goroutine won the race
+		p.recycleLocked(qc) // another goroutine won the race
+		existing.refs++
+		return existing, nil
 	}
+	qc.refs = 1
 	p.cache[query] = qc
 	p.cacheOrder = append(p.cacheOrder, query)
 	p.trimCacheLocked()
 	return qc, nil
 }
 
-// trimCache evicts the oldest query-cache entries until the cache fits its
-// bounds again; callers run it after a ranking extension grew an entry.
-func (p *Participant) trimCache() {
+// release drops a handler's reference on qc and trims the cache, which the
+// handler may have grown by extending the ranking. retire also drops the
+// entry from the cache: its query is over, and a later request for it
+// recomputes. An entry out of the cache gives its slab back at its last
+// release.
+func (p *Participant) release(qc *queryCache, retire bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	qc.refs--
+	if retire && p.cache[qc.query] == qc {
+		delete(p.cache, qc.query)
+		p.cacheOrder = slices.DeleteFunc(p.cacheOrder, func(q int) bool { return q == qc.query })
+	}
 	p.trimCacheLocked()
+	p.recycleLocked(qc)
+}
+
+// recycleLocked moves the slab of an entry that is out of the cache and
+// unreferenced to the free list, keeping at most cacheMinEntries slabs; it
+// runs at most once per entry. p.mu must be held.
+func (p *Participant) recycleLocked(qc *queryCache) {
+	if qc.refs > 0 || qc.dist == nil || p.cache[qc.query] == qc {
+		return
+	}
+	if len(p.slabs) < cacheMinEntries {
+		p.slabs = append(p.slabs, qc.dist)
+	}
+	qc.dist = nil
 }
 
 // trimCacheLocked evicts oldest-first until at most cacheMaxEntries remain
@@ -332,10 +373,12 @@ func (p *Participant) trimCacheLocked() {
 		total += p.cache[q].bytes.Load()
 	}
 	for len(p.cacheOrder) > cacheMaxEntries || len(p.cacheOrder) > cacheMinEntries && total > cacheBudgetBytes {
-		oldest := p.cacheOrder[0]
-		total -= p.cache[oldest].bytes.Load()
-		delete(p.cache, oldest)
+		q := p.cacheOrder[0]
+		oldest := p.cache[q]
+		total -= oldest.bytes.Load()
+		delete(p.cache, q)
 		p.cacheOrder = p.cacheOrder[1:]
+		p.recycleLocked(oldest)
 	}
 }
 
@@ -387,21 +430,21 @@ func (p *Participant) rankingBatch(ctx context.Context, r RankingBatchReq) ([]by
 	if r.Count <= 0 {
 		return nil, fmt.Errorf("vfl: ranking batch count %d must be positive", r.Count)
 	}
+	if r.Offset < 0 || r.Offset > p.N()-1 {
+		return nil, fmt.Errorf("vfl: ranking offset %d out of range", r.Offset)
+	}
 	qc, err := p.distances(ctx, r.Query)
 	if err != nil {
 		return nil, err
 	}
-	if r.Offset < 0 || r.Offset > qc.rank.Len() {
-		return nil, fmt.Errorf("vfl: ranking offset %d out of range", r.Offset)
-	}
 	// Clamp before adding: Offset+Count overflows for a hostile Count.
 	count := min(r.Count, qc.rank.Len()-r.Offset)
 	ranked := qc.ranked(r.Offset + count)[r.Offset:]
-	p.trimCache()
 	batch := make([]int, len(ranked))
 	for i, it := range ranked {
 		batch[i] = it.ID
 	}
+	p.release(qc, false)
 	return p.reply(ctx, &RankingBatchResp{PseudoIDs: batch}, costmodel.Raw{ItemsSent: int64(len(batch)), Messages: 1})
 }
 
@@ -428,10 +471,12 @@ func (p *Participant) encrypt(ctx context.Context, r EncryptCandidatesReq, all b
 	vals := make([]float64, len(pids))
 	for i, pid := range pids {
 		if pid < 0 || pid >= n || pid == queryPid {
+			p.release(qc, false)
 			return nil, fmt.Errorf("vfl: candidate pseudo id %d invalid", pid)
 		}
 		vals[i] = qc.dist[p.inv[pid]]
 	}
+	p.release(qc, false)
 	enc, err := p.encryptItems(ctx, r.Query, pids, vals, r.PackBits, r.NoCache)
 	if err != nil {
 		return nil, fmt.Errorf("vfl: party %d encrypting: %w", p.index, err)
@@ -456,20 +501,21 @@ func (p *Participant) encrypt(ctx context.Context, r EncryptCandidatesReq, all b
 }
 
 func (p *Participant) encryptRankScore(ctx context.Context, r EncryptRankScoreReq) ([]byte, error) {
+	if r.Rank < 0 {
+		return nil, fmt.Errorf("vfl: rank %d must be non-negative", r.Rank)
+	}
+	if p.N() == 1 {
+		return nil, fmt.Errorf("vfl: rank %d of an empty ranking", r.Rank)
+	}
 	qc, err := p.distances(ctx, r.Query)
 	if err != nil {
 		return nil, err
 	}
-	if r.Rank < 0 {
-		return nil, fmt.Errorf("vfl: rank %d must be non-negative", r.Rank)
-	}
-	if qc.rank.Len() == 0 {
-		return nil, fmt.Errorf("vfl: rank %d of an empty ranking", r.Rank)
-	}
 	// Clamp before adding one, for the same reason as in rankingBatch.
 	rank := min(r.Rank, qc.rank.Len()-1)
-	c, err := p.scheme.Encrypt(qc.ranked(rank + 1)[rank].Score)
-	p.trimCache()
+	score := qc.ranked(rank + 1)[rank].Score
+	p.release(qc, false)
+	c, err := p.scheme.Encrypt(score)
 	if err != nil {
 		return nil, fmt.Errorf("vfl: party %d encrypting frontier: %w", p.index, err)
 	}
@@ -482,6 +528,9 @@ func (p *Participant) neighborSum(ctx context.Context, r NeighborSumReq) ([]byte
 	if err != nil {
 		return nil, err
 	}
+	// NeighborSum is the query's last call in every variant: whatever the
+	// outcome, the entry is retired.
+	defer p.release(qc, true)
 	queryPid := p.perm[r.Query]
 	var sum float64
 	for _, pid := range r.PseudoIDs {

@@ -325,6 +325,34 @@ func TestSelectThresholdProtocol(t *testing.T) {
 	}
 }
 
+// TestFaginAndBaseSelectAlikeOnTiedData runs VFPS-SM and VFPS-SM-BASE over
+// the same query sets on Phishing, whose binary features tie partial
+// distances heavily, and requires the two to pick the same participants with
+// the same objective. Fagin's pruning must not change the neighbours: the
+// leader ranks both variants' candidates by (distance, pseudo ID), the order
+// every party's sub-ranking uses.
+func TestFaginAndBaseSelectAlikeOnTiedData(t *testing.T) {
+	cons := testConsortium(t, "Phishing", 1000, 4)
+	defer cons.Close()
+	ctx := context.Background()
+	for seed := int64(1); seed <= 20; seed++ {
+		opts := SelectOptions{K: 10, NumQueries: 16, Seed: seed}
+		fagin, err := cons.Select(ctx, 2, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Base = true
+		base, err := cons.Select(ctx, 2, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fagin.Selected, base.Selected) || fagin.Value != base.Value {
+			t.Errorf("seed %d: Fagin picked %v (objective %v), BASE %v (objective %v)",
+				seed, fagin.Selected, fagin.Value, base.Selected, base.Value)
+		}
+	}
+}
+
 // TestBaseConflictsWithAnotherTopK pins that Base and a TopK naming another
 // protocol are an error on every selection entry point, rather than TopK
 // silently winning while the result is reported as VFPS-SM-BASE.
